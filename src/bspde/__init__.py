@@ -18,17 +18,16 @@ from .frozen import (FrozenScenario, IterationReport, continuation_solve,
 from .oracle import GaussianBump, feynman_kac_mc, heat_reference, solve_dense
 from .scenario import (CoefficientField, ModulusOfContinuity, PathHistory,
                        SampleGrid, Scenario, ValidationReport,
-                       default_sample_grid, evaluate_field, validate)
+                       default_sample_grid, validate)
 from .scenario_file import (DiscretizationConfig, RunConfig, default_modulus,
                             load_scenario, load_scenario_text,
                             serialize_scenario)
-from .solver import (AdaptedField, RegressionSolution, SchemeConfig,
-                     SolutionPair, backward_solve, mixed_norm_sq,
+from .solver import (AdaptedField, LevelFields, RegressionSolution,
+                     SchemeConfig, SolutionPair, backward_solve, mixed_norm_sq,
                      pair_difference, solve_regression, solve_tree,
                      strong_residual, weak_residual)
-from .space import (OperatorMatrices, SpatialField, SpectralBasis, assemble_L,
-                    assemble_M, assemble_operators, coercivity_probe, project,
-                    sobolev_norm)
+from .space import (SpatialField, SpectralBasis, assemble_L, assemble_M,
+                    coercivity_probe, project)
 from .wiener import (PathEnsemble, WienerTree, build_chain, build_tree,
                      conditional_expectation, gauss_hermite_standard,
                      martingale_coefficient, sample_paths)
@@ -40,19 +39,19 @@ __all__ = [
     "ConvergenceError", "DegenerateKernelError", "DiscretizationConfig",
     "ESTIMATE_TAGS", "EstimateReport", "EvalError", "FrozenScenario",
     "GaussianBump", "IterationReport", "ModulusOfContinuity",
-    "MollifierConfig", "MultiIndex", "NumericError", "OperatorMatrices",
+    "LevelFields", "MollifierConfig", "MultiIndex", "NumericError",
     "ParseError", "PathEnsemble", "PathHistory", "PositivityReport",
     "RegressionSolution", "RunConfig", "SampleGrid", "ScenarioValidationError",
     "Scenario", "SchemeConfig", "SolutionPair", "SpatialField",
     "SpectralBasis", "StructuralError", "ValidationReport", "WienerTree",
-    "assemble_L", "assemble_M", "assemble_operators", "backward_solve",
+    "assemble_L", "assemble_M", "backward_solve",
     "build_chain", "build_tree", "coercivity_probe", "conditional_expectation",
     "continuation_solve", "default_modulus", "default_sample_grid",
-    "energy_audit", "evaluate_field", "feynman_kac_mc", "freeze_and_iterate",
+    "energy_audit", "feynman_kac_mc", "freeze_and_iterate",
     "gauss_hermite_standard", "heat_reference", "higher_regularity_solve",
     "ito_identity_check", "load_scenario", "load_scenario_text",
     "martingale_coefficient", "mixed_norm_sq", "mollify", "pair_difference",
     "positivity_check", "project", "sample_paths", "serialize_scenario",
-    "sobolev_norm", "solve_dense", "solve_frozen", "solve_regression",
+    "solve_dense", "solve_frozen", "solve_regression",
     "solve_tree", "strong_residual", "validate", "weak_residual",
 ]

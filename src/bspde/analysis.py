@@ -16,9 +16,11 @@ import numpy as np
 
 from .errors import DegenerateKernelError, StructuralError
 from .scenario import CoefficientField, Scenario
-from .solver import (AdaptedField, SchemeConfig, SolutionPair, _apply_op,
-                     backward_solve, solve_tree)
-from .space import SpectralBasis, assemble_L, assemble_M
+from .solver import (AdaptedField, LevelFields, SchemeConfig, SolutionPair,
+                     _apply, backward_solve, solve_tree)
+# assemble_L/assemble_M stay bound here for code that instruments the
+# assembly by patching every bspde namespace that imports it
+from .space import SpectralBasis, assemble_L, assemble_M  # noqa: F401
 from .wiener import WienerTree
 
 Array = np.ndarray
@@ -46,17 +48,10 @@ class EstimateReport:
 
 
 def _source_field(scenario: Scenario, tree: WienerTree, basis: SpectralBasis) -> AdaptedField:
-    X = basis.grid_points
-    levels = []
-    for level in range(tree.n_steps):
-        t = tree.time_of(level)
-        n_here = tree.levels[level].n_nodes
-        arr = np.empty((n_here, basis.n_modes), dtype=complex)
-        for node in range(n_here):
-            arr[node] = basis.project(
-                scenario.F.evaluate(t, X, tree.history(level, node)))
-        levels.append(arr)
-    return AdaptedField(tree, basis, levels)
+    fields = LevelFields(scenario, tree, basis)
+    return AdaptedField(tree, basis, [
+        np.broadcast_to(fields.source(level), (tree.levels[level].n_nodes, basis.n_modes))
+        for level in range(tree.n_steps)])
 
 
 def _terminal_expected_norm_sq(solution: SolutionPair, order) -> float:
@@ -114,41 +109,28 @@ def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerT
     scenarios with L = M = F = 0 and data affine in the terminal Wiener value
     the discrete martingale isometry makes every entry vanish to round-off.
 
-    ``operators``, when given, is a callable ``(level, node, history) ->
-    (L, Ms)`` replacing the scenario assembly.  This admits manufactured
-    generators (e.g. identically zero operators) that no validated scenario
-    can express.
+    ``operators``, when given, is a callable ``level -> (L, Ms)`` on the
+    level-array contract of ``backward_solve``, replacing the scenario
+    assembly.  This admits manufactured generators (e.g. identically zero
+    operators) that no validated scenario can express.
     """
     del scheme  # the balance itself is scheme-independent
     N, dt = tree.n_steps, tree.dt
-    X = basis.grid_points
+    fields = LevelFields(scenario, tree, basis)
+    operators = operators or fields.operators
     e_norm = np.array([solution.p.level_expected_norm_sq(k, 0) for k in range(N + 1)])
 
     pair_term = np.empty(N)
     q_term = np.empty(N)
     for level in range(N):
-        t = tree.time_of(level)
-        acc = 0.0
-        qacc = 0.0
         prob = tree.levels[level].prob
-        for node in range(tree.levels[level].n_nodes):
-            hist = tree.history(level, node)
-            if operators is None:
-                L = assemble_L(scenario, t, hist, basis)
-                Ms = assemble_M(scenario, t, hist, basis)
-            else:
-                L, Ms = operators(level, node, hist)
-            fhat = basis.project(scenario.F.evaluate(t, X, hist))
-            p = solution.p.levels[level][node]
-            drift = _apply_op(L, p) + fhat
-            for k, Mk in enumerate(Ms):
-                drift = drift + _apply_op(Mk, solution.q.levels[level][node, k])
-            acc += prob[node] * float(np.real(basis.inner(p, drift, 0)))
-            qacc += prob[node] * float(sum(
-                basis.norm_sq(solution.q.levels[level][node, k], 0)
-                for k in range(tree.dim_w)))
-        pair_term[level] = acc
-        q_term[level] = qacc
+        p, q = solution.p.levels[level], solution.q.levels[level]
+        L, Ms = operators(level)
+        drift = _apply(L, p) + fields.source(level)
+        for k in range(tree.dim_w):
+            drift = drift + _apply(Ms[:, k], q[:, k])
+        pair_term[level] = prob @ np.real(np.sum(np.conj(p) * drift, axis=-1))
+        q_term[level] = prob @ np.sum(basis.norm_sq(q, 0), axis=-1)
 
     defects = np.zeros(N + 1)
     for level in range(N):
@@ -176,9 +158,10 @@ class PositivityReport:
     envelope: EstimateReport
 
 
-def _negpart_integral(values: Array, volume: float) -> float:
+def _negpart_integral(values: Array, volume: float):
+    """Unnormalised torus integral of (v^-)^2, per row of grid values."""
     neg = np.minimum(values.real, 0.0)
-    return float(np.mean(neg ** 2) * volume)
+    return np.mean(neg ** 2, axis=-1) * volume
 
 
 def positivity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
@@ -199,18 +182,16 @@ def positivity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTre
             negpart[level] += prob[node] * _negpart_integral(vals, volume)
 
     # data negative parts for the envelope's right side
-    phi_neg = 0.0
-    lev = tree.levels[N]
-    for node in range(lev.n_nodes):
-        vals = scenario.phi.evaluate(scenario.horizon, X, tree.history(N, node))
-        phi_neg += lev.prob[node] * _negpart_integral(vals, volume)
-    f_neg = np.zeros(N)
-    for level in range(N):
-        t = tree.time_of(level)
-        prob = tree.levels[level].prob
-        for node in range(tree.levels[level].n_nodes):
-            vals = scenario.F.evaluate(t, X, tree.history(level, node))
-            f_neg[level] += prob[node] * _negpart_integral(vals, volume)
+    fields = LevelFields(scenario, tree, basis)
+
+    def data_negpart(field_, level, t):
+        vals = fields.level_map(level, field_.is_deterministic,
+                                lambda s, h: field_.evaluate(t, X, h))
+        return float(np.sum(tree.levels[level].prob * _negpart_integral(vals, volume)))
+
+    phi_neg = data_negpart(scenario.phi, N, scenario.horizon)
+    f_neg = np.array([data_negpart(scenario.F, level, tree.time_of(level))
+                      for level in range(N)])
 
     # Envelope constant by through-origin log-linear regression: with
     # s = T - t and y = log(lhs/rhs), fit y ~ C s over the levels where both
@@ -436,25 +417,13 @@ def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: Spectra
     # derived-equation operators: top order only
     zero = CoefficientField.zero
     top_scn = scenario.with_fields(b=zero((d,)), c=zero(()), nu=zero((dw,)))
-    op_cache: dict = {}
-    per_level = scenario.coefficients_deterministic
-
-    def ops(level, node, hist):
-        key = level if per_level else (level, node)
-        if key not in op_cache:
-            t = tree.time_of(level)
-            op_cache[key] = (assemble_L(top_scn, t, hist, basis),
-                             assemble_M(top_scn, t, hist, basis))
-        return op_cache[key]
+    fields = LevelFields(scenario, tree, basis)
 
     dmult = [basis.derivative_multiplier(tuple(1 if j == i else 0 for j in range(d)))
              for i in range(d)]
     ddmult = [[dmult[i] * dmult[j] for j in range(d)] for i in range(d)]
 
-    def source(level, node, hist):
-        t = tree.time_of(level)
-        p = base.p.levels[level][node]
-        q = base.q.levels[level][node]
+    def node_source(t, hist, p, q):
         grid = np.zeros(basis.n_grid, dtype=complex)
         # D^alpha F
         fgrid = scenario.F.evaluate(t, X, hist)
@@ -490,14 +459,13 @@ def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: Spectra
                     grid += coef * dnu * basis.reconstruct(gmult * q[k])
         return basis.project(grid)
 
-    if scenario.phi.is_deterministic:
-        fixed = alpha_mult * basis.project(scenario.phi.evaluate(scenario.horizon, X))
-        terminal = lambda i, hist: fixed
-    else:
-        terminal = lambda i, hist: alpha_mult * basis.project(
-            scenario.phi.evaluate(scenario.horizon, X, hist))
+    def source(level):
+        t = tree.time_of(level)
+        return np.stack([node_source(t, h, p, q) for h, p, q in zip(
+            fields.histories(level), base.p.levels[level], base.q.levels[level])])
 
-    derived = backward_solve(tree, basis, scheme, terminal, ops, source)
+    derived = backward_solve(tree, basis, scheme, alpha_mult * fields.terminal(),
+                             lambda level: fields.operators(level, top_scn), source)
 
     diff_levels = [derived.p.levels[k] - alpha_mult[None, :] * base.p.levels[k]
                    for k in range(len(derived.p.levels))]

@@ -131,7 +131,8 @@ def _fields_csv(solution, tree, basis) -> str:
                 row.append(_fmt(pv[g]))
                 row += [_fmt(qv[k][g]) for k in range(dw)]
                 lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # trailing newline without copying the joined text
+    return "\n".join(lines)
 
 
 def _solution_scale(solution, tree, basis) -> float:
@@ -167,10 +168,12 @@ def cmd_solve(args) -> int:
     for level in range(tree.n_steps):
         qn = math.sqrt(solution.q.level_expected_norm_sq(level, 0))
         summary[f"q_norm_{level:0{width}d}"] = _fmt(qn)
-    extra = {
-        "fields.csv": _fields_csv(solution, tree, basis),
-        "manifest.json": _manifest(args, scenario, disc, theta, tol, tree),
-    }
+    extra = None
+    if args.out is not None:  # the field dump is only ever written, never printed
+        extra = {
+            "fields.csv": _fields_csv(solution, tree, basis),
+            "manifest.json": _manifest(args, scenario, disc, theta, tol, tree),
+        }
     _emit(summary, args.out, extra)
     return EXIT_OK
 

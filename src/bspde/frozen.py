@@ -6,9 +6,10 @@ time/randomness dependence) the equation decouples mode by mode:
     dp_hat = -[ -(a0 k k) p_hat + i (sigma0 k) . q_hat + F_hat ] dt + q_hat dW,
 
 so the backward recursion runs with scalar algebra per mode.  The freezing
-iteration solves the variable-coefficient problem by Picard: the perturbation
-(a - a0):D2 u + (sigma - sigma0).grad v and all lower-order terms are folded
-into the source of the frozen solve, and the map contracts when the spatial
+iteration solves the variable-coefficient problem by Picard: the operators of
+(a - a0, sigma - sigma0), assembled in the scenario's own form together with
+all lower-order terms, act on the current iterate and are folded into the
+source of the frozen solve, and the map contracts when the spatial
 oscillation of (a, sigma) is small.  Continuation blends the second-order
 coefficients between their frozen and true values on a uniform lambda grid,
 warm-starting each step at the previous solution, which reaches coefficient
@@ -28,8 +29,8 @@ import numpy as np
 
 from .errors import ConvergenceError, StructuralError
 from .scenario import CoefficientField, PathHistory, Scenario
-from .solver import (AdaptedField, SchemeConfig, SolutionPair, backward_solve,
-                     pair_difference)
+from .solver import (LevelFields, SchemeConfig, SolutionPair, _apply,
+                     backward_solve, pair_difference)
 from .space import SpectralBasis
 from .wiener import WienerTree
 
@@ -80,16 +81,19 @@ def _frozen_field(field_: CoefficientField, x0: Array) -> CoefficientField:
         field_.shape)
 
 
-def _frozen_symbols(frozen: FrozenScenario, basis: SpectralBasis,
-                    t: float, hist: PathHistory):
-    """Diagonal symbols of a0:D2 and sigma0.grad at (t, history)."""
-    origin = np.zeros((1, frozen.dim_x))
-    a0 = frozen.a0.evaluate(t, origin, hist)[0]        # (d, d)
-    s0 = frozen.sigma0.evaluate(t, origin, hist)[0]    # (d, dw)
+def _frozen_L(frozen: FrozenScenario, basis: SpectralBasis, t: float,
+              hist: PathHistory | None) -> Array:
+    """Diagonal symbol of a0:D2 at (t, history)."""
+    a0 = frozen.a0.evaluate(t, np.zeros((1, frozen.dim_x)), hist)[0]     # (d, d)
     k = basis.freqs
-    diagL = -np.einsum("ij,mi,mj->m", a0, k, k).astype(complex)
-    diagM = [1j * (k @ s0[:, kk]) for kk in range(frozen.dim_w)]
-    return diagL, diagM
+    return -np.einsum("ij,mi,mj->m", a0, k, k).astype(complex)
+
+
+def _frozen_M(frozen: FrozenScenario, basis: SpectralBasis, t: float,
+              hist: PathHistory | None) -> Array:
+    """Diagonal symbols of sigma0.grad at (t, history), (dim_w, n_modes)."""
+    s0 = frozen.sigma0.evaluate(t, np.zeros((1, frozen.dim_x)), hist)[0]  # (d, dw)
+    return np.array([1j * (basis.freqs @ s0[:, kk]) for kk in range(frozen.dim_w)])
 
 
 def solve_frozen(frozen: FrozenScenario, tree: WienerTree, basis: SpectralBasis,
@@ -102,39 +106,15 @@ def solve_frozen(frozen: FrozenScenario, tree: WienerTree, basis: SpectralBasis,
     level); the freezing iteration and the continuation march use this hook.
     """
     scheme = scheme or SchemeConfig()
-    X = basis.grid_points
+    fields = LevelFields(frozen, tree, basis)
+    shared = frozen.a0.is_deterministic and frozen.sigma0.is_deterministic
 
-    sym_cache: dict = {}
+    def ops(level):
+        return (fields.level_map(level, shared, lambda t, h: _frozen_L(frozen, basis, t, h)),
+                fields.level_map(level, shared, lambda t, h: _frozen_M(frozen, basis, t, h)))
 
-    def ops(level, node, hist):
-        key = level if (frozen.a0.is_deterministic and frozen.sigma0.is_deterministic) \
-            else (level, node)
-        if key not in sym_cache:
-            sym_cache[key] = _frozen_symbols(frozen, basis, tree.time_of(level), hist)
-        return sym_cache[key]
-
-    if source_levels is not None:
-        def source(level, node, hist):
-            return source_levels[level][node]
-    else:
-        src_cache: dict = {}
-        per_level = frozen.F.is_deterministic
-
-        def source(level, node, hist):
-            key = level if per_level else (level, node)
-            if key not in src_cache:
-                src_cache[key] = basis.project(
-                    frozen.F.evaluate(tree.time_of(level), X, hist))
-            return src_cache[key]
-
-    if frozen.phi.is_deterministic:
-        fixed_term = basis.project(frozen.phi.evaluate(frozen.horizon, X))
-        terminal = lambda i, hist: fixed_term
-    else:
-        terminal = lambda i, hist: basis.project(
-            frozen.phi.evaluate(frozen.horizon, X, hist))
-
-    return backward_solve(tree, basis, scheme, terminal, ops, source)
+    source = fields.source if source_levels is None else source_levels.__getitem__
+    return backward_solve(tree, basis, scheme, fields.terminal(), ops, source)
 
 
 @dataclass(frozen=True)
@@ -152,67 +132,36 @@ class IterationReport:
     final_defect: float
 
 
+def _difference_field(f: CoefficientField, f0: CoefficientField) -> CoefficientField:
+    """f - f0, deterministic when both sides are."""
+    if f.is_deterministic and f0.is_deterministic:
+        return CoefficientField.of_tx(
+            lambda t, X: f.evaluate(t, X) - f0.evaluate(t, X), f.shape)
+    return CoefficientField.adapted(
+        lambda t, X, hist: f.evaluate(t, X, hist) - f0.evaluate(t, X, hist), f.shape)
+
+
 def _iteration_sources(scenario: Scenario, frozen: FrozenScenario,
                        current: SolutionPair, tree: WienerTree,
                        basis: SpectralBasis) -> list[Array]:
-    """Folded source F + (a-a0):D2u + (sigma-sigma0).grad v + b.grad u - cu + nu.v."""
-    X = basis.grid_points
-    d, dw, nm = scenario.dim_x, scenario.dim_w, basis.n_modes
-    origin = np.zeros((1, d))
-    dd_mult = [[basis.derivative_multiplier(_unit2(d, i, j)) for j in range(d)]
-               for i in range(d)]
-    d_mult = [basis.derivative_multiplier(_unit1(d, i)) for i in range(d)]
+    """Folded source F + L' u + sum_k M'_k v_k per level.
+
+    (L', M') are the assembled operators of the scenario with a and sigma
+    replaced by a - a0 and sigma - sigma0, so the lower-order terms and the
+    scenario's form carry over unchanged.
+    """
+    pert = scenario.with_fields(a=_difference_field(scenario.a, frozen.a0),
+                                sigma=_difference_field(scenario.sigma, frozen.sigma0))
+    fields = LevelFields(scenario, tree, basis)
     out = []
     for level in range(tree.n_steps):
-        t = tree.time_of(level)
-        n_here = tree.levels[level].n_nodes
-        lev_src = np.empty((n_here, nm), dtype=complex)
-        for node in range(n_here):
-            hist = tree.history(level, node)
-            u = current.p.levels[level][node]
-            v = current.q.levels[level][node]          # (dw, n_modes)
-            a = scenario.a.evaluate(t, X, hist)
-            s = scenario.sigma.evaluate(t, X, hist)
-            b = scenario.b.evaluate(t, X, hist)
-            cf = scenario.c.evaluate(t, X, hist)
-            nu = scenario.nu.evaluate(t, X, hist)
-            a0 = frozen.a0.evaluate(t, origin, hist)[0]
-            s0 = frozen.sigma0.evaluate(t, origin, hist)[0]
-
-            grid = scenario.F.evaluate(t, X, hist).astype(complex)
-            for i in range(d):
-                for j in range(d):
-                    da = a[:, i, j] - a0[i, j]
-                    if np.any(np.abs(da) > 0):
-                        grid += da * basis.reconstruct(dd_mult[i][j] * u)
-                db = b[:, i]
-                if np.any(db):
-                    grid += db * basis.reconstruct(d_mult[i] * u)
-            for kk in range(dw):
-                for i in range(d):
-                    ds = s[:, i, kk] - s0[i, kk]
-                    if np.any(np.abs(ds) > 0):
-                        grid += ds * basis.reconstruct(d_mult[i] * v[kk])
-                if np.any(nu[:, kk]):
-                    grid += nu[:, kk] * basis.reconstruct(v[kk])
-            if np.any(cf):
-                grid -= cf * basis.reconstruct(u)
-            lev_src[node] = basis.project(grid)
-        out.append(lev_src)
+        u, v = current.p.levels[level], current.q.levels[level]
+        L, Ms = fields.operators(level, pert)
+        src = fields.source(level) + _apply(L, u)
+        for k in range(scenario.dim_w):
+            src = src + _apply(Ms[:, k], v[:, k])
+        out.append(src)
     return out
-
-
-def _unit1(d, i):
-    alpha = [0] * d
-    alpha[i] = 1
-    return tuple(alpha)
-
-
-def _unit2(d, i, j):
-    alpha = [0] * d
-    alpha[i] += 1
-    alpha[j] += 1
-    return tuple(alpha)
 
 
 def _pair_distance(x: SolutionPair, y: SolutionPair) -> float:

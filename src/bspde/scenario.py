@@ -12,7 +12,8 @@ uniform bound K of the standing assumption
 
 Coefficients may be constant, deterministic functions of (t, x), or adapted
 functions of (t, x, W-history).  Nothing here knows about discretisation; the
-spectral basis and the Wiener tree consume scenarios through ``evaluate_field``.
+spectral basis and the Wiener tree consume scenarios through
+``CoefficientField.evaluate``.
 """
 
 from __future__ import annotations
@@ -148,16 +149,6 @@ class CoefficientField:
         raise StructuralError(
             f"coefficient evaluator returned shape {out.shape}, expected {want}"
         )
-
-
-def evaluate_field(field_: CoefficientField, t: float, x_points: Array,
-                   history: PathHistory | None = None) -> Array:
-    """Evaluate a coefficient field on a batch of spatial points.
-
-    ``x_points`` are taken as given (the torus identification is the caller's
-    business); adapted fields require a history at least as long as ``t``.
-    """
-    return field_.evaluate(t, x_points, history)
 
 
 @dataclass(frozen=True)

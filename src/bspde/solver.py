@@ -8,16 +8,15 @@ The core recursion computes, per node and going backward in time,
 
 so the implicit step solves (I - theta dt L) p = rhs.  q is computed first,
 from the children of p, which is the standard well-posed explicit treatment of
-the noise coupling; the ``fixed_point`` option re-solves the node with the
-recomputed coefficient until the update stalls (for this linear equation the
-martingale coefficient does not depend on the node's own p, so the loop
-settles after a single confirmation pass -- it exists as scaffolding for
-generators where it would not).
+the noise coupling.
 
-The same engine runs full operator matrices (variable coefficients) and
-diagonal per-mode symbols (x-independent coefficients), which keeps the tree
-solver, the frozen-coefficient solver, and the derived-equation solves on one
-code path.
+The recursion runs a whole tree level at a time.  ``LevelFields`` supplies a
+level's operators and source as stacked arrays (one shared copy when the field
+is deterministic), and ``_level_step`` solves the level with a broadcast
+divide for diagonal per-mode symbols, one factorisation for a shared matrix,
+or a stacked solve for per-node matrices.  The tree solver, the residuals,
+the regression solver, the frozen-coefficient solver and the audits all run
+on this one step.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ConvergenceError, NumericError, StructuralError
+from .errors import BudgetError, NumericError, StructuralError
 from .scenario import Scenario
 from .space import SpatialField, SpectralBasis, assemble_L, assemble_M
 from .wiener import PathEnsemble, WienerTree
@@ -36,18 +35,13 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Time-stepping knobs: theta weighting and the noise-coupling mode."""
+    """Time-stepping knobs: the theta weighting of the implicit step."""
 
     theta: float = 1.0
-    m_coupling: str = "explicit"
-    fp_tol: float = 1e-10
-    fp_max_iter: int = 25
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise StructuralError("theta must lie in [0, 1]")
-        if self.m_coupling not in ("explicit", "fixed_point"):
-            raise StructuralError("m_coupling must be 'explicit' or 'fixed_point'")
 
 
 @dataclass
@@ -131,62 +125,135 @@ def pair_difference(x: SolutionPair, y: SolutionPair) -> SolutionPair:
     return SolutionPair(p, q)
 
 
+# -- the level-array contract ------------------------------------------------
+#
+# A level's operators are ``L`` of shape (k, m) (diagonal symbols) or
+# (k, m, m) and ``Ms`` of shape (k, dim_w, m) or (k, dim_w, m, m); a level's
+# source, and the terminal datum at the leaves, are (k, m).  ``k`` is 1 when
+# the field is deterministic (one array shared by the level) and the level's
+# node count when it is adapted.
+
+def _apply(op: Array, vec: Array) -> Array:
+    """Level-wise operator action on ``vec`` (n, m): broadcast or stacked matvecs."""
+    return op * vec if op.ndim == 2 else (op @ vec[..., None])[..., 0]
+
+
+class LevelFields:
+    """A scenario's terminal, source and operators, one whole level at a time.
+
+    ``filtration`` is a ``WienerTree`` or a ``PathEnsemble``: anything with
+    ``dt`` and ``level_histories(level)``.  Deterministic fields are
+    evaluated once per level (``k = 1``); adapted ones once per node of the
+    level, from histories built in one walk and kept for the current level
+    only.
+    """
+
+    def __init__(self, scenario, filtration, basis: SpectralBasis):
+        self.scenario = scenario
+        self.filtration = filtration
+        self.basis = basis
+        self._level = None
+        self._hists: list = []
+
+    def histories(self, level: int) -> list:
+        if level != self._level:
+            self._level, self._hists = level, self.filtration.level_histories(level)
+        return self._hists
+
+    def level_map(self, level: int, deterministic: bool, fn) -> Array:
+        """Stack ``fn(t, history)`` over the level: (1, ...) or (n_level, ...)."""
+        t = level * self.filtration.dt
+        hists = [None] if deterministic else self.histories(level)
+        out = None
+        for i, h in enumerate(hists):
+            row = np.asarray(fn(t, h))
+            if out is None:  # filled in place: no list of per-node rows
+                out = np.empty((len(hists),) + row.shape, row.dtype)
+            out[i] = row
+        return out
+
+    def _projected(self, field_, level: int, t=None) -> Array:
+        X, project = self.basis.grid_points, self.basis.project
+        return self.level_map(level, field_.is_deterministic, lambda s, h: project(
+            field_.evaluate(s if t is None else t, X, h)))
+
+    def terminal(self) -> Array:
+        return self._projected(self.scenario.phi, self.filtration.n_steps,
+                               self.scenario.horizon)
+
+    def source(self, level: int) -> Array:
+        return self._projected(self.scenario.F, level)
+
+    def operators(self, level: int, scenario=None) -> tuple[Array, Array]:
+        """Assembled (L, Ms) of ``scenario`` (default: the provider's own)."""
+        scn = scenario if scenario is not None else self.scenario
+        det, basis = scn.coefficients_deterministic, self.basis
+        return (self.level_map(level, det, lambda t, h: assemble_L(scn, t, h, basis)),
+                self.level_map(level, det, lambda t, h: assemble_M(scn, t, h, basis)))
+
+
 # -- the backward engine ------------------------------------------------------
 
-def _apply_op(op, vec):
-    """Matrix-vector product; 1-d operators are diagonal symbols."""
-    return op * vec if op.ndim == 1 else op @ vec
+def _level_step(L, Ms, Ep, q, fhat, dt, theta, level, first_node=0):
+    """One implicit theta step for every node of a level (contract above).
 
-
-def _node_solve(L, Ms, Ep, qn, fhat, dt, theta, level, node):
-    """One implicit node step; L/Ms are full matrices or diagonal symbols."""
+    Errors name the node as ``first_node`` plus its row in the arrays.
+    """
     rhs = Ep + dt * fhat
     if theta < 1.0:
-        rhs = rhs + dt * (1.0 - theta) * _apply_op(L, Ep)
-    for k, Mk in enumerate(Ms):
-        rhs = rhs + dt * _apply_op(Mk, qn[k])
-    if L.ndim == 1:
+        rhs += dt * (1.0 - theta) * _apply(L, Ep)
+    for k in range(q.shape[1]):
+        rhs += dt * _apply(Ms[:, k], q[:, k])
+    if L.ndim == 2:
         den = 1.0 - theta * dt * L
-        if np.any(np.abs(den) < 1e-14):
-            raise NumericError(
-                f"singular implicit step at level {level}, node {node} (diagonal)")
+        bad = np.any(np.abs(den) < 1e-14, axis=-1)
+        if bad.any():
+            raise NumericError(f"singular implicit step at level {level}, "
+                               f"node {first_node + int(np.argmax(bad))} (diagonal)")
         return rhs / den
-    A = np.eye(len(L)) - theta * dt * L
+    A = np.eye(L.shape[-1]) - theta * dt * L
     try:
-        out = np.linalg.solve(A, rhs)
+        # a shared matrix is factored once for all of the level's right-hand sides
+        out = (np.linalg.solve(A[0], rhs.T).T if len(A) == 1
+               else np.linalg.solve(A, rhs[..., None])[..., 0])
     except np.linalg.LinAlgError as exc:
+        # LAPACK stops on an exactly zero pivot, which makes the determinant 0
+        node = first_node + int(np.argmax(np.linalg.det(A) == 0))
         raise NumericError(
             f"singular implicit step at level {level}, node {node}: {exc}") from exc
     # a dissipative implicit step never amplifies like this; a near-zero
     # pivot that LAPACK lets through does
-    amp = np.max(np.abs(out)) / (np.max(np.abs(rhs)) + 1e-300)
-    if not np.all(np.isfinite(out)) or amp > 1e12:
-        raise NumericError(
-            f"singular implicit step at level {level}, node {node} "
-            f"(amplification {amp:.1e})")
+    amp = np.max(np.abs(out), axis=-1) / (np.max(np.abs(rhs), axis=-1) + 1e-300)
+    bad = ~np.all(np.isfinite(out), axis=-1) | (amp > 1e12)
+    if bad.any():
+        node = int(np.argmax(bad))
+        raise NumericError(f"singular implicit step at level {level}, "
+                           f"node {first_node + node} (amplification {amp[node]:.1e})")
     return out
 
 
-def backward_solve(tree: WienerTree, basis: SpectralBasis, scheme: SchemeConfig,
-                   terminal_fn, ops_fn, source_fn) -> SolutionPair:
-    """Run the backward recursion with pluggable terminal/operator/source providers.
+def _conditional_mean(tree: WienerTree, level: int, p_next: Array) -> Array:
+    """E[p_next | node] for every node of ``level``."""
+    n_here, c = tree.levels[level].n_nodes, tree.n_children
+    child_w = tree.levels[level + 1].weights.reshape(n_here, c)
+    return np.einsum("nc,ncm->nm", child_w, p_next.reshape(n_here, c, -1))
 
-    terminal_fn(leaf_index, history) -> spectral vector
-    ops_fn(level, node, history)     -> (L, [M_k]) matrices or diagonal symbols
-    source_fn(level, node, history)  -> spectral vector (left-endpoint source)
+
+def backward_solve(tree: WienerTree, basis: SpectralBasis, scheme: SchemeConfig,
+                   terminal: Array, operators, source) -> SolutionPair:
+    """Run the backward recursion level by level on the level-array contract.
+
+    terminal          -> (k, m) spectral vectors at the leaves
+    operators(level)  -> (L, Ms) for the level
+    source(level)     -> (k, m) left-endpoint source
     """
     N, dt, theta = tree.n_steps, tree.dt, scheme.theta
-    nm, dw = basis.n_modes, tree.dim_w
-    c = tree.n_children
+    nm, dw, c = basis.n_modes, tree.dim_w, tree.n_children
 
     p_levels: list[Array] = [None] * (N + 1)
     q_levels: list[Array] = [None] * N
-
-    n_leaf = tree.levels[N].n_nodes
-    terminal = np.empty((n_leaf, nm), dtype=complex)
-    for i in range(n_leaf):
-        terminal[i] = terminal_fn(i, tree.history(N, i))
-    p_levels[N] = terminal
+    p_levels[N] = np.array(
+        np.broadcast_to(terminal, (tree.levels[N].n_nodes, nm)), dtype=complex)
 
     for level in range(N - 1, -1, -1):
         n_here = tree.levels[level].n_nodes
@@ -195,78 +262,14 @@ def backward_solve(tree: WienerTree, basis: SpectralBasis, scheme: SchemeConfig,
         child_w = nxt.weights.reshape(n_here, c)
         child_dw = nxt.increments.reshape(n_here, c, dw)
 
-        Ep = np.einsum("nc,ncm->nm", child_w, child_p)
+        Ep = _conditional_mean(tree, level, p_levels[level + 1])
         q = np.einsum("nc,nck,ncm->nkm", child_w, child_dw, child_p) / dt
-
-        p_here = np.empty((n_here, nm), dtype=complex)
-        for node in range(n_here):
-            hist = tree.history(level, node)
-            L, Ms = ops_fn(level, node, hist)
-            fhat = source_fn(level, node, hist)
-            p_new = _node_solve(L, Ms, Ep[node], q[node], fhat, dt, theta, level, node)
-            if scheme.m_coupling == "fixed_point":
-                for it in range(scheme.fp_max_iter):
-                    p_prev = p_new
-                    # the coefficient is a function of the (fixed) children, so
-                    # re-deriving it and re-solving must stall; keep the loop
-                    # honest with an explicit tolerance check anyway
-                    p_new = _node_solve(L, Ms, Ep[node], q[node], fhat, dt, theta,
-                                        level, node)
-                    if np.max(np.abs(p_new - p_prev)) <= scheme.fp_tol * (
-                            1.0 + np.max(np.abs(p_new))):
-                        break
-                else:
-                    raise ConvergenceError(
-                        f"noise-coupling fixed point did not settle within "
-                        f"{scheme.fp_max_iter} iterations at level {level}, node {node}")
-            p_here[node] = p_new
-        p_levels[level] = p_here
+        L, Ms = operators(level)
+        p_levels[level] = _level_step(L, Ms, Ep, q, source(level), dt, theta, level)
         q_levels[level] = q
 
-    p = AdaptedField(tree, basis, p_levels)
-    qf = AdaptedField(tree, basis, q_levels)
-    return SolutionPair(p, qf)
-
-
-# -- scenario-driven providers ------------------------------------------------
-
-def _terminal_provider(scenario: Scenario, basis: SpectralBasis):
-    X = basis.grid_points
-    if scenario.phi.is_deterministic:
-        fixed = basis.project(scenario.phi.evaluate(0.0, X))
-        return lambda i, hist: fixed
-    horizon = scenario.horizon
-
-    def term(i, hist):
-        return basis.project(scenario.phi.evaluate(horizon, X, hist))
-    return term
-
-
-def _ops_provider(scenario: Scenario, tree: WienerTree, basis: SpectralBasis):
-    cache: dict[int | tuple, tuple] = {}
-    per_level = scenario.coefficients_deterministic
-
-    def ops(level, node, hist):
-        key = level if per_level else (level, node)
-        if key not in cache:
-            t = tree.time_of(level)
-            cache[key] = (assemble_L(scenario, t, hist, basis),
-                          assemble_M(scenario, t, hist, basis))
-        return cache[key]
-    return ops
-
-
-def _source_provider(scenario: Scenario, tree: WienerTree, basis: SpectralBasis):
-    X = basis.grid_points
-    cache: dict[int | tuple, Array] = {}
-    per_level = scenario.F.is_deterministic
-
-    def source(level, node, hist):
-        key = level if per_level else (level, node)
-        if key not in cache:
-            cache[key] = basis.project(scenario.F.evaluate(tree.time_of(level), X, hist))
-        return cache[key]
-    return source
+    return SolutionPair(AdaptedField(tree, basis, p_levels),
+                        AdaptedField(tree, basis, q_levels))
 
 
 def solve_tree(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
@@ -290,48 +293,39 @@ def solve_tree(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
         raise BudgetError(
             f"solve would store {entries} node-mode entries, over {storage_budget}",
             count=entries, budget=storage_budget)
-    return backward_solve(
-        tree, basis, scheme,
-        _terminal_provider(scenario, basis),
-        _ops_provider(scenario, tree, basis),
-        _source_provider(scenario, tree, basis),
-    )
+    fields = LevelFields(scenario, tree, basis)
+    return backward_solve(tree, basis, scheme, fields.terminal(), fields.operators,
+                          fields.source)
 
 
 # -- residuals ----------------------------------------------------------------
+
+def _defects(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
+             basis: SpectralBasis, scheme: SchemeConfig | None):
+    """Per level, the (n_level, m) defect of the scheme's one-step identity
+
+    ``p - E[p_next] - dt (theta L p + (1-theta) L E[p_next] + M q + F)``,
+    with freshly assembled operators and source.
+    """
+    theta = (scheme or SchemeConfig()).theta
+    fields = LevelFields(scenario, tree, basis)
+    for level in range(tree.n_steps):
+        p, q = solution.p.levels[level], solution.q.levels[level]
+        Ep = _conditional_mean(tree, level, solution.p.levels[level + 1])
+        L, Ms = fields.operators(level)
+        drift = theta * _apply(L, p) + (1.0 - theta) * _apply(L, Ep) + fields.source(level)
+        for k in range(tree.dim_w):
+            drift = drift + _apply(Ms[:, k], q[:, k])
+        yield p - Ep - tree.dt * drift
+
 
 def strong_residual(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
                     basis: SpectralBasis, scheme: SchemeConfig | None = None) -> list[Array]:
     """Per-node L2 norm of the scheme's own one-step identity.
 
-    Freshly assembles the operators and evaluates
-    ``p - E[p_next] - dt (theta L p + (1-theta) L E[p_next] + M q + F)``;
-    for an exact solver output this is round-off.
+    For an exact solver output this is round-off.
     """
-    scheme = scheme or SchemeConfig()
-    theta, dt = scheme.theta, tree.dt
-    ops = _ops_provider(scenario, tree, basis)
-    src = _source_provider(scenario, tree, basis)
-    out = []
-    c = tree.n_children
-    for level in range(tree.n_steps):
-        n_here = tree.levels[level].n_nodes
-        nxt = tree.levels[level + 1]
-        child_p = solution.p.levels[level + 1].reshape(n_here, c, basis.n_modes)
-        child_w = nxt.weights.reshape(n_here, c)
-        Ep = np.einsum("nc,ncm->nm", child_w, child_p)
-        res = np.empty(n_here)
-        for node in range(n_here):
-            hist = tree.history(level, node)
-            L, Ms = ops(level, node, hist)
-            fhat = src(level, node, hist)
-            p_here = solution.p.levels[level][node]
-            drift = theta * (L @ p_here) + (1.0 - theta) * (L @ Ep[node]) + fhat
-            for k, Mk in enumerate(Ms):
-                drift = drift + Mk @ solution.q.levels[level][node, k]
-            res[node] = basis.norm(p_here - Ep[node] - dt * drift, 0)
-        out.append(res)
-    return out
+    return [basis.norm(d, 0) for d in _defects(solution, scenario, tree, basis, scheme)]
 
 
 def weak_residual(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
@@ -344,33 +338,10 @@ def weak_residual(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
     constant-coefficient scenarios this matches the strong identity to
     round-off; test fields orthogonal to the active modes give exactly zero.
     """
-    scheme = scheme or SchemeConfig()
-    theta, dt = scheme.theta, tree.dt
-    div_scn = scenario.with_fields(form="divergence")
-    ops = _ops_provider(div_scn, tree, basis)
-    src = _source_provider(div_scn, tree, basis)
     eta = np.asarray(test_field.coeffs, dtype=complex)
-    out = []
-    c = tree.n_children
-    for level in range(tree.n_steps):
-        n_here = tree.levels[level].n_nodes
-        nxt = tree.levels[level + 1]
-        child_p = solution.p.levels[level + 1].reshape(n_here, c, basis.n_modes)
-        child_w = nxt.weights.reshape(n_here, c)
-        Ep = np.einsum("nc,ncm->nm", child_w, child_p)
-        res = np.empty(n_here)
-        for node in range(n_here):
-            hist = tree.history(level, node)
-            L, Ms = ops(level, node, hist)
-            fhat = src(level, node, hist)
-            p_here = solution.p.levels[level][node]
-            drift = theta * (L @ p_here) + (1.0 - theta) * (L @ Ep[node]) + fhat
-            for k, Mk in enumerate(Ms):
-                drift = drift + Mk @ solution.q.levels[level][node, k]
-            defect = p_here - Ep[node] - dt * drift
-            res[node] = float(np.real(basis.inner(eta, defect, 0)))
-        out.append(res)
-    return out
+    div_scn = scenario.with_fields(form="divergence")
+    return [np.real(np.sum(np.conj(eta) * d, axis=-1))
+            for d in _defects(solution, div_scn, tree, basis, scheme)]
 
 
 # -- least-squares Monte Carlo ------------------------------------------------
@@ -414,18 +385,18 @@ def _fit(design: Array, targets: Array, step: int, trivial: bool) -> Array:
     return design @ beta
 
 
+_BLOCK_ENTRIES = 1 << 18  # complex entries per stack of per-path operator matrices
+
+
 def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: SpectralBasis,
                      regression_basis_size: int = 4,
                      scheme: SchemeConfig | None = None) -> RegressionSolution:
     """Least-squares Monte Carlo version of the backward recursion.
 
     Conditional expectations are cross-sectional regressions on monomials of
-    the current Wiener state.  The noise coefficient regresses
-    ``p_next dW^k / dt``; under ``m_coupling='fixed_point'`` the fitted
-    conditional mean is subtracted first (control variate), which changes
-    nothing in expectation but strictly reduces the regression noise.
-    Deterministic scenarios reproduce the chain solver exactly because the
-    regression of a constant target is that constant.
+    the current Wiener state; the noise coefficient regresses
+    ``p_next dW^k / dt``.  Deterministic scenarios reproduce the chain solver
+    exactly because the regression of a constant target is that constant.
     """
     scheme = scheme or SchemeConfig()
     if regression_basis_size < 1:
@@ -434,25 +405,20 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
         raise StructuralError("ensemble and scenario disagree on dim_w")
     N, dt, theta = ensemble.n_steps, ensemble.dt, scheme.theta
     n_paths, nm, dw = ensemble.n_paths, basis.n_modes, ensemble.dim_w
-    X = basis.grid_points
-    det_ops = scenario.coefficients_deterministic
-
-    # terminal values per path
-    p_next = np.empty((n_paths, nm), dtype=complex)
-    if scenario.phi.is_deterministic:
-        p_next[:] = basis.project(scenario.phi.evaluate(scenario.horizon, X))
-    else:
-        for j in range(n_paths):
-            p_next[j] = basis.project(
-                scenario.phi.evaluate(scenario.horizon, X, ensemble.history(j, N)))
+    fields = LevelFields(scenario, ensemble, basis)
+    # per-path matrices are assembled and solved one block of paths at a time,
+    # so a step holds about _BLOCK_ENTRIES entries per stack, not n_paths m^2
+    size = (n_paths if scenario.coefficients_deterministic
+            else max(1, _BLOCK_ENTRIES // nm ** 2))
+    blocks = [(sl, LevelFields(scenario, ensemble.select(sl), basis))
+              for sl in (slice(j, j + size) for j in range(0, n_paths, size))]
 
     p_levels: list[Array] = [None] * (N + 1)
     q_levels: list[Array] = [None] * N
+    p_next = np.array(np.broadcast_to(fields.terminal(), (n_paths, nm)), dtype=complex)
     p_levels[N] = p_next.copy()
 
-    eye = np.eye(nm)
     for step in range(N - 1, -1, -1):
-        t = step * dt
         states = ensemble.w_at(step)
         trivial = step == 0
         design = None if trivial else _monomial_features(states, regression_basis_size)
@@ -460,40 +426,14 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
         Ep = _fit(design, p_next, step, trivial)
         dW = ensemble.increments[:, step, :]
         q = np.empty((n_paths, dw, nm), dtype=complex)
-        centred = p_next - Ep if scheme.m_coupling == "fixed_point" else p_next
         for k in range(dw):
-            q[:, k, :] = _fit(design, centred * (dW[:, k] / dt)[:, None], step, trivial)
+            q[:, k, :] = _fit(design, p_next * (dW[:, k] / dt)[:, None], step, trivial)
 
-        if scenario.F.is_deterministic:
-            fhat = np.broadcast_to(
-                basis.project(scenario.F.evaluate(t, X)), (n_paths, nm))
-        else:
-            fhat = np.empty((n_paths, nm), dtype=complex)
-            for j in range(n_paths):
-                fhat[j] = basis.project(
-                    scenario.F.evaluate(t, X, ensemble.history(j, step)))
-
-        if det_ops:
-            L = assemble_L(scenario, t, None, basis)
-            Ms = assemble_M(scenario, t, None, basis)
-            rhs = Ep + dt * fhat
-            if theta < 1.0:
-                rhs = rhs + dt * (1.0 - theta) * (Ep @ L.T)
-            for k in range(dw):
-                rhs = rhs + dt * (q[:, k, :] @ Ms[k].T)
-            A = eye - theta * dt * L
-            try:
-                p_here = np.linalg.solve(A, rhs.T).T
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(f"singular implicit step at time step {step}") from exc
-        else:
-            p_here = np.empty((n_paths, nm), dtype=complex)
-            for j in range(n_paths):
-                hist = ensemble.history(j, step)
-                L = assemble_L(scenario, t, hist, basis)
-                Ms = assemble_M(scenario, t, hist, basis)
-                p_here[j] = _node_solve(L, Ms, Ep[j], q[j], fhat[j], dt, theta, step, j)
-
+        fhat = np.broadcast_to(fields.source(step), (n_paths, nm))
+        p_here = np.concatenate([
+            _level_step(*blk.operators(step), Ep[sl], q[sl], fhat[sl], dt, theta, step,
+                        sl.start)
+            for sl, blk in blocks])
         p_levels[step] = p_here
         q_levels[step] = q
         p_next = p_here

@@ -151,20 +151,6 @@ def project(values: Array, basis: SpectralBasis) -> SpatialField:
     return SpatialField(basis, basis.project(values))
 
 
-def sobolev_norm(field: SpatialField, order: int | float) -> float:
-    """Spectral Sobolev norm of any integer (or real) order; 0 is L^2."""
-    return field.norm(order)
-
-
-@dataclass(frozen=True)
-class OperatorMatrices:
-    """Assembled spatial operators at one (t, history): drift L and noise M^k."""
-
-    L: Array            # (n_modes, n_modes)
-    M: list[Array]      # dim_w matrices (n_modes, n_modes)
-    form: str
-
-
 def assemble_L(scenario: Scenario, t: float, history: PathHistory | None,
                basis: SpectralBasis) -> Array:
     """Drift operator matrix on spectral coefficients at (t, history).
@@ -241,15 +227,6 @@ def assemble_M(scenario: Scenario, t: float, history: PathHistory | None,
                 Mk += basis._A @ (nu[:, k, None] * basis._S)
             out.append(Mk)
     return out
-
-
-def assemble_operators(scenario: Scenario, t: float, history: PathHistory | None,
-                       basis: SpectralBasis) -> OperatorMatrices:
-    return OperatorMatrices(
-        L=assemble_L(scenario, t, history, basis),
-        M=assemble_M(scenario, t, history, basis),
-        form=scenario.form,
-    )
 
 
 def coercivity_probe(basis: SpectralBasis, L_mat: Array, M_mats: list[Array],

@@ -16,7 +16,7 @@ second-moment matching and must not be used with adapted data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -96,6 +96,16 @@ class WienerTree:
             idx = int(self.levels[lev].parents[idx])
             lev -= 1
         return PathHistory(level * self.dt, self.dt, incs, incs.sum(axis=0))
+
+    def level_histories(self, level: int) -> list[PathHistory]:
+        """``history(level, i)`` for every node of the level, in one parent walk."""
+        idx = np.arange(self.levels[level].n_nodes)
+        incs = np.zeros((len(idx), level, self.dim_w))
+        for lev in range(level, 0, -1):
+            incs[:, lev - 1] = self.levels[lev].increments[idx]
+            idx = self.levels[lev].parents[idx]
+        t = level * self.dt
+        return [PathHistory(t, self.dt, inc, inc.sum(axis=0)) for inc in incs]
 
 
 def _branch_pattern(dim_w: int, branching: int, dt: float) -> tuple[Array, Array]:
@@ -214,6 +224,15 @@ class PathEnsemble:
     def history(self, path: int, step: int) -> PathHistory:
         return PathHistory.from_increments(self.increments[path, :step, :], self.dt) \
             if step > 0 else PathHistory.empty(self.dim_w)
+
+    def level_histories(self, step: int) -> list[PathHistory]:
+        """``history(path, step)`` for every path."""
+        return [self.history(j, step) for j in range(self.n_paths)]
+
+    def select(self, paths: slice) -> "PathEnsemble":
+        """The sub-ensemble of the given paths."""
+        inc = self.increments[paths]
+        return replace(self, n_paths=inc.shape[0], increments=inc)
 
 
 def sample_paths(dim_w: int, n_steps: int, n_paths: int, horizon: float,

@@ -156,12 +156,12 @@ def test_3_martingale_representation(capsys):
         tree = build_tree(dim_w, n_steps, branching, horizon)
         ghat = project(np.cos(basis.grid_points[:, 0]), basis).coeffs
         n = basis.n_modes
-        zops = lambda level, node, hist: (np.zeros(n), [np.zeros(n)] * dim_w)
+        zops = lambda level: (np.zeros((1, n)), np.zeros((1, dim_w, n)))
         sol = backward_solve(
             tree, basis, SchemeConfig(theta=1.0),
-            lambda leaf, hist: ghat * hist.w[0],
+            tree.levels[tree.n_steps].w_cum[:, :1] * ghat,
             zops,
-            lambda level, node, hist: np.zeros(n),
+            lambda level: np.zeros((1, n)),
         )
         for level in range(tree.n_steps + 1):
             expected = tree.levels[level].w_cum[:, 0:1] * ghat[None, :]

@@ -120,12 +120,12 @@ class TestItoIdentity:
         tree = build_tree(1, 4, 2, 0.5)
         ghat = project(np.sin(BASIS.grid_points[:, 0]), BASIS).coeffs
         n = BASIS.n_modes
-        zops = lambda level, node, hist: (np.zeros(n), [np.zeros(n)])
+        zops = lambda level: (np.zeros((1, n)), np.zeros((1, 1, n)))
         sol = backward_solve(
             tree, BASIS, SchemeConfig(theta=1.0),
-            lambda leaf, hist: ghat * hist.w[0],
+            tree.levels[tree.n_steps].w_cum[:, :1] * ghat,
             zops,
-            lambda level, node, hist: np.zeros(n),
+            lambda level: np.zeros((1, n)),
         )
         sc = cos_scenario()  # ignored when operators are supplied
         defects = ito_identity_check(sol, sc, tree, BASIS, operators=zops)
@@ -135,12 +135,12 @@ class TestItoIdentity:
         tree = build_tree(1, 4, 2, 0.5)
         ghat = project(np.sin(BASIS.grid_points[:, 0]), BASIS).coeffs
         n = BASIS.n_modes
-        zops = lambda level, node, hist: (np.zeros(n), [np.zeros(n)])
+        zops = lambda level: (np.zeros((1, n)), np.zeros((1, 1, n)))
         sol = backward_solve(
             tree, BASIS, SchemeConfig(theta=1.0),
-            lambda leaf, hist: ghat * hist.w[0],
+            tree.levels[tree.n_steps].w_cum[:, :1] * ghat,
             zops,
-            lambda level, node, hist: np.zeros(n),
+            lambda level: np.zeros((1, n)),
         )
         g_sq = BASIS.norm_sq(ghat, order=0)
         for level in range(tree.n_steps + 1):

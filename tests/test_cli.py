@@ -42,12 +42,88 @@ q_norm_1 = 1.967213114754e-01
 q_norm_2 = 2.000000000000e-01
 """
 
+AUDIT_TINY_GOLDEN = """\
+theorem_tag,lhs,rhs_data,fitted_C,passed
+weak_est_2_5,4.221098639675e+00,2.792280092593e+00,1.511703160035e+00,true
+strong_est_2_7,5.003004664842e+00,3.314560185185e+00,1.509402269177e+00,true
+higher_est_2_9,6.676085876643e+00,4.359120370370e+00,1.531521341329e+00,true
+command = audit
+estimates = 3
+fitted_C[weak_est_2_5] = 1.511703160035e+00
+passed[weak_est_2_5] = True
+fitted_C[strong_est_2_7] = 1.509402269177e+00
+passed[strong_est_2_7] = True
+fitted_C[higher_est_2_9] = 1.531521341329e+00
+passed[higher_est_2_9] = True
+all_passed = True
+"""
+
+POSITIVITY_TINY_GOLDEN = """\
+command = positivity
+min_value = 2.702432727095e-01
+scale = 2.729756727291e+00
+threshold = -2.729756727291e-10
+envelope_fitted_C = 0.000000000000e+00
+envelope_passed = True
+nonnegative = True
+negpart_0 = 0.000000000000e+00
+negpart_1 = 0.000000000000e+00
+negpart_2 = 0.000000000000e+00
+negpart_3 = 0.000000000000e+00
+"""
+
+COMPARE_TINY_GOLDEN = """\
+command = compare
+max_diff_p = 4.440893250907e-16
+max_diff_q = 5.273559376998e-16
+max_rel_diff = 3.022185436212e-16
+tolerance = 1.000000000000e-10
+within_tolerance = True
+"""
+
+MOLLIFY_ROUGH_GOLDEN = """\
+n,defect,relaxed_validate_ok
+4,7.342991825306e-04,true
+8,2.037718200841e-04,true
+16,6.862193952173e-05,true
+command = mollify-study
+smoothing_indices = 4,8,16
+monotone_decreasing = True
+defect[n=4] = 7.342991825306e-04
+defect[n=8] = 2.037718200841e-04
+defect[n=16] = 6.862193952173e-05
+"""
+
 
 class TestGoldenOutput:
     def test_solve_tiny(self):
         code, out, _ = run("solve", TINY)
         assert code == 0
         assert out == SOLVE_TINY_GOLDEN
+
+    @pytest.mark.parametrize("argv, golden", [
+        (("audit", TINY), AUDIT_TINY_GOLDEN),
+        (("positivity", TINY), POSITIVITY_TINY_GOLDEN),
+        (("mollify-study", ROUGH), MOLLIFY_ROUGH_GOLDEN),
+    ], ids=["audit-tiny", "positivity-tiny", "mollify-study-rough"])
+    def test_full_stdout(self, argv, golden):
+        code, out, _ = run(*argv)
+        assert code == 0
+        assert out == golden
+
+    def test_compare_full_stdout(self):
+        # the three differences are round-off of the dense oracle's LU, whose
+        # last digits follow the BLAS thread count (the golden is one thread);
+        # every other line is exact
+        code, out, _ = run("compare", TINY)
+        assert code == 0
+        got, want = out.splitlines(), COMPARE_TINY_GOLDEN.splitlines()
+        assert [l.split(" = ")[0] for l in got] == [l.split(" = ")[0] for l in want]
+        for line, ref in zip(got, want):
+            if line.startswith(("max_diff_p", "max_diff_q", "max_rel_diff")):
+                assert float(line.split(" = ")[1]) <= 1e-15
+            else:
+                assert line == ref
 
     def test_reruns_are_bit_identical(self):
         first = run("solve", TINY)

@@ -155,3 +155,20 @@ class TestContinuation:
         sol, reports = continuation_solve(sc, 2, tree, BASIS, tol=1e-10)
         assert all(r.converged for r in reports)
         assert pair_gap(sol, solve_tree(sc, tree, BASIS)) < 1e-8
+
+    def test_divergence_form_adapted_tree_matches_tree_solve(self):
+        # the Picard source is assembled in the scenario's own form, so the
+        # continuation limit is the divergence-form tree solve
+        sc = make_scenario(
+            a=lambda t, X, hist: 0.5 * (1.0 + 0.2 * np.sin(X[:, 0])) + 0.05 * np.sin(hist.w[0]),
+            sigma=lambda t, X, hist: 0.2 * (1.0 + 0.2 * np.cos(X[:, 0])) + 0.0 * hist.w[0],
+            b=0.1, c=0.2, nu=0.05, K=2.0, kappa=0.2, T=0.5, form="divergence",
+            phi=lambda t, X, hist: np.cos(X[:, 0]) * (1.0 + 0.2 * hist.w[0]),
+        )
+        tree = build_tree(1, 3, 2, sc.horizon)
+        sol, reports = continuation_solve(sc, 2, tree, BASIS, tol=1e-11)
+        ref = solve_tree(sc, tree, BASIS)
+        assert all(r.converged for r in reports)
+        scale = max(np.abs(lv).max() for lv in ref.p.levels)
+        rel = max(np.abs(x - y).max() for x, y in zip(sol.p.levels, ref.p.levels)) / scale
+        assert rel < 1e-8

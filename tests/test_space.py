@@ -9,7 +9,6 @@ from bspde import (
     assemble_M,
     coercivity_probe,
     project,
-    sobolev_norm,
 )
 from helpers import make_scenario
 
@@ -88,8 +87,8 @@ class TestNorms:
     def test_sine_first_order_norm(self):
         basis = SpectralBasis(1, 4, np.pi)
         f = project(np.sin(basis.grid_points[:, 0]), basis)
-        assert sobolev_norm(f, 1) == pytest.approx(1.0, abs=1e-12)
-        assert sobolev_norm(f, 0) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert f.norm(1) == pytest.approx(1.0, abs=1e-12)
+        assert f.norm(0) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_norm_monotone_in_order(self):
         basis = SpectralBasis(1, 6, np.pi)
