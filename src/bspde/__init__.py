@@ -27,7 +27,7 @@ from .solver import (AdaptedField, LevelFields, RegressionSolution,
                      pair_difference, solve_regression, solve_tree,
                      strong_residual, weak_residual)
 from .space import (SpatialField, SpectralBasis, assemble_L, assemble_M,
-                    coercivity_probe, project)
+                    coercivity_probe)
 from .wiener import (PathEnsemble, WienerTree, build_chain, build_tree,
                      conditional_expectation, gauss_hermite_standard,
                      martingale_coefficient, sample_paths)
@@ -51,7 +51,7 @@ __all__ = [
     "gauss_hermite_standard", "heat_reference", "higher_regularity_solve",
     "ito_identity_check", "load_scenario", "load_scenario_text",
     "martingale_coefficient", "mixed_norm_sq", "mollify", "pair_difference",
-    "positivity_check", "project", "sample_paths", "serialize_scenario",
+    "positivity_check", "sample_paths", "serialize_scenario",
     "solve_dense", "solve_frozen", "solve_regression",
     "solve_tree", "strong_residual", "validate", "weak_residual",
 ]

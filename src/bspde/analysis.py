@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateKernelError, StructuralError
 from .scenario import CoefficientField, Scenario
 from .solver import (AdaptedField, LevelFields, SchemeConfig, SolutionPair,
-                     _apply, backward_solve, solve_tree)
+                     _apply, _expectation, backward_solve, solve_tree)
 # assemble_L/assemble_M stay bound here for code that instruments the
 # assembly by patching every bspde namespace that imports it
 from .space import SpectralBasis, assemble_L, assemble_M  # noqa: F401
@@ -150,12 +150,15 @@ class PositivityReport:
 
     over the levels; when the data are nonnegative the right side vanishes
     and the envelope holds iff the negative parts are numerically zero.
+    ``max_abs_value`` is max |p| over the grid and every node, the scale
+    against which ``min_value`` is judged.
     """
 
     min_value: float
     negpart_l2_per_level: Array
     fitted_C: float
     envelope: EstimateReport
+    max_abs_value: float
 
 
 def _negpart_integral(values: Array, volume: float):
@@ -172,14 +175,14 @@ def positivity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTre
     N, dt, T = tree.n_steps, tree.dt, tree.horizon
     X = basis.grid_points
 
-    min_value = math.inf
+    min_value, max_abs_value = math.inf, 0.0
     negpart = np.zeros(N + 1)
     for level in range(N + 1):
-        prob = tree.levels[level].prob
-        for node in range(tree.levels[level].n_nodes):
-            vals = basis.reconstruct(solution.p.levels[level][node]).real
-            min_value = min(min_value, float(vals.min()))
-            negpart[level] += prob[node] * _negpart_integral(vals, volume)
+        vals = basis.reconstruct(solution.p.levels[level]).real
+        min_value = min(min_value, float(vals.min()))
+        max_abs_value = max(max_abs_value, float(np.abs(vals).max()))
+        negpart[level] = _expectation(tree.levels[level].prob,
+                                      _negpart_integral(vals, volume))
 
     # data negative parts for the envelope's right side
     fields = LevelFields(scenario, tree, basis)
@@ -228,7 +231,8 @@ def positivity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTre
         "negpart_5_2", float(negpart.max()), float(rhs_levels[0]),
         float(fitted_C), bool(ok), math.inf,
         float(negpart.max()), float(negpart.max()))
-    return PositivityReport(float(min_value), negpart, float(fitted_C), envelope)
+    return PositivityReport(float(min_value), negpart, float(fitted_C), envelope,
+                            max_abs_value)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 
+from . import __version__
 from .analysis import (MollifierConfig, energy_audit, mollify,
                        positivity_check)
 from .errors import (BudgetError, EvalError, NumericError, ParseError,
@@ -36,6 +37,9 @@ EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
 EXIT_NUMERIC = 5
 EXIT_TOLERANCE = 6
+
+# BLAS thread counts: the last digits of a run follow them
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _ESTIMATE_BY_FLAG = {
     "2.5": ("weak_est_2_5", 1),
@@ -87,6 +91,15 @@ def _manifest(args, scenario, disc, theta, tol, tree=None):
         doc["dt"] = tree.dt
         doc["n_nodes"] = tree.n_nodes
         doc["chain"] = tree.is_chain
+    doc["bspde_version"] = __version__
+    doc["numpy_version"] = np.__version__
+    # imported here, not at the top: it costs ~30 ms of start-up and ~1 MB
+    from importlib import metadata
+    try:  # read without importing scipy
+        doc["scipy_version"] = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        doc["scipy_version"] = None
+    doc.update({var: os.environ.get(var) for var in _THREAD_VARS})
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -115,34 +128,22 @@ def _make_basis(scenario, disc):
 
 
 def _fields_csv(solution, tree, basis) -> str:
-    d, dw = basis.dim_x, tree.dim_w
-    header = (["level", "node"] + [f"x{i+1}" for i in range(d)]
+    dw = tree.dim_w
+    header = (["level", "node"] + [f"x{i+1}" for i in range(basis.dim_x)]
               + ["p"] + [f"q{k+1}" for k in range(dw)])
-    lines = [",".join(header)]
-    X = basis.grid_points
+    xs = [",".join(map(_fmt, x)) for x in basis.grid_points.tolist()]
+    row = "%d,%d,%s" + ",%.12e" * (1 + dw) + "\n"  # the digits of _fmt
+    # one string per node, not per row: a str object per row costs more
+    # memory than its text
+    chunks = [",".join(header) + "\n"]
     for level in range(tree.n_steps):  # both p and q live on 0..N-1
-        for node in range(tree.levels[level].n_nodes):
-            pv = basis.reconstruct(solution.p.levels[level][node]).real
-            qv = [basis.reconstruct(solution.q.levels[level][node, k]).real
-                  for k in range(dw)]
-            for g in range(basis.n_grid):
-                row = [str(level), str(node)]
-                row += [_fmt(X[g, i]) for i in range(d)]
-                row.append(_fmt(pv[g]))
-                row += [_fmt(qv[k][g]) for k in range(dw)]
-                lines.append(",".join(row))
-    lines.append("")  # trailing newline without copying the joined text
-    return "\n".join(lines)
-
-
-def _solution_scale(solution, tree, basis) -> float:
-    # max over modes is not the max over x; reconstruct per node
-    scale = 0.0
-    for level in range(tree.n_steps + 1):
-        for node in range(tree.levels[level].n_nodes):
-            scale = max(scale, float(
-                np.abs(basis.reconstruct(solution.p.levels[level][node]).real).max()))
-    return scale
+        # node by node: a level-wide reconstruct moves last digits
+        for node, (p, q) in enumerate(zip(solution.p.levels[level],
+                                          solution.q.levels[level])):
+            cols = [basis.reconstruct(v).real.tolist() for v in (p, *q)]
+            chunks.append("".join([row % (level, node, x, *vals)
+                                   for x, *vals in zip(xs, *cols)]))
+    return "".join(chunks)
 
 
 def cmd_solve(args) -> int:
@@ -264,7 +265,7 @@ def cmd_positivity(args) -> int:
     tree = _make_tree(scenario, disc, args)
     solution = solve_tree(scenario, tree, basis, SchemeConfig(theta=theta))
     report = positivity_check(solution, scenario, tree, basis)
-    scale = _solution_scale(solution, tree, basis)
+    scale = report.max_abs_value
     threshold = -tol * max(scale, 1.0)
     ok = report.min_value >= threshold and report.envelope.passed
 

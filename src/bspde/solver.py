@@ -28,7 +28,8 @@ import numpy as np
 from .errors import BudgetError, NumericError, StructuralError
 from .scenario import Scenario
 from .space import SpatialField, SpectralBasis, assemble_L, assemble_M
-from .wiener import PathEnsemble, WienerTree
+from .wiener import (PathEnsemble, WienerTree, conditional_expectation,
+                     martingale_coefficient)
 
 Array = np.ndarray
 
@@ -62,17 +63,15 @@ class AdaptedField:
             raise StructuralError("field_at applies to scalar adapted fields")
         return SpatialField(self.basis, row)
 
-    def _row_norm_sq(self, row: Array, order) -> float:
-        if row.ndim == 1:
-            return float(self.basis.norm_sq(row, order))
-        return float(sum(self.basis.norm_sq(comp, order) for comp in row))
+    def _node_norm_sq(self, level: int, order=0) -> Array:
+        """||.||_order^2 at every node of the level, noise components summed."""
+        sq = self.basis.norm_sq(self.levels[level], order)
+        return sq if sq.ndim == 1 else sq.sum(axis=-1)
 
     def level_expected_norm_sq(self, level: int, order=0) -> float:
         """E ||field(t_level)||_order^2 over the tree measure."""
-        prob = self.tree.levels[level].prob
-        arr = self.levels[level]
-        return float(sum(p * self._row_norm_sq(row, order)
-                         for p, row in zip(prob, arr)))
+        return _expectation(self.tree.levels[level].prob,
+                            self._node_norm_sq(level, order))
 
     def time_norm_sq(self, order=0) -> float:
         """Left-rule discrete E int_0^T ||.||_order^2 dt over levels 0..N-1."""
@@ -82,17 +81,24 @@ class AdaptedField:
 
     def e_sup_norm_sq(self, order=0) -> float:
         """E sup_t ||.||_order^2: pathwise running max, averaged over leaves."""
-        run = np.array([self._row_norm_sq(r, order) for r in self.levels[0]])
+        run = self._node_norm_sq(0, order)
         for k in range(1, len(self.levels)):
-            lev = self.tree.levels[k]
-            here = np.array([self._row_norm_sq(r, order) for r in self.levels[k]])
-            run = np.maximum(run[lev.parents], here)
+            here = self._node_norm_sq(k, order)
+            run = np.maximum(run[self.tree.levels[k].parents], here)
         prob = self.tree.levels[len(self.levels) - 1].prob
         return float(np.sum(prob * run))
 
     def sup_e_norm_sq(self, order=0) -> float:
         return max(self.level_expected_norm_sq(k, order)
                    for k in range(len(self.levels)))
+
+
+def _expectation(prob: Array, values: Array) -> float:
+    """sum_i prob_i values_i over a level, added one node after the other.
+
+    A pairwise or BLAS sum would move the last digits of every audit.
+    """
+    return float(np.cumsum(prob * values)[-1])
 
 
 @dataclass
@@ -232,13 +238,6 @@ def _level_step(L, Ms, Ep, q, fhat, dt, theta, level, first_node=0):
     return out
 
 
-def _conditional_mean(tree: WienerTree, level: int, p_next: Array) -> Array:
-    """E[p_next | node] for every node of ``level``."""
-    n_here, c = tree.levels[level].n_nodes, tree.n_children
-    child_w = tree.levels[level + 1].weights.reshape(n_here, c)
-    return np.einsum("nc,ncm->nm", child_w, p_next.reshape(n_here, c, -1))
-
-
 def backward_solve(tree: WienerTree, basis: SpectralBasis, scheme: SchemeConfig,
                    terminal: Array, operators, source) -> SolutionPair:
     """Run the backward recursion level by level on the level-array contract.
@@ -248,22 +247,15 @@ def backward_solve(tree: WienerTree, basis: SpectralBasis, scheme: SchemeConfig,
     source(level)     -> (k, m) left-endpoint source
     """
     N, dt, theta = tree.n_steps, tree.dt, scheme.theta
-    nm, dw, c = basis.n_modes, tree.dim_w, tree.n_children
 
     p_levels: list[Array] = [None] * (N + 1)
     q_levels: list[Array] = [None] * N
     p_levels[N] = np.array(
-        np.broadcast_to(terminal, (tree.levels[N].n_nodes, nm)), dtype=complex)
+        np.broadcast_to(terminal, (tree.levels[N].n_nodes, basis.n_modes)), dtype=complex)
 
     for level in range(N - 1, -1, -1):
-        n_here = tree.levels[level].n_nodes
-        nxt = tree.levels[level + 1]
-        child_p = p_levels[level + 1].reshape(n_here, c, nm)
-        child_w = nxt.weights.reshape(n_here, c)
-        child_dw = nxt.increments.reshape(n_here, c, dw)
-
-        Ep = _conditional_mean(tree, level, p_levels[level + 1])
-        q = np.einsum("nc,nck,ncm->nkm", child_w, child_dw, child_p) / dt
+        Ep = conditional_expectation(tree, level, p_levels[level + 1])
+        q = martingale_coefficient(tree, level, p_levels[level + 1])
         L, Ms = operators(level)
         p_levels[level] = _level_step(L, Ms, Ep, q, source(level), dt, theta, level)
         q_levels[level] = q
@@ -311,7 +303,7 @@ def _defects(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
     fields = LevelFields(scenario, tree, basis)
     for level in range(tree.n_steps):
         p, q = solution.p.levels[level], solution.q.levels[level]
-        Ep = _conditional_mean(tree, level, solution.p.levels[level + 1])
+        Ep = conditional_expectation(tree, level, solution.p.levels[level + 1])
         L, Ms = fields.operators(level)
         drift = theta * _apply(L, p) + (1.0 - theta) * _apply(L, Ep) + fields.source(level)
         for k in range(tree.dim_w):

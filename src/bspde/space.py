@@ -146,11 +146,6 @@ class SpatialField:
         return float(self.basis.norm(self.coeffs, order))
 
 
-def project(values: Array, basis: SpectralBasis) -> SpatialField:
-    """Collocation projection of grid samples onto the basis."""
-    return SpatialField(basis, basis.project(values))
-
-
 def assemble_L(scenario: Scenario, t: float, history: PathHistory | None,
                basis: SpectralBasis) -> Array:
     """Drift operator matrix on spectral coefficients at (t, history).

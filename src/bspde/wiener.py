@@ -171,36 +171,37 @@ def build_chain(dim_w: int, n_steps: int, horizon: float) -> WienerTree:
     return WienerTree(dim_w, n_steps, 1, horizon, dt, levels)
 
 
-def conditional_expectation(tree: WienerTree, node: tuple[int, int], child_values: Array):
-    """Exact E[. | node]: the weight-averaged child values (children on axis 0)."""
-    level, index = node
+def _children(tree: WienerTree, level: int, values) -> tuple[Array, Array, Array]:
+    """Child weights (n, C), increments (n, C, dim_w) and ``values`` as (n, C, ...)."""
     if level >= tree.n_steps:
         raise ValueError("terminal nodes have no children")
-    sl = tree.children_slice(level, index)
-    w = tree.levels[level + 1].weights[sl]
-    vals = np.asarray(child_values)
-    if vals.shape[0] != len(w):
-        raise ValueError(f"expected {len(w)} child values, got {vals.shape[0]}")
-    return np.tensordot(w, vals, axes=(0, 0))
+    n, c, nxt = tree.levels[level].n_nodes, tree.n_children, tree.levels[level + 1]
+    vals = np.asarray(values)
+    if vals.shape[0] != nxt.n_nodes:
+        raise ValueError(f"expected {nxt.n_nodes} child values, got {vals.shape[0]}")
+    return (nxt.weights.reshape(n, c), nxt.increments.reshape(n, c, tree.dim_w),
+            vals.reshape((n, c) + vals.shape[1:]))
 
 
-def martingale_coefficient(tree: WienerTree, node: tuple[int, int], child_values: Array):
+def conditional_expectation(tree: WienerTree, level: int, values: Array) -> Array:
+    """Exact E[. | node] for every node of ``level``: one row per node.
+
+    ``values`` holds one row per node of ``level + 1``, in tree order.
+    """
+    w, _, vals = _children(tree, level, values)
+    return np.einsum("nc,nc...->n...", w, vals)
+
+
+def martingale_coefficient(tree: WienerTree, level: int, values: Array) -> Array:
     """Discrete martingale-representation coefficient E[X dW | node] / dt.
 
-    Component k of the result is the weighted child average of
-    ``child_values * increment_k`` divided by dt; for affine child data this
-    recovers the representation coefficient exactly.
+    Row i, component k of the result is the weighted average over the
+    children of node i of ``values * increment_k``, divided by dt; for affine
+    child data this recovers the representation coefficient exactly.  The
+    result has shape (n_level, dim_w, ...).
     """
-    level, index = node
-    if level >= tree.n_steps:
-        raise ValueError("terminal nodes have no children")
-    sl = tree.children_slice(level, index)
-    nxt = tree.levels[level + 1]
-    w, dw = nxt.weights[sl], nxt.increments[sl]
-    vals = np.asarray(child_values)
-    if vals.shape[0] != len(w):
-        raise ValueError(f"expected {len(w)} child values, got {vals.shape[0]}")
-    return np.einsum("c,ck,c...->k...", w, dw, vals) / tree.dt
+    w, dw, vals = _children(tree, level, values)
+    return np.einsum("nc,nck,nc...->nk...", w, dw, vals) / tree.dt
 
 
 @dataclass(frozen=True)

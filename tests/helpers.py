@@ -78,3 +78,67 @@ def make_scenario(d=1, d1=1, T=0.5, L=np.pi, K=2.0, kappa=0.25,
         form=form,
         **extra,
     )
+
+
+# -- per-node references ------------------------------------------------------
+#
+# The readers of a solved pair reduce a whole tree level at a time.  These are
+# the per-node formulas they replaced, kept as the reference the level-wide
+# versions must reproduce digit for digit.
+
+def row_norm_sq_reference(basis, row, order) -> float:
+    """||row||_order^2 of one node's row, noise components summed."""
+    if row.ndim == 1:
+        return float(basis.norm_sq(row, order))
+    return float(sum(basis.norm_sq(comp, order) for comp in row))
+
+
+def level_expected_norm_sq_reference(field, level, order=0) -> float:
+    prob = field.tree.levels[level].prob
+    return float(sum(p * row_norm_sq_reference(field.basis, row, order)
+                     for p, row in zip(prob, field.levels[level])))
+
+
+def time_norm_sq_reference(field, order=0) -> float:
+    n = min(len(field.levels), field.tree.n_steps)
+    return float(field.tree.dt * sum(
+        level_expected_norm_sq_reference(field, k, order) for k in range(n)))
+
+
+def e_sup_norm_sq_reference(field, order=0) -> float:
+    run = np.array([row_norm_sq_reference(field.basis, r, order) for r in field.levels[0]])
+    for k in range(1, len(field.levels)):
+        here = np.array([row_norm_sq_reference(field.basis, r, order)
+                         for r in field.levels[k]])
+        run = np.maximum(run[field.tree.levels[k].parents], here)
+    prob = field.tree.levels[len(field.levels) - 1].prob
+    return float(np.sum(prob * run))
+
+
+def sup_e_norm_sq_reference(field, order=0) -> float:
+    return max(level_expected_norm_sq_reference(field, k, order)
+               for k in range(len(field.levels)))
+
+
+def fields_csv_reference(solution, tree, basis) -> str:
+    """``fields.csv`` text written one node, one grid point, one cell at a time."""
+    def fmt(x):
+        return f"{x:.12e}"
+
+    d, dw = basis.dim_x, tree.dim_w
+    header = (["level", "node"] + [f"x{i+1}" for i in range(d)]
+              + ["p"] + [f"q{k+1}" for k in range(dw)])
+    lines = [",".join(header)]
+    X = basis.grid_points
+    for level in range(tree.n_steps):
+        for node in range(tree.levels[level].n_nodes):
+            pv = basis.reconstruct(solution.p.levels[level][node]).real
+            qv = [basis.reconstruct(solution.q.levels[level][node, k]).real
+                  for k in range(dw)]
+            for g in range(basis.n_grid):
+                row = [str(level), str(node)]
+                row += [fmt(X[g, i]) for i in range(d)]
+                row.append(fmt(pv[g]))
+                row += [fmt(qv[k][g]) for k in range(dw)]
+                lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

@@ -31,7 +31,6 @@ from bspde import (
     mollify,
     pair_difference,
     positivity_check,
-    project,
     solve_dense,
     solve_tree,
     validate,
@@ -154,7 +153,7 @@ def test_3_martingale_representation(capsys):
                                                (2, 2, 2, 0.5)):
         basis = SpectralBasis(1, 4, np.pi)
         tree = build_tree(dim_w, n_steps, branching, horizon)
-        ghat = project(np.cos(basis.grid_points[:, 0]), basis).coeffs
+        ghat = basis.project(np.cos(basis.grid_points[:, 0]))
         n = basis.n_modes
         zops = lambda level: (np.zeros((1, n)), np.zeros((1, dim_w, n)))
         sol = backward_solve(

@@ -21,7 +21,6 @@ from bspde import (
     ito_identity_check,
     mollify,
     positivity_check,
-    project,
     solve_tree,
     validate,
 )
@@ -118,7 +117,7 @@ class TestItoIdentity:
         # identically zero operators are outside the validated scenario class;
         # the override lets the identity be checked in the exactly-solvable case
         tree = build_tree(1, 4, 2, 0.5)
-        ghat = project(np.sin(BASIS.grid_points[:, 0]), BASIS).coeffs
+        ghat = BASIS.project(np.sin(BASIS.grid_points[:, 0]))
         n = BASIS.n_modes
         zops = lambda level: (np.zeros((1, n)), np.zeros((1, 1, n)))
         sol = backward_solve(
@@ -133,7 +132,7 @@ class TestItoIdentity:
 
     def test_martingale_energy_grows_linearly(self):
         tree = build_tree(1, 4, 2, 0.5)
-        ghat = project(np.sin(BASIS.grid_points[:, 0]), BASIS).coeffs
+        ghat = BASIS.project(np.sin(BASIS.grid_points[:, 0]))
         n = BASIS.n_modes
         zops = lambda level: (np.zeros((1, n)), np.zeros((1, 1, n)))
         sol = backward_solve(

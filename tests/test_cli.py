@@ -1,5 +1,6 @@
 """Command line interface: stdout contracts, exit codes, and artifacts."""
 
+import importlib.metadata
 import io
 import json
 import os
@@ -9,7 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bspde.cli import main
+import bspde
+from bspde import SchemeConfig, SpectralBasis, build_tree, load_scenario, solve_tree
+from bspde.cli import _fields_csv, main
+from helpers import fields_csv_reference, make_scenario
 
 DATA = Path(__file__).parent / "data"
 TINY = str(DATA / "tiny.scn")
@@ -246,7 +250,11 @@ class TestArtifacts:
         # values are stored exactly as printed
         assert payload["p0_l2"] == stdout_pairs["p0_l2"]
 
-    def test_manifest_records_run(self, tmp_path):
+    def test_manifest_records_run(self, tmp_path, monkeypatch):
+        # the last digits of a run follow the BLAS thread count
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         run("solve", TINY, "--out", str(tmp_path))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["scenario"] == "tiny.scn"  # basename only
@@ -254,6 +262,12 @@ class TestArtifacts:
         assert manifest["branching"] == 2
         assert manifest["chain"] is False
         assert manifest["seed"] == 11
+        assert manifest["bspde_version"] == bspde.__version__
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == importlib.metadata.version("scipy")
+        assert manifest["OPENBLAS_NUM_THREADS"] == "3"
+        assert manifest["OMP_NUM_THREADS"] is None
+        assert manifest["MKL_NUM_THREADS"] is None
 
     def test_fields_csv_layout(self, tmp_path):
         run("solve", TINY, "--out", str(tmp_path))
@@ -264,6 +278,32 @@ class TestArtifacts:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         float(first[2]); float(first[3]); float(first[4])
+
+    def test_fields_csv_matches_per_node_writer_on_tiny(self, tmp_path):
+        run("solve", TINY, "--out", str(tmp_path))
+        scenario, disc, cfg = load_scenario(TINY)
+        tree = build_tree(scenario.dim_w, disc.steps, disc.branching, scenario.horizon)
+        basis = SpectralBasis(scenario.dim_x, disc.modes, scenario.domain_halfwidth)
+        sol = solve_tree(scenario, tree, basis, SchemeConfig(theta=cfg.theta))
+        want = fields_csv_reference(sol, tree, basis).encode("utf-8")
+        assert (tmp_path / "fields.csv").read_bytes() == want
+
+    def test_fields_csv_matches_per_node_writer_in_2d_with_two_noises(self):
+        scenario = make_scenario(
+            d=2, d1=2, sigma=0.2, nu=0.1, F=lambda t, X: np.cos(X[:, 0] - X[:, 1]),
+            phi=lambda t, X, hist: (np.cos(X[:, 0]) * (1.0 + 0.2 * hist.w[0])
+                                    + 0.3 * np.sin(X[:, 1]) * hist.w[1]))
+        tree = build_tree(2, 2, 2, scenario.horizon)
+        basis = SpectralBasis(2, 2, np.pi)
+        sol = solve_tree(scenario, tree, basis)
+        text = _fields_csv(sol, tree, basis)
+        assert text == fields_csv_reference(sol, tree, basis)
+        lines = text.splitlines()
+        assert lines[0] == "level,node,x1,x2,p,q1,q2"
+        assert len(lines) - 1 == (1 + 4) * basis.n_grid
+        # both q columns carry a nonzero field
+        q = np.array([[float(v) for v in line.split(",")[-2:]] for line in lines[1:]])
+        assert np.all(np.abs(q).max(axis=0) > 1e-3)
 
     def test_no_temp_files_left(self, tmp_path):
         run("solve", TINY, "--out", str(tmp_path))

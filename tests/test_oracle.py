@@ -11,7 +11,6 @@ from bspde import (
     build_tree,
     feynman_kac_mc,
     heat_reference,
-    project,
     solve_dense,
 )
 from helpers import make_scenario

@@ -8,6 +8,7 @@ from bspde import (
     LevelFields,
     NumericError,
     SchemeConfig,
+    SpatialField,
     SpectralBasis,
     StructuralError,
     backward_solve,
@@ -15,7 +16,6 @@ from bspde import (
     build_tree,
     mixed_norm_sq,
     pair_difference,
-    project,
     sample_paths,
     solve_dense,
     solve_regression,
@@ -23,7 +23,8 @@ from bspde import (
     strong_residual,
     weak_residual,
 )
-from helpers import make_scenario
+from helpers import (e_sup_norm_sq_reference, level_expected_norm_sq_reference,
+                     make_scenario, sup_e_norm_sq_reference, time_norm_sq_reference)
 from oracles import scalar_theta_chain
 
 BASIS = SpectralBasis(1, 4, np.pi)
@@ -49,7 +50,7 @@ class TestBackwardSolveProviders:
 
     def test_zero_generator_transports_terminal(self):
         tree = build_tree(1, 3, 2, 0.5)
-        ghat = project(np.sin(BASIS.grid_points[:, 0]), BASIS).coeffs
+        ghat = BASIS.project(np.sin(BASIS.grid_points[:, 0]))
         sol = backward_solve(
             tree, BASIS, SchemeConfig(theta=1.0), ghat[None, :],
             zero_ops(BASIS.n_modes, 1), zero_source,
@@ -62,7 +63,7 @@ class TestBackwardSolveProviders:
     def test_martingale_terminal_recovers_integrand(self):
         # terminal g . W_T solves p(t) = g . W_t with q = g identically
         tree = build_tree(1, 3, 3, 0.75)
-        ghat = project(np.cos(BASIS.grid_points[:, 0]), BASIS).coeffs
+        ghat = BASIS.project(np.cos(BASIS.grid_points[:, 0]))
         sol = backward_solve(
             tree, BASIS, SchemeConfig(theta=1.0),
             tree.levels[tree.n_steps].w_cum[:, :1] * ghat,
@@ -77,7 +78,7 @@ class TestBackwardSolveProviders:
     def test_source_accumulates_linearly(self):
         # zero generator, constant source F: p(t) = (T - t) F
         tree = build_tree(1, 4, 2, 1.0)
-        fhat = project(np.full(BASIS.grid_points.shape[0], 2.0), BASIS).coeffs
+        fhat = BASIS.project(np.full(BASIS.grid_points.shape[0], 2.0))
         sol = backward_solve(
             tree, BASIS, SchemeConfig(theta=1.0), np.zeros((1, BASIS.n_modes)),
             zero_ops(BASIS.n_modes, 1), lambda level: fhat[None, :],
@@ -246,6 +247,42 @@ class TestTreeSolves:
         assert sol.p.time_norm_sq(0) == pytest.approx(expected, rel=1e-12)
 
 
+class TestLevelReductions:
+    """Whole-level norms equal the per-node formulas of ``helpers`` exactly."""
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        # every coefficient reads w1, so each node of the B=3 tree differs
+        adapted = make_scenario(
+            a=lambda t, X, hist: 0.5 + 0.05 * np.sin(X[:, 0] + hist.w[0]),
+            b=lambda t, X, hist: 0.1 * np.cos(hist.w[0]) + 0.0 * X[:, 0],
+            sigma=lambda t, X, hist: 0.3 + 0.05 * np.sin(hist.w[0]) + 0.0 * X[:, 0],
+            nu=0.1, kappa=0.2, F=lambda t, X, hist: np.cos(X[:, 0] - hist.w[0]),
+            phi=lambda t, X, hist: np.cos(X[:, 0]) * (1.0 + 0.2 * hist.w[0]),
+        )
+        tree = build_tree(1, 4, 3, adapted.horizon)
+        sol = solve_tree(adapted, tree, BASIS)
+        two = make_scenario(
+            d1=2, sigma=0.2, nu=0.1,
+            phi=lambda t, X, hist: (np.cos(X[:, 0]) * (1.0 + 0.2 * hist.w[0])
+                                    + 0.3 * np.sin(2 * X[:, 0]) * hist.w[1]),
+        )
+        tree2 = build_tree(2, 3, 2, two.horizon)
+        return {"adapted_p": sol.p, "adapted_q": sol.q,
+                "dim_w2_q": solve_tree(two, tree2, BASIS).q}
+
+    @pytest.mark.parametrize("order", [-1, 0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["adapted_p", "adapted_q", "dim_w2_q"])
+    def test_matches_per_node_reference(self, fields, name, order):
+        f = fields[name]
+        for level in range(len(f.levels)):
+            assert (f.level_expected_norm_sq(level, order)
+                    == level_expected_norm_sq_reference(f, level, order))
+        assert f.time_norm_sq(order) == time_norm_sq_reference(f, order) > 0
+        assert f.e_sup_norm_sq(order) == e_sup_norm_sq_reference(f, order)
+        assert f.sup_e_norm_sq(order) == sup_e_norm_sq_reference(f, order)
+
+
 class TestResiduals:
     def test_strong_residual_vanishes_on_solution(self):
         sc = make_scenario(phi=lambda t, X, hist: np.cos(X[:, 0]) * (1 + 0.2 * hist.w[0]), T=0.5)
@@ -259,7 +296,7 @@ class TestResiduals:
         tree = build_tree(1, 3, 2, sc.horizon)
         sol = solve_tree(sc, tree, BASIS)
         eps = 1e-3
-        bump = project(np.sin(BASIS.grid_points[:, 0]), BASIS).coeffs
+        bump = BASIS.project(np.sin(BASIS.grid_points[:, 0]))
         sol.p.levels[1][:, :] += eps * bump[None, :]
         res = strong_residual(sol, sc, tree, BASIS)
         peak = max(np.max(r) for r in res)
@@ -269,7 +306,7 @@ class TestResiduals:
         sc = make_scenario(phi=lambda t, X: np.cos(X[:, 0]), T=0.5, form="divergence")
         tree = build_tree(1, 4, 2, sc.horizon)
         sol = solve_tree(sc, tree, BASIS)
-        eta = project(np.cos(BASIS.grid_points[:, 0]), BASIS)
+        eta = SpatialField(BASIS, BASIS.project(np.cos(BASIS.grid_points[:, 0])))
         wr = weak_residual(sol, sc, tree, BASIS, eta)
         pscale = np.sqrt(sol.p.time_norm_sq(0))
         assert max(np.max(np.abs(r)) for r in wr) < 1e-8 * max(pscale, 1.0)
@@ -279,7 +316,7 @@ class TestResiduals:
         sc = make_scenario(phi=lambda t, X: np.cos(X[:, 0]), T=0.5)
         tree = build_tree(1, 3, 2, sc.horizon)
         sol = solve_tree(sc, tree, BASIS)
-        eta = project(np.sin(3 * BASIS.grid_points[:, 0]), BASIS)
+        eta = SpatialField(BASIS, BASIS.project(np.sin(3 * BASIS.grid_points[:, 0])))
         wr = weak_residual(sol, sc, tree, BASIS, eta)
         assert max(np.max(np.abs(r)) for r in wr) < 1e-12
 
@@ -289,7 +326,7 @@ class TestResiduals:
         sc = make_scenario(phi=lambda t, X: np.cos(X[:, 0]), T=0.5)
         tree = build_tree(1, 3, 2, sc.horizon)
         sol = solve_tree(sc, tree, BASIS)
-        eta = project(np.cos(BASIS.grid_points[:, 0]), BASIS)
+        eta = SpatialField(BASIS, BASIS.project(np.cos(BASIS.grid_points[:, 0])))
         wr = weak_residual(sol, sc, tree, BASIS, eta)
         assert max(np.max(np.abs(r)) for r in wr) < 1e-10
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from bspde import (
+    SpatialField,
     SpectralBasis,
     assemble_L,
     assemble_M,
     coercivity_probe,
-    project,
 )
 from helpers import make_scenario
 
@@ -22,12 +22,12 @@ class TestProjection:
         basis = SpectralBasis(1, 6, np.pi)
         x = basis.grid_points[:, 0]
         vals = np.sin(2 * x) + 0.3 * np.cos(5 * x) - 1.2
-        f = project(vals, basis)
+        f = SpatialField(basis, basis.project(vals))
         assert np.allclose(f.values(), vals, atol=1e-12)
 
     def test_constant_hits_zero_mode(self):
         basis = SpectralBasis(2, 3, 1.5)
-        f = project(np.full(basis.grid_points.shape[0], 4.25), basis)
+        f = SpatialField(basis, basis.project(np.full(basis.grid_points.shape[0], 4.25)))
         idx = zero_mode_index(basis)
         assert f.coeffs[idx] == pytest.approx(4.25)
         others = np.delete(f.coeffs, idx)
@@ -35,14 +35,14 @@ class TestProjection:
 
     def test_cosine_splits_into_half_coefficients(self):
         basis = SpectralBasis(1, 4, np.pi)
-        f = project(np.cos(basis.grid_points[:, 0]), basis)
+        f = SpatialField(basis, basis.project(np.cos(basis.grid_points[:, 0])))
         modes = basis.modes[:, 0]
         assert f.coeffs[modes == 1][0] == pytest.approx(0.5, abs=1e-12)
         assert f.coeffs[modes == -1][0] == pytest.approx(0.5, abs=1e-12)
 
     def test_evaluate_at_off_grid(self):
         basis = SpectralBasis(1, 5, np.pi)
-        f = project(np.cos(basis.grid_points[:, 0]), basis)
+        f = SpatialField(basis, basis.project(np.cos(basis.grid_points[:, 0])))
         pts = np.array([[0.0], [0.7], [-2.1]])
         assert np.allclose(basis.evaluate_at(f.coeffs, pts).real,
                            np.cos(pts[:, 0]), atol=1e-12)
@@ -53,8 +53,8 @@ class TestProjection:
         assert fine.grid_per_dim > plain.grid_per_dim
         assert fine.grid_per_dim % 2 == 1
         # projection of a band-limited function is grid-independent
-        f1 = project(np.sin(plain.grid_points[:, 0]), plain)
-        f2 = project(np.sin(fine.grid_points[:, 0]), fine)
+        f1 = SpatialField(plain, plain.project(np.sin(plain.grid_points[:, 0])))
+        f2 = SpatialField(fine, fine.project(np.sin(fine.grid_points[:, 0])))
         m1 = f1.coeffs[plain.modes[:, 0] == 1][0]
         m2 = f2.coeffs[fine.modes[:, 0] == 1][0]
         assert m1 == pytest.approx(m2, abs=1e-12)
@@ -65,13 +65,13 @@ class TestNorms:
         basis = SpectralBasis(1, 6, np.pi)
         rng = np.random.default_rng(5)
         vals = rng.standard_normal(basis.grid_points.shape[0])
-        f = project(vals, basis)
+        f = SpatialField(basis, basis.project(vals))
         # normalised inner product: the L2 norm squared is the grid mean
         assert basis.norm_sq(f.coeffs, order=0) == pytest.approx(np.mean(vals**2), rel=1e-12)
 
     def test_cosine_negative_order_norm(self):
         basis = SpectralBasis(1, 4, np.pi)
-        f = project(np.cos(basis.grid_points[:, 0]), basis)
+        f = SpatialField(basis, basis.project(np.cos(basis.grid_points[:, 0])))
         # two coefficients of 1/2 at k = +-1 with weight (1+1)^(-1)
         expected_sq = 2 * (0.5**2) * (1 + 1) ** (-1)
         assert basis.norm_sq(f.coeffs, order=-1) == pytest.approx(expected_sq, abs=1e-13)
@@ -86,31 +86,31 @@ class TestNorms:
 
     def test_sine_first_order_norm(self):
         basis = SpectralBasis(1, 4, np.pi)
-        f = project(np.sin(basis.grid_points[:, 0]), basis)
+        f = SpatialField(basis, basis.project(np.sin(basis.grid_points[:, 0])))
         assert f.norm(1) == pytest.approx(1.0, abs=1e-12)
         assert f.norm(0) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_norm_monotone_in_order(self):
         basis = SpectralBasis(1, 6, np.pi)
         rng = np.random.default_rng(9)
-        f = project(rng.standard_normal(basis.grid_points.shape[0]), basis)
+        f = SpatialField(basis, basis.project(rng.standard_normal(basis.grid_points.shape[0])))
         norms = [basis.norm_sq(f.coeffs, n) for n in (-1, 0, 1, 2)]
         assert norms == sorted(norms)
 
     def test_inner_product_polarisation(self):
         basis = SpectralBasis(1, 5, np.pi)
         rng = np.random.default_rng(13)
-        u = project(rng.standard_normal(11), basis).coeffs
-        v = project(rng.standard_normal(11), basis).coeffs
+        u = basis.project(rng.standard_normal(11))
+        v = basis.project(rng.standard_normal(11))
         ip = basis.inner(u, v, order=1)
         expand = 0.25 * (basis.norm_sq(u + v, 1) - basis.norm_sq(u - v, 1))
         assert ip.real == pytest.approx(expand, rel=1e-10)
 
     def test_derivative_multiplier(self):
         basis = SpectralBasis(1, 5, np.pi)
-        f = project(np.sin(basis.grid_points[:, 0]), basis)
+        f = SpatialField(basis, basis.project(np.sin(basis.grid_points[:, 0])))
         df = basis.derivative_multiplier((1,)) * f.coeffs
-        g = project(np.cos(basis.grid_points[:, 0]), basis)
+        g = SpatialField(basis, basis.project(np.cos(basis.grid_points[:, 0])))
         assert np.allclose(df, g.coeffs, atol=1e-12)
         d2f = basis.derivative_multiplier((2,)) * f.coeffs
         assert np.allclose(d2f, -f.coeffs, atol=1e-12)
@@ -118,9 +118,9 @@ class TestNorms:
     def test_derivative_multiplier_rescales_with_halfwidth(self):
         basis = SpectralBasis(1, 5, 2.0)
         x = basis.grid_points[:, 0]
-        f = project(np.sin(np.pi * x / 2.0), basis)
+        f = SpatialField(basis, basis.project(np.sin(np.pi * x / 2.0)))
         df = basis.derivative_multiplier((1,)) * f.coeffs
-        g = project(np.pi / 2.0 * np.cos(np.pi * x / 2.0), basis)
+        g = SpatialField(basis, basis.project(np.pi / 2.0 * np.cos(np.pi * x / 2.0)))
         assert np.allclose(df, g.coeffs, atol=1e-12)
 
 
@@ -217,7 +217,7 @@ class TestAdjointStructure:
         for k in range(1, half_band + 1):
             vals += rng.standard_normal() * np.cos(k * x) + rng.standard_normal() * np.sin(k * x)
         vals += rng.standard_normal()
-        return project(vals, basis)
+        return SpatialField(basis, basis.project(vals))
 
     def test_formal_adjoint_identity(self):
         # (D(sigma v) + nu v, u) = (v, -sigma Du + nu u): integration by parts
@@ -231,7 +231,8 @@ class TestAdjointStructure:
             lhs = basis.inner(M @ v.coeffs, u.coeffs, order=0)
             du = basis.derivative_multiplier((1,)) * u.coeffs
             du_grid = basis.evaluate_at(du, x)
-            rhs_field = project(-sig_grid * du_grid.real + nu0 * u.values().real, basis)
+            rhs_field = SpatialField(
+                basis, basis.project(-sig_grid * du_grid.real + nu0 * u.values().real))
             rhs = basis.inner(v.coeffs, rhs_field.coeffs, order=0)
             scale = max(abs(lhs), abs(rhs), 1e-30)
             assert abs(lhs - np.conj(rhs)) / scale < 1e-8

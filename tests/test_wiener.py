@@ -142,20 +142,20 @@ class TestConditionalExpectation:
     def test_constant(self):
         tree = build_tree(1, 1, 3, 0.5)
         vals = np.full(3, 7.0)
-        assert conditional_expectation(tree, (0, 0), vals) == pytest.approx(7.0)
+        assert conditional_expectation(tree, 0, vals)[0] == pytest.approx(7.0)
 
     def test_increment_mean_zero(self):
         tree = build_tree(1, 1, 3, 0.5)
         dw = tree.levels[1].increments[:, 0]
-        assert conditional_expectation(tree, (0, 0), dw) == pytest.approx(0.0, abs=1e-14)
-        assert conditional_expectation(tree, (0, 0), dw**2) == pytest.approx(tree.dt, abs=1e-14)
+        assert conditional_expectation(tree, 0, dw)[0] == pytest.approx(0.0, abs=1e-14)
+        assert conditional_expectation(tree, 0, dw**2)[0] == pytest.approx(tree.dt, abs=1e-14)
 
     def test_terminal_and_mismatch_rejected(self):
         tree = build_tree(1, 1, 2, 0.5)
         with pytest.raises(ValueError):
-            conditional_expectation(tree, (1, 0), np.zeros(2))
+            conditional_expectation(tree, 1, np.zeros(2))
         with pytest.raises(ValueError):
-            conditional_expectation(tree, (0, 0), np.zeros(5))
+            conditional_expectation(tree, 0, np.zeros(5))
 
     def test_tower_property_against_brute_force(self):
         tree = build_tree(1, 3, 3, 1.0)
@@ -163,14 +163,20 @@ class TestConditionalExpectation:
         leaf_vals = rng.standard_normal(len(tree.levels[3].prob))
         vals = leaf_vals
         for level in range(2, -1, -1):
-            vals = np.array([
-                conditional_expectation(tree, (level, i), vals[tree.children_slice(level, i)])
-                for i in range(len(tree.levels[level].prob))
-            ])
+            vals = conditional_expectation(tree, level, vals)
+            assert vals.shape == (tree.levels[level].n_nodes,)
         ref = brute_tree_expectation([lv.weights for lv in tree.levels], leaf_vals)
         assert vals[0] == pytest.approx(ref, rel=1e-12)
         # and against the stored unconditional probabilities
         assert vals[0] == pytest.approx(np.dot(tree.levels[3].prob, leaf_vals), rel=1e-12)
+
+    def test_rows_follow_children_slices(self):
+        tree = build_tree(2, 2, 2, 0.5)
+        vals = np.random.default_rng(5).standard_normal((tree.levels[2].n_nodes, 3))
+        got = conditional_expectation(tree, 1, vals)
+        for node in range(tree.levels[1].n_nodes):
+            sl = tree.children_slice(1, node)
+            assert np.allclose(got[node], tree.levels[2].weights[sl] @ vals[sl], atol=1e-15)
 
 
 class TestMartingaleCoefficient:
@@ -178,29 +184,36 @@ class TestMartingaleCoefficient:
         tree = build_tree(2, 1, 2, 0.5)
         dw = tree.levels[1].increments
         vals = 5.0 + 3.0 * dw[:, 0]
-        coef = martingale_coefficient(tree, (0, 0), vals)
-        assert np.allclose(coef, [3.0, 0.0], atol=1e-12)
+        coef = martingale_coefficient(tree, 0, vals)
+        assert np.allclose(coef[0], [3.0, 0.0], atol=1e-12)
         vals = -1.0 + 2.0 * dw[:, 1]
-        assert np.allclose(martingale_coefficient(tree, (0, 0), vals), [0.0, 2.0], atol=1e-12)
+        assert np.allclose(martingale_coefficient(tree, 0, vals)[0], [0.0, 2.0], atol=1e-12)
 
     def test_constant_gives_zero(self):
         tree = build_tree(1, 1, 3, 0.5)
-        coef = martingale_coefficient(tree, (0, 0), np.full(3, 4.2))
+        coef = martingale_coefficient(tree, 0, np.full(3, 4.2))
         assert np.allclose(coef, 0.0, atol=1e-13)
 
     def test_even_function_gives_zero(self):
         tree = build_tree(1, 1, 3, 0.5)
         dw = tree.levels[1].increments[:, 0]
-        coef = martingale_coefficient(tree, (0, 0), dw**2)
+        coef = martingale_coefficient(tree, 0, dw**2)
         assert np.allclose(coef, 0.0, atol=1e-12)
 
     def test_vector_values(self):
         tree = build_tree(1, 1, 2, 0.5)
         dw = tree.levels[1].increments[:, 0]
         vals = np.stack([1.0 + 2.0 * dw, 3.0 * dw], axis=-1)  # (children, 2)
-        coef = martingale_coefficient(tree, (0, 0), vals)
-        assert coef.shape == (1, 2)
-        assert np.allclose(coef[0], [2.0, 3.0], atol=1e-12)
+        coef = martingale_coefficient(tree, 0, vals)
+        assert coef.shape == (1, 1, 2)
+        assert np.allclose(coef[0, 0], [2.0, 3.0], atol=1e-12)
+
+    def test_terminal_and_mismatch_rejected(self):
+        tree = build_tree(1, 1, 2, 0.5)
+        with pytest.raises(ValueError):
+            martingale_coefficient(tree, 1, np.zeros(2))
+        with pytest.raises(ValueError):
+            martingale_coefficient(tree, 0, np.zeros(5))
 
 
 class TestChain:
@@ -216,7 +229,7 @@ class TestChain:
 
     def test_chain_conditional_expectation_passthrough(self):
         chain = build_chain(1, 3, 1.0)
-        assert conditional_expectation(chain, (1, 0), np.array([3.5])) == pytest.approx(3.5)
+        assert conditional_expectation(chain, 1, np.array([3.5]))[0] == pytest.approx(3.5)
 
 
 class TestPathEnsemble:
