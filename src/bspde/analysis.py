@@ -129,8 +129,8 @@ def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerT
         drift = _apply(L, p) + fields.source(level)
         for k in range(tree.dim_w):
             drift = drift + _apply(Ms[:, k], q[:, k])
-        pair_term[level] = prob @ np.real(np.sum(np.conj(p) * drift, axis=-1))
-        q_term[level] = prob @ np.sum(basis.norm_sq(q, 0), axis=-1)
+        pair_term[level] = _expectation(prob, np.real(np.sum(np.conj(p) * drift, axis=-1)))
+        q_term[level] = solution.q.level_expected_norm_sq(level, 0)
 
     defects = np.zeros(N + 1)
     for level in range(N):
@@ -188,7 +188,7 @@ def positivity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTre
     fields = LevelFields(scenario, tree, basis)
 
     def data_negpart(field_, level, t):
-        vals = fields.level_map(level, field_.is_deterministic,
+        vals = fields.level_map(level, [field_],
                                 lambda s, h: field_.evaluate(t, X, h))
         return float(np.sum(tree.levels[level].prob * _negpart_integral(vals, volume)))
 
@@ -335,7 +335,7 @@ def mollify(scenario: Scenario, config: MollifierConfig,
                 lambda t, X, _ev=ev: _ev(t, X), src.shape)
         else:
             out_fields[name] = CoefficientField.adapted(
-                lambda t, X, hist, _ev=ev: _ev(t, X, hist), src.shape)
+                lambda t, X, hist, _ev=ev: _ev(t, X, hist), src.shape, markov=src.markov)
     return scenario.with_fields(**out_fields)
 
 

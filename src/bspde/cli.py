@@ -52,10 +52,20 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _write_atomic(path: str, text: str):
+def _write_atomic(path: str, chunks):
+    """Write a string, or an iterable of strings, to ``path`` by rename.
+
+    Chunks are written as they come, so a generator's text is never held
+    whole; if it raises, the temporary file goes and ``path`` is untouched.
+    """
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines([chunks] if isinstance(chunks, str) else chunks)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 
@@ -68,8 +78,8 @@ def _emit(summary, out_dir, extra_files=None):
     os.makedirs(out_dir, exist_ok=True)
     _write_atomic(os.path.join(out_dir, "summary.json"),
                   json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    for name, text in (extra_files or {}).items():
-        _write_atomic(os.path.join(out_dir, name), text)
+    for name, chunks in (extra_files or {}).items():
+        _write_atomic(os.path.join(out_dir, name), chunks)
 
 
 def _manifest(args, scenario, disc, theta, tol, tree=None):
@@ -127,23 +137,21 @@ def _make_basis(scenario, disc):
     return SpectralBasis(scenario.dim_x, disc.modes, scenario.domain_halfwidth)
 
 
-def _fields_csv(solution, tree, basis) -> str:
+def _fields_csv(solution, tree, basis):
+    """The lines of fields.csv: the header, then one string per node."""
     dw = tree.dim_w
     header = (["level", "node"] + [f"x{i+1}" for i in range(basis.dim_x)]
               + ["p"] + [f"q{k+1}" for k in range(dw)])
     xs = [",".join(map(_fmt, x)) for x in basis.grid_points.tolist()]
     row = "%d,%d,%s" + ",%.12e" * (1 + dw) + "\n"  # the digits of _fmt
-    # one string per node, not per row: a str object per row costs more
-    # memory than its text
-    chunks = [",".join(header) + "\n"]
+    yield ",".join(header) + "\n"
     for level in range(tree.n_steps):  # both p and q live on 0..N-1
         # node by node: a level-wide reconstruct moves last digits
         for node, (p, q) in enumerate(zip(solution.p.levels[level],
                                           solution.q.levels[level])):
             cols = [basis.reconstruct(v).real.tolist() for v in (p, *q)]
-            chunks.append("".join([row % (level, node, x, *vals)
-                                   for x, *vals in zip(xs, *cols)]))
-    return "".join(chunks)
+            yield "".join([row % (level, node, x, *vals)
+                           for x, *vals in zip(xs, *cols)])
 
 
 def cmd_solve(args) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, StructuralError
-from .scenario import CoefficientField, PathHistory, Scenario
+from .scenario import CoefficientField, PathHistory, Scenario, _all_markov
 from .solver import (LevelFields, SchemeConfig, SolutionPair, _apply,
                      backward_solve, pair_difference)
 from .space import SpectralBasis
@@ -78,7 +78,7 @@ def _frozen_field(field_: CoefficientField, x0: Array) -> CoefficientField:
     return CoefficientField.adapted(
         lambda t, X, hist: np.broadcast_to(field_.evaluate(t, point, hist)[0],
                                            (len(X),) + field_.shape),
-        field_.shape)
+        field_.shape, markov=field_.markov)
 
 
 def _frozen_L(frozen: FrozenScenario, basis: SpectralBasis, t: float,
@@ -107,11 +107,11 @@ def solve_frozen(frozen: FrozenScenario, tree: WienerTree, basis: SpectralBasis,
     """
     scheme = scheme or SchemeConfig()
     fields = LevelFields(frozen, tree, basis)
-    shared = frozen.a0.is_deterministic and frozen.sigma0.is_deterministic
+    coeffs = (frozen.a0, frozen.sigma0)
 
     def ops(level):
-        return (fields.level_map(level, shared, lambda t, h: _frozen_L(frozen, basis, t, h)),
-                fields.level_map(level, shared, lambda t, h: _frozen_M(frozen, basis, t, h)))
+        return (fields.level_map(level, coeffs, lambda t, h: _frozen_L(frozen, basis, t, h)),
+                fields.level_map(level, coeffs, lambda t, h: _frozen_M(frozen, basis, t, h)))
 
     source = fields.source if source_levels is None else source_levels.__getitem__
     return backward_solve(tree, basis, scheme, fields.terminal(), ops, source)
@@ -138,7 +138,8 @@ def _difference_field(f: CoefficientField, f0: CoefficientField) -> CoefficientF
         return CoefficientField.of_tx(
             lambda t, X: f.evaluate(t, X) - f0.evaluate(t, X), f.shape)
     return CoefficientField.adapted(
-        lambda t, X, hist: f.evaluate(t, X, hist) - f0.evaluate(t, X, hist), f.shape)
+        lambda t, X, hist: f.evaluate(t, X, hist) - f0.evaluate(t, X, hist), f.shape,
+        markov=_all_markov(f, f0))
 
 
 def _iteration_sources(scenario: Scenario, frozen: FrozenScenario,
@@ -212,7 +213,7 @@ def _blend_field(f0: CoefficientField, f1: CoefficientField, lam: float,
             shape)
     return CoefficientField.adapted(
         lambda t, X, hist: (1 - lam) * f0.evaluate(t, X, hist)
-        + lam * f1.evaluate(t, X, hist), shape)
+        + lam * f1.evaluate(t, X, hist), shape, markov=_all_markov(f0, f1))
 
 
 def continuation_solve(scenario: Scenario, n_lambda_steps: int, tree: WienerTree,

@@ -75,6 +75,12 @@ class CoefficientField:
         Optional analytic spatial derivatives, keyed by multi-index tuple.
         When absent, consumers fall back to spectral differentiation of the
         sampled field.
+    markov
+        Declares that an adapted ``fn`` reads the history only through its
+        current value ``history.w`` (and reads ``t``), so nodes with the same
+        ``w`` bits share one evaluation.  A callable that reads
+        ``history.increments`` must leave it ``False``, the default, and is
+        then evaluated once per node.
     """
 
     kind: str
@@ -82,6 +88,7 @@ class CoefficientField:
     fn: Callable | None = None
     value: Array | None = None
     derivatives: Mapping[tuple, Callable] | None = None
+    markov: bool = False
 
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
@@ -101,8 +108,10 @@ class CoefficientField:
         return cls("deterministic_fn_of_tx", tuple(shape), fn=fn, derivatives=derivatives)
 
     @classmethod
-    def adapted(cls, fn: Callable, shape: tuple = (), derivatives=None) -> "CoefficientField":
-        return cls("adapted_fn_of_txW", tuple(shape), fn=fn, derivatives=derivatives)
+    def adapted(cls, fn: Callable, shape: tuple = (), derivatives=None,
+                markov: bool = False) -> "CoefficientField":
+        return cls("adapted_fn_of_txW", tuple(shape), fn=fn, derivatives=derivatives,
+                   markov=markov)
 
     @classmethod
     def zero(cls, shape: tuple = ()) -> "CoefficientField":
@@ -149,6 +158,11 @@ class CoefficientField:
         raise StructuralError(
             f"coefficient evaluator returned shape {out.shape}, expected {want}"
         )
+
+
+def _all_markov(*fields: CoefficientField) -> bool:
+    """True when every field reads the history through ``w`` at most."""
+    return all(f.is_deterministic or f.markov for f in fields)
 
 
 @dataclass(frozen=True)

@@ -171,8 +171,8 @@ def _build_field(name: str, raw: str, shape: tuple, dim_x: int,
             vals[idx] = float(evaluate(node, {}))
         return CoefficientField.constant(vals, shape)
     fn = _make_evaluator(asts, shape, dim_x, uses_w)
-    if uses_w:
-        return CoefficientField.adapted(fn, shape)
+    if uses_w:  # the evaluator reads the history only through history.w
+        return CoefficientField.adapted(fn, shape, markov=True)
     return CoefficientField.of_tx(fn, shape)
 
 

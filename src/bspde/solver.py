@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, NumericError, StructuralError
-from .scenario import Scenario
+from .scenario import PathHistory, Scenario, _all_markov
 from .space import SpatialField, SpectralBasis, assemble_L, assemble_M
 from .wiener import (PathEnsemble, WienerTree, conditional_expectation,
                      martingale_coefficient)
@@ -144,14 +144,25 @@ def _apply(op: Array, vec: Array) -> Array:
     return op * vec if op.ndim == 2 else (op @ vec[..., None])[..., 0]
 
 
+def _distinct_rows(w: Array) -> tuple[Array, Array]:
+    """First index of each distinct row of ``w`` and every row's group.
+
+    Rows are compared by their bytes: ``-0.0`` and ``0.0`` differ.
+    """
+    _, first, inverse = np.unique(w.view(np.uint64), axis=0, return_index=True,
+                                  return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
 class LevelFields:
     """A scenario's terminal, source and operators, one whole level at a time.
 
     ``filtration`` is a ``WienerTree`` or a ``PathEnsemble``: anything with
-    ``dt`` and ``level_histories(level)``.  Deterministic fields are
-    evaluated once per level (``k = 1``); adapted ones once per node of the
-    level, from histories built in one walk and kept for the current level
-    only.
+    ``dt``, ``level_increments(level)`` and ``level_histories(level)``.  A
+    map over deterministic fields is evaluated once per level (``k = 1``),
+    over Markov fields once per distinct Wiener state ``w`` of the level, and
+    over any other adapted field once per node; a level's histories are built
+    in one walk and kept for the current level only.
     """
 
     def __init__(self, scenario, filtration, basis: SpectralBasis):
@@ -159,28 +170,62 @@ class LevelFields:
         self.filtration = filtration
         self.basis = basis
         self._level = None
-        self._hists: list = []
+        self._walks: dict = {}
+
+    def _walk(self, level: int, name: str, build):
+        if level != self._level:
+            self._level, self._walks = level, {}
+        if name not in self._walks:
+            self._walks[name] = build(level)
+        return self._walks[name]
 
     def histories(self, level: int) -> list:
-        if level != self._level:
-            self._level, self._hists = level, self.filtration.level_histories(level)
-        return self._hists
+        """Every node's history, in level order."""
+        return self._walk(level, "nodes", self.filtration.level_histories)
 
-    def level_map(self, level: int, deterministic: bool, fn) -> Array:
-        """Stack ``fn(t, history)`` over the level: (1, ...) or (n_level, ...)."""
+    def states(self, level: int) -> tuple[list, Array]:
+        """One history per distinct ``w`` of the level and each node's index into them.
+
+        States are told apart by the bytes of ``w``, not by float comparison,
+        so ``-0.0`` and ``0.0`` stay apart and a Markov field sees exactly the
+        bits it would see at each of the state's nodes.
+        """
+        return self._walk(level, "states", self._states)
+
+    def _states(self, level: int) -> tuple[list, Array]:
+        incs = self.filtration.level_increments(level)
+        w = incs.sum(axis=1)  # the same sum, in the same order, as each history.w
+        first, inverse = _distinct_rows(w)
+        t, dt = level * self.filtration.dt, self.filtration.dt
+        return [PathHistory(t, dt, incs[i], w[i]) for i in first], inverse
+
+    def level_map(self, level: int, fields, fn) -> Array:
+        """Stack ``fn(t, history)`` over the level: (1, ...) or (n_level, ...).
+
+        ``fields`` are the coefficient fields ``fn`` reads; they decide
+        whether it runs once, once per state (expanded to every node) or once
+        per node.
+        """
+        fields = tuple(fields)
         t = level * self.filtration.dt
-        hists = [None] if deterministic else self.histories(level)
+        inverse = None
+        if all(f.is_deterministic for f in fields):
+            hists = [None]
+        elif _all_markov(*fields):
+            hists, inverse = self.states(level)
+        else:
+            hists = self.histories(level)
         out = None
         for i, h in enumerate(hists):
             row = np.asarray(fn(t, h))
             if out is None:  # filled in place: no list of per-node rows
                 out = np.empty((len(hists),) + row.shape, row.dtype)
             out[i] = row
-        return out
+        return out if inverse is None else out[inverse]
 
     def _projected(self, field_, level: int, t=None) -> Array:
         X, project = self.basis.grid_points, self.basis.project
-        return self.level_map(level, field_.is_deterministic, lambda s, h: project(
+        return self.level_map(level, [field_], lambda s, h: project(
             field_.evaluate(s if t is None else t, X, h)))
 
     def terminal(self) -> Array:
@@ -193,9 +238,9 @@ class LevelFields:
     def operators(self, level: int, scenario=None) -> tuple[Array, Array]:
         """Assembled (L, Ms) of ``scenario`` (default: the provider's own)."""
         scn = scenario if scenario is not None else self.scenario
-        det, basis = scn.coefficients_deterministic, self.basis
-        return (self.level_map(level, det, lambda t, h: assemble_L(scn, t, h, basis)),
-                self.level_map(level, det, lambda t, h: assemble_M(scn, t, h, basis)))
+        coeffs, basis = scn.coefficient_fields().values(), self.basis
+        return (self.level_map(level, coeffs, lambda t, h: assemble_L(scn, t, h, basis)),
+                self.level_map(level, coeffs, lambda t, h: assemble_M(scn, t, h, basis)))
 
 
 # -- the backward engine ------------------------------------------------------

@@ -97,15 +97,20 @@ class WienerTree:
             lev -= 1
         return PathHistory(level * self.dt, self.dt, incs, incs.sum(axis=0))
 
-    def level_histories(self, level: int) -> list[PathHistory]:
-        """``history(level, i)`` for every node of the level, in one parent walk."""
+    def level_increments(self, level: int) -> Array:
+        """Every node's increments, ``(n_level, level, dim_w)``, in one parent walk."""
         idx = np.arange(self.levels[level].n_nodes)
         incs = np.zeros((len(idx), level, self.dim_w))
         for lev in range(level, 0, -1):
             incs[:, lev - 1] = self.levels[lev].increments[idx]
             idx = self.levels[lev].parents[idx]
+        return incs
+
+    def level_histories(self, level: int) -> list[PathHistory]:
+        """``history(level, i)`` for every node of the level, in one parent walk."""
         t = level * self.dt
-        return [PathHistory(t, self.dt, inc, inc.sum(axis=0)) for inc in incs]
+        return [PathHistory(t, self.dt, inc, inc.sum(axis=0))
+                for inc in self.level_increments(level)]
 
 
 def _branch_pattern(dim_w: int, branching: int, dt: float) -> tuple[Array, Array]:
@@ -225,6 +230,10 @@ class PathEnsemble:
     def history(self, path: int, step: int) -> PathHistory:
         return PathHistory.from_increments(self.increments[path, :step, :], self.dt) \
             if step > 0 else PathHistory.empty(self.dim_w)
+
+    def level_increments(self, step: int) -> Array:
+        """Every path's first ``step`` increments, ``(n_paths, step, dim_w)``."""
+        return self.increments[:, :step, :]
 
     def level_histories(self, step: int) -> list[PathHistory]:
         """``history(path, step)`` for every path."""

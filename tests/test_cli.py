@@ -12,7 +12,7 @@ import pytest
 
 import bspde
 from bspde import SchemeConfig, SpectralBasis, build_tree, load_scenario, solve_tree
-from bspde.cli import _fields_csv, main
+from bspde.cli import _fields_csv, _write_atomic, main
 from helpers import fields_csv_reference, make_scenario
 
 DATA = Path(__file__).parent / "data"
@@ -296,7 +296,7 @@ class TestArtifacts:
         tree = build_tree(2, 2, 2, scenario.horizon)
         basis = SpectralBasis(2, 2, np.pi)
         sol = solve_tree(scenario, tree, basis)
-        text = _fields_csv(sol, tree, basis)
+        text = "".join(_fields_csv(sol, tree, basis))
         assert text == fields_csv_reference(sol, tree, basis)
         lines = text.splitlines()
         assert lines[0] == "level,node,x1,x2,p,q1,q2"
@@ -308,6 +308,18 @@ class TestArtifacts:
     def test_no_temp_files_left(self, tmp_path):
         run("solve", TINY, "--out", str(tmp_path))
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+    def test_failed_stream_leaves_the_existing_file_untouched(self, tmp_path):
+        target = tmp_path / "fields.csv"
+        target.write_text("old\n")
+
+        def chunks():
+            yield "level,node\n"
+            raise RuntimeError("formatting failed")
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            _write_atomic(str(target), chunks())
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["fields.csv"]  # no temporary file left
 
     def test_audit_estimates_csv(self, tmp_path):
         code, _, _ = run("audit", TINY, "--out", str(tmp_path), "--estimate", "2.5")

@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 from bspde import (
     default_modulus,
     CoefficientField,
+    MollifierConfig,
     ModulusOfContinuity,
     PathHistory,
     Scenario,
     StructuralError,
+    SpectralBasis,
     default_sample_grid,
+    load_scenario_text,
+    mollify,
     validate,
 )
+from bspde.frozen import _blend_field, _difference_field, _frozen_field
 from helpers import make_field, make_scenario
 
 
@@ -54,6 +59,70 @@ class TestCoefficientField:
         out = f.evaluate(0.0, np.zeros((4, 2)))
         assert out.shape == (4, 2, 1)
         assert not out.any()
+
+
+class TestMarkovDeclaration:
+    """Parsed fields are Markov; a derived field is Markov when all its inputs are."""
+
+    TEXT = """
+[problem]
+d = 1
+d1 = 1
+T = 0.5
+L = 3.14159265358979
+K = 2.0
+kappa = 0.3
+[coefficients]
+a = 0.6 + 0.1*sin(x1 + w1)
+sigma = [[0.3 + 0.05*cos(w1)]]
+[data]
+F = cos(x1)
+phi = 1 + 0.2*w1
+"""
+
+    @staticmethod
+    def fields():
+        scn = load_scenario_text(TestMarkovDeclaration.TEXT)[0]
+        path = CoefficientField.adapted(
+            lambda t, X, hist: 0.5 + 0.0 * X[:, 0] + 0.1 * hist.increments.sum(),
+            ())
+        return scn, path
+
+    def test_parsed_adapted_fields_are_markov(self):
+        scn, path = self.fields()
+        assert scn.a.markov and scn.sigma.markov and scn.phi.markov
+        assert not scn.F.markov and scn.F.is_deterministic
+        assert not path.markov  # a library callable keeps the safe default
+
+    def test_frozen_and_mollified_fields_keep_the_declaration(self):
+        scn, path = self.fields()
+        x0 = np.zeros(1)
+        assert _frozen_field(scn.a, x0).markov
+        assert not _frozen_field(path, x0).markov
+        basis = SpectralBasis(1, 4, np.pi)
+        path_a = CoefficientField.adapted(
+            lambda t, X, hist: (0.6 + 0.0 * X[:, 0]
+                                + 0.01 * hist.increments.sum())[:, None, None],
+            (1, 1))
+        assert mollify(scn, MollifierConfig(1), basis).a.markov
+        assert not mollify(scn.with_fields(a=path_a), MollifierConfig(1), basis).a.markov
+
+    def test_difference_and_blend_need_every_input_markov(self):
+        scn, path = self.fields()
+        det = CoefficientField.of_tx(lambda t, X: np.cos(X[:, 0]), ())
+        const = CoefficientField.constant(0.5)
+        for markov_input in (scn.phi, _frozen_field(scn.phi, np.zeros(1))):
+            for other in (markov_input, det, const):
+                assert _difference_field(markov_input, other).markov
+                assert _difference_field(other, markov_input).markov
+                assert _blend_field(markov_input, other, 0.5, ()).markov
+                assert _blend_field(other, markov_input, 0.5, ()).markov
+            assert not _difference_field(markov_input, path).markov
+            assert not _difference_field(path, markov_input).markov
+            assert not _blend_field(markov_input, path, 0.5, ()).markov
+            assert not _blend_field(path, markov_input, 0.5, ()).markov
+        assert not _difference_field(path, det).markov
+        assert not _blend_field(const, path, 0.5, ()).markov
 
 
 class TestScenarioConstruction:

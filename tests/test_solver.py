@@ -1,10 +1,13 @@
 """Backward theta scheme on trees and chains, residuals, and regression."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bspde import (
     BudgetError,
+    CoefficientField,
     LevelFields,
     NumericError,
     SchemeConfig,
@@ -14,6 +17,7 @@ from bspde import (
     backward_solve,
     build_chain,
     build_tree,
+    load_scenario_text,
     mixed_norm_sq,
     pair_difference,
     sample_paths,
@@ -23,6 +27,7 @@ from bspde import (
     strong_residual,
     weak_residual,
 )
+from bspde.solver import _distinct_rows
 from helpers import (e_sup_norm_sq_reference, level_expected_norm_sq_reference,
                      make_scenario, sup_e_norm_sq_reference, time_norm_sq_reference)
 from oracles import scalar_theta_chain
@@ -393,3 +398,165 @@ class TestRegression:
         r1 = solve_regression(sc, sample_paths(1, 4, 500, 0.5, seed=9), BASIS)
         r2 = solve_regression(sc, sample_paths(1, 4, 500, 0.5, seed=9), BASIS)
         assert np.array_equal(r1.p0().coeffs, r2.p0().coeffs)
+
+
+# every adapted field reads w only, as parsed fields do
+MARKOV_TEXT = {1: """
+[problem]
+d = 1
+d1 = 1
+T = 0.5
+L = 3.14159265358979
+K = 2.0
+kappa = 0.3
+[coefficients]
+a = 0.66 + 0.06*sin(x1 + 1.0) + 0.08*sin(w1 + 0.5)
+b = [0.14*cos(x1 + 5.6) + 0.05*sin(w1 + 5.4)]
+c = 0.11 + 0.03*cos(w1 + 6.2)
+sigma = [[0.27 + 0.06*sin(w1 + 2.2)]]
+nu = [0.05*cos(w1 + 0.46)]
+[data]
+F = 0.48*(1 + 0.37*sin(x1 + 2.5))*(1 + 0.39*cos(w1 + 0.5))
+phi = 1.4 + 0.56*sin(x1 + 0.24) + 0.38*sin(w1 + 3.0)
+""", 2: """
+[problem]
+d = 1
+d1 = 2
+T = 0.5
+L = 3.14159265358979
+K = 2.0
+kappa = 0.3
+[coefficients]
+a = 0.6 + 0.05*sin(x1 + w2) + 0.07*sin(w1)
+sigma = [[0.2 + 0.05*sin(w1), 0.1 + 0.03*cos(w2)]]
+nu = [0.05*cos(w1 - w2), 0.02]
+[data]
+F = cos(x1 - w1) + 0.3*w2
+phi = sin(x1) + 1.5 + 0.2*w1*w2
+"""}
+
+
+def markov_scenario(dim_w):
+    return load_scenario_text(MARKOV_TEXT[dim_w])[0]
+
+
+def declared_path_dependent(scenario):
+    """The same scenario with every adapted field evaluated node by node."""
+    return scenario.with_fields(**{
+        name: replace(getattr(scenario, name), markov=False)
+        for name in ("a", "b", "c", "sigma", "nu", "F", "phi")
+        if not getattr(scenario, name).is_deterministic})
+
+
+def counting(field_):
+    """``field_`` with an evaluator that logs each call's history time, and the log."""
+    calls = []
+
+    def fn(t, X, hist):
+        calls.append(hist.t)
+        return field_.fn(t, X, hist)
+    wrapped = replace(field_, fn=fn)
+    return wrapped, calls
+
+
+class TestMarkovFields:
+    """Markov fields run once per distinct Wiener state and change no bit."""
+
+    TREES = {1: (1, 8, 3), 2: (2, 3, 3)}  # dim_w, steps, branching
+
+    @pytest.mark.parametrize("dim_w", [1, 2])
+    def test_level_map_is_bit_equal_to_per_node_evaluation(self, dim_w):
+        scn = markov_scenario(dim_w)
+        per = declared_path_dependent(scn)
+        assert scn.a.markov and not per.a.markov
+        tree = build_tree(*self.TREES[dim_w], scn.horizon)
+        fast, slow = LevelFields(scn, tree, BASIS), LevelFields(per, tree, BASIS)
+        X = BASIS.grid_points
+        for level in range(tree.n_steps + 1):
+            for name in ("F", "phi"):
+                got, want = (
+                    fields.level_map(level, [getattr(s, name)],
+                                     lambda t, h, f=getattr(s, name): f.evaluate(t, X, h))
+                    for fields, s in ((fast, scn), (slow, per)))
+                assert got.shape == want.shape
+                assert len(got) == tree.levels[level].n_nodes
+                assert got.tobytes() == want.tobytes()
+            if level < tree.n_steps:
+                for got, want in zip(fast.operators(level), slow.operators(level)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim_w", [1, 2])
+    def test_solves_are_bit_equal_to_per_node_evaluation(self, dim_w):
+        scn = markov_scenario(dim_w)
+        per = declared_path_dependent(scn)
+        tree = build_tree(dim_w, 3, 3, scn.horizon)
+        fast, slow = solve_tree(scn, tree, BASIS), solve_tree(per, tree, BASIS)
+        for a, b in zip(fast.p.levels + fast.q.levels, slow.p.levels + slow.q.levels):
+            assert a.tobytes() == b.tobytes()
+        ens = sample_paths(dim_w, 3, 40, scn.horizon, seed=4)
+        fast, slow = solve_regression(scn, ens, BASIS), solve_regression(per, ens, BASIS)
+        for a, b in zip(fast.p + fast.q, slow.p + slow.q):
+            assert a.tobytes() == b.tobytes()
+
+    def test_parsed_field_is_evaluated_once_per_state(self):
+        scn = markov_scenario(1)
+        F, f_calls = counting(scn.F)
+        phi, phi_calls = counting(scn.phi)
+        tree = build_tree(1, 8, 3, scn.horizon)
+        solve_tree(scn.with_fields(F=F, phi=phi), tree, BASIS)
+        states = [len({tree.history(level, i).w.tobytes()
+                       for i in range(tree.levels[level].n_nodes)})
+                  for level in range(tree.n_steps + 1)]
+        assert tree.n_nodes == 9841 and sum(states) == 107
+        assert len(f_calls) == sum(states[:-1]) and len(phi_calls) == states[-1]
+        for level in range(tree.n_steps):
+            assert f_calls.count(tree.time_of(level)) == states[level]
+
+    def test_path_dependent_callable_is_evaluated_per_node(self):
+        # the last increment is not a function of w: nodes sharing w differ
+        def last_step(t, X, hist):
+            last = hist.increments[-1, 0] if hist.n_steps else 0.0
+            return np.cos(X[:, 0]) * (1.0 + 0.5 * last)
+        F, calls = counting(CoefficientField.adapted(last_step, ()))
+        assert not F.markov
+        sc = make_scenario(F=F, phi=lambda t, X, hist: np.sin(X[:, 0]) * hist.w[0],
+                           sigma=0.2, kappa=0.2)
+        tree = build_tree(1, 3, 3, sc.horizon)
+        sol = solve_tree(sc, tree, BASIS)
+        assert len(calls) == sum(tree.levels[k].n_nodes for k in range(tree.n_steps))
+        level2 = [F.fn(tree.time_of(2), BASIS.grid_points, tree.history(2, i))
+                  for i in range(tree.levels[2].n_nodes)]
+        w = tree.levels[2].w_cum[:, 0]
+        same_w = [(i, j) for i in range(len(w)) for j in range(i)
+                  if w[i] == w[j] and not np.array_equal(level2[i], level2[j])]
+        assert same_w  # a per-state evaluation would be wrong here
+        diff = pair_difference(sol, solve_dense(sc, tree, BASIS))
+        assert np.sqrt(mixed_norm_sq(diff, p_order=0, q_order=0)) < 1e-12
+
+    @pytest.mark.parametrize("dim_w, steps, branching", [(1, 8, 3), (2, 3, 3), (1, 3, 5)])
+    def test_state_keys_equal_history_w_byte_for_byte(self, dim_w, steps, branching):
+        tree = build_tree(dim_w, steps, branching, 0.5)
+        fields = LevelFields(markov_scenario(dim_w), tree, BASIS)
+        for level in range(steps + 1):
+            reps, inverse = fields.states(level)
+            assert len(inverse) == tree.levels[level].n_nodes
+            for i in range(len(inverse)):
+                ref = tree.history(level, i)
+                assert reps[inverse[i]].w.tobytes() == ref.w.tobytes()
+                assert reps[inverse[i]].t == ref.t
+
+    def test_ensemble_state_keys_equal_history_w_byte_for_byte(self):
+        ens = sample_paths(1, 12, 30, 0.5, seed=8)
+        fields = LevelFields(markov_scenario(1), ens, BASIS)
+        for step in range(ens.n_steps + 1):
+            reps, inverse = fields.states(step)
+            for j in range(ens.n_paths):
+                assert reps[inverse[j]].w.tobytes() == ens.history(j, step).w.tobytes()
+
+    def test_states_are_told_apart_by_bytes(self):
+        w = np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, np.nextafter(1.0, 2.0)]])
+        first, inverse = _distinct_rows(w)
+        assert len(first) == 3
+        assert list(inverse) == [inverse[0], inverse[1], inverse[0], inverse[3]]
+        assert len({inverse[0], inverse[1], inverse[3]}) == 3
+        assert all(w[first[g]].tobytes() == w[i].tobytes() for i, g in enumerate(inverse))

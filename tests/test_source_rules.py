@@ -39,3 +39,34 @@ def test_no_per_node_loops_outside_the_oracle():
     found = {path.name: per_node_loops(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name not in PER_NODE_ALLOWED}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def adapted_calls_without_markov(source: str) -> list[int]:
+    """Line numbers of ``CoefficientField.adapted(...)`` calls without ``markov=``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "adapted"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "CoefficientField"
+                and not any(k.arg == "markov" for k in node.keywords)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detector_finds_adapted_calls_without_markov():
+    source = (
+        "f = CoefficientField.adapted(fn, shape)\n"
+        "g = CoefficientField.adapted(fn, shape, markov=src.markov)\n"
+        "h = CoefficientField.adapted(\n    fn, shape, **kw)\n"
+        "k = other.adapted(fn, shape)\n"
+    )
+    assert adapted_calls_without_markov(source) == [1, 3]
+
+
+def test_every_adapted_field_in_the_package_declares_markov():
+    # a derived field that kept the default would silently fall back to
+    # evaluating once per tree node instead of once per Wiener state
+    found = {path.name: adapted_calls_without_markov(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
