@@ -13,7 +13,7 @@ from .analysis import (ESTIMATE_TAGS, EstimateReport, MollifierConfig,
 from .errors import (BspdeError, BudgetError, ConvergenceError,
                      DegenerateKernelError, EvalError, NumericError,
                      ParseError, ScenarioValidationError, StructuralError)
-from .frozen import (FrozenScenario, IterationReport, continuation_solve,
+from .frozen import (IterationReport, continuation_solve, freeze,
                      freeze_and_iterate, solve_frozen)
 from .oracle import GaussianBump, feynman_kac_mc, heat_reference, solve_dense
 from .scenario import (CoefficientField, ModulusOfContinuity, PathHistory,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptedField", "BspdeError", "BudgetError", "CoefficientField",
     "ConvergenceError", "DegenerateKernelError", "DiscretizationConfig",
-    "ESTIMATE_TAGS", "EstimateReport", "EvalError", "FrozenScenario",
+    "ESTIMATE_TAGS", "EstimateReport", "EvalError",
     "GaussianBump", "IterationReport", "ModulusOfContinuity",
     "LevelFields", "MollifierConfig", "MultiIndex", "NumericError",
     "ParseError", "PathEnsemble", "PathHistory", "PositivityReport",
@@ -47,7 +47,7 @@ __all__ = [
     "assemble_L", "assemble_M", "backward_solve",
     "build_chain", "build_tree", "coercivity_probe", "conditional_expectation",
     "continuation_solve", "default_modulus", "default_sample_grid",
-    "energy_audit", "feynman_kac_mc", "freeze_and_iterate",
+    "energy_audit", "feynman_kac_mc", "freeze", "freeze_and_iterate",
     "gauss_hermite_standard", "heat_reference", "higher_regularity_solve",
     "ito_identity_check", "load_scenario", "load_scenario_text",
     "martingale_coefficient", "mixed_norm_sq", "mollify", "pair_difference",

@@ -301,7 +301,7 @@ class _MollifiedEvaluator:
             out += w * shifted
         return out.reshape(vals.shape)
 
-    def __call__(self, t, X, history=None):
+    def __call__(self, t, X, history):
         conv = self._convolved_grid(t, history)
         if X.shape == self._grid.shape and np.array_equal(X, self._grid):
             return conv
@@ -329,13 +329,8 @@ def mollify(scenario: Scenario, config: MollifierConfig,
         if src.kind == "deterministic_const":
             out_fields[name] = src  # convolution fixes constants exactly
             continue
-        ev = _MollifiedEvaluator(src, basis, offsets, weights)
-        if src.is_deterministic:
-            out_fields[name] = CoefficientField.of_tx(
-                lambda t, X, _ev=ev: _ev(t, X), src.shape)
-        else:
-            out_fields[name] = CoefficientField.adapted(
-                lambda t, X, hist, _ev=ev: _ev(t, X, hist), src.shape, markov=src.markov)
+        out_fields[name] = CoefficientField.derived(
+            _MollifiedEvaluator(src, basis, offsets, weights), src.shape, src)
     return scenario.with_fields(**out_fields)
 
 
@@ -364,25 +359,12 @@ class MultiIndex:
             yield tuple(beta), coef
 
 
-def _coef_derivative_grid(field_: CoefficientField, beta: tuple, comp: tuple,
-                          t: float, hist, basis: SpectralBasis) -> Array:
-    """Grid samples of D^beta of one component of a coefficient field.
-
-    Uses the analytic derivative evaluator when the field carries one for
-    beta, otherwise differentiates the spectral interpolant of the sampled
-    component (exact for band-limited coefficients).
-    """
-    X = basis.grid_points
-    if sum(beta) == 0:
-        vals = field_.evaluate(t, X, hist)
-        return vals[(slice(None),) + comp]
-    if field_.derivatives and tuple(beta) in field_.derivatives:
-        raw = np.asarray(field_.derivatives[tuple(beta)](t, X), dtype=float)
-        out = raw[(slice(None),) + comp] if raw.ndim > 1 else raw
-        return out
-    vals = field_.evaluate(t, X, hist)[(slice(None),) + comp]
-    coeffs = basis.project(vals)
-    return basis.reconstruct(basis.derivative_multiplier(beta) * coeffs)
+def _spectral_derivative(vals: Array, mult: Array, basis: SpectralBasis) -> Array:
+    """Grid samples of the spectral derivative with multiplier ``mult`` of each
+    component of the grid samples ``vals`` (exact for band-limited fields)."""
+    flat = vals.reshape(len(vals), -1)
+    return np.stack([basis.reconstruct(mult * basis.project(flat[:, j]))
+                     for j in range(flat.shape[1])], axis=-1).reshape(vals.shape)
 
 
 def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
@@ -427,46 +409,48 @@ def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: Spectra
              for i in range(d)]
     ddmult = [[dmult[i] * dmult[j] for j in range(d)] for i in range(d)]
 
-    def node_source(t, hist, p, q):
-        grid = np.zeros(basis.n_grid, dtype=complex)
-        # D^alpha F
-        fgrid = scenario.F.evaluate(t, X, hist)
-        grid += basis.reconstruct(alpha_mult * basis.project(fgrid))
-        for beta, coef in alpha.sub_indices():
-            gamma = tuple(a - b for a, b in zip(alpha.alpha, beta))
-            gmult = basis.derivative_multiplier(gamma)
+    betas = [(beta, coef, basis.derivative_multiplier(beta),
+              basis.derivative_multiplier(tuple(a - b for a, b in zip(alpha.alpha, beta))))
+             for beta, coef in alpha.sub_indices()]
+    coeffs = {name: getattr(scenario, name) for name in ("a", "sigma", "b", "c", "nu")}
+
+    def derivative_samples(level, field_):
+        """D^beta samples of ``field_`` for every beta: (k, n_beta, n_grid, *shape)."""
+        def fn(t, h):
+            vals = field_.evaluate(t, X, h)
+            return np.stack([_spectral_derivative(vals, bmult, basis) if any(beta) else vals
+                             for beta, _, bmult, _ in betas])
+        return fields.level_map(level, [field_], fn)
+
+    def source(level):
+        p, q = base.p.levels[level], base.q.levels[level]
+        D = {name: derivative_samples(level, f) for name, f in coeffs.items()
+             if not f.is_zero}
+        grid = np.zeros((len(p), basis.n_grid), dtype=complex)
+        grid += basis.reconstruct(alpha_mult * fields.source(level))  # D^alpha F
+        for n, (beta, coef, _, gmult) in enumerate(betas):
             if sum(beta) >= 1:
                 # top-order Leibniz terms (beta = 0 stays in the operator)
                 for i in range(d):
                     for j in range(d):
-                        if not _component_active(scenario.a, (i, j)):
-                            continue
-                        da = _coef_derivative_grid(scenario.a, beta, (i, j), t, hist, basis)
-                        grid += coef * da * basis.reconstruct(gmult * ddmult[i][j] * p)
+                        if _component_active(scenario.a, (i, j)):
+                            grid += coef * D["a"][:, n, :, i, j] * basis.reconstruct(
+                                gmult * ddmult[i][j] * p)
                     for k in range(dw):
-                        if not _component_active(scenario.sigma, (i, k)):
-                            continue
-                        dsig = _coef_derivative_grid(scenario.sigma, beta, (i, k),
-                                                     t, hist, basis)
-                        grid += coef * dsig * basis.reconstruct(gmult * dmult[i] * q[k])
+                        if _component_active(scenario.sigma, (i, k)):
+                            grid += coef * D["sigma"][:, n, :, i, k] * basis.reconstruct(
+                                gmult * dmult[i] * q[:, k])
             # lower-order terms are differentiated entirely into the source
             for i in range(d):
                 if _component_active(scenario.b, (i,)):
-                    db = _coef_derivative_grid(scenario.b, beta, (i,), t, hist, basis)
-                    grid += coef * db * basis.reconstruct(gmult * dmult[i] * p)
+                    grid += coef * D["b"][:, n, :, i] * basis.reconstruct(
+                        gmult * dmult[i] * p)
             if _component_active(scenario.c, ()):
-                dc = _coef_derivative_grid(scenario.c, beta, (), t, hist, basis)
-                grid -= coef * dc * basis.reconstruct(gmult * p)
+                grid -= coef * D["c"][:, n] * basis.reconstruct(gmult * p)
             for k in range(dw):
                 if _component_active(scenario.nu, (k,)):
-                    dnu = _coef_derivative_grid(scenario.nu, beta, (k,), t, hist, basis)
-                    grid += coef * dnu * basis.reconstruct(gmult * q[k])
-        return basis.project(grid)
-
-    def source(level):
-        t = tree.time_of(level)
-        return np.stack([node_source(t, h, p, q) for h, p, q in zip(
-            fields.histories(level), base.p.levels[level], base.q.levels[level])])
+                    grid += coef * D["nu"][:, n, :, k] * basis.reconstruct(gmult * q[:, k])
+        return basis.project(grid.T).T
 
     derived = backward_solve(tree, basis, scheme, alpha_mult * fields.terminal(),
                              lambda level: fields.operators(level, top_scn), source)

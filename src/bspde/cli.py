@@ -335,15 +335,16 @@ def cmd_mollify_study(args) -> int:
 def cmd_regress(args) -> int:
     scenario, disc, run, theta, tol = _overlaid(args)
     basis = _make_basis(scenario, disc)
-    n_paths = disc.paths if disc.paths is not None else 256
-    ensemble = sample_paths(scenario.dim_w, disc.steps, n_paths,
+    if disc.paths is None:
+        disc = dc_replace(disc, paths=256)
+    ensemble = sample_paths(scenario.dim_w, disc.steps, disc.paths,
                             scenario.horizon, seed=disc.seed)
     reg = solve_regression(scenario, ensemble, basis,
                            scheme=SchemeConfig(theta=theta))
     p0 = reg.p0()
     summary = {
         "command": "regress",
-        "paths": n_paths,
+        "paths": disc.paths,
         "seed": disc.seed,
         "steps": disc.steps,
         "modes": disc.modes,

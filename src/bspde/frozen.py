@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, StructuralError
-from .scenario import CoefficientField, PathHistory, Scenario, _all_markov
+from .scenario import CoefficientField, PathHistory, Scenario
 from .solver import (LevelFields, SchemeConfig, SolutionPair, _apply,
                      backward_solve, pair_difference)
 from .space import SpectralBasis
@@ -37,69 +37,51 @@ from .wiener import WienerTree
 Array = np.ndarray
 
 
-@dataclass
-class FrozenScenario:
-    """Reduced problem: x-independent a0, sigma0, no lower-order terms."""
+def freeze(scenario: Scenario, x0: Array) -> Scenario:
+    """The reduced problem of the freezing method.
 
-    dim_x: int
-    dim_w: int
-    horizon: float
-    domain_halfwidth: float
-    a0: CoefficientField       # (d, d), x-independent
-    sigma0: CoefficientField   # (d, dim_w), x-independent
-    F: CoefficientField
-    phi: CoefficientField
-    bound_K: float
-    ellipticity_kappa: float
-
-    @classmethod
-    def from_scenario(cls, scenario: Scenario, x0: Array) -> "FrozenScenario":
-        """Freeze a and sigma of a scenario at the point x0 (t, omega kept)."""
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if x0.shape != (scenario.dim_x,):
-            raise StructuralError("freeze point must have shape (dim_x,)")
-        a0 = _frozen_field(scenario.a, x0)
-        s0 = _frozen_field(scenario.sigma, x0)
-        return cls(scenario.dim_x, scenario.dim_w, scenario.horizon,
-                   scenario.domain_halfwidth, a0, s0, scenario.F, scenario.phi,
-                   scenario.bound_K, scenario.ellipticity_kappa)
+    a and sigma are frozen at the point x0 (their t and noise dependence
+    kept) and b, c and nu are zero.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (scenario.dim_x,):
+        raise StructuralError("freeze point must have shape (dim_x,)")
+    zero = CoefficientField.zero
+    return scenario.with_fields(
+        a=_frozen_field(scenario.a, x0), sigma=_frozen_field(scenario.sigma, x0),
+        b=zero((scenario.dim_x,)), c=zero(()), nu=zero((scenario.dim_w,)))
 
 
 def _frozen_field(field_: CoefficientField, x0: Array) -> CoefficientField:
     """The same field evaluated only at x0, hence independent of x."""
     point = x0[None, :]
-    if field_.kind == "deterministic_const":
-        return field_
-    if field_.kind == "deterministic_fn_of_tx":
-        return CoefficientField.of_tx(
-            lambda t, X: np.broadcast_to(field_.evaluate(t, point)[0],
-                                         (len(X),) + field_.shape),
-            field_.shape)
-    return CoefficientField.adapted(
+    return CoefficientField.derived(
         lambda t, X, hist: np.broadcast_to(field_.evaluate(t, point, hist)[0],
                                            (len(X),) + field_.shape),
-        field_.shape, markov=field_.markov)
+        field_.shape, field_)
 
 
-def _frozen_L(frozen: FrozenScenario, basis: SpectralBasis, t: float,
+def _frozen_L(frozen: Scenario, basis: SpectralBasis, t: float,
               hist: PathHistory | None) -> Array:
     """Diagonal symbol of a0:D2 at (t, history)."""
-    a0 = frozen.a0.evaluate(t, np.zeros((1, frozen.dim_x)), hist)[0]     # (d, d)
+    a0 = frozen.a.evaluate(t, np.zeros((1, frozen.dim_x)), hist)[0]     # (d, d)
     k = basis.freqs
     return -np.einsum("ij,mi,mj->m", a0, k, k).astype(complex)
 
 
-def _frozen_M(frozen: FrozenScenario, basis: SpectralBasis, t: float,
+def _frozen_M(frozen: Scenario, basis: SpectralBasis, t: float,
               hist: PathHistory | None) -> Array:
     """Diagonal symbols of sigma0.grad at (t, history), (dim_w, n_modes)."""
-    s0 = frozen.sigma0.evaluate(t, np.zeros((1, frozen.dim_x)), hist)[0]  # (d, dw)
+    s0 = frozen.sigma.evaluate(t, np.zeros((1, frozen.dim_x)), hist)[0]  # (d, dw)
     return np.array([1j * (basis.freqs @ s0[:, kk]) for kk in range(frozen.dim_w)])
 
 
-def solve_frozen(frozen: FrozenScenario, tree: WienerTree, basis: SpectralBasis,
+def solve_frozen(frozen: Scenario, tree: WienerTree, basis: SpectralBasis,
                  scheme: SchemeConfig | None = None,
                  source_levels: list[Array] | None = None) -> SolutionPair:
     """Backward solve with per-mode scalar algebra (coefficients frozen in x).
+
+    ``frozen`` is a ``freeze``d scenario: only its a, sigma, F and phi are read.
 
     ``source_levels`` optionally replaces the scenario source with tabulated
     per-node spectral vectors (one array of shape (n_nodes, n_modes) per
@@ -107,7 +89,7 @@ def solve_frozen(frozen: FrozenScenario, tree: WienerTree, basis: SpectralBasis,
     """
     scheme = scheme or SchemeConfig()
     fields = LevelFields(frozen, tree, basis)
-    coeffs = (frozen.a0, frozen.sigma0)
+    coeffs = (frozen.a, frozen.sigma)
 
     def ops(level):
         return (fields.level_map(level, coeffs, lambda t, h: _frozen_L(frozen, basis, t, h)),
@@ -133,16 +115,12 @@ class IterationReport:
 
 
 def _difference_field(f: CoefficientField, f0: CoefficientField) -> CoefficientField:
-    """f - f0, deterministic when both sides are."""
-    if f.is_deterministic and f0.is_deterministic:
-        return CoefficientField.of_tx(
-            lambda t, X: f.evaluate(t, X) - f0.evaluate(t, X), f.shape)
-    return CoefficientField.adapted(
-        lambda t, X, hist: f.evaluate(t, X, hist) - f0.evaluate(t, X, hist), f.shape,
-        markov=_all_markov(f, f0))
+    """f - f0."""
+    return CoefficientField.derived(
+        lambda t, X, hist: f.evaluate(t, X, hist) - f0.evaluate(t, X, hist), f.shape, f, f0)
 
 
-def _iteration_sources(scenario: Scenario, frozen: FrozenScenario,
+def _iteration_sources(scenario: Scenario, frozen: Scenario,
                        current: SolutionPair, tree: WienerTree,
                        basis: SpectralBasis) -> list[Array]:
     """Folded source F + L' u + sum_k M'_k v_k per level.
@@ -151,8 +129,8 @@ def _iteration_sources(scenario: Scenario, frozen: FrozenScenario,
     replaced by a - a0 and sigma - sigma0, so the lower-order terms and the
     scenario's form carry over unchanged.
     """
-    pert = scenario.with_fields(a=_difference_field(scenario.a, frozen.a0),
-                                sigma=_difference_field(scenario.sigma, frozen.sigma0))
+    pert = scenario.with_fields(a=_difference_field(scenario.a, frozen.a),
+                                sigma=_difference_field(scenario.sigma, frozen.sigma))
     fields = LevelFields(scenario, tree, basis)
     out = []
     for level in range(tree.n_steps):
@@ -182,38 +160,30 @@ def freeze_and_iterate(scenario: Scenario, freeze_point: Array, tree: WienerTree
     continuation march needs to decide the step failed.
     """
     scheme = scheme or SchemeConfig()
-    frozen = FrozenScenario.from_scenario(scenario, freeze_point)
+    frozen = freeze(scenario, freeze_point)
     current = initial if initial is not None else solve_frozen(frozen, tree, basis, scheme)
 
     distances: list[float] = []
-    for it in range(1, max_iter + 1):
+    converged = False
+    for _ in range(max_iter):
         sources = _iteration_sources(scenario, frozen, current, tree, basis)
         nxt = solve_frozen(frozen, tree, basis, scheme, source_levels=sources)
-        dist = _pair_distance(nxt, current)
-        distances.append(dist)
+        distances.append(_pair_distance(nxt, current))
         current = nxt
-        if dist <= tol:
-            ratios = [distances[m] / distances[m - 1]
-                      for m in range(1, len(distances)) if distances[m - 1] > 0]
-            return current, IterationReport(it, ratios, True, dist)
-        if not np.isfinite(dist):
+        converged = distances[-1] <= tol
+        if converged or not np.isfinite(distances[-1]):
             break
     ratios = [distances[m] / distances[m - 1]
               for m in range(1, len(distances)) if distances[m - 1] > 0]
-    return current, IterationReport(len(distances), ratios, False,
+    return current, IterationReport(len(distances), ratios, converged,
                                     distances[-1] if distances else np.inf)
 
 
-def _blend_field(f0: CoefficientField, f1: CoefficientField, lam: float,
-                 shape: tuple) -> CoefficientField:
-    """(1-lam) f0 + lam f1, preserving determinism where both sides have it."""
-    if f0.is_deterministic and f1.is_deterministic:
-        return CoefficientField.of_tx(
-            lambda t, X: (1 - lam) * f0.evaluate(t, X) + lam * f1.evaluate(t, X),
-            shape)
-    return CoefficientField.adapted(
-        lambda t, X, hist: (1 - lam) * f0.evaluate(t, X, hist)
-        + lam * f1.evaluate(t, X, hist), shape, markov=_all_markov(f0, f1))
+def _blend_field(f0: CoefficientField, f1: CoefficientField, lam: float) -> CoefficientField:
+    """(1-lam) f0 + lam f1."""
+    return CoefficientField.derived(
+        lambda t, X, hist: (1 - lam) * f0.evaluate(t, X, hist) + lam * f1.evaluate(t, X, hist),
+        f1.shape, f0, f1)
 
 
 def continuation_solve(scenario: Scenario, n_lambda_steps: int, tree: WienerTree,
@@ -233,18 +203,14 @@ def continuation_solve(scenario: Scenario, n_lambda_steps: int, tree: WienerTree
         raise StructuralError("n_lambda_steps must be >= 1")
     x0 = np.zeros(scenario.dim_x) if freeze_point is None \
         else np.asarray(freeze_point, dtype=float)
-    a0 = _frozen_field(scenario.a, x0)
-    s0 = _frozen_field(scenario.sigma, x0)
+    frozen = freeze(scenario, x0)
 
     reports: list[IterationReport] = []
     current: SolutionPair | None = None
     for j in range(n_lambda_steps + 1):
         lam = j / n_lambda_steps
-        blended = scenario.with_fields(
-            a=_blend_field(a0, scenario.a, lam, (scenario.dim_x, scenario.dim_x)),
-            sigma=_blend_field(s0, scenario.sigma, lam,
-                               (scenario.dim_x, scenario.dim_w)),
-        )
+        blended = scenario.with_fields(a=_blend_field(frozen.a, scenario.a, lam),
+                                       sigma=_blend_field(frozen.sigma, scenario.sigma, lam))
         current, report = freeze_and_iterate(
             blended, x0, tree, basis, tol=tol, max_iter=max_iter,
             scheme=scheme, initial=current)

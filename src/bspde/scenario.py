@@ -19,7 +19,7 @@ spectral basis and the Wiener tree consume scenarios through
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -71,23 +71,18 @@ class CoefficientField:
     shape
         Component shape: ``()`` scalar, ``(d,)`` drift, ``(d, d)`` diffusion
         matrix, ``(d, dim_w)`` noise coupling.
-    derivatives
-        Optional analytic spatial derivatives, keyed by multi-index tuple.
-        When absent, consumers fall back to spectral differentiation of the
-        sampled field.
     markov
         Declares that an adapted ``fn`` reads the history only through its
         current value ``history.w`` (and reads ``t``), so nodes with the same
         ``w`` bits share one evaluation.  A callable that reads
         ``history.increments`` must leave it ``False``, the default, and is
-        then evaluated once per node.
+        then evaluated once per node.  ``derived`` sets it from its inputs.
     """
 
     kind: str
     shape: tuple
     fn: Callable | None = None
     value: Array | None = None
-    derivatives: Mapping[tuple, Callable] | None = None
     markov: bool = False
 
     def __post_init__(self):
@@ -104,14 +99,27 @@ class CoefficientField:
         return cls("deterministic_const", value.shape, value=value)
 
     @classmethod
-    def of_tx(cls, fn: Callable, shape: tuple = (), derivatives=None) -> "CoefficientField":
-        return cls("deterministic_fn_of_tx", tuple(shape), fn=fn, derivatives=derivatives)
+    def of_tx(cls, fn: Callable, shape: tuple = ()) -> "CoefficientField":
+        return cls("deterministic_fn_of_tx", tuple(shape), fn=fn)
 
     @classmethod
-    def adapted(cls, fn: Callable, shape: tuple = (), derivatives=None,
+    def adapted(cls, fn: Callable, shape: tuple = (),
                 markov: bool = False) -> "CoefficientField":
-        return cls("adapted_fn_of_txW", tuple(shape), fn=fn, derivatives=derivatives,
-                   markov=markov)
+        return cls("adapted_fn_of_txW", tuple(shape), fn=fn, markov=markov)
+
+    @classmethod
+    def derived(cls, fn: Callable, shape: tuple, *inputs: "CoefficientField"
+                ) -> "CoefficientField":
+        """The field ``fn(t, X, history)`` computed from the fields ``inputs``.
+
+        ``fn`` may read the history only through ``inputs``.  The result is a
+        deterministic ``(t, x)`` field, called with ``history=None``, when
+        every input is deterministic, and otherwise an adapted field that is
+        Markov exactly when every input is.
+        """
+        if all(f.is_deterministic for f in inputs):
+            return cls.of_tx(lambda t, X: fn(t, X, None), shape)
+        return cls.adapted(fn, shape, markov=_all_markov(*inputs))
 
     @classmethod
     def zero(cls, shape: tuple = ()) -> "CoefficientField":

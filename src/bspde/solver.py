@@ -158,11 +158,10 @@ class LevelFields:
     """A scenario's terminal, source and operators, one whole level at a time.
 
     ``filtration`` is a ``WienerTree`` or a ``PathEnsemble``: anything with
-    ``dt``, ``level_increments(level)`` and ``level_histories(level)``.  A
-    map over deterministic fields is evaluated once per level (``k = 1``),
-    over Markov fields once per distinct Wiener state ``w`` of the level, and
-    over any other adapted field once per node; a level's histories are built
-    in one walk and kept for the current level only.
+    ``dt`` and ``level_increments(level)``.  Every field read goes through
+    ``level_map``, which evaluates a map over deterministic fields once per
+    level (``k = 1``) and over adapted fields once per group of the level's
+    nodes (``groups``); the groups are kept for the current level only.
     """
 
     def __init__(self, scenario, filtration, basis: SpectralBasis):
@@ -170,51 +169,41 @@ class LevelFields:
         self.filtration = filtration
         self.basis = basis
         self._level = None
-        self._walks: dict = {}
+        self._groups: dict = {}
 
-    def _walk(self, level: int, name: str, build):
-        if level != self._level:
-            self._level, self._walks = level, {}
-        if name not in self._walks:
-            self._walks[name] = build(level)
-        return self._walks[name]
+    def groups(self, level: int, markov: bool) -> tuple[list, Array | None]:
+        """One history per group of the level's nodes and each node's group.
 
-    def histories(self, level: int) -> list:
-        """Every node's history, in level order."""
-        return self._walk(level, "nodes", self.filtration.level_histories)
-
-    def states(self, level: int) -> tuple[list, Array]:
-        """One history per distinct ``w`` of the level and each node's index into them.
-
-        States are told apart by the bytes of ``w``, not by float comparison,
-        so ``-0.0`` and ``0.0`` stay apart and a Markov field sees exactly the
-        bits it would see at each of the state's nodes.
+        With ``markov`` the groups are the distinct Wiener states ``w`` of the
+        level, told apart by their bytes, not by float comparison, so ``-0.0``
+        and ``0.0`` stay apart and a Markov field sees exactly the bits it
+        would see at each of the group's nodes.  Otherwise every node is its
+        own group, in level order, and the index is ``None``.
         """
-        return self._walk(level, "states", self._states)
-
-    def _states(self, level: int) -> tuple[list, Array]:
-        incs = self.filtration.level_increments(level)
-        w = incs.sum(axis=1)  # the same sum, in the same order, as each history.w
-        first, inverse = _distinct_rows(w)
-        t, dt = level * self.filtration.dt, self.filtration.dt
-        return [PathHistory(t, dt, incs[i], w[i]) for i in first], inverse
+        if level != self._level:
+            self._level, self._groups = level, {}
+        if markov not in self._groups:
+            incs = self.filtration.level_increments(level)
+            w = incs.sum(axis=1)  # the same sum, in the same order, as each history.w
+            first, inverse = _distinct_rows(w) if markov else (range(len(w)), None)
+            t, dt = level * self.filtration.dt, self.filtration.dt
+            self._groups[markov] = ([PathHistory(t, dt, incs[i], w[i]) for i in first],
+                                    inverse)
+        return self._groups[markov]
 
     def level_map(self, level: int, fields, fn) -> Array:
         """Stack ``fn(t, history)`` over the level: (1, ...) or (n_level, ...).
 
-        ``fields`` are the coefficient fields ``fn`` reads; they decide
-        whether it runs once, once per state (expanded to every node) or once
-        per node.
+        ``fields`` are the coefficient fields ``fn`` reads: ``fn`` runs once
+        when all are deterministic, and otherwise once per group of
+        ``groups(level, markov)``, Markov when all are, expanded to every node.
         """
         fields = tuple(fields)
-        t = level * self.filtration.dt
-        inverse = None
         if all(f.is_deterministic for f in fields):
-            hists = [None]
-        elif _all_markov(*fields):
-            hists, inverse = self.states(level)
+            hists, inverse = [None], None
         else:
-            hists = self.histories(level)
+            hists, inverse = self.groups(level, _all_markov(*fields))
+        t = level * self.filtration.dt
         out = None
         for i, h in enumerate(hists):
             row = np.asarray(fn(t, h))

@@ -106,12 +106,6 @@ class WienerTree:
             idx = self.levels[lev].parents[idx]
         return incs
 
-    def level_histories(self, level: int) -> list[PathHistory]:
-        """``history(level, i)`` for every node of the level, in one parent walk."""
-        t = level * self.dt
-        return [PathHistory(t, self.dt, inc, inc.sum(axis=0))
-                for inc in self.level_increments(level)]
-
 
 def _branch_pattern(dim_w: int, branching: int, dt: float) -> tuple[Array, Array]:
     """Tensorised child increments (C, dim_w) and product weights (C,)."""
@@ -234,10 +228,6 @@ class PathEnsemble:
     def level_increments(self, step: int) -> Array:
         """Every path's first ``step`` increments, ``(n_paths, step, dim_w)``."""
         return self.increments[:, :step, :]
-
-    def level_histories(self, step: int) -> list[PathHistory]:
-        """``history(path, step)`` for every path."""
-        return [self.history(j, step) for j in range(self.n_paths)]
 
     def select(self, paths: slice) -> "PathEnsemble":
         """The sub-ensemble of the given paths."""

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import inspect
+from dataclasses import replace
 
 import numpy as np
 
-from bspde import CoefficientField, Scenario
+from bspde import CoefficientField, Scenario, load_scenario_text
 
 
 def _lift_scalar_callable(fn, shape):
@@ -80,6 +81,57 @@ def make_scenario(d=1, d1=1, T=0.5, L=np.pi, K=2.0, kappa=0.25,
     )
 
 
+# every adapted field reads w only, as parsed fields do
+MARKOV_TEXT = {1: """
+[problem]
+d = 1
+d1 = 1
+T = 0.5
+L = 3.14159265358979
+K = 2.0
+kappa = 0.3
+[coefficients]
+a = 0.66 + 0.06*sin(x1 + 1.0) + 0.08*sin(w1 + 0.5)
+b = [0.14*cos(x1 + 5.6) + 0.05*sin(w1 + 5.4)]
+c = 0.11 + 0.03*cos(w1 + 6.2)
+sigma = [[0.27 + 0.06*sin(w1 + 2.2)]]
+nu = [0.05*cos(w1 + 0.46)]
+[data]
+F = 0.48*(1 + 0.37*sin(x1 + 2.5))*(1 + 0.39*cos(w1 + 0.5))
+phi = 1.4 + 0.56*sin(x1 + 0.24) + 0.38*sin(w1 + 3.0)
+""", 2: """
+[problem]
+d = 1
+d1 = 2
+T = 0.5
+L = 3.14159265358979
+K = 2.0
+kappa = 0.3
+[coefficients]
+a = 0.6 + 0.05*sin(x1 + w2) + 0.07*sin(w1)
+sigma = [[0.2 + 0.05*sin(w1), 0.1 + 0.03*cos(w2)]]
+nu = [0.05*cos(w1 - w2), 0.02]
+[data]
+F = cos(x1 - w1) + 0.3*w2
+phi = sin(x1) + 1.5 + 0.2*w1*w2
+"""}
+
+
+def markov_scenario(dim_w):
+    return load_scenario_text(MARKOV_TEXT[dim_w])[0]
+
+
+def counting(field_):
+    """``field_`` with an evaluator that logs each call's history time, and the log."""
+    calls = []
+
+    def fn(t, X, hist):
+        calls.append(hist.t)
+        return field_.fn(t, X, hist)
+    wrapped = replace(field_, fn=fn)
+    return wrapped, calls
+
+
 # -- per-node references ------------------------------------------------------
 #
 # The readers of a solved pair reduce a whole tree level at a time.  These are
@@ -142,3 +194,69 @@ def fields_csv_reference(solution, tree, basis) -> str:
                 row += [fmt(qv[k][g]) for k in range(dw)]
                 lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def higher_regularity_reference(scenario, tree, basis, alpha, base):
+    """The derived pair of ``higher_regularity_solve`` with its source built one
+    node, one history and one coefficient component at a time.
+
+    The level-wide source transforms whole level arrays with one matrix
+    product where this makes one vector product per node, so the two agree
+    to round-off, not digit for digit.
+    """
+    from bspde import LevelFields, SchemeConfig, backward_solve
+
+    d, dw = scenario.dim_x, scenario.dim_w
+    X = basis.grid_points
+    alpha_mult = basis.derivative_multiplier(alpha.alpha)
+    zero = CoefficientField.zero
+    top_scn = scenario.with_fields(b=zero((d,)), c=zero(()), nu=zero((dw,)))
+    dmult = [basis.derivative_multiplier(tuple(1 if j == i else 0 for j in range(d)))
+             for i in range(d)]
+    ddmult = [[dmult[i] * dmult[j] for j in range(d)] for i in range(d)]
+
+    def active(field_, comp):
+        return field_.kind != "deterministic_const" or bool(np.any(field_.value[comp]))
+
+    def derivative(field_, beta, comp, t, hist):
+        vals = field_.evaluate(t, X, hist)[(slice(None),) + comp]
+        if sum(beta) == 0:
+            return vals
+        return basis.reconstruct(basis.derivative_multiplier(beta) * basis.project(vals))
+
+    def node_source(t, hist, p, q):
+        grid = np.zeros(basis.n_grid, dtype=complex)
+        grid += basis.reconstruct(alpha_mult * basis.project(scenario.F.evaluate(t, X, hist)))
+        for beta, coef in alpha.sub_indices():
+            gmult = basis.derivative_multiplier(tuple(a - b for a, b in zip(alpha.alpha, beta)))
+            if sum(beta) >= 1:
+                for i in range(d):
+                    for j in range(d):
+                        if active(scenario.a, (i, j)):
+                            da = derivative(scenario.a, beta, (i, j), t, hist)
+                            grid += coef * da * basis.reconstruct(gmult * ddmult[i][j] * p)
+                    for k in range(dw):
+                        if active(scenario.sigma, (i, k)):
+                            ds = derivative(scenario.sigma, beta, (i, k), t, hist)
+                            grid += coef * ds * basis.reconstruct(gmult * dmult[i] * q[k])
+            for i in range(d):
+                if active(scenario.b, (i,)):
+                    db = derivative(scenario.b, beta, (i,), t, hist)
+                    grid += coef * db * basis.reconstruct(gmult * dmult[i] * p)
+            if active(scenario.c, ()):
+                dc = derivative(scenario.c, beta, (), t, hist)
+                grid -= coef * dc * basis.reconstruct(gmult * p)
+            for k in range(dw):
+                if active(scenario.nu, (k,)):
+                    dn = derivative(scenario.nu, beta, (k,), t, hist)
+                    grid += coef * dn * basis.reconstruct(gmult * q[k])
+        return basis.project(grid)
+
+    def source(level):
+        t = tree.time_of(level)
+        return np.stack([node_source(t, tree.history(level, i), p, q) for i, (p, q) in
+                         enumerate(zip(base.p.levels[level], base.q.levels[level]))])
+
+    fields = LevelFields(scenario, tree, basis)
+    return backward_solve(tree, basis, SchemeConfig(), alpha_mult * fields.terminal(),
+                          lambda level: fields.operators(level, top_scn), source)

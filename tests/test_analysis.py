@@ -24,7 +24,8 @@ from bspde import (
     solve_tree,
     validate,
 )
-from helpers import make_scenario
+from helpers import (counting, higher_regularity_reference, make_scenario,
+                     markov_scenario)
 
 BASIS = SpectralBasis(1, 6, np.pi)
 TREE = build_tree(1, 4, 2, 0.5)
@@ -306,6 +307,37 @@ class TestHigherRegularity:
         basis = SpectralBasis(2, 3, np.pi)
         _, defect = higher_regularity_solve(sc, chain, basis, MultiIndex((1, 0)))
         assert defect < 1e-10
+
+    @pytest.mark.parametrize("dim_w, steps, branching, alpha",
+                             [(1, 5, 3, (2,)), (1, 4, 3, (1,)), (2, 3, 3, (2,))])
+    def test_adapted_tree_matches_per_node_source(self, dim_w, steps, branching, alpha):
+        sc = markov_scenario(dim_w)
+        tree = build_tree(dim_w, steps, branching, sc.horizon)
+        base = solve_tree(sc, tree, BASIS)
+        derived, _ = higher_regularity_solve(sc, tree, BASIS, MultiIndex(alpha), base=base)
+        ref = higher_regularity_reference(sc, tree, BASIS, MultiIndex(alpha), base)
+        for got, want in zip(derived.p.levels + derived.q.levels, ref.p.levels + ref.q.levels):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_adapted_tree_evaluates_each_field_once_per_state(self):
+        sc = markov_scenario(1)
+        names = ("a", "b", "c", "sigma", "nu", "F", "phi")
+        wrapped = {name: counting(getattr(sc, name)) for name in names}
+        tree = build_tree(1, 6, 3, sc.horizon)
+        base = solve_tree(sc, tree, BASIS)
+        higher_regularity_solve(sc.with_fields(**{n: f for n, (f, _) in wrapped.items()}),
+                                tree, BASIS, MultiIndex((2,)), base=base)
+        states = [len({tree.history(level, i).w.tobytes()
+                       for i in range(tree.levels[level].n_nodes)})
+                  for level in range(tree.n_steps + 1)]
+        # one call per state for the source, plus one for the top-order operators
+        per_state = {"a": 2, "sigma": 2, "b": 1, "c": 1, "nu": 1, "F": 1}
+        for name, (_, calls) in wrapped.items():
+            for level in range(tree.n_steps):
+                want = 0 if name == "phi" else per_state[name] * states[level]
+                assert calls.count(tree.time_of(level)) == want, (name, level)
+        assert len(wrapped["phi"][1]) == states[-1]
+        assert sum(len(calls) for _, calls in wrapped.values()) < tree.n_nodes
 
     def test_multi_index_bookkeeping(self):
         assert MultiIndex((2,)).order == 2

@@ -350,3 +350,10 @@ class TestArtifacts:
         # regression over 200 paths lands near the tree solve of the same file
         tree_p0 = 1.507607443948
         assert float(lines["p0_l2"]) == pytest.approx(tree_p0, rel=0.05)
+
+    @pytest.mark.parametrize("flags, paths", [((), 256), (("--paths", "200"), 200)])
+    def test_regress_manifest_records_the_paths_used(self, tmp_path, flags, paths):
+        # tiny.scn sets no paths, so the default count runs
+        code, out, _ = run("regress", TINY, *flags, "--out", str(tmp_path))
+        assert code == 0 and f"paths = {paths}" in out.splitlines()
+        assert json.loads((tmp_path / "manifest.json").read_text())["paths"] == paths

@@ -5,11 +5,11 @@ import pytest
 
 from bspde import (
     ConvergenceError,
-    FrozenScenario,
     SpectralBasis,
     build_chain,
     build_tree,
     continuation_solve,
+    freeze,
     freeze_and_iterate,
     mixed_norm_sq,
     pair_difference,
@@ -40,7 +40,7 @@ class TestSolveFrozen:
     def test_matches_scalar_recursion_per_mode(self):
         sc = cos_scenario()
         chain = build_chain(1, 16, sc.horizon)
-        frozen = FrozenScenario.from_scenario(sc, np.zeros(1))
+        frozen = freeze(sc, np.zeros(1))
         sol = solve_frozen(frozen, chain, BASIS)
         ref = scalar_theta_chain(-0.5, 0.5, lambda s: 0.0, sc.horizon, 16, 1.0)
         got = sol.p0().coeffs[BASIS.modes[:, 0] == 1][0]
@@ -52,7 +52,7 @@ class TestSolveFrozen:
         errs = []
         for n in (16, 32, 64):
             chain = build_chain(1, n, sc.horizon)
-            frozen = FrozenScenario.from_scenario(sc, np.zeros(1))
+            frozen = freeze(sc, np.zeros(1))
             sol = solve_frozen(frozen, chain, BASIS)
             got = sol.p0().coeffs[BASIS.modes[:, 0] == 1][0]
             errs.append(abs(got - exact))
@@ -62,7 +62,7 @@ class TestSolveFrozen:
     def test_equals_tree_solve_for_constant_coefficients(self):
         sc = cos_scenario()
         chain = build_chain(1, 12, sc.horizon)
-        frozen = FrozenScenario.from_scenario(sc, np.zeros(1))
+        frozen = freeze(sc, np.zeros(1))
         assert pair_gap(solve_frozen(frozen, chain, BASIS), solve_tree(sc, chain, BASIS)) < 1e-13
 
     def test_freeze_point_selects_coefficient_value(self):
@@ -70,7 +70,7 @@ class TestSolveFrozen:
         sc_var = cos_scenario(a=varying_a(0.5), K=2.0, kappa=0.1)
         sc_const = cos_scenario(a=0.75, K=2.0, kappa=0.1)
         chain = build_chain(1, 12, sc_var.horizon)
-        frozen = FrozenScenario.from_scenario(sc_var, np.array([np.pi / 2]))
+        frozen = freeze(sc_var, np.array([np.pi / 2]))
         assert pair_gap(solve_frozen(frozen, chain, BASIS),
                         solve_tree(sc_const, chain, BASIS)) < 1e-12
 

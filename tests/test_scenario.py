@@ -115,14 +115,40 @@ phi = 1 + 0.2*w1
             for other in (markov_input, det, const):
                 assert _difference_field(markov_input, other).markov
                 assert _difference_field(other, markov_input).markov
-                assert _blend_field(markov_input, other, 0.5, ()).markov
-                assert _blend_field(other, markov_input, 0.5, ()).markov
+                assert _blend_field(markov_input, other, 0.5).markov
+                assert _blend_field(other, markov_input, 0.5).markov
             assert not _difference_field(markov_input, path).markov
             assert not _difference_field(path, markov_input).markov
-            assert not _blend_field(markov_input, path, 0.5, ()).markov
-            assert not _blend_field(path, markov_input, 0.5, ()).markov
+            assert not _blend_field(markov_input, path, 0.5).markov
+            assert not _blend_field(path, markov_input, 0.5).markov
         assert not _difference_field(path, det).markov
-        assert not _blend_field(const, path, 0.5, ()).markov
+        assert not _blend_field(const, path, 0.5).markov
+
+    def test_derived_kind_and_markov_follow_the_inputs(self):
+        scn, path = self.fields()
+        det = CoefficientField.of_tx(lambda t, X: np.cos(X[:, 0]), ())
+        const = CoefficientField.constant(0.5)
+        det_kind, adapted_kind = "deterministic_fn_of_tx", "adapted_fn_of_txW"
+        cases = [((), det_kind, False), ((const,), det_kind, False),
+                 ((const, det), det_kind, False), ((scn.phi,), adapted_kind, True),
+                 ((scn.phi, det), adapted_kind, True), ((const, scn.phi), adapted_kind, True),
+                 ((path,), adapted_kind, False), ((scn.phi, path), adapted_kind, False),
+                 ((det, path), adapted_kind, False)]
+        X = np.linspace(-1.0, 1.0, 5)[:, None]
+        hist = PathHistory.from_increments(np.array([[0.3], [-0.1]]), 0.25)
+        for inputs, kind, markov in cases:
+            seen = []
+
+            def fn(t, X, history, inputs=inputs):
+                seen.append(history)
+                return sum(f.evaluate(t, X, history) for f in inputs) + 0.0 * X[:, 0]
+            derived = CoefficientField.derived(fn, (), *inputs)
+            assert (derived.kind, derived.markov) == (kind, markov)
+            got = derived.evaluate(0.5, X, hist)
+            want = sum(f.evaluate(0.5, X, hist) for f in inputs) + 0.0 * X[:, 0]
+            assert got.tobytes() == want.tobytes()
+            # a deterministic result is called without the history
+            assert seen == [None if kind == det_kind else hist]
 
 
 class TestScenarioConstruction:

@@ -17,7 +17,6 @@ from bspde import (
     backward_solve,
     build_chain,
     build_tree,
-    load_scenario_text,
     mixed_norm_sq,
     pair_difference,
     sample_paths,
@@ -28,8 +27,9 @@ from bspde import (
     weak_residual,
 )
 from bspde.solver import _distinct_rows
-from helpers import (e_sup_norm_sq_reference, level_expected_norm_sq_reference,
-                     make_scenario, sup_e_norm_sq_reference, time_norm_sq_reference)
+from helpers import (counting, e_sup_norm_sq_reference, level_expected_norm_sq_reference,
+                     make_scenario, markov_scenario, sup_e_norm_sq_reference,
+                     time_norm_sq_reference)
 from oracles import scalar_theta_chain
 
 BASIS = SpectralBasis(1, 4, np.pi)
@@ -400,63 +400,12 @@ class TestRegression:
         assert np.array_equal(r1.p0().coeffs, r2.p0().coeffs)
 
 
-# every adapted field reads w only, as parsed fields do
-MARKOV_TEXT = {1: """
-[problem]
-d = 1
-d1 = 1
-T = 0.5
-L = 3.14159265358979
-K = 2.0
-kappa = 0.3
-[coefficients]
-a = 0.66 + 0.06*sin(x1 + 1.0) + 0.08*sin(w1 + 0.5)
-b = [0.14*cos(x1 + 5.6) + 0.05*sin(w1 + 5.4)]
-c = 0.11 + 0.03*cos(w1 + 6.2)
-sigma = [[0.27 + 0.06*sin(w1 + 2.2)]]
-nu = [0.05*cos(w1 + 0.46)]
-[data]
-F = 0.48*(1 + 0.37*sin(x1 + 2.5))*(1 + 0.39*cos(w1 + 0.5))
-phi = 1.4 + 0.56*sin(x1 + 0.24) + 0.38*sin(w1 + 3.0)
-""", 2: """
-[problem]
-d = 1
-d1 = 2
-T = 0.5
-L = 3.14159265358979
-K = 2.0
-kappa = 0.3
-[coefficients]
-a = 0.6 + 0.05*sin(x1 + w2) + 0.07*sin(w1)
-sigma = [[0.2 + 0.05*sin(w1), 0.1 + 0.03*cos(w2)]]
-nu = [0.05*cos(w1 - w2), 0.02]
-[data]
-F = cos(x1 - w1) + 0.3*w2
-phi = sin(x1) + 1.5 + 0.2*w1*w2
-"""}
-
-
-def markov_scenario(dim_w):
-    return load_scenario_text(MARKOV_TEXT[dim_w])[0]
-
-
 def declared_path_dependent(scenario):
     """The same scenario with every adapted field evaluated node by node."""
     return scenario.with_fields(**{
         name: replace(getattr(scenario, name), markov=False)
         for name in ("a", "b", "c", "sigma", "nu", "F", "phi")
         if not getattr(scenario, name).is_deterministic})
-
-
-def counting(field_):
-    """``field_`` with an evaluator that logs each call's history time, and the log."""
-    calls = []
-
-    def fn(t, X, hist):
-        calls.append(hist.t)
-        return field_.fn(t, X, hist)
-    wrapped = replace(field_, fn=fn)
-    return wrapped, calls
 
 
 class TestMarkovFields:
@@ -538,18 +487,33 @@ class TestMarkovFields:
         tree = build_tree(dim_w, steps, branching, 0.5)
         fields = LevelFields(markov_scenario(dim_w), tree, BASIS)
         for level in range(steps + 1):
-            reps, inverse = fields.states(level)
+            reps, inverse = fields.groups(level, markov=True)
             assert len(inverse) == tree.levels[level].n_nodes
             for i in range(len(inverse)):
                 ref = tree.history(level, i)
                 assert reps[inverse[i]].w.tobytes() == ref.w.tobytes()
                 assert reps[inverse[i]].t == ref.t
 
+    @pytest.mark.parametrize("dim_w, n_steps, branching", [(1, 4, 3), (2, 3, 2)])
+    def test_node_groups_are_bit_equal_to_history(self, dim_w, n_steps, branching):
+        # a field that is not Markov sees every node's own history
+        tree = build_tree(dim_w, n_steps, branching, 0.9)
+        fields = LevelFields(markov_scenario(dim_w), tree, BASIS)
+        for level in range(n_steps + 1):
+            hists, inverse = fields.groups(level, markov=False)
+            assert inverse is None and len(hists) == tree.levels[level].n_nodes
+            for node, h in enumerate(hists):
+                ref = tree.history(level, node)
+                assert h.increments.shape == ref.increments.shape
+                assert h.increments.tobytes() == ref.increments.tobytes()
+                assert h.w.tobytes() == ref.w.tobytes()
+                assert (h.t, h.dt) == (ref.t, ref.dt)
+
     def test_ensemble_state_keys_equal_history_w_byte_for_byte(self):
         ens = sample_paths(1, 12, 30, 0.5, seed=8)
         fields = LevelFields(markov_scenario(1), ens, BASIS)
         for step in range(ens.n_steps + 1):
-            reps, inverse = fields.states(step)
+            reps, inverse = fields.groups(step, markov=True)
             for j in range(ens.n_paths):
                 assert reps[inverse[j]].w.tobytes() == ens.history(j, step).w.tobytes()
 

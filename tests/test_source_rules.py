@@ -7,6 +7,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bspde"
 
 # the dense oracle is the independent reference and walks nodes on purpose
 PER_NODE_ALLOWED = {"oracle.py"}
+# the scenario layer builds fields from callables; every other module derives
+# them with ``CoefficientField.derived``, which decides their kind
+FIELD_BUILDERS = {"scenario.py", "scenario_file.py"}
 
 
 def per_node_loops(source: str) -> list[int]:
@@ -70,3 +73,49 @@ def test_every_adapted_field_in_the_package_declares_markov():
     found = {path.name: adapted_calls_without_markov(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def calls_to(source: str, attrs: set, receiver: str | None = None) -> list[int]:
+    """Line numbers of calls ``<x>.<attr>(...)`` with ``attr`` in ``attrs``
+    (and ``x`` the name ``receiver``, when given)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in attrs
+                and (receiver is None or (isinstance(node.func.value, ast.Name)
+                                          and node.func.value.id == receiver))):
+            lines.append(node.lineno)
+    return lines
+
+
+def package_calls(attrs: set, allowed: set, receiver: str | None = None) -> dict:
+    """Such calls per package module outside ``allowed``."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no package source under {SRC}"
+    found = {path.name: calls_to(path.read_text(encoding="utf-8"), attrs, receiver)
+             for path in paths if path.name not in allowed}
+    return {name: lines for name, lines in found.items() if lines}
+
+
+def test_detector_finds_field_constructors_and_history_walks():
+    source = (
+        "f = CoefficientField.adapted(fn, shape, markov=True)\n"
+        "g = CoefficientField.of_tx(\n    fn, shape)\n"
+        "h = CoefficientField.derived(fn, shape, f, g)\n"
+        "k = other.of_tx(fn)\n"
+        "hist = tree.history(level, node)\n"
+        "hists = fields.histories(level)\n"
+        "w = hist.history\n"
+    )
+    assert calls_to(source, {"adapted", "of_tx"}, "CoefficientField") == [1, 2]
+    assert calls_to(source, {"history", "histories"}) == [6, 7]
+
+
+def test_only_the_scenario_layer_builds_fields_from_callables():
+    # a derived field built by hand could get its kind or ``markov`` wrong
+    assert package_calls({"adapted", "of_tx"}, FIELD_BUILDERS, "CoefficientField") == {}
+
+
+def test_no_history_walks_outside_the_oracle():
+    # every field read goes through ``LevelFields.level_map``
+    assert package_calls({"history", "histories"}, PER_NODE_ALLOWED) == {}

@@ -102,20 +102,6 @@ class TestTreeStructure:
                 assert np.allclose(h.w, tree.levels[level].w_cum[node], atol=1e-13)
                 assert h.t == pytest.approx(tree.time_of(level))
 
-    @pytest.mark.parametrize("dim_w, n_steps, branching", [(1, 4, 3), (2, 3, 2)])
-    def test_level_histories_are_bit_equal_to_history(self, dim_w, n_steps, branching):
-        # the level-at-a-time field provider reads these in place of history()
-        tree = build_tree(dim_w, n_steps, branching, 0.9)
-        for level in range(n_steps + 1):
-            hists = tree.level_histories(level)
-            assert len(hists) == tree.levels[level].n_nodes
-            for node, h in enumerate(hists):
-                ref = tree.history(level, node)
-                assert h.increments.shape == ref.increments.shape
-                assert h.increments.tobytes() == ref.increments.tobytes()
-                assert h.w.tobytes() == ref.w.tobytes()
-                assert (h.t, h.dt) == (ref.t, ref.dt)
-
     def test_parent_links(self):
         tree = build_tree(1, 2, 2, 1.0)
         lv = tree.levels[2]
