@@ -18,7 +18,7 @@ spectral basis and the Wiener tree consume scenarios through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -242,7 +242,12 @@ class Scenario:
             and self.phi.is_deterministic
 
     def with_fields(self, **fields) -> "Scenario":
-        return replace(self, **fields)
+        """A copy with ``fields`` replaced; a field that changes loses its source text."""
+        out = replace(self, **fields)
+        if self.sources:
+            out.sources = {name: text for name, text in self.sources.items()
+                           if getattr(out, name) is getattr(self, name)}
+        return out
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ on this one step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -374,16 +374,14 @@ def weak_residual(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
 
 @dataclass
 class RegressionSolution:
-    """Per-path fields from the regression solver (levels 0..N for p, 0..N-1 for q)."""
+    """Path means of the regression solve: p at t=0 and q at every step."""
 
-    ensemble: PathEnsemble
     basis: SpectralBasis
-    p: list[Array]      # each (n_paths, n_modes)
-    q: list[Array]      # each (n_paths, dim_w, n_modes)
-    basis_size: int
+    p0_mean: Array      # (n_modes,)
+    q_means: Array      # (n_steps, dim_w, n_modes)
 
     def p0(self) -> SpatialField:
-        return SpatialField(self.basis, self.p[0].mean(axis=0))
+        return SpatialField(self.basis, self.p0_mean)
 
 
 def _monomial_features(states: Array, size: int) -> Array:
@@ -421,8 +419,10 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
 
     Conditional expectations are cross-sectional regressions on monomials of
     the current Wiener state; the noise coefficient regresses
-    ``p_next dW^k / dt``.  Deterministic scenarios reproduce the chain solver
-    exactly because the regression of a constant target is that constant.
+    ``p_next dW^k / dt``.  ``p_next`` and its ``dim_w`` products share the
+    design, so each step makes one least-squares solve on the stacked targets.
+    Deterministic scenarios reproduce the chain solver exactly because the
+    regression of a constant target is that constant.
     """
     scheme = scheme or SchemeConfig()
     if regression_basis_size < 1:
@@ -439,29 +439,25 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
     blocks = [(sl, LevelFields(scenario, ensemble.select(sl), basis))
               for sl in (slice(j, j + size) for j in range(0, n_paths, size))]
 
-    p_levels: list[Array] = [None] * (N + 1)
-    q_levels: list[Array] = [None] * N
-    p_next = np.array(np.broadcast_to(fields.terminal(), (n_paths, nm)), dtype=complex)
-    p_levels[N] = p_next.copy()
+    p = np.array(np.broadcast_to(fields.terminal(), (n_paths, nm)), dtype=complex)
+    q_means = np.empty((N, dw, nm), dtype=complex)
+    w = np.cumsum(ensemble.increments, axis=1)  # w[:, s - 1] is W at step s
 
     for step in range(N - 1, -1, -1):
-        states = ensemble.w_at(step)
         trivial = step == 0
-        design = None if trivial else _monomial_features(states, regression_basis_size)
-
-        Ep = _fit(design, p_next, step, trivial)
+        design = None if trivial else _monomial_features(w[:, step - 1],
+                                                         regression_basis_size)
         dW = ensemble.increments[:, step, :]
-        q = np.empty((n_paths, dw, nm), dtype=complex)
-        for k in range(dw):
-            q[:, k, :] = _fit(design, p_next * (dW[:, k] / dt)[:, None], step, trivial)
+        targets = np.concatenate([p[:, None], p[:, None] * (dW / dt)[:, :, None]], axis=1)
+        fitted = _fit(design, targets.reshape(n_paths, -1), step, trivial).reshape(
+            targets.shape)
+        Ep, q = fitted[:, 0], fitted[:, 1:]
+        q_means[step] = q.mean(axis=0)
 
         fhat = np.broadcast_to(fields.source(step), (n_paths, nm))
-        p_here = np.concatenate([
+        p = np.concatenate([
             _level_step(*blk.operators(step), Ep[sl], q[sl], fhat[sl], dt, theta, step,
                         sl.start)
             for sl, blk in blocks])
-        p_levels[step] = p_here
-        q_levels[step] = q
-        p_next = p_here
 
-    return RegressionSolution(ensemble, basis, p_levels, q_levels, regression_basis_size)
+    return RegressionSolution(basis, p.mean(axis=0), q_means)

@@ -215,12 +215,6 @@ class PathEnsemble:
     dt: float
     increments: Array  # (n_paths, n_steps, dim_w)
 
-    def w_at(self, step: int) -> Array:
-        """Wiener values at time step*dt, shape (n_paths, dim_w)."""
-        if step == 0:
-            return np.zeros((self.n_paths, self.dim_w))
-        return self.increments[:, :step, :].sum(axis=1)
-
     def history(self, path: int, step: int) -> PathHistory:
         return PathHistory.from_increments(self.increments[path, :step, :], self.dt) \
             if step > 0 else PathHistory.empty(self.dim_w)

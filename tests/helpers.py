@@ -260,3 +260,47 @@ def higher_regularity_reference(scenario, tree, basis, alpha, base):
     fields = LevelFields(scenario, tree, basis)
     return backward_solve(tree, basis, SchemeConfig(), alpha_mult * fields.terminal(),
                           lambda level: fields.operators(level, top_scn), source)
+
+
+def regression_reference(scenario, ensemble, basis, regression_basis_size=4,
+                         scheme=None):
+    """p0 and the per-step path means of q from a regression solve that keeps
+    every path's p and q, and fits p and each ``p dW^k / dt`` separately.
+
+    The package stacks the targets into one least-squares solve per step, so
+    the two agree to round-off, not digit for digit.
+    """
+    from bspde import LevelFields, SchemeConfig
+    from bspde.solver import _BLOCK_ENTRIES, _fit, _level_step, _monomial_features
+
+    scheme = scheme or SchemeConfig()
+    N, dt, theta = ensemble.n_steps, ensemble.dt, scheme.theta
+    n_paths, nm, dw = ensemble.n_paths, basis.n_modes, ensemble.dim_w
+    fields = LevelFields(scenario, ensemble, basis)
+    size = (n_paths if scenario.coefficients_deterministic
+            else max(1, _BLOCK_ENTRIES // nm ** 2))
+    blocks = [(sl, LevelFields(scenario, ensemble.select(sl), basis))
+              for sl in (slice(j, j + size) for j in range(0, n_paths, size))]
+
+    p_levels = [None] * (N + 1)
+    q_levels = [None] * N
+    p_next = np.array(np.broadcast_to(fields.terminal(), (n_paths, nm)), dtype=complex)
+    p_levels[N] = p_next.copy()
+    for step in range(N - 1, -1, -1):
+        states = ensemble.increments[:, :step, :].sum(axis=1)
+        trivial = step == 0
+        design = None if trivial else _monomial_features(states, regression_basis_size)
+        Ep = _fit(design, p_next, step, trivial)
+        dW = ensemble.increments[:, step, :]
+        q = np.empty((n_paths, dw, nm), dtype=complex)
+        for k in range(dw):
+            q[:, k, :] = _fit(design, p_next * (dW[:, k] / dt)[:, None], step, trivial)
+        fhat = np.broadcast_to(fields.source(step), (n_paths, nm))
+        p_here = np.concatenate([
+            _level_step(*blk.operators(step), Ep[sl], q[sl], fhat[sl], dt, theta, step,
+                        sl.start)
+            for sl, blk in blocks])
+        p_levels[step] = p_here
+        q_levels[step] = q
+        p_next = p_here
+    return p_levels[0].mean(axis=0), np.stack([q.mean(axis=0) for q in q_levels])

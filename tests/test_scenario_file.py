@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from bspde import (
+    MollifierConfig,
     ParseError,
     ScenarioValidationError,
+    SpectralBasis,
+    StructuralError,
+    freeze,
     load_scenario,
     load_scenario_text,
+    mollify,
     serialize_scenario,
 )
 from helpers import make_scenario
@@ -193,6 +198,27 @@ class TestRoundTrip:
         assert np.allclose(sc.phi.evaluate(0.5, x), sc2.phi.evaluate(0.5, x), atol=1e-12)
         assert disc2 == disc
         assert run2.theta == run.theta and run2.tol == run.tol
+
+    ROUGH = MINIMAL.replace("a = 0.5", "a = 0.6 + 0.1*abs(sin(x1))")
+
+    def test_replaced_field_drops_its_source_text(self):
+        # the mollified and frozen a are functions with no expression: writing
+        # the original text would silently undo them
+        sc, _, _ = load_scenario_text(self.ROUGH)
+        basis = SpectralBasis(1, 8, sc.domain_halfwidth)
+        for changed in (mollify(sc, MollifierConfig(2), basis), freeze(sc, np.zeros(1))):
+            assert "a" not in changed.sources and "phi" in changed.sources
+            with pytest.raises(StructuralError, match="'a'"):
+                serialize_scenario(changed)
+
+    def test_with_fields_keeps_the_source_of_unchanged_fields(self):
+        sc, _, _ = load_scenario_text(self.ROUGH)
+        div = sc.with_fields(form="divergence", phi=sc.phi)
+        assert div.sources == sc.sources
+        sc2, _, _ = load_scenario_text(serialize_scenario(div))
+        assert sc2.form == "divergence"
+        x = np.linspace(-3, 3, 9).reshape(-1, 1)
+        assert np.array_equal(sc.a.evaluate(0.1, x), sc2.a.evaluate(0.1, x))
 
     def test_adapted_scenario_round_trip(self):
         from bspde import PathHistory

@@ -28,8 +28,8 @@ from bspde import (
 )
 from bspde.solver import _distinct_rows
 from helpers import (counting, e_sup_norm_sq_reference, level_expected_norm_sq_reference,
-                     make_scenario, markov_scenario, sup_e_norm_sq_reference,
-                     time_norm_sq_reference)
+                     make_scenario, markov_scenario, regression_reference,
+                     sup_e_norm_sq_reference, time_norm_sq_reference)
 from oracles import scalar_theta_chain
 
 BASIS = SpectralBasis(1, 4, np.pi)
@@ -367,7 +367,7 @@ class TestRegression:
         reg = solve_regression(sc, ens, BASIS)
         idx = int(np.where(BASIS.modes[:, 0] == 0)[0][0])
         for step in (0, 2):
-            q_mean = np.asarray(reg.q[step]).mean(axis=0)[0]
+            q_mean = reg.q_means[step][0]
             assert abs(q_mean[idx].real - 0.2) < 0.02
             assert np.abs(np.delete(q_mean, idx)).max() < 1e-12
 
@@ -388,8 +388,8 @@ class TestRegression:
         whole = solve_regression(sc, ens, BASIS)
         monkeypatch.setattr("bspde.solver._BLOCK_ENTRIES", 7 * BASIS.n_modes ** 2)
         blocked = solve_regression(sc, ens, BASIS)
-        for a, b in zip(whole.p, blocked.p):
-            assert np.array_equal(a, b)
+        assert whole.p0().coeffs.tobytes() == blocked.p0().coeffs.tobytes()
+        assert whole.q_means.tobytes() == blocked.q_means.tobytes()
 
     def test_seed_reproducibility(self):
         sc = make_scenario(
@@ -398,6 +398,41 @@ class TestRegression:
         r1 = solve_regression(sc, sample_paths(1, 4, 500, 0.5, seed=9), BASIS)
         r2 = solve_regression(sc, sample_paths(1, 4, 500, 0.5, seed=9), BASIS)
         assert np.array_equal(r1.p0().coeffs, r2.p0().coeffs)
+
+    @pytest.mark.parametrize("dim_w", [1, 2])
+    @pytest.mark.parametrize("coefficients", ["deterministic", "adapted"])
+    def test_stacked_fit_matches_per_target_reference(self, dim_w, coefficients):
+        # adapted coefficients take the per-path operator blocks
+        if coefficients == "adapted":
+            sc = markov_scenario(dim_w)
+        else:
+            sc = make_scenario(
+                d1=dim_w, sigma=0.2, nu=0.05, F=lambda t, X: np.cos(X[:, 0]),
+                phi=lambda t, X, hist: np.sin(X[:, 0]) * (1.0 + 0.3 * hist.w.sum())
+                + 0.2 * hist.w[-1] ** 2)
+        assert sc.coefficients_deterministic == (coefficients == "deterministic")
+        ens = sample_paths(dim_w, 5, 300, sc.horizon, seed=31)
+        reg = solve_regression(sc, ens, BASIS)
+        p0, q_means = regression_reference(sc, ens, BASIS)
+        assert reg.q_means.shape == (5, dim_w, BASIS.n_modes)
+        for got, want in ((reg.p0().coeffs, p0), (reg.q_means, q_means)):
+            assert np.abs(want).max() > 1e-3
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_memory_does_not_grow_with_the_step_count(self):
+        # only the running level is kept: the peak must not scale with N
+        import tracemalloc
+        sc = make_scenario(phi=lambda t, X, hist: np.cos(X[:, 0]) * (1.0 + 0.2 * hist.w[0]))
+        peaks = {}
+        for n_steps in (8, 64):
+            ens = sample_paths(1, n_steps, 2000, sc.horizon, seed=2)
+            tracemalloc.start()
+            try:
+                solve_regression(sc, ens, BASIS)
+                peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] < 1.5 * peaks[8], peaks
 
 
 def declared_path_dependent(scenario):
@@ -444,8 +479,8 @@ class TestMarkovFields:
             assert a.tobytes() == b.tobytes()
         ens = sample_paths(dim_w, 3, 40, scn.horizon, seed=4)
         fast, slow = solve_regression(scn, ens, BASIS), solve_regression(per, ens, BASIS)
-        for a, b in zip(fast.p + fast.q, slow.p + slow.q):
-            assert a.tobytes() == b.tobytes()
+        assert fast.p0().coeffs.tobytes() == slow.p0().coeffs.tobytes()
+        assert fast.q_means.tobytes() == slow.q_means.tobytes()
 
     def test_parsed_field_is_evaluated_once_per_state(self):
         scn = markov_scenario(1)

