@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateKernelError, StructuralError
 from .scenario import CoefficientField, Scenario
 from .solver import (AdaptedField, LevelFields, SchemeConfig, SolutionPair,
-                     _apply, _expectation, backward_solve, solve_tree)
+                     _expectation, _generator, backward_solve, solve_tree)
 # assemble_L/assemble_M stay bound here for code that instruments the
 # assembly by patching every bspde namespace that imports it
 from .space import SpectralBasis, assemble_L, assemble_M  # noqa: F401
@@ -126,9 +126,7 @@ def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerT
         prob = tree.levels[level].prob
         p, q = solution.p.levels[level], solution.q.levels[level]
         L, Ms = operators(level)
-        drift = _apply(L, p) + fields.source(level)
-        for k in range(tree.dim_w):
-            drift = drift + _apply(Ms[:, k], q[:, k])
+        drift = _generator(L, Ms, p, q, fields.source(level))
         pair_term[level] = _expectation(prob, np.real(np.sum(np.conj(p) * drift, axis=-1)))
         q_term[level] = solution.q.level_expected_norm_sq(level, 0)
 
@@ -251,7 +249,8 @@ def _bump_profile(r: Array) -> Array:
 
 
 def _kernel_shifts(basis: SpectralBasis, config: MollifierConfig):
-    """Grid offsets within radius 1/n and their normalised kernel weights."""
+    """Grid displacements (multiples of the spacing) within radius 1/n and
+    their normalised kernel weights."""
     n = config.smoothing_index
     if n < 1:
         raise StructuralError("smoothing_index must be >= 1")
@@ -273,43 +272,7 @@ def _kernel_shifts(basis: SpectralBasis, config: MollifierConfig):
     total = weights.sum()
     if total <= 0:
         raise DegenerateKernelError("kernel profile vanished on every grid offset")
-    return offsets, weights / total
-
-
-class _MollifiedEvaluator:
-    """Periodic discrete convolution of a coefficient field on the basis grid."""
-
-    def __init__(self, source: CoefficientField, basis: SpectralBasis,
-                 offsets: Array, weights: Array):
-        self.source = source
-        self.basis = basis
-        self.offsets = offsets
-        self.weights = weights
-        self._grid = basis.grid_points
-        self._gshape = (basis.grid_per_dim,) * basis.dim_x
-
-    def _convolved_grid(self, t, history) -> Array:
-        vals = self.source.evaluate(t, self._grid, history)  # (n_grid, *shape)
-        comp_shape = vals.shape[1:]
-        cube = vals.reshape(self._gshape + comp_shape)
-        out = np.zeros_like(cube)
-        for off, w in zip(self.offsets, self.weights):
-            shifted = cube
-            for axis, o in enumerate(off):
-                if o:
-                    shifted = np.roll(shifted, int(o), axis=axis)
-            out += w * shifted
-        return out.reshape(vals.shape)
-
-    def __call__(self, t, X, history):
-        conv = self._convolved_grid(t, history)
-        if X.shape == self._grid.shape and np.array_equal(X, self._grid):
-            return conv
-        # off-grid request: trigonometric interpolation through the basis
-        flat = conv.reshape(conv.shape[0], -1)
-        coeffs = self.basis.project(flat)
-        vals = self.basis.evaluate_at(coeffs.T, X).T.real
-        return vals.reshape((len(X),) + conv.shape[1:])
+    return offsets * h, weights / total
 
 
 def mollify(scenario: Scenario, config: MollifierConfig,
@@ -317,21 +280,32 @@ def mollify(scenario: Scenario, config: MollifierConfig,
     """Scenario with a and sigma replaced by their discrete mollifications.
 
     The kernel is the scaled bump n^d zeta(n y) sampled on the collocation
-    grid and renormalised to unit discrete mass, so the convolution is a
-    convex combination of shifted samples: bounds and moduli of continuity
-    survive, and constant fields are fixed points.  A radius below the grid
-    spacing raises ``DegenerateKernelError``.
+    grid and renormalised to unit discrete mass, so the periodic convolution
+    is a convex combination of shifted samples: bounds and moduli of
+    continuity survive, and constant fields are fixed points.  The basis
+    diagonalises that convolution: it is applied as the kernel's Fourier
+    multiplier on the projected grid samples, and a request off the grid is
+    answered by trigonometric interpolation of the result.  A radius below
+    the grid spacing raises ``DegenerateKernelError``.
     """
-    offsets, weights = _kernel_shifts(basis, config)
-    out_fields = {}
-    for name in ("a", "sigma"):
-        src: CoefficientField = getattr(scenario, name)
-        if src.kind == "deterministic_const":
-            out_fields[name] = src  # convolution fixes constants exactly
-            continue
-        out_fields[name] = CoefficientField.derived(
-            _MollifiedEvaluator(src, basis, offsets, weights), src.shape, src)
-    return scenario.with_fields(**out_fields)
+    shifts, weights = _kernel_shifts(basis, config)
+    # sum_j w_j u(x - y_j) multiplies the coefficient of mode k by sum_j w_j e^{-i k y_j}
+    symbol = np.exp(-1j * basis.freqs @ shifts.T) @ weights
+    grid = basis.grid_points
+
+    def smoothed(src: CoefficientField) -> CoefficientField:
+        def fn(t, X, history):
+            vals = src.evaluate(t, grid, history)
+            coeffs = symbol * basis.project(vals.reshape(len(vals), -1)).T
+            on_grid = X.shape == grid.shape and np.array_equal(X, grid)
+            out = basis.reconstruct(coeffs) if on_grid else basis.evaluate_at(coeffs, X)
+            return out.T.real.reshape((len(X),) + src.shape)
+        return CoefficientField.derived(fn, src.shape, src)
+
+    # convolution fixes constants exactly
+    return scenario.with_fields(**{
+        name: src if src.kind == "deterministic_const" else smoothed(src)
+        for name, src in (("a", scenario.a), ("sigma", scenario.sigma))})
 
 
 @dataclass(frozen=True)
@@ -362,9 +336,8 @@ class MultiIndex:
 def _spectral_derivative(vals: Array, mult: Array, basis: SpectralBasis) -> Array:
     """Grid samples of the spectral derivative with multiplier ``mult`` of each
     component of the grid samples ``vals`` (exact for band-limited fields)."""
-    flat = vals.reshape(len(vals), -1)
-    return np.stack([basis.reconstruct(mult * basis.project(flat[:, j]))
-                     for j in range(flat.shape[1])], axis=-1).reshape(vals.shape)
+    coeffs = mult * basis.project(vals.reshape(len(vals), -1)).T
+    return basis.reconstruct(coeffs).T.reshape(vals.shape)
 
 
 def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,

@@ -29,7 +29,7 @@ from .scenario import validate as validate_scenario
 from .scenario_file import default_modulus, load_scenario
 from .solver import SchemeConfig, pair_difference, solve_regression, solve_tree
 from .space import SpectralBasis
-from .wiener import build_chain, build_tree, sample_paths
+from .wiener import ALLOWED_BRANCHING, build_chain, build_tree, sample_paths
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -118,10 +118,24 @@ def _overlaid(args):
     overrides = {k: getattr(args, k) for k in
                  ("modes", "steps", "branching", "paths", "seed")
                  if getattr(args, k, None) is not None}
-    disc = dc_replace(disc, **overrides)
+    disc = _checked(dc_replace(disc, **overrides))
     theta = args.theta if args.theta is not None else run.theta
     tol = args.tol if args.tol is not None else run.tol
     return scenario, disc, run, theta, tol
+
+
+def _checked(disc):
+    """``disc``, refused with a ``StructuralError`` if no solver can run it."""
+    for key in ("modes", "steps", "paths"):
+        value = getattr(disc, key)
+        if value is not None and value < 1:
+            raise StructuralError(f"{key} must be >= 1, got {value}")
+    if disc.branching is not None and disc.branching not in ALLOWED_BRANCHING:
+        raise StructuralError(
+            f"branching must be one of {ALLOWED_BRANCHING}, got {disc.branching}")
+    if disc.seed < 0:
+        raise StructuralError(f"seed must be >= 0, got {disc.seed}")
+    return disc
 
 
 def _make_tree(scenario, disc, args):
@@ -296,13 +310,18 @@ def cmd_positivity(args) -> int:
 
 def cmd_mollify_study(args) -> int:
     scenario, disc, run, theta, tol = _overlaid(args)
+    raw = run.option("smoothing", "4,8,16")
+    try:
+        ns = [int(s) for s in str(raw).split(",") if s.strip()]
+    except ValueError:
+        ns = []
+    if not ns:  # an empty study would pass vacuously
+        raise ParseError(f"bad value for run.smoothing: {raw!r}")
     basis = _make_basis(scenario, disc)
     tree = _make_tree(scenario, disc, args)
     scheme = SchemeConfig(theta=theta)
     base = solve_tree(scenario, tree, basis, scheme)
 
-    raw = run.option("smoothing", "4,8,16")
-    ns = [int(s) for s in str(raw).split(",") if s.strip()]
     modulus = default_modulus(scenario.bound_K)
     rows = ["n,defect,relaxed_validate_ok"]
     defects = []
@@ -364,7 +383,7 @@ def _common_flags(p: argparse.ArgumentParser):
                    help="treat validation failure as an error")
     p.add_argument("--modes", type=int, help="spectral modes per axis")
     p.add_argument("--steps", type=int, help="time steps")
-    p.add_argument("--branching", type=int, choices=(2, 3, 5),
+    p.add_argument("--branching", type=int, choices=ALLOWED_BRANCHING,
                    help="tree branching per noise axis")
     p.add_argument("--paths", type=int, help="regression sample paths")
     p.add_argument("--theta", type=float, help="time-stepping theta in [0,1]")

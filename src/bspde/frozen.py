@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConvergenceError, StructuralError
 from .scenario import CoefficientField, PathHistory, Scenario
-from .solver import (LevelFields, SchemeConfig, SolutionPair, _apply,
+from .solver import (LevelFields, SchemeConfig, SolutionPair, _generator,
                      backward_solve, pair_difference)
 from .space import SpectralBasis
 from .wiener import WienerTree
@@ -132,15 +132,9 @@ def _iteration_sources(scenario: Scenario, frozen: Scenario,
     pert = scenario.with_fields(a=_difference_field(scenario.a, frozen.a),
                                 sigma=_difference_field(scenario.sigma, frozen.sigma))
     fields = LevelFields(scenario, tree, basis)
-    out = []
-    for level in range(tree.n_steps):
-        u, v = current.p.levels[level], current.q.levels[level]
-        L, Ms = fields.operators(level, pert)
-        src = fields.source(level) + _apply(L, u)
-        for k in range(scenario.dim_w):
-            src = src + _apply(Ms[:, k], v[:, k])
-        out.append(src)
-    return out
+    return [_generator(*fields.operators(level, pert), current.p.levels[level],
+                       current.q.levels[level], fields.source(level))
+            for level in range(tree.n_steps)]
 
 
 def _pair_distance(x: SolutionPair, y: SolutionPair) -> float:

@@ -144,6 +144,14 @@ def _apply(op: Array, vec: Array) -> Array:
     return op * vec if op.ndim == 2 else (op @ vec[..., None])[..., 0]
 
 
+def _generator(L: Array, Ms: Array, p: Array, q: Array, f: Array) -> Array:
+    """Level-wise ``L p + sum_k M^k q^k + F``, on the contract above."""
+    out = _apply(L, p) + f
+    for k in range(q.shape[1]):
+        out = out + _apply(Ms[:, k], q[:, k])
+    return out
+
+
 def _distinct_rows(w: Array) -> tuple[Array, Array]:
     """First index of each distinct row of ``w`` and every row's group.
 
@@ -339,9 +347,7 @@ def _defects(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
         p, q = solution.p.levels[level], solution.q.levels[level]
         Ep = conditional_expectation(tree, level, solution.p.levels[level + 1])
         L, Ms = fields.operators(level)
-        drift = theta * _apply(L, p) + (1.0 - theta) * _apply(L, Ep) + fields.source(level)
-        for k in range(tree.dim_w):
-            drift = drift + _apply(Ms[:, k], q[:, k])
+        drift = _generator(L, Ms, theta * p + (1.0 - theta) * Ep, q, fields.source(level))
         yield p - Ep - tree.dt * drift
 
 

@@ -8,9 +8,11 @@ Sobolev norms of any integer order use the scaled frequencies k = pi xi / L:
 
     ||u||_n^2 = sum_xi (1 + |k_xi|^2)^n |u_hat_xi|^2.
 
-Coefficient products are collocational (pointwise on the uniform grid), which
-is the pseudo-spectral treatment of variable coefficients; an optional 3/2
-dealias grid reduces the aliasing committed by those products.
+Coefficient products are collocational (pointwise on the uniform grid of
+2M+1 points per axis), which is the pseudo-spectral treatment of variable
+coefficients.  On that grid ``project`` and ``reconstruct`` are an exact
+discrete Fourier pair, so every periodic grid convolution (a smoothing kernel,
+a derivative) is a multiplier on the coefficients.
 """
 
 from __future__ import annotations
@@ -34,17 +36,14 @@ class SpectralBasis:
     dim_x : spatial dimension d
     modes_per_dim : M; the per-axis mode set is -M..M (2M+1 modes)
     domain_halfwidth : L of the torus [-L, L)^d
-    dealias : use a 3/2-refined collocation grid for products
     """
 
-    def __init__(self, dim_x: int, modes_per_dim: int, domain_halfwidth: float,
-                 dealias: bool = False):
+    def __init__(self, dim_x: int, modes_per_dim: int, domain_halfwidth: float):
         if dim_x < 1 or modes_per_dim < 1:
             raise StructuralError("dim_x and modes_per_dim must be >= 1")
         self.dim_x = dim_x
         self.modes_per_dim = modes_per_dim
         self.domain_halfwidth = float(domain_halfwidth)
-        self.dealias = bool(dealias)
 
         M, L, d = modes_per_dim, self.domain_halfwidth, dim_x
         per_axis = np.arange(-M, M + 1)
@@ -53,10 +52,7 @@ class SpectralBasis:
         self.freqs = np.pi * self.modes / L          # (n_modes, d) scaled frequencies
         self.freq_sq = np.sum(self.freqs ** 2, axis=1)
 
-        g = 3 * M + 2 if dealias else 2 * M + 1
-        if g % 2 == 0:
-            g += 1
-        self.grid_per_dim = g
+        g = self.grid_per_dim = 2 * M + 1
         axis_pts = -L + 2 * L * np.arange(g) / g
         self.grid_axes = [axis_pts] * d
         mesh = np.meshgrid(*self.grid_axes, indexing="ij")

@@ -119,23 +119,12 @@ def _branch_pattern(dim_w: int, branching: int, dt: float) -> tuple[Array, Array
     return incs, weights
 
 
-def build_tree(dim_w: int, n_steps: int, branching: int, horizon: float,
-               node_budget: int = 200_000) -> WienerTree:
-    """Non-recombining Gauss-Hermite tree over [0, horizon] with n_steps levels."""
-    if branching not in ALLOWED_BRANCHING:
-        raise ValueError(f"branching must be one of {ALLOWED_BRANCHING}, got {branching}")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    c = branching ** dim_w
-    total = sum(c ** k for k in range(n_steps + 1))
-    if total > node_budget:
-        raise BudgetError(
-            f"tree would hold {total} nodes, over the budget of {node_budget}",
-            count=total, budget=node_budget,
-        )
-    dt = horizon / n_steps
-    pattern_inc, pattern_w = _branch_pattern(dim_w, branching, dt)
-
+def _grow(dim_w: int, n_steps: int, branching: int, horizon: float,
+          pattern: tuple[Array, Array]) -> WienerTree:
+    """The tree whose every node spawns one child per row of the
+    ``(increments (C, dim_w), weights (C,))`` pattern."""
+    pattern_inc, pattern_w = pattern
+    c = len(pattern_w)
     levels = [TreeLevel(
         parents=np.array([-1]),
         increments=np.zeros((1, dim_w)),
@@ -152,22 +141,33 @@ def build_tree(dim_w: int, n_steps: int, branching: int, horizon: float,
         prob = np.repeat(prev.prob, c) * weights
         w_cum = np.repeat(prev.w_cum, c, axis=0) + increments
         levels.append(TreeLevel(parents, increments, weights, prob, w_cum))
-    return WienerTree(dim_w, n_steps, branching, horizon, dt, levels)
+    return WienerTree(dim_w, n_steps, branching, horizon, horizon / n_steps, levels)
+
+
+def build_tree(dim_w: int, n_steps: int, branching: int, horizon: float,
+               node_budget: int = 200_000) -> WienerTree:
+    """Non-recombining Gauss-Hermite tree over [0, horizon] with n_steps levels."""
+    if branching not in ALLOWED_BRANCHING:
+        raise ValueError(f"branching must be one of {ALLOWED_BRANCHING}, got {branching}")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    c = branching ** dim_w
+    total = sum(c ** k for k in range(n_steps + 1))
+    if total > node_budget:
+        raise BudgetError(
+            f"tree would hold {total} nodes, over the budget of {node_budget}",
+            count=total, budget=node_budget,
+        )
+    return _grow(dim_w, n_steps, branching, horizon,
+                 _branch_pattern(dim_w, branching, horizon / n_steps))
 
 
 def build_chain(dim_w: int, n_steps: int, horizon: float) -> WienerTree:
-    """Single-path degenerate tree for deterministic scenarios (see module doc)."""
+    """Single-path degenerate tree for deterministic scenarios (see module doc):
+    one child per node, with a zero increment and unit weight."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    dt = horizon / n_steps
-    levels = [TreeLevel(
-        parents=np.array([-1 if k == 0 else 0]),
-        increments=np.zeros((1, dim_w)),
-        weights=np.ones(1),
-        prob=np.ones(1),
-        w_cum=np.zeros((1, dim_w)),
-    ) for k in range(n_steps + 1)]
-    return WienerTree(dim_w, n_steps, 1, horizon, dt, levels)
+    return _grow(dim_w, n_steps, 1, horizon, (np.zeros((1, dim_w)), np.ones(1)))
 
 
 def _children(tree: WienerTree, level: int, values) -> tuple[Array, Array, Array]:

@@ -304,3 +304,33 @@ def regression_reference(scenario, ensemble, basis, regression_basis_size=4,
         q_levels[step] = q
         p_next = p_here
     return p_levels[0].mean(axis=0), np.stack([q.mean(axis=0) for q in q_levels])
+
+
+def mollify_reference(field_, basis, config, t, X, history=None):
+    """The mollified ``field_`` at the points ``X``, computed as a sum of
+    periodically shifted grid samples (one ``np.roll`` per offset and axis)
+    and, off the grid, by trigonometric interpolation of that sum.
+
+    The package applies the same convolution as a Fourier multiplier, so the
+    two agree to round-off, not digit for digit.
+    """
+    from bspde.analysis import _kernel_shifts
+
+    shifts, weights = _kernel_shifts(basis, config)
+    h = 2.0 * basis.domain_halfwidth / basis.grid_per_dim
+    offsets = np.rint(shifts / h).astype(int)
+    grid = basis.grid_points
+    vals = field_.evaluate(t, grid, history)
+    cube = vals.reshape((basis.grid_per_dim,) * basis.dim_x + vals.shape[1:])
+    conv = np.zeros_like(cube)
+    for off, w in zip(offsets, weights):
+        shifted = cube
+        for axis, o in enumerate(off):
+            if o:
+                shifted = np.roll(shifted, int(o), axis=axis)
+        conv += w * shifted
+    conv = conv.reshape(vals.shape)
+    if X.shape == grid.shape and np.array_equal(X, grid):
+        return conv
+    coeffs = basis.project(conv.reshape(len(conv), -1))
+    return basis.evaluate_at(coeffs.T, X).T.real.reshape((len(X),) + conv.shape[1:])

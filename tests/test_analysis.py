@@ -1,6 +1,8 @@
 """Energy audits, the discrete Ito identity, positivity, mollification,
 and derived higher-regularity systems."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from bspde import (
     DegenerateKernelError,
     MollifierConfig,
     MultiIndex,
+    PathHistory,
     SchemeConfig,
     SpectralBasis,
     StructuralError,
@@ -19,13 +22,15 @@ from bspde import (
     energy_audit,
     higher_regularity_solve,
     ito_identity_check,
+    load_scenario,
+    load_scenario_text,
     mollify,
     positivity_check,
     solve_tree,
     validate,
 )
 from helpers import (counting, higher_regularity_reference, make_scenario,
-                     markov_scenario)
+                     markov_scenario, mollify_reference)
 
 BASIS = SpectralBasis(1, 6, np.pi)
 TREE = build_tree(1, 4, 2, 0.5)
@@ -255,6 +260,54 @@ class TestMollify:
         x = big.grid_points
         assert np.allclose(out.phi.evaluate(0.0, x), sc.phi.evaluate(0.0, x), atol=1e-14)
         assert out.bound_K == sc.bound_K
+
+
+DIV_2D_TEXT = """
+[problem]
+d = 2
+d1 = 1
+T = 0.5
+L = 3.14159265358979
+K = 3.0
+kappa = 0.2
+form = divergence
+[coefficients]
+a = [[0.7 + 0.1*abs(sin(x1)), 0.1*cos(x1 + x2)], [0.1*cos(x1 + x2), 0.6 + 0.1*sin(x2 - 0.3)]]
+sigma = [[0.2 + 0.05*cos(x2)], [0.1*abs(sin(x1 - x2))]]
+[data]
+phi = cos(x1)*sin(x2)
+"""
+
+
+def _mollify_cases():
+    rough = load_scenario(str(Path(__file__).parent / "data" / "rough.scn"))[0]
+    div_2d = load_scenario_text(DIV_2D_TEXT)[0]
+    markov = markov_scenario(1)
+    histories = [PathHistory.from_increments([[0.3], [-0.1]], 0.125),
+                 PathHistory.from_increments([[-0.35], [0.0], [0.35]], 0.125)]
+    return {
+        "rough_1d": (rough, SpectralBasis(1, 24, rough.domain_halfwidth), (2, 4, 8), [None]),
+        "divergence_2d": (div_2d, SpectralBasis(2, 10, np.pi), (1, 2), [None]),
+        "adapted_markov": (markov, SpectralBasis(1, 16, np.pi), (1, 2), histories),
+    }
+
+
+@pytest.mark.parametrize("case", ["rough_1d", "divergence_2d", "adapted_markov"])
+def test_multiplier_matches_the_shift_sum_reference(case):
+    scn, basis, ns, histories = _mollify_cases()[case]
+    L = basis.domain_halfwidth
+    off_grid = np.random.default_rng(3).uniform(-L, L, size=(7, basis.dim_x))
+    for n in ns:
+        out = mollify(scn, MollifierConfig(n), basis)
+        for name in ("a", "sigma"):
+            src, smooth = getattr(scn, name), getattr(out, name)
+            for hist in histories:
+                t = 0.0 if hist is None else hist.t
+                for X in (basis.grid_points, off_grid):
+                    got = smooth.evaluate(t, X, hist)
+                    want = mollify_reference(src, basis, MollifierConfig(n), t, X, hist)
+                    assert got.shape == want.shape == (len(X),) + src.shape
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestHigherRegularity:

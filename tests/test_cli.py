@@ -234,6 +234,31 @@ class TestExitCodes:
     def test_tolerance_failure(self):
         assert run("compare", TINY, "--tol", "1e-18")[0] == 6
 
+    @pytest.mark.parametrize("command, flags, edit, code", [
+        ("solve", ("--steps", "0"), None, 3),
+        ("solve", ("--steps", "-2"), None, 3),
+        ("regress", ("--paths", "0"), None, 3),
+        ("regress", ("--seed", "-1"), None, 3),
+        ("solve", (), ("branching = 2", "branching = 4"), 3),
+        ("solve", (), ("steps = 3", "steps = 0"), 3),
+        ("regress", (), ("steps = 3", "steps = 0"), 3),
+        ("mollify-study", (), ("tol = 1e-10", "tol = 1e-10\nsmoothing = 4,x"), 2),
+        ("mollify-study", (), ("tol = 1e-10", "tol = 1e-10\nsmoothing = ,"), 2),
+    ], ids=["steps-flag", "negative-steps-flag", "paths-flag", "seed-flag",
+            "branching-key", "steps-key", "regress-steps-key", "smoothing-option",
+            "empty-smoothing-option"])
+    def test_bad_discretisation_is_an_error_not_a_traceback(self, tmp_path, command,
+                                                            flags, edit, code):
+        scn = TINY
+        if edit is not None:
+            text = Path(TINY).read_text(encoding="utf-8")
+            assert edit[0] in text
+            scn = tmp_path / "edited.scn"
+            scn.write_text(text.replace(edit[0], edit[1]), encoding="utf-8")
+        got, out, err = run(command, str(scn), *flags)
+        assert got == code
+        assert out == "" and err.startswith("error: ")
+
 
 class TestArtifacts:
     def test_solve_artifacts(self, tmp_path):

@@ -47,18 +47,6 @@ class TestProjection:
         assert np.allclose(basis.evaluate_at(f.coeffs, pts).real,
                            np.cos(pts[:, 0]), atol=1e-12)
 
-    def test_dealias_grid_is_finer_and_odd(self):
-        plain = SpectralBasis(1, 4, np.pi)
-        fine = SpectralBasis(1, 4, np.pi, dealias=True)
-        assert fine.grid_per_dim > plain.grid_per_dim
-        assert fine.grid_per_dim % 2 == 1
-        # projection of a band-limited function is grid-independent
-        f1 = SpatialField(plain, plain.project(np.sin(plain.grid_points[:, 0])))
-        f2 = SpatialField(fine, fine.project(np.sin(fine.grid_points[:, 0])))
-        m1 = f1.coeffs[plain.modes[:, 0] == 1][0]
-        m2 = f2.coeffs[fine.modes[:, 0] == 1][0]
-        assert m1 == pytest.approx(m2, abs=1e-12)
-
 
 class TestNorms:
     def test_parseval(self):
