@@ -77,6 +77,14 @@ class CoefficientField:
         ``w`` bits share one evaluation.  A callable that reads
         ``history.increments`` must leave it ``False``, the default, and is
         then evaluated once per node.  ``derived`` sets it from its inputs.
+    t_free
+        Declares that the values do not depend on ``t``: ``fn`` never reads
+        its ``t`` argument or ``history.t``.  A named ``LevelFields.level_map``
+        read of t-free fields then runs once per solve, not once per level,
+        or once per Wiener state over all levels, not per state and level.
+        Constants have it, the scenario-file parser sets it on every entry
+        that does not name ``t``, and ``derived`` sets it from its inputs; a
+        library callable leaves it ``False``, the default.
     """
 
     kind: str
@@ -84,6 +92,7 @@ class CoefficientField:
     fn: Callable | None = None
     value: Array | None = None
     markov: bool = False
+    t_free: bool = False
 
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
@@ -96,30 +105,33 @@ class CoefficientField:
             raise StructuralError(
                 f"constant coefficient has shape {value.shape}, declared {tuple(shape)}"
             )
-        return cls("deterministic_const", value.shape, value=value)
+        return cls("deterministic_const", value.shape, value=value, t_free=True)
 
     @classmethod
-    def of_tx(cls, fn: Callable, shape: tuple = ()) -> "CoefficientField":
-        return cls("deterministic_fn_of_tx", tuple(shape), fn=fn)
+    def of_tx(cls, fn: Callable, shape: tuple = (),
+              t_free: bool = False) -> "CoefficientField":
+        return cls("deterministic_fn_of_tx", tuple(shape), fn=fn, t_free=t_free)
 
     @classmethod
-    def adapted(cls, fn: Callable, shape: tuple = (),
-                markov: bool = False) -> "CoefficientField":
-        return cls("adapted_fn_of_txW", tuple(shape), fn=fn, markov=markov)
+    def adapted(cls, fn: Callable, shape: tuple = (), markov: bool = False,
+                t_free: bool = False) -> "CoefficientField":
+        return cls("adapted_fn_of_txW", tuple(shape), fn=fn, markov=markov, t_free=t_free)
 
     @classmethod
     def derived(cls, fn: Callable, shape: tuple, *inputs: "CoefficientField"
                 ) -> "CoefficientField":
         """The field ``fn(t, X, history)`` computed from the fields ``inputs``.
 
-        ``fn`` may read the history only through ``inputs``.  The result is a
-        deterministic ``(t, x)`` field, called with ``history=None``, when
-        every input is deterministic, and otherwise an adapted field that is
-        Markov exactly when every input is.
+        ``fn`` may read ``t`` and the history only through ``inputs``.  The
+        result is a deterministic ``(t, x)`` field, called with
+        ``history=None``, when every input is deterministic, and otherwise an
+        adapted field that is Markov exactly when every input is.  It is
+        t-free exactly when every input is.
         """
+        t_free = all(f.t_free for f in inputs)
         if all(f.is_deterministic for f in inputs):
-            return cls.of_tx(lambda t, X: fn(t, X, None), shape)
-        return cls.adapted(fn, shape, markov=_all_markov(*inputs))
+            return cls.of_tx(lambda t, X: fn(t, X, None), shape, t_free=t_free)
+        return cls.adapted(fn, shape, markov=_all_markov(*inputs), t_free=t_free)
 
     @classmethod
     def zero(cls, shape: tuple = ()) -> "CoefficientField":

@@ -56,11 +56,27 @@ class RunConfig:
         return (self.options or {}).get(key, default)
 
 
-def _num(section: str, key: str, raw: str, cast):
+def _value_positions(text: str) -> dict:
+    """(line, column) of the value of every ``key = value`` entry, by
+    ``(section, key)``; ``configparser`` keeps no positions."""
+    positions, section = {}, None
+    for number, line in enumerate(text.splitlines(), 1):
+        stripped = line.split("#", 1)[0].strip()
+        if stripped.startswith("[") and stripped.endswith("]"):
+            section = stripped[1:-1]
+        elif "=" in stripped and not stripped.startswith(";"):
+            key, value = line.split("=", 1)
+            column = len(line) - len(value.lstrip()) + 1
+            positions.setdefault((section, key.strip()), (number, column))
+    return positions
+
+
+def _num(section: str, key: str, raw: str, cast, positions: dict):
     try:
         return cast(raw)
     except ValueError:
-        raise ParseError(f"bad value for {section}.{key}: {raw!r}", 1, 1) from None
+        raise ParseError(f"bad value for {section}.{key}: {raw!r}",
+                         *positions.get((section, key), (1, 1))) from None
 
 
 def _split_top(text: str) -> list:
@@ -164,6 +180,7 @@ def _build_field(name: str, raw: str, shape: tuple, dim_x: int,
     for idx in np.ndindex(shape) if shape else [()]:
         names |= variables_in(asts[idx] if shape else asts[()])
     uses_w = any(n.startswith("w") for n in names)
+    t_free = "t" not in names
     if not names:  # constant fold
         vals = np.empty(shape if shape else ())
         for idx in np.ndindex(shape) if shape else [()]:
@@ -172,8 +189,8 @@ def _build_field(name: str, raw: str, shape: tuple, dim_x: int,
         return CoefficientField.constant(vals, shape)
     fn = _make_evaluator(asts, shape, dim_x, uses_w)
     if uses_w:  # the evaluator reads the history only through history.w
-        return CoefficientField.adapted(fn, shape, markov=True)
-    return CoefficientField.of_tx(fn, shape)
+        return CoefficientField.adapted(fn, shape, markov=True, t_free=t_free)
+    return CoefficientField.of_tx(fn, shape, t_free=t_free)
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
@@ -213,6 +230,7 @@ def load_scenario(path, strict: bool = False):
 
 def load_scenario_text(text: str, strict: bool = False):
     parser = _read_ini(text)
+    positions = _value_positions(text)
     for section in ("problem", "coefficients", "data"):
         if not parser.has_section(section):
             raise ParseError(f"missing required section [{section}]", 1, 1)
@@ -224,12 +242,12 @@ def load_scenario_text(text: str, strict: bool = False):
     for key in ("d", "d1", "T", "L", "K", "kappa"):
         if key not in prob:
             raise ParseError(f"[problem] is missing {key!r}", 1, 1)
-    d = _num("problem", "d", prob["d"], int)
-    d1 = _num("problem", "d1", prob["d1"], int)
-    horizon = _num("problem", "T", prob["T"], float)
-    halfwidth = _num("problem", "L", prob["L"], float)
-    bound_K = _num("problem", "K", prob["K"], float)
-    kappa = _num("problem", "kappa", prob["kappa"], float)
+    d = _num("problem", "d", prob["d"], int, positions)
+    d1 = _num("problem", "d1", prob["d1"], int, positions)
+    horizon = _num("problem", "T", prob["T"], float, positions)
+    halfwidth = _num("problem", "L", prob["L"], float, positions)
+    bound_K = _num("problem", "K", prob["K"], float, positions)
+    kappa = _num("problem", "kappa", prob["kappa"], float, positions)
     form = prob.get("form", "non_divergence").strip()
 
     variables = {"t"} | {f"x{i + 1}" for i in range(d)} | {f"w{k + 1}" for k in range(d1)}
@@ -284,16 +302,16 @@ def load_scenario_text(text: str, strict: bool = False):
             raise ParseError(f"unknown [discretization] keys: {sorted(unknown)}", 1, 1)
         for key in DISCRETIZATION_KEYS:
             if key in disc:
-                disc_kwargs[key] = _num("discretization", key, disc[key], int)
+                disc_kwargs[key] = _num("discretization", key, disc[key], int, positions)
     disc_config = DiscretizationConfig(**disc_kwargs)
 
     run_kwargs = {"options": {}}
     if parser.has_section("run"):
         for key, val in parser.items("run"):
             if key == "theta":
-                run_kwargs["theta"] = _num("run", "theta", val, float)
+                run_kwargs["theta"] = _num("run", "theta", val, float, positions)
             elif key == "tol":
-                run_kwargs["tol"] = _num("run", "tol", val, float)
+                run_kwargs["tol"] = _num("run", "tol", val, float, positions)
             else:
                 run_kwargs["options"][key] = val.strip()
     run_config = RunConfig(**run_kwargs)

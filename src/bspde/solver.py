@@ -162,6 +162,30 @@ def _distinct_rows(w: Array) -> tuple[Array, Array]:
     return first, inverse.reshape(-1)
 
 
+_CACHE_BYTES = 1 << 24  # bytes of rows one provider keeps across levels
+
+
+class _RowCache(dict):
+    """Rows of maps over t-free fields, by (map name, owner id, state bytes).
+
+    An entry holds its owner, so the id cannot name another object while the
+    entry can be hit.  A row that would take the total past ``_CACHE_BYTES``
+    is returned but not kept, so its map runs again at every level.
+    """
+
+    nbytes = 0
+
+    def row(self, name, owner, state, make) -> Array:
+        slot = (name, id(owner), state)
+        if slot in self:
+            return self[slot][1]
+        row = make()
+        if self.nbytes + row.nbytes <= _CACHE_BYTES:
+            self[slot] = (owner, row)
+            self.nbytes += row.nbytes
+        return row
+
+
 class LevelFields:
     """A scenario's terminal, source and operators, one whole level at a time.
 
@@ -169,7 +193,10 @@ class LevelFields:
     ``dt`` and ``level_increments(level)``.  Every field read goes through
     ``level_map``, which evaluates a map over deterministic fields once per
     level (``k = 1``) and over adapted fields once per group of the level's
-    nodes (``groups``); the groups are kept for the current level only.
+    nodes (``groups``).  The groups are kept for the current level only.  The
+    terminal, the source and the operators are maps that keep their rows
+    across levels when every field they read is t-free (``level_map``), so a
+    time-invariant L is assembled once per solve, not once per level.
     """
 
     def __init__(self, scenario, filtration, basis: SpectralBasis):
@@ -178,6 +205,14 @@ class LevelFields:
         self.basis = basis
         self._level = None
         self._groups: dict = {}
+        self._rows = _RowCache()
+
+    def select(self, rows: slice) -> "LevelFields":
+        """The provider of the paths ``rows`` of an ensemble; it shares this
+        provider's rows, and its byte bound."""
+        out = LevelFields(self.scenario, self.filtration.select(rows), self.basis)
+        out._rows = self._rows
+        return out
 
     def groups(self, level: int, markov: bool) -> tuple[list, Array | None]:
         """One history per group of the level's nodes and each node's group.
@@ -199,22 +234,37 @@ class LevelFields:
                                     inverse)
         return self._groups[markov]
 
-    def level_map(self, level: int, fields, fn) -> Array:
+    def level_map(self, level: int, fields, fn, key=None) -> Array:
         """Stack ``fn(t, history)`` over the level: (1, ...) or (n_level, ...).
 
         ``fields`` are the coefficient fields ``fn`` reads: ``fn`` runs once
         when all are deterministic, and otherwise once per group of
         ``groups(level, markov)``, Markov when all are, expanded to every node.
+
+        ``key``, a ``(name, owner)`` pair, names the map: besides ``fields``,
+        ``fn`` reads only ``owner``, and it reads ``t`` only through
+        ``fields``.  A named map whose fields are all t-free keeps its rows
+        across levels, keyed by the bytes of ``w``: over a solve it runs once
+        when the fields are deterministic, and once per distinct Wiener state
+        of all levels when they are Markov.  The rows are bit-equal to those
+        of a fresh evaluation at every level.
         """
         fields = tuple(fields)
-        if all(f.is_deterministic for f in fields):
+        deterministic = all(f.is_deterministic for f in fields)
+        if deterministic:
             hists, inverse = [None], None
         else:
             hists, inverse = self.groups(level, _all_markov(*fields))
         t = level * self.filtration.dt
+        keep = (key is not None and (deterministic or inverse is not None)
+                and all(f.t_free for f in fields))
         out = None
         for i, h in enumerate(hists):
-            row = np.asarray(fn(t, h))
+            if keep:  # the same row at every level: look it up by state
+                row = self._rows.row(*key, None if h is None else h.w.tobytes(),
+                                     lambda: np.asarray(fn(t, h)))
+            else:
+                row = np.asarray(fn(t, h))
             if out is None:  # filled in place: no list of per-node rows
                 out = np.empty((len(hists),) + row.shape, row.dtype)
             out[i] = row
@@ -223,7 +273,7 @@ class LevelFields:
     def _projected(self, field_, level: int, t=None) -> Array:
         X, project = self.basis.grid_points, self.basis.project
         return self.level_map(level, [field_], lambda s, h: project(
-            field_.evaluate(s if t is None else t, X, h)))
+            field_.evaluate(s if t is None else t, X, h)), ("projected", field_))
 
     def terminal(self) -> Array:
         return self._projected(self.scenario.phi, self.filtration.n_steps,
@@ -236,8 +286,10 @@ class LevelFields:
         """Assembled (L, Ms) of ``scenario`` (default: the provider's own)."""
         scn = scenario if scenario is not None else self.scenario
         coeffs, basis = scn.coefficient_fields().values(), self.basis
-        return (self.level_map(level, coeffs, lambda t, h: assemble_L(scn, t, h, basis)),
-                self.level_map(level, coeffs, lambda t, h: assemble_M(scn, t, h, basis)))
+        return (self.level_map(level, coeffs, lambda t, h: assemble_L(scn, t, h, basis),
+                               ("L", scn)),
+                self.level_map(level, coeffs, lambda t, h: assemble_M(scn, t, h, basis),
+                               ("M", scn)))
 
 
 # -- the backward engine ------------------------------------------------------
@@ -442,7 +494,7 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
     # so a step holds about _BLOCK_ENTRIES entries per stack, not n_paths m^2
     size = (n_paths if scenario.coefficients_deterministic
             else max(1, _BLOCK_ENTRIES // nm ** 2))
-    blocks = [(sl, LevelFields(scenario, ensemble.select(sl), basis))
+    blocks = [(sl, fields.select(sl))
               for sl in (slice(j, j + size) for j in range(0, n_paths, size))]
 
     p = np.array(np.broadcast_to(fields.terminal(), (n_paths, nm)), dtype=complex)

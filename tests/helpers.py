@@ -121,14 +121,25 @@ def markov_scenario(dim_w):
     return load_scenario_text(MARKOV_TEXT[dim_w])[0]
 
 
+def declared_time_dependent(scenario):
+    """The same scenario with no field declared t-free: every read runs per level."""
+    return scenario.with_fields(**{
+        name: replace(getattr(scenario, name), t_free=False)
+        for name in ("a", "b", "c", "sigma", "nu", "F", "phi")})
+
+
 def counting(field_):
-    """``field_`` with an evaluator that logs each call's history time, and the log."""
+    """``field_`` with an evaluator that logs each call's history time, and the log.
+
+    The evaluator reads the time it logs, so the wrapped field is not t-free
+    and is evaluated at every level, as a field that reads ``t`` is.
+    """
     calls = []
 
     def fn(t, X, hist):
         calls.append(hist.t)
         return field_.fn(t, X, hist)
-    wrapped = replace(field_, fn=fn)
+    wrapped = replace(field_, fn=fn, t_free=False)
     return wrapped, calls
 
 

@@ -202,6 +202,16 @@ class TestExitCodes:
         assert code == 2
         assert "y9" in err
 
+    def test_bad_value_reports_its_line(self, tmp_path):
+        text = Path(TINY).read_text()
+        line = text.splitlines().index("modes = 4") + 1
+        path = tmp_path / "bad_modes.scn"
+        path.write_text(text.replace("modes = 4", "modes = 4x"))
+        code, _, err = run("solve", str(path))
+        assert code == 2 and line > 1
+        assert err == ("error: bad value for discretization.modes: '4x' "
+                       f"(line {line}, column 9)\n")
+
     def test_missing_file(self):
         assert run("solve", str(DATA / "absent.scn"))[0] == 2
 

@@ -1,5 +1,7 @@
 """Coefficient fields, scenario construction, and the standing-assumption audit."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,19 +10,28 @@ from hypothesis import strategies as st
 from bspde import (
     default_modulus,
     CoefficientField,
+    LevelFields,
     MollifierConfig,
     ModulusOfContinuity,
     PathHistory,
     Scenario,
+    SchemeConfig,
     StructuralError,
     SpectralBasis,
+    backward_solve,
+    build_tree,
     default_sample_grid,
+    freeze,
+    load_scenario,
     load_scenario_text,
     mollify,
+    solve_tree,
     validate,
 )
 from bspde.frozen import _blend_field, _difference_field, _frozen_field
-from helpers import make_field, make_scenario
+from helpers import declared_time_dependent, make_field, make_scenario
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestCoefficientField:
@@ -149,6 +160,73 @@ phi = 1 + 0.2*w1
             assert got.tobytes() == want.tobytes()
             # a deterministic result is called without the history
             assert seen == [None if kind == det_kind else hist]
+
+
+class TestTimeFreeDeclaration:
+    """Parsed entries that never name t, and constants, are t-free; a derived
+    field is t-free when all its inputs are."""
+
+    NAMES = ("a", "b", "c", "sigma", "nu", "F", "phi")
+
+    def test_parser_sets_t_free_exactly_when_no_entry_names_t(self):
+        scn = load_scenario(DATA / "tiny.scn")[0]
+        assert {n: getattr(scn, n).t_free for n in self.NAMES} == {
+            "a": True, "b": True, "c": True, "sigma": True, "nu": True,
+            "F": False, "phi": True}  # F = 0.5*cos(x1)*(1-t)
+        text = TestMarkovDeclaration.TEXT.replace(
+            "a = 0.6 + 0.1*sin(x1 + w1)", "a = [[0.6 + 0.01*t*sin(x1 + w1)]]").replace(
+            "F = cos(x1)", "F = cos(x1) + 0*t")
+        scn = load_scenario_text(text)[0]
+        assert scn.a.markov and not scn.a.t_free
+        assert scn.F.is_deterministic and not scn.F.t_free
+        assert scn.sigma.t_free and scn.phi.t_free and scn.b.t_free  # b: absent, zero
+
+    def test_constants_are_t_free_and_library_callables_are_not(self):
+        assert CoefficientField.constant(0.5).t_free
+        assert CoefficientField.zero((2, 2)).t_free
+        assert not CoefficientField.of_tx(lambda t, X: np.cos(X[:, 0]), ()).t_free
+        assert not TestMarkovDeclaration.fields()[1].t_free
+
+    def test_derived_fields_and_the_flag(self):
+        scn = load_scenario_text(TestMarkovDeclaration.TEXT)[0]
+        timed = load_scenario(DATA / "tiny.scn")[0].F
+        library = CoefficientField.of_tx(lambda t, X: np.cos(X[:, 0]), ())
+        free = (scn.phi, scn.F, CoefficientField.constant(0.5))
+        for f in free:
+            for g in free:
+                assert CoefficientField.derived(lambda t, X, h: 0.0, (), f, g).t_free
+                assert _difference_field(f, g).t_free and _blend_field(f, g, 0.5).t_free
+            for g in (timed, library):
+                assert not CoefficientField.derived(lambda t, X, h: 0.0, (), f, g).t_free
+                assert not _difference_field(f, g).t_free
+                assert not _difference_field(g, f).t_free
+                assert not _blend_field(g, f, 0.5).t_free
+                assert not _blend_field(f, g, 0.5).t_free
+            assert _frozen_field(f, np.zeros(1)).t_free
+        assert not _frozen_field(library, np.zeros(1)).t_free
+        assert all(getattr(freeze(scn, np.zeros(1)), n).t_free for n in self.NAMES)
+        basis = SpectralBasis(1, 4, np.pi)
+        assert mollify(scn, MollifierConfig(1), basis).a.t_free
+        rough_a = CoefficientField.of_tx(
+            lambda t, X: (0.6 + 0.1 * np.abs(np.sin(X[:, 0])))[:, None, None], (1, 1))
+        assert not mollify(scn.with_fields(a=rough_a), MollifierConfig(1), basis).a.t_free
+
+    @pytest.mark.parametrize("bound", [0, 3 * 81 * 16])
+    def test_rows_past_the_byte_bound_give_the_same_bits(self, monkeypatch, bound):
+        # 0: nothing is kept; three 9x9 complex rows: the bound fills mid-solve
+        scn = load_scenario_text(TestMarkovDeclaration.TEXT)[0]
+        basis = SpectralBasis(1, 4, np.pi)
+        tree = build_tree(1, 4, 3, scn.horizon)
+        want = solve_tree(declared_time_dependent(scn), tree, basis)
+        monkeypatch.setattr("bspde.solver._CACHE_BYTES", bound)
+        fields = LevelFields(scn, tree, basis)
+        got = backward_solve(tree, basis, SchemeConfig(), fields.terminal(),
+                             fields.operators, fields.source)
+        rows = fields._rows
+        assert rows.nbytes <= bound < rows.nbytes + 81 * 16  # no room for an operator
+        assert bool(rows) == (bound > 0)
+        for a, b in zip(got.p.levels + got.q.levels, want.p.levels + want.q.levels):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestScenarioConstruction:

@@ -138,6 +138,18 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="problem.T"):
             load_scenario_text(MINIMAL.replace("T = 0.5", "T = abc"))
 
+    @pytest.mark.parametrize("text, line, column, name", [
+        (MINIMAL + "[discretization]\nmodes = 4x\n", 15, 9, "discretization.modes"),
+        (MINIMAL + "[discretization]\nsteps = 8\n\n[run]  # options\ntheta =   half\n",
+         18, 11, "run.theta"),
+        (MINIMAL.replace("T = 0.5", "T = abc"), 4, 5, "problem.T"),
+    ])
+    def test_bad_value_names_its_own_line(self, text, line, column, name):
+        assert MINIMAL.count("\n") == 13
+        with pytest.raises(ParseError, match=name) as caught:
+            load_scenario_text(text)
+        assert (caught.value.line, caught.value.column) == (line, column)
+
     def test_unknown_expression_variable(self):
         text = MINIMAL.replace("phi = cos(x1)", "phi = cos(y9)")
         with pytest.raises(ParseError, match="y9"):

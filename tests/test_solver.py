@@ -17,6 +17,7 @@ from bspde import (
     backward_solve,
     build_chain,
     build_tree,
+    load_scenario_text,
     mixed_norm_sq,
     pair_difference,
     sample_paths,
@@ -26,10 +27,11 @@ from bspde import (
     strong_residual,
     weak_residual,
 )
+import bspde.solver
 from bspde.solver import _distinct_rows
-from helpers import (counting, e_sup_norm_sq_reference, level_expected_norm_sq_reference,
-                     make_scenario, markov_scenario, regression_reference,
-                     sup_e_norm_sq_reference, time_norm_sq_reference)
+from helpers import (counting, declared_time_dependent, e_sup_norm_sq_reference,
+                     level_expected_norm_sq_reference, make_scenario, markov_scenario,
+                     regression_reference, sup_e_norm_sq_reference, time_norm_sq_reference)
 from oracles import scalar_theta_chain
 
 BASIS = SpectralBasis(1, 4, np.pi)
@@ -559,3 +561,119 @@ class TestMarkovFields:
         assert list(inverse) == [inverse[0], inverse[1], inverse[0], inverse[3]]
         assert len({inverse[0], inverse[1], inverse[3]}) == 3
         assert all(w[first[g]].tobytes() == w[i].tobytes() for i, g in enumerate(inverse))
+
+
+@pytest.fixture
+def assemblies(monkeypatch):
+    """Names of the operator assemblies the solver makes, in call order."""
+    calls = []
+    for name in ("assemble_L", "assemble_M"):
+        def wrap(*args, _assemble=getattr(bspde.solver, name), _name=name):
+            calls.append(_name)
+            return _assemble(*args)
+        monkeypatch.setattr(bspde.solver, name, wrap)
+    return calls
+
+
+CHAIN_TEXT = """
+[problem]
+d = 1
+d1 = 1
+T = 0.5
+L = 3.14159265358979
+K = 2.0
+kappa = 0.3
+[coefficients]
+a = 0.6 + 0.1*abs(sin(x1))
+b = [0.2*cos(x1)]
+c = 0.1
+[data]
+F = 0.5*cos(x1)
+phi = sin(x1) + 1.5
+"""
+
+
+class TestTimeFreeFields:
+    """Reads of t-free fields keep their rows across levels and change no bit."""
+
+    @staticmethod
+    def solve_counted(assemblies, solve, scenario, filtration):
+        """Both solves, and the (L, M) assembly counts of the t-free one."""
+        fast = solve(scenario, filtration, BASIS)
+        counts = (assemblies.count("assemble_L"), assemblies.count("assemble_M"))
+        slow = solve(declared_time_dependent(scenario), filtration, BASIS)
+        return fast, slow, counts
+
+    @staticmethod
+    def assert_bit_equal(fast, slow):
+        for a, b in zip(fast.p.levels + fast.q.levels, slow.p.levels + slow.q.levels):
+            assert a.tobytes() == b.tobytes()
+
+    def test_time_free_chain_assembles_once_per_solve(self, assemblies):
+        scn = load_scenario_text(CHAIN_TEXT)[0]
+        assert all(getattr(scn, n).t_free for n in ("a", "b", "c", "sigma", "nu", "F", "phi"))
+        chain = build_chain(1, 64, scn.horizon)
+        fast, slow, counts = self.solve_counted(assemblies, solve_tree, scn, chain)
+        assert counts == (1, 1)
+        assert len(assemblies) == 2 + 2 * 64  # the per-level path: every level
+        self.assert_bit_equal(fast, slow)
+        # the regression's path blocks share the provider's rows
+        assemblies.clear()
+        ens = sample_paths(1, 16, 50, scn.horizon, seed=5)
+        fast, slow, counts = self.solve_counted(assemblies, solve_regression, scn, ens)
+        assert counts == (1, 1) and len(assemblies) == 2 + 2 * 16
+        assert fast.p0().coeffs.tobytes() == slow.p0().coeffs.tobytes()
+        assert fast.q_means.tobytes() == slow.q_means.tobytes()
+
+    def test_path_blocks_share_the_rows(self, assemblies, monkeypatch):
+        # every path starts at w = 0: one assembly for all 8 blocks of step 0
+        scn = markov_scenario(1)
+        ens = sample_paths(1, 4, 50, scn.horizon, seed=6)
+        monkeypatch.setattr("bspde.solver._BLOCK_ENTRIES", 7 * BASIS.n_modes ** 2)
+        fast, slow, counts = self.solve_counted(assemblies, solve_regression, scn, ens)
+        w = np.cumsum(ens.increments, axis=1)
+        states = {w[j, s - 1].tobytes() if s else b"" for j in range(50) for s in range(4)}
+        assert counts == (len(states), len(states)) == (1 + 3 * 50, 1 + 3 * 50)
+        # the per-level path groups step 0 block by block
+        assert len(assemblies) - sum(counts) == 2 * (8 + 3 * 50)
+        assert fast.p0().coeffs.tobytes() == slow.p0().coeffs.tobytes()
+        assert fast.q_means.tobytes() == slow.q_means.tobytes()
+
+    def test_time_free_markov_tree_assembles_once_per_state(self, assemblies):
+        scn = markov_scenario(1)
+        tree = build_tree(1, 8, 3, scn.horizon)
+        fast, slow, counts = self.solve_counted(assemblies, solve_tree, scn, tree)
+        per_level = [{tree.history(level, i).w.tobytes()
+                      for i in range(tree.levels[level].n_nodes)}
+                     for level in range(tree.n_steps)]
+        states = set().union(*per_level)
+        assert counts == (len(states), len(states))
+        assert len(assemblies) - sum(counts) == 2 * sum(map(len, per_level))
+        assert len(states) < sum(map(len, per_level))
+        self.assert_bit_equal(fast, slow)
+
+    @pytest.mark.parametrize("a", ["parsed", "library"])
+    def test_fields_that_may_read_t_are_assembled_every_level(self, assemblies, a):
+        scn = load_scenario_text(CHAIN_TEXT.replace(
+            "a = 0.6 + 0.1*abs(sin(x1))", "a = 0.6 + 0.1*t*sin(x1)"))[0]
+        if a == "library":
+            scn = scn.with_fields(a=CoefficientField.of_tx(
+                lambda t, X: (0.6 + 0.1 * np.sin(X[:, 0]))[:, None, None], (1, 1)))
+        assert not scn.a.t_free and scn.c.t_free
+        chain = build_chain(1, 16, scn.horizon)
+        fast, slow, counts = self.solve_counted(assemblies, solve_tree, scn, chain)
+        assert counts == (16, 16)
+        self.assert_bit_equal(fast, slow)
+
+    def test_path_dependent_field_is_assembled_per_node(self, assemblies):
+        # t-free but not Markov: the last increment is not a function of w
+        def last_step(t, X, hist):
+            last = hist.increments[-1, 0] if hist.n_steps else 0.0
+            return 0.1 + 0.05 * last + 0.0 * X[:, 0]
+        c = CoefficientField.adapted(last_step, (), markov=False, t_free=True)
+        scn = markov_scenario(1).with_fields(c=c)
+        tree = build_tree(1, 3, 3, scn.horizon)
+        fast, slow, counts = self.solve_counted(assemblies, solve_tree, scn, tree)
+        nodes = sum(tree.levels[k].n_nodes for k in range(tree.n_steps))
+        assert counts == (nodes, nodes)
+        self.assert_bit_equal(fast, slow)
