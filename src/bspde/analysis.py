@@ -94,9 +94,7 @@ def energy_audit(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
 
 
 def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
-                       basis: SpectralBasis,
-                       scheme: SchemeConfig | None = None,
-                       operators=None) -> Array:
+                       basis: SpectralBasis, operators=None) -> Array:
     """Level-by-level defect of the discrete squared-norm balance.
 
     The expectation of the energy identity for the backward dynamics reads
@@ -114,7 +112,6 @@ def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerT
     assembly.  This admits manufactured generators (e.g. identically zero
     operators) that no validated scenario can express.
     """
-    del scheme  # the balance itself is scheme-independent
     N, dt = tree.n_steps, tree.dt
     fields = LevelFields(scenario, tree, basis)
     operators = operators or fields.operators
@@ -304,7 +301,7 @@ def mollify(scenario: Scenario, config: MollifierConfig,
 
     # convolution fixes constants exactly
     return scenario.with_fields(**{
-        name: src if src.kind == "deterministic_const" else smoothed(src)
+        name: src if src.is_constant else smoothed(src)
         for name, src in (("a", scenario.a), ("sigma", scenario.sigma))})
 
 
@@ -437,6 +434,6 @@ def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: Spectra
 
 def _component_active(field_: CoefficientField, comp: tuple) -> bool:
     """False only when the field is a constant whose component is zero."""
-    if field_.kind != "deterministic_const":
+    if not field_.is_constant:
         return True
     return bool(np.any(field_.value[comp])) if comp else bool(np.any(field_.value))

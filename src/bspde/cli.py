@@ -5,7 +5,8 @@ regress.  Each takes a scenario file, applies flag overrides, prints a
 key=value summary to stdout (stable key order), and optionally writes CSV
 records plus ``summary.json`` / ``manifest.json`` into ``--out`` (atomic
 write-then-rename).  Exit codes: 0 success, 2 parse, 3 validation,
-4 budget, 5 numeric, 6 tolerance.
+4 budget, 5 numeric, 6 tolerance; a scenario-file error names the line and
+column of the file where it sits.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import replace as dc_replace
+from functools import cached_property
 
 import numpy as np
 
@@ -69,61 +71,6 @@ def _write_atomic(path: str, chunks):
     os.replace(tmp, path)
 
 
-def _emit(summary, out_dir, extra_files=None):
-    """Print key=value lines and, with --out, write the JSON artifacts."""
-    for key, value in summary.items():
-        print(f"{key} = {value}")
-    if out_dir is None:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(os.path.join(out_dir, "summary.json"),
-                  json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    for name, chunks in (extra_files or {}).items():
-        _write_atomic(os.path.join(out_dir, name), chunks)
-
-
-def _manifest(args, scenario, disc, theta, tol, tree=None):
-    doc = {
-        "command": args.command,
-        "scenario": os.path.basename(args.scenario),
-        "form": scenario.form,
-        "dim_x": scenario.dim_x,
-        "dim_w": scenario.dim_w,
-        "modes": disc.modes,
-        "steps": disc.steps,
-        "branching": disc.branching,
-        "paths": disc.paths,
-        "seed": disc.seed,
-        "theta": theta,
-        "tol": tol,
-    }
-    if tree is not None:
-        doc["dt"] = tree.dt
-        doc["n_nodes"] = tree.n_nodes
-        doc["chain"] = tree.is_chain
-    doc["bspde_version"] = __version__
-    doc["numpy_version"] = np.__version__
-    # imported here, not at the top: it costs ~30 ms of start-up and ~1 MB
-    from importlib import metadata
-    try:  # read without importing scipy
-        doc["scipy_version"] = metadata.version("scipy")
-    except metadata.PackageNotFoundError:
-        doc["scipy_version"] = None
-    doc.update({var: os.environ.get(var) for var in _THREAD_VARS})
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _overlaid(args):
-    scenario, disc, run = load_scenario(args.scenario, strict=args.strict)
-    overrides = {k: getattr(args, k) for k in
-                 ("modes", "steps", "branching", "paths", "seed")
-                 if getattr(args, k, None) is not None}
-    disc = _checked(dc_replace(disc, **overrides))
-    theta = args.theta if args.theta is not None else run.theta
-    tol = args.tol if args.tol is not None else run.tol
-    return scenario, disc, run, theta, tol
-
-
 def _checked(disc):
     """``disc``, refused with a ``StructuralError`` if no solver can run it."""
     for key in ("modes", "steps", "paths"):
@@ -138,17 +85,85 @@ def _checked(disc):
     return disc
 
 
-def _make_tree(scenario, disc, args):
-    # deterministic scenarios carry no randomness: a single zero-increment
-    # chain is exact and cheap, unless the user explicitly forces branching
-    if scenario.is_deterministic and args.branching is None:
-        return build_chain(scenario.dim_w, disc.steps, scenario.horizon)
-    return build_tree(scenario.dim_w, disc.steps, disc.branching or 2,
-                      scenario.horizon)
+class _Run:
+    """One command's run: the scenario file with the flags applied, the
+    basis and the tree built on first use, and the output."""
 
+    def __init__(self, args):
+        self.args = args
+        self.scenario, disc, self.run = load_scenario(args.scenario, strict=args.strict)
+        overrides = {k: getattr(args, k) for k in
+                     ("modes", "steps", "branching", "paths", "seed")
+                     if getattr(args, k) is not None}
+        self.disc = _checked(dc_replace(disc, **overrides))
+        self.theta = args.theta if args.theta is not None else self.run.theta
+        self.tol = args.tol if args.tol is not None else self.run.tol
 
-def _make_basis(scenario, disc):
-    return SpectralBasis(scenario.dim_x, disc.modes, scenario.domain_halfwidth)
+    @property
+    def scheme(self) -> SchemeConfig:
+        return SchemeConfig(theta=self.theta)
+
+    @cached_property
+    def basis(self) -> SpectralBasis:
+        sc = self.scenario
+        return SpectralBasis(sc.dim_x, self.disc.modes, sc.domain_halfwidth)
+
+    @cached_property
+    def tree(self):
+        sc = self.scenario
+        # deterministic scenarios carry no randomness: a single zero-increment
+        # chain is exact and cheap, unless the user explicitly forces branching
+        if sc.is_deterministic and self.args.branching is None:
+            return build_chain(sc.dim_w, self.disc.steps, sc.horizon)
+        return build_tree(sc.dim_w, self.disc.steps, self.disc.branching or 2,
+                          sc.horizon)
+
+    def solve(self, scenario=None):
+        return solve_tree(scenario or self.scenario, self.tree, self.basis, self.scheme)
+
+    def emit(self, summary, files=None):
+        """Print key=value lines and, with --out, write ``summary.json``,
+        ``files`` (name -> text or chunks) and ``manifest.json``."""
+        for key, value in summary.items():
+            print(f"{key} = {value}")
+        out_dir = self.args.out
+        if out_dir is None:
+            return
+        os.makedirs(out_dir, exist_ok=True)
+        files = {"summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
+                 **(files or {}), "manifest.json": self._manifest()}
+        for name, chunks in files.items():
+            _write_atomic(os.path.join(out_dir, name), chunks)
+
+    def _manifest(self) -> str:
+        sc, disc = self.scenario, self.disc
+        doc = {
+            "command": self.args.command,
+            "scenario": os.path.basename(self.args.scenario),
+            "form": sc.form,
+            "dim_x": sc.dim_x,
+            "dim_w": sc.dim_w,
+            "modes": disc.modes,
+            "steps": disc.steps,
+            "branching": disc.branching,
+            "paths": disc.paths,
+            "seed": disc.seed,
+            "theta": self.theta,
+            "tol": self.tol,
+        }
+        if "tree" in self.__dict__:  # built by this command
+            doc.update(dt=self.tree.dt, n_nodes=self.tree.n_nodes,
+                       chain=self.tree.is_chain)
+        doc["bspde_version"] = __version__
+        doc["numpy_version"] = np.__version__
+        # imported here, not at the top: it costs ~30 ms of start-up and ~1 MB
+        from importlib import metadata
+        try:  # read without importing scipy
+            doc["scipy_version"] = metadata.version("scipy")
+        except metadata.PackageNotFoundError:
+            doc["scipy_version"] = None
+        doc.update({var: os.environ.get(var) for var in _THREAD_VARS})
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _fields_csv(solution, tree, basis):
@@ -168,20 +183,16 @@ def _fields_csv(solution, tree, basis):
                            for x, *vals in zip(xs, *cols)])
 
 
-def cmd_solve(args) -> int:
-    scenario, disc, run, theta, tol = _overlaid(args)
-    basis = _make_basis(scenario, disc)
-    tree = _make_tree(scenario, disc, args)
-    solution = solve_tree(scenario, tree, basis, SchemeConfig(theta=theta))
+def cmd_solve(r: _Run) -> int:
+    solution, tree = r.solve(), r.tree
     p0 = solution.p0()
-
     summary = {
         "command": "solve",
         "dt": _fmt(tree.dt),
-        "modes": disc.modes,
-        "steps": disc.steps,
+        "modes": r.disc.modes,
+        "steps": r.disc.steps,
         "n_nodes": tree.n_nodes,
-        "theta": _fmt(theta),
+        "theta": _fmt(r.theta),
         "p0_l2": _fmt(p0.norm(0)),
         "p0_h1": _fmt(p0.norm(1)),
         "p_time_h1": _fmt(math.sqrt(solution.p.time_norm_sq(1))),
@@ -191,20 +202,14 @@ def cmd_solve(args) -> int:
     for level in range(tree.n_steps):
         qn = math.sqrt(solution.q.level_expected_norm_sq(level, 0))
         summary[f"q_norm_{level:0{width}d}"] = _fmt(qn)
-    extra = None
-    if args.out is not None:  # the field dump is only ever written, never printed
-        extra = {
-            "fields.csv": _fields_csv(solution, tree, basis),
-            "manifest.json": _manifest(args, scenario, disc, theta, tol, tree),
-        }
-    _emit(summary, args.out, extra)
+    # the field dump is only ever written, never printed
+    r.emit(summary, {"fields.csv": _fields_csv(solution, tree, r.basis)})
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    scenario, disc, run, theta, tol = _overlaid(args)
-    report = scenario.validation
-    summary = {
+def cmd_validate(r: _Run) -> int:
+    report = r.scenario.validation
+    r.emit({
         "command": "validate",
         "symmetry_ok": report.symmetry_ok,
         "superparabolic_ok": report.superparabolic_ok,
@@ -213,29 +218,20 @@ def cmd_validate(args) -> int:
         "modulus_ok": report.modulus_ok,
         "sample_count": report.sample_count,
         "all_ok": report.all_ok,
-    }
-    extra = {"manifest.json": _manifest(args, scenario, disc, theta, tol)}
-    _emit(summary, args.out, extra)
+    })
     return EXIT_OK
 
 
-def cmd_audit(args) -> int:
-    scenario, disc, run, theta, tol = _overlaid(args)
-    basis = _make_basis(scenario, disc)
-    tree = _make_tree(scenario, disc, args)
-    solution = solve_tree(scenario, tree, basis, SchemeConfig(theta=theta))
-
-    wanted = ["2.5", "2.7", "2.9"] if args.estimate == "all" else [args.estimate]
-    rows = []
+def cmd_audit(r: _Run) -> int:
+    solution = r.solve()
+    wanted = ["2.5", "2.7", "2.9"] if r.args.estimate == "all" else [r.args.estimate]
+    table = ["theorem_tag,lhs,rhs_data,fitted_C,passed"]
+    summary = {"command": "audit", "estimates": len(wanted)}
+    all_passed = True
     for flag in wanted:
         tag, order = _ESTIMATE_BY_FLAG[flag]
-        rows.append(energy_audit(solution, scenario, tree, basis,
-                                 theorem_tag=tag, order=order))
-
-    table = ["theorem_tag,lhs,rhs_data,fitted_C,passed"]
-    summary = {"command": "audit", "estimates": len(rows)}
-    all_passed = True
-    for rep in rows:
+        rep = energy_audit(solution, r.scenario, r.tree, r.basis,
+                           theorem_tag=tag, order=order)
         table.append(",".join([rep.theorem_tag, _fmt(rep.lhs), _fmt(rep.rhs_data),
                                _fmt(rep.fitted_C), str(rep.passed).lower()]))
         summary[f"fitted_C[{rep.theorem_tag}]"] = _fmt(rep.fitted_C)
@@ -244,22 +240,13 @@ def cmd_audit(args) -> int:
     for line in table:
         print(line)
     summary["all_passed"] = all_passed
-    extra = {
-        "estimates.csv": "\n".join(table) + "\n",
-        "manifest.json": _manifest(args, scenario, disc, theta, tol, tree),
-    }
-    _emit(summary, args.out, extra)
+    r.emit(summary, {"estimates.csv": "\n".join(table) + "\n"})
     return EXIT_OK if all_passed else EXIT_TOLERANCE
 
 
-def cmd_compare(args) -> int:
-    scenario, disc, run, theta, tol = _overlaid(args)
-    basis = _make_basis(scenario, disc)
-    tree = _make_tree(scenario, disc, args)
-    scheme = SchemeConfig(theta=theta)
-    iterative = solve_tree(scenario, tree, basis, scheme)
-    dense = solve_dense(scenario, tree, basis, scheme)
-
+def cmd_compare(r: _Run) -> int:
+    iterative = r.solve()
+    dense = solve_dense(r.scenario, r.tree, r.basis, r.scheme)
     p_scale = max(max(float(np.abs(lv).max()) for lv in dense.p.levels), 1e-300)
     p_diff = max(float(np.abs(a - b).max())
                  for a, b in zip(iterative.p.levels, dense.p.levels))
@@ -267,30 +254,23 @@ def cmd_compare(args) -> int:
                   for a, b in zip(iterative.q.levels, dense.q.levels)
                   if a.size), default=0.0)
     rel = max(p_diff, q_diff) / p_scale
-    ok = rel <= tol
-    summary = {
+    ok = rel <= r.tol
+    r.emit({
         "command": "compare",
         "max_diff_p": _fmt(p_diff),
         "max_diff_q": _fmt(q_diff),
         "max_rel_diff": _fmt(rel),
-        "tolerance": _fmt(tol),
+        "tolerance": _fmt(r.tol),
         "within_tolerance": ok,
-    }
-    extra = {"manifest.json": _manifest(args, scenario, disc, theta, tol, tree)}
-    _emit(summary, args.out, extra)
+    })
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_positivity(args) -> int:
-    scenario, disc, run, theta, tol = _overlaid(args)
-    basis = _make_basis(scenario, disc)
-    tree = _make_tree(scenario, disc, args)
-    solution = solve_tree(scenario, tree, basis, SchemeConfig(theta=theta))
-    report = positivity_check(solution, scenario, tree, basis)
+def cmd_positivity(r: _Run) -> int:
+    report = positivity_check(r.solve(), r.scenario, r.tree, r.basis)
     scale = report.max_abs_value
-    threshold = -tol * max(scale, 1.0)
+    threshold = -r.tol * max(scale, 1.0)
     ok = report.min_value >= threshold and report.envelope.passed
-
     summary = {
         "command": "positivity",
         "min_value": _fmt(report.min_value),
@@ -300,35 +280,24 @@ def cmd_positivity(args) -> int:
         "envelope_passed": report.envelope.passed,
         "nonnegative": ok,
     }
-    width = len(str(tree.n_steps))
+    width = len(str(r.tree.n_steps))
     for level, v in enumerate(report.negpart_l2_per_level):
         summary[f"negpart_{level:0{width}d}"] = _fmt(v)
-    extra = {"manifest.json": _manifest(args, scenario, disc, theta, tol, tree)}
-    _emit(summary, args.out, extra)
+    r.emit(summary)
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_mollify_study(args) -> int:
-    scenario, disc, run, theta, tol = _overlaid(args)
-    raw = run.option("smoothing", "4,8,16")
-    try:
-        ns = [int(s) for s in str(raw).split(",") if s.strip()]
-    except ValueError:
-        ns = []
-    if not ns:  # an empty study would pass vacuously
-        raise ParseError(f"bad value for run.smoothing: {raw!r}")
-    basis = _make_basis(scenario, disc)
-    tree = _make_tree(scenario, disc, args)
-    scheme = SchemeConfig(theta=theta)
-    base = solve_tree(scenario, tree, basis, scheme)
-
+def cmd_mollify_study(r: _Run) -> int:
+    # the loader has checked the list
+    ns = [int(s) for s in r.run.option("smoothing", "4,8,16").split(",") if s.strip()]
+    scenario = r.scenario
+    base = r.solve()
     modulus = default_modulus(scenario.bound_K)
     rows = ["n,defect,relaxed_validate_ok"]
     defects = []
     for n in ns:
-        smooth = mollify(scenario, MollifierConfig(n), basis)
-        sol_n = solve_tree(smooth, tree, basis, scheme)
-        defect = math.sqrt(pair_difference(sol_n, base).p.time_norm_sq(0))
+        smooth = mollify(scenario, MollifierConfig(n), r.basis)
+        defect = math.sqrt(pair_difference(r.solve(smooth), base).p.time_norm_sq(0))
         relaxed = smooth.with_fields(
             ellipticity_kappa=scenario.ellipticity_kappa / 2.0,
             bound_K=2.0 * scenario.bound_K)
@@ -343,25 +312,17 @@ def cmd_mollify_study(args) -> int:
                "monotone_decreasing": monotone}
     for n, dfct in zip(ns, defects):
         summary[f"defect[n={n}]"] = _fmt(dfct)
-    extra = {
-        "study.csv": "\n".join(rows) + "\n",
-        "manifest.json": _manifest(args, scenario, disc, theta, tol, tree),
-    }
-    _emit(summary, args.out, extra)
+    r.emit(summary, {"study.csv": "\n".join(rows) + "\n"})
     return EXIT_OK if monotone else EXIT_TOLERANCE
 
 
-def cmd_regress(args) -> int:
-    scenario, disc, run, theta, tol = _overlaid(args)
-    basis = _make_basis(scenario, disc)
-    if disc.paths is None:
-        disc = dc_replace(disc, paths=256)
-    ensemble = sample_paths(scenario.dim_w, disc.steps, disc.paths,
-                            scenario.horizon, seed=disc.seed)
-    reg = solve_regression(scenario, ensemble, basis,
-                           scheme=SchemeConfig(theta=theta))
-    p0 = reg.p0()
-    summary = {
+def cmd_regress(r: _Run) -> int:
+    if r.disc.paths is None:
+        r.disc = dc_replace(r.disc, paths=256)
+    sc, disc = r.scenario, r.disc
+    ensemble = sample_paths(sc.dim_w, disc.steps, disc.paths, sc.horizon, seed=disc.seed)
+    p0 = solve_regression(sc, ensemble, r.basis, scheme=r.scheme).p0()
+    r.emit({
         "command": "regress",
         "paths": disc.paths,
         "seed": disc.seed,
@@ -369,9 +330,7 @@ def cmd_regress(args) -> int:
         "modes": disc.modes,
         "p0_l2": _fmt(p0.norm(0)),
         "p0_h1": _fmt(p0.norm(1)),
-    }
-    extra = {"manifest.json": _manifest(args, scenario, disc, theta, tol)}
-    _emit(summary, args.out, extra)
+    })
     return EXIT_OK
 
 
@@ -417,29 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the most specific class in an error's MRO decides its exit code
+    exit_codes = {
+        ParseError: EXIT_PARSE, EvalError: EXIT_PARSE, OSError: EXIT_PARSE,
+        ScenarioValidationError: EXIT_VALIDATION, StructuralError: EXIT_VALIDATION,
+        BudgetError: EXIT_BUDGET,
+        NumericError: EXIT_NUMERIC, np.linalg.LinAlgError: EXIT_NUMERIC,
+    }
     try:
-        return args.handler(args)
-    except (ParseError, EvalError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ScenarioValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except StructuralError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except BudgetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except np.linalg.LinAlgError as e:
-        print(f"error: linear algebra failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+        return args.handler(_Run(args))
+    except tuple(exit_codes) as e:
+        code = next(exit_codes[c] for c in type(e).__mro__ if c in exit_codes)
+        kind = "linear algebra failure: " if isinstance(e, np.linalg.LinAlgError) else ""
+        print(f"error: {kind}{e}", file=sys.stderr)
+        return code
 
 
 def entry():

@@ -142,8 +142,12 @@ class CoefficientField:
         return self.kind != "adapted_fn_of_txW"
 
     @property
+    def is_constant(self) -> bool:
+        return self.kind == "deterministic_const"
+
+    @property
     def is_zero(self) -> bool:
-        return self.kind == "deterministic_const" and not np.any(self.value)
+        return self.is_constant and not np.any(self.value)
 
     def evaluate(self, t: float, x_points: Array, history: PathHistory | None = None) -> Array:
         """Values at ``x_points`` (shape ``(n_points, d)``), as ``(n_points, *shape)``."""

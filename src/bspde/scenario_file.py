@@ -8,6 +8,10 @@ expressions over ``t, x1..xd, w1..wd1``; any reference to a ``w`` variable
 makes the field adapted.  A scalar where a matrix is expected means that
 multiple of the identity pattern (diagonal fill), the usual shorthand for
 isotropic coefficients.
+
+A :class:`ParseError` carries the line and column in the file: of the bad
+value, of the bad token inside an expression or matrix literal, of an
+unknown key, or of the header of a section that misses a required key.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import configparser
 import io
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +63,14 @@ class RunConfig:
 
 def _value_positions(text: str) -> dict:
     """(line, column) of the value of every ``key = value`` entry, by
-    ``(section, key)``; ``configparser`` keeps no positions."""
-    positions, section = {}, None
+    ``(section, key)``, and of every section header, by ``(section, None)``,
+    else (1, 1); ``configparser`` keeps no positions."""
+    positions, section = defaultdict(lambda: (1, 1)), None
     for number, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1]
+            positions.setdefault((section, None), (number, 1))
         elif "=" in stripped and not stripped.startswith(";"):
             key, value = line.split("=", 1)
             column = len(line) - len(value.lstrip()) + 1
@@ -71,67 +78,75 @@ def _value_positions(text: str) -> dict:
     return positions
 
 
+def _section(parser, name: str, allowed, required, positions: dict) -> dict:
+    """The entries of ``[name]`` (none if it is absent), refused at the line
+    of an unknown key or, when a required key is missing, at the header."""
+    entries = dict(parser.items(name)) if parser.has_section(name) else {}
+    unknown = set(entries) - set(allowed)
+    if unknown:
+        line = min(positions[(name, key)][0] for key in unknown)
+        raise ParseError(f"unknown [{name}] keys: {sorted(unknown)}", line, 1)
+    for key in required:
+        if key not in entries:
+            raise ParseError(f"[{name}] is missing {key!r}" if name == "problem"
+                             else f"[{name}] must declare {key}",
+                             *positions[(name, None)])
+    return entries
+
+
 def _num(section: str, key: str, raw: str, cast, positions: dict):
     try:
         return cast(raw)
     except ValueError:
         raise ParseError(f"bad value for {section}.{key}: {raw!r}",
-                         *positions.get((section, key), (1, 1))) from None
+                         *positions[(section, key)]) from None
 
 
-def _split_top(text: str) -> list:
-    """Split on commas not nested inside parentheses or brackets."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
+def _smoothing(raw: str) -> str:
+    """``raw``, refused unless it lists at least one integer, comma-separated."""
+    if not [int(s) for s in raw.split(",") if s.strip()]:
+        raise ValueError(raw)
+    return raw
 
 
 def _parse_matrix_literal(text: str) -> list:
-    """Nested entry strings from ``[a, b]`` or ``[[a, b], [c, d]]``."""
-    text = text.strip()
+    """Nested entry strings from ``[a, b]`` or ``[[a, b], [c, d]]``.
+
+    Each entry keeps its offset in ``text`` as leading blanks, so that a
+    parse error inside it can be placed in the file.
+    """
+
+    def split(lo, hi):  # text[lo:hi] at the commas outside brackets
+        parts, depth, start = [], 0, lo
+        for i in range(lo, hi):
+            if text[i] in "([":
+                depth += 1
+            elif text[i] in ")]":
+                depth -= 1
+            elif text[i] == "," and depth == 0:
+                parts.append(" " * start + text[start:i])
+                start = i + 1
+        return parts + [" " * start + text[start:hi]]
+
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError("not a bracketed literal")
-    inner = text[1:-1].strip()
-    if inner.startswith("["):
-        rows = []
-        for chunk in _split_top(inner):
-            chunk = chunk.strip()
-            if not (chunk.startswith("[") and chunk.endswith("]")):
-                raise ValueError(f"malformed matrix row: {chunk!r}")
-            rows.append([c.strip() for c in _split_top(chunk[1:-1])])
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ValueError("ragged matrix literal")
-        return rows
-    return [c.strip() for c in _split_top(inner)]
-
-
-def _entry_asts(entries, shape, variables, where):
-    """Parse a nested list of entry strings into an array of ASTs."""
-    arr = np.empty(shape, dtype=object)
-    flat_entries = np.asarray(entries, dtype=object)
-    if flat_entries.shape != shape:
-        raise ParseError(
-            f"{where}: literal has shape {flat_entries.shape}, expected {shape}", 1, 1)
-    for idx in np.ndindex(shape) if shape else [()]:
-        src = flat_entries[idx] if shape else entries
-        try:
-            arr[idx] = parse_expression(str(src), variables)
-        except ParseError as e:
-            raise ParseError(f"{where}: {e.bare_message}", e.line, e.column) from None
-    return arr
+    parts = split(1, len(text) - 1)
+    if not parts[0].strip().startswith("["):
+        return parts
+    rows = []
+    for chunk in parts:
+        row = chunk.strip()
+        if not (row.startswith("[") and row.endswith("]")):
+            raise ValueError(f"malformed matrix row: {row!r}")
+        lo = len(chunk) - len(chunk.lstrip()) + 1
+        rows.append(split(lo, lo + len(row) - 2))
+    if len({len(r) for r in rows}) != 1:
+        raise ValueError("ragged matrix literal")
+    return rows
 
 
 def _make_evaluator(asts, shape, dim_x, uses_w):
-    flat = [asts[idx] for idx in (np.ndindex(shape) if shape else [()])]
+    flat = list(asts.flat)
 
     def _eval(t, X, history=None):
         env = {"t": t}
@@ -142,8 +157,7 @@ def _make_evaluator(asts, shape, dim_x, uses_w):
                 env[f"w{k + 1}"] = wk
         cols = [np.broadcast_to(np.asarray(evaluate(a, env), dtype=float), (len(X),))
                 for a in flat]
-        out = np.stack(cols, axis=-1)
-        return out.reshape((len(X),) + shape) if shape else out[:, 0]
+        return np.stack(cols, axis=-1).reshape((len(X),) + shape)
 
     if uses_w:
         return lambda t, X, history: _eval(t, X, history)
@@ -151,42 +165,38 @@ def _make_evaluator(asts, shape, dim_x, uses_w):
 
 
 def _build_field(name: str, raw: str, shape: tuple, dim_x: int,
-                 variables) -> CoefficientField:
-    raw = raw.strip()
+                 variables, position: tuple) -> CoefficientField:
+    """The field of entry ``raw``, whose value sits at ``position`` =
+    (line, column) of the file; its parse errors carry file positions."""
+    line, column = position
     where = f"[{('data' if name in DATA_KEYS else 'coefficients')}] {name}"
     if raw.startswith("["):
         try:
-            entries = _parse_matrix_literal(raw)
+            entries = np.asarray(_parse_matrix_literal(raw), dtype=object)
         except ValueError as e:
-            raise ParseError(f"{where}: {e}", 1, 1) from None
-        asts = _entry_asts(entries, shape, variables, where)
-    else:
+            raise ParseError(f"{where}: {e}", line, column) from None
+        if entries.shape != shape:
+            raise ParseError(f"{where}: literal has shape {entries.shape}, "
+                             f"expected {shape}", line, column)
+    else:  # a scalar where a matrix is expected fills the diagonal
+        entries = np.empty(shape, dtype=object)
+        for idx in np.ndindex(shape):
+            entries[idx] = raw if len(idx) < 2 or idx[0] == idx[-1] else "0"
+    asts = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        src = entries[idx]
+        offset = column - 1 + len(src) - len(src.lstrip())  # before the entry's text
         try:
-            ast = parse_expression(raw, variables)
+            asts[idx] = parse_expression(src.strip(), variables)
         except ParseError as e:
-            raise ParseError(f"{where}: {e.bare_message}", e.line, e.column) from None
-        asts = np.empty(shape, dtype=object)
-        if shape == ():
-            asts = np.empty((), dtype=object)
-            asts[()] = ast
-        elif len(shape) == 1:
-            for i in range(shape[0]):
-                asts[i] = ast
-        else:  # diagonal fill: expr * identity pattern
-            zero = parse_expression("0", variables)
-            for idx in np.ndindex(shape):
-                asts[idx] = ast if idx[0] == idx[-1] else zero
-    names = set()
-    for idx in np.ndindex(shape) if shape else [()]:
-        names |= variables_in(asts[idx] if shape else asts[()])
+            raise ParseError(f"{where}: {e.bare_message}", line + e.line - 1,
+                             e.column + (offset if e.line == 1 else 0)) from None
+    names = set().union(*(variables_in(a) for a in asts.flat))
     uses_w = any(n.startswith("w") for n in names)
     t_free = "t" not in names
     if not names:  # constant fold
-        vals = np.empty(shape if shape else ())
-        for idx in np.ndindex(shape) if shape else [()]:
-            node = asts[idx] if shape else asts[()]
-            vals[idx] = float(evaluate(node, {}))
-        return CoefficientField.constant(vals, shape)
+        vals = [float(evaluate(a, {})) for a in asts.flat]
+        return CoefficientField.constant(np.reshape(vals, shape), shape)
     fn = _make_evaluator(asts, shape, dim_x, uses_w)
     if uses_w:  # the evaluator reads the history only through history.w
         return CoefficientField.adapted(fn, shape, markov=True, t_free=t_free)
@@ -235,47 +245,27 @@ def load_scenario_text(text: str, strict: bool = False):
         if not parser.has_section(section):
             raise ParseError(f"missing required section [{section}]", 1, 1)
 
-    prob = dict(parser.items("problem"))
-    unknown = set(prob) - set(PROBLEM_KEYS)
-    if unknown:
-        raise ParseError(f"unknown [problem] keys: {sorted(unknown)}", 1, 1)
-    for key in ("d", "d1", "T", "L", "K", "kappa"):
-        if key not in prob:
-            raise ParseError(f"[problem] is missing {key!r}", 1, 1)
-    d = _num("problem", "d", prob["d"], int, positions)
-    d1 = _num("problem", "d1", prob["d1"], int, positions)
-    horizon = _num("problem", "T", prob["T"], float, positions)
-    halfwidth = _num("problem", "L", prob["L"], float, positions)
-    bound_K = _num("problem", "K", prob["K"], float, positions)
-    kappa = _num("problem", "kappa", prob["kappa"], float, positions)
+    prob = _section(parser, "problem", PROBLEM_KEYS,
+                    ("d", "d1", "T", "L", "K", "kappa"), positions)
+    d, d1 = (_num("problem", key, prob[key], int, positions) for key in ("d", "d1"))
+    horizon, halfwidth, bound_K, kappa = (_num("problem", key, prob[key], float, positions)
+                                          for key in ("T", "L", "K", "kappa"))
     form = prob.get("form", "non_divergence").strip()
 
     variables = {"t"} | {f"x{i + 1}" for i in range(d)} | {f"w{k + 1}" for k in range(d1)}
     shapes = {"a": (d, d), "b": (d,), "c": (), "sigma": (d, d1), "nu": (d1,),
               "F": (), "phi": ()}
+    raws = {**_section(parser, "coefficients", COEFFICIENT_KEYS, ("a",), positions),
+            **_section(parser, "data", DATA_KEYS, ("phi",), positions)}
 
-    coeffs = dict(parser.items("coefficients"))
-    unknown = set(coeffs) - set(COEFFICIENT_KEYS)
-    if unknown:
-        raise ParseError(f"unknown [coefficients] keys: {sorted(unknown)}", 1, 1)
-    if "a" not in coeffs:
-        raise ParseError("[coefficients] must declare a", 1, 1)
-    data = dict(parser.items("data"))
-    unknown = set(data) - set(DATA_KEYS)
-    if unknown:
-        raise ParseError(f"unknown [data] keys: {sorted(unknown)}", 1, 1)
-    if "phi" not in data:
-        raise ParseError("[data] must declare phi", 1, 1)
-
-    sources = {}
+    sources = {name: raws[name].strip() for name in COEFFICIENT_KEYS + DATA_KEYS
+               if name in raws}
     fields = {}
     for name in COEFFICIENT_KEYS + DATA_KEYS:
-        raw = coeffs.get(name) if name in COEFFICIENT_KEYS else data.get(name)
-        if raw is None:
-            fields[name] = CoefficientField.zero(shapes[name])
-            continue
-        sources[name] = raw.strip()
-        fields[name] = _build_field(name, raw, shapes[name], d, variables)
+        section = "data" if name in DATA_KEYS else "coefficients"
+        fields[name] = (_build_field(name, sources[name], shapes[name], d, variables,
+                                     positions[(section, name)])
+                        if name in sources else CoefficientField.zero(shapes[name]))
 
     scenario = Scenario(
         dim_x=d, dim_w=d1, horizon=horizon, domain_halfwidth=halfwidth,
@@ -294,28 +284,19 @@ def load_scenario_text(text: str, strict: bool = False):
             raise ScenarioValidationError(msg, report)
         warnings.warn(msg, stacklevel=2)
 
-    disc_kwargs = {}
-    if parser.has_section("discretization"):
-        disc = dict(parser.items("discretization"))
-        unknown = set(disc) - set(DISCRETIZATION_KEYS)
-        if unknown:
-            raise ParseError(f"unknown [discretization] keys: {sorted(unknown)}", 1, 1)
-        for key in DISCRETIZATION_KEYS:
-            if key in disc:
-                disc_kwargs[key] = _num("discretization", key, disc[key], int, positions)
-    disc_config = DiscretizationConfig(**disc_kwargs)
+    disc = _section(parser, "discretization", DISCRETIZATION_KEYS, (), positions)
+    disc_config = DiscretizationConfig(**{
+        key: _num("discretization", key, disc[key], int, positions)
+        for key in DISCRETIZATION_KEYS if key in disc})
 
     run_kwargs = {"options": {}}
-    if parser.has_section("run"):
-        for key, val in parser.items("run"):
-            if key == "theta":
-                run_kwargs["theta"] = _num("run", "theta", val, float, positions)
-            elif key == "tol":
-                run_kwargs["tol"] = _num("run", "tol", val, float, positions)
-            else:
-                run_kwargs["options"][key] = val.strip()
-    run_config = RunConfig(**run_kwargs)
-    return scenario, disc_config, run_config
+    for key, val in parser.items("run") if parser.has_section("run") else ():
+        if key in ("theta", "tol"):
+            run_kwargs[key] = _num("run", key, val, float, positions)
+        else:  # verbatim, but a smoothing list must name at least one integer
+            cast = _smoothing if key == "smoothing" else str
+            run_kwargs["options"][key] = _num("run", key, val.strip(), cast, positions)
+    return scenario, disc_config, RunConfig(**run_kwargs)
 
 
 def _format_constant(field_: CoefficientField) -> str:
@@ -355,7 +336,7 @@ def serialize_scenario(scenario: Scenario, disc: DiscretizationConfig | None = N
         field_ = getattr(scenario, name)
         if name in sources:
             return sources[name]
-        if field_.kind == "deterministic_const":
+        if field_.is_constant:
             return _format_constant(field_)
         raise StructuralError(
             f"field {name!r} is a function with no retained source text")

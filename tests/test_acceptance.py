@@ -281,8 +281,7 @@ def test_5_energy_estimates(capsys):
     for n in (16, 32, 64):
         chain = build_chain(1, n, cosine.horizon)
         sol = solve_tree(cosine, chain, basis, SchemeConfig(theta=0.5))
-        d = ito_identity_check(sol, cosine, chain, basis,
-                               scheme=SchemeConfig(theta=0.5))
+        d = ito_identity_check(sol, cosine, chain, basis)
         defects.append(np.max(np.abs(d)))
     orders = (defects[0] / defects[1], defects[1] / defects[2])
     ok = (finite and max(drifts) < 0.10 and flip_exact

@@ -159,7 +159,7 @@ class TestItoIdentity:
         for n in (16, 32, 64):
             chain = build_chain(1, n, sc.horizon)
             sol = solve_tree(sc, chain, BASIS, SchemeConfig(theta=0.5))
-            d = ito_identity_check(sol, sc, chain, BASIS, scheme=SchemeConfig(theta=0.5))
+            d = ito_identity_check(sol, sc, chain, BASIS)
             defects.append(np.max(np.abs(d)))
         assert defects[0] / defects[1] > 1.8
         assert defects[1] / defects[2] > 1.8

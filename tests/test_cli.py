@@ -212,6 +212,13 @@ class TestExitCodes:
         assert err == ("error: bad value for discretization.modes: '4x' "
                        f"(line {line}, column 9)\n")
 
+    def test_parse_error_names_its_place_in_the_file(self):
+        # y9 sits on line 10 of the file, column 15
+        code, out, err = run("solve", BAD_PARSE)
+        assert (code, out) == (2, "")
+        assert err == ("error: [coefficients] a: unknown identifier 'y9' "
+                       "(line 10, column 15)\n")
+
     def test_missing_file(self):
         assert run("solve", str(DATA / "absent.scn"))[0] == 2
 
@@ -275,6 +282,19 @@ class TestArtifacts:
         code, _, _ = run("solve", TINY, "--out", str(tmp_path))
         assert code == 0
         assert sorted(os.listdir(tmp_path)) == ["fields.csv", "manifest.json", "summary.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", TINY), ("validate", TINY), ("audit", TINY), ("compare", TINY),
+        ("positivity", TINY), ("mollify-study", ROUGH), ("regress", TINY),
+    ], ids=lambda argv: argv[0])
+    def test_no_manifest_without_out(self, monkeypatch, argv):
+        # the manifest reads package metadata, a cost only --out should pay
+        def unread(name):
+            raise RuntimeError(f"the manifest read {name!r} without --out")
+        monkeypatch.setattr(importlib.metadata, "version", unread)
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert f"command = {argv[0]}\n" in out
 
     def test_summary_json_sorted_and_matches_stdout(self, tmp_path):
         _, out, _ = run("solve", TINY, "--out", str(tmp_path))

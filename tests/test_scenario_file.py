@@ -143,6 +143,18 @@ class TestParseErrors:
         (MINIMAL + "[discretization]\nsteps = 8\n\n[run]  # options\ntheta =   half\n",
          18, 11, "run.theta"),
         (MINIMAL.replace("T = 0.5", "T = abc"), 4, 5, "problem.T"),
+        (MINIMAL.replace("kappa = 0.25", "kappa = 0.25\nbogus = 1"), 8, 1, "bogus"),
+        (MINIMAL + "[discretization]\nsteps = 8\nfoo = 2\n", 16, 1, "foo"),
+        ("# heat\n" + MINIMAL.replace("kappa = 0.25\n", ""), 2, 1, "missing 'kappa'"),
+        (MINIMAL.replace("a = 0.5", ""), 9, 1, "must declare a"),
+        (MINIMAL.replace("phi = cos(x1)", ""), 12, 1, "must declare phi"),
+        (MINIMAL.replace("phi = cos(x1)", "phi = cos(y9)"), 13, 11, "y9"),
+        (MINIMAL.replace("phi = cos(x1)", "phi =  1 +"), 13, 11, "end of input"),
+        (MINIMAL.replace("a = 0.5", "a = [[0.5 + y2]]"), 10, 13, "y2"),
+        (MINIMAL.replace("a = 0.5", "a = [[0.5, 0.1]]"), 10, 5, "literal has shape"),
+        (MINIMAL.replace("a = 0.5", "a = [0.5"), 10, 5, "not a bracketed literal"),
+        (MINIMAL + "[run]\nsmoothing = 4,x\n", 15, 13, "run.smoothing"),
+        (MINIMAL + "[run]\nsmoothing = ,\n", 15, 13, "run.smoothing"),
     ])
     def test_bad_value_names_its_own_line(self, text, line, column, name):
         assert MINIMAL.count("\n") == 13

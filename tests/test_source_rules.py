@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from bspde.scenario import FIELD_KINDS
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "bspde"
 
 # the dense oracle is the independent reference and walks nodes on purpose
@@ -160,3 +162,37 @@ def test_detector_finds_unused_imports():
 def test_no_unused_imports_in_the_package():
     # ``__init__.py`` imports in order to re-export
     assert package_findings(unused_imports, {"__init__.py"}) == {}
+
+
+def field_kind_comparisons(source: str) -> list[int]:
+    """Line numbers of comparisons with a ``FIELD_KINDS`` string as an operand
+    (or inside a tuple, list or set operand)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for op in list(operands):
+            if isinstance(op, (ast.Tuple, ast.List, ast.Set)):
+                operands += op.elts
+        if any(isinstance(op, ast.Constant) and op.value in FIELD_KINDS
+               for op in operands):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detector_finds_field_kind_comparisons():
+    source = (
+        'if field_.kind == "deterministic_const":\n    pass\n'
+        'ok = f.kind != "adapted_fn_of_txW"\n'
+        'both = kind in ("deterministic_fn_of_tx", "other")\n'
+        'if f.is_constant:\n    pass\n'
+        'name = "deterministic_const"\n'
+        'same = kind == other_kind\n'
+    )
+    assert field_kind_comparisons(source) == [1, 3, 4]
+
+
+def test_only_the_scenario_module_tests_field_kinds():
+    # every other module asks ``is_constant``, ``is_deterministic`` or ``is_zero``
+    assert package_findings(field_kind_comparisons, {"scenario.py"}) == {}
