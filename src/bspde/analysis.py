@@ -26,6 +26,9 @@ from .wiener import WienerTree
 Array = np.ndarray
 
 ESTIMATE_TAGS = ("weak_est_2_5", "strong_est_2_7", "higher_est_2_9", "negpart_5_2")
+_ZERO_TOL = 1e-10       # positivity: a negative part at or below this is zero
+_ENVELOPE_SLACK = 0.05  # positivity: relative slack of the fitted envelope
+_MAX_ORDER = 2          # highest order |alpha| of the higher-regularity solve
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,7 @@ def _negpart_integral(values: Array, volume: float):
 
 
 def positivity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
-                     basis: SpectralBasis, zero_tol: float = 1e-10,
-                     envelope_slack: float = 0.05) -> PositivityReport:
+                     basis: SpectralBasis) -> PositivityReport:
     """Grid minimum of p and the exponential envelope of its negative part."""
     volume = (2.0 * basis.domain_halfwidth) ** basis.dim_x
     N, dt, T = tree.n_steps, tree.dt, tree.horizon
@@ -183,8 +185,8 @@ def positivity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTre
     fields = LevelFields(scenario, tree, basis)
 
     def data_negpart(field_, level, t):
-        vals = fields.level_map(level, [field_],
-                                lambda s, h: field_.evaluate(t, X, h))
+        vals = fields.level_map(level, [field_], lambda s, h: field_.evaluate(t, X, h),
+                                ("grid", field_))
         return float(np.sum(tree.levels[level].prob * _negpart_integral(vals, volume)))
 
     phi_neg = data_negpart(scenario.phi, N, scenario.horizon)
@@ -202,12 +204,12 @@ def positivity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTre
     ss, ys = [], []
     for level in range(N + 1):
         lhs = negpart[level]
-        if rhs_levels[level] <= zero_tol:
-            if lhs > zero_tol:
+        if rhs_levels[level] <= _ZERO_TOL:
+            if lhs > _ZERO_TOL:
                 ok = False
             continue
         s = T - tree.time_of(level)
-        if lhs > zero_tol and s > 0:
+        if lhs > _ZERO_TOL and s > 0:
             ss.append(s)
             ys.append(math.log(lhs / rhs_levels[level]))
     fitted_C = 0.0
@@ -217,10 +219,10 @@ def positivity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTre
     if ok:
         for level in range(N + 1):
             rhs = rhs_levels[level]
-            if rhs <= zero_tol:
+            if rhs <= _ZERO_TOL:
                 continue
             bound = math.exp(fitted_C * (T - tree.time_of(level))) * rhs
-            if negpart[level] > bound * (1.0 + envelope_slack) + zero_tol:
+            if negpart[level] > bound * (1.0 + _ENVELOPE_SLACK) + _ZERO_TOL:
                 ok = False
     envelope = EstimateReport(
         "negpart_5_2", float(negpart.max()), float(rhs_levels[0]),
@@ -232,10 +234,9 @@ def positivity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTre
 
 @dataclass(frozen=True)
 class MollifierConfig:
-    """Smoothing index n (kernel radius 1/n) and an optional radial profile."""
+    """Smoothing index n: the bump kernel's radius is 1/n."""
 
     smoothing_index: int
-    kernel: object | None = None  # callable r in [0,1) -> profile value
 
 
 def _bump_profile(r: Array) -> Array:
@@ -257,19 +258,15 @@ def _kernel_shifts(basis: SpectralBasis, config: MollifierConfig):
     if reach < 1:
         raise DegenerateKernelError(
             f"kernel radius 1/{n} = {radius:g} is below the grid spacing {h:g}")
-    profile = config.kernel if config.kernel is not None else _bump_profile
     axes = [np.arange(-reach, reach + 1)] * basis.dim_x
     mesh = np.meshgrid(*axes, indexing="ij")
     offsets = np.stack([m.ravel() for m in mesh], axis=-1)
     dist = np.linalg.norm(offsets * h, axis=1) / radius
-    weights = np.asarray(profile(dist), dtype=float)
-    weights[dist >= 1.0] = 0.0
+    weights = _bump_profile(dist)
     keep = weights > 0
     offsets, weights = offsets[keep], weights[keep]
-    total = weights.sum()
-    if total <= 0:
-        raise DegenerateKernelError("kernel profile vanished on every grid offset")
-    return offsets * h, weights / total
+    # offset 0 keeps weight e^-1, so the total is positive
+    return offsets * h, weights / weights.sum()
 
 
 def mollify(scenario: Scenario, config: MollifierConfig,
@@ -339,7 +336,6 @@ def _spectral_derivative(vals: Array, mult: Array, basis: SpectralBasis) -> Arra
 
 def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
                             alpha: MultiIndex, scheme: SchemeConfig | None = None,
-                            max_order: int = 2,
                             base: SolutionPair | None = None
                             ) -> tuple[SolutionPair, float]:
     """Solve the derived equation for u ~ D^alpha p and report the defect.
@@ -360,9 +356,9 @@ def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: Spectra
         raise StructuralError("higher-regularity solve expects the non-divergence form")
     if len(alpha.alpha) != scenario.dim_x:
         raise StructuralError("multi-index length must equal dim_x")
-    if alpha.order == 0 or alpha.order > max_order:
+    if alpha.order == 0 or alpha.order > _MAX_ORDER:
         raise StructuralError(
-            f"multi-index order must be in 1..{max_order}, got {alpha.order}")
+            f"multi-index order must be in 1..{_MAX_ORDER}, got {alpha.order}")
 
     if base is None:
         base = solve_tree(scenario, tree, basis, scheme)
@@ -390,7 +386,7 @@ def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: Spectra
             vals = field_.evaluate(t, X, h)
             return np.stack([_spectral_derivative(vals, bmult, basis) if any(beta) else vals
                              for beta, _, bmult, _ in betas])
-        return fields.level_map(level, [field_], fn)
+        return fields.level_map(level, [field_], fn, ("derivatives", field_))
 
     def source(level):
         p, q = base.p.levels[level], base.q.levels[level]

@@ -15,6 +15,10 @@ coefficients between their frozen and true values on a uniform lambda grid,
 warm-starting each step at the previous solution, which reaches coefficient
 families whose direct freezing iteration diverges.
 
+The initial frozen solve and every Picard step of a ``freeze_and_iterate``
+call read their fields through one ``LevelFields``, so a t-free operator is
+assembled once per distinct Wiener state of the call, not once per step.
+
 The folded source enters the step at the left endpoint without theta
 splitting, so the fixed point reproduces the full tree solve exactly at
 theta = 1 (the default); use theta = 1 whenever agreement with ``solve_tree``
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, StructuralError
-from .scenario import CoefficientField, PathHistory, Scenario
+from .scenario import CoefficientField, Scenario
 from .solver import (LevelFields, SchemeConfig, SolutionPair, _generator,
                      backward_solve, pair_difference)
 from .space import SpectralBasis
@@ -61,42 +65,35 @@ def _frozen_field(field_: CoefficientField, x0: Array) -> CoefficientField:
         field_.shape, field_)
 
 
-def _frozen_L(frozen: Scenario, basis: SpectralBasis, t: float,
-              hist: PathHistory | None) -> Array:
-    """Diagonal symbol of a0:D2 at (t, history)."""
-    a0 = frozen.a.evaluate(t, np.zeros((1, frozen.dim_x)), hist)[0]     # (d, d)
-    k = basis.freqs
-    return -np.einsum("ij,mi,mj->m", a0, k, k).astype(complex)
+def _frozen_operators(fields: LevelFields, frozen: Scenario):
+    """``level -> (L, Ms)``: the diagonal symbols of a0:D2, (m,), and of
+    sigma0.grad, (dim_w, m), read as named maps of the frozen a and sigma."""
+    coeffs, k = (frozen.a, frozen.sigma), fields.basis.freqs
+    origin = np.zeros((1, frozen.dim_x))
 
+    def L(t, h):
+        a0 = frozen.a.evaluate(t, origin, h)[0]         # (d, d)
+        return -np.einsum("ij,mi,mj->m", a0, k, k).astype(complex)
 
-def _frozen_M(frozen: Scenario, basis: SpectralBasis, t: float,
-              hist: PathHistory | None) -> Array:
-    """Diagonal symbols of sigma0.grad at (t, history), (dim_w, n_modes)."""
-    s0 = frozen.sigma.evaluate(t, np.zeros((1, frozen.dim_x)), hist)[0]  # (d, dw)
-    return np.array([1j * (basis.freqs @ s0[:, kk]) for kk in range(frozen.dim_w)])
+    def Ms(t, h):
+        s0 = frozen.sigma.evaluate(t, origin, h)[0]     # (d, dw)
+        return np.array([1j * (k @ s0[:, kk]) for kk in range(frozen.dim_w)])
+
+    return lambda level: (fields.level_map(level, coeffs, L, ("frozen L", frozen)),
+                          fields.level_map(level, coeffs, Ms, ("frozen M", frozen)))
 
 
 def solve_frozen(frozen: Scenario, tree: WienerTree, basis: SpectralBasis,
-                 scheme: SchemeConfig | None = None,
-                 source_levels: list[Array] | None = None) -> SolutionPair:
+                 scheme: SchemeConfig | None = None) -> SolutionPair:
     """Backward solve with per-mode scalar algebra (coefficients frozen in x).
 
-    ``frozen`` is a ``freeze``d scenario: only its a, sigma, F and phi are read.
-
-    ``source_levels`` optionally replaces the scenario source with tabulated
-    per-node spectral vectors (one array of shape (n_nodes, n_modes) per
-    level); the freezing iteration and the continuation march use this hook.
+    ``frozen`` is a ``freeze``d scenario: only its a, sigma, F and phi are read,
+    through one ``LevelFields``.  ``freeze_and_iterate`` runs the same solve,
+    and then its Picard steps, on one provider of its own.
     """
-    scheme = scheme or SchemeConfig()
     fields = LevelFields(frozen, tree, basis)
-    coeffs = (frozen.a, frozen.sigma)
-
-    def ops(level):
-        return (fields.level_map(level, coeffs, lambda t, h: _frozen_L(frozen, basis, t, h)),
-                fields.level_map(level, coeffs, lambda t, h: _frozen_M(frozen, basis, t, h)))
-
-    source = fields.source if source_levels is None else source_levels.__getitem__
-    return backward_solve(tree, basis, scheme, fields.terminal(), ops, source)
+    return backward_solve(tree, basis, scheme or SchemeConfig(), fields.terminal(),
+                          _frozen_operators(fields, frozen), fields.source)
 
 
 @dataclass(frozen=True)
@@ -120,23 +117,6 @@ def _difference_field(f: CoefficientField, f0: CoefficientField) -> CoefficientF
         lambda t, X, hist: f.evaluate(t, X, hist) - f0.evaluate(t, X, hist), f.shape, f, f0)
 
 
-def _iteration_sources(scenario: Scenario, frozen: Scenario,
-                       current: SolutionPair, tree: WienerTree,
-                       basis: SpectralBasis) -> list[Array]:
-    """Folded source F + L' u + sum_k M'_k v_k per level.
-
-    (L', M') are the assembled operators of the scenario with a and sigma
-    replaced by a - a0 and sigma - sigma0, so the lower-order terms and the
-    scenario's form carry over unchanged.
-    """
-    pert = scenario.with_fields(a=_difference_field(scenario.a, frozen.a),
-                                sigma=_difference_field(scenario.sigma, frozen.sigma))
-    fields = LevelFields(scenario, tree, basis)
-    return [_generator(*fields.operators(level, pert), current.p.levels[level],
-                       current.q.levels[level], fields.source(level))
-            for level in range(tree.n_steps)]
-
-
 def _pair_distance(x: SolutionPair, y: SolutionPair) -> float:
     diff = pair_difference(x, y)
     return float(np.sqrt(diff.p.time_norm_sq(2) + diff.q.time_norm_sq(1)))
@@ -155,13 +135,22 @@ def freeze_and_iterate(scenario: Scenario, freeze_point: Array, tree: WienerTree
     """
     scheme = scheme or SchemeConfig()
     frozen = freeze(scenario, freeze_point)
-    current = initial if initial is not None else solve_frozen(frozen, tree, basis, scheme)
+    # (L', M') are the operators of a - a0 and sigma - sigma0 in the scenario's
+    # own form, with its lower-order terms: the part the frozen solve leaves out
+    pert = scenario.with_fields(a=_difference_field(scenario.a, frozen.a),
+                                sigma=_difference_field(scenario.sigma, frozen.sigma))
+    fields = LevelFields(frozen, tree, basis)
+    ops, terminal = _frozen_operators(fields, frozen), fields.terminal()
 
+    current = initial if initial is not None else backward_solve(
+        tree, basis, scheme, terminal, ops, fields.source)
     distances: list[float] = []
     converged = False
     for _ in range(max_iter):
-        sources = _iteration_sources(scenario, frozen, current, tree, basis)
-        nxt = solve_frozen(frozen, tree, basis, scheme, source_levels=sources)
+        # the folded source F + L' u + sum_k M'_k v_k of the current iterate (u, v)
+        nxt = backward_solve(tree, basis, scheme, terminal, ops, lambda level: _generator(
+            *fields.operators(level, pert), current.p.levels[level],
+            current.q.levels[level], fields.source(level)))
         distances.append(_pair_distance(nxt, current))
         current = nxt
         converged = distances[-1] <= tol

@@ -29,6 +29,7 @@ Array = np.ndarray
 
 FIELD_KINDS = ("deterministic_const", "deterministic_fn_of_tx", "adapted_fn_of_txW")
 FORMS = ("divergence", "non_divergence")
+_N_HISTORIES = 3  # probe histories per sampled time of an adapted scenario
 
 
 @dataclass(frozen=True)
@@ -323,17 +324,16 @@ def _probe_histories(scenario: Scenario, t: float, n_histories: int, seed: int):
     return hists
 
 
-def validate(scenario: Scenario, modulus: ModulusOfContinuity | None,
-             sample_grid: SampleGrid | None = None, n_histories: int = 3) -> ValidationReport:
+def validate(scenario: Scenario, modulus: ModulusOfContinuity | None) -> ValidationReport:
     """Sampled audit of symmetry, superparabolicity, bounds, and the modulus.
 
-    Pure: the same scenario and grid always produce the identical report (the
-    histories used for adapted fields come from a fixed internal seed).  Shape
-    problems (non-square a, wrong sigma width) raise ``StructuralError`` and
-    are deliberately distinct from a failed check.
+    Pure: the same scenario always produces the identical report (it is probed
+    on ``default_sample_grid``, and the histories used for adapted fields come
+    from a fixed internal seed).  Shape problems (non-square a, wrong sigma
+    width) raise ``StructuralError`` and are deliberately distinct from a
+    failed check.
     """
-    if sample_grid is None:
-        sample_grid = default_sample_grid(scenario)
+    sample_grid = default_sample_grid(scenario)
     d = scenario.dim_x
     kappa, K = scenario.ellipticity_kappa, scenario.bound_K
     slack = 1e-9
@@ -355,7 +355,7 @@ def validate(scenario: Scenario, modulus: ModulusOfContinuity | None,
     n_pairs_cap = 64
     pair_idx = np.arange(len(xs))
     for t in sample_grid.ts:
-        hists = _probe_histories(scenario, float(t), n_histories, seed=9 + int(1000 * t))
+        hists = _probe_histories(scenario, float(t), _N_HISTORIES, seed=9 + int(1000 * t))
         for hist in hists:
             a_vals = scenario.a.evaluate(t, xs, hist)          # (n, d, d)
             sig_vals = scenario.sigma.evaluate(t, xs, hist)    # (n, d, dw)

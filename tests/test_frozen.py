@@ -5,6 +5,7 @@ import pytest
 
 from bspde import (
     ConvergenceError,
+    SchemeConfig,
     SpectralBasis,
     build_chain,
     build_tree,
@@ -16,8 +17,9 @@ from bspde import (
     solve_frozen,
     solve_tree,
 )
-from helpers import make_scenario
+from helpers import make_scenario, markov_scenario, picard_reference
 from oracles import scalar_mode_exact, scalar_theta_chain
+from test_solver import assemblies  # noqa: F401 (a fixture)
 
 BASIS = SpectralBasis(1, 8, np.pi)
 
@@ -172,3 +174,56 @@ class TestContinuation:
         scale = max(np.abs(lv).max() for lv in ref.p.levels)
         rel = max(np.abs(x - y).max() for x, y in zip(sol.p.levels, ref.p.levels)) / scale
         assert rel < 1e-8
+
+
+def picard_cases():
+    """A B=3 Markov tree and a deterministic chain, at theta = 1 and 1/2."""
+    markov = markov_scenario(1)
+    chain_scn = cos_scenario(a=varying_a(0.2), K=2.0, kappa=0.2)
+    for theta in (1.0, 0.5):
+        yield pytest.param(markov, build_tree(1, 3, 3, markov.horizon), theta,
+                           id=f"markov-B3-theta{theta}")
+        yield pytest.param(chain_scn, build_chain(1, 16, chain_scn.horizon), theta,
+                           id=f"chain-theta{theta}")
+
+
+class TestOneProviderPerCall:
+    """The Picard steps share one provider and move no digit."""
+
+    @staticmethod
+    def assert_bit_equal(x, y):
+        for a, b in zip(x.p.levels + x.q.levels, y.p.levels + y.q.levels):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("scn, filtration, theta", picard_cases())
+    def test_freeze_and_iterate_is_bit_equal_to_the_reference(self, scn, filtration, theta):
+        scheme = SchemeConfig(theta=theta)
+        sol, report = freeze_and_iterate(scn, np.zeros(1), filtration, BASIS, scheme=scheme)
+        ref, ref_report = picard_reference(scn, np.zeros(1), filtration, BASIS, scheme=scheme)
+        assert report.converged and report.iterations > 2
+        assert report == ref_report
+        self.assert_bit_equal(sol, ref)
+
+    @pytest.mark.parametrize("scn, filtration, theta", picard_cases())
+    def test_continuation_is_bit_equal_to_the_reference(self, scn, filtration, theta,
+                                                        monkeypatch):
+        scheme = SchemeConfig(theta=theta)
+        sol, reports = continuation_solve(scn, 2, filtration, BASIS, scheme=scheme)
+        monkeypatch.setattr("bspde.frozen.freeze_and_iterate", picard_reference)
+        ref, ref_reports = continuation_solve(scn, 2, filtration, BASIS, scheme=scheme)
+        assert len(reports) == 3 and reports == ref_reports
+        self.assert_bit_equal(sol, ref)
+
+    def test_picard_steps_assemble_nothing_new(self, assemblies):
+        # t-free Markov fields: every operator of the call is assembled at the
+        # first step that meets its Wiener state, whatever the step count
+        scn = markov_scenario(1)
+        tree = build_tree(1, 3, 3, scn.horizon)
+        counts = []
+        for max_iter in (2, 6):
+            assemblies.clear()
+            _, report = freeze_and_iterate(scn, np.zeros(1), tree, BASIS, tol=0.0,
+                                           max_iter=max_iter)
+            assert report.iterations == max_iter
+            counts.append(len(assemblies))
+        assert counts[0] == counts[1] > 0

@@ -196,3 +196,31 @@ def test_detector_finds_field_kind_comparisons():
 def test_only_the_scenario_module_tests_field_kinds():
     # every other module asks ``is_constant``, ``is_deterministic`` or ``is_zero``
     assert package_findings(field_kind_comparisons, {"scenario.py"}) == {}
+
+
+def level_maps_without_key(source: str) -> list[int]:
+    """Line numbers of ``<x>.level_map(...)`` calls that pass no key: fewer
+    than four positional arguments and no ``key=``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "level_map" and len(node.args) < 4
+                and not any(k.arg == "key" for k in node.keywords)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detector_finds_level_maps_without_key():
+    source = (
+        "rows = fields.level_map(level, [f], fn)\n"
+        "kept = fields.level_map(level, [f], fn, ('grid', f))\n"
+        "named = self.level_map(level, coeffs, fn, key=('L', scn))\n"
+        "bare = fields.level_map(\n    level, coeffs,\n    lambda t, h: h)\n"
+        "def level_map(self, level, fields, fn, key=None):\n    pass\n"
+    )
+    assert level_maps_without_key(source) == [1, 4]
+
+
+def test_every_level_map_in_the_package_names_its_map():
+    # an unnamed map runs again at every level even when its fields are t-free
+    assert package_findings(level_maps_without_key) == {}
