@@ -22,7 +22,7 @@ from .scenario import (CoefficientField, ModulusOfContinuity, PathHistory,
 from .scenario_file import (DiscretizationConfig, RunConfig, default_modulus,
                             load_scenario, load_scenario_text,
                             serialize_scenario)
-from .solver import (AdaptedField, LevelFields, RegressionSolution,
+from .solver import (AdaptedField, LevelFields, LevelOperators, RegressionSolution,
                      SchemeConfig, SolutionPair, backward_solve, mixed_norm_sq,
                      pair_difference, solve_regression, solve_tree,
                      strong_residual, weak_residual)
@@ -39,7 +39,7 @@ __all__ = [
     "ConvergenceError", "DegenerateKernelError", "DiscretizationConfig",
     "ESTIMATE_TAGS", "EstimateReport", "EvalError",
     "GaussianBump", "IterationReport", "ModulusOfContinuity",
-    "LevelFields", "MollifierConfig", "MultiIndex", "NumericError",
+    "LevelFields", "LevelOperators", "MollifierConfig", "MultiIndex", "NumericError",
     "ParseError", "PathEnsemble", "PathHistory", "PositivityReport",
     "RegressionSolution", "RunConfig", "SampleGrid", "ScenarioValidationError",
     "Scenario", "SchemeConfig", "SolutionPair", "SpatialField",

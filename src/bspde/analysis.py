@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateKernelError, StructuralError
 from .scenario import CoefficientField, Scenario
 from .solver import (AdaptedField, LevelFields, SchemeConfig, SolutionPair,
-                     _expectation, _generator, backward_solve, solve_tree)
+                     _expectation, _generator, _grouped, backward_solve, solve_tree)
 # assemble_L/assemble_M stay bound here for code that instruments the
 # assembly by patching every bspde namespace that imports it
 from .space import SpectralBasis, assemble_L, assemble_M  # noqa: F401
@@ -112,8 +112,10 @@ def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerT
 
     ``operators``, when given, is a callable ``level -> (L, Ms)`` on the
     level-array contract of ``backward_solve``, replacing the scenario
-    assembly.  This admits manufactured generators (e.g. identically zero
-    operators) that no validated scenario can express.
+    assembly: per-node or shared arrays, or a ``LevelOperators`` of per-state
+    rows and each node's row, which the generator applies state by state.
+    This admits manufactured generators (e.g. identically zero operators)
+    that no validated scenario can express.
     """
     N, dt = tree.n_steps, tree.dt
     fields = LevelFields(scenario, tree, basis)
@@ -125,8 +127,8 @@ def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerT
     for level in range(N):
         prob = tree.levels[level].prob
         p, q = solution.p.levels[level], solution.q.levels[level]
-        L, Ms = operators(level)
-        drift = _generator(L, Ms, p, q, fields.source(level))
+        ops = _grouped(operators(level))
+        drift = _generator(ops.L, ops.Ms, p, q, fields.source(level), ops.index)
         pair_term[level] = _expectation(prob, np.real(np.sum(np.conj(p) * drift, axis=-1)))
         q_term[level] = solution.q.level_expected_norm_sq(level, 0)
 

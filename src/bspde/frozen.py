@@ -17,7 +17,8 @@ families whose direct freezing iteration diverges.
 
 The initial frozen solve and every Picard step of a ``freeze_and_iterate``
 call read their fields through one ``LevelFields``, so a t-free operator is
-assembled once per distinct Wiener state of the call, not once per step.
+assembled once per distinct Wiener state of the call, and a map over fields
+that read ``t`` once per level and state, not once per step.
 
 The folded source enters the step at the left endpoint without theta
 splitting, so the fixed point reproduces the full tree solve exactly at
@@ -142,15 +143,18 @@ def freeze_and_iterate(scenario: Scenario, freeze_point: Array, tree: WienerTree
     fields = LevelFields(frozen, tree, basis)
     ops, terminal = _frozen_operators(fields, frozen), fields.terminal()
 
+    def folded_source(level):
+        # F + L' u + sum_k M'_k v_k of the current iterate (u, v)
+        pert_ops = fields.operators(level, pert)
+        return _generator(pert_ops.L, pert_ops.Ms, current.p.levels[level],
+                          current.q.levels[level], fields.source(level), pert_ops.index)
+
     current = initial if initial is not None else backward_solve(
         tree, basis, scheme, terminal, ops, fields.source)
     distances: list[float] = []
     converged = False
     for _ in range(max_iter):
-        # the folded source F + L' u + sum_k M'_k v_k of the current iterate (u, v)
-        nxt = backward_solve(tree, basis, scheme, terminal, ops, lambda level: _generator(
-            *fields.operators(level, pert), current.p.levels[level],
-            current.q.levels[level], fields.source(level)))
+        nxt = backward_solve(tree, basis, scheme, terminal, ops, folded_source)
         distances.append(_pair_distance(nxt, current))
         current = nxt
         converged = distances[-1] <= tol

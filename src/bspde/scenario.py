@@ -80,7 +80,7 @@ class CoefficientField:
         then evaluated once per node.  ``derived`` sets it from its inputs.
     t_free
         Declares that the values do not depend on ``t``: ``fn`` never reads
-        its ``t`` argument or ``history.t``.  A named ``LevelFields.level_map``
+        its ``t`` argument or ``history.t``.  A named ``LevelFields.level_rows``
         read of t-free fields then runs once per solve, not once per level,
         or once per Wiener state over all levels, not per state and level.
         Constants have it, the scenario-file parser sets it on every entry

@@ -11,12 +11,13 @@ from the children of p, which is the standard well-posed explicit treatment of
 the noise coupling.
 
 The recursion runs a whole tree level at a time.  ``LevelFields`` supplies a
-level's operators and source as stacked arrays (one shared copy when the field
-is deterministic), and ``_level_step`` solves the level with a broadcast
-divide for diagonal per-mode symbols, one factorisation for a shared matrix,
-or a stacked solve for per-node matrices.  The tree solver, the residuals,
-the regression solver, the frozen-coefficient solver and the audits all run
-on this one step.
+level's source as a stacked array and its operators as rows plus each node's
+row: one shared row for deterministic fields, one per distinct Wiener state
+for Markov fields, one per node otherwise.  ``_level_step`` solves the level
+with a broadcast divide for diagonal per-mode symbols, one factorisation per
+shared matrix or per state for all of its nodes, or a stacked solve for
+per-node matrices.  The tree solver, the residuals, the regression solver,
+the frozen-coefficient solver and the audits all run on this one step.
 """
 
 from __future__ import annotations
@@ -137,18 +138,63 @@ def pair_difference(x: SolutionPair, y: SolutionPair) -> SolutionPair:
 # (k, m, m) and ``Ms`` of shape (k, dim_w, m) or (k, dim_w, m, m); a level's
 # source, and the terminal datum at the leaves, are (k, m).  ``k`` is 1 when
 # the field is deterministic (one array shared by the level) and the level's
-# node count when it is adapted.
+# node count when it is adapted.  Operators may instead come as a
+# ``LevelOperators``: ``k`` rows, one per Wiener state, and ``index``, the
+# (n_level,) row of every node.  The engine applies and factors each state's
+# row for all of its nodes at once and never copies it to every node.
 
-def _apply(op: Array, vec: Array) -> Array:
-    """Level-wise operator action on ``vec`` (n, m): broadcast or stacked matvecs."""
-    return op * vec if op.ndim == 2 else (op @ vec[..., None])[..., 0]
+@dataclass(frozen=True)
+class LevelOperators:
+    """A level's ``(L, Ms)`` as rows plus each node's row (``index``).
+
+    ``index`` is None when the rows already follow the contract above (one
+    shared row, or one row per node).  Unpacking, ``L, Ms = ops``, gives the
+    per-node arrays of the contract: it copies every state's matrices to each
+    of its nodes, so the engine reads ``L``, ``Ms`` and ``index`` instead.
+    """
+
+    L: Array
+    Ms: Array
+    index: Array | None = None
+
+    def __iter__(self):
+        if self.index is None:
+            return iter((self.L, self.Ms))
+        return iter((self.L[self.index], self.Ms[self.index]))
 
 
-def _generator(L: Array, Ms: Array, p: Array, q: Array, f: Array) -> Array:
+def _grouped(ops) -> LevelOperators:
+    """A ``LevelOperators`` as it is, or a hand-built ``(L, Ms)`` pair as one."""
+    return ops if isinstance(ops, LevelOperators) else LevelOperators(*ops)
+
+
+def _state_nodes(index: Array | None) -> list | None:
+    """``(row, nodes)`` for every row that ``index`` names, nodes in level order."""
+    if index is None:
+        return None
+    order = np.argsort(index, kind="stable")
+    cuts = np.flatnonzero(np.diff(index[order])) + 1
+    return [(index[nodes[0]], nodes) for nodes in np.split(order, cuts)]
+
+
+def _apply(op: Array, vec: Array, groups: list | None = None) -> Array:
+    """Level-wise operator action on ``vec`` (n, m): broadcast or stacked
+    matvecs, or each row of ``op`` broadcast over its nodes in ``groups``."""
+    if groups is None:
+        return op * vec if op.ndim == 2 else (op @ vec[..., None])[..., 0]
+    out = np.empty(vec.shape, np.result_type(op, vec))
+    for g, nodes in groups:
+        out[nodes] = _apply(op[g:g + 1], vec[nodes])
+    return out
+
+
+def _generator(L: Array, Ms: Array, p: Array, q: Array, f: Array,
+               index: Array | None = None) -> Array:
     """Level-wise ``L p + sum_k M^k q^k + F``, on the contract above."""
-    out = _apply(L, p) + f
+    groups = _state_nodes(index)
+    out = _apply(L, p, groups) + f
     for k in range(q.shape[1]):
-        out = out + _apply(Ms[:, k], q[:, k])
+        out = out + _apply(Ms[:, k], q[:, k], groups)
     return out
 
 
@@ -166,17 +212,18 @@ _CACHE_BYTES = 1 << 24  # bytes of rows one provider keeps across levels
 
 
 class _RowCache(dict):
-    """Rows of maps over t-free fields, by (map name, owner id, state bytes).
+    """Rows of named maps, by (map name, owner id, level, state bytes); the
+    level is ``None`` for maps over t-free fields.
 
     An entry holds its owner, so the id cannot name another object while the
     entry can be hit.  A row that would take the total past ``_CACHE_BYTES``
-    is returned but not kept, so its map runs again at every level.
+    is returned but not kept, so its map runs again at every read.
     """
 
     nbytes = 0
 
-    def row(self, name, owner, state, make) -> Array:
-        slot = (name, id(owner), state)
+    def row(self, name, owner, level, state, make) -> Array:
+        slot = (name, id(owner), level, state)
         if slot in self:
             return self[slot][1]
         row = make()
@@ -191,12 +238,15 @@ class LevelFields:
 
     ``filtration`` is a ``WienerTree`` or a ``PathEnsemble``: anything with
     ``dt`` and ``level_increments(level)``.  Every field read goes through
-    ``level_map``, which evaluates a map over deterministic fields once per
+    ``level_rows``, which evaluates a map over deterministic fields once per
     level (``k = 1``) and over adapted fields once per group of the level's
     nodes (``groups``).  The groups are kept for the current level only.  The
-    terminal, the source and the operators are maps that keep their rows
-    across levels when every field they read is t-free (``level_map``), so a
-    time-invariant L is assembled once per solve, not once per level.
+    terminal, the source and the operators are named maps, whose rows the
+    provider keeps (``level_rows``): a time-invariant L is assembled once per
+    solve, not once per level, and a map over t-dependent fields runs once
+    per level and state however often a caller reads the level again.
+    ``operators`` returns its rows with each node's row; the terminal and the
+    source are expanded to every node (``level_map``).
     """
 
     def __init__(self, scenario, filtration, basis: SpectralBasis):
@@ -234,20 +284,23 @@ class LevelFields:
                                     inverse)
         return self._groups[markov]
 
-    def level_map(self, level: int, fields, fn, key=None) -> Array:
-        """Stack ``fn(t, history)`` over the level: (1, ...) or (n_level, ...).
+    def level_rows(self, level: int, fields, fn, key=None) -> tuple[Array, Array | None]:
+        """``fn(t, history)`` once per group of the level: the rows and
+        ``index``, each node's row, which is ``None`` when the rows are
+        (1, ...) or (n_level, ...) already.
 
         ``fields`` are the coefficient fields ``fn`` reads: ``fn`` runs once
         when all are deterministic, and otherwise once per group of
-        ``groups(level, markov)``, Markov when all are, expanded to every node.
+        ``groups(level, markov)``, Markov when all are.
 
         ``key``, a ``(name, owner)`` pair, names the map: besides ``fields``,
         ``fn`` reads only ``owner``, and it reads ``t`` only through
-        ``fields``.  A named map whose fields are all t-free keeps its rows
-        across levels, keyed by the bytes of ``w``: over a solve it runs once
-        when the fields are deterministic, and once per distinct Wiener state
-        of all levels when they are Markov.  The rows are bit-equal to those
-        of a fresh evaluation at every level.
+        ``fields``.  A named map over deterministic or Markov fields keeps its
+        rows for the provider's lifetime, keyed by the bytes of ``w``, and by
+        the level unless every field is t-free: over a solve a t-free map runs
+        once when the fields are deterministic and once per distinct Wiener
+        state of all levels when they are Markov, and a second read of a level
+        runs no map.  The rows are bit-equal to those of a fresh evaluation.
         """
         fields = tuple(fields)
         deterministic = all(f.is_deterministic for f in fields)
@@ -256,19 +309,24 @@ class LevelFields:
         else:
             hists, inverse = self.groups(level, _all_markov(*fields))
         t = level * self.filtration.dt
-        keep = (key is not None and (deterministic or inverse is not None)
-                and all(f.t_free for f in fields))
+        keep = key is not None and (deterministic or inverse is not None)
+        when = None if all(f.t_free for f in fields) else level
         out = None
         for i, h in enumerate(hists):
-            if keep:  # the same row at every level: look it up by state
-                row = self._rows.row(*key, None if h is None else h.w.tobytes(),
+            if keep:  # look the row up by state (and level)
+                row = self._rows.row(*key, when, None if h is None else h.w.tobytes(),
                                      lambda: np.asarray(fn(t, h)))
             else:
                 row = np.asarray(fn(t, h))
             if out is None:  # filled in place: no list of per-node rows
                 out = np.empty((len(hists),) + row.shape, row.dtype)
             out[i] = row
-        return out if inverse is None else out[inverse]
+        return out, inverse
+
+    def level_map(self, level: int, fields, fn, key=None) -> Array:
+        """``level_rows`` stacked over the level: (1, ...) or (n_level, ...)."""
+        out, index = self.level_rows(level, fields, fn, key)
+        return out if index is None else out[index]
 
     def _projected(self, field_, level: int, t=None) -> Array:
         X, project = self.basis.grid_points, self.basis.project
@@ -282,28 +340,35 @@ class LevelFields:
     def source(self, level: int) -> Array:
         return self._projected(self.scenario.F, level)
 
-    def operators(self, level: int, scenario=None) -> tuple[Array, Array]:
-        """Assembled (L, Ms) of ``scenario`` (default: the provider's own)."""
+    def operators(self, level: int, scenario=None) -> LevelOperators:
+        """Assembled (L, Ms) of ``scenario`` (default: the provider's own):
+        one row per group of the level and each node's row."""
         scn = scenario if scenario is not None else self.scenario
         coeffs, basis = scn.coefficient_fields().values(), self.basis
-        return (self.level_map(level, coeffs, lambda t, h: assemble_L(scn, t, h, basis),
-                               ("L", scn)),
-                self.level_map(level, coeffs, lambda t, h: assemble_M(scn, t, h, basis),
-                               ("M", scn)))
+        L, index = self.level_rows(level, coeffs, lambda t, h: assemble_L(scn, t, h, basis),
+                                   ("L", scn))
+        Ms, _ = self.level_rows(level, coeffs, lambda t, h: assemble_M(scn, t, h, basis),
+                                ("M", scn))
+        return LevelOperators(L, Ms, index)
 
 
 # -- the backward engine ------------------------------------------------------
 
-def _level_step(L, Ms, Ep, q, fhat, dt, theta, level, first_node=0):
+def _level_step(L, Ms, Ep, q, fhat, dt, theta, level, first_node=0, index=None):
     """One implicit theta step for every node of a level (contract above).
 
-    Errors name the node as ``first_node`` plus its row in the arrays.
+    With ``index``, ``L`` and ``Ms`` hold one row per state and ``index[i]``
+    is node i's row: each state's matrix is factored once, for all of its
+    nodes.  Errors name the node as ``first_node`` plus its row in ``Ep``.
     """
+    if index is not None and L.ndim == 2:  # per node, symbols cost what rhs does
+        L, Ms, index = L[index], Ms[index], None
+    groups = _state_nodes(index)
     rhs = Ep + dt * fhat
     if theta < 1.0:
-        rhs += dt * (1.0 - theta) * _apply(L, Ep)
+        rhs += dt * (1.0 - theta) * _apply(L, Ep, groups)
     for k in range(q.shape[1]):
-        rhs += dt * _apply(Ms[:, k], q[:, k])
+        rhs += dt * _apply(Ms[:, k], q[:, k], groups)
     if L.ndim == 2:
         den = 1.0 - theta * dt * L
         bad = np.any(np.abs(den) < 1e-14, axis=-1)
@@ -313,12 +378,19 @@ def _level_step(L, Ms, Ep, q, fhat, dt, theta, level, first_node=0):
         return rhs / den
     A = np.eye(L.shape[-1]) - theta * dt * L
     try:
-        # a shared matrix is factored once for all of the level's right-hand sides
-        out = (np.linalg.solve(A[0], rhs.T).T if len(A) == 1
-               else np.linalg.solve(A, rhs[..., None])[..., 0])
+        if groups is not None:  # each state's matrix, once for all of its nodes
+            out = np.empty_like(rhs)
+            for g, nodes in groups:
+                out[nodes] = np.linalg.solve(A[g], rhs[nodes].T).T
+        elif len(A) == 1:  # a shared matrix, once for all of the level's nodes
+            out = np.linalg.solve(A[0], rhs.T).T
+        else:
+            out = np.linalg.solve(A, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        # LAPACK stops on an exactly zero pivot, which makes the determinant 0
-        node = first_node + int(np.argmax(np.linalg.det(A) == 0))
+        # LAPACK stops on an exactly zero pivot, which makes the determinant 0;
+        # the first such node in level order is named, whatever its row
+        singular = np.linalg.det(A) == 0
+        node = first_node + int(np.argmax(singular if index is None else singular[index]))
         raise NumericError(
             f"singular implicit step at level {level}, node {node}: {exc}") from exc
     # a dissipative implicit step never amplifies like this; a near-zero
@@ -337,7 +409,7 @@ def backward_solve(tree: WienerTree, basis: SpectralBasis, scheme: SchemeConfig,
     """Run the backward recursion level by level on the level-array contract.
 
     terminal          -> (k, m) spectral vectors at the leaves
-    operators(level)  -> (L, Ms) for the level
+    operators(level)  -> (L, Ms) for the level, or a ``LevelOperators``
     source(level)     -> (k, m) left-endpoint source
     """
     N, dt, theta = tree.n_steps, tree.dt, scheme.theta
@@ -350,8 +422,9 @@ def backward_solve(tree: WienerTree, basis: SpectralBasis, scheme: SchemeConfig,
     for level in range(N - 1, -1, -1):
         Ep = conditional_expectation(tree, level, p_levels[level + 1])
         q = martingale_coefficient(tree, level, p_levels[level + 1])
-        L, Ms = operators(level)
-        p_levels[level] = _level_step(L, Ms, Ep, q, source(level), dt, theta, level)
+        ops = _grouped(operators(level))
+        p_levels[level] = _level_step(ops.L, ops.Ms, Ep, q, source(level), dt, theta,
+                                      level, index=ops.index)
         q_levels[level] = q
 
     return SolutionPair(AdaptedField(tree, basis, p_levels),
@@ -398,8 +471,9 @@ def _defects(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
     for level in range(tree.n_steps):
         p, q = solution.p.levels[level], solution.q.levels[level]
         Ep = conditional_expectation(tree, level, solution.p.levels[level + 1])
-        L, Ms = fields.operators(level)
-        drift = _generator(L, Ms, theta * p + (1.0 - theta) * Ep, q, fields.source(level))
+        ops = fields.operators(level)
+        drift = _generator(ops.L, ops.Ms, theta * p + (1.0 - theta) * Ep, q,
+                           fields.source(level), ops.index)
         yield p - Ep - tree.dt * drift
 
 
@@ -513,6 +587,7 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
         q_means[step] = q.mean(axis=0)
 
         fhat = np.broadcast_to(fields.source(step), (n_paths, nm))
+        # unpacked, a block's operators are per-path stacks: each path is its own state
         p = np.concatenate([
             _level_step(*blk.operators(step), Ep[sl], q[sl], fhat[sl], dt, theta, step,
                         sl.start)

@@ -117,6 +117,50 @@ phi = sin(x1) + 1.5 + 0.2*w1*w2
 """}
 
 
+# the seed-0 input of the benchmark's adapted_tree workload
+ADAPTED_TREE_TEXT = """
+[problem]
+d = 1
+d1 = 1
+T = 0.5
+L = 3.14159265358979
+K = 2.0
+kappa = 0.3
+form = non_divergence
+[coefficients]
+a = 0.6639 + 0.0622*sin(x1 + 0.9944) + 0.076*sin(w1 + 0.5302)
+b = [0.1397*cos(x1 + 5.6243) + 0.0468*sin(w1 + 5.4394)]
+c = 0.113 + 0.0318*cos(w1 + 6.194)
+sigma = [[0.2746 + 0.0573*sin(w1 + 2.1773)]]
+nu = [0.0502*cos(w1 + 0.4618)]
+[data]
+F = 0.4776*(1 + 0.3687*sin(x1 + 2.5229))*(1 + 0.3915*cos(w1 + 0.4998))
+phi = 1.4013 + 0.5612*sin(x1 + 0.242) + 0.3838*sin(w1 + 3.0456)
+"""
+
+# the seed-0 input of the benchmark's det_ops_2d workload (2-d, divergence
+# form) with ``+ 0.02*sin(w1)`` in c, so that its operators are Markov
+DIVERGENCE_MARKOV_TEXT = """
+[problem]
+d = 2
+d1 = 1
+T = 0.5
+L = 3.14159265358979
+K = 2.0
+kappa = 0.3
+form = divergence
+[coefficients]
+a = [[0.5933 + 0.0865*sin(x1 + 5.4997)*cos(x2 + 0.4803), 0.0535*cos(x1 + x2 + 2.7405)], [0.0535*cos(x1 + x2 + 2.7405), 0.6035 + 0.0687*cos(x1 + 0.3736)]]
+b = [0.0614*sin(x2 + 3.9112), 0.0529*cos(x1 + 2.0646)]
+c = 0.0802 + 0.0308*sin(x1 + x2 + 6.203) + 0.02*sin(w1)
+sigma = [[0.1615 + 0.0309*sin(x1 + 6.1367)], [0.0729*cos(x2 + 5.3007)]]
+nu = [0.0329*cos(x1 + 6.0851)]
+[data]
+F = 0.3892*(1 + 0.361*sin(x1 + 3.2747)*cos(x2 + 4.1744))
+phi = 1.5205 + 0.4023*sin(x1 + 5.6364)*cos(x2 + 1.3959) + 0.1432*sin(w1 + 1.7124)
+"""
+
+
 def markov_scenario(dim_w):
     return load_scenario_text(MARKOV_TEXT[dim_w])[0]
 

@@ -1,5 +1,8 @@
 """Coefficient freezing, Picard iteration, and continuation in lambda."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from bspde import (
     continuation_solve,
     freeze,
     freeze_and_iterate,
+    load_scenario,
     mixed_norm_sq,
     pair_difference,
     solve_frozen,
@@ -227,3 +231,17 @@ class TestOneProviderPerCall:
             assert report.iterations == max_iter
             counts.append(len(assemblies))
         assert counts[0] == counts[1] > 0
+
+    def test_picard_steps_read_a_t_dependent_field_once_per_level(self):
+        # tiny.scn's F reads t: its rows are kept by level for the whole call
+        scn = load_scenario(str(Path(__file__).parent / "data" / "tiny.scn"))[0]
+        assert scn.F.is_deterministic and not scn.F.t_free
+        times = []
+        F = replace(scn.F, fn=lambda t, X, fn=scn.F.fn: times.append(t) or fn(t, X))
+        tree, basis = build_tree(1, 4, 3, scn.horizon), SpectralBasis(1, 6, np.pi)
+        sol, report = freeze_and_iterate(scn.with_fields(F=F), np.zeros(1), tree, basis)
+        assert report.converged and report.iterations == 9
+        assert sorted(times) == [tree.time_of(level) for level in range(tree.n_steps)]
+        ref, ref_report = picard_reference(scn, np.zeros(1), tree, basis)
+        assert report == ref_report
+        self.assert_bit_equal(sol, ref)

@@ -9,6 +9,8 @@ from bspde import (
     BudgetError,
     CoefficientField,
     LevelFields,
+    LevelOperators,
+    MultiIndex,
     NumericError,
     SchemeConfig,
     SpatialField,
@@ -17,6 +19,9 @@ from bspde import (
     backward_solve,
     build_chain,
     build_tree,
+    freeze_and_iterate,
+    higher_regularity_solve,
+    ito_identity_check,
     load_scenario_text,
     mixed_norm_sq,
     pair_difference,
@@ -29,7 +34,8 @@ from bspde import (
 )
 import bspde.solver
 from bspde.solver import _distinct_rows
-from helpers import (counting, declared_time_dependent, e_sup_norm_sq_reference,
+from helpers import (ADAPTED_TREE_TEXT, DIVERGENCE_MARKOV_TEXT, counting,
+                     declared_time_dependent, e_sup_norm_sq_reference,
                      level_expected_norm_sq_reference, make_scenario, markov_scenario,
                      regression_reference, sup_e_norm_sq_reference, time_norm_sq_reference)
 from oracles import scalar_theta_chain
@@ -123,6 +129,24 @@ class TestBackwardSolveProviders:
             return (L[:tree.levels[level].n_nodes] if level == 1
                     else np.zeros((1, n, n))), np.zeros((1, 1, n, n))
         with pytest.raises(NumericError, match="level 1, node 1"):
+            backward_solve(tree, BASIS, SchemeConfig(theta=1.0), np.ones((1, n)),
+                           ops, zero_source)
+
+    @pytest.mark.parametrize("scale, message", [
+        (1.0, r"level 2, node 2: "),
+        (1.0 - 1e-14, r"level 2, node 2 \(amplification 1\.0e\+14\)")])
+    def test_grouped_step_names_the_node_not_the_state(self, scale, message):
+        # state 0 is singular (or nearly so) and its first node is node 2 of
+        # level 2: the error names that node, not the state's row 0
+        tree = build_tree(1, 3, 2, 0.75)
+        n = BASIS.n_modes
+        rows = np.zeros((2, n, n))
+        rows[0] = scale * np.eye(n) / tree.dt
+        grouped = LevelOperators(rows, np.zeros((2, 1, n, n)), np.array([1, 1, 0, 1]))
+
+        def ops(level):
+            return grouped if level == 2 else (np.zeros((1, n, n)), np.zeros((1, 1, n, n)))
+        with pytest.raises(NumericError, match=message):
             backward_solve(tree, BASIS, SchemeConfig(theta=1.0), np.ones((1, n)),
                            ops, zero_source)
 
@@ -554,6 +578,74 @@ class TestMarkovFields:
             for j in range(ens.n_paths):
                 assert reps[inverse[j]].w.tobytes() == ens.history(j, step).w.tobytes()
 
+    @staticmethod
+    def grouped_cases():
+        """(scenario, tree shape, theta, basis) of Markov solves whose levels
+        hold fewer states than nodes."""
+        adapted = load_scenario_text(ADAPTED_TREE_TEXT)[0]
+        for theta in (1.0, 0.5):
+            yield pytest.param(adapted, (1, 4, 3), theta, BASIS, id=f"adapted_tree-{theta}")
+        yield pytest.param(markov_scenario(2), (2, 3, 3), 0.5, BASIS, id="dim_w2")
+        yield pytest.param(load_scenario_text(DIVERGENCE_MARKOV_TEXT)[0], (1, 3, 3), 0.5,
+                           SpectralBasis(2, 2, np.pi), id="divergence-2d")
+
+    @staticmethod
+    def assert_pairs_bit_equal(fast, slow):
+        assert len(fast.p.levels) == len(slow.p.levels)
+        for a, b in zip(fast.p.levels + fast.q.levels, slow.p.levels + slow.q.levels):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("scn, shape, theta, basis", grouped_cases())
+    def test_grouped_solves_and_residuals_are_bit_equal_to_per_node(self, scn, shape,
+                                                                    theta, basis):
+        per, tree = declared_path_dependent(scn), build_tree(*shape, scn.horizon)
+        scheme = SchemeConfig(theta=theta)
+        last = tree.n_steps - 1
+        ops = LevelFields(scn, tree, basis).operators(last)
+        assert ops.index is not None and len(ops.L) < tree.levels[last].n_nodes
+        assert LevelFields(per, tree, basis).operators(last).index is None
+        fast, slow = solve_tree(scn, tree, basis, scheme), solve_tree(per, tree, basis, scheme)
+        self.assert_pairs_bit_equal(fast, slow)
+        eta = SpatialField(basis, basis.project(np.cos(basis.grid_points[:, 0])))
+        for audit in (lambda s, sol: strong_residual(sol, s, tree, basis, scheme),
+                      lambda s, sol: weak_residual(sol, s, tree, basis, eta, scheme),
+                      lambda s, sol: [ito_identity_check(sol, s, tree, basis)]):
+            got, want = audit(scn, fast), audit(per, fast)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("scn, shape, theta, basis", grouped_cases())
+    def test_grouped_higher_regularity_and_picard_are_bit_equal(self, scn, shape, theta,
+                                                                basis):
+        per, tree = declared_path_dependent(scn), build_tree(*shape, scn.horizon)
+        scheme = SchemeConfig(theta=theta)
+        if scn.form == "non_divergence":
+            alpha = MultiIndex((1,) * scn.dim_x)
+            (fast, fast_defect), (slow, slow_defect) = (
+                higher_regularity_solve(s, tree, basis, alpha, scheme) for s in (scn, per))
+            assert fast_defect == slow_defect
+            self.assert_pairs_bit_equal(fast, slow)
+        (fast, fast_report), (slow, slow_report) = (
+            freeze_and_iterate(s, np.zeros(scn.dim_x), tree, basis, max_iter=3,
+                               scheme=scheme) for s in (scn, per))
+        assert fast_report == slow_report and fast_report.iterations == 3
+        self.assert_pairs_bit_equal(fast, slow)
+
+    def test_markov_solve_builds_no_per_node_operator_stack(self):
+        import tracemalloc
+        scn = load_scenario_text(DIVERGENCE_MARKOV_TEXT)[0]
+        assert scn.c.markov and not scn.coefficients_deterministic
+        tree, basis = build_tree(1, 6, 3, scn.horizon), SpectralBasis(2, 6, np.pi)
+        widest = max(tree.levels[k].n_nodes for k in range(tree.n_steps))
+        stack = widest * basis.n_modes ** 2 * 16  # one complex L per node: about 111 MB
+        assert (widest, basis.n_modes) == (243, 169)
+        tracemalloc.start()
+        try:
+            solve_tree(scn, tree, basis, SchemeConfig(theta=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack, (peak, stack)
+
     def test_states_are_told_apart_by_bytes(self):
         w = np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, np.nextafter(1.0, 2.0)]])
         first, inverse = _distinct_rows(w)
@@ -634,8 +726,9 @@ class TestTimeFreeFields:
         w = np.cumsum(ens.increments, axis=1)
         states = {w[j, s - 1].tobytes() if s else b"" for j in range(50) for s in range(4)}
         assert counts == (len(states), len(states)) == (1 + 3 * 50, 1 + 3 * 50)
-        # the per-level path groups step 0 block by block
-        assert len(assemblies) - sum(counts) == 2 * (8 + 3 * 50)
+        # rows of t-dependent maps are kept by level and state: the blocks of
+        # step 0 share one assembly on that path too
+        assert len(assemblies) - sum(counts) == 2 * (1 + 3 * 50)
         assert fast.p0().coeffs.tobytes() == slow.p0().coeffs.tobytes()
         assert fast.q_means.tobytes() == slow.q_means.tobytes()
 

@@ -199,12 +199,12 @@ def test_only_the_scenario_module_tests_field_kinds():
 
 
 def level_maps_without_key(source: str) -> list[int]:
-    """Line numbers of ``<x>.level_map(...)`` calls that pass no key: fewer
-    than four positional arguments and no ``key=``."""
+    """Line numbers of ``<x>.level_map(...)`` or ``<x>.level_rows(...)`` calls
+    that pass no key: fewer than four positional arguments and no ``key=``."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "level_map" and len(node.args) < 4
+                and node.func.attr in ("level_map", "level_rows") and len(node.args) < 4
                 and not any(k.arg == "key" for k in node.keywords)):
             lines.append(node.lineno)
     return lines
@@ -217,10 +217,65 @@ def test_detector_finds_level_maps_without_key():
         "named = self.level_map(level, coeffs, fn, key=('L', scn))\n"
         "bare = fields.level_map(\n    level, coeffs,\n    lambda t, h: h)\n"
         "def level_map(self, level, fields, fn, key=None):\n    pass\n"
+        "rows, index = self.level_rows(level, coeffs, fn)\n"
     )
-    assert level_maps_without_key(source) == [1, 4]
+    assert level_maps_without_key(source) == [1, 4, 9]
 
 
 def test_every_level_map_in_the_package_names_its_map():
     # an unnamed map runs again at every level even when its fields are t-free
     assert package_findings(level_maps_without_key) == {}
+
+
+# the engine's one solve site; the dense oracle solves its own system
+SOLVE_SITES = {"solver.py": {"_level_step"}}
+SOLVE_ALLOWED = {"oracle.py"}
+
+
+def linalg_solves_outside(source: str, allowed: set) -> list[int]:
+    """Line numbers of ``<x>.linalg.solve(...)`` calls, and of imports of
+    ``solve`` from ``numpy.linalg``, outside the functions named in ``allowed``."""
+    lines = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, inside or child.name in allowed)
+                continue
+            if inside:
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "solve"
+                    and isinstance(child.func.value, ast.Attribute)
+                    and child.func.value.attr == "linalg"):
+                lines.append(child.lineno)
+            elif (isinstance(child, ast.ImportFrom) and child.module == "numpy.linalg"
+                  and any(a.name == "solve" for a in child.names)):
+                lines.append(child.lineno)
+            visit(child, inside)
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
+def test_detector_finds_linalg_solves_outside_the_level_step():
+    source = (
+        "def _level_step(A, b):\n"
+        "    x = np.linalg.solve(A, b)\n"
+        "    def inner():\n        return np.linalg.solve(A, b)\n"
+        "def other(A, b):\n"
+        "    return np.linalg.solve(A, b)\n"
+        "y = numpy.linalg.solve(A, b)\n"
+        "from numpy.linalg import solve\n"
+        "z = np.linalg.lstsq(A, b)\n"
+        "w = other.solve(A)\n"
+    )
+    assert linalg_solves_outside(source, {"_level_step"}) == [6, 7, 8]
+    assert linalg_solves_outside(source, set()) == [2, 4, 6, 7, 8]
+
+
+def test_linear_systems_are_solved_only_in_the_level_step():
+    # a second solve path beside the grouped one would factor per node again
+    found = {path.name: linalg_solves_outside(path.read_text(encoding="utf-8"),
+                                              SOLVE_SITES.get(path.name, set()))
+             for path in sorted(SRC.glob("*.py")) if path.name not in SOLVE_ALLOWED}
+    assert found and {name: lines for name, lines in found.items() if lines} == {}
