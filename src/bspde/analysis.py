@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateKernelError, StructuralError
 from .scenario import CoefficientField, Scenario
 from .solver import (AdaptedField, LevelFields, SchemeConfig, SolutionPair,
-                     _expectation, _generator, _grouped, backward_solve, solve_tree)
+                     _expectation, _generator, backward_solve, solve_tree)
 # assemble_L/assemble_M stay bound here for code that instruments the
 # assembly by patching every bspde namespace that imports it
 from .space import SpectralBasis, assemble_L, assemble_M  # noqa: F401
@@ -110,12 +110,10 @@ def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerT
     scenarios with L = M = F = 0 and data affine in the terminal Wiener value
     the discrete martingale isometry makes every entry vanish to round-off.
 
-    ``operators``, when given, is a callable ``level -> (L, Ms)`` on the
-    level-array contract of ``backward_solve``, replacing the scenario
-    assembly: per-node or shared arrays, or a ``LevelOperators`` of per-state
-    rows and each node's row, which the generator applies state by state.
-    This admits manufactured generators (e.g. identically zero operators)
-    that no validated scenario can express.
+    ``operators``, when given, is a callable ``level -> LevelOperators`` as
+    ``backward_solve`` takes it, replacing the scenario assembly.  This
+    admits manufactured generators (e.g. identically zero operators) that no
+    validated scenario can express.
     """
     N, dt = tree.n_steps, tree.dt
     fields = LevelFields(scenario, tree, basis)
@@ -127,8 +125,7 @@ def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerT
     for level in range(N):
         prob = tree.levels[level].prob
         p, q = solution.p.levels[level], solution.q.levels[level]
-        ops = _grouped(operators(level))
-        drift = _generator(ops.L, ops.Ms, p, q, fields.source(level), ops.index)
+        drift = _generator(operators(level), p, q, fields.source(level))
         pair_term[level] = _expectation(prob, np.real(np.sum(np.conj(p) * drift, axis=-1)))
         q_term[level] = solution.q.level_expected_norm_sq(level, 0)
 

@@ -105,9 +105,6 @@ class Binary:
         return (self.left, self.right)
 
 
-ExpressionAst = (Num, Var, Unary, Binary)
-
-
 class _Parser:
     def __init__(self, text: str, variables):
         self.text = text

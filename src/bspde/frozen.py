@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import ConvergenceError, StructuralError
 from .scenario import CoefficientField, Scenario
-from .solver import (LevelFields, SchemeConfig, SolutionPair, _generator,
-                     backward_solve, pair_difference)
+from .solver import (LevelFields, LevelOperators, SchemeConfig, SolutionPair,
+                     _generator, backward_solve, mixed_norm_sq, pair_difference)
 from .space import SpectralBasis
 from .wiener import WienerTree
 
@@ -67,8 +67,8 @@ def _frozen_field(field_: CoefficientField, x0: Array) -> CoefficientField:
 
 
 def _frozen_operators(fields: LevelFields, frozen: Scenario):
-    """``level -> (L, Ms)``: the diagonal symbols of a0:D2, (m,), and of
-    sigma0.grad, (dim_w, m), read as named maps of the frozen a and sigma."""
+    """``level -> LevelOperators``: the diagonal symbols of a0:D2, (m,), and
+    of sigma0.grad, (dim_w, m), read as named maps of the frozen a and sigma."""
     coeffs, k = (frozen.a, frozen.sigma), fields.basis.freqs
     origin = np.zeros((1, frozen.dim_x))
 
@@ -80,8 +80,11 @@ def _frozen_operators(fields: LevelFields, frozen: Scenario):
         s0 = frozen.sigma.evaluate(t, origin, h)[0]     # (d, dw)
         return np.array([1j * (k @ s0[:, kk]) for kk in range(frozen.dim_w)])
 
-    return lambda level: (fields.level_map(level, coeffs, L, ("frozen L", frozen)),
-                          fields.level_map(level, coeffs, Ms, ("frozen M", frozen)))
+    def operators(level):
+        L_rows, index = fields.level_rows(level, coeffs, L, ("frozen L", frozen))
+        Ms_rows, _ = fields.level_rows(level, coeffs, Ms, ("frozen M", frozen))
+        return LevelOperators(L_rows, Ms_rows, index)
+    return operators
 
 
 def solve_frozen(frozen: Scenario, tree: WienerTree, basis: SpectralBasis,
@@ -118,11 +121,6 @@ def _difference_field(f: CoefficientField, f0: CoefficientField) -> CoefficientF
         lambda t, X, hist: f.evaluate(t, X, hist) - f0.evaluate(t, X, hist), f.shape, f, f0)
 
 
-def _pair_distance(x: SolutionPair, y: SolutionPair) -> float:
-    diff = pair_difference(x, y)
-    return float(np.sqrt(diff.p.time_norm_sq(2) + diff.q.time_norm_sq(1)))
-
-
 def freeze_and_iterate(scenario: Scenario, freeze_point: Array, tree: WienerTree,
                        basis: SpectralBasis, tol: float = 1e-9, max_iter: int = 40,
                        scheme: SchemeConfig | None = None,
@@ -145,9 +143,8 @@ def freeze_and_iterate(scenario: Scenario, freeze_point: Array, tree: WienerTree
 
     def folded_source(level):
         # F + L' u + sum_k M'_k v_k of the current iterate (u, v)
-        pert_ops = fields.operators(level, pert)
-        return _generator(pert_ops.L, pert_ops.Ms, current.p.levels[level],
-                          current.q.levels[level], fields.source(level), pert_ops.index)
+        return _generator(fields.operators(level, pert), current.p.levels[level],
+                          current.q.levels[level], fields.source(level))
 
     current = initial if initial is not None else backward_solve(
         tree, basis, scheme, terminal, ops, fields.source)
@@ -155,7 +152,7 @@ def freeze_and_iterate(scenario: Scenario, freeze_point: Array, tree: WienerTree
     converged = False
     for _ in range(max_iter):
         nxt = backward_solve(tree, basis, scheme, terminal, ops, folded_source)
-        distances.append(_pair_distance(nxt, current))
+        distances.append(float(np.sqrt(mixed_norm_sq(pair_difference(nxt, current)))))
         current = nxt
         converged = distances[-1] <= tol
         if converged or not np.isfinite(distances[-1]):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParseError, ScenarioValidationError, StructuralError
 from .expr import evaluate, parse_expression, variables_in
-from .scenario import CoefficientField, ModulusOfContinuity, Scenario, validate
+from .scenario import FORMS, CoefficientField, ModulusOfContinuity, Scenario, validate
 
 PROBLEM_KEYS = ("d", "d1", "T", "L", "K", "kappa", "form")
 COEFFICIENT_KEYS = ("a", "b", "c", "sigma", "nu")
@@ -105,6 +105,13 @@ def _num(section: str, key: str, raw: str, cast, positions: dict):
 def _smoothing(raw: str) -> str:
     """``raw``, refused unless it lists at least one integer, comma-separated."""
     if not [int(s) for s in raw.split(",") if s.strip()]:
+        raise ValueError(raw)
+    return raw
+
+
+def _form(raw: str) -> str:
+    """``raw``, refused unless it is one of ``FORMS``."""
+    if raw not in FORMS:
         raise ValueError(raw)
     return raw
 
@@ -250,7 +257,8 @@ def load_scenario_text(text: str, strict: bool = False):
     d, d1 = (_num("problem", key, prob[key], int, positions) for key in ("d", "d1"))
     horizon, halfwidth, bound_K, kappa = (_num("problem", key, prob[key], float, positions)
                                           for key in ("T", "L", "K", "kappa"))
-    form = prob.get("form", "non_divergence").strip()
+    form = _num("problem", "form", prob.get("form", "non_divergence").strip(), _form,
+                positions)
 
     variables = {"t"} | {f"x{i + 1}" for i in range(d)} | {f"w{k + 1}" for k in range(d1)}
     shapes = {"a": (d, d), "b": (d,), "c": (), "sigma": (d, d1), "nu": (d1,),

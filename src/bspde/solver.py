@@ -11,13 +11,14 @@ from the children of p, which is the standard well-posed explicit treatment of
 the noise coupling.
 
 The recursion runs a whole tree level at a time.  ``LevelFields`` supplies a
-level's source as a stacked array and its operators as rows plus each node's
-row: one shared row for deterministic fields, one per distinct Wiener state
-for Markov fields, one per node otherwise.  ``_level_step`` solves the level
-with a broadcast divide for diagonal per-mode symbols, one factorisation per
-shared matrix or per state for all of its nodes, or a stacked solve for
-per-node matrices.  The tree solver, the residuals, the regression solver,
-the frozen-coefficient solver and the audits all run on this one step.
+level's source as a stacked array and its operators as one
+``LevelOperators``: rows plus each node's row, with one shared row for
+deterministic fields, one per distinct Wiener state for Markov fields and one
+per node otherwise.  ``_level_step`` solves the level with one stacked solve
+when every node has its own row, and otherwise with one factorisation per row
+for all of its nodes; diagonal per-mode symbols divide instead.  The tree
+solver, the residuals, the regression solver, the frozen-coefficient solver
+and the audits all run on this one step.
 """
 
 from __future__ import annotations
@@ -134,67 +135,68 @@ def pair_difference(x: SolutionPair, y: SolutionPair) -> SolutionPair:
 
 # -- the level-array contract ------------------------------------------------
 #
-# A level's operators are ``L`` of shape (k, m) (diagonal symbols) or
-# (k, m, m) and ``Ms`` of shape (k, dim_w, m) or (k, dim_w, m, m); a level's
-# source, and the terminal datum at the leaves, are (k, m).  ``k`` is 1 when
-# the field is deterministic (one array shared by the level) and the level's
-# node count when it is adapted.  Operators may instead come as a
-# ``LevelOperators``: ``k`` rows, one per Wiener state, and ``index``, the
-# (n_level,) row of every node.  The engine applies and factors each state's
-# row for all of its nodes at once and never copies it to every node.
+# A level's source, and the terminal datum at the leaves, are (k, m): ``k`` is
+# 1 when the field is deterministic (one row shared by the level) and the
+# level's node count when it is adapted.  A level's operators are one
+# ``LevelOperators``: ``k`` rows and ``index``, the (n_level,) row of every
+# node.  The engine applies and factors each row for all of its nodes at once
+# and never copies a row to every node.
 
 @dataclass(frozen=True)
 class LevelOperators:
-    """A level's ``(L, Ms)`` as rows plus each node's row (``index``).
+    """A level's operators as rows plus each node's row (``index``).
 
-    ``index`` is None when the rows already follow the contract above (one
-    shared row, or one row per node).  Unpacking, ``L, Ms = ops``, gives the
-    per-node arrays of the contract: it copies every state's matrices to each
-    of its nodes, so the engine reads ``L``, ``Ms`` and ``index`` instead.
+    ``L`` is (k, m) (diagonal symbols) or (k, m, m), and ``Ms`` is
+    (k, dim_w, m) or (k, dim_w, m, m).  ``index`` is None only when one row
+    (k = 1) is shared by the level.  With as many rows as nodes, each node
+    has its own row and ``index`` is a permutation.
     """
 
     L: Array
     Ms: Array
     index: Array | None = None
 
-    def __iter__(self):
-        if self.index is None:
-            return iter((self.L, self.Ms))
-        return iter((self.L[self.index], self.Ms[self.index]))
 
-
-def _grouped(ops) -> LevelOperators:
-    """A ``LevelOperators`` as it is, or a hand-built ``(L, Ms)`` pair as one."""
-    return ops if isinstance(ops, LevelOperators) else LevelOperators(*ops)
-
-
-def _state_nodes(index: Array | None) -> list | None:
-    """``(row, nodes)`` for every row that ``index`` names, nodes in level order."""
+def _row_nodes(ops: LevelOperators) -> list:
+    """``(rows, nodes)`` pairs, the slice ``rows`` of ``ops`` acting on ``nodes``:
+    a shared row acts on every node (a slice), each node's own row on the
+    nodes in row order (a slice when that is level order), and otherwise each
+    row on its nodes in level order."""
+    index = ops.index
     if index is None:
-        return None
+        return [(slice(0, 1), slice(None))]
+    if len(ops.L) == len(index):
+        in_order = np.array_equal(index, np.arange(len(index)))
+        return [(slice(None), slice(None) if in_order else np.argsort(index))]
     order = np.argsort(index, kind="stable")
     cuts = np.flatnonzero(np.diff(index[order])) + 1
-    return [(index[nodes[0]], nodes) for nodes in np.split(order, cuts)]
+    return [(slice(index[n[0]], index[n[0]] + 1), n) for n in np.split(order, cuts)]
 
 
-def _apply(op: Array, vec: Array, groups: list | None = None) -> Array:
-    """Level-wise operator action on ``vec`` (n, m): broadcast or stacked
-    matvecs, or each row of ``op`` broadcast over its nodes in ``groups``."""
-    if groups is None:
-        return op * vec if op.ndim == 2 else (op @ vec[..., None])[..., 0]
-    out = np.empty(vec.shape, np.result_type(op, vec))
-    for g, nodes in groups:
-        out[nodes] = _apply(op[g:g + 1], vec[nodes])
+def _by_row(groups: list, part, shape: tuple) -> Array:
+    """``part(rows, nodes)`` of every pair of ``groups``, put at its nodes; a
+    part on a slice of nodes is the whole level and is returned as it is."""
+    if isinstance(groups[0][1], slice):
+        return part(*groups[0])
+    out = np.empty(shape, complex)  # the engine's levels are complex
+    for rows, nodes in groups:
+        out[nodes] = part(rows, nodes)
     return out
 
 
-def _generator(L: Array, Ms: Array, p: Array, q: Array, f: Array,
-               index: Array | None = None) -> Array:
+def _apply(op: Array, vec: Array, groups: list) -> Array:
+    """Level-wise action of ``op`` (rows) on ``vec`` (n, m) over ``groups``
+    (``_row_nodes``): a broadcast product for symbols, else matvecs."""
+    return _by_row(groups, lambda rows, nodes: op[rows] * vec[nodes] if op.ndim == 2
+                   else (op[rows] @ vec[nodes][..., None])[..., 0], vec.shape)
+
+
+def _generator(ops: LevelOperators, p: Array, q: Array, f: Array) -> Array:
     """Level-wise ``L p + sum_k M^k q^k + F``, on the contract above."""
-    groups = _state_nodes(index)
-    out = _apply(L, p, groups) + f
+    groups = _row_nodes(ops)
+    out = _apply(ops.L, p, groups) + f
     for k in range(q.shape[1]):
-        out = out + _apply(Ms[:, k], q[:, k], groups)
+        out = out + _apply(ops.Ms[:, k], q[:, k], groups)
     return out
 
 
@@ -264,21 +266,21 @@ class LevelFields:
         out._rows = self._rows
         return out
 
-    def groups(self, level: int, markov: bool) -> tuple[list, Array | None]:
+    def groups(self, level: int, markov: bool) -> tuple[list, Array]:
         """One history per group of the level's nodes and each node's group.
 
         With ``markov`` the groups are the distinct Wiener states ``w`` of the
         level, told apart by their bytes, not by float comparison, so ``-0.0``
         and ``0.0`` stay apart and a Markov field sees exactly the bits it
         would see at each of the group's nodes.  Otherwise every node is its
-        own group, in level order, and the index is ``None``.
+        own group, in level order.
         """
         if level != self._level:
             self._level, self._groups = level, {}
         if markov not in self._groups:
             incs = self.filtration.level_increments(level)
             w = incs.sum(axis=1)  # the same sum, in the same order, as each history.w
-            first, inverse = _distinct_rows(w) if markov else (range(len(w)), None)
+            first, inverse = _distinct_rows(w) if markov else (np.arange(len(w)),) * 2
             t, dt = level * self.filtration.dt, self.filtration.dt
             self._groups[markov] = ([PathHistory(t, dt, incs[i], w[i]) for i in first],
                                     inverse)
@@ -286,8 +288,8 @@ class LevelFields:
 
     def level_rows(self, level: int, fields, fn, key=None) -> tuple[Array, Array | None]:
         """``fn(t, history)`` once per group of the level: the rows and
-        ``index``, each node's row, which is ``None`` when the rows are
-        (1, ...) or (n_level, ...) already.
+        ``index``, each node's row, which is ``None`` when one row is shared
+        by the level.
 
         ``fields`` are the coefficient fields ``fn`` reads: ``fn`` runs once
         when all are deterministic, and otherwise once per group of
@@ -303,13 +305,13 @@ class LevelFields:
         runs no map.  The rows are bit-equal to those of a fresh evaluation.
         """
         fields = tuple(fields)
-        deterministic = all(f.is_deterministic for f in fields)
-        if deterministic:
+        markov = _all_markov(*fields)
+        if all(f.is_deterministic for f in fields):
             hists, inverse = [None], None
         else:
-            hists, inverse = self.groups(level, _all_markov(*fields))
+            hists, inverse = self.groups(level, markov)
         t = level * self.filtration.dt
-        keep = key is not None and (deterministic or inverse is not None)
+        keep = key is not None and markov
         when = None if all(f.t_free for f in fields) else level
         out = None
         for i, h in enumerate(hists):
@@ -354,16 +356,17 @@ class LevelFields:
 
 # -- the backward engine ------------------------------------------------------
 
-def _level_step(L, Ms, Ep, q, fhat, dt, theta, level, first_node=0, index=None):
+def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0):
     """One implicit theta step for every node of a level (contract above).
 
-    With ``index``, ``L`` and ``Ms`` hold one row per state and ``index[i]``
-    is node i's row: each state's matrix is factored once, for all of its
-    nodes.  Errors name the node as ``first_node`` plus its row in ``Ep``.
+    When each node has its own row the level is one stacked solve; otherwise
+    each row's matrix is factored once, for all of its nodes.  Errors name the
+    node as ``first_node`` plus its place in ``Ep``, never a row.
     """
-    if index is not None and L.ndim == 2:  # per node, symbols cost what rhs does
-        L, Ms, index = L[index], Ms[index], None
-    groups = _state_nodes(index)
+    if ops.L.ndim == 2 and ops.index is not None:  # symbols cost what rhs does: per node
+        ops = LevelOperators(ops.L[ops.index], ops.Ms[ops.index], np.arange(len(Ep)))
+    L, Ms, index = ops.L, ops.Ms, ops.index
+    groups = _row_nodes(ops)
     rhs = Ep + dt * fhat
     if theta < 1.0:
         rhs += dt * (1.0 - theta) * _apply(L, Ep, groups)
@@ -377,15 +380,14 @@ def _level_step(L, Ms, Ep, q, fhat, dt, theta, level, first_node=0, index=None):
                                f"node {first_node + int(np.argmax(bad))} (diagonal)")
         return rhs / den
     A = np.eye(L.shape[-1]) - theta * dt * L
+
+    def solve(rows, nodes):  # a row per node: one stacked solve; else one per row
+        if rows == slice(None):
+            return np.linalg.solve(A, rhs[nodes][..., None])[..., 0]
+        return np.linalg.solve(A[rows.start], rhs[nodes].T).T
+
     try:
-        if groups is not None:  # each state's matrix, once for all of its nodes
-            out = np.empty_like(rhs)
-            for g, nodes in groups:
-                out[nodes] = np.linalg.solve(A[g], rhs[nodes].T).T
-        elif len(A) == 1:  # a shared matrix, once for all of the level's nodes
-            out = np.linalg.solve(A[0], rhs.T).T
-        else:
-            out = np.linalg.solve(A, rhs[..., None])[..., 0]
+        out = _by_row(groups, solve, rhs.shape)
     except np.linalg.LinAlgError as exc:
         # LAPACK stops on an exactly zero pivot, which makes the determinant 0;
         # the first such node in level order is named, whatever its row
@@ -409,7 +411,7 @@ def backward_solve(tree: WienerTree, basis: SpectralBasis, scheme: SchemeConfig,
     """Run the backward recursion level by level on the level-array contract.
 
     terminal          -> (k, m) spectral vectors at the leaves
-    operators(level)  -> (L, Ms) for the level, or a ``LevelOperators``
+    operators(level)  -> the level's ``LevelOperators``
     source(level)     -> (k, m) left-endpoint source
     """
     N, dt, theta = tree.n_steps, tree.dt, scheme.theta
@@ -422,9 +424,7 @@ def backward_solve(tree: WienerTree, basis: SpectralBasis, scheme: SchemeConfig,
     for level in range(N - 1, -1, -1):
         Ep = conditional_expectation(tree, level, p_levels[level + 1])
         q = martingale_coefficient(tree, level, p_levels[level + 1])
-        ops = _grouped(operators(level))
-        p_levels[level] = _level_step(ops.L, ops.Ms, Ep, q, source(level), dt, theta,
-                                      level, index=ops.index)
+        p_levels[level] = _level_step(operators(level), Ep, q, source(level), dt, theta, level)
         q_levels[level] = q
 
     return SolutionPair(AdaptedField(tree, basis, p_levels),
@@ -471,9 +471,8 @@ def _defects(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
     for level in range(tree.n_steps):
         p, q = solution.p.levels[level], solution.q.levels[level]
         Ep = conditional_expectation(tree, level, solution.p.levels[level + 1])
-        ops = fields.operators(level)
-        drift = _generator(ops.L, ops.Ms, theta * p + (1.0 - theta) * Ep, q,
-                           fields.source(level), ops.index)
+        drift = _generator(fields.operators(level), theta * p + (1.0 - theta) * Ep, q,
+                           fields.source(level))
         yield p - Ep - tree.dt * drift
 
 
@@ -587,9 +586,8 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
         q_means[step] = q.mean(axis=0)
 
         fhat = np.broadcast_to(fields.source(step), (n_paths, nm))
-        # unpacked, a block's operators are per-path stacks: each path is its own state
         p = np.concatenate([
-            _level_step(*blk.operators(step), Ep[sl], q[sl], fhat[sl], dt, theta, step,
+            _level_step(blk.operators(step), Ep[sl], q[sl], fhat[sl], dt, theta, step,
                         sl.start)
             for sl, blk in blocks])
 

@@ -352,7 +352,7 @@ def regression_reference(scenario, ensemble, basis, regression_basis_size=4,
             q[:, k, :] = _fit(design, p_next * (dW[:, k] / dt)[:, None], step, trivial)
         fhat = np.broadcast_to(fields.source(step), (n_paths, nm))
         p_here = np.concatenate([
-            _level_step(*blk.operators(step), Ep[sl], q[sl], fhat[sl], dt, theta, step,
+            _level_step(blk.operators(step), Ep[sl], q[sl], fhat[sl], dt, theta, step,
                         sl.start)
             for sl, blk in blocks])
         p_levels[step] = p_here
@@ -399,8 +399,9 @@ def picard_reference(scenario, freeze_point, tree, basis, tol=1e-9, max_iter=40,
     The package runs every step on one provider and reads the source level by
     level, with the same arithmetic, so the two agree digit for digit.
     """
-    from bspde import IterationReport, LevelFields, SchemeConfig, backward_solve, freeze
-    from bspde.frozen import _difference_field, _pair_distance
+    from bspde import (IterationReport, LevelFields, LevelOperators, SchemeConfig,
+                       backward_solve, freeze, mixed_norm_sq, pair_difference)
+    from bspde.frozen import _difference_field
     from bspde.solver import _generator
 
     scheme = scheme or SchemeConfig()
@@ -420,7 +421,8 @@ def picard_reference(scenario, freeze_point, tree, basis, tol=1e-9, max_iter=40,
             return np.array([1j * (k @ s0[:, kk]) for kk in range(frozen.dim_w)])
 
         def ops(level):
-            return fields.level_map(level, coeffs, L), fields.level_map(level, coeffs, Ms)
+            L_rows, index = fields.level_rows(level, coeffs, L)
+            return LevelOperators(L_rows, fields.level_rows(level, coeffs, Ms)[0], index)
 
         source = fields.source if source_levels is None else source_levels.__getitem__
         return backward_solve(tree, basis, scheme, fields.terminal(), ops, source)
@@ -432,11 +434,11 @@ def picard_reference(scenario, freeze_point, tree, basis, tol=1e-9, max_iter=40,
         pert = scenario.with_fields(a=_difference_field(scenario.a, frozen.a),
                                     sigma=_difference_field(scenario.sigma, frozen.sigma))
         fields = LevelFields(scenario, tree, basis)
-        sources = [_generator(*fields.operators(level, pert), current.p.levels[level],
+        sources = [_generator(fields.operators(level, pert), current.p.levels[level],
                               current.q.levels[level], fields.source(level))
                    for level in range(tree.n_steps)]
         nxt = frozen_solve(sources)
-        distances.append(_pair_distance(nxt, current))
+        distances.append(float(np.sqrt(mixed_norm_sq(pair_difference(nxt, current)))))
         current = nxt
         converged = distances[-1] <= tol
         if converged or not np.isfinite(distances[-1]):

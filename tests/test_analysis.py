@@ -9,6 +9,7 @@ import pytest
 from bspde import (
     ESTIMATE_TAGS,
     DegenerateKernelError,
+    LevelOperators,
     MollifierConfig,
     MultiIndex,
     PathHistory,
@@ -125,7 +126,7 @@ class TestItoIdentity:
         tree = build_tree(1, 4, 2, 0.5)
         ghat = BASIS.project(np.sin(BASIS.grid_points[:, 0]))
         n = BASIS.n_modes
-        zops = lambda level: (np.zeros((1, n)), np.zeros((1, 1, n)))
+        zops = lambda level: LevelOperators(np.zeros((1, n)), np.zeros((1, 1, n)))
         sol = backward_solve(
             tree, BASIS, SchemeConfig(theta=1.0),
             tree.levels[tree.n_steps].w_cum[:, :1] * ghat,
@@ -140,7 +141,7 @@ class TestItoIdentity:
         tree = build_tree(1, 4, 2, 0.5)
         ghat = BASIS.project(np.sin(BASIS.grid_points[:, 0]))
         n = BASIS.n_modes
-        zops = lambda level: (np.zeros((1, n)), np.zeros((1, 1, n)))
+        zops = lambda level: LevelOperators(np.zeros((1, n)), np.zeros((1, 1, n)))
         sol = backward_solve(
             tree, BASIS, SchemeConfig(theta=1.0),
             tree.levels[tree.n_steps].w_cum[:, :1] * ghat,

@@ -212,6 +212,17 @@ class TestExitCodes:
         assert err == ("error: bad value for discretization.modes: '4x' "
                        f"(line {line}, column 9)\n")
 
+    def test_bad_form_reports_its_line(self, tmp_path):
+        # a misspelt form is a bad value, like any other, not a validation error
+        text = Path(TINY).read_text().replace("form = non_divergence", "form = divergnce")
+        line = text.splitlines().index("form = divergnce") + 1
+        path = tmp_path / "bad_form.scn"
+        path.write_text(text)
+        code, out, err = run("solve", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: bad value for problem.form: 'divergnce' "
+                       f"(line {line}, column 8)\n")
+
     def test_parse_error_names_its_place_in_the_file(self):
         # y9 sits on line 10 of the file, column 15
         code, out, err = run("solve", BAD_PARSE)

@@ -33,7 +33,7 @@ from bspde import (
     weak_residual,
 )
 import bspde.solver
-from bspde.solver import _distinct_rows
+from bspde.solver import _distinct_rows, _level_step
 from helpers import (ADAPTED_TREE_TEXT, DIVERGENCE_MARKOV_TEXT, counting,
                      declared_time_dependent, e_sup_norm_sq_reference,
                      level_expected_norm_sq_reference, make_scenario, markov_scenario,
@@ -45,8 +45,13 @@ BASIS = SpectralBasis(1, 4, np.pi)
 
 def zero_ops(n_modes, dim_w):
     # diagonal symbols shared by every node of a level (k = 1)
-    ops = (np.zeros((1, n_modes)), np.zeros((1, dim_w, n_modes)))
+    ops = LevelOperators(np.zeros((1, n_modes)), np.zeros((1, dim_w, n_modes)))
     return lambda level: ops
+
+
+def node_operators(ops):
+    # every node's own (L, Ms), copied from its row
+    return ops.L[ops.index], ops.Ms[ops.index]
 
 
 def zero_source(level):
@@ -108,10 +113,11 @@ class TestBackwardSolveProviders:
         fields = LevelFields(sc, tree, BASIS)
 
         def stacked(level):
-            L, Ms = fields.operators(level)
+            ops = fields.operators(level)
             n = tree.levels[level].n_nodes
-            return (np.broadcast_to(L, (n,) + L.shape[1:]),
-                    np.broadcast_to(Ms, (n,) + Ms.shape[1:]))
+            return LevelOperators(np.broadcast_to(ops.L, (n,) + ops.L.shape[1:]),
+                                  np.broadcast_to(ops.Ms, (n,) + ops.Ms.shape[1:]),
+                                  np.arange(n))
         shared = backward_solve(tree, BASIS, SchemeConfig(theta=0.5), fields.terminal(),
                                 fields.operators, fields.source)
         per_node = backward_solve(tree, BASIS, SchemeConfig(theta=0.5), fields.terminal(),
@@ -126,29 +132,60 @@ class TestBackwardSolveProviders:
         L[1] = np.eye(n) / (tree.dt)  # I - dt L vanishes at node 1 only
 
         def ops(level):
-            return (L[:tree.levels[level].n_nodes] if level == 1
-                    else np.zeros((1, n, n))), np.zeros((1, 1, n, n))
+            if level != 1:
+                return LevelOperators(np.zeros((1, n, n)), np.zeros((1, 1, n, n)))
+            return LevelOperators(L, np.zeros((2, 1, n, n)), np.arange(2))
         with pytest.raises(NumericError, match="level 1, node 1"):
             backward_solve(tree, BASIS, SchemeConfig(theta=1.0), np.ones((1, n)),
                            ops, zero_source)
 
+    @pytest.mark.parametrize("index, bad_row", [
+        ([1, 1, 0, 1], 0),     # a row per state: row 0's first node is node 2
+        ([2, 0, 3, 1], 3)])    # a row per node: row 3 is node 2's
     @pytest.mark.parametrize("scale, message", [
         (1.0, r"level 2, node 2: "),
         (1.0 - 1e-14, r"level 2, node 2 \(amplification 1\.0e\+14\)")])
-    def test_grouped_step_names_the_node_not_the_state(self, scale, message):
-        # state 0 is singular (or nearly so) and its first node is node 2 of
-        # level 2: the error names that node, not the state's row 0
+    def test_grouped_step_names_the_node_not_the_state(self, scale, message, index,
+                                                      bad_row):
+        # row bad_row is singular (or nearly so) and its first node is node 2
+        # of level 2: the error names that node, not the row
         tree = build_tree(1, 3, 2, 0.75)
-        n = BASIS.n_modes
-        rows = np.zeros((2, n, n))
-        rows[0] = scale * np.eye(n) / tree.dt
-        grouped = LevelOperators(rows, np.zeros((2, 1, n, n)), np.array([1, 1, 0, 1]))
+        n, k = BASIS.n_modes, max(index) + 1
+        rows = np.zeros((k, n, n))
+        rows[bad_row] = scale * np.eye(n) / tree.dt
+        grouped = LevelOperators(rows, np.zeros((k, 1, n, n)), np.array(index))
 
         def ops(level):
-            return grouped if level == 2 else (np.zeros((1, n, n)), np.zeros((1, 1, n, n)))
+            return grouped if level == 2 else LevelOperators(np.zeros((1, n, n)),
+                                                             np.zeros((1, 1, n, n)))
         with pytest.raises(NumericError, match=message):
             backward_solve(tree, BASIS, SchemeConfig(theta=1.0), np.ones((1, n)),
                            ops, zero_source)
+
+    @pytest.mark.parametrize("n, n_rows, index, solves", [
+        (1, 1, None, 1),                    # a shared row, for any node count
+        (7, 1, None, 1),
+        (5, 5, [3, 0, 4, 1, 2], 1),         # a row per node: one stacked solve
+        (5, 3, [2, 0, 2, 1, 0], 3)])        # a row per state: one solve per row
+    def test_level_step_solves_once_per_row_or_once_stacked(self, monkeypatch, n, n_rows,
+                                                             index, solves):
+        rng = np.random.default_rng(5)
+        m = BASIS.n_modes
+        L = -np.eye(m) - 0.1 * rng.standard_normal((n_rows, m, m))
+        Ms = 0.1 * rng.standard_normal((n_rows, 1, m, m))
+        Ep, fhat = rng.standard_normal((n, m)) + 0j, rng.standard_normal((n, m))
+        q = rng.standard_normal((n, 1, m)) + 0j
+        node_rows = np.zeros(n, int) if index is None else np.array(index)
+        # the same step with every node's row copied out: a stacked solve
+        want = _level_step(LevelOperators(L[node_rows], Ms[node_rows], np.arange(n)),
+                           Ep, q, fhat, 0.1, 0.5, 0)
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(a) or solve(*a))
+        got = _level_step(LevelOperators(L, Ms, None if index is None else node_rows),
+                          Ep, q, fhat, 0.1, 0.5, 0)
+        assert len(calls) == solves
+        assert got.tobytes() == want.tobytes()
 
 
 class TestChainSolves:
@@ -492,7 +529,8 @@ class TestMarkovFields:
                 assert len(got) == tree.levels[level].n_nodes
                 assert got.tobytes() == want.tobytes()
             if level < tree.n_steps:
-                for got, want in zip(fast.operators(level), slow.operators(level)):
+                for got, want in zip(node_operators(fast.operators(level)),
+                                     node_operators(slow.operators(level))):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim_w", [1, 2])
@@ -562,7 +600,8 @@ class TestMarkovFields:
         fields = LevelFields(markov_scenario(dim_w), tree, BASIS)
         for level in range(n_steps + 1):
             hists, inverse = fields.groups(level, markov=False)
-            assert inverse is None and len(hists) == tree.levels[level].n_nodes
+            assert np.array_equal(inverse, np.arange(tree.levels[level].n_nodes))
+            assert len(hists) == tree.levels[level].n_nodes
             for node, h in enumerate(hists):
                 ref = tree.history(level, node)
                 assert h.increments.shape == ref.increments.shape
@@ -603,7 +642,8 @@ class TestMarkovFields:
         last = tree.n_steps - 1
         ops = LevelFields(scn, tree, basis).operators(last)
         assert ops.index is not None and len(ops.L) < tree.levels[last].n_nodes
-        assert LevelFields(per, tree, basis).operators(last).index is None
+        assert np.array_equal(LevelFields(per, tree, basis).operators(last).index,
+                              np.arange(tree.levels[last].n_nodes))
         fast, slow = solve_tree(scn, tree, basis, scheme), solve_tree(per, tree, basis, scheme)
         self.assert_pairs_bit_equal(fast, slow)
         eta = SpatialField(basis, basis.project(np.cos(basis.grid_points[:, 0])))

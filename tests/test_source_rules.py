@@ -279,3 +279,39 @@ def test_linear_systems_are_solved_only_in_the_level_step():
                                               SOLVE_SITES.get(path.name, set()))
              for path in sorted(SRC.glob("*.py")) if path.name not in SOLVE_ALLOWED}
     assert found and {name: lines for name, lines in found.items() if lines} == {}
+
+
+ENGINE_STEPS = {"_level_step", "_generator"}
+
+
+def starred_engine_calls(source: str) -> list[int]:
+    """Line numbers of ``_level_step(...)`` or ``_generator(...)`` calls that
+    take ``*`` or ``**`` arguments."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ENGINE_STEPS and (any(isinstance(a, ast.Starred) for a in node.args)
+                                     or any(k.arg is None for k in node.keywords)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detector_finds_starred_engine_calls():
+    source = (
+        "p = _level_step(*blk.operators(step), Ep, q, f, dt, theta, step)\n"
+        "p = _level_step(blk.operators(step), Ep, q, f, dt, theta, step)\n"
+        "d = solver._generator(*ops, p, q, f)\n"
+        "d = _generator(ops, p, q, f, **extra)\n"
+        "d = _generator(\n    ops, p, q, f)\n"
+        "x = other(*ops)\n"
+    )
+    assert starred_engine_calls(source) == [1, 3, 4]
+
+
+def test_no_package_code_unpacks_operators_into_the_engine():
+    # a LevelOperators goes to the engine whole: unpacking it brought back
+    # per-node operator stacks
+    assert package_findings(starred_engine_calls) == {}
