@@ -57,10 +57,6 @@ def _source_field(scenario: Scenario, tree: WienerTree, basis: SpectralBasis) ->
         for level in range(tree.n_steps)])
 
 
-def _terminal_expected_norm_sq(solution: SolutionPair, order) -> float:
-    return solution.p.level_expected_norm_sq(len(solution.p.levels) - 1, order)
-
-
 def energy_audit(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
                  basis: SpectralBasis, theorem_tag: str = "weak_est_2_5",
                  ceiling: float = math.inf, order: int = 1) -> EstimateReport:
@@ -89,7 +85,8 @@ def energy_audit(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
     e_sup = solution.p.e_sup_norm_sq(sup_ord)
     sup_e = solution.p.sup_e_norm_sq(sup_ord)
     lhs = solution.p.time_norm_sq(p_ord) + solution.q.time_norm_sq(q_ord) + e_sup
-    rhs = F.time_norm_sq(f_ord) + _terminal_expected_norm_sq(solution, sup_ord)
+    rhs = F.time_norm_sq(f_ord) + solution.p.level_expected_norm_sq(
+        len(solution.p.levels) - 1, sup_ord)
     fitted = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     passed = bool(np.isfinite(fitted) and fitted <= ceiling)
     return EstimateReport(theorem_tag, float(lhs), float(rhs), float(fitted),

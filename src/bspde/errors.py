@@ -20,12 +20,23 @@ class DegenerateKernelError(StructuralError):
 
 
 class BudgetError(BspdeError):
-    """A sizing limit (tree nodes, dense unknowns, solve storage) was exceeded."""
+    """An array that a size setting grows would take more than ``_MEMORY_BYTES``
+    bytes; ``count`` is its size and ``budget`` the bound, both in bytes."""
 
     def __init__(self, message: str, count: int | None = None, budget: int | None = None):
         super().__init__(message)
         self.count = count
         self.budget = budget
+
+
+_MEMORY_BYTES = 1 << 31  # the most bytes any one array grown by a size setting may take
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """Refuse, before it is allocated, an array of ``nbytes`` bytes over the bound."""
+    if nbytes > _MEMORY_BYTES:
+        raise BudgetError(f"{what} would take {nbytes} bytes, over {_MEMORY_BYTES}",
+                          count=nbytes, budget=_MEMORY_BYTES)
 
 
 class NumericError(BspdeError):

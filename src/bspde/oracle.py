@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, NumericError, StructuralError
+from .errors import NumericError, StructuralError, check_bytes
 from .scenario import Scenario
 from .solver import AdaptedField, SchemeConfig, SolutionPair
 from .space import SpatialField, SpectralBasis, assemble_L, assemble_M
@@ -49,22 +49,19 @@ def _index_maps(tree: WienerTree, n_modes: int, dim_w: int):
 
 
 def solve_dense(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
-                scheme: SchemeConfig | None = None,
-                dense_budget: int = 10_000) -> SolutionPair:
+                scheme: SchemeConfig | None = None) -> SolutionPair:
     """Solve every node equation and q-definition as one dense linear system.
 
     Unknowns: p at every node, q at every non-terminal node.  Equations:
     terminal projection at the leaves, the implicit theta step at interior
     nodes, and the martingale-coefficient definition tying q to the children
-    of p.  Sized for small audit trees only (``dense_budget`` unknown scalars).
+    of p.  Sized for small audit trees only.
     """
     scheme = scheme or SchemeConfig()
     nm, dw, dt, theta = basis.n_modes, tree.dim_w, tree.dt, scheme.theta
     sysinfo = _index_maps(tree, nm, dw)
-    if sysinfo.n_unknowns > dense_budget:
-        raise BudgetError(
-            f"dense system has {sysinfo.n_unknowns} unknowns, over {dense_budget}",
-            count=sysinfo.n_unknowns, budget=dense_budget)
+    check_bytes(sysinfo.n_unknowns ** 2 * 16,
+                f"the dense system of {sysinfo.n_unknowns} unknowns")
 
     A = np.zeros((sysinfo.n_unknowns, sysinfo.n_unknowns), dtype=complex)
     rhs = np.zeros(sysinfo.n_unknowns, dtype=complex)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, NumericError, StructuralError
+from .errors import NumericError, StructuralError, check_bytes
 from .scenario import PathHistory, Scenario, _all_markov
 from .space import SpatialField, SpectralBasis, assemble_L, assemble_M
 from .wiener import (PathEnsemble, WienerTree, conditional_expectation,
@@ -58,12 +58,6 @@ class AdaptedField:
     tree: WienerTree
     basis: SpectralBasis
     levels: list[Array]
-
-    def field_at(self, level: int, node: int) -> SpatialField:
-        row = self.levels[level][node]
-        if row.ndim != 1:
-            raise StructuralError("field_at applies to scalar adapted fields")
-        return SpatialField(self.basis, row)
 
     def _node_norm_sq(self, level: int, order=0) -> Array:
         """||.||_order^2 at every node of the level, noise components summed."""
@@ -119,7 +113,7 @@ class SolutionPair:
         return self.p.basis
 
     def p0(self) -> SpatialField:
-        return self.p.field_at(0, 0)
+        return SpatialField(self.basis, self.p.levels[0][0])
 
 
 def mixed_norm_sq(pair: SolutionPair, p_order=2, q_order=1) -> float:
@@ -344,9 +338,15 @@ class LevelFields:
 
     def operators(self, level: int, scenario=None) -> LevelOperators:
         """Assembled (L, Ms) of ``scenario`` (default: the provider's own):
-        one row per group of the level and each node's row."""
+        one row per group of the level and each node's row, their bytes
+        checked before the first is assembled."""
         scn = scenario if scenario is not None else self.scenario
         coeffs, basis = scn.coefficient_fields().values(), self.basis
+        rows = 1 if scn.coefficients_deterministic else len(
+            self.groups(level, _all_markov(*coeffs))[0])
+        # L, the M^k, and the step's I - theta dt L with its temporary
+        check_bytes(rows * (3 + scn.dim_w) * basis.n_modes ** 2 * 16,
+                    f"the operators of level {level}")
         L, index = self.level_rows(level, coeffs, lambda t, h: assemble_L(scn, t, h, basis),
                                    ("L", scn))
         Ms, _ = self.level_rows(level, coeffs, lambda t, h: assemble_M(scn, t, h, basis),
@@ -432,8 +432,7 @@ def backward_solve(tree: WienerTree, basis: SpectralBasis, scheme: SchemeConfig,
 
 
 def solve_tree(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
-               scheme: SchemeConfig | None = None,
-               storage_budget: int = 4_000_000) -> SolutionPair:
+               scheme: SchemeConfig | None = None) -> SolutionPair:
     """Backward theta-scheme solve of the scenario on a Wiener tree.
 
     The chain tree (branching 1) is only meaningful for deterministic
@@ -447,11 +446,8 @@ def solve_tree(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
         raise StructuralError("tree and scenario disagree on the horizon")
     if tree.is_chain and not scenario.is_deterministic:
         raise StructuralError("chain trees carry no randomness; scenario is adapted")
-    entries = tree.n_nodes * basis.n_modes
-    if entries > storage_budget:
-        raise BudgetError(
-            f"solve would store {entries} node-mode entries, over {storage_budget}",
-            count=entries, budget=storage_budget)
+    check_bytes(tree.n_nodes * basis.n_modes * (1 + tree.dim_w) * 16,
+                f"p and q on {tree.n_nodes} nodes")
     fields = LevelFields(scenario, tree, basis)
     return backward_solve(tree, basis, scheme, fields.terminal(), fields.operators,
                           fields.source)

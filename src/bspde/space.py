@@ -22,7 +22,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import StructuralError, check_bytes
 from .scenario import PathHistory, Scenario
 
 Array = np.ndarray
@@ -41,6 +41,8 @@ class SpectralBasis:
     def __init__(self, dim_x: int, modes_per_dim: int, domain_halfwidth: float):
         if dim_x < 1 or modes_per_dim < 1:
             raise StructuralError("dim_x and modes_per_dim must be >= 1")
+        n = (2 * modes_per_dim + 1) ** dim_x  # modes, and grid points
+        check_bytes(2 * n * n * 16, f"the synthesis and analysis matrices of {n} modes")
         self.dim_x = dim_x
         self.modes_per_dim = modes_per_dim
         self.domain_halfwidth = float(domain_halfwidth)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import BudgetError
+from .errors import check_bytes
 from .scenario import PathHistory
 
 Array = np.ndarray
@@ -144,20 +144,16 @@ def _grow(dim_w: int, n_steps: int, branching: int, horizon: float,
     return WienerTree(dim_w, n_steps, branching, horizon, horizon / n_steps, levels)
 
 
-def build_tree(dim_w: int, n_steps: int, branching: int, horizon: float,
-               node_budget: int = 200_000) -> WienerTree:
+def build_tree(dim_w: int, n_steps: int, branching: int, horizon: float) -> WienerTree:
     """Non-recombining Gauss-Hermite tree over [0, horizon] with n_steps levels."""
     if branching not in ALLOWED_BRANCHING:
         raise ValueError(f"branching must be one of {ALLOWED_BRANCHING}, got {branching}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     c = branching ** dim_w
-    total = sum(c ** k for k in range(n_steps + 1))
-    if total > node_budget:
-        raise BudgetError(
-            f"tree would hold {total} nodes, over the budget of {node_budget}",
-            count=total, budget=node_budget,
-        )
+    nodes = (c ** (n_steps + 1) - 1) // (c - 1)
+    # parents, weights and prob, plus dim_w columns of increments and of w_cum
+    check_bytes(nodes * (3 + 2 * dim_w) * 8, f"a tree of {n_steps} steps")
     return _grow(dim_w, n_steps, branching, horizon,
                  _branch_pattern(dim_w, branching, horizon / n_steps))
 
@@ -234,6 +230,7 @@ def sample_paths(dim_w: int, n_steps: int, n_paths: int, horizon: float,
     """Draw iid Gaussian increments; bit-reproducible for a given seed."""
     if n_paths < 1 or n_steps < 1:
         raise ValueError("n_paths and n_steps must be >= 1")
+    check_bytes(n_paths * n_steps * dim_w * 8, f"the increments of {n_paths} paths")
     dt = horizon / n_steps
     rng = np.random.default_rng(seed)
     inc = rng.standard_normal((n_paths, n_steps, dim_w)) * np.sqrt(dt)

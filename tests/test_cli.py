@@ -255,6 +255,15 @@ class TestExitCodes:
     def test_budget_exhaustion(self):
         assert run("solve", TINY, "--steps", "30")[0] == 4
 
+    @pytest.mark.parametrize("args", [("solve", TINY, "--modes", "10000000"),
+                                      ("regress", TINY, "--paths", "1000000000000")],
+                             ids=["modes", "paths"])
+    def test_oversized_setting_is_refused_before_allocation(self, args):
+        # the basis matrices and the path increments are checked before they exist
+        code, out, err = run(*args)
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_numeric_breakdown(self):
         # strongly negative c with theta = 1 makes a singular implicit step
         assert run("solve", SINGULAR)[0] == 5

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bspde.errors
 from bspde import (
     BudgetError,
     GaussianBump,
@@ -128,8 +129,11 @@ class TestFeynmanKac:
 
 
 class TestSolveDense:
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         sc = make_scenario(phi=lambda t, X, hist: np.cos(X[:, 0]) + 0.0 * hist.w[0], T=0.5)
         tree = build_tree(1, 4, 2, sc.horizon)
-        with pytest.raises(BudgetError):
-            solve_dense(sc, tree, BASIS, dense_budget=50)
+        unknowns = (31 + 15) * BASIS.n_modes  # p on every node, q off the leaves
+        monkeypatch.setattr(bspde.errors, "_MEMORY_BYTES", unknowns ** 2 * 16 - 1)
+        with pytest.raises(BudgetError) as exc:
+            solve_dense(sc, tree, BASIS)
+        assert exc.value.count == unknowns ** 2 * 16

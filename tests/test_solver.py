@@ -32,6 +32,7 @@ from bspde import (
     strong_residual,
     weak_residual,
 )
+import bspde.errors
 import bspde.solver
 from bspde.solver import _distinct_rows, _level_step
 from helpers import (ADAPTED_TREE_TEXT, DIVERGENCE_MARKOV_TEXT, counting,
@@ -294,11 +295,16 @@ class TestTreeSolves:
         diff = pair_difference(sol, solve_dense(sc, tree, BASIS, SchemeConfig(theta=1.0)))
         assert np.sqrt(mixed_norm_sq(diff, p_order=0, q_order=0)) < 1e-9
 
-    def test_storage_budget(self):
+    def test_storage_budget(self, monkeypatch):
         sc = make_scenario(phi=lambda t, X, hist: np.cos(X[:, 0]) + 0.0 * hist.w[0], T=0.5)
         tree = build_tree(1, 8, 2, sc.horizon)
-        with pytest.raises(BudgetError):
-            solve_tree(sc, tree, BASIS, storage_budget=1000)
+        pq_bytes = 511 * BASIS.n_modes * (1 + 1) * 16  # p and q on every node
+        monkeypatch.setattr(bspde.errors, "_MEMORY_BYTES", pq_bytes - 1)
+        with pytest.raises(BudgetError) as exc:
+            solve_tree(sc, tree, BASIS)
+        assert (exc.value.count, exc.value.budget) == (pq_bytes, pq_bytes - 1)
+        monkeypatch.setattr(bspde.errors, "_MEMORY_BYTES", pq_bytes)
+        assert len(solve_tree(sc, tree, BASIS).p.levels) == 9
 
     def test_sup_expectation_ordering(self):
         sc = self.stochastic_scenario()
@@ -685,6 +691,18 @@ class TestMarkovFields:
         finally:
             tracemalloc.stop()
         assert peak < stack, (peak, stack)
+
+    def test_level_operators_are_refused_before_assembly(self, assemblies, monkeypatch):
+        # the bound counts a level's operator rows: 27 nodes of the path-dependent
+        # declaration at the first level solved, 7 Wiener states of its Markov twin
+        scn = load_scenario_text(DIVERGENCE_MARKOV_TEXT)[0]
+        tree, basis = build_tree(1, 4, 3, scn.horizon), SpectralBasis(2, 2, np.pi)
+        row = (3 + 1) * basis.n_modes ** 2 * 16
+        monkeypatch.setattr(bspde.errors, "_MEMORY_BYTES", 10 * row)
+        with pytest.raises(BudgetError) as exc:
+            solve_tree(declared_path_dependent(scn), tree, basis)
+        assert exc.value.count == 27 * row and assemblies == []
+        solve_tree(scn, tree, basis)
 
     def test_states_are_told_apart_by_bytes(self):
         w = np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, np.nextafter(1.0, 2.0)]])

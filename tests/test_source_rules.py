@@ -315,3 +315,34 @@ def test_no_package_code_unpacks_operators_into_the_engine():
     # a LevelOperators goes to the engine whole: unpacking it brought back
     # per-node operator stacks
     assert package_findings(starred_engine_calls) == {}
+
+
+def budget_errors_built(source: str) -> list[int]:
+    """Line numbers of ``BudgetError(...)`` or ``<x>.BudgetError(...)`` calls."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "BudgetError":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detector_finds_budget_errors_built():
+    source = (
+        "raise BudgetError(f'{n} nodes', count=n, budget=limit)\n"
+        "from .errors import BudgetError\n"
+        "raise errors.BudgetError(\n    'too big')\n"
+        "try:\n    f()\nexcept BudgetError as exc:\n    pass\n"
+        "check_bytes(n * 16, 'rows')\n"
+    )
+    assert budget_errors_built(source) == [1, 3]
+
+
+def test_only_the_byte_check_refuses_a_size():
+    # a module with a limit of its own would bring back a second unit and knob
+    assert package_findings(budget_errors_built, {"errors.py"}) == {}
+    errors = (SRC / "errors.py").read_text(encoding="utf-8")
+    assert len(budget_errors_built(errors)) == 1

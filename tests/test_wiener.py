@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bspde.errors
 from bspde import (
     BudgetError,
     build_chain,
@@ -115,13 +116,19 @@ class TestTreeStructure:
         with pytest.raises(ValueError):
             build_tree(1, 0, 2, 1.0)
 
-    def test_node_budget(self):
+    def test_node_budget(self, monkeypatch):
+        # a node holds parents, weights and prob, and dim_w increments and w_cum
         with pytest.raises(BudgetError) as exc:
             build_tree(1, 20, 3, 1.0)
-        assert exc.value.budget == 200_000
-        assert exc.value.count > exc.value.budget
-        with pytest.raises(BudgetError):
-            build_tree(1, 4, 2, 1.0, node_budget=10)
+        assert exc.value.budget == 1 << 31
+        assert exc.value.count == (3 ** 21 - 1) // 2 * 5 * 8
+        tree_bytes = 21 * (3 + 2 * 2) * 8  # the 1 + 4 + 16 nodes of a dim_w = 2 tree
+        monkeypatch.setattr(bspde.errors, "_MEMORY_BYTES", tree_bytes - 1)
+        with pytest.raises(BudgetError) as exc:
+            build_tree(2, 2, 2, 1.0)
+        assert (exc.value.count, exc.value.budget) == (tree_bytes, tree_bytes - 1)
+        monkeypatch.setattr(bspde.errors, "_MEMORY_BYTES", tree_bytes)
+        assert build_tree(2, 2, 2, 1.0).n_nodes == 21
 
 
 class TestConditionalExpectation:
