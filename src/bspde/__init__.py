@@ -14,7 +14,7 @@ from .errors import (BspdeError, BudgetError, ConvergenceError,
                      DegenerateKernelError, EvalError, NumericError,
                      ParseError, ScenarioValidationError, StructuralError)
 from .frozen import (IterationReport, continuation_solve, freeze,
-                     freeze_and_iterate, solve_frozen)
+                     freeze_and_iterate)
 from .oracle import GaussianBump, feynman_kac_mc, heat_reference, solve_dense
 from .scenario import (CoefficientField, ModulusOfContinuity, PathHistory,
                        SampleGrid, Scenario, ValidationReport,
@@ -52,6 +52,6 @@ __all__ = [
     "ito_identity_check", "load_scenario", "load_scenario_text",
     "martingale_coefficient", "mixed_norm_sq", "mollify", "pair_difference",
     "positivity_check", "sample_paths", "serialize_scenario",
-    "solve_dense", "solve_frozen", "solve_regression",
+    "solve_dense", "solve_regression",
     "solve_tree", "strong_residual", "validate", "weak_residual",
 ]

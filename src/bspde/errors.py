@@ -6,6 +6,8 @@ failure is one of the contract categories (structure, budget, numerics,
 parsing).
 """
 
+import math
+
 
 class BspdeError(Exception):
     """Base class for all package-specific failures."""
@@ -33,9 +35,14 @@ _MEMORY_BYTES = 1 << 31  # the most bytes any one array grown by a size setting 
 
 
 def check_bytes(nbytes: int, what: str) -> None:
-    """Refuse, before it is allocated, an array of ``nbytes`` bytes over the bound."""
+    """Refuse, before it is allocated, an array of ``nbytes`` bytes over the bound.
+
+    A count past 64 bits is printed as a power of two: Python will not turn an
+    int of more than 4,300 digits into text, and no reader needs the digits.
+    """
     if nbytes > _MEMORY_BYTES:
-        raise BudgetError(f"{what} would take {nbytes} bytes, over {_MEMORY_BYTES}",
+        size = nbytes if nbytes.bit_length() <= 64 else f"about 2^{round(math.log2(nbytes))}"
+        raise BudgetError(f"{what} would take {size} bytes, over {_MEMORY_BYTES}",
                           count=nbytes, budget=_MEMORY_BYTES)
 
 

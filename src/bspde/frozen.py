@@ -1,24 +1,28 @@
-"""Frozen-coefficient solves, the freezing fixed point, and continuation in lambda.
+"""The frozen-coefficient problem, the freezing fixed point, and continuation in lambda.
 
 With the second-order coefficients frozen at a spatial point x0 (keeping any
-time/randomness dependence) the equation decouples mode by mode:
+time/randomness dependence) and the lower-order terms dropped, the equation
+decouples mode by mode:
 
-    dp_hat = -[ -(a0 k k) p_hat + i (sigma0 k) . q_hat + F_hat ] dt + q_hat dW,
+    dp_hat = -[ -(a0 k k) p_hat + i (sigma0 k) . q_hat + F_hat ] dt + q_hat dW.
 
-so the backward recursion runs with scalar algebra per mode.  The freezing
-iteration solves the variable-coefficient problem by Picard: the operators of
-(a - a0, sigma - sigma0), assembled in the scenario's own form together with
-all lower-order terms, act on the current iterate and are folded into the
-source of the frozen solve, and the map contracts when the spatial
-oscillation of (a, sigma) is small.  Continuation blends the second-order
-coefficients between their frozen and true values on a uniform lambda grid,
-warm-starting each step at the previous solution, which reaches coefficient
-families whose direct freezing iteration diverges.
+``freeze`` returns this problem as an ordinary ``Scenario``: its assembled L
+and M are diagonal to round-off, and it runs on the same tree engine as any
+scenario, so ``solve_tree(freeze(scenario, x0), tree, basis)`` is the frozen
+solve.  The freezing iteration solves the variable-coefficient problem by
+Picard: the operators of (a - a0, sigma - sigma0), assembled in the
+scenario's own form together with all lower-order terms, act on the current
+iterate and are folded into the source of the frozen solve, and the map
+contracts when the spatial oscillation of (a, sigma) is small.  Continuation
+blends the second-order coefficients between their frozen and true values on
+a uniform lambda grid, warm-starting each step at the previous solution,
+which reaches coefficient families whose direct freezing iteration diverges.
 
 The initial frozen solve and every Picard step of a ``freeze_and_iterate``
-call read their fields through one ``LevelFields``, so a t-free operator is
-assembled once per distinct Wiener state of the call, and a map over fields
-that read ``t`` once per level and state, not once per step.
+call read their fields, and the frozen scenario's operators, through one
+``LevelFields``, so a t-free operator is assembled once per distinct Wiener
+state of the call, and a map over fields that read ``t`` once per level and
+state, not once per step.
 
 The folded source enters the step at the left endpoint without theta
 splitting, so the fixed point reproduces the full tree solve exactly at
@@ -34,8 +38,8 @@ import numpy as np
 
 from .errors import ConvergenceError, StructuralError
 from .scenario import CoefficientField, Scenario
-from .solver import (LevelFields, LevelOperators, SchemeConfig, SolutionPair,
-                     _generator, backward_solve, mixed_norm_sq, pair_difference)
+from .solver import (LevelFields, SchemeConfig, SolutionPair, _generator,
+                     backward_solve, mixed_norm_sq, pair_difference)
 from .space import SpectralBasis
 from .wiener import WienerTree
 
@@ -64,40 +68,6 @@ def _frozen_field(field_: CoefficientField, x0: Array) -> CoefficientField:
         lambda t, X, hist: np.broadcast_to(field_.evaluate(t, point, hist)[0],
                                            (len(X),) + field_.shape),
         field_.shape, field_)
-
-
-def _frozen_operators(fields: LevelFields, frozen: Scenario):
-    """``level -> LevelOperators``: the diagonal symbols of a0:D2, (m,), and
-    of sigma0.grad, (dim_w, m), read as named maps of the frozen a and sigma."""
-    coeffs, k = (frozen.a, frozen.sigma), fields.basis.freqs
-    origin = np.zeros((1, frozen.dim_x))
-
-    def L(t, h):
-        a0 = frozen.a.evaluate(t, origin, h)[0]         # (d, d)
-        return -np.einsum("ij,mi,mj->m", a0, k, k).astype(complex)
-
-    def Ms(t, h):
-        s0 = frozen.sigma.evaluate(t, origin, h)[0]     # (d, dw)
-        return np.array([1j * (k @ s0[:, kk]) for kk in range(frozen.dim_w)])
-
-    def operators(level):
-        L_rows, index = fields.level_rows(level, coeffs, L, ("frozen L", frozen))
-        Ms_rows, _ = fields.level_rows(level, coeffs, Ms, ("frozen M", frozen))
-        return LevelOperators(L_rows, Ms_rows, index)
-    return operators
-
-
-def solve_frozen(frozen: Scenario, tree: WienerTree, basis: SpectralBasis,
-                 scheme: SchemeConfig | None = None) -> SolutionPair:
-    """Backward solve with per-mode scalar algebra (coefficients frozen in x).
-
-    ``frozen`` is a ``freeze``d scenario: only its a, sigma, F and phi are read,
-    through one ``LevelFields``.  ``freeze_and_iterate`` runs the same solve,
-    and then its Picard steps, on one provider of its own.
-    """
-    fields = LevelFields(frozen, tree, basis)
-    return backward_solve(tree, basis, scheme or SchemeConfig(), fields.terminal(),
-                          _frozen_operators(fields, frozen), fields.source)
 
 
 @dataclass(frozen=True)
@@ -139,7 +109,7 @@ def freeze_and_iterate(scenario: Scenario, freeze_point: Array, tree: WienerTree
     pert = scenario.with_fields(a=_difference_field(scenario.a, frozen.a),
                                 sigma=_difference_field(scenario.sigma, frozen.sigma))
     fields = LevelFields(frozen, tree, basis)
-    ops, terminal = _frozen_operators(fields, frozen), fields.terminal()
+    terminal = fields.terminal()
 
     def folded_source(level):
         # F + L' u + sum_k M'_k v_k of the current iterate (u, v)
@@ -147,11 +117,11 @@ def freeze_and_iterate(scenario: Scenario, freeze_point: Array, tree: WienerTree
                           current.q.levels[level], fields.source(level))
 
     current = initial if initial is not None else backward_solve(
-        tree, basis, scheme, terminal, ops, fields.source)
+        tree, basis, scheme, terminal, fields.operators, fields.source)
     distances: list[float] = []
     converged = False
     for _ in range(max_iter):
-        nxt = backward_solve(tree, basis, scheme, terminal, ops, folded_source)
+        nxt = backward_solve(tree, basis, scheme, terminal, fields.operators, folded_source)
         distances.append(float(np.sqrt(mixed_norm_sq(pair_difference(nxt, current)))))
         current = nxt
         converged = distances[-1] <= tol

@@ -12,13 +12,13 @@ the noise coupling.
 
 The recursion runs a whole tree level at a time.  ``LevelFields`` supplies a
 level's source as a stacked array and its operators as one
-``LevelOperators``: rows plus each node's row, with one shared row for
-deterministic fields, one per distinct Wiener state for Markov fields and one
-per node otherwise.  ``_level_step`` solves the level with one stacked solve
-when every node has its own row, and otherwise with one factorisation per row
-for all of its nodes; diagonal per-mode symbols divide instead.  The tree
-solver, the residuals, the regression solver, the frozen-coefficient solver
-and the audits all run on this one step.
+``LevelOperators``: matrix rows plus each node's row, with one shared row
+for deterministic fields, one per distinct Wiener state for Markov fields and
+one per node otherwise.  ``_level_step`` solves the level with one stacked
+solve when every node has its own row, and otherwise with one factorisation
+per row for all of its nodes.  The tree solver, the residuals, the
+regression solver, the freezing iteration and the audits all run on this one
+step.
 """
 
 from __future__ import annotations
@@ -138,17 +138,25 @@ def pair_difference(x: SolutionPair, y: SolutionPair) -> SolutionPair:
 
 @dataclass(frozen=True)
 class LevelOperators:
-    """A level's operators as rows plus each node's row (``index``).
+    """A level's operators as matrix rows plus each node's row (``index``).
 
-    ``L`` is (k, m) (diagonal symbols) or (k, m, m), and ``Ms`` is
-    (k, dim_w, m) or (k, dim_w, m, m).  ``index`` is None only when one row
-    (k = 1) is shared by the level.  With as many rows as nodes, each node
-    has its own row and ``index`` is a permutation.
+    ``L`` is (k, m, m) and ``Ms`` is (k, dim_w, m, m).  ``index`` is None only
+    when one row (k = 1) is shared by the level.  With as many rows as nodes,
+    each node has its own row and ``index`` is a permutation.
     """
 
     L: Array
     Ms: Array
     index: Array | None = None
+
+    def __post_init__(self):
+        k, m = len(self.L), self.L.shape[-1]
+        if self.L.shape != (k, m, m) or self.Ms.shape[:1] + self.Ms.shape[2:] != (k, m, m):
+            raise StructuralError(
+                f"operator rows must be L (k, m, m) and Ms (k, dim_w, m, m), "
+                f"got L {self.L.shape} and Ms {self.Ms.shape}")
+        if self.index is None and k != 1:
+            raise StructuralError(f"{k} operator rows need each node's row (index)")
 
 
 def _row_nodes(ops: LevelOperators) -> list:
@@ -179,10 +187,10 @@ def _by_row(groups: list, part, shape: tuple) -> Array:
 
 
 def _apply(op: Array, vec: Array, groups: list) -> Array:
-    """Level-wise action of ``op`` (rows) on ``vec`` (n, m) over ``groups``
-    (``_row_nodes``): a broadcast product for symbols, else matvecs."""
-    return _by_row(groups, lambda rows, nodes: op[rows] * vec[nodes] if op.ndim == 2
-                   else (op[rows] @ vec[nodes][..., None])[..., 0], vec.shape)
+    """Level-wise action of ``op`` (matrix rows) on ``vec`` (n, m) over
+    ``groups`` (``_row_nodes``): one matvec per node."""
+    return _by_row(groups, lambda rows, nodes: (op[rows] @ vec[nodes][..., None])[..., 0],
+                   vec.shape)
 
 
 def _generator(ops: LevelOperators, p: Array, q: Array, f: Array) -> Array:
@@ -363,8 +371,6 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     each row's matrix is factored once, for all of its nodes.  Errors name the
     node as ``first_node`` plus its place in ``Ep``, never a row.
     """
-    if ops.L.ndim == 2 and ops.index is not None:  # symbols cost what rhs does: per node
-        ops = LevelOperators(ops.L[ops.index], ops.Ms[ops.index], np.arange(len(Ep)))
     L, Ms, index = ops.L, ops.Ms, ops.index
     groups = _row_nodes(ops)
     rhs = Ep + dt * fhat
@@ -372,13 +378,6 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
         rhs += dt * (1.0 - theta) * _apply(L, Ep, groups)
     for k in range(q.shape[1]):
         rhs += dt * _apply(Ms[:, k], q[:, k], groups)
-    if L.ndim == 2:
-        den = 1.0 - theta * dt * L
-        bad = np.any(np.abs(den) < 1e-14, axis=-1)
-        if bad.any():
-            raise NumericError(f"singular implicit step at level {level}, "
-                               f"node {first_node + int(np.argmax(bad))} (diagonal)")
-        return rhs / den
     A = np.eye(L.shape[-1]) - theta * dt * L
 
     def solve(rows, nodes):  # a row per node: one stacked solve; else one per row

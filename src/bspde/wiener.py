@@ -160,10 +160,16 @@ def build_tree(dim_w: int, n_steps: int, branching: int, horizon: float) -> Wien
 
 def build_chain(dim_w: int, n_steps: int, horizon: float) -> WienerTree:
     """Single-path degenerate tree for deterministic scenarios (see module doc):
-    one child per node, with a zero increment and unit weight."""
+    one child per node, with a zero increment and unit weight.
+
+    Every level after the root is the same one node, so the chain holds one
+    ``TreeLevel`` object for all of them: a level costs a list slot.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    return _grow(dim_w, n_steps, 1, horizon, (np.zeros((1, dim_w)), np.ones(1)))
+    root, level = _grow(dim_w, 1, 1, horizon, (np.zeros((1, dim_w)), np.ones(1))).levels
+    return WienerTree(dim_w, n_steps, 1, horizon, horizon / n_steps,
+                      [root] + [level] * n_steps)
 
 
 def _children(tree: WienerTree, level: int, values) -> tuple[Array, Array, Array]:

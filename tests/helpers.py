@@ -399,33 +399,19 @@ def picard_reference(scenario, freeze_point, tree, basis, tol=1e-9, max_iter=40,
     The package runs every step on one provider and reads the source level by
     level, with the same arithmetic, so the two agree digit for digit.
     """
-    from bspde import (IterationReport, LevelFields, LevelOperators, SchemeConfig,
-                       backward_solve, freeze, mixed_norm_sq, pair_difference)
+    from bspde import (IterationReport, LevelFields, SchemeConfig, backward_solve,
+                       freeze, mixed_norm_sq, pair_difference)
     from bspde.frozen import _difference_field
     from bspde.solver import _generator
 
     scheme = scheme or SchemeConfig()
     frozen = freeze(scenario, freeze_point)
-    k = basis.freqs
 
     def frozen_solve(source_levels=None):
         fields = LevelFields(frozen, tree, basis)
-        coeffs = (frozen.a, frozen.sigma)
-
-        def L(t, h):
-            a0 = frozen.a.evaluate(t, np.zeros((1, frozen.dim_x)), h)[0]
-            return -np.einsum("ij,mi,mj->m", a0, k, k).astype(complex)
-
-        def Ms(t, h):
-            s0 = frozen.sigma.evaluate(t, np.zeros((1, frozen.dim_x)), h)[0]
-            return np.array([1j * (k @ s0[:, kk]) for kk in range(frozen.dim_w)])
-
-        def ops(level):
-            L_rows, index = fields.level_rows(level, coeffs, L)
-            return LevelOperators(L_rows, fields.level_rows(level, coeffs, Ms)[0], index)
-
         source = fields.source if source_levels is None else source_levels.__getitem__
-        return backward_solve(tree, basis, scheme, fields.terminal(), ops, source)
+        return backward_solve(tree, basis, scheme, fields.terminal(), fields.operators,
+                              source)
 
     current = initial if initial is not None else frozen_solve()
     distances = []

@@ -156,7 +156,7 @@ def test_3_martingale_representation(capsys):
         tree = build_tree(dim_w, n_steps, branching, horizon)
         ghat = basis.project(np.cos(basis.grid_points[:, 0]))
         n = basis.n_modes
-        zops = lambda level: LevelOperators(np.zeros((1, n)), np.zeros((1, dim_w, n)))
+        zops = lambda level: LevelOperators(np.zeros((1, n, n)), np.zeros((1, dim_w, n, n)))
         sol = backward_solve(
             tree, basis, SchemeConfig(theta=1.0),
             tree.levels[tree.n_steps].w_cum[:, :1] * ghat,

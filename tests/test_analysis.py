@@ -126,7 +126,7 @@ class TestItoIdentity:
         tree = build_tree(1, 4, 2, 0.5)
         ghat = BASIS.project(np.sin(BASIS.grid_points[:, 0]))
         n = BASIS.n_modes
-        zops = lambda level: LevelOperators(np.zeros((1, n)), np.zeros((1, 1, n)))
+        zops = lambda level: LevelOperators(np.zeros((1, n, n)), np.zeros((1, 1, n, n)))
         sol = backward_solve(
             tree, BASIS, SchemeConfig(theta=1.0),
             tree.levels[tree.n_steps].w_cum[:, :1] * ghat,
@@ -141,7 +141,7 @@ class TestItoIdentity:
         tree = build_tree(1, 4, 2, 0.5)
         ghat = BASIS.project(np.sin(BASIS.grid_points[:, 0]))
         n = BASIS.n_modes
-        zops = lambda level: LevelOperators(np.zeros((1, n)), np.zeros((1, 1, n)))
+        zops = lambda level: LevelOperators(np.zeros((1, n, n)), np.zeros((1, 1, n, n)))
         sol = backward_solve(
             tree, BASIS, SchemeConfig(theta=1.0),
             tree.levels[tree.n_steps].w_cum[:, :1] * ghat,

@@ -264,6 +264,16 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("args", [("solve", TINY, "--steps", "20000"),
+                                      ("solve", ROUGH, "--steps", "2000000")],
+                             ids=["tree-bytes-past-4300-digits", "chain"])
+    def test_step_count_past_the_budget_is_refused(self, args):
+        # the tree's byte count is too long to print in full; the chain's
+        # levels are one shared object, so p and q are refused before memory grows
+        code, out, err = run(*args)
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_numeric_breakdown(self):
         # strongly negative c with theta = 1 makes a singular implicit step
         assert run("solve", SINGULAR)[0] == 5

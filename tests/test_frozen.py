@@ -8,20 +8,24 @@ import pytest
 
 from bspde import (
     ConvergenceError,
+    PathHistory,
     SchemeConfig,
     SpectralBasis,
+    assemble_L,
+    assemble_M,
     build_chain,
     build_tree,
     continuation_solve,
     freeze,
     freeze_and_iterate,
     load_scenario,
+    load_scenario_text,
     mixed_norm_sq,
     pair_difference,
-    solve_frozen,
     solve_tree,
 )
-from helpers import make_scenario, markov_scenario, picard_reference
+from helpers import (DIVERGENCE_MARKOV_TEXT, make_scenario, markov_scenario,
+                     picard_reference)
 from oracles import scalar_mode_exact, scalar_theta_chain
 from test_solver import assemblies  # noqa: F401 (a fixture)
 
@@ -47,7 +51,7 @@ class TestSolveFrozen:
         sc = cos_scenario()
         chain = build_chain(1, 16, sc.horizon)
         frozen = freeze(sc, np.zeros(1))
-        sol = solve_frozen(frozen, chain, BASIS)
+        sol = solve_tree(frozen, chain, BASIS)
         ref = scalar_theta_chain(-0.5, 0.5, lambda s: 0.0, sc.horizon, 16, 1.0)
         got = sol.p0().coeffs[BASIS.modes[:, 0] == 1][0]
         assert got == pytest.approx(ref, abs=1e-14)
@@ -59,7 +63,7 @@ class TestSolveFrozen:
         for n in (16, 32, 64):
             chain = build_chain(1, n, sc.horizon)
             frozen = freeze(sc, np.zeros(1))
-            sol = solve_frozen(frozen, chain, BASIS)
+            sol = solve_tree(frozen, chain, BASIS)
             got = sol.p0().coeffs[BASIS.modes[:, 0] == 1][0]
             errs.append(abs(got - exact))
         assert errs[0] / errs[1] > 1.8
@@ -69,7 +73,7 @@ class TestSolveFrozen:
         sc = cos_scenario()
         chain = build_chain(1, 12, sc.horizon)
         frozen = freeze(sc, np.zeros(1))
-        assert pair_gap(solve_frozen(frozen, chain, BASIS), solve_tree(sc, chain, BASIS)) < 1e-13
+        assert pair_gap(solve_tree(frozen, chain, BASIS), solve_tree(sc, chain, BASIS)) < 1e-13
 
     def test_freeze_point_selects_coefficient_value(self):
         # a(x) = 0.5(1 + 0.5 sin x) frozen at x0 = pi/2 is the constant 0.75
@@ -77,8 +81,47 @@ class TestSolveFrozen:
         sc_const = cos_scenario(a=0.75, K=2.0, kappa=0.1)
         chain = build_chain(1, 12, sc_var.horizon)
         frozen = freeze(sc_var, np.array([np.pi / 2]))
-        assert pair_gap(solve_frozen(frozen, chain, BASIS),
+        assert pair_gap(solve_tree(frozen, chain, BASIS),
                         solve_tree(sc_const, chain, BASIS)) < 1e-12
+
+
+def frozen_cases():
+    """Adapted Markov a and sigma (d = 1, d1 = 1 and 2) and a 2-d scenario,
+    each in both forms."""
+    cases = [(markov_scenario(1), BASIS), (markov_scenario(2), BASIS),
+             (load_scenario_text(DIVERGENCE_MARKOV_TEXT)[0], SpectralBasis(2, 6, np.pi))]
+    for scn, basis in cases:
+        for form in ("non_divergence", "divergence"):
+            yield pytest.param(scn.with_fields(form=form), basis,
+                               id=f"d{scn.dim_x}-d1{scn.dim_w}-{form}")
+
+
+class TestFrozenOperators:
+    """The frozen scenario is an ordinary scenario on the tree engine."""
+
+    @pytest.mark.parametrize("scn, basis", frozen_cases())
+    def test_frozen_operators_are_diagonal(self, scn, basis):
+        # a and sigma frozen in x make every operator a Fourier multiplier
+        frozen = freeze(scn, np.full(scn.dim_x, 0.7))
+        rng = np.random.default_rng(1)
+        for steps in (0, 1, 3):
+            hist = PathHistory.from_increments(
+                0.3 * rng.standard_normal((steps, scn.dim_w)), 0.1) \
+                if steps else PathHistory.empty(scn.dim_w)
+            for op in [assemble_L(frozen, hist.t, hist, basis),
+                       *assemble_M(frozen, hist.t, hist, basis)]:
+                off = op - np.diag(np.diag(op))
+                assert np.abs(off).max() <= 1e-14 * np.abs(op).max()
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_initial_solve_is_the_tree_solve_of_the_frozen_scenario(self, theta):
+        scn, x0 = markov_scenario(1), np.array([0.4])
+        tree, scheme = build_tree(1, 3, 3, scn.horizon), SchemeConfig(theta=theta)
+        sol, report = freeze_and_iterate(scn, x0, tree, BASIS, max_iter=0, scheme=scheme)
+        ref = solve_tree(freeze(scn, x0), tree, BASIS, scheme)
+        assert report.iterations == 0 and not report.converged
+        for a, b in zip(sol.p.levels + sol.q.levels, ref.p.levels + ref.q.levels):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestFreezeAndIterate:

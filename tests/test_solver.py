@@ -45,8 +45,9 @@ BASIS = SpectralBasis(1, 4, np.pi)
 
 
 def zero_ops(n_modes, dim_w):
-    # diagonal symbols shared by every node of a level (k = 1)
-    ops = LevelOperators(np.zeros((1, n_modes)), np.zeros((1, dim_w, n_modes)))
+    # zero matrices shared by every node of a level (k = 1)
+    ops = LevelOperators(np.zeros((1, n_modes, n_modes)),
+                         np.zeros((1, dim_w, n_modes, n_modes)))
     return lambda level: ops
 
 
@@ -162,6 +163,22 @@ class TestBackwardSolveProviders:
         with pytest.raises(NumericError, match=message):
             backward_solve(tree, BASIS, SchemeConfig(theta=1.0), np.ones((1, n)),
                            ops, zero_source)
+
+    @pytest.mark.parametrize("L, Ms, index, message", [
+        ((1, 9), (1, 1, 9), None,
+         r"L \(k, m, m\) and Ms \(k, dim_w, m, m\), got L \(1, 9\) and Ms \(1, 1, 9\)"),
+        ((2, 9, 9), (1, 1, 9, 9), [0, 1], r"got L \(2, 9, 9\) and Ms \(1, 1, 9, 9\)"),
+        ((2, 9, 9), (2, 1, 9, 9), None, "2 operator rows need each node's row")],
+        ids=["symbols", "row-counts", "no-index"])
+    def test_operators_other_than_matrix_rows_are_refused(self, L, Ms, index, message):
+        assert BASIS.n_modes == 9
+        tree = build_tree(1, 2, 2, 0.5)
+
+        def ops(level):
+            return LevelOperators(np.zeros(L), np.zeros(Ms),
+                                  None if index is None else np.array(index))
+        with pytest.raises(StructuralError, match=message):
+            backward_solve(tree, BASIS, SchemeConfig(), np.ones((1, 9)), ops, zero_source)
 
     @pytest.mark.parametrize("n, n_rows, index, solves", [
         (1, 1, None, 1),                    # a shared row, for any node count

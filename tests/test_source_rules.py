@@ -317,17 +317,22 @@ def test_no_package_code_unpacks_operators_into_the_engine():
     assert package_findings(starred_engine_calls) == {}
 
 
-def budget_errors_built(source: str) -> list[int]:
-    """Line numbers of ``BudgetError(...)`` or ``<x>.BudgetError(...)`` calls."""
+def calls_named(source: str, called: str) -> list[int]:
+    """Line numbers of ``<called>(...)`` or ``<x>.<called>(...)`` calls."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "BudgetError":
+        if name == called:
             lines.append(node.lineno)
     return lines
+
+
+def budget_errors_built(source: str) -> list[int]:
+    """Line numbers of ``BudgetError(...)`` or ``<x>.BudgetError(...)`` calls."""
+    return calls_named(source, "BudgetError")
 
 
 def test_detector_finds_budget_errors_built():
@@ -346,3 +351,26 @@ def test_only_the_byte_check_refuses_a_size():
     assert package_findings(budget_errors_built, {"errors.py"}) == {}
     errors = (SRC / "errors.py").read_text(encoding="utf-8")
     assert len(budget_errors_built(errors)) == 1
+
+
+def level_operators_built(source: str) -> list[int]:
+    """Line numbers of ``LevelOperators(...)`` or ``<x>.LevelOperators(...)`` calls."""
+    return calls_named(source, "LevelOperators")
+
+
+def test_detector_finds_level_operators_built():
+    source = (
+        "ops = LevelOperators(L, Ms, index)\n"
+        "from .solver import LevelOperators\n"
+        "ops = solver.LevelOperators(\n    L, Ms)\n"
+        "def f(ops: LevelOperators) -> LevelOperators:\n    return ops\n"
+        "ok = isinstance(ops, LevelOperators)\n"
+    )
+    assert level_operators_built(source) == [1, 3]
+
+
+def test_only_the_solver_builds_level_operators():
+    # an operator map built elsewhere would be a second operator form
+    assert package_findings(level_operators_built, {"solver.py"}) == {}
+    solver = (SRC / "solver.py").read_text(encoding="utf-8")
+    assert len(level_operators_built(solver)) == 1

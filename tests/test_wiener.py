@@ -1,5 +1,7 @@
 """Quadrature trees, conditional expectations, and path ensembles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from bspde import (
     martingale_coefficient,
     sample_paths,
 )
+from bspde.wiener import _grow
 from oracles import brute_tree_expectation, gauss_hermite_probabilist
 
 
@@ -130,6 +133,16 @@ class TestTreeStructure:
         monkeypatch.setattr(bspde.errors, "_MEMORY_BYTES", tree_bytes)
         assert build_tree(2, 2, 2, 1.0).n_nodes == 21
 
+    @pytest.mark.parametrize("n_steps, size", [
+        (20, f"{(3 ** 21 - 1) // 2 * 40} bytes"),    # fits in 64 bits: every digit
+        (20000, "about 2^31705 bytes")],            # 9,545 digits: a power of two
+        ids=["64-bit-count", "longer-count"])
+    def test_node_budget_message_prints_any_count(self, n_steps, size):
+        with pytest.raises(BudgetError) as exc:
+            build_tree(1, n_steps, 3, 1.0)
+        assert exc.value.count == (3 ** (n_steps + 1) - 1) // 2 * 40
+        assert str(exc.value) == f"a tree of {n_steps} steps would take {size}, over {1 << 31}"
+
 
 class TestConditionalExpectation:
     def test_constant(self):
@@ -223,6 +236,28 @@ class TestChain:
     def test_chain_conditional_expectation_passthrough(self):
         chain = build_chain(1, 3, 1.0)
         assert conditional_expectation(chain, 1, np.array([3.5]))[0] == pytest.approx(3.5)
+
+    @pytest.mark.parametrize("dim_w, n_steps", [(1, 1), (1, 5), (2, 4)])
+    def test_chain_levels_are_those_of_the_grown_chain(self, dim_w, n_steps):
+        # the shared level is bit for bit the level a one-child tree grows
+        chain = build_chain(dim_w, n_steps, 0.7)
+        grown = _grow(dim_w, n_steps, 1, 0.7, (np.zeros((1, dim_w)), np.ones(1)))
+        assert (chain.dt, chain.n_steps, len(chain.levels)) == \
+            (grown.dt, grown.n_steps, len(grown.levels))
+        for got, want in zip(chain.levels, grown.levels):
+            for name in ("parents", "increments", "weights", "prob", "w_cum"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    def test_chain_costs_a_list_slot_per_level(self):
+        tracemalloc.start()
+        try:
+            chain = build_chain(1, 200_000, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chain.n_nodes == 200_001
+        assert peak < 4 * 2 ** 20
 
 
 class TestPathEnsemble:
