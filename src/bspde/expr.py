@@ -17,8 +17,37 @@ import numpy as np
 
 from .errors import EvalError, ParseError
 
-UNARY_FUNCTIONS = ("sin", "cos", "exp", "abs", "relu")
-BINARY_FUNCTIONS = ("min", "max")
+
+class _Undefined(Exception):
+    """An operation with no finite value; ``evaluate`` adds the node's span."""
+
+
+def _divide(left, right):
+    if np.any(np.asarray(right) == 0):
+        raise _Undefined("division by zero")
+    return np.divide(left, right)
+
+
+def _power(left, right):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.power(np.asarray(left, dtype=float), right)
+    if not np.all(np.isfinite(out)):
+        raise _Undefined("power produced a non-finite value")
+    return out
+
+
+# every operator and function: op -> (number of arguments, numpy call);
+# ``neg`` is unary minus, and every other alphabetic op is a function name
+_OPERATORS = {
+    "neg": (1, np.negative), "sin": (1, np.sin), "cos": (1, np.cos),
+    "exp": (1, np.exp), "abs": (1, np.abs), "relu": (1, lambda v: np.maximum(v, 0.0)),
+    "+": (2, np.add), "-": (2, np.subtract), "*": (2, np.multiply),
+    "/": (2, _divide), "^": (2, _power), "min": (2, np.minimum), "max": (2, np.maximum),
+}
+_FUNCTIONS = {op: arity for op, (arity, _) in _OPERATORS.items()
+              if op.isalpha() and op != "neg"}
+UNARY_FUNCTIONS = tuple(op for op, arity in _FUNCTIONS.items() if arity == 1)
+BINARY_FUNCTIONS = tuple(op for op, arity in _FUNCTIONS.items() if arity == 2)
 
 _TOKEN_RE = re.compile(
     r"""(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
@@ -58,56 +87,25 @@ def _tokenize(text: str) -> list[Token]:
                 continue
             raise ParseError(f"unexpected character {ch!r}", line, col)
         tokens.append(Token(m.lastgroup, m.group(), pos, line, col))
-    end_col = len(text) - line_start + 1
-    tokens.append(Token("end", "", len(text), line, end_col))
+    tokens.append(Token("end", "", len(text), line, len(text) - line_start + 1))
     return tokens
 
 
-# ---------------------------------------------------------------------------
-# AST nodes; span = (start, end) character offsets into the source
+@dataclass(frozen=True, slots=True)
+class Node:
+    """One AST node; ``span`` = (start, end) character offsets into the source.
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+    ``op`` is ``num`` (``args`` = (value,)), ``var`` (``args`` = (name,)), or
+    a key of ``_OPERATORS`` with its argument nodes as ``args``.
+    """
+
+    op: str
+    args: tuple
     span: tuple
-
-    def children(self):
-        return ()
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    span: tuple
-
-    def children(self):
-        return ()
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str  # neg | sin | cos | exp | abs | relu
-    operand: object
-    span: tuple
-
-    def children(self):
-        return (self.operand,)
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # + - * / ^ min max
-    left: object
-    right: object
-    span: tuple
-
-    def children(self):
-        return (self.left, self.right)
 
 
 class _Parser:
     def __init__(self, text: str, variables):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.variables = None if variables is None else frozenset(variables)
@@ -116,95 +114,85 @@ class _Parser:
         return self.tokens[self.i]
 
     def advance(self) -> Token:
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
+
+    def at(self, ops: str) -> bool:
+        """Whether the next token is one of the one-character ``ops``."""
+        tok = self.peek()
+        return tok.kind == "op" and tok.text in ops
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
+        if self.at(text):
             return self.advance()
+        tok = self.peek()
         shown = "end of input" if tok.kind == "end" else repr(tok.text)
         raise ParseError(f"expected {text!r}, found {shown}", tok.line, tok.col)
 
-    def fail(self, msg: str, tok: Token):
-        raise ParseError(msg, tok.line, tok.col)
+    def node(self, op: str, args: tuple, start: int) -> Node:
+        """A node whose span runs from ``start`` to the end of the last token
+        read, so that it takes in the parentheses around an operand."""
+        last = self.tokens[self.i - 1]
+        return Node(op, args, (start, last.pos + len(last.text)))
+
+    def chain(self, ops: str, first, rest):
+        """``first (op rest)*`` with ``op`` in ``ops``, folded to the left."""
+        start, node = self.peek().pos, first()
+        while self.at(ops):
+            op = self.advance().text
+            node = self.node(op, (node, rest()), start)
+        return node
+
+    def negated(self, inner):
+        """``'-'* inner``: each leading minus negates what follows it."""
+        if not self.at("-"):
+            return inner()
+        start = self.advance().pos
+        return self.node("neg", (self.negated(inner),), start)
 
     # expr := term (('+'|'-') term)*
     def expr(self):
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = Binary(op, node, rhs, (node.span[0], rhs.span[1]))
-        return node
+        return self.chain("+-", self.term, self.term)
 
+    # term := unary (('*'|'/') unary)*;  unary := '-'* power
     def term(self):
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.unary()
-            node = Binary(op, node, rhs, (node.span[0], rhs.span[1]))
-        return node
+        return self.chain("*/", self.unary, self.unary)
 
     def unary(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            operand = self.unary()
-            return Unary("neg", operand, (tok.pos, operand.span[1]))
-        return self.power()
+        return self.negated(self.power)
 
+    # power := atom ('^' '-'* atom)*: a leading minus in the exponent is the one
+    # place unary minus appears inside the ^ level, so 2^-3 reads as 2^(-3)
     def power(self):
-        node = self.atom()
-        while self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            rhs = self.exponent()
-            node = Binary("^", node, rhs, (node.span[0], rhs.span[1]))
-        return node
-
-    def exponent(self):
-        # a leading minus in the exponent is the one place unary minus
-        # appears inside the ^ level: 2^-3 reads as 2^(-3)
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            operand = self.exponent()
-            return Unary("neg", operand, (tok.pos, operand.span[1]))
-        return self.atom()
+        return self.chain("^", self.atom, lambda: self.negated(self.atom))
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "number":
-            self.advance()
-            return Num(float(tok.text), (tok.pos, tok.pos + len(tok.text)))
+            return self.node("num", (float(self.advance().text),), tok.pos)
         if tok.kind == "ident":
-            self.advance()
-            name = tok.text
-            if name in UNARY_FUNCTIONS or name in BINARY_FUNCTIONS:
+            name = self.advance().text
+            if name in _FUNCTIONS:
                 self.expect("(")
-                first = self.expr()
-                if name in BINARY_FUNCTIONS:
+                args = [self.expr()]
+                while len(args) < _FUNCTIONS[name]:
                     self.expect(",")
-                    second = self.expr()
-                    close = self.expect(")")
-                    return Binary(name, first, second, (tok.pos, close.pos + 1))
-                close = self.expect(")")
-                return Unary(name, first, (tok.pos, close.pos + 1))
+                    args.append(self.expr())
+                self.expect(")")
+                return self.node(name, tuple(args), tok.pos)
             if self.variables is not None and name not in self.variables:
-                self.fail(f"unknown identifier {name!r}", tok)
-            return Var(name, (tok.pos, tok.pos + len(tok.text)))
-        if tok.kind == "op" and tok.text == "(":
+                raise ParseError(f"unknown identifier {name!r}", tok.line, tok.col)
+            return self.node("var", (name,), tok.pos)
+        if self.at("("):
             self.advance()
             node = self.expr()
             self.expect(")")
             return node
-        if tok.kind == "end":
-            self.fail("unexpected end of input", tok)
-        self.fail(f"unexpected token {tok.text!r}", tok)
+        raise ParseError("unexpected end of input" if tok.kind == "end"
+                         else f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
-def parse_expression(text: str, variables=None):
+def parse_expression(text: str, variables=None) -> Node:
     """Parse ``text`` into an AST.
 
     ``variables`` (optional) is the set of legal identifiers; identifiers
@@ -217,81 +205,37 @@ def parse_expression(text: str, variables=None):
     node = parser.expr()
     tail = parser.peek()
     if tail.kind != "end":
-        parser.fail(f"unexpected token {tail.text!r} after expression", tail)
+        raise ParseError(f"unexpected token {tail.text!r} after expression",
+                         tail.line, tail.col)
     return node
 
 
-def variables_in(node) -> set:
+def variables_in(node: Node) -> set:
     """Set of variable names referenced anywhere in the AST."""
-    if isinstance(node, Var):
-        return {node.name}
-    out = set()
-    for child in node.children():
-        out |= variables_in(child)
-    return out
+    if node.op == "var":
+        return {node.args[0]}
+    return set().union(*(variables_in(arg) for arg in node.args if isinstance(arg, Node)))
 
 
-def _check_finite(values, node, what: str):
-    if not np.all(np.isfinite(values)):
-        raise EvalError(f"{what} produced a non-finite value", node.span)
-    return values
-
-
-def evaluate(node, env: dict):
+def evaluate(node: Node, env: dict):
     """Evaluate the AST under ``env`` (name -> scalar or ndarray).
 
     Inputs broadcast as numpy arrays.  Division by zero and invalid powers
     (0 to a negative power, negative base to a fractional power) raise
     :class:`EvalError` carrying the span of the offending subexpression.
     """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
+    op, args = node.op, node.args
+    if op == "num":
+        return args[0]
+    if op == "var":
         try:
-            return env[node.name]
+            return env[args[0]]
         except KeyError:
-            raise EvalError(f"unbound variable {node.name!r}", node.span) from None
-    if isinstance(node, Unary):
-        val = evaluate(node.operand, env)
-        if node.op == "neg":
-            return np.negative(val)
-        if node.op == "sin":
-            return np.sin(val)
-        if node.op == "cos":
-            return np.cos(val)
-        if node.op == "exp":
-            return np.exp(val)
-        if node.op == "abs":
-            return np.abs(val)
-        if node.op == "relu":
-            return np.maximum(val, 0.0)
-        raise EvalError(f"unknown unary operator {node.op!r}", node.span)
-    if isinstance(node, Binary):
-        left = evaluate(node.left, env)
-        right = evaluate(node.right, env)
-        if node.op == "+":
-            return np.add(left, right)
-        if node.op == "-":
-            return np.subtract(left, right)
-        if node.op == "*":
-            return np.multiply(left, right)
-        if node.op == "/":
-            if np.any(np.asarray(right) == 0):
-                raise EvalError("division by zero", node.span)
-            return np.divide(left, right)
-        if node.op == "^":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.power(np.asarray(left, dtype=float), right)
-            return _check_finite(out, node, "power")
-        if node.op == "min":
-            return np.minimum(left, right)
-        if node.op == "max":
-            return np.maximum(left, right)
-        raise EvalError(f"unknown binary operator {node.op!r}", node.span)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def compile_expression(text: str, variables=None):
-    """Parse once and return ``(ast, fn)`` where ``fn(env)`` evaluates it."""
-    ast = parse_expression(text, variables)
-    return ast, lambda env: evaluate(ast, env)
+            raise EvalError(f"unbound variable {args[0]!r}", node.span) from None
+    arity, call = _OPERATORS[op]
+    try:
+        if arity == 1:
+            return call(evaluate(args[0], env))
+        return call(evaluate(args[0], env), evaluate(args[1], env))
+    except _Undefined as exc:
+        raise EvalError(str(exc), node.span) from None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericError, StructuralError, check_bytes
 from .scenario import Scenario
-from .solver import AdaptedField, SchemeConfig, SolutionPair
+from .solver import AdaptedField, SchemeConfig, SolutionPair, _check_inputs
 from .space import SpatialField, SpectralBasis, assemble_L, assemble_M
 from .wiener import WienerTree
 
@@ -57,6 +57,7 @@ def solve_dense(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
     nodes, and the martingale-coefficient definition tying q to the children
     of p.  Sized for small audit trees only.
     """
+    _check_inputs(scenario, tree, basis)
     scheme = scheme or SchemeConfig()
     nm, dw, dt, theta = basis.n_modes, tree.dim_w, tree.dt, scheme.theta
     sysinfo = _index_maps(tree, nm, dw)

@@ -200,6 +200,12 @@ class ModulusOfContinuity:
         return np.asarray(self.gamma(np.asarray(r, dtype=float)), dtype=float)
 
 
+def field_shapes(dim_x: int, dim_w: int) -> dict:
+    """The component shape of every field of the equation, by name."""
+    return {"a": (dim_x, dim_x), "b": (dim_x,), "c": (), "sigma": (dim_x, dim_w),
+            "nu": (dim_w,), "F": (), "phi": ()}
+
+
 @dataclass
 class Scenario:
     """Full problem statement: geometry, coefficients, data, structural constants."""
@@ -222,8 +228,7 @@ class Scenario:
     validation: object | None = None  # report embedded by the file loader
 
     def __post_init__(self):
-        d, dw = self.dim_x, self.dim_w
-        if d < 1 or dw < 1:
+        if self.dim_x < 1 or self.dim_w < 1:
             raise StructuralError("dim_x and dim_w must be >= 1")
         if self.horizon <= 0 or self.domain_halfwidth <= 0:
             raise StructuralError("horizon and domain halfwidth must be positive")
@@ -234,11 +239,7 @@ class Scenario:
             )
         if self.form not in FORMS:
             raise StructuralError(f"form must be one of {FORMS}")
-        expected = {
-            "a": (d, d), "b": (d,), "c": (), "sigma": (d, dw), "nu": (dw,),
-            "F": (), "phi": (),
-        }
-        for name, shape in expected.items():
+        for name, shape in field_shapes(self.dim_x, self.dim_w).items():
             fld = getattr(self, name)
             if fld.shape != shape:
                 raise StructuralError(

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import ParseError, ScenarioValidationError, StructuralError
 from .expr import evaluate, parse_expression, variables_in
-from .scenario import FORMS, CoefficientField, ModulusOfContinuity, Scenario, validate
+from .scenario import (FORMS, CoefficientField, ModulusOfContinuity, Scenario,
+                       field_shapes, validate)
 
 PROBLEM_KEYS = ("d", "d1", "T", "L", "K", "kappa", "form")
 COEFFICIENT_KEYS = ("a", "b", "c", "sigma", "nu")
@@ -103,8 +104,10 @@ def _num(section: str, key: str, raw: str, cast, positions: dict):
 
 
 def _smoothing(raw: str) -> str:
-    """``raw``, refused unless it lists at least one integer, comma-separated."""
-    if not [int(s) for s in raw.split(",") if s.strip()]:
+    """``raw``, refused unless it lists at least one integer, comma-separated,
+    and its integers are distinct and at least 1."""
+    indices = [int(s) for s in raw.split(",") if s.strip()]
+    if not indices or min(indices) < 1 or len(set(indices)) < len(indices):
         raise ValueError(raw)
     return raw
 
@@ -261,8 +264,7 @@ def load_scenario_text(text: str, strict: bool = False):
                 positions)
 
     variables = {"t"} | {f"x{i + 1}" for i in range(d)} | {f"w{k + 1}" for k in range(d1)}
-    shapes = {"a": (d, d), "b": (d,), "c": (), "sigma": (d, d1), "nu": (d1,),
-              "F": (), "phi": ()}
+    shapes = field_shapes(d, d1)
     raws = {**_section(parser, "coefficients", COEFFICIENT_KEYS, ("a",), positions),
             **_section(parser, "data", DATA_KEYS, ("phi",), positions)}
 
@@ -301,7 +303,7 @@ def load_scenario_text(text: str, strict: bool = False):
     for key, val in parser.items("run") if parser.has_section("run") else ():
         if key in ("theta", "tol"):
             run_kwargs[key] = _num("run", key, val, float, positions)
-        else:  # verbatim, but a smoothing list must name at least one integer
+        else:  # verbatim, but a smoothing list is checked (``_smoothing``)
             cast = _smoothing if key == "smoothing" else str
             run_kwargs["options"][key] = _num("run", key, val.strip(), cast, positions)
     return scenario, disc_config, RunConfig(**run_kwargs)

@@ -237,6 +237,21 @@ class _RowCache(dict):
         return row
 
 
+def _check_inputs(scenario: Scenario, filtration, basis: SpectralBasis) -> None:
+    """Refuse a filtration (a tree or an ensemble) or a basis made for another
+    scenario.  The lengths may differ by 1e-12: a file's ``L = 3.14159265358979``
+    is not ``np.pi``."""
+    kind = type(filtration).__name__
+    if filtration.dim_w != scenario.dim_w:
+        raise StructuralError(f"{kind} and scenario disagree on dim_w")
+    if abs(filtration.horizon - scenario.horizon) > 1e-12:
+        raise StructuralError(f"{kind} and scenario disagree on the horizon")
+    if basis.dim_x != scenario.dim_x:
+        raise StructuralError("basis and scenario disagree on dim_x")
+    if abs(basis.domain_halfwidth - scenario.domain_halfwidth) > 1e-12:
+        raise StructuralError("basis and scenario disagree on the domain halfwidth")
+
+
 class LevelFields:
     """A scenario's terminal, source and operators, one whole level at a time.
 
@@ -250,10 +265,12 @@ class LevelFields:
     solve, not once per level, and a map over t-dependent fields runs once
     per level and state however often a caller reads the level again.
     ``operators`` returns its rows with each node's row; the terminal and the
-    source are expanded to every node (``level_map``).
+    source are expanded to every node (``level_map``).  A filtration or basis
+    made for another scenario is refused (``_check_inputs``).
     """
 
     def __init__(self, scenario, filtration, basis: SpectralBasis):
+        _check_inputs(scenario, filtration, basis)
         self.scenario = scenario
         self.filtration = filtration
         self.basis = basis
@@ -439,15 +456,11 @@ def solve_tree(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
     marcher and q vanishes identically.
     """
     scheme = scheme or SchemeConfig()
-    if tree.dim_w != scenario.dim_w:
-        raise StructuralError("tree and scenario disagree on dim_w")
-    if abs(tree.horizon - scenario.horizon) > 1e-12:
-        raise StructuralError("tree and scenario disagree on the horizon")
+    fields = LevelFields(scenario, tree, basis)
     if tree.is_chain and not scenario.is_deterministic:
         raise StructuralError("chain trees carry no randomness; scenario is adapted")
     check_bytes(tree.n_nodes * basis.n_modes * (1 + tree.dim_w) * 16,
                 f"p and q on {tree.n_nodes} nodes")
-    fields = LevelFields(scenario, tree, basis)
     return backward_solve(tree, basis, scheme, fields.terminal(), fields.operators,
                           fields.source)
 
@@ -553,8 +566,6 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
     scheme = scheme or SchemeConfig()
     if regression_basis_size < 1:
         raise StructuralError("regression_basis_size must be >= 1")
-    if ensemble.dim_w != scenario.dim_w:
-        raise StructuralError("ensemble and scenario disagree on dim_w")
     N, dt, theta = ensemble.n_steps, ensemble.dt, scheme.theta
     n_paths, nm, dw = ensemble.n_paths, basis.n_modes, ensemble.dim_w
     fields = LevelFields(scenario, ensemble, basis)

@@ -291,9 +291,13 @@ class TestExitCodes:
         ("regress", (), ("steps = 3", "steps = 0"), 3),
         ("mollify-study", (), ("tol = 1e-10", "tol = 1e-10\nsmoothing = 4,x"), 2),
         ("mollify-study", (), ("tol = 1e-10", "tol = 1e-10\nsmoothing = ,"), 2),
+        ("mollify-study", (), ("tol = 1e-10", "tol = 1e-10\nsmoothing = 0,4"), 2),
+        ("mollify-study", (), ("tol = 1e-10", "tol = 1e-10\nsmoothing = -4"), 2),
+        ("mollify-study", (), ("tol = 1e-10", "tol = 1e-10\nsmoothing = 4,4"), 2),
     ], ids=["steps-flag", "negative-steps-flag", "paths-flag", "seed-flag",
             "branching-key", "steps-key", "regress-steps-key", "smoothing-option",
-            "empty-smoothing-option"])
+            "empty-smoothing-option", "zero-smoothing-index", "negative-smoothing-index",
+            "repeated-smoothing-index"])
     def test_bad_discretisation_is_an_error_not_a_traceback(self, tmp_path, command,
                                                             flags, edit, code):
         scn = TINY

@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bspde import EvalError, ParseError
-from bspde.expr import compile_expression, evaluate, parse_expression, variables_in
+from bspde.expr import (_OPERATORS, BINARY_FUNCTIONS, UNARY_FUNCTIONS, Node, evaluate,
+                        parse_expression, variables_in)
 
 
 def ev(text, **env):
@@ -80,11 +82,6 @@ class TestVariables:
 
     def test_variables_in_constant(self):
         assert variables_in(parse_expression("1 + 2")) == set()
-
-    def test_compile_expression(self):
-        ast, fn = compile_expression("x1 ^ 2 + 1", variables={"x1"})
-        assert fn({"x1": 3.0}) == 10.0
-        assert variables_in(ast) == {"x1"}
 
 
 class TestParseErrors:
@@ -167,3 +164,106 @@ def test_add_mul_precedence_property(a, b, c):
 def test_left_assoc_property(a, b, c):
     assert ev(f"{a} - {b} - {c}") == a - b - c
     assert math.isclose(ev(f"{a} / {b} / {c}"), a / b / c)
+
+
+# -- round trip: random trees over every op, rendered, parsed and evaluated ---
+
+# the numpy call of every op, written out here apart from the package's table
+NUMPY = {
+    "neg": np.negative, "sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs,
+    "relu": lambda v: np.maximum(v, 0.0),
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    "^": lambda a, b: np.power(np.asarray(a, dtype=float), b),
+    "min": np.minimum, "max": np.maximum,
+}
+INFIX = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}  # binding levels: neg 3, atoms 5
+EXPONENT = "exponent"  # the place right of ^, which takes minus signs before an atom
+ENV = {"x1": np.array([-1.5, 0.0, 0.5, 2.0]), "w1": 0.75}
+
+LEAVES = st.one_of(st.floats(0.0, 9.0).map(lambda v: Node("num", (v,), None)),
+                   st.sampled_from(sorted(ENV)).map(lambda n: Node("var", (n,), None)))
+TREES = st.recursive(LEAVES, lambda args: st.sampled_from(sorted(_OPERATORS)).flatmap(
+    lambda op: st.tuples(*[args] * _OPERATORS[op][0]).map(lambda a: Node(op, a, None))),
+    max_leaves=20)
+
+
+def render(node, minus, place=1):
+    """``node`` as text with the fewest parentheses: it is wrapped only when
+    ``place``, the least binding level its position takes, is above its own."""
+    op, args = node.op, node.args
+    own = INFIX.get(op, 3 if op == "neg" else 5)
+    if op == "num":
+        text = repr(args[0])
+    elif op == "var":
+        text = args[0]
+    elif op == "neg":
+        text = minus + render(args[0], minus, EXPONENT if place == EXPONENT else 3)
+    elif op in INFIX:
+        right = EXPONENT if op == "^" else own + 1
+        text = (f"{render(args[0], minus, own)} {minus if op == '-' else op} "
+                f"{render(args[1], minus, right)}")
+    else:
+        text = f"{op}({', '.join(render(a, minus) for a in args)})"
+    fits = own == 5 or op == "neg" if place == EXPONENT else own >= place
+    return text if fits else f"({text})"
+
+
+def structure(node):
+    """``node`` without its spans."""
+    return (node.op, tuple(structure(a) if isinstance(a, Node) else a for a in node.args))
+
+
+def subtrees(node):
+    yield node
+    for arg in node.args:
+        if isinstance(arg, Node):
+            yield from subtrees(arg)
+
+
+class Undefined(Exception):
+    """Division by zero or a non-finite power, at the node ``args[0]``."""
+
+
+def reference(node):
+    """The value of ``node`` by direct numpy calls."""
+    if node.op == "num":
+        return node.args[0]
+    if node.op == "var":
+        return ENV[node.args[0]]
+    values = [reference(a) for a in node.args]
+    if node.op == "/" and np.any(np.asarray(values[1]) == 0):
+        raise Undefined(node)
+    out = NUMPY[node.op](*values)
+    if node.op == "^" and not np.all(np.isfinite(out)):
+        raise Undefined(node)
+    return out
+
+
+def test_every_op_has_a_reference_and_the_function_names_come_from_the_table():
+    assert set(NUMPY) == set(_OPERATORS)
+    assert UNARY_FUNCTIONS == ("sin", "cos", "exp", "abs", "relu")
+    assert BINARY_FUNCTIONS == ("min", "max")
+
+
+@settings(max_examples=400)
+@given(TREES, st.sampled_from(["-", "−"]))
+def test_round_trip(tree, minus):
+    text = render(tree, minus)
+    node = parse_expression(text, set(ENV))
+    assert structure(node) == structure(tree)
+    for sub in subtrees(node):
+        # a node's span is its own text, parentheses around operands included
+        piece = text[sub.span[0]:sub.span[1]]
+        assert structure(parse_expression(piece, set(ENV))) == structure(sub)
+    with np.errstate(all="ignore"):
+        try:
+            want = reference(node)
+        except Undefined as exc:
+            with pytest.raises(EvalError) as caught:
+                evaluate(node, ENV)
+            assert caught.value.span == exc.args[0].span
+            return
+        got = evaluate(node, ENV)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()

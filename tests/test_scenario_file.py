@@ -155,6 +155,8 @@ class TestParseErrors:
         (MINIMAL.replace("a = 0.5", "a = [0.5"), 10, 5, "not a bracketed literal"),
         (MINIMAL + "[run]\nsmoothing = 4,x\n", 15, 13, "run.smoothing"),
         (MINIMAL + "[run]\nsmoothing = ,\n", 15, 13, "run.smoothing"),
+        (MINIMAL + "[run]\nsmoothing = 0,4\n", 15, 13, "run.smoothing: '0,4'"),
+        (MINIMAL + "[run]\nsmoothing =  4,8,4\n", 15, 14, "run.smoothing: '4,8,4'"),
         (MINIMAL.replace("kappa = 0.25", "kappa = 0.25\nform = divergnce"), 8, 8,
          "problem.form"),
     ])

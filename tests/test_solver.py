@@ -1,6 +1,7 @@
 """Backward theta scheme on trees and chains, residuals, and regression."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from bspde import (
     freeze_and_iterate,
     higher_regularity_solve,
     ito_identity_check,
+    load_scenario,
     load_scenario_text,
     mixed_norm_sq,
     pair_difference,
@@ -42,6 +44,7 @@ from helpers import (ADAPTED_TREE_TEXT, DIVERGENCE_MARKOV_TEXT, counting,
 from oracles import scalar_theta_chain
 
 BASIS = SpectralBasis(1, 4, np.pi)
+TINY = Path(__file__).parent / "data" / "tiny.scn"
 
 
 def zero_ops(n_modes, dim_w):
@@ -422,6 +425,48 @@ class TestResiduals:
         assert max(np.max(np.abs(r)) for r in wr) < 1e-10
 
 
+class TestInputChecks:
+    """Every solver refuses a tree, an ensemble or a basis made for another
+    scenario; the one check is ``solver._check_inputs``."""
+
+    SOLVERS = {
+        "solve_tree": ("tree", solve_tree),
+        "solve_dense": ("tree", solve_dense),
+        "solve_regression": ("paths", solve_regression),
+        "freeze_and_iterate": ("tree", lambda sc, tree, basis: freeze_and_iterate(
+            sc, np.zeros(sc.dim_x), tree, basis, max_iter=1)),
+    }
+
+    def run(self, solver, dim_w=0, horizon=1.0, dim_x=0, halfwidth=None):
+        """``solver`` on tiny.scn, its filtration and basis made with the
+        scenario's dims plus ``dim_w``/``dim_x``, its horizon times ``horizon``
+        and the given ``halfwidth`` (default: the scenario's)."""
+        sc = load_scenario(TINY)[0]
+        kind, call = self.SOLVERS[solver]
+        dw, T = sc.dim_w + dim_w, sc.horizon * horizon
+        filtration = (build_tree(dw, 2, 2, T) if kind == "tree"
+                      else sample_paths(dw, 2, 16, T, seed=0))
+        basis = SpectralBasis(sc.dim_x + dim_x, 2,
+                              sc.domain_halfwidth if halfwidth is None else halfwidth)
+        return call(sc, filtration, basis)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("mismatch, message", [
+        ({"dim_w": 1}, "disagree on dim_w"),
+        ({"horizon": 2.0}, "disagree on the horizon"),
+        ({"dim_x": 1}, "disagree on dim_x"),
+        ({"halfwidth": 1.0}, "disagree on the domain halfwidth"),
+    ], ids=["dim_w", "horizon", "dim_x", "halfwidth"])
+    def test_mismatch_is_refused(self, solver, mismatch, message):
+        with pytest.raises(StructuralError, match=message):
+            self.run(solver, **mismatch)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_lengths_agree_within_round_off(self, solver):
+        # the file's L = 3.14159265358979 is not np.pi, but names the same torus
+        assert self.run(solver, halfwidth=np.pi) is not None
+
+
 class TestRegression:
     def test_deterministic_source_is_exact(self):
         # F = 1, phi = 0: p(t) = T - t along every path, so the regression
@@ -619,8 +664,9 @@ class TestMarkovFields:
     @pytest.mark.parametrize("dim_w, n_steps, branching", [(1, 4, 3), (2, 3, 2)])
     def test_node_groups_are_bit_equal_to_history(self, dim_w, n_steps, branching):
         # a field that is not Markov sees every node's own history
-        tree = build_tree(dim_w, n_steps, branching, 0.9)
-        fields = LevelFields(markov_scenario(dim_w), tree, BASIS)
+        scenario = markov_scenario(dim_w)
+        tree = build_tree(dim_w, n_steps, branching, scenario.horizon)
+        fields = LevelFields(scenario, tree, BASIS)
         for level in range(n_steps + 1):
             hists, inverse = fields.groups(level, markov=False)
             assert np.array_equal(inverse, np.arange(tree.levels[level].n_nodes))

@@ -232,10 +232,10 @@ SOLVE_SITES = {"solver.py": {"_level_step"}}
 SOLVE_ALLOWED = {"oracle.py"}
 
 
-def linalg_solves_outside(source: str, allowed: set) -> list[int]:
-    """Line numbers of ``<x>.linalg.solve(...)`` calls, and of imports of
-    ``solve`` from ``numpy.linalg``, outside the functions named in ``allowed``."""
-    lines = []
+def lines_outside(source: str, allowed: set, match) -> list[int]:
+    """Line numbers of the ``ast`` nodes that ``match`` accepts, outside the
+    functions named in ``allowed``."""
+    lines = set()
 
     def visit(node, inside):
         for child in ast.iter_child_nodes(node):
@@ -244,17 +244,25 @@ def linalg_solves_outside(source: str, allowed: set) -> list[int]:
                 continue
             if inside:
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "solve"
-                    and isinstance(child.func.value, ast.Attribute)
-                    and child.func.value.attr == "linalg"):
-                lines.append(child.lineno)
-            elif (isinstance(child, ast.ImportFrom) and child.module == "numpy.linalg"
-                  and any(a.name == "solve" for a in child.names)):
-                lines.append(child.lineno)
+            if match(child):
+                lines.add(child.lineno)
             visit(child, inside)
     visit(ast.parse(source), False)
     return sorted(lines)
+
+
+def linalg_solves_outside(source: str, allowed: set) -> list[int]:
+    """Line numbers of ``<x>.linalg.solve(...)`` calls, and of imports of
+    ``solve`` from ``numpy.linalg``, outside the functions named in ``allowed``."""
+    def match(node):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "solve"
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "linalg"):
+            return True
+        return (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                and any(a.name == "solve" for a in node.names))
+    return lines_outside(source, allowed, match)
 
 
 def test_detector_finds_linalg_solves_outside_the_level_step():
@@ -374,3 +382,45 @@ def test_only_the_solver_builds_level_operators():
     assert package_findings(level_operators_built, {"solver.py"}) == {}
     solver = (SRC / "solver.py").read_text(encoding="utf-8")
     assert len(level_operators_built(solver)) == 1
+
+
+LENGTHS = {"horizon", "domain_halfwidth"}
+
+
+def length_comparisons_outside(source: str, allowed: set) -> list[int]:
+    """Line numbers of comparisons (``<``, ``!=``, ...) and differences
+    (``a - b``) that read two ``horizon`` or ``domain_halfwidth`` attributes,
+    outside the functions named in ``allowed``."""
+    def reads(node):
+        return sum(isinstance(n, ast.Attribute) and n.attr in LENGTHS
+                   for n in ast.walk(node))
+
+    def match(node):
+        return ((isinstance(node, ast.Compare)
+                 or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)))
+                and reads(node) >= 2)
+    return lines_outside(source, allowed, match)
+
+
+def test_detector_finds_length_comparisons():
+    source = (
+        "if abs(tree.horizon - scenario.horizon) > 1e-12:\n    pass\n"
+        "same = basis.domain_halfwidth != sc.domain_halfwidth\n"
+        "gap = ens.horizon - sc.horizon\n"
+        "if self.horizon <= 0 or self.domain_halfwidth <= 0:\n    pass\n"
+        "T = tree.horizon\n"
+        "def _check_inputs(sc, tree, basis):\n"
+        "    return tree.horizon == sc.horizon\n"
+    )
+    assert length_comparisons_outside(source, {"_check_inputs"}) == [1, 3, 4]
+    assert length_comparisons_outside(source, set()) == [1, 3, 4, 9]
+
+
+def test_only_the_input_check_compares_lengths():
+    # a solver with a check of its own would let the others drift apart
+    found = {path.name: length_comparisons_outside(path.read_text(encoding="utf-8"),
+                                                   {"_check_inputs"})
+             for path in sorted(SRC.glob("*.py"))}
+    assert found and {name: lines for name, lines in found.items() if lines} == {}
+    solver = (SRC / "solver.py").read_text(encoding="utf-8")
+    assert len(length_comparisons_outside(solver, set())) == 2
