@@ -291,12 +291,13 @@ def cmd_mollify_study(r: _Run) -> int:
     # the loader has checked the list
     ns = [int(s) for s in r.run.option("smoothing", "4,8,16").split(",") if s.strip()]
     scenario = r.scenario
+    # every kernel radius is checked against the grid spacing before any solve
+    smooths = [mollify(scenario, MollifierConfig(n), r.basis) for n in ns]
     base = r.solve()
     modulus = default_modulus(scenario.bound_K)
     rows = ["n,defect,relaxed_validate_ok"]
     defects = []
-    for n in ns:
-        smooth = mollify(scenario, MollifierConfig(n), r.basis)
+    for n, smooth in zip(ns, smooths):
         defect = math.sqrt(pair_difference(r.solve(smooth), base).p.time_norm_sq(0))
         relaxed = smooth.with_fields(
             ellipticity_kappa=scenario.ellipticity_kappa / 2.0,

@@ -14,16 +14,20 @@ The recursion runs a whole tree level at a time.  ``LevelFields`` supplies a
 level's source as a stacked array and its operators as one
 ``LevelOperators``: matrix rows plus each node's row, with one shared row
 for deterministic fields, one per distinct Wiener state for Markov fields and
-one per node otherwise.  ``_level_step`` solves the level with one stacked
-solve when every node has its own row, and otherwise with one factorisation
-per row for all of its nodes.  The tree solver, the residuals, the
-regression solver, the freezing iteration and the audits all run on this one
-step.
+one per node otherwise.  ``_level_step`` applies a shared row's inverse
+(I - theta dt L)^-1 to the whole level as one matrix product, and the
+provider keeps that inverse for the whole solve when the row is t-free; it
+solves the level with one stacked solve when every node has its own row, and
+otherwise with one factorisation per row for all of its nodes.  The tree
+solver, the residuals, the regression solver, the freezing iteration and the
+audits all run on this one step.  The regression's conditional expectations
+are projections on its design, one real QR per step (``_fit``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -133,8 +137,8 @@ def pair_difference(x: SolutionPair, y: SolutionPair) -> SolutionPair:
 # 1 when the field is deterministic (one row shared by the level) and the
 # level's node count when it is adapted.  A level's operators are one
 # ``LevelOperators``: ``k`` rows and ``index``, the (n_level,) row of every
-# node.  The engine applies and factors each row for all of its nodes at once
-# and never copies a row to every node.
+# node.  The engine applies and inverts or factors each row for all of its
+# nodes at once and never copies a row to every node.
 
 @dataclass(frozen=True)
 class LevelOperators:
@@ -142,12 +146,16 @@ class LevelOperators:
 
     ``L`` is (k, m, m) and ``Ms`` is (k, dim_w, m, m).  ``index`` is None only
     when one row (k = 1) is shared by the level.  With as many rows as nodes,
-    each node has its own row and ``index`` is a permutation.
+    each node has its own row and ``index`` is a permutation.  ``keep``, set
+    only on a shared row that holds for every level of a solve, keeps an
+    array made from the row across levels: ``keep(name, make)`` returns the
+    array kept under ``name``, made by ``make()`` on the first call.
     """
 
     L: Array
     Ms: Array
     index: Array | None = None
+    keep: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         k, m = len(self.L), self.L.shape[-1]
@@ -159,14 +167,14 @@ class LevelOperators:
             raise StructuralError(f"{k} operator rows need each node's row (index)")
 
 
-def _row_nodes(ops: LevelOperators) -> list:
+def _row_nodes(ops: LevelOperators) -> list | None:
     """``(rows, nodes)`` pairs, the slice ``rows`` of ``ops`` acting on ``nodes``:
-    a shared row acts on every node (a slice), each node's own row on the
-    nodes in row order (a slice when that is level order), and otherwise each
-    row on its nodes in level order."""
+    each node's own row on the nodes in row order (a slice when that is level
+    order), and otherwise each row on its nodes in level order.  A shared row
+    acts on every node and has no pairs (None)."""
     index = ops.index
     if index is None:
-        return [(slice(0, 1), slice(None))]
+        return None
     if len(ops.L) == len(index):
         in_order = np.array_equal(index, np.arange(len(index)))
         return [(slice(None), slice(None) if in_order else np.argsort(index))]
@@ -186,9 +194,12 @@ def _by_row(groups: list, part, shape: tuple) -> Array:
     return out
 
 
-def _apply(op: Array, vec: Array, groups: list) -> Array:
+def _apply(op: Array, vec: Array, groups: list | None) -> Array:
     """Level-wise action of ``op`` (matrix rows) on ``vec`` (n, m) over
-    ``groups`` (``_row_nodes``): one matvec per node."""
+    ``groups`` (``_row_nodes``): one matrix product for a shared row,
+    otherwise one matvec per node."""
+    if groups is None:
+        return vec @ op[0].T
     return _by_row(groups, lambda rows, nodes: (op[rows] @ vec[nodes][..., None])[..., 0],
                    vec.shape)
 
@@ -264,8 +275,9 @@ class LevelFields:
     provider keeps (``level_rows``): a time-invariant L is assembled once per
     solve, not once per level, and a map over t-dependent fields runs once
     per level and state however often a caller reads the level again.
-    ``operators`` returns its rows with each node's row; the terminal and the
-    source are expanded to every node (``level_map``).  A filtration or basis
+    ``operators`` returns its rows with each node's row, and a t-free shared
+    row with the slot that keeps its step inverse in the same rows; the
+    terminal and the source are expanded to every node (``level_map``).  A filtration or basis
     made for another scenario is refused (``_check_inputs``).
     """
 
@@ -376,7 +388,12 @@ class LevelFields:
                                    ("L", scn))
         Ms, _ = self.level_rows(level, coeffs, lambda t, h: assemble_M(scn, t, h, basis),
                                 ("M", scn))
-        return LevelOperators(L, Ms, index)
+        keep = None
+        if index is None and all(f.t_free for f in coeffs):
+            # one row for every level: what the step makes of it is kept too
+            def keep(name, make):
+                return self._rows.row(name, scn, None, None, make)
+        return LevelOperators(L, Ms, index, keep)
 
 
 # -- the backward engine ------------------------------------------------------
@@ -384,9 +401,12 @@ class LevelFields:
 def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0):
     """One implicit theta step for every node of a level (contract above).
 
-    When each node has its own row the level is one stacked solve; otherwise
-    each row's matrix is factored once, for all of its nodes.  Errors name the
-    node as ``first_node`` plus its place in ``Ep``, never a row.
+    A shared row's matrix is inverted once and the level is one matrix
+    product with the inverse, kept across levels through ``ops.keep`` by
+    (theta, dt) when the row has that slot.  When each node has its own row
+    the level is one stacked solve; otherwise each row's matrix is factored
+    once, for all of its nodes.  Errors name the node as ``first_node`` plus
+    its place in ``Ep``, never a row.
     """
     L, Ms, index = ops.L, ops.Ms, ops.index
     groups = _row_nodes(ops)
@@ -395,7 +415,12 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
         rhs += dt * (1.0 - theta) * _apply(L, Ep, groups)
     for k in range(q.shape[1]):
         rhs += dt * _apply(Ms[:, k], q[:, k], groups)
-    A = np.eye(L.shape[-1]) - theta * dt * L
+
+    def matrix():  # I - theta dt L of every row; a kept inverse needs none
+        return np.eye(L.shape[-1]) - theta * dt * L
+
+    def invert():
+        return np.linalg.inv(matrix()[0])
 
     def solve(rows, nodes):  # a row per node: one stacked solve; else one per row
         if rows == slice(None):
@@ -403,11 +428,17 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
         return np.linalg.solve(A[rows.start], rhs[nodes].T).T
 
     try:
-        out = _by_row(groups, solve, rhs.shape)
+        if groups is None:
+            inverse = invert() if ops.keep is None else ops.keep(("inverse", theta, dt),
+                                                                  invert)
+            out = rhs @ inverse.T
+        else:
+            A = matrix()
+            out = _by_row(groups, solve, rhs.shape)
     except np.linalg.LinAlgError as exc:
         # LAPACK stops on an exactly zero pivot, which makes the determinant 0;
         # the first such node in level order is named, whatever its row
-        singular = np.linalg.det(A) == 0
+        singular = np.linalg.det(matrix()) == 0
         node = first_node + int(np.argmax(singular if index is None else singular[index]))
         raise NumericError(
             f"singular implicit step at level {level}, node {node}: {exc}") from exc
@@ -539,13 +570,22 @@ def _monomial_features(states: Array, size: int) -> Array:
 
 
 def _fit(design: Array, targets: Array, step: int, trivial: bool) -> Array:
-    """Least-squares fitted values; rank deficiency is an error except at t=0."""
+    """Least-squares fitted values Q (Q^T targets) from one real QR of the
+    design, on the real view of the complex targets; rank deficiency is an
+    error except at t=0.
+
+    The design is rank-deficient when it has fewer rows (paths) than columns,
+    or when a |R_ii| is at most max(n, k) eps times the largest.
+    """
     if trivial:
         return np.broadcast_to(targets.mean(axis=0), targets.shape).copy()
-    beta, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-    if rank < design.shape[1]:
+    n, k = design.shape
+    Q, R = np.linalg.qr(design)
+    diag = np.abs(np.diag(R))
+    if n < k or diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
         raise NumericError(f"rank-deficient regression design at time step {step}")
-    return design @ beta
+    real = np.ascontiguousarray(targets).view(float)
+    return (Q @ (Q.T @ real)).view(complex)
 
 
 _BLOCK_ENTRIES = 1 << 18  # complex entries per stack of per-path operator matrices
@@ -559,7 +599,7 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
     Conditional expectations are cross-sectional regressions on monomials of
     the current Wiener state; the noise coefficient regresses
     ``p_next dW^k / dt``.  ``p_next`` and its ``dim_w`` products share the
-    design, so each step makes one least-squares solve on the stacked targets.
+    design, so each step projects the stacked targets with one real QR of it.
     Deterministic scenarios reproduce the chain solver exactly because the
     regression of a constant target is that constant.
     """

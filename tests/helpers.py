@@ -320,13 +320,21 @@ def higher_regularity_reference(scenario, tree, basis, alpha, base):
 def regression_reference(scenario, ensemble, basis, regression_basis_size=4,
                          scheme=None):
     """p0 and the per-step path means of q from a regression solve that keeps
-    every path's p and q, and fits p and each ``p dW^k / dt`` separately.
+    every path's p and q, and fits p and each ``p dW^k / dt`` separately, each
+    by its own ``np.linalg.lstsq``.
 
-    The package stacks the targets into one least-squares solve per step, so
-    the two agree to round-off, not digit for digit.
+    The package projects the stacked targets with one QR per step, so the two
+    agree to round-off, not digit for digit.
     """
     from bspde import LevelFields, SchemeConfig
-    from bspde.solver import _BLOCK_ENTRIES, _fit, _level_step, _monomial_features
+    from bspde.solver import _BLOCK_ENTRIES, _level_step, _monomial_features
+
+    def fit(design, target):
+        if design is None:  # t = 0: every path has the same state
+            return np.broadcast_to(target.mean(axis=0), target.shape)
+        beta, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        assert rank == design.shape[1], "rank-deficient design"
+        return design @ beta
 
     scheme = scheme or SchemeConfig()
     N, dt, theta = ensemble.n_steps, ensemble.dt, scheme.theta
@@ -343,13 +351,12 @@ def regression_reference(scenario, ensemble, basis, regression_basis_size=4,
     p_levels[N] = p_next.copy()
     for step in range(N - 1, -1, -1):
         states = ensemble.increments[:, :step, :].sum(axis=1)
-        trivial = step == 0
-        design = None if trivial else _monomial_features(states, regression_basis_size)
-        Ep = _fit(design, p_next, step, trivial)
+        design = None if step == 0 else _monomial_features(states, regression_basis_size)
+        Ep = fit(design, p_next)
         dW = ensemble.increments[:, step, :]
         q = np.empty((n_paths, dw, nm), dtype=complex)
         for k in range(dw):
-            q[:, k, :] = _fit(design, p_next * (dW[:, k] / dt)[:, None], step, trivial)
+            q[:, k, :] = fit(design, p_next * (dW[:, k] / dt)[:, None])
         fhat = np.broadcast_to(fields.source(step), (n_paths, nm))
         p_here = np.concatenate([
             _level_step(blk.operators(step), Ep[sl], q[sl], fhat[sl], dt, theta, step,

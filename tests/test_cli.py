@@ -88,14 +88,14 @@ within_tolerance = True
 MOLLIFY_ROUGH_GOLDEN = """\
 n,defect,relaxed_validate_ok
 4,7.342991825306e-04,true
-8,2.037718200841e-04,true
-16,6.862193952173e-05,true
+8,2.037718200840e-04,true
+16,6.862193952178e-05,true
 command = mollify-study
 smoothing_indices = 4,8,16
 monotone_decreasing = True
 defect[n=4] = 7.342991825306e-04
-defect[n=8] = 2.037718200841e-04
-defect[n=16] = 6.862193952173e-05
+defect[n=8] = 2.037718200840e-04
+defect[n=16] = 6.862193952178e-05
 """
 
 
@@ -273,6 +273,15 @@ class TestExitCodes:
         code, out, err = run(*args)
         assert (code, out) == (4, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_mollify_radius_below_the_grid_spacing_is_refused_before_any_solve(
+            self, monkeypatch):
+        solves = []
+        monkeypatch.setattr("bspde.cli.solve_tree",
+                            lambda *a, _solve=solve_tree: solves.append(a) or _solve(*a))
+        code, out, err = run("mollify-study", TINY)
+        assert (code, out, solves) == (3, "", [])
+        assert err.startswith("error: kernel radius 1/4 = 0.25 is below the grid spacing ")
 
     def test_numeric_breakdown(self):
         # strongly negative c with theta = 1 makes a singular implicit step

@@ -13,6 +13,7 @@ from bspde import (
     LevelOperators,
     MultiIndex,
     NumericError,
+    PathEnsemble,
     SchemeConfig,
     SpatialField,
     SpectralBasis,
@@ -167,6 +168,23 @@ class TestBackwardSolveProviders:
             backward_solve(tree, BASIS, SchemeConfig(theta=1.0), np.ones((1, n)),
                            ops, zero_source)
 
+    @pytest.mark.parametrize("scale, message", [
+        (1.0, r"level 1, node 0: "),
+        (1.0 - 1e-14, r"level 1, node 0 \(amplification 1\.0e\+14\)")])
+    def test_singular_shared_step_names_the_first_node(self, scale, message):
+        # the inverse of a shared row raises, or the amplification guard fires
+        tree = build_tree(1, 2, 2, 0.5)
+        n = BASIS.n_modes
+        L = np.zeros((1, n, n))
+        L[0] = scale * np.eye(n) / tree.dt
+
+        def ops(level):
+            return LevelOperators(L if level == 1 else np.zeros((1, n, n)),
+                                  np.zeros((1, 1, n, n)))
+        with pytest.raises(NumericError, match=message):
+            backward_solve(tree, BASIS, SchemeConfig(theta=1.0), np.ones((1, n)),
+                           ops, zero_source)
+
     @pytest.mark.parametrize("L, Ms, index, message", [
         ((1, 9), (1, 1, 9), None,
          r"L \(k, m, m\) and Ms \(k, dim_w, m, m\), got L \(1, 9\) and Ms \(1, 1, 9\)"),
@@ -183,13 +201,13 @@ class TestBackwardSolveProviders:
         with pytest.raises(StructuralError, match=message):
             backward_solve(tree, BASIS, SchemeConfig(), np.ones((1, 9)), ops, zero_source)
 
-    @pytest.mark.parametrize("n, n_rows, index, solves", [
-        (1, 1, None, 1),                    # a shared row, for any node count
-        (7, 1, None, 1),
-        (5, 5, [3, 0, 4, 1, 2], 1),         # a row per node: one stacked solve
-        (5, 3, [2, 0, 2, 1, 0], 3)])        # a row per state: one solve per row
+    @pytest.mark.parametrize("n, n_rows, index, solves, inverses", [
+        (1, 1, None, 0, 1),                 # a shared row, for any node count:
+        (7, 1, None, 0, 1),                 # one inverse, one matrix product
+        (5, 5, [3, 0, 4, 1, 2], 1, 0),      # a row per node: one stacked solve
+        (5, 3, [2, 0, 2, 1, 0], 3, 0)])     # a row per state: one solve per row
     def test_level_step_solves_once_per_row_or_once_stacked(self, monkeypatch, n, n_rows,
-                                                             index, solves):
+                                                             index, solves, inverses):
         rng = np.random.default_rng(5)
         m = BASIS.n_modes
         L = -np.eye(m) - 0.1 * rng.standard_normal((n_rows, m, m))
@@ -201,12 +219,16 @@ class TestBackwardSolveProviders:
         want = _level_step(LevelOperators(L[node_rows], Ms[node_rows], np.arange(n)),
                            Ep, q, fhat, 0.1, 0.5, 0)
         calls = []
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(a) or solve(*a))
+        for name in ("solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=getattr(np.linalg, name),
+                                _name=name: calls.append(_name) or _f(*a))
         got = _level_step(LevelOperators(L, Ms, None if index is None else node_rows),
                           Ep, q, fhat, 0.1, 0.5, 0)
-        assert len(calls) == solves
-        assert got.tobytes() == want.tobytes()
+        assert (calls.count("solve"), calls.count("inv")) == (solves, inverses)
+        if index is None:  # a product with the inverse is not the solve's arithmetic
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 class TestChainSolves:
@@ -502,11 +524,17 @@ class TestRegression:
             assert abs(q_mean[idx].real - 0.2) < 0.02
             assert np.abs(np.delete(q_mean, idx)).max() < 1e-12
 
-    def test_rank_deficiency_reported(self):
+    @pytest.mark.parametrize("paths, step", [("fewer-than-features", 3), ("two-states", 1)])
+    def test_rank_deficiency_reported(self, paths, step):
         sc = make_scenario(phi=lambda t, X, hist: np.cos(X[:, 0]) + 0.0 * hist.w[0], T=0.5)
-        ens = sample_paths(1, 4, 3, sc.horizon, seed=1)
-        with pytest.raises(NumericError, match="rank-deficient"):
-            solve_regression(sc, ens, BASIS, regression_basis_size=6)
+        if paths == "fewer-than-features":  # 3 paths, 6 monomials
+            ens, size = sample_paths(1, 4, 3, sc.horizon, seed=1), 6
+        else:  # 12 paths whose w at step 1 is +-0.5: 1, w, w^2, w^3 span two columns
+            inc = np.tile([[[0.5], [0.1]], [[-0.5], [0.2]]], (6, 1, 1))
+            ens, size = PathEnsemble(1, 2, 12, 0, sc.horizon, sc.horizon / 2, inc), 4
+        with pytest.raises(NumericError,
+                           match=f"rank-deficient regression design at time step {step}$"):
+            solve_regression(sc, ens, BASIS, regression_basis_size=size)
 
     def test_path_blocks_do_not_change_adapted_operator_solves(self, monkeypatch):
         # per-path operators are solved a block of paths at a time; the block
@@ -822,19 +850,26 @@ class TestTimeFreeFields:
         for a, b in zip(fast.p.levels + fast.q.levels, slow.p.levels + slow.q.levels):
             assert a.tobytes() == b.tobytes()
 
-    def test_time_free_chain_assembles_once_per_solve(self, assemblies):
+    def test_time_free_chain_assembles_once_per_solve(self, assemblies, monkeypatch):
+        # the step inverse is kept too, and made from the kept L row
+        inverses = []
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a, _inv=np.linalg.inv: inverses.append(a.shape) or _inv(a))
         scn = load_scenario_text(CHAIN_TEXT)[0]
         assert all(getattr(scn, n).t_free for n in ("a", "b", "c", "sigma", "nu", "F", "phi"))
-        chain = build_chain(1, 64, scn.horizon)
+        chain = build_chain(1, 256, scn.horizon)
         fast, slow, counts = self.solve_counted(assemblies, solve_tree, scn, chain)
         assert counts == (1, 1)
-        assert len(assemblies) == 2 + 2 * 64  # the per-level path: every level
+        assert len(assemblies) == 2 + 2 * 256  # the per-level path: every level
+        assert inverses == [(BASIS.n_modes,) * 2] * (1 + 256)  # once, then every level
         self.assert_bit_equal(fast, slow)
         # the regression's path blocks share the provider's rows
         assemblies.clear()
+        inverses.clear()
         ens = sample_paths(1, 16, 50, scn.horizon, seed=5)
         fast, slow, counts = self.solve_counted(assemblies, solve_regression, scn, ens)
         assert counts == (1, 1) and len(assemblies) == 2 + 2 * 16
+        assert len(inverses) == 1 + 16
         assert fast.p0().coeffs.tobytes() == slow.p0().coeffs.tobytes()
         assert fast.q_means.tobytes() == slow.q_means.tobytes()
 

@@ -227,9 +227,14 @@ def test_every_level_map_in_the_package_names_its_map():
     assert package_findings(level_maps_without_key) == {}
 
 
-# the engine's one solve site; the dense oracle solves its own system
-SOLVE_SITES = {"solver.py": {"_level_step"}}
+# the engine's one solve and inverse site; the dense oracle solves its own system
+SOLVES = {"solve", "inv"}
+SOLVE_SITES = {"_level_step"}
 SOLVE_ALLOWED = {"oracle.py"}
+# the regression's one least-squares fit; the coercivity probe fits its two
+# constants on its own
+FITS = {"qr", "lstsq"}
+FIT_SITES = {"_fit", "coercivity_probe"}
 
 
 def lines_outside(source: str, allowed: set, match) -> list[int]:
@@ -251,17 +256,18 @@ def lines_outside(source: str, allowed: set, match) -> list[int]:
     return sorted(lines)
 
 
-def linalg_solves_outside(source: str, allowed: set) -> list[int]:
-    """Line numbers of ``<x>.linalg.solve(...)`` calls, and of imports of
-    ``solve`` from ``numpy.linalg``, outside the functions named in ``allowed``."""
+def linalg_calls_outside(source: str, names: set, allowed: set) -> list[int]:
+    """Line numbers of ``<x>.linalg.<name>(...)`` calls, and of imports of a
+    ``<name>`` from ``numpy.linalg``, for the ``names``, outside the functions
+    named in ``allowed``."""
     def match(node):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "solve"
+                and node.func.attr in names
                 and isinstance(node.func.value, ast.Attribute)
                 and node.func.value.attr == "linalg"):
             return True
         return (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
-                and any(a.name == "solve" for a in node.names))
+                and any(a.name in names for a in node.names))
     return lines_outside(source, allowed, match)
 
 
@@ -269,24 +275,32 @@ def test_detector_finds_linalg_solves_outside_the_level_step():
     source = (
         "def _level_step(A, b):\n"
         "    x = np.linalg.solve(A, b)\n"
-        "    def inner():\n        return np.linalg.solve(A, b)\n"
+        "    def inner():\n        return np.linalg.inv(A) @ b\n"
         "def other(A, b):\n"
         "    return np.linalg.solve(A, b)\n"
-        "y = numpy.linalg.solve(A, b)\n"
+        "y = numpy.linalg.inv(A)\n"
         "from numpy.linalg import solve\n"
         "z = np.linalg.lstsq(A, b)\n"
-        "w = other.solve(A)\n"
+        "w = other.solve(A) + other.inv(A)\n"
+        "from numpy.linalg import inv, qr\n"
+        "def _fit(A):\n"
+        "    return np.linalg.qr(A)\n"
     )
-    assert linalg_solves_outside(source, {"_level_step"}) == [6, 7, 8]
-    assert linalg_solves_outside(source, set()) == [2, 4, 6, 7, 8]
+    assert linalg_calls_outside(source, SOLVES, {"_level_step"}) == [6, 7, 8, 11]
+    assert linalg_calls_outside(source, SOLVES, set()) == [2, 4, 6, 7, 8, 11]
+    assert linalg_calls_outside(source, FITS, {"_fit"}) == [9, 11]
+    assert linalg_calls_outside(source, FITS, set()) == [9, 11, 13]
 
 
 def test_linear_systems_are_solved_only_in_the_level_step():
     # a second solve path beside the grouped one would factor per node again
-    found = {path.name: linalg_solves_outside(path.read_text(encoding="utf-8"),
-                                              SOLVE_SITES.get(path.name, set()))
-             for path in sorted(SRC.glob("*.py")) if path.name not in SOLVE_ALLOWED}
-    assert found and {name: lines for name, lines in found.items() if lines} == {}
+    assert package_findings(lambda source: linalg_calls_outside(source, SOLVES, SOLVE_SITES),
+                            SOLVE_ALLOWED) == {}
+
+
+def test_regressions_are_fitted_only_in_fit():
+    # a second fit beside the stacked QR would fit each target on its own again
+    assert package_findings(lambda source: linalg_calls_outside(source, FITS, FIT_SITES)) == {}
 
 
 ENGINE_STEPS = {"_level_step", "_generator"}
