@@ -54,6 +54,78 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
+def _ascii(strings, width: int | None = None) -> np.ndarray:
+    """One row of ASCII bytes per string, padded with 0 to ``width`` bytes
+    (default: the longest string)."""
+    rows = np.array(strings, dtype=f"S{width or ''}")
+    return rows.view(np.uint8).reshape(len(rows), -1)
+
+
+# _fmt's text is a sign, a lead digit and its point, the decimals, then "e",
+# the exponent's sign and two or three digits.  _fmt_bytes writes it as 4-byte
+# words padded with 0, looked up in these tables: sign and lead, each group of
+# four decimals, "e" with the exponent's sign and any hundreds digit, and the
+# exponent's last two digits.  Tables over exponents start at -_E.
+_DECIMALS = _fmt(0.0).index("e") - 2
+_E = 400
+_WORDS = {name: rows.view(np.uint32)[:, 0] for name, rows in {
+    "lead": _ascii([f"{sign}{d}." for sign in ("", "-") for d in range(10)], 4),
+    "quad": np.ascontiguousarray(  # "0000" to "9999"
+        np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")),
+    "e": _ascii([f"e{'-' if e < 0 else '+'}{abs(e) // 100 or ''}"
+                 for e in range(-_E, _E)], 4),
+    "ee": _ascii([f"{abs(e) % 100:02d}" for e in range(-_E, _E)], 4),
+}.items()}
+_SLOT = 4 * (1 + _DECIMALS // 4 + 2)  # bytes per value
+_LOW, _HIGH = 10.0 ** _DECIMALS, 10.0 ** (_DECIMALS + 1)
+# |v| 10^k is |v| * _UP[k + _E] / _DOWN[k + _E]: one factor is 1 and the
+# other the double nearest 10^|k| (exact up to 10^22), or inf past 10^308
+_POW10 = np.array([float(10 ** j) for j in range(309)] + [np.inf])
+_UP = _POW10[np.clip(np.arange(-_E, _E), 0, 309)]
+_DOWN = _POW10[np.clip(np.arange(_E, -_E, -1), 0, 309)]
+_BLOCK_LINES = 8192  # fields.csv lines formatted at once; 4x more adds ~5 MB of peak
+
+
+def _fmt_bytes(values) -> np.ndarray:
+    """``_fmt`` of every value, as one row of ``_SLOT`` bytes padded with 0.
+
+    A finite v takes e = floor(log10 |v|) and y = |v| 10^(D - 1 - e) for D
+    significant digits, scaled by one multiply or divide by a power of ten,
+    so y is off by at most two roundings.  When y lies in [10^(D-1), 10^D)
+    and its fraction is more than 4 ulps from one half, rint(y) holds the
+    correctly rounded digits that ``_fmt`` prints.  The test is on y, not on
+    rint(y): a log10 rounded up to e leaves y just below 10^(D-1), where
+    rint(y) would print 1.000... for a value that ``_fmt`` prints as 9.999...
+    +-0 takes the same path; every other value (a near-tie, a log10 off by
+    one, a scale past 10^308, inf, nan) goes through ``_fmt``.
+    """
+    v = np.ravel(values)
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.log10(a)
+        e[~np.isfinite(e)] = 0  # 0, inf and nan
+        e = np.floor(e).astype(np.int64) + _E
+        scale = _DECIMALS + 2 * _E - e
+        y = a * _UP[scale] / _DOWN[scale]
+        m = np.rint(y)
+        fast = (a == 0) | ((y >= _LOW) & (m < _HIGH)
+                           & (np.abs(y - np.floor(y) - 0.5) > 4 * np.spacing(y)))
+    m = np.where(fast, m, 0).astype(np.int64)
+    e[~fast] = _E
+    words = np.empty((len(v), _SLOT // 4), np.uint32)
+    for col in range(_DECIMALS // 4, 0, -1):  # the decimals, last group first
+        m, group = np.divmod(m, 10_000)
+        words[:, col] = _WORDS["quad"][group]
+    words[:, 0] = _WORDS["lead"][m + 10 * np.signbit(v)]
+    words[:, -2] = _WORDS["e"][e]
+    words[:, -1] = _WORDS["ee"][e]
+    out = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        out[slow] = _ascii([_fmt(x) for x in v[slow].tolist()], _SLOT)
+    return out
+
+
 def _write_atomic(path: str, chunks):
     """Write a string, or an iterable of strings, to ``path`` by rename.
 
@@ -167,20 +239,39 @@ class _Run:
 
 
 def _fields_csv(solution, tree, basis):
-    """The lines of fields.csv: the header, then one string per node."""
+    """The lines of fields.csv: the header, then blocks of whole nodes, each
+    of at most ``_BLOCK_LINES`` lines unless one node has more grid points."""
     dw = tree.dim_w
     header = (["level", "node"] + [f"x{i+1}" for i in range(basis.dim_x)]
               + ["p"] + [f"q{k+1}" for k in range(dw)])
-    xs = [",".join(map(_fmt, x)) for x in basis.grid_points.tolist()]
-    row = "%d,%d,%s" + ",%.12e" * (1 + dw) + "\n"  # the digits of _fmt
+    xs = _ascii([",".join(map(_fmt, x)) + "," for x in basis.grid_points.tolist()])
     yield ",".join(header) + "\n"
+    block = []
     for level in range(tree.n_steps):  # both p and q live on 0..N-1
-        # node by node: a level-wide reconstruct moves last digits
         for node, (p, q) in enumerate(zip(solution.p.levels[level],
                                           solution.q.levels[level])):
-            cols = [basis.reconstruct(v).real.tolist() for v in (p, *q)]
-            yield "".join([row % (level, node, x, *vals)
-                           for x, *vals in zip(xs, *cols)])
+            if block and (len(block) + 1) * basis.n_grid > _BLOCK_LINES:
+                yield _csv_block(block, xs)
+                block = []
+            # node by node: a level-wide reconstruct moves last digits
+            block.append((f"{level},{node},", [basis.reconstruct(v).real for v in (p, *q)]))
+    if block:
+        yield _csv_block(block, xs)
+
+
+def _csv_block(block, xs) -> str:
+    """The lines of ``block``, a prefix and the p and q columns per node: each
+    line is its prefix, its grid point's ``xs`` and the comma-separated values."""
+    values = np.array([cols for _, cols in block]).transpose(0, 2, 1)
+    values = values.reshape(-1, values.shape[-1])
+    n, cols = values.shape
+    cells = np.empty((n, cols, _SLOT + 1), np.uint8)
+    cells[..., :_SLOT] = _fmt_bytes(values).reshape(n, cols, _SLOT)
+    cells[..., _SLOT] = ord(",")
+    cells[:, -1, _SLOT] = ord("\n")
+    lines = np.concatenate([np.repeat(_ascii([pre for pre, _ in block]), len(xs), axis=0),
+                            np.tile(xs, (len(block), 1)), cells.reshape(n, -1)], axis=1)
+    return lines[lines != 0].tobytes().decode("ascii")
 
 
 def cmd_solve(r: _Run) -> int:

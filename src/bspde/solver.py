@@ -402,11 +402,12 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     """One implicit theta step for every node of a level (contract above).
 
     A shared row's matrix is inverted once and the level is one matrix
-    product with the inverse, kept across levels through ``ops.keep`` by
-    (theta, dt) when the row has that slot.  When each node has its own row
-    the level is one stacked solve; otherwise each row's matrix is factored
-    once, for all of its nodes.  Errors name the node as ``first_node`` plus
-    its place in ``Ep``, never a row.
+    product with the inverse; the inverse and its largest absolute row sum,
+    which bounds every node's amplification, are kept across levels through
+    ``ops.keep`` by (theta, dt) when the row has that slot.  When each node
+    has its own row the level is one stacked solve; otherwise each row's
+    matrix is factored once, for all of its nodes.  Errors name the node as
+    ``first_node`` plus its place in ``Ep``, never a row.
     """
     L, Ms, index = ops.L, ops.Ms, ops.index
     groups = _row_nodes(ops)
@@ -422,15 +423,20 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     def invert():
         return np.linalg.inv(matrix()[0])
 
+    def row_sum():  # max_i sum_j |inverse_ij|: no node's amplification exceeds it
+        return np.abs(inverse).sum(axis=-1).max()
+
     def solve(rows, nodes):  # a row per node: one stacked solve; else one per row
         if rows == slice(None):
             return np.linalg.solve(A, rhs[nodes][..., None])[..., 0]
         return np.linalg.solve(A[rows.start], rhs[nodes].T).T
 
+    bound = np.inf  # of the amplification, for a shared row
     try:
         if groups is None:
-            inverse = invert() if ops.keep is None else ops.keep(("inverse", theta, dt),
-                                                                  invert)
+            keep = ops.keep or (lambda name, make: make())
+            inverse = keep(("inverse", theta, dt), invert)
+            bound = keep(("bound", theta, dt), row_sum)
             out = rhs @ inverse.T
         else:
             A = matrix()
@@ -442,14 +448,21 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
         node = first_node + int(np.argmax(singular if index is None else singular[index]))
         raise NumericError(
             f"singular implicit step at level {level}, node {node}: {exc}") from exc
+
+    def amplification(nodes):
+        return np.max(np.abs(out[nodes]), axis=-1) / (
+            np.max(np.abs(rhs[nodes]), axis=-1) + 1e-300)
+
     # a dissipative implicit step never amplifies like this; a near-zero
-    # pivot that LAPACK lets through does
-    amp = np.max(np.abs(out), axis=-1) / (np.max(np.abs(rhs), axis=-1) + 1e-300)
-    bad = ~np.all(np.isfinite(out), axis=-1) | (amp > 1e12)
+    # pivot that LAPACK lets through does.  A bound of 1e11 or less keeps
+    # every node below 1e12, rounding included, so no node is measured
+    bad = ~np.all(np.isfinite(out), axis=-1)
+    if not bound <= 1e11:
+        bad |= amplification(slice(None)) > 1e12
     if bad.any():
         node = int(np.argmax(bad))
-        raise NumericError(f"singular implicit step at level {level}, "
-                           f"node {first_node + node} (amplification {amp[node]:.1e})")
+        raise NumericError(f"singular implicit step at level {level}, node "
+                           f"{first_node + node} (amplification {amplification(node):.1e})")
     return out
 
 

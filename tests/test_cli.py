@@ -9,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import bspde
-from bspde import SchemeConfig, SpectralBasis, build_tree, load_scenario, solve_tree
-from bspde.cli import _fields_csv, _write_atomic, main
+from bspde import (SchemeConfig, SpectralBasis, build_chain, build_tree, load_scenario,
+                   solve_tree)
+from bspde.cli import _fields_csv, _fmt, _fmt_bytes, _write_atomic, main
 from helpers import fields_csv_reference, make_scenario
 
 DATA = Path(__file__).parent / "data"
@@ -287,6 +290,18 @@ class TestExitCodes:
         # strongly negative c with theta = 1 makes a singular implicit step
         assert run("solve", SINGULAR)[0] == 5
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_non_finite_step_of_a_well_conditioned_row_names_its_node(self, tmp_path):
+        # tiny's operators are one kept inverse of bound about 1, so no node's
+        # amplification is computed; phi is nan at the leaves where w1 > 0,
+        # and the non-finite check still names the first node that reads one
+        path = tmp_path / "nan.scn"
+        path.write_text(Path(TINY).read_text().replace("0.2*w1", "0*exp(1000*w1)"))
+        code, out, err = run("solve", str(path))
+        assert (code, out) == (5, "")
+        assert err == ("error: singular implicit step at level 2, node 3 "
+                       "(amplification nan)\n")
+
     def test_tolerance_failure(self):
         assert run("compare", TINY, "--tol", "1e-18")[0] == 6
 
@@ -403,6 +418,34 @@ class TestArtifacts:
         q = np.array([[float(v) for v in line.split(",")[-2:]] for line in lines[1:]])
         assert np.all(np.abs(q).max(axis=0) > 1e-3)
 
+    def test_fields_csv_matches_per_node_writer_on_the_rough_chain(self):
+        # a chain: q is all zeros, and the sign of each zero is kept
+        scenario, disc, cfg = load_scenario(ROUGH)
+        tree = build_chain(scenario.dim_w, disc.steps, scenario.horizon)
+        basis = SpectralBasis(scenario.dim_x, disc.modes, scenario.domain_halfwidth)
+        sol = solve_tree(scenario, tree, basis, SchemeConfig(theta=cfg.theta))
+        text = "".join(_fields_csv(sol, tree, basis))
+        assert text == fields_csv_reference(sol, tree, basis)
+        q = {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]}
+        assert q == {"0.000000000000e+00"}
+
+    @pytest.mark.parametrize("budget, block_lines", [
+        (20, [18, 18, 18, 9]),        # two nodes a block: blocks end inside levels
+        (5, [9] * 7)])                # fewer lines than a node: one node a block
+    def test_fields_csv_blocks_hold_at_most_the_budget(self, monkeypatch, budget,
+                                                       block_lines):
+        monkeypatch.setattr("bspde.cli._BLOCK_LINES", budget)
+        scenario, disc, cfg = load_scenario(TINY)
+        tree = build_tree(scenario.dim_w, disc.steps, disc.branching, scenario.horizon)
+        basis = SpectralBasis(scenario.dim_x, disc.modes, scenario.domain_halfwidth)
+        sol = solve_tree(scenario, tree, basis, SchemeConfig(theta=cfg.theta))
+        assert basis.n_grid == 9 and tree.n_nodes - tree.levels[-1].n_nodes == 7
+        header, *blocks = _fields_csv(sol, tree, basis)
+        assert header + "".join(blocks) == fields_csv_reference(sol, tree, basis)
+        counts = [block.count("\n") for block in blocks]
+        assert counts == block_lines
+        assert all(n <= budget or n == basis.n_grid for n in counts)
+
     def test_no_temp_files_left(self, tmp_path):
         run("solve", TINY, "--out", str(tmp_path))
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
@@ -455,3 +498,35 @@ class TestArtifacts:
         code, out, _ = run("regress", TINY, *flags, "--out", str(tmp_path))
         assert code == 0 and f"paths = {paths}" in out.splitlines()
         assert json.loads((tmp_path / "manifest.json").read_text())["paths"] == paths
+
+
+def formatted(values) -> list[str]:
+    """``_fmt_bytes`` of ``values`` as one string per value."""
+    rows = _fmt_bytes(np.asarray(values, dtype=float))
+    text = np.concatenate([rows, np.full((len(rows), 1), ord("\n"), np.uint8)], axis=1)
+    return text[text != 0].tobytes().decode("ascii").splitlines()
+
+
+class TestFieldsFormatter:
+    """``_fmt_bytes`` writes the bytes of ``_fmt`` for every float64."""
+
+    @pytest.mark.parametrize("x", [
+        0.0, -0.0,
+        1234567890123.5, 1234567890124.5,           # exact ties of the 13th digit
+        9.9999999999995, 9.99999999999949,          # the carry into the next decade
+        9.9999999999995e99,                         # two exponent digits to three
+        5e-324, 1.7976931348623157e308, 1e22, 1e23,
+        9.999999999999347e279,                      # log10 rounds up to 280
+        float("inf"), float("-inf"), float("nan")])
+    def test_edge_values(self, x):
+        assert formatted([x]) == [_fmt(x)]
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_any_floats_together(self, xs):
+        assert formatted(xs) == [_fmt(x) for x in xs]
+
+    def test_a_million_random_bit_patterns(self):
+        rng = np.random.default_rng(20261019)
+        values = rng.integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64).view(np.float64)
+        assert formatted(values) == [_fmt(x) for x in values.tolist()]

@@ -438,3 +438,31 @@ def test_only_the_input_check_compares_lengths():
     assert found and {name: lines for name, lines in found.items() if lines} == {}
     solver = (SRC / "solver.py").read_text(encoding="utf-8")
     assert len(length_comparisons_outside(solver, set())) == 2
+
+
+def holds_precision(node) -> bool:
+    """A string constant, a format spec included, that holds ``.12e``."""
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and ".12e" in node.value
+
+
+def test_detector_finds_the_precision_outside_fmt():
+    source = (
+        "def _fmt(x):\n    return f'{x:.12e}'\n"
+        "row = '%d,%d' + ',%.12e' * 3\n"
+        "def other(x):\n    return '{:.12e}'.format(x)\n"
+        "short = f'{x:.6e}'\n"
+    )
+    assert lines_outside(source, {"_fmt"}, holds_precision) == [3, 5]
+    assert lines_outside(source, set(), holds_precision) == [2, 3, 5]
+
+
+def test_the_digits_of_a_float_are_stated_once():
+    # every float is printed by _fmt; the fields.csv writer reads its layout
+    # off _fmt's text and falls back to _fmt, so no second template can drift
+    assert package_findings(lambda source: lines_outside(source, {"_fmt"},
+                                                         holds_precision)) == {}
+    cli = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert len(lines_outside(cli, set(), holds_precision)) == 1
+    writer = next(node for node in ast.walk(ast.parse(cli))
+                  if isinstance(node, ast.FunctionDef) and node.name == "_fmt_bytes")
+    assert calls_named(ast.unparse(writer), "_fmt")
