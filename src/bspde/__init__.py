@@ -15,7 +15,7 @@ from .errors import (BspdeError, BudgetError, ConvergenceError,
                      ParseError, ScenarioValidationError, StructuralError)
 from .frozen import (IterationReport, continuation_solve, freeze,
                      freeze_and_iterate)
-from .oracle import GaussianBump, feynman_kac_mc, heat_reference, solve_dense
+from .oracle import solve_dense
 from .scenario import (CoefficientField, ModulusOfContinuity, PathHistory,
                        SampleGrid, Scenario, ValidationReport,
                        default_sample_grid, validate)
@@ -38,7 +38,7 @@ __all__ = [
     "AdaptedField", "BspdeError", "BudgetError", "CoefficientField",
     "ConvergenceError", "DegenerateKernelError", "DiscretizationConfig",
     "ESTIMATE_TAGS", "EstimateReport", "EvalError",
-    "GaussianBump", "IterationReport", "ModulusOfContinuity",
+    "IterationReport", "ModulusOfContinuity",
     "LevelFields", "LevelOperators", "MollifierConfig", "MultiIndex", "NumericError",
     "ParseError", "PathEnsemble", "PathHistory", "PositivityReport",
     "RegressionSolution", "RunConfig", "SampleGrid", "ScenarioValidationError",
@@ -47,8 +47,8 @@ __all__ = [
     "assemble_L", "assemble_M", "backward_solve",
     "build_chain", "build_tree", "coercivity_probe", "conditional_expectation",
     "continuation_solve", "default_modulus", "default_sample_grid",
-    "energy_audit", "feynman_kac_mc", "freeze", "freeze_and_iterate",
-    "gauss_hermite_standard", "heat_reference", "higher_regularity_solve",
+    "energy_audit", "freeze", "freeze_and_iterate",
+    "gauss_hermite_standard", "higher_regularity_solve",
     "ito_identity_check", "load_scenario", "load_scenario_text",
     "martingale_coefficient", "mixed_norm_sq", "mollify", "pair_difference",
     "positivity_check", "sample_paths", "serialize_scenario",

@@ -21,7 +21,8 @@ solves the level with one stacked solve when every node has its own row, and
 otherwise with one factorisation per row for all of its nodes.  The tree
 solver, the residuals, the regression solver, the freezing iteration and the
 audits all run on this one step.  The regression's conditional expectations
-are projections on its design, one real QR per step (``_fit``).
+are projections on its design, one real QR per step (``_fit``); with a shared
+row the step runs on the fitted coefficients, not on the paths.
 """
 
 from __future__ import annotations
@@ -398,7 +399,8 @@ class LevelFields:
 
 # -- the backward engine ------------------------------------------------------
 
-def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0):
+def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0,
+                paths=None):
     """One implicit theta step for every node of a level (contract above).
 
     A shared row's matrix is inverted once and the level is one matrix
@@ -406,8 +408,14 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     which bounds every node's amplification, are kept across levels through
     ``ops.keep`` by (theta, dt) when the row has that slot.  When each node
     has its own row the level is one stacked solve; otherwise each row's
-    matrix is factored once, for all of its nodes.  Errors name the node as
-    ``first_node`` plus its place in ``Ep``, never a row.
+    matrix is factored once, for all of its nodes.
+
+    ``paths``, a real (n, k) matrix, says that the first k rows of ``Ep``,
+    ``q`` and ``fhat`` are coefficients of n nodes' values in its columns and
+    the rest is one row added to every node or a row per node: the step is
+    linear, so it steps those rows and returns the n nodes'
+    ``paths @ out[:k] + out[k:]``.  Errors name the node as ``first_node``
+    plus its place among the nodes, never a row.
     """
     L, Ms, index = ops.L, ops.Ms, ops.index
     groups = _row_nodes(ops)
@@ -449,9 +457,17 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
         raise NumericError(
             f"singular implicit step at level {level}, node {node}: {exc}") from exc
 
+    def at_nodes(rows):  # the nodes' values of the step's rows (``paths``)
+        if paths is None:
+            return rows
+        k = paths.shape[1]
+        return _combine(paths, rows[:k]) + rows[k:]
+
+    out = at_nodes(out)
+
     def amplification(nodes):
         return np.max(np.abs(out[nodes]), axis=-1) / (
-            np.max(np.abs(rhs[nodes]), axis=-1) + 1e-300)
+            np.max(np.abs(at_nodes(rhs)[nodes]), axis=-1) + 1e-300)
 
     # a dissipative implicit step never amplifies like this; a near-zero
     # pivot that LAPACK lets through does.  A bound of 1e11 or less keeps
@@ -582,23 +598,30 @@ def _monomial_features(states: Array, size: int) -> Array:
                 return np.stack(cols, axis=1)
 
 
-def _fit(design: Array, targets: Array, step: int, trivial: bool) -> Array:
-    """Least-squares fitted values Q (Q^T targets) from one real QR of the
-    design, on the real view of the complex targets; rank deficiency is an
-    error except at t=0.
+def _fit(design: Array | None, targets: Array, step: int) -> tuple[Array | None, Array]:
+    """The real QR factor Q (n, k) of the design and the complex coefficients
+    C = Q^T targets (k, ...) from one real QR, on the real view of the
+    targets: the fitted values are Q C (``_combine``).  With no design (t=0,
+    where every path has one state) Q is None and C is the targets' mean.
 
-    The design is rank-deficient when it has fewer rows (paths) than columns,
-    or when a |R_ii| is at most max(n, k) eps times the largest.
+    The design is rank-deficient, an error, when it has fewer rows (paths)
+    than columns, or when a |R_ii| is at most max(n, k) eps times the largest.
     """
-    if trivial:
-        return np.broadcast_to(targets.mean(axis=0), targets.shape).copy()
+    if design is None:
+        return None, targets.mean(axis=0, keepdims=True)
     n, k = design.shape
     Q, R = np.linalg.qr(design)
     diag = np.abs(np.diag(R))
     if n < k or diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
         raise NumericError(f"rank-deficient regression design at time step {step}")
-    real = np.ascontiguousarray(targets).view(float)
-    return (Q @ (Q.T @ real)).view(complex)
+    real = np.ascontiguousarray(targets).reshape(n, -1).view(float)
+    return Q, (Q.T @ real).view(complex).reshape((k,) + targets.shape[1:])
+
+
+def _combine(Q: Array, C: Array) -> Array:
+    """Q C for a real (n, k) Q and complex (k, ...) C, as one real product."""
+    real = np.ascontiguousarray(C).reshape(len(C), -1).view(float)
+    return (Q @ real).view(complex).reshape((len(Q),) + C.shape[1:])
 
 
 _BLOCK_ENTRIES = 1 << 18  # complex entries per stack of per-path operator matrices
@@ -612,9 +635,15 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
     Conditional expectations are cross-sectional regressions on monomials of
     the current Wiener state; the noise coefficient regresses
     ``p_next dW^k / dt``.  ``p_next`` and its ``dim_w`` products share the
-    design, so each step projects the stacked targets with one real QR of it.
-    Deterministic scenarios reproduce the chain solver exactly because the
-    regression of a constant target is that constant.
+    design, so each step fits the stacked targets with one real QR of it.
+
+    With deterministic coefficients the step acts on the modes alone, so it
+    commutes with the fit: it steps the k fitted coefficient rows with the
+    source rows, and p is ``Q`` times the stepped coefficients plus the
+    stepped source.  Per-path operator rows step the fitted values of every
+    path, one block of paths at a time.  Deterministic scenarios reproduce
+    the chain solver because the regression of a constant target is that
+    constant.
     """
     scheme = scheme or SchemeConfig()
     if regression_basis_size < 1:
@@ -624,27 +653,35 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
     fields = LevelFields(scenario, ensemble, basis)
     # per-path matrices are assembled and solved one block of paths at a time,
     # so a step holds about _BLOCK_ENTRIES entries per stack, not n_paths m^2
-    size = (n_paths if scenario.coefficients_deterministic
-            else max(1, _BLOCK_ENTRIES // nm ** 2))
-    blocks = [(sl, fields.select(sl))
-              for sl in (slice(j, j + size) for j in range(0, n_paths, size))]
+    size = max(1, _BLOCK_ENTRIES // nm ** 2)
+    blocks = None if scenario.coefficients_deterministic else [
+        (sl, fields.select(sl)) for sl in (slice(j, j + size)
+                                           for j in range(0, n_paths, size))]
 
     p = np.array(np.broadcast_to(fields.terminal(), (n_paths, nm)), dtype=complex)
     q_means = np.empty((N, dw, nm), dtype=complex)
     w = np.cumsum(ensemble.increments, axis=1)  # w[:, s - 1] is W at step s
 
     for step in range(N - 1, -1, -1):
-        trivial = step == 0
-        design = None if trivial else _monomial_features(w[:, step - 1],
-                                                         regression_basis_size)
+        design = None if step == 0 else _monomial_features(w[:, step - 1],
+                                                           regression_basis_size)
         dW = ensemble.increments[:, step, :]
         targets = np.concatenate([p[:, None], p[:, None] * (dW / dt)[:, :, None]], axis=1)
-        fitted = _fit(design, targets.reshape(n_paths, -1), step, trivial).reshape(
-            targets.shape)
+        Q, C = _fit(design, targets, step)
+        fhat = fields.source(step)
+        if blocks is None:  # one shared row: step C and the source rows
+            Q = np.ones((n_paths, 1)) if Q is None else Q
+            rows = np.concatenate([C, np.zeros((len(fhat),) + C.shape[1:], complex)])
+            fhat = np.concatenate([np.zeros((len(C), nm)), fhat])
+            p = _level_step(fields.operators(step), rows[:, 0], rows[:, 1:], fhat, dt,
+                            theta, step, paths=Q)
+            q_means[step] = np.tensordot(Q.mean(axis=0), C[:, 1:], axes=1)
+            continue
+        fitted = (np.broadcast_to(C, targets.shape).copy() if Q is None
+                  else _combine(Q, C))
         Ep, q = fitted[:, 0], fitted[:, 1:]
         q_means[step] = q.mean(axis=0)
-
-        fhat = np.broadcast_to(fields.source(step), (n_paths, nm))
+        fhat = np.broadcast_to(fhat, (n_paths, nm))
         p = np.concatenate([
             _level_step(blk.operators(step), Ep[sl], q[sl], fhat[sl], dt, theta, step,
                         sl.start)

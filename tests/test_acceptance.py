@@ -16,16 +16,13 @@ from bspde import (
     MultiIndex,
     SchemeConfig,
     SpectralBasis,
-    GaussianBump,
     backward_solve,
     build_chain,
     build_tree,
     continuation_solve,
     default_modulus,
     energy_audit,
-    feynman_kac_mc,
     freeze_and_iterate,
-    heat_reference,
     higher_regularity_solve,
     ito_identity_check,
     mixed_norm_sq,
@@ -37,6 +34,7 @@ from bspde import (
     validate,
 )
 from helpers import make_scenario
+from oracles import GaussianBump, feynman_kac_mc, heat_reference
 from test_cli import (
     BAD_PARSE,
     BAD_VALID,

@@ -302,6 +302,26 @@ class TestExitCodes:
         assert err == ("error: singular implicit step at level 2, node 3 "
                        "(amplification nan)\n")
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    def test_regress_names_the_path_not_a_coefficient_row(self, tmp_path):
+        # F is nan on the paths where w1 > 0, so the step's source rows are
+        # per path and follow the 4 fitted coefficient rows; the error names
+        # the first nan path, not its place among the stepped rows
+        path = tmp_path / "nan.scn"
+        path.write_text(Path(TINY).read_text().replace(
+            "F = 0.5*cos(x1)*(1-t)", "F = 0.5*cos(x1)*(1-t) + 0*exp(1000*w1)"))
+        code, out, err = run("regress", str(path))
+        assert (code, out) == (5, "")
+        assert err == ("error: singular implicit step at level 2, node 31 "
+                       "(amplification nan)\n")
+
+    def test_regress_measures_every_path_when_the_bound_proves_nothing(self):
+        # singular.scn's inverse has a row sum far above 1e11, so each path's
+        # amplification is measured, and the first path is named
+        assert run("regress", SINGULAR) == (
+            5, "", "error: singular implicit step at level 7, node 0 "
+                   "(amplification 1.8e+32)\n")
+
     def test_tolerance_failure(self):
         assert run("compare", TINY, "--tol", "1e-18")[0] == 6
 

@@ -6,16 +6,14 @@ import pytest
 import bspde.errors
 from bspde import (
     BudgetError,
-    GaussianBump,
     SpectralBasis,
     StructuralError,
     build_tree,
-    feynman_kac_mc,
-    heat_reference,
     solve_dense,
 )
 from helpers import make_scenario
-from oracles import heat_value_quad, periodized_bump_heat
+from oracles import (GaussianBump, feynman_kac_mc, heat_reference, heat_value_quad,
+                     periodized_bump_heat)
 
 BASIS = SpectralBasis(1, 12, np.pi)
 

@@ -230,6 +230,35 @@ class TestBackwardSolveProviders:
         else:
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("scale, nan_source, message", [
+        (1.0 - 1e-14, False, r"level 3, node 4 \(amplification 9\.9e\+13\)$"),
+        (0.5, True, r"level 3, node 4 \(amplification nan\)$")],
+        ids=["bound-proves-nothing", "non-finite"])
+    def test_step_of_coefficient_rows_names_the_path(self, scale, nan_source, message):
+        # 6 paths Q C plus a source row each, stepped as paths and as the k = 2
+        # rows of C with the source rows.  Paths 0-3 are 0 and path 4 is the
+        # first bad one: the inverse's bound proves nothing and every path is
+        # measured, or path 4's source is nan.  Both steps name path 4, not
+        # coefficient row 0 nor path 4's source row (row 6)
+        rng = np.random.default_rng(9)
+        n, k, m = 6, 2, BASIS.n_modes
+        ops = LevelOperators(scale * np.eye(m)[None] / 0.1, np.zeros((1, 1, m, m)))
+        Q = rng.standard_normal((n, k))
+        C = rng.standard_normal((k, 2, m)) + 1j * rng.standard_normal((k, 2, m))
+        f = rng.standard_normal((n, m)) + 0j
+        Q[:4], f[:4] = 0.0, 0.0
+        if nan_source:
+            f[4, 0] = np.nan
+        values = np.einsum("nk,kjm->njm", Q, C)
+        rows = np.concatenate([C, np.zeros((n, 2, m))])
+        for step in (lambda: _level_step(ops, values[:, 0], values[:, 1:], f, 0.1, 1.0, 3),
+                     lambda: _level_step(ops, rows[:, 0], rows[:, 1:],
+                                         np.concatenate([np.zeros((k, m)), f]), 0.1, 1.0,
+                                         3, paths=Q)):
+            with pytest.raises(NumericError, match=message):
+                step()
+
 
 class TestChainSolves:
     def test_heat_chain_matches_scalar_recursion_exactly(self):
@@ -558,25 +587,61 @@ class TestRegression:
         r2 = solve_regression(sc, sample_paths(1, 4, 500, 0.5, seed=9), BASIS)
         assert np.array_equal(r1.p0().coeffs, r2.p0().coeffs)
 
+    @staticmethod
+    def deterministic_coefficients(dim_w):
+        """x-dependent deterministic coefficients and F, and an adapted phi."""
+        return make_scenario(
+            d1=dim_w, a=lambda t, X: 0.6 + 0.1 * np.sin(X[:, 0]), b=0.1, c=0.1, sigma=0.2,
+            nu=0.05, F=lambda t, X: np.cos(X[:, 0]),
+            phi=lambda t, X, hist: np.sin(X[:, 0]) * (1.0 + 0.3 * hist.w.sum())
+            + 0.2 * hist.w[-1] ** 2)
+
     @pytest.mark.parametrize("dim_w", [1, 2])
-    @pytest.mark.parametrize("coefficients", ["deterministic", "adapted"])
-    def test_stacked_fit_matches_per_target_reference(self, dim_w, coefficients):
-        # adapted coefficients take the per-path operator blocks
-        if coefficients == "adapted":
-            sc = markov_scenario(dim_w)
-        else:
-            sc = make_scenario(
-                d1=dim_w, sigma=0.2, nu=0.05, F=lambda t, X: np.cos(X[:, 0]),
-                phi=lambda t, X, hist: np.sin(X[:, 0]) * (1.0 + 0.3 * hist.w.sum())
-                + 0.2 * hist.w[-1] ** 2)
-        assert sc.coefficients_deterministic == (coefficients == "deterministic")
+    @pytest.mark.parametrize("coefficients, theta", [
+        pytest.param("deterministic", 1.0, id="deterministic"),
+        pytest.param("deterministic", 0.5, id="deterministic-theta-half"),
+        pytest.param("markov-source", 1.0, id="markov-source"),
+        pytest.param("markov-source", 0.5, id="markov-source-theta-half"),
+        pytest.param("adapted", 1.0, id="adapted")])
+    def test_stacked_fit_matches_per_target_reference(self, dim_w, coefficients, theta):
+        # deterministic coefficients step the fitted coefficients with one
+        # source row, or with a row per path for markov_scenario's F (and
+        # phi); adapted coefficients take the per-path operator blocks.  The
+        # reference fits each target apart and steps every path
+        det = self.deterministic_coefficients(dim_w)
+        sc = {"deterministic": det, "adapted": markov_scenario(dim_w),
+              "markov-source": markov_scenario(dim_w).with_fields(
+                  **det.coefficient_fields())}[coefficients]
+        assert sc.coefficients_deterministic == (coefficients != "adapted")
+        assert sc.F.is_deterministic == (coefficients == "deterministic")
         ens = sample_paths(dim_w, 5, 300, sc.horizon, seed=31)
-        reg = solve_regression(sc, ens, BASIS)
-        p0, q_means = regression_reference(sc, ens, BASIS)
+        scheme = SchemeConfig(theta=theta)
+        reg = solve_regression(sc, ens, BASIS, scheme=scheme)
+        p0, q_means = regression_reference(sc, ens, BASIS, scheme=scheme)
         assert reg.q_means.shape == (5, dim_w, BASIS.n_modes)
         for got, want in ((reg.p0().coeffs, p0), (reg.q_means, q_means)):
             assert np.abs(want).max() > 1e-3
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_no_step_sees_the_paths_unless_each_has_its_operators(self, monkeypatch):
+        # deterministic coefficients and F: every step takes the k = 4 fitted
+        # coefficient rows and one source row, never the 4,000 paths (at t=0
+        # the fit is one row, the mean); a Markov c gives each path its own
+        # operators, and the paths are stepped one block at a time
+        rows = []
+        step = bspde.solver._level_step
+        monkeypatch.setattr(bspde.solver, "_level_step", lambda ops, Ep, *args, **kw:
+                            rows.append(len(Ep)) or step(ops, Ep, *args, **kw))
+        sc = self.deterministic_coefficients(1)
+        ens = sample_paths(1, 2, 4000, sc.horizon, seed=41)
+        solve_regression(sc, ens, BASIS, regression_basis_size=4)
+        assert rows == [5, 2]
+        rows.clear()
+        c = make_scenario(c=lambda t, X, hist: 0.1 + 0.05 * np.sin(hist.w[0]) + 0 * X[:, 0]).c
+        solve_regression(sc.with_fields(c=c), ens, BASIS, regression_basis_size=4)
+        size = bspde.solver._BLOCK_ENTRIES // BASIS.n_modes ** 2
+        assert 0 < 4000 - size < size
+        assert rows == [size, 4000 - size] * 2
 
     def test_memory_does_not_grow_with_the_step_count(self):
         # only the running level is kept: the peak must not scale with N
