@@ -29,8 +29,7 @@ from .solver import (AdaptedField, LevelFields, LevelOperators, RegressionSoluti
 from .space import (SpatialField, SpectralBasis, assemble_L, assemble_M,
                     coercivity_probe)
 from .wiener import (PathEnsemble, WienerTree, build_chain, build_tree,
-                     conditional_expectation, gauss_hermite_standard,
-                     martingale_coefficient, sample_paths)
+                     gauss_hermite_standard, sample_paths)
 
 __version__ = "0.1.0"
 
@@ -45,12 +44,12 @@ __all__ = [
     "Scenario", "SchemeConfig", "SolutionPair", "SpatialField",
     "SpectralBasis", "StructuralError", "ValidationReport", "WienerTree",
     "assemble_L", "assemble_M", "backward_solve",
-    "build_chain", "build_tree", "coercivity_probe", "conditional_expectation",
+    "build_chain", "build_tree", "coercivity_probe",
     "continuation_solve", "default_modulus", "default_sample_grid",
     "energy_audit", "freeze", "freeze_and_iterate",
     "gauss_hermite_standard", "higher_regularity_solve",
     "ito_identity_check", "load_scenario", "load_scenario_text",
-    "martingale_coefficient", "mixed_norm_sq", "mollify", "pair_difference",
+    "mixed_norm_sq", "mollify", "pair_difference",
     "positivity_check", "sample_paths", "serialize_scenario",
     "solve_dense", "solve_regression",
     "solve_tree", "strong_residual", "validate", "weak_residual",

@@ -10,19 +10,19 @@ so the implicit step solves (I - theta dt L) p = rhs.  q is computed first,
 from the children of p, which is the standard well-posed explicit treatment of
 the noise coupling.
 
-The recursion runs a whole tree level at a time.  ``LevelFields`` supplies a
-level's source as a stacked array and its operators as one
+One loop, ``_backward``, runs the recursion a whole level at a time on any
+filtration, which supplies its ``expect`` step: the exact child sums of a
+tree (``WienerTree.expectations``), or the projections of a path ensemble on
+its regression design, one real QR per step (``_fit``).  ``LevelFields``
+supplies a level's source as a stacked array and its operators as one
 ``LevelOperators``: matrix rows plus each node's row, with one shared row
 for deterministic fields, one per distinct Wiener state for Markov fields and
 one per node otherwise.  ``_level_step`` applies a shared row's inverse
 (I - theta dt L)^-1 to the whole level as one matrix product, and the
 provider keeps that inverse for the whole solve when the row is t-free; it
 solves the level with one stacked solve when every node has its own row, and
-otherwise with one factorisation per row for all of its nodes.  The tree
-solver, the residuals, the regression solver, the freezing iteration and the
-audits all run on this one step.  The regression's conditional expectations
-are projections on its design, one real QR per step (``_fit``); with a shared
-row the step runs on the fitted coefficients, not on the paths.
+otherwise with one factorisation per row for all of its nodes.  With a
+shared row the regression steps its fitted coefficients, not its paths.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ import numpy as np
 from .errors import NumericError, StructuralError, check_bytes
 from .scenario import PathHistory, Scenario, _all_markov
 from .space import SpatialField, SpectralBasis, assemble_L, assemble_M
-from .wiener import (PathEnsemble, WienerTree, conditional_expectation,
-                     martingale_coefficient)
+from .wiener import PathEnsemble, WienerTree
 
 Array = np.ndarray
 
@@ -410,20 +409,25 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     has its own row the level is one stacked solve; otherwise each row's
     matrix is factored once, for all of its nodes.
 
-    ``paths``, a real (n, k) matrix, says that the first k rows of ``Ep``,
-    ``q`` and ``fhat`` are coefficients of n nodes' values in its columns and
-    the rest is one row added to every node or a row per node: the step is
-    linear, so it steps those rows and returns the n nodes'
-    ``paths @ out[:k] + out[k:]``.  Errors name the node as ``first_node``
-    plus its place among the nodes, never a row.
+    ``paths``, a real (n, k) matrix, says that ``Ep`` and ``q`` are k rows of
+    coefficients of n nodes' values in its columns, and ``fhat`` one row
+    added to every node or a row per node: the step is linear, so it steps
+    the rows ``[Ep; 0]``, ``[q; 0]`` and ``[0; fhat]`` and returns the n
+    nodes' ``paths @ out[:k] + out[k:]``.  Errors name the node as
+    ``first_node`` plus its place among the nodes, never a row.
     """
     L, Ms, index = ops.L, ops.Ms, ops.index
+    if paths is not None:  # the k coefficient rows, then the source rows
+        k, n_f = len(Ep), len(fhat)
+        Ep, q = (np.concatenate([rows, np.zeros((n_f,) + rows.shape[1:], complex)])
+                 for rows in (Ep, q))
+        fhat = np.concatenate([np.zeros((k,) + fhat.shape[1:]), fhat])
     groups = _row_nodes(ops)
     rhs = Ep + dt * fhat
     if theta < 1.0:
         rhs += dt * (1.0 - theta) * _apply(L, Ep, groups)
-    for k in range(q.shape[1]):
-        rhs += dt * _apply(Ms[:, k], q[:, k], groups)
+    for j in range(q.shape[1]):
+        rhs += dt * _apply(Ms[:, j], q[:, j], groups)
 
     def matrix():  # I - theta dt L of every row; a kept inverse needs none
         return np.eye(L.shape[-1]) - theta * dt * L
@@ -460,7 +464,6 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     def at_nodes(rows):  # the nodes' values of the step's rows (``paths``)
         if paths is None:
             return rows
-        k = paths.shape[1]
         return _combine(paths, rows[:k]) + rows[k:]
 
     out = at_nodes(out)
@@ -471,7 +474,10 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
 
     # a dissipative implicit step never amplifies like this; a near-zero
     # pivot that LAPACK lets through does.  A bound of 1e11 or less keeps
-    # every node below 1e12, rounding included, so no node is measured
+    # every node below 1e12, rounding included, so no node is measured, and a
+    # finite level needs no per-node test
+    if bound <= 1e11 and np.isfinite(out).all():
+        return out
     bad = ~np.all(np.isfinite(out), axis=-1)
     if not bound <= 1e11:
         bad |= amplification(slice(None)) > 1e12
@@ -482,27 +488,44 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     return out
 
 
+def _backward(filtration, scheme: SchemeConfig, p: Array, operators, source, expect):
+    """The package's one backward level loop: from the leaves' ``p``, yield
+    ``(level, p, q, paths)`` for every level, last first; a caller keeps what
+    it reads.  ``source(level)`` is the level's (k, m) source, and
+    ``operators(level)`` yields ``(nodes, LevelOperators)`` pairs, consecutive
+    slices of the level's nodes with their operators.  ``expect(level,
+    p_next)`` is the filtration's ``(E[p_next | node], E[p_next dW | node] /
+    dt, paths)``, as values at the nodes (``paths`` None) or as coefficient
+    rows of them in the columns of ``paths`` (``_level_step``).
+    """
+    dt, theta = filtration.dt, scheme.theta
+    for level in range(filtration.n_steps - 1, -1, -1):
+        Ep, q, paths = expect(level, p)
+        f = source(level)
+        p = [_level_step(ops, Ep[nodes], q[nodes], f if len(f) == 1 else f[nodes], dt,
+                         theta, level, nodes.start, paths)
+             for nodes, ops in operators(level)]  # one part per block of nodes
+        p = p[0] if len(p) == 1 else np.concatenate(p)
+        yield level, p, q, paths
+
+
 def backward_solve(tree: WienerTree, basis: SpectralBasis, scheme: SchemeConfig,
                    terminal: Array, operators, source) -> SolutionPair:
-    """Run the backward recursion level by level on the level-array contract.
+    """Run the backward recursion level by level on the level-array contract
+    and keep every level, as the audits read them.
 
     terminal          -> (k, m) spectral vectors at the leaves
     operators(level)  -> the level's ``LevelOperators``
     source(level)     -> (k, m) left-endpoint source
     """
-    N, dt, theta = tree.n_steps, tree.dt, scheme.theta
-
-    p_levels: list[Array] = [None] * (N + 1)
+    N = tree.n_steps
     q_levels: list[Array] = [None] * N
-    p_levels[N] = np.array(
-        np.broadcast_to(terminal, (tree.levels[N].n_nodes, basis.n_modes)), dtype=complex)
-
-    for level in range(N - 1, -1, -1):
-        Ep = conditional_expectation(tree, level, p_levels[level + 1])
-        q = martingale_coefficient(tree, level, p_levels[level + 1])
-        p_levels[level] = _level_step(operators(level), Ep, q, source(level), dt, theta, level)
-        q_levels[level] = q
-
+    p_levels = q_levels + [np.array(
+        np.broadcast_to(terminal, (tree.levels[N].n_nodes, basis.n_modes)), dtype=complex)]
+    for level, p, q, _ in _backward(
+            tree, scheme, p_levels[N], lambda level: [(slice(0, None), operators(level))],
+            source, lambda level, p_next: (*tree.expectations(level, p_next), None)):
+        p_levels[level], q_levels[level] = p, q
     return SolutionPair(AdaptedField(tree, basis, p_levels),
                         AdaptedField(tree, basis, q_levels))
 
@@ -538,7 +561,7 @@ def _defects(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
     fields = LevelFields(scenario, tree, basis)
     for level in range(tree.n_steps):
         p, q = solution.p.levels[level], solution.q.levels[level]
-        Ep = conditional_expectation(tree, level, solution.p.levels[level + 1])
+        Ep = tree.expectations(level, solution.p.levels[level + 1])[0]
         drift = _generator(fields.operators(level), theta * p + (1.0 - theta) * Ep, q,
                            fields.source(level))
         yield p - Ep - tree.dt * drift
@@ -630,61 +653,51 @@ _BLOCK_ENTRIES = 1 << 18  # complex entries per stack of per-path operator matri
 def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: SpectralBasis,
                      regression_basis_size: int = 4,
                      scheme: SchemeConfig | None = None) -> RegressionSolution:
-    """Least-squares Monte Carlo version of the backward recursion.
-
-    Conditional expectations are cross-sectional regressions on monomials of
-    the current Wiener state; the noise coefficient regresses
-    ``p_next dW^k / dt``.  ``p_next`` and its ``dim_w`` products share the
-    design, so each step fits the stacked targets with one real QR of it.
+    """Least-squares Monte Carlo version of the backward recursion: the one
+    loop, ``_backward``, with an ``expect`` that regresses on monomials of the
+    current Wiener state.  ``p_next`` and its ``dim_w`` products
+    ``p_next dW^k / dt`` share the design, so each step fits the stacked
+    targets with one real QR of it.
 
     With deterministic coefficients the step acts on the modes alone, so it
-    commutes with the fit: it steps the k fitted coefficient rows with the
-    source rows, and p is ``Q`` times the stepped coefficients plus the
-    stepped source.  Per-path operator rows step the fitted values of every
-    path, one block of paths at a time.  Deterministic scenarios reproduce
-    the chain solver because the regression of a constant target is that
-    constant.
+    commutes with the fit: ``expect`` hands the loop the k fitted coefficient
+    rows with ``paths = Q``.  Per-path operator rows step the fitted values
+    of every path, one block of paths at a time.  Only the running p and the
+    q path means are kept.  Deterministic scenarios reproduce the chain
+    solver because the regression of a constant target is that constant.
     """
     scheme = scheme or SchemeConfig()
     if regression_basis_size < 1:
         raise StructuralError("regression_basis_size must be >= 1")
-    N, dt, theta = ensemble.n_steps, ensemble.dt, scheme.theta
+    N, dt = ensemble.n_steps, ensemble.dt
     n_paths, nm, dw = ensemble.n_paths, basis.n_modes, ensemble.dim_w
     fields = LevelFields(scenario, ensemble, basis)
     # per-path matrices are assembled and solved one block of paths at a time,
-    # so a step holds about _BLOCK_ENTRIES entries per stack, not n_paths m^2
+    # so a step holds about _BLOCK_ENTRIES entries per stack, not n_paths m^2;
+    # a shared row is one block of every path
     size = max(1, _BLOCK_ENTRIES // nm ** 2)
-    blocks = None if scenario.coefficients_deterministic else [
+    shared = scenario.coefficients_deterministic
+    blocks = [(slice(0, None), fields)] if shared else [
         (sl, fields.select(sl)) for sl in (slice(j, j + size)
                                            for j in range(0, n_paths, size))]
-
-    p = np.array(np.broadcast_to(fields.terminal(), (n_paths, nm)), dtype=complex)
-    q_means = np.empty((N, dw, nm), dtype=complex)
     w = np.cumsum(ensemble.increments, axis=1)  # w[:, s - 1] is W at step s
 
-    for step in range(N - 1, -1, -1):
+    def expect(step, p):
         design = None if step == 0 else _monomial_features(w[:, step - 1],
                                                            regression_basis_size)
         dW = ensemble.increments[:, step, :]
         targets = np.concatenate([p[:, None], p[:, None] * (dW / dt)[:, :, None]], axis=1)
         Q, C = _fit(design, targets, step)
-        fhat = fields.source(step)
-        if blocks is None:  # one shared row: step C and the source rows
-            Q = np.ones((n_paths, 1)) if Q is None else Q
-            rows = np.concatenate([C, np.zeros((len(fhat),) + C.shape[1:], complex)])
-            fhat = np.concatenate([np.zeros((len(C), nm)), fhat])
-            p = _level_step(fields.operators(step), rows[:, 0], rows[:, 1:], fhat, dt,
-                            theta, step, paths=Q)
-            q_means[step] = np.tensordot(Q.mean(axis=0), C[:, 1:], axes=1)
-            continue
-        fitted = (np.broadcast_to(C, targets.shape).copy() if Q is None
-                  else _combine(Q, C))
-        Ep, q = fitted[:, 0], fitted[:, 1:]
-        q_means[step] = q.mean(axis=0)
-        fhat = np.broadcast_to(fhat, (n_paths, nm))
-        p = np.concatenate([
-            _level_step(blk.operators(step), Ep[sl], q[sl], fhat[sl], dt, theta, step,
-                        sl.start)
-            for sl, blk in blocks])
+        if shared:  # one shared row: step C and the source rows
+            return C[:, 0], C[:, 1:], np.ones((n_paths, 1)) if Q is None else Q
+        fitted = np.broadcast_to(C, targets.shape).copy() if Q is None else _combine(Q, C)
+        return fitted[:, 0], fitted[:, 1:], None
 
+    p = np.array(np.broadcast_to(fields.terminal(), (n_paths, nm)), dtype=complex)
+    q_means = np.empty((N, dw, nm), dtype=complex)
+    for step, p, q, paths in _backward(  # one block of paths after the other
+            ensemble, scheme, p, lambda step: ((sl, b.operators(step)) for sl, b in blocks),
+            fields.source, expect):
+        q_means[step] = (q.mean(axis=0) if paths is None
+                         else np.tensordot(paths.mean(axis=0), q, axes=1))
     return RegressionSolution(basis, p.mean(axis=0), q_means)

@@ -106,6 +106,26 @@ class WienerTree:
             idx = self.levels[lev].parents[idx]
         return incs
 
+    def expectations(self, level: int, values) -> tuple[Array, Array]:
+        """Exact ``E[values | node]`` and the discrete martingale-representation
+        coefficient ``E[values dW | node] / dt`` for every node of ``level``.
+
+        ``values`` holds one row per node of ``level + 1``, in tree order, of
+        any trailing shape; the results are ``(n_level, ...)`` and
+        ``(n_level, dim_w, ...)``.  For affine child data the coefficient is
+        the representation coefficient exactly.
+        """
+        if level >= self.n_steps:
+            raise ValueError("terminal nodes have no children")
+        n, c, nxt = self.levels[level].n_nodes, self.n_children, self.levels[level + 1]
+        vals = np.asarray(values)
+        if vals.shape[0] != nxt.n_nodes:
+            raise ValueError(f"expected {nxt.n_nodes} child values, got {vals.shape[0]}")
+        w, vals = nxt.weights.reshape(n, c), vals.reshape((n, c) + vals.shape[1:])
+        dw = nxt.increments.reshape(n, c, self.dim_w)
+        return (np.einsum("nc,nc...->n...", w, vals),
+                np.einsum("nc,nck,nc...->nk...", w, dw, vals) / self.dt)
+
 
 def _branch_pattern(dim_w: int, branching: int, dt: float) -> tuple[Array, Array]:
     """Tensorised child increments (C, dim_w) and product weights (C,)."""
@@ -170,39 +190,6 @@ def build_chain(dim_w: int, n_steps: int, horizon: float) -> WienerTree:
     root, level = _grow(dim_w, 1, 1, horizon, (np.zeros((1, dim_w)), np.ones(1))).levels
     return WienerTree(dim_w, n_steps, 1, horizon, horizon / n_steps,
                       [root] + [level] * n_steps)
-
-
-def _children(tree: WienerTree, level: int, values) -> tuple[Array, Array, Array]:
-    """Child weights (n, C), increments (n, C, dim_w) and ``values`` as (n, C, ...)."""
-    if level >= tree.n_steps:
-        raise ValueError("terminal nodes have no children")
-    n, c, nxt = tree.levels[level].n_nodes, tree.n_children, tree.levels[level + 1]
-    vals = np.asarray(values)
-    if vals.shape[0] != nxt.n_nodes:
-        raise ValueError(f"expected {nxt.n_nodes} child values, got {vals.shape[0]}")
-    return (nxt.weights.reshape(n, c), nxt.increments.reshape(n, c, tree.dim_w),
-            vals.reshape((n, c) + vals.shape[1:]))
-
-
-def conditional_expectation(tree: WienerTree, level: int, values: Array) -> Array:
-    """Exact E[. | node] for every node of ``level``: one row per node.
-
-    ``values`` holds one row per node of ``level + 1``, in tree order.
-    """
-    w, _, vals = _children(tree, level, values)
-    return np.einsum("nc,nc...->n...", w, vals)
-
-
-def martingale_coefficient(tree: WienerTree, level: int, values: Array) -> Array:
-    """Discrete martingale-representation coefficient E[X dW | node] / dt.
-
-    Row i, component k of the result is the weighted average over the
-    children of node i of ``values * increment_k``, divided by dt; for affine
-    child data this recovers the representation coefficient exactly.  The
-    result has shape (n_level, dim_w, ...).
-    """
-    w, dw, vals = _children(tree, level, values)
-    return np.einsum("nc,nck,nc...->nk...", w, dw, vals) / tree.dt
 
 
 @dataclass(frozen=True)

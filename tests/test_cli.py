@@ -101,6 +101,36 @@ defect[n=8] = 2.037718200840e-04
 defect[n=16] = 6.862193952178e-05
 """
 
+REGRESS_TINY_GOLDEN = """\
+command = regress
+paths = 500
+seed = 11
+steps = 3
+modes = 4
+p0_l2 = 1.509346187461e+00
+p0_h1 = 1.598751678610e+00
+"""
+
+REGRESS_ROUGH_GOLDEN = """\
+command = regress
+paths = 500
+seed = 0
+steps = 8
+modes = 24
+p0_l2 = 1.668944028062e-01
+p0_h1 = 5.502838785379e-01
+"""
+
+REGRESS_MARKOV_C_GOLDEN = """\
+command = regress
+paths = 500
+seed = 11
+steps = 3
+modes = 4
+p0_l2 = 1.508457190568e+00
+p0_h1 = 1.597869168209e+00
+"""
+
 
 class TestGoldenOutput:
     def test_solve_tiny(self):
@@ -115,6 +145,24 @@ class TestGoldenOutput:
     ], ids=["audit-tiny", "positivity-tiny", "mollify-study-rough"])
     def test_full_stdout(self, argv, golden):
         code, out, _ = run(*argv)
+        assert code == 0
+        assert out == golden
+
+    @pytest.mark.parametrize("scenario, edit, golden", [
+        (TINY, None, REGRESS_TINY_GOLDEN),
+        (ROUGH, None, REGRESS_ROUGH_GOLDEN),
+        (TINY, ("c = 0.1\n", "c = 0.1 + 0.05*sin(w1)\n"), REGRESS_MARKOV_C_GOLDEN),
+    ], ids=["tiny-shared-row", "rough", "tiny-markov-c-per-path-blocks"])
+    def test_regress_full_stdout(self, tmp_path, scenario, edit, golden):
+        # tiny steps the fitted coefficient rows of one shared operator row
+        # with nonzero sigma and nu; a Markov c gives every path its own
+        # operators, stepped one block of paths at a time
+        if edit is not None:
+            text = Path(scenario).read_text(encoding="utf-8")
+            assert edit[0] in text
+            scenario = tmp_path / "edited.scn"
+            scenario.write_text(text.replace(*edit), encoding="utf-8")
+        code, out, _ = run("regress", str(scenario), "--paths", "500")
         assert code == 0
         assert out == golden
 

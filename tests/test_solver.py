@@ -237,10 +237,10 @@ class TestBackwardSolveProviders:
         ids=["bound-proves-nothing", "non-finite"])
     def test_step_of_coefficient_rows_names_the_path(self, scale, nan_source, message):
         # 6 paths Q C plus a source row each, stepped as paths and as the k = 2
-        # rows of C with the source rows.  Paths 0-3 are 0 and path 4 is the
-        # first bad one: the inverse's bound proves nothing and every path is
-        # measured, or path 4's source is nan.  Both steps name path 4, not
-        # coefficient row 0 nor path 4's source row (row 6)
+        # rows of C, which the step stacks with the source rows.  Paths 0-3
+        # are 0 and path 4 is the first bad one: the inverse's bound proves
+        # nothing and every path is measured, or path 4's source is nan.  Both
+        # steps name path 4, not coefficient row 0 nor path 4's source row (row 6)
         rng = np.random.default_rng(9)
         n, k, m = 6, 2, BASIS.n_modes
         ops = LevelOperators(scale * np.eye(m)[None] / 0.1, np.zeros((1, 1, m, m)))
@@ -251,11 +251,8 @@ class TestBackwardSolveProviders:
         if nan_source:
             f[4, 0] = np.nan
         values = np.einsum("nk,kjm->njm", Q, C)
-        rows = np.concatenate([C, np.zeros((n, 2, m))])
         for step in (lambda: _level_step(ops, values[:, 0], values[:, 1:], f, 0.1, 1.0, 3),
-                     lambda: _level_step(ops, rows[:, 0], rows[:, 1:],
-                                         np.concatenate([np.zeros((k, m)), f]), 0.1, 1.0,
-                                         3, paths=Q)):
+                     lambda: _level_step(ops, C[:, 0], C[:, 1:], f, 0.1, 1.0, 3, paths=Q)):
             with pytest.raises(NumericError, match=message):
                 step()
 
@@ -625,9 +622,10 @@ class TestRegression:
 
     def test_no_step_sees_the_paths_unless_each_has_its_operators(self, monkeypatch):
         # deterministic coefficients and F: every step takes the k = 4 fitted
-        # coefficient rows and one source row, never the 4,000 paths (at t=0
-        # the fit is one row, the mean); a Markov c gives each path its own
-        # operators, and the paths are stepped one block at a time
+        # coefficient rows, which it stacks with one source row, never the
+        # 4,000 paths (at t=0 the fit is one row, the mean); a Markov c gives
+        # each path its own operators, and the paths are stepped one block at
+        # a time
         rows = []
         step = bspde.solver._level_step
         monkeypatch.setattr(bspde.solver, "_level_step", lambda ops, Ep, *args, **kw:
@@ -635,7 +633,7 @@ class TestRegression:
         sc = self.deterministic_coefficients(1)
         ens = sample_paths(1, 2, 4000, sc.horizon, seed=41)
         solve_regression(sc, ens, BASIS, regression_basis_size=4)
-        assert rows == [5, 2]
+        assert rows == [4, 1]
         rows.clear()
         c = make_scenario(c=lambda t, X, hist: 0.1 + 0.05 * np.sin(hist.w[0]) + 0 * X[:, 0]).c
         solve_regression(sc.with_fields(c=c), ens, BASIS, regression_basis_size=4)

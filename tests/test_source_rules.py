@@ -303,6 +303,55 @@ def test_regressions_are_fitted_only_in_fit():
     assert package_findings(lambda source: linalg_calls_outside(source, FITS, FIT_SITES)) == {}
 
 
+# the one backward level loop; the dense oracle walks its own levels
+ONE_LOOP = "_backward"
+
+
+def backward_walks_outside(source: str, allowed: set) -> list[int]:
+    """Line numbers of ``_level_step(...)`` calls and of backward level walks,
+    ``range(<start>, -1, -1)``, outside the functions named in ``allowed``."""
+    def minus_one(node):
+        return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                and isinstance(node.operand, ast.Constant) and node.operand.value == 1)
+
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name == "_level_step" or (name == "range" and len(node.args) == 3
+                                         and all(map(minus_one, node.args[1:])))
+    return lines_outside(source, allowed, match)
+
+
+def test_detector_finds_level_steps_and_backward_walks():
+    source = (
+        "def _backward(tree, p):\n"
+        "    for level in range(tree.n_steps - 1, -1, -1):\n"
+        "        p = _level_step(ops, p)\n"
+        "def solve(tree, p):\n"
+        "    for step in range(N - 1, -1, -1):\n"
+        "        p = solver._level_step(\n            ops, p)\n"
+        "    for lev in range(level, 0, -1):\n        pass\n"
+        "    for lev in range(N, -1, 1):\n        pass\n"
+        "rows = [f(k) for k in range(n - 1, -1, -1)]\n"
+    )
+    assert backward_walks_outside(source, {ONE_LOOP}) == [5, 6, 12]
+    assert backward_walks_outside(source, set()) == [2, 3, 5, 6, 12]
+
+
+def test_one_backward_loop_steps_every_level():
+    # trees and path ensembles differ only in the ``expect`` they hand the
+    # loop: a second loop would need every new scheme written twice
+    assert package_findings(lambda source: backward_walks_outside(source, {ONE_LOOP}),
+                            PER_NODE_ALLOWED) == {}
+    solver = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    loops = [node for node in ast.walk(solver)
+             if isinstance(node, ast.FunctionDef) and node.name == ONE_LOOP]
+    assert len(loops) == 1
+    assert len(backward_walks_outside(ast.unparse(loops[0]), set())) == 2
+
+
 ENGINE_STEPS = {"_level_step", "_generator"}
 
 

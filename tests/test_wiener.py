@@ -10,9 +10,7 @@ from bspde import (
     BudgetError,
     build_chain,
     build_tree,
-    conditional_expectation,
     gauss_hermite_standard,
-    martingale_coefficient,
     sample_paths,
 )
 from bspde.wiener import _grow
@@ -148,20 +146,20 @@ class TestConditionalExpectation:
     def test_constant(self):
         tree = build_tree(1, 1, 3, 0.5)
         vals = np.full(3, 7.0)
-        assert conditional_expectation(tree, 0, vals)[0] == pytest.approx(7.0)
+        assert tree.expectations(0, vals)[0][0] == pytest.approx(7.0)
 
     def test_increment_mean_zero(self):
         tree = build_tree(1, 1, 3, 0.5)
         dw = tree.levels[1].increments[:, 0]
-        assert conditional_expectation(tree, 0, dw)[0] == pytest.approx(0.0, abs=1e-14)
-        assert conditional_expectation(tree, 0, dw**2)[0] == pytest.approx(tree.dt, abs=1e-14)
+        assert tree.expectations(0, dw)[0][0] == pytest.approx(0.0, abs=1e-14)
+        assert tree.expectations(0, dw**2)[0][0] == pytest.approx(tree.dt, abs=1e-14)
 
     def test_terminal_and_mismatch_rejected(self):
         tree = build_tree(1, 1, 2, 0.5)
         with pytest.raises(ValueError):
-            conditional_expectation(tree, 1, np.zeros(2))
+            tree.expectations(1, np.zeros(2))[0]
         with pytest.raises(ValueError):
-            conditional_expectation(tree, 0, np.zeros(5))
+            tree.expectations(0, np.zeros(5))[0]
 
     def test_tower_property_against_brute_force(self):
         tree = build_tree(1, 3, 3, 1.0)
@@ -169,7 +167,7 @@ class TestConditionalExpectation:
         leaf_vals = rng.standard_normal(len(tree.levels[3].prob))
         vals = leaf_vals
         for level in range(2, -1, -1):
-            vals = conditional_expectation(tree, level, vals)
+            vals = tree.expectations(level, vals)[0]
             assert vals.shape == (tree.levels[level].n_nodes,)
         ref = brute_tree_expectation([lv.weights for lv in tree.levels], leaf_vals)
         assert vals[0] == pytest.approx(ref, rel=1e-12)
@@ -179,7 +177,7 @@ class TestConditionalExpectation:
     def test_rows_follow_children_slices(self):
         tree = build_tree(2, 2, 2, 0.5)
         vals = np.random.default_rng(5).standard_normal((tree.levels[2].n_nodes, 3))
-        got = conditional_expectation(tree, 1, vals)
+        got = tree.expectations(1, vals)[0]
         for node in range(tree.levels[1].n_nodes):
             sl = tree.children_slice(1, node)
             assert np.allclose(got[node], tree.levels[2].weights[sl] @ vals[sl], atol=1e-15)
@@ -190,36 +188,36 @@ class TestMartingaleCoefficient:
         tree = build_tree(2, 1, 2, 0.5)
         dw = tree.levels[1].increments
         vals = 5.0 + 3.0 * dw[:, 0]
-        coef = martingale_coefficient(tree, 0, vals)
+        coef = tree.expectations(0, vals)[1]
         assert np.allclose(coef[0], [3.0, 0.0], atol=1e-12)
         vals = -1.0 + 2.0 * dw[:, 1]
-        assert np.allclose(martingale_coefficient(tree, 0, vals)[0], [0.0, 2.0], atol=1e-12)
+        assert np.allclose(tree.expectations(0, vals)[1][0], [0.0, 2.0], atol=1e-12)
 
     def test_constant_gives_zero(self):
         tree = build_tree(1, 1, 3, 0.5)
-        coef = martingale_coefficient(tree, 0, np.full(3, 4.2))
+        coef = tree.expectations(0, np.full(3, 4.2))[1]
         assert np.allclose(coef, 0.0, atol=1e-13)
 
     def test_even_function_gives_zero(self):
         tree = build_tree(1, 1, 3, 0.5)
         dw = tree.levels[1].increments[:, 0]
-        coef = martingale_coefficient(tree, 0, dw**2)
+        coef = tree.expectations(0, dw**2)[1]
         assert np.allclose(coef, 0.0, atol=1e-12)
 
     def test_vector_values(self):
         tree = build_tree(1, 1, 2, 0.5)
         dw = tree.levels[1].increments[:, 0]
         vals = np.stack([1.0 + 2.0 * dw, 3.0 * dw], axis=-1)  # (children, 2)
-        coef = martingale_coefficient(tree, 0, vals)
+        coef = tree.expectations(0, vals)[1]
         assert coef.shape == (1, 1, 2)
         assert np.allclose(coef[0, 0], [2.0, 3.0], atol=1e-12)
 
     def test_terminal_and_mismatch_rejected(self):
         tree = build_tree(1, 1, 2, 0.5)
         with pytest.raises(ValueError):
-            martingale_coefficient(tree, 1, np.zeros(2))
+            tree.expectations(1, np.zeros(2))[1]
         with pytest.raises(ValueError):
-            martingale_coefficient(tree, 0, np.zeros(5))
+            tree.expectations(0, np.zeros(5))[1]
 
 
 class TestChain:
@@ -235,7 +233,7 @@ class TestChain:
 
     def test_chain_conditional_expectation_passthrough(self):
         chain = build_chain(1, 3, 1.0)
-        assert conditional_expectation(chain, 1, np.array([3.5]))[0] == pytest.approx(3.5)
+        assert chain.expectations(1, np.array([3.5]))[0][0] == pytest.approx(3.5)
 
     @pytest.mark.parametrize("dim_w, n_steps", [(1, 1), (1, 5), (2, 4)])
     def test_chain_levels_are_those_of_the_grown_chain(self, dim_w, n_steps):
