@@ -246,31 +246,37 @@ def _fields_csv(solution, tree, basis):
               + ["p"] + [f"q{k+1}" for k in range(dw)])
     xs = _ascii([",".join(map(_fmt, x)) + "," for x in basis.grid_points.tolist()])
     yield ",".join(header) + "\n"
-    block = []
+    per_block = max(1, _BLOCK_LINES // basis.n_grid)
+    prefixes, values = [], []
     for level in range(tree.n_steps):  # both p and q live on 0..N-1
-        for node, (p, q) in enumerate(zip(solution.p.levels[level],
-                                          solution.q.levels[level])):
-            if block and (len(block) + 1) * basis.n_grid > _BLOCK_LINES:
-                yield _csv_block(block, xs)
-                block = []
-            # node by node: a level-wide reconstruct moves last digits
-            block.append((f"{level},{node},", [basis.reconstruct(v).real for v in (p, *q)]))
-    if block:
-        yield _csv_block(block, xs)
+        coeffs = (solution.p.levels[level], *solution.q.levels[level].transpose(1, 0, 2))
+        lo, n = 0, len(coeffs[0])
+        while lo < n:
+            hi = min(n, lo + per_block - len(prefixes))
+            # a stack of one-row products: a level-wide matrix product moves last digits
+            values.append(np.stack([basis.reconstruct(c[lo:hi, None])[:, 0].real
+                                    for c in coeffs], axis=-1))
+            prefixes += [f"{level},{node}," for node in range(lo, hi)]
+            lo = hi
+            if len(prefixes) == per_block:
+                yield _csv_block(prefixes, np.concatenate(values), xs)
+                prefixes, values = [], []
+    if prefixes:
+        yield _csv_block(prefixes, np.concatenate(values), xs)
 
 
-def _csv_block(block, xs) -> str:
-    """The lines of ``block``, a prefix and the p and q columns per node: each
-    line is its prefix, its grid point's ``xs`` and the comma-separated values."""
-    values = np.array([cols for _, cols in block]).transpose(0, 2, 1)
+def _csv_block(prefixes, values, xs) -> str:
+    """The lines of one block of nodes, ``values`` (node, grid point, column):
+    each line is its node's prefix, its grid point's ``xs`` and its values,
+    comma-separated."""
     values = values.reshape(-1, values.shape[-1])
     n, cols = values.shape
     cells = np.empty((n, cols, _SLOT + 1), np.uint8)
     cells[..., :_SLOT] = _fmt_bytes(values).reshape(n, cols, _SLOT)
     cells[..., _SLOT] = ord(",")
     cells[:, -1, _SLOT] = ord("\n")
-    lines = np.concatenate([np.repeat(_ascii([pre for pre, _ in block]), len(xs), axis=0),
-                            np.tile(xs, (len(block), 1)), cells.reshape(n, -1)], axis=1)
+    lines = np.concatenate([np.repeat(_ascii(prefixes), len(xs), axis=0),
+                            np.tile(xs, (len(prefixes), 1)), cells.reshape(n, -1)], axis=1)
     return lines[lines != 0].tobytes().decode("ascii")
 
 

@@ -56,7 +56,7 @@ class RunConfig:
 
     theta: float = 1.0
     tol: float = 1e-6
-    options: dict | None = None  # remaining keys, verbatim
+    options: dict | None = None  # the checked ``smoothing`` list, verbatim
 
     def option(self, key: str, default=None):
         return (self.options or {}).get(key, default)
@@ -299,14 +299,12 @@ def load_scenario_text(text: str, strict: bool = False):
         key: _num("discretization", key, disc[key], int, positions)
         for key in DISCRETIZATION_KEYS if key in disc})
 
-    run_kwargs = {"options": {}}
-    for key, val in parser.items("run") if parser.has_section("run") else ():
-        if key in ("theta", "tol"):
-            run_kwargs[key] = _num("run", key, val, float, positions)
-        else:  # verbatim, but a smoothing list is checked (``_smoothing``)
-            cast = _smoothing if key == "smoothing" else str
-            run_kwargs["options"][key] = _num("run", key, val.strip(), cast, positions)
-    return scenario, disc_config, RunConfig(**run_kwargs)
+    run = _section(parser, "run", ("theta", "tol", "smoothing"), (), positions)
+    numbers = {key: _num("run", key, run[key], float, positions)
+               for key in ("theta", "tol") if key in run}
+    options = {key: _num("run", key, run[key].strip(), _smoothing, positions)
+               for key in ("smoothing",) if key in run}
+    return scenario, disc_config, RunConfig(options=options, **numbers)
 
 
 def _format_constant(field_: CoefficientField) -> str:

@@ -386,10 +386,11 @@ class TestExitCodes:
         ("mollify-study", (), ("tol = 1e-10", "tol = 1e-10\nsmoothing = 0,4"), 2),
         ("mollify-study", (), ("tol = 1e-10", "tol = 1e-10\nsmoothing = -4"), 2),
         ("mollify-study", (), ("tol = 1e-10", "tol = 1e-10\nsmoothing = 4,4"), 2),
+        ("solve", (), ("theta = 1.0", "thetaa = 0.5"), 2),
     ], ids=["steps-flag", "negative-steps-flag", "paths-flag", "seed-flag",
             "branching-key", "steps-key", "regress-steps-key", "smoothing-option",
             "empty-smoothing-option", "zero-smoothing-index", "negative-smoothing-index",
-            "repeated-smoothing-index"])
+            "repeated-smoothing-index", "misspelt-run-key"])
     def test_bad_discretisation_is_an_error_not_a_traceback(self, tmp_path, command,
                                                             flags, edit, code):
         scn = TINY

@@ -130,7 +130,7 @@ class TestSolveDense:
     def test_budget_guard(self, monkeypatch):
         sc = make_scenario(phi=lambda t, X, hist: np.cos(X[:, 0]) + 0.0 * hist.w[0], T=0.5)
         tree = build_tree(1, 4, 2, sc.horizon)
-        unknowns = (31 + 15) * BASIS.n_modes  # p on every node, q off the leaves
+        unknowns = 31 * BASIS.n_modes  # p on every node; q is read off p
         monkeypatch.setattr(bspde.errors, "_MEMORY_BYTES", unknowns ** 2 * 16 - 1)
         with pytest.raises(BudgetError) as exc:
             solve_dense(sc, tree, BASIS)

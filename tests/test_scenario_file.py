@@ -145,6 +145,7 @@ class TestParseErrors:
         (MINIMAL.replace("T = 0.5", "T = abc"), 4, 5, "problem.T"),
         (MINIMAL.replace("kappa = 0.25", "kappa = 0.25\nbogus = 1"), 8, 1, "bogus"),
         (MINIMAL + "[discretization]\nsteps = 8\nfoo = 2\n", 16, 1, "foo"),
+        (MINIMAL + "[run]\ntheta = 0.5\nthetaa = 1.0\n", 16, 1, "thetaa"),
         ("# heat\n" + MINIMAL.replace("kappa = 0.25\n", ""), 2, 1, "missing 'kappa'"),
         (MINIMAL.replace("a = 0.5", ""), 9, 1, "must declare a"),
         (MINIMAL.replace("phi = cos(x1)", ""), 12, 1, "must declare phi"),

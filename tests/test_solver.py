@@ -329,6 +329,18 @@ class TestTreeSolves:
         diff = pair_difference(fast, slow)
         assert np.sqrt(mixed_norm_sq(diff, p_order=0, q_order=0)) < 1e-12
 
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_matches_dense_with_two_noises(self, theta):
+        # each child block of the dense system sums both noise operators
+        sc = markov_scenario(2)
+        tree = build_tree(2, 2, 2, sc.horizon)
+        fast = solve_tree(sc, tree, BASIS, SchemeConfig(theta=theta))
+        slow = solve_dense(sc, tree, BASIS, SchemeConfig(theta=theta))
+        for a, b in ((fast.p, slow.p), (fast.q, slow.q)):
+            scale = max(np.abs(lv).max() for lv in b.levels)
+            assert scale > 0.01
+            assert max(np.abs(x - y).max() for x, y in zip(a.levels, b.levels)) < 1e-12 * scale
+
     def test_solution_linearity(self):
         tree = build_tree(1, 3, 2, 0.5)
         sc1 = make_scenario(phi=lambda t, X: np.cos(X[:, 0]), T=0.5)

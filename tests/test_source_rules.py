@@ -515,3 +515,36 @@ def test_the_digits_of_a_float_are_stated_once():
     writer = next(node for node in ast.walk(ast.parse(cli))
                   if isinstance(node, ast.FunctionDef) and node.name == "_fmt_bytes")
     assert calls_named(ast.unparse(writer), "_fmt")
+
+
+# the level engine's loop, steps and field provider; the dense oracle, the
+# independent reference, calls none of them
+ENGINE = ("LevelFields", "_level_step", "_backward", "_generator", "backward_solve",
+          "solve_tree", "expectations")
+
+
+def engine_calls(source: str) -> list[int]:
+    """Line numbers of calls to a name in ``ENGINE``, bare or as an attribute."""
+    return sorted(line for name in ENGINE for line in calls_named(source, name))
+
+
+def test_detector_finds_engine_calls():
+    source = (
+        "fields = LevelFields(scenario, tree, basis)\n"
+        "Ep, q = tree.expectations(level, p)\n"
+        "from .solver import solve_tree\n"
+        "for out in solver._backward(\n    tree, scheme):\n    pass\n"
+        "p = _level_step(ops, Ep, q)\n"
+        "L = assemble_L(scenario, t, hist, basis)\n"
+        "x = np.linalg.solve(A, b)\n"
+        "ref = solve_tree\n"
+    )
+    assert engine_calls(source) == [1, 2, 4, 7]
+
+
+def test_the_oracle_calls_no_engine_step():
+    # agreement with the solver checks something only while the oracle reaches
+    # the same numbers without the solver's own code
+    oracle = (SRC / "oracle.py").read_text(encoding="utf-8")
+    assert "def solve_dense" in oracle
+    assert engine_calls(oracle) == []
