@@ -17,8 +17,7 @@ from .frozen import (IterationReport, continuation_solve, freeze,
                      freeze_and_iterate)
 from .oracle import solve_dense
 from .scenario import (CoefficientField, ModulusOfContinuity, PathHistory,
-                       SampleGrid, Scenario, ValidationReport,
-                       default_sample_grid, validate)
+                       Scenario, ValidationReport, validate)
 from .scenario_file import (DiscretizationConfig, RunConfig, default_modulus,
                             load_scenario, load_scenario_text,
                             serialize_scenario)
@@ -40,12 +39,12 @@ __all__ = [
     "IterationReport", "ModulusOfContinuity",
     "LevelFields", "LevelOperators", "MollifierConfig", "MultiIndex", "NumericError",
     "ParseError", "PathEnsemble", "PathHistory", "PositivityReport",
-    "RegressionSolution", "RunConfig", "SampleGrid", "ScenarioValidationError",
+    "RegressionSolution", "RunConfig", "ScenarioValidationError",
     "Scenario", "SchemeConfig", "SolutionPair", "SpatialField",
     "SpectralBasis", "StructuralError", "ValidationReport", "WienerTree",
     "assemble_L", "assemble_M", "backward_solve",
     "build_chain", "build_tree", "coercivity_probe",
-    "continuation_solve", "default_modulus", "default_sample_grid",
+    "continuation_solve", "default_modulus",
     "energy_audit", "freeze", "freeze_and_iterate",
     "gauss_hermite_standard", "higher_regularity_solve",
     "ito_identity_check", "load_scenario", "load_scenario_text",

@@ -385,9 +385,7 @@ def cmd_positivity(r: _Run) -> int:
 
 
 def cmd_mollify_study(r: _Run) -> int:
-    # the loader has checked the list
-    ns = [int(s) for s in r.run.option("smoothing", "4,8,16").split(",") if s.strip()]
-    scenario = r.scenario
+    ns, scenario = r.run.smoothing, r.scenario
     # every kernel radius is checked against the grid spacing before any solve
     smooths = [mollify(scenario, MollifierConfig(n), r.basis) for n in ns]
     base = r.solve()

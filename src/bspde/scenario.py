@@ -268,24 +268,15 @@ class Scenario:
         return out
 
 
-@dataclass(frozen=True)
-class SampleGrid:
-    """Finite (t, x) probe set used by the sampled standing-assumption audit."""
-
-    ts: Array
-    xs: Array  # (n_x, dim_x)
-
-
-def default_sample_grid(scenario: Scenario, n_t: int = 5, n_x_per_dim: int = 7,
-                        n_random: int = 8, seed: int = 1234) -> SampleGrid:
-    """Uniform lattice over the torus plus a few seeded random points."""
+def _sample_points(scenario: Scenario) -> tuple[Array, Array]:
+    """The audit's probe times and points: 5 times over [0, T], and a
+    7-per-axis lattice over the torus plus 8 points drawn with seed 1234."""
     L, d = scenario.domain_halfwidth, scenario.dim_x
-    ts = np.linspace(0.0, scenario.horizon, n_t)
-    axes = [np.linspace(-L, L, n_x_per_dim, endpoint=False) for _ in range(d)]
+    ts = np.linspace(0.0, scenario.horizon, 5)
+    axes = [np.linspace(-L, L, 7, endpoint=False) for _ in range(d)]
     lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    rng = np.random.default_rng(seed)
-    extra = rng.uniform(-L, L, size=(n_random, d))
-    return SampleGrid(ts, np.vstack([lattice, extra]))
+    extra = np.random.default_rng(1234).uniform(-L, L, size=(8, d))
+    return ts, np.vstack([lattice, extra])
 
 
 @dataclass(frozen=True)
@@ -329,12 +320,12 @@ def validate(scenario: Scenario, modulus: ModulusOfContinuity | None) -> Validat
     """Sampled audit of symmetry, superparabolicity, bounds, and the modulus.
 
     Pure: the same scenario always produces the identical report (it is probed
-    on ``default_sample_grid``, and the histories used for adapted fields come
+    at ``_sample_points``, and the histories used for adapted fields come
     from a fixed internal seed).  Shape problems (non-square a, wrong sigma
     width) raise ``StructuralError`` and are deliberately distinct from a
     failed check.
     """
-    sample_grid = default_sample_grid(scenario)
+    ts, xs = _sample_points(scenario)
     d = scenario.dim_x
     kappa, K = scenario.ellipticity_kappa, scenario.bound_K
     slack = 1e-9
@@ -352,10 +343,9 @@ def validate(scenario: Scenario, modulus: ModulusOfContinuity | None) -> Validat
                 and np.all(gvals >= -1e-12)):
             modulus_ok = False
 
-    xs = sample_grid.xs
     n_pairs_cap = 64
     pair_idx = np.arange(len(xs))
-    for t in sample_grid.ts:
+    for t in ts:
         hists = _probe_histories(scenario, float(t), _N_HISTORIES, seed=9 + int(1000 * t))
         for hist in hists:
             a_vals = scenario.a.evaluate(t, xs, hist)          # (n, d, d)

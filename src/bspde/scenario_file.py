@@ -52,14 +52,12 @@ class DiscretizationConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Command options from the ``[run]`` section; flags override these."""
+    """Command options from the ``[run]`` section, ``smoothing`` the indices
+    of ``mollify-study``; flags override these."""
 
     theta: float = 1.0
     tol: float = 1e-6
-    options: dict | None = None  # the checked ``smoothing`` list, verbatim
-
-    def option(self, key: str, default=None):
-        return (self.options or {}).get(key, default)
+    smoothing: tuple = (4, 8, 16)
 
 
 def _value_positions(text: str) -> dict:
@@ -103,13 +101,13 @@ def _num(section: str, key: str, raw: str, cast, positions: dict):
                          *positions[(section, key)]) from None
 
 
-def _smoothing(raw: str) -> str:
-    """``raw``, refused unless it lists at least one integer, comma-separated,
-    and its integers are distinct and at least 1."""
-    indices = [int(s) for s in raw.split(",") if s.strip()]
+def _smoothing(raw: str) -> tuple:
+    """The integers that ``raw`` lists, comma-separated, refused unless there
+    is at least one and they are distinct and at least 1."""
+    indices = tuple(int(s) for s in raw.split(",") if s.strip())
     if not indices or min(indices) < 1 or len(set(indices)) < len(indices):
         raise ValueError(raw)
-    return raw
+    return indices
 
 
 def _form(raw: str) -> str:
@@ -245,10 +243,15 @@ def load_scenario(path, strict: bool = False):
     """
     with io.open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return load_scenario_text(text, strict=strict)
+    return _load(text, strict)
 
 
 def load_scenario_text(text: str, strict: bool = False):
+    return _load(text, strict)
+
+
+def _load(text: str, strict: bool):
+    """Both public loaders, which call it directly; its warning names their caller."""
     parser = _read_ini(text)
     positions = _value_positions(text)
     for section in ("problem", "coefficients", "data"):
@@ -292,19 +295,18 @@ def load_scenario_text(text: str, strict: bool = False):
                f"min margin={report.min_margin:.3e})")
         if strict:
             raise ScenarioValidationError(msg, report)
-        warnings.warn(msg, stacklevel=2)
+        warnings.warn(msg, stacklevel=3)
 
     disc = _section(parser, "discretization", DISCRETIZATION_KEYS, (), positions)
     disc_config = DiscretizationConfig(**{
         key: _num("discretization", key, disc[key], int, positions)
         for key in DISCRETIZATION_KEYS if key in disc})
 
-    run = _section(parser, "run", ("theta", "tol", "smoothing"), (), positions)
-    numbers = {key: _num("run", key, run[key], float, positions)
-               for key in ("theta", "tol") if key in run}
-    options = {key: _num("run", key, run[key].strip(), _smoothing, positions)
-               for key in ("smoothing",) if key in run}
-    return scenario, disc_config, RunConfig(options=options, **numbers)
+    casts = {"theta": float, "tol": float, "smoothing": _smoothing}
+    run = _section(parser, "run", casts, (), positions)
+    return scenario, disc_config, RunConfig(**{
+        key: _num("run", key, run[key], cast, positions)
+        for key, cast in casts.items() if key in run})
 
 
 def _format_constant(field_: CoefficientField) -> str:
@@ -365,7 +367,6 @@ def serialize_scenario(scenario: Scenario, disc: DiscretizationConfig | None = N
             lines.append(f"paths = {disc.paths}")
         lines.append(f"seed = {disc.seed}")
     if run is not None:
-        lines += ["", "[run]", f"theta = {run.theta!r}", f"tol = {run.tol!r}"]
-        for key, val in sorted((run.options or {}).items()):
-            lines.append(f"{key} = {val}")
+        lines += ["", "[run]", f"theta = {run.theta!r}", f"tol = {run.tol!r}",
+                  "smoothing = " + ",".join(map(str, run.smoothing))]
     return "\n".join(lines) + "\n"

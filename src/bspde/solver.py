@@ -317,7 +317,7 @@ class LevelFields:
                                     inverse)
         return self._groups[markov]
 
-    def level_rows(self, level: int, fields, fn, key=None) -> tuple[Array, Array | None]:
+    def level_rows(self, level: int, fields, fn, key) -> tuple[Array, Array | None]:
         """``fn(t, history)`` once per group of the level: the rows and
         ``index``, each node's row, which is ``None`` when one row is shared
         by the level.
@@ -328,7 +328,7 @@ class LevelFields:
 
         ``key``, a ``(name, owner)`` pair, names the map: besides ``fields``,
         ``fn`` reads only ``owner``, and it reads ``t`` only through
-        ``fields``.  A named map over deterministic or Markov fields keeps its
+        ``fields``.  A map over deterministic or Markov fields keeps its
         rows for the provider's lifetime, keyed by the bytes of ``w``, and by
         the level unless every field is t-free: over a solve a t-free map runs
         once when the fields are deterministic and once per distinct Wiener
@@ -342,11 +342,10 @@ class LevelFields:
         else:
             hists, inverse = self.groups(level, markov)
         t = level * self.filtration.dt
-        keep = key is not None and markov
         when = None if all(f.t_free for f in fields) else level
         out = None
         for i, h in enumerate(hists):
-            if keep:  # look the row up by state (and level)
+            if markov:  # look the row up by state (and level)
                 row = self._rows.row(*key, when, None if h is None else h.w.tobytes(),
                                      lambda: np.asarray(fn(t, h)))
             else:
@@ -356,7 +355,7 @@ class LevelFields:
             out[i] = row
         return out, inverse
 
-    def level_map(self, level: int, fields, fn, key=None) -> Array:
+    def level_map(self, level: int, fields, fn, key) -> Array:
         """``level_rows`` stacked over the level: (1, ...) or (n_level, ...)."""
         out, index = self.level_rows(level, fields, fn, key)
         return out if index is None else out[index]

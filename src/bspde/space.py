@@ -56,8 +56,7 @@ class SpectralBasis:
 
         g = self.grid_per_dim = 2 * M + 1
         axis_pts = -L + 2 * L * np.arange(g) / g
-        self.grid_axes = [axis_pts] * d
-        mesh = np.meshgrid(*self.grid_axes, indexing="ij")
+        mesh = np.meshgrid(*[axis_pts] * d, indexing="ij")
         self.grid_points = np.stack([m.ravel() for m in mesh], axis=-1)
         self.n_grid = self.grid_points.shape[0]
 
@@ -101,10 +100,6 @@ class SpectralBasis:
 
     def norm(self, coeffs: Array, order: int | float = 0):
         return np.sqrt(self.norm_sq(coeffs, order))
-
-    def inner(self, u: Array, v: Array, order: int | float = 0) -> complex:
-        w = self.sobolev_weight(order)
-        return complex(np.sum(w * np.conj(u) * v))
 
     # -- differentiation ------------------------------------------------------
 

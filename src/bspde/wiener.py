@@ -44,14 +44,13 @@ class TreeLevel:
     ``parents[i]`` indexes into the previous level (-1 at the root),
     ``increments[i]`` is the edge increment from the parent, ``weights[i]``
     the conditional probability of that edge, ``prob[i]`` the unconditional
-    node probability, and ``w_cum[i]`` the running Wiener value at the node.
+    node probability.  A node's W is its increments' sum (``level_increments``).
     """
 
     parents: Array
     increments: Array
     weights: Array
     prob: Array
-    w_cum: Array
 
     @property
     def n_nodes(self) -> int:
@@ -150,7 +149,6 @@ def _grow(dim_w: int, n_steps: int, branching: int, horizon: float,
         increments=np.zeros((1, dim_w)),
         weights=np.ones(1),
         prob=np.ones(1),
-        w_cum=np.zeros((1, dim_w)),
     )]
     for _ in range(n_steps):
         prev = levels[-1]
@@ -159,8 +157,7 @@ def _grow(dim_w: int, n_steps: int, branching: int, horizon: float,
         increments = np.tile(pattern_inc, (n_prev, 1))
         weights = np.tile(pattern_w, n_prev)
         prob = np.repeat(prev.prob, c) * weights
-        w_cum = np.repeat(prev.w_cum, c, axis=0) + increments
-        levels.append(TreeLevel(parents, increments, weights, prob, w_cum))
+        levels.append(TreeLevel(parents, increments, weights, prob))
     return WienerTree(dim_w, n_steps, branching, horizon, horizon / n_steps, levels)
 
 
@@ -172,8 +169,8 @@ def build_tree(dim_w: int, n_steps: int, branching: int, horizon: float) -> Wien
         raise ValueError("n_steps must be >= 1")
     c = branching ** dim_w
     nodes = (c ** (n_steps + 1) - 1) // (c - 1)
-    # parents, weights and prob, plus dim_w columns of increments and of w_cum
-    check_bytes(nodes * (3 + 2 * dim_w) * 8, f"a tree of {n_steps} steps")
+    # parents, weights and prob, plus dim_w columns of increments
+    check_bytes(nodes * (3 + dim_w) * 8, f"a tree of {n_steps} steps")
     return _grow(dim_w, n_steps, branching, horizon,
                  _branch_pattern(dim_w, branching, horizon / n_steps))
 
@@ -203,10 +200,6 @@ class PathEnsemble:
     horizon: float
     dt: float
     increments: Array  # (n_paths, n_steps, dim_w)
-
-    def history(self, path: int, step: int) -> PathHistory:
-        return PathHistory.from_increments(self.increments[path, :step, :], self.dt) \
-            if step > 0 else PathHistory.empty(self.dim_w)
 
     def level_increments(self, step: int) -> Array:
         """Every path's first ``step`` increments, ``(n_paths, step, dim_w)``."""

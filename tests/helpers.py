@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from bspde import CoefficientField, Scenario, load_scenario_text
+from bspde import CoefficientField, PathHistory, Scenario, load_scenario_text
 
 
 def _lift_scalar_callable(fn, shape):
@@ -185,6 +185,24 @@ def counting(field_):
         return field_.fn(t, X, hist)
     wrapped = replace(field_, fn=fn, t_free=False)
     return wrapped, calls
+
+
+def wiener_values(tree, level):
+    """Every node's Wiener value ``(n_level, dim_w)``: the sum of its
+    increments, the same bits as the engine's state keys."""
+    return tree.level_increments(level).sum(axis=1)
+
+
+def inner(basis, u, v, order=0) -> complex:
+    """The order-``order`` Sobolev inner product of coefficient vectors."""
+    w = basis.sobolev_weight(order)
+    return complex(np.sum(w * np.conj(u) * v))
+
+
+def ensemble_history(ensemble, path, step) -> PathHistory:
+    """The history of one path of a ``PathEnsemble`` up to ``step``."""
+    return PathHistory.from_increments(ensemble.increments[path, :step, :], ensemble.dt) \
+        if step > 0 else PathHistory.empty(ensemble.dim_w)
 
 
 # -- per-node references ------------------------------------------------------

@@ -33,7 +33,7 @@ from bspde import (
     solve_tree,
     validate,
 )
-from helpers import make_scenario
+from helpers import make_scenario, wiener_values
 from oracles import GaussianBump, feynman_kac_mc, heat_reference
 from test_cli import (
     BAD_PARSE,
@@ -157,12 +157,12 @@ def test_3_martingale_representation(capsys):
         zops = lambda level: LevelOperators(np.zeros((1, n, n)), np.zeros((1, dim_w, n, n)))
         sol = backward_solve(
             tree, basis, SchemeConfig(theta=1.0),
-            tree.levels[tree.n_steps].w_cum[:, :1] * ghat,
+            wiener_values(tree, tree.n_steps)[:, :1] * ghat,
             zops,
             lambda level: np.zeros((1, n)),
         )
         for level in range(tree.n_steps + 1):
-            expected = tree.levels[level].w_cum[:, 0:1] * ghat[None, :]
+            expected = wiener_values(tree, level)[:, 0:1] * ghat[None, :]
             worst = max(worst, np.max(np.abs(sol.p.levels[level] - expected)))
         for level in range(tree.n_steps):
             worst = max(worst, np.max(np.abs(sol.q.levels[level][:, 0, :] - ghat)))

@@ -31,7 +31,7 @@ from bspde import (
     validate,
 )
 from helpers import (counting, higher_regularity_reference, make_scenario,
-                     markov_scenario, mollify_reference)
+                     markov_scenario, mollify_reference, wiener_values)
 
 BASIS = SpectralBasis(1, 6, np.pi)
 TREE = build_tree(1, 4, 2, 0.5)
@@ -82,12 +82,6 @@ class TestEnergyAudit:
         assert strong.fitted_C == pytest.approx(weak.fitted_C, rel=1e-12)
         assert higher.fitted_C == pytest.approx(weak.fitted_C, rel=1e-12)
 
-    def test_ceiling_enforced(self):
-        sc = cos_scenario()
-        rep = energy_audit(solve_tree(sc, TREE, BASIS), sc, TREE, BASIS, ceiling=0.5)
-        assert not rep.passed
-        assert rep.ceiling == 0.5
-
     def test_sign_flip_invariance(self):
         sc_plus = cos_scenario(c=-2.0, K=4.0)
         sc_minus = make_scenario(phi=lambda t, X: -np.cos(X[:, 0]), c=-2.0, K=4.0, T=0.5)
@@ -129,7 +123,7 @@ class TestItoIdentity:
         zops = lambda level: LevelOperators(np.zeros((1, n, n)), np.zeros((1, 1, n, n)))
         sol = backward_solve(
             tree, BASIS, SchemeConfig(theta=1.0),
-            tree.levels[tree.n_steps].w_cum[:, :1] * ghat,
+            wiener_values(tree, tree.n_steps)[:, :1] * ghat,
             zops,
             lambda level: np.zeros((1, n)),
         )
@@ -144,7 +138,7 @@ class TestItoIdentity:
         zops = lambda level: LevelOperators(np.zeros((1, n, n)), np.zeros((1, 1, n, n)))
         sol = backward_solve(
             tree, BASIS, SchemeConfig(theta=1.0),
-            tree.levels[tree.n_steps].w_cum[:, :1] * ghat,
+            wiener_values(tree, tree.n_steps)[:, :1] * ghat,
             zops,
             lambda level: np.zeros((1, n)),
         )

@@ -20,7 +20,6 @@ from bspde import (
     SpectralBasis,
     backward_solve,
     build_tree,
-    default_sample_grid,
     freeze,
     load_scenario,
     load_scenario_text,
@@ -29,6 +28,7 @@ from bspde import (
     validate,
 )
 from bspde.frozen import _blend_field, _difference_field, _frozen_field
+from bspde.scenario import _sample_points
 from helpers import declared_time_dependent, make_field, make_scenario
 
 DATA = Path(__file__).parent / "data"
@@ -307,17 +307,11 @@ class TestValidate:
 
 
 class TestSampleGrid:
-    def test_default_grid_shapes(self):
+    def test_fixed_probe_points(self):
+        # 5 times, a 7-per-axis lattice and 8 seeded points, the same every call
         sc = make_scenario(d=2)
-        grid = default_sample_grid(sc, n_t=4, n_x_per_dim=5, n_random=6, seed=7)
-        assert grid.ts.shape == (4,)
-        assert grid.xs.shape[1] == 2
-        assert grid.xs.shape[0] == 5 * 5 + 6
-        assert np.all(np.abs(grid.xs) <= sc.domain_halfwidth + 1e-12)
-
-    def test_grid_seed_reproducible(self):
-        sc = make_scenario()
-        g1 = default_sample_grid(sc, seed=42)
-        g2 = default_sample_grid(sc, seed=42)
-        assert np.array_equal(g1.xs, g2.xs)
-        assert np.array_equal(g1.ts, g2.ts)
+        ts, xs = _sample_points(sc)
+        assert np.array_equal(ts, np.linspace(0.0, sc.horizon, 5))
+        assert xs.shape == (7 * 7 + 8, 2)
+        assert np.all(np.abs(xs) <= sc.domain_halfwidth + 1e-12)
+        assert all(np.array_equal(a, b) for a, b in zip((ts, xs), _sample_points(sc)))

@@ -1,6 +1,7 @@
 """Scenario file parsing, validation hand-off, and round-tripping."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,12 +106,19 @@ class TestCoefficientForms:
 
 
 class TestRunSection:
-    def test_options_bag(self):
-        text = MINIMAL + "\n[run]\ntheta = 0.5\ntol = 1e-8\nsmoothing = 4,8,16\n"
+    def test_run_values(self):
+        text = MINIMAL + "\n[run]\ntheta = 0.5\ntol = 1e-8\nsmoothing = 2, 8,16\n"
         _, _, run = load_scenario_text(text)
-        assert run.theta == 0.5 and run.tol == 1e-8
-        assert run.option("smoothing", None) == "4,8,16"
-        assert run.option("absent", 13) == 13
+        assert (run.theta, run.tol, run.smoothing) == (0.5, 1e-8, (2, 8, 16))
+
+    @pytest.mark.parametrize("smoothing", [(4, 8, 16), (3,), (12, 5)])
+    def test_smoothing_round_trips(self, smoothing):
+        sc, disc, run = load_scenario_text(MINIMAL)
+        assert run.smoothing == (4, 8, 16)  # no [run] smoothing: the default
+        run = replace(run, smoothing=smoothing)
+        out = serialize_scenario(sc, disc, run)
+        assert "\nsmoothing = " in out
+        assert load_scenario_text(out)[2] == run
 
     def test_discretization_ints(self):
         text = MINIMAL + "\n[discretization]\nmodes = 12\nsteps = 6\nbranching = 3\npaths = 500\nseed = 9\n"
@@ -190,6 +198,18 @@ class TestValidationHandoff:
         assert sc is not None
         msgs = [str(w.message) for w in caught]
         assert any("standing-assumption audit" in m for m in msgs)
+
+    @pytest.mark.parametrize("by_path", [True, False], ids=["load_scenario",
+                                                             "load_scenario_text"])
+    def test_lenient_warning_names_the_callers_file(self, by_path, tmp_path):
+        path = tmp_path / "breaking.scn"
+        path.write_text(self.breaking())
+        with pytest.warns(UserWarning, match="standing-assumption audit") as record:
+            if by_path:
+                load_scenario(path)
+            else:
+                load_scenario_text(self.breaking())
+        assert record[0].filename == __file__
 
     def test_strict_load_raises_with_report(self):
         with pytest.raises(ScenarioValidationError) as exc:

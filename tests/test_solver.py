@@ -39,9 +39,10 @@ import bspde.errors
 import bspde.solver
 from bspde.solver import _distinct_rows, _level_step
 from helpers import (ADAPTED_TREE_TEXT, DIVERGENCE_MARKOV_TEXT, counting,
-                     declared_time_dependent, e_sup_norm_sq_reference,
+                     declared_time_dependent, e_sup_norm_sq_reference, ensemble_history,
                      level_expected_norm_sq_reference, make_scenario, markov_scenario,
-                     regression_reference, sup_e_norm_sq_reference, time_norm_sq_reference)
+                     regression_reference, sup_e_norm_sq_reference, time_norm_sq_reference,
+                     wiener_values)
 from oracles import scalar_theta_chain
 
 BASIS = SpectralBasis(1, 4, np.pi)
@@ -90,11 +91,11 @@ class TestBackwardSolveProviders:
         ghat = BASIS.project(np.cos(BASIS.grid_points[:, 0]))
         sol = backward_solve(
             tree, BASIS, SchemeConfig(theta=1.0),
-            tree.levels[tree.n_steps].w_cum[:, :1] * ghat,
+            wiener_values(tree, tree.n_steps)[:, :1] * ghat,
             zero_ops(BASIS.n_modes, 1), zero_source,
         )
         for level in range(tree.n_steps + 1):
-            expected = tree.levels[level].w_cum[:, 0:1] * ghat[None, :]
+            expected = wiener_values(tree, level)[:, 0:1] * ghat[None, :]
             assert np.allclose(sol.p.levels[level], expected, atol=1e-12)
         for level in range(tree.n_steps):
             assert np.allclose(sol.q.levels[level][:, 0, :], ghat[None, :], atol=1e-12)
@@ -694,7 +695,8 @@ class TestMarkovFields:
             for name in ("F", "phi"):
                 got, want = (
                     fields.level_map(level, [getattr(s, name)],
-                                     lambda t, h, f=getattr(s, name): f.evaluate(t, X, h))
+                                     lambda t, h, f=getattr(s, name): f.evaluate(t, X, h),
+                                     ("grid", getattr(s, name)))
                     for fields, s in ((fast, scn), (slow, per)))
                 assert got.shape == want.shape
                 assert len(got) == tree.levels[level].n_nodes
@@ -745,7 +747,7 @@ class TestMarkovFields:
         assert len(calls) == sum(tree.levels[k].n_nodes for k in range(tree.n_steps))
         level2 = [F.fn(tree.time_of(2), BASIS.grid_points, tree.history(2, i))
                   for i in range(tree.levels[2].n_nodes)]
-        w = tree.levels[2].w_cum[:, 0]
+        w = wiener_values(tree, 2)[:, 0]
         same_w = [(i, j) for i in range(len(w)) for j in range(i)
                   if w[i] == w[j] and not np.array_equal(level2[i], level2[j])]
         assert same_w  # a per-state evaluation would be wrong here
@@ -787,7 +789,7 @@ class TestMarkovFields:
         for step in range(ens.n_steps + 1):
             reps, inverse = fields.groups(step, markov=True)
             for j in range(ens.n_paths):
-                assert reps[inverse[j]].w.tobytes() == ens.history(j, step).w.tobytes()
+                assert reps[inverse[j]].w.tobytes() == ensemble_history(ens, j, step).w.tobytes()
 
     @staticmethod
     def grouped_cases():

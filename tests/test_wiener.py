@@ -5,7 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dataclasses import fields
+
 import bspde.errors
+import bspde.wiener
 from bspde import (
     BudgetError,
     build_chain,
@@ -14,6 +17,7 @@ from bspde import (
     sample_paths,
 )
 from bspde.wiener import _grow
+from helpers import ensemble_history, wiener_values
 from oracles import brute_tree_expectation, gauss_hermite_probabilist
 
 
@@ -101,7 +105,7 @@ class TestTreeStructure:
             for node in [0, len(tree.levels[level].prob) - 1]:
                 h = tree.history(level, node)
                 assert h.increments.shape == (level, 2)
-                assert np.allclose(h.w, tree.levels[level].w_cum[node], atol=1e-13)
+                assert np.allclose(h.w, wiener_values(tree, level)[node], atol=1e-13)
                 assert h.t == pytest.approx(tree.time_of(level))
 
     def test_parent_links(self):
@@ -118,12 +122,12 @@ class TestTreeStructure:
             build_tree(1, 0, 2, 1.0)
 
     def test_node_budget(self, monkeypatch):
-        # a node holds parents, weights and prob, and dim_w increments and w_cum
+        # a node holds parents, weights and prob, and dim_w increments
         with pytest.raises(BudgetError) as exc:
             build_tree(1, 20, 3, 1.0)
         assert exc.value.budget == 1 << 31
-        assert exc.value.count == (3 ** 21 - 1) // 2 * 5 * 8
-        tree_bytes = 21 * (3 + 2 * 2) * 8  # the 1 + 4 + 16 nodes of a dim_w = 2 tree
+        assert exc.value.count == (3 ** 21 - 1) // 2 * 4 * 8
+        tree_bytes = 21 * (3 + 2) * 8  # the 1 + 4 + 16 nodes of a dim_w = 2 tree
         monkeypatch.setattr(bspde.errors, "_MEMORY_BYTES", tree_bytes - 1)
         with pytest.raises(BudgetError) as exc:
             build_tree(2, 2, 2, 1.0)
@@ -132,14 +136,25 @@ class TestTreeStructure:
         assert build_tree(2, 2, 2, 1.0).n_nodes == 21
 
     @pytest.mark.parametrize("n_steps, size", [
-        (20, f"{(3 ** 21 - 1) // 2 * 40} bytes"),    # fits in 64 bits: every digit
+        (20, f"{(3 ** 21 - 1) // 2 * 32} bytes"),    # fits in 64 bits: every digit
         (20000, "about 2^31705 bytes")],            # 9,545 digits: a power of two
         ids=["64-bit-count", "longer-count"])
     def test_node_budget_message_prints_any_count(self, n_steps, size):
         with pytest.raises(BudgetError) as exc:
             build_tree(1, n_steps, 3, 1.0)
-        assert exc.value.count == (3 ** (n_steps + 1) - 1) // 2 * 40
+        assert exc.value.count == (3 ** (n_steps + 1) - 1) // 2 * 32
         assert str(exc.value) == f"a tree of {n_steps} steps would take {size}, over {1 << 31}"
+
+    @pytest.mark.parametrize("dim_w, n_steps, branching", [(1, 4, 3), (2, 3, 2)])
+    def test_byte_check_is_the_built_size(self, dim_w, n_steps, branching, monkeypatch):
+        # the count checked before the build is the bytes of every level array
+        checked = []
+        monkeypatch.setattr(bspde.wiener, "check_bytes",
+                            lambda nbytes, what: checked.append(nbytes))
+        tree = build_tree(dim_w, n_steps, branching, 1.0)
+        built = sum(getattr(level, f.name).nbytes
+                    for level in tree.levels for f in fields(level))
+        assert checked == [built]
 
 
 class TestConditionalExpectation:
@@ -243,7 +258,7 @@ class TestChain:
         assert (chain.dt, chain.n_steps, len(chain.levels)) == \
             (grown.dt, grown.n_steps, len(grown.levels))
         for got, want in zip(chain.levels, grown.levels):
-            for name in ("parents", "increments", "weights", "prob", "w_cum"):
+            for name in ("parents", "increments", "weights", "prob"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
@@ -276,7 +291,7 @@ class TestPathEnsemble:
 
     def test_history_agrees_with_w_at(self):
         ens = sample_paths(1, 4, 10, 1.0, seed=3)
-        h = ens.history(7, 2)
+        h = ensemble_history(ens, 7, 2)
         assert h.increments.shape == (2, 1)
         assert np.allclose(h.w, ens.increments[:, :2, :].sum(axis=1)[7])
 
