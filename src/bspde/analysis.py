@@ -278,21 +278,26 @@ def mollify(scenario: Scenario, config: MollifierConfig,
     shifts, weights = _kernel_shifts(basis, config)
     # sum_j w_j u(x - y_j) multiplies the coefficient of mode k by sum_j w_j e^{-i k y_j}
     symbol = np.exp(-1j * basis.freqs @ shifts.T) @ weights
-    grid = basis.grid_points
-
-    def smoothed(src: CoefficientField) -> CoefficientField:
-        def fn(t, X, history):
-            vals = src.evaluate(t, grid, history)
-            coeffs = symbol * basis.project(vals.reshape(len(vals), -1)).T
-            on_grid = X.shape == grid.shape and np.array_equal(X, grid)
-            out = basis.reconstruct(coeffs) if on_grid else basis.evaluate_at(coeffs, X)
-            return out.T.real.reshape((len(X),) + src.shape)
-        return CoefficientField.derived(fn, src.shape, src)
-
     # convolution fixes constants exactly
     return scenario.with_fields(**{
-        name: src if src.is_constant else smoothed(src)
+        name: src if src.is_constant else _multiplier_field(src, symbol, basis)
         for name, src in (("a", scenario.a), ("sigma", scenario.sigma))})
+
+
+def _multiplier_field(src: CoefficientField, symbol: Array,
+                      basis: SpectralBasis) -> CoefficientField:
+    """The field whose coefficients are ``symbol`` times those of ``src``'s grid
+    samples: reconstructed on the grid, trigonometrically interpolated off it
+    (a smoothing kernel's symbol, or a derivative's)."""
+    grid = basis.grid_points
+
+    def fn(t, X, history):
+        vals = src.evaluate(t, grid, history)
+        coeffs = symbol * basis.project(vals.reshape(len(vals), -1)).T
+        on_grid = X.shape == grid.shape and np.array_equal(X, grid)
+        out = basis.reconstruct(coeffs) if on_grid else basis.evaluate_at(coeffs, X)
+        return out.T.real.reshape((len(X),) + src.shape)
+    return CoefficientField.derived(fn, src.shape, src)
 
 
 @dataclass(frozen=True)
@@ -320,13 +325,6 @@ class MultiIndex:
             yield tuple(beta), coef
 
 
-def _spectral_derivative(vals: Array, mult: Array, basis: SpectralBasis) -> Array:
-    """Grid samples of the spectral derivative with multiplier ``mult`` of each
-    component of the grid samples ``vals`` (exact for band-limited fields)."""
-    coeffs = mult * basis.project(vals.reshape(len(vals), -1)).T
-    return basis.reconstruct(coeffs).T.reshape(vals.shape)
-
-
 def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
                             alpha: MultiIndex, scheme: SchemeConfig | None = None,
                             base: SolutionPair | None = None
@@ -335,81 +333,54 @@ def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: Spectra
 
     The derived pair (u, v) satisfies
 
-        du = -( a:D2 u + sigma.grad v + F_tilde ) dt + v dW,  u(T) = D^alpha phi,
+        du = -( L_top u + M_top v + F_tilde ) dt + v dW,  u(T) = D^alpha phi,
 
-    where F_tilde collects D^alpha F, the Leibniz terms of the top-order
-    coefficients against lower derivatives of the base solution, and all
-    differentiated lower-order terms.  The defect is the discrete
-    |||u - D^alpha p|||_0 distance to the spectral derivative of the base
-    solution.  Non-divergence scenarios only: the derived equation is stated
-    in that form.
+    where L_top and M_top keep the top-order coefficients a and sigma, and
+    F_tilde collects D^alpha F and the rest of the Leibniz sum
+
+        D^alpha (Lp + M q) = sum_{beta <= alpha} C(alpha, beta) (D^beta L, D^beta M)
+                             applied to D^{alpha - beta} (p, q)
+
+    on the base solution, with D^beta L, D^beta M the operators assembled from
+    the spectral D^beta of the coefficients.  D^alpha commutes with the outer
+    D_i of the divergence form, so the sum holds in both forms.  The defect is
+    the discrete |||u - D^alpha p|||_0 distance to the spectral derivative of
+    the base solution.
     """
     scheme = scheme or SchemeConfig()
-    if scenario.form != "non_divergence":
-        raise StructuralError("higher-regularity solve expects the non-divergence form")
-    if len(alpha.alpha) != scenario.dim_x:
-        raise StructuralError("multi-index length must equal dim_x")
+    alpha_mult = basis.derivative_multiplier(alpha.alpha)
     if alpha.order == 0 or alpha.order > _MAX_ORDER:
         raise StructuralError(
             f"multi-index order must be in 1..{_MAX_ORDER}, got {alpha.order}")
 
     if base is None:
         base = solve_tree(scenario, tree, basis, scheme)
-    d, dw = scenario.dim_x, scenario.dim_w
-    X = basis.grid_points
-    alpha_mult = basis.derivative_multiplier(alpha.alpha)
-
-    # derived-equation operators: top order only
-    zero = CoefficientField.zero
-    top_scn = scenario.with_fields(b=zero((d,)), c=zero(()), nu=zero((dw,)))
     fields = LevelFields(scenario, tree, basis)
+    zero = CoefficientField.zero
+    coeffs = scenario.coefficient_fields()
 
-    dmult = [basis.derivative_multiplier(tuple(1 if j == i else 0 for j in range(d)))
-             for i in range(d)]
-    ddmult = [[dmult[i] * dmult[j] for j in range(d)] for i in range(d)]
+    def without(*names):
+        return scenario.with_fields(**{name: zero(coeffs[name].shape) for name in names})
 
-    betas = [(beta, coef, basis.derivative_multiplier(beta),
-              basis.derivative_multiplier(tuple(a - b for a, b in zip(alpha.alpha, beta))))
-             for beta, coef in alpha.sub_indices()]
-    coeffs = {name: getattr(scenario, name) for name in ("a", "sigma", "b", "c", "nu")}
-
-    def derivative_samples(level, field_):
-        """D^beta samples of ``field_`` for every beta: (k, n_beta, n_grid, *shape)."""
-        def fn(t, h):
-            vals = field_.evaluate(t, X, h)
-            return np.stack([_spectral_derivative(vals, bmult, basis) if any(beta) else vals
-                             for beta, _, bmult, _ in betas])
-        return fields.level_map(level, [field_], fn, ("derivatives", field_))
+    top_scn = without("b", "c", "nu")
+    terms = []  # (C(alpha, beta), the D^beta scenario, D^{alpha - beta})
+    for beta, coef in alpha.sub_indices():
+        if any(beta):
+            symbol = basis.derivative_multiplier(beta)
+            scn = scenario.with_fields(**{
+                name: zero(f.shape) if f.is_constant else _multiplier_field(f, symbol, basis)
+                for name, f in coeffs.items()})
+        else:  # the top order at beta = 0 is the derived operator's
+            scn = without("a", "sigma")
+        terms.append((coef, scn, basis.derivative_multiplier(
+            tuple(a - b for a, b in zip(alpha.alpha, beta)))))
 
     def source(level):
         p, q = base.p.levels[level], base.q.levels[level]
-        D = {name: derivative_samples(level, f) for name, f in coeffs.items()
-             if not f.is_zero}
-        grid = np.zeros((len(p), basis.n_grid), dtype=complex)
-        grid += basis.reconstruct(alpha_mult * fields.source(level))  # D^alpha F
-        for n, (beta, coef, _, gmult) in enumerate(betas):
-            if sum(beta) >= 1:
-                # top-order Leibniz terms (beta = 0 stays in the operator)
-                for i in range(d):
-                    for j in range(d):
-                        if _component_active(scenario.a, (i, j)):
-                            grid += coef * D["a"][:, n, :, i, j] * basis.reconstruct(
-                                gmult * ddmult[i][j] * p)
-                    for k in range(dw):
-                        if _component_active(scenario.sigma, (i, k)):
-                            grid += coef * D["sigma"][:, n, :, i, k] * basis.reconstruct(
-                                gmult * dmult[i] * q[:, k])
-            # lower-order terms are differentiated entirely into the source
-            for i in range(d):
-                if _component_active(scenario.b, (i,)):
-                    grid += coef * D["b"][:, n, :, i] * basis.reconstruct(
-                        gmult * dmult[i] * p)
-            if _component_active(scenario.c, ()):
-                grid -= coef * D["c"][:, n] * basis.reconstruct(gmult * p)
-            for k in range(dw):
-                if _component_active(scenario.nu, (k,)):
-                    grid += coef * D["nu"][:, n, :, k] * basis.reconstruct(gmult * q[:, k])
-        return basis.project(grid.T).T
+        out = alpha_mult * fields.source(level)
+        for coef, scn, mult in terms:
+            out = out + coef * _generator(fields.operators(level, scn), mult * p, mult * q, 0)
+        return out
 
     derived = backward_solve(tree, basis, scheme, alpha_mult * fields.terminal(),
                              lambda level: fields.operators(level, top_scn), source)
@@ -419,10 +390,3 @@ def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: Spectra
     diff = AdaptedField(tree, basis, diff_levels)
     defect = float(np.sqrt(diff.time_norm_sq(0)))
     return derived, defect
-
-
-def _component_active(field_: CoefficientField, comp: tuple) -> bool:
-    """False only when the field is a constant whose component is zero."""
-    if not field_.is_constant:
-        return True
-    return bool(np.any(field_.value[comp])) if comp else bool(np.any(field_.value))

@@ -43,11 +43,7 @@ EXIT_TOLERANCE = 6
 # BLAS thread counts: the last digits of a run follow them
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-_ESTIMATE_BY_FLAG = {
-    "2.5": ("weak_est_2_5", 1),
-    "2.7": ("strong_est_2_7", 1),
-    "2.9": ("higher_est_2_9", 1),
-}
+_ESTIMATE_BY_FLAG = {"2.5": "weak_est_2_5", "2.7": "strong_est_2_7", "2.9": "higher_est_2_9"}
 
 
 def _fmt(x: float) -> str:
@@ -326,9 +322,8 @@ def cmd_audit(r: _Run) -> int:
     summary = {"command": "audit", "estimates": len(wanted)}
     all_passed = True
     for flag in wanted:
-        tag, order = _ESTIMATE_BY_FLAG[flag]
         rep = energy_audit(solution, r.scenario, r.tree, r.basis,
-                           theorem_tag=tag, order=order)
+                           theorem_tag=_ESTIMATE_BY_FLAG[flag])
         table.append(",".join([rep.theorem_tag, _fmt(rep.lhs), _fmt(rep.rhs_data),
                                _fmt(rep.fitted_C), str(rep.passed).lower()]))
         summary[f"fitted_C[{rep.theorem_tag}]"] = _fmt(rep.fitted_C)

@@ -319,18 +319,30 @@ class TestHigherRegularity:
         basis = SpectralBasis(1, 6, np.pi)
         with pytest.raises(StructuralError, match="order"):
             higher_regularity_solve(sc, chain, basis, MultiIndex((3,)))
+        # the Leibniz source is assembled in the scenario's own form
         div = cos_scenario(form="divergence")
-        with pytest.raises(StructuralError, match="divergence"):
-            higher_regularity_solve(div, chain, basis, MultiIndex((1,)))
+        _, defect = higher_regularity_solve(div, chain, basis, MultiIndex((1,)))
+        assert defect < 1e-10
 
-    def test_variable_coefficient_defect_shrinks_under_refinement(self):
+    def test_multi_index_length_is_checked_before_any_field_read(self):
+        sc = markov_scenario(1)
+        names = ("a", "b", "c", "sigma", "nu", "F", "phi")
+        wrapped = {name: counting(getattr(sc, name)) for name in names}
+        sc = sc.with_fields(**{n: f for n, (f, _) in wrapped.items()})
+        tree = build_tree(1, 3, 3, sc.horizon)
+        with pytest.raises(StructuralError, match="multi-index length"):
+            higher_regularity_solve(sc, tree, BASIS, MultiIndex((1, 0)))
+        assert all(not calls for _, calls in wrapped.values())
+
+    @pytest.mark.parametrize("form", ["non_divergence", "divergence"])
+    def test_variable_coefficient_defect_shrinks_under_refinement(self, form):
         av = lambda t, X: np.exp(0.3 * np.sin(X[:, 0]))
         defects = []
         for modes, steps in ((8, 16), (16, 32)):
             basis = SpectralBasis(1, modes, np.pi)
             chain = build_chain(1, steps, 0.5)
             sc = make_scenario(a=av, K=4.0, kappa=0.2,
-                               phi=lambda t, X: np.cos(X[:, 0]), T=0.5)
+                               phi=lambda t, X: np.cos(X[:, 0]), T=0.5, form=form)
             _, defect = higher_regularity_solve(sc, chain, basis, MultiIndex((1,)))
             defects.append(defect)
         assert defects[1] < defects[0]
@@ -378,8 +390,10 @@ class TestHigherRegularity:
         states = [len({tree.history(level, i).w.tobytes()
                        for i in range(tree.levels[level].n_nodes)})
                   for level in range(tree.n_steps + 1)]
-        # one call per state for the source, plus one for the top-order operators
-        per_state = {"a": 2, "sigma": 2, "b": 1, "c": 1, "nu": 1, "F": 1}
+        # one call per state for each of the three Leibniz operators of the
+        # source (D^beta of every coefficient; at beta = 0 only b, c and nu),
+        # one more for a and sigma in the top-order operators, one for F
+        per_state = {"a": 3, "sigma": 3, "b": 3, "c": 3, "nu": 3, "F": 1}
         for name, (_, calls) in wrapped.items():
             for level in range(tree.n_steps):
                 want = 0 if name == "phi" else per_state[name] * states[level]

@@ -832,12 +832,11 @@ class TestMarkovFields:
                                                                 basis):
         per, tree = declared_path_dependent(scn), build_tree(*shape, scn.horizon)
         scheme = SchemeConfig(theta=theta)
-        if scn.form == "non_divergence":
-            alpha = MultiIndex((1,) * scn.dim_x)
-            (fast, fast_defect), (slow, slow_defect) = (
-                higher_regularity_solve(s, tree, basis, alpha, scheme) for s in (scn, per))
-            assert fast_defect == slow_defect
-            self.assert_pairs_bit_equal(fast, slow)
+        alpha = MultiIndex((1,) * scn.dim_x)
+        (fast, fast_defect), (slow, slow_defect) = (
+            higher_regularity_solve(s, tree, basis, alpha, scheme) for s in (scn, per))
+        assert fast_defect == slow_defect
+        self.assert_pairs_bit_equal(fast, slow)
         (fast, fast_report), (slow, slow_report) = (
             freeze_and_iterate(s, np.zeros(scn.dim_x), tree, basis, max_iter=3,
                                scheme=scheme) for s in (scn, per))

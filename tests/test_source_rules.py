@@ -3,7 +3,7 @@
 import ast
 from pathlib import Path
 
-from bspde.scenario import FIELD_KINDS
+from bspde.scenario import FIELD_KINDS, FORMS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bspde"
 
@@ -12,6 +12,8 @@ PER_NODE_ALLOWED = {"oracle.py"}
 # the scenario layer builds fields from callables; every other module derives
 # them with ``CoefficientField.derived``, which decides their kind
 FIELD_BUILDERS = {"scenario.py", "scenario_file.py"}
+# the assembly states each form's operator; the scenario validates its form
+FORM_READERS = {"space.py", "scenario.py"}
 
 
 def package_findings(rule, allowed: set = frozenset()) -> dict:
@@ -164,9 +166,9 @@ def test_no_unused_imports_in_the_package():
     assert package_findings(unused_imports, {"__init__.py"}) == {}
 
 
-def field_kind_comparisons(source: str) -> list[int]:
-    """Line numbers of comparisons with a ``FIELD_KINDS`` string as an operand
-    (or inside a tuple, list or set operand)."""
+def comparisons(source: str, match) -> list[int]:
+    """Line numbers of comparisons with an operand that ``match`` accepts
+    (or one inside a tuple, list or set operand)."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Compare):
@@ -175,10 +177,15 @@ def field_kind_comparisons(source: str) -> list[int]:
         for op in list(operands):
             if isinstance(op, (ast.Tuple, ast.List, ast.Set)):
                 operands += op.elts
-        if any(isinstance(op, ast.Constant) and op.value in FIELD_KINDS
-               for op in operands):
+        if any(match(op) for op in operands):
             lines.append(node.lineno)
     return lines
+
+
+def field_kind_comparisons(source: str) -> list[int]:
+    """Line numbers of comparisons with a ``FIELD_KINDS`` string as an operand."""
+    return comparisons(source, lambda op: isinstance(op, ast.Constant)
+                       and op.value in FIELD_KINDS)
 
 
 def test_detector_finds_field_kind_comparisons():
@@ -196,6 +203,30 @@ def test_detector_finds_field_kind_comparisons():
 def test_only_the_scenario_module_tests_field_kinds():
     # every other module asks ``is_constant``, ``is_deterministic`` or ``is_zero``
     assert package_findings(field_kind_comparisons, {"scenario.py"}) == {}
+
+
+def form_comparisons(source: str) -> list[int]:
+    """Line numbers of comparisons with a ``<x>.form`` attribute or a ``FORMS``
+    string as an operand."""
+    return comparisons(source, lambda op: (isinstance(op, ast.Attribute) and op.attr == "form")
+                       or (isinstance(op, ast.Constant) and op.value in FORMS))
+
+
+def test_detector_finds_form_comparisons():
+    source = (
+        'if scenario.form == "non_divergence":\n    pass\n'
+        'same = scn.form != other.form\n'
+        'div = "divergence" in (kind, "other")\n'
+        'if raw not in FORMS:\n    pass\n'
+        'scn = s.with_fields(form="divergence")\n'
+        'form = scn.form\n'
+    )
+    assert form_comparisons(source) == [1, 3, 4]
+
+
+def test_only_the_assembly_compares_forms():
+    # each form's operator is stated once, in ``assemble_L`` and ``assemble_M``
+    assert package_findings(form_comparisons, FORM_READERS) == {}
 
 
 def level_maps_without_key(source: str) -> list[int]:
