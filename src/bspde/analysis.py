@@ -372,8 +372,9 @@ def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: Spectra
                 for name, f in coeffs.items()})
         else:  # the top order at beta = 0 is the derived operator's
             scn = without("a", "sigma")
-        terms.append((coef, scn, basis.derivative_multiplier(
-            tuple(a - b for a, b in zip(alpha.alpha, beta)))))
+        if not all(f.is_zero for f in scn.coefficient_fields().values()):  # else it adds 0
+            terms.append((coef, scn, basis.derivative_multiplier(
+                tuple(a - b for a, b in zip(alpha.alpha, beta)))))
 
     def source(level):
         p, q = base.p.levels[level], base.q.levels[level]

@@ -230,11 +230,11 @@ class Scenario:
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_w < 1:
             raise StructuralError("dim_x and dim_w must be >= 1")
-        if self.horizon <= 0 or self.domain_halfwidth <= 0:
-            raise StructuralError("horizon and domain halfwidth must be positive")
-        if not (0 < self.ellipticity_kappa < 1 < self.bound_K):
+        if not all(0 < v < np.inf for v in (self.horizon, self.domain_halfwidth)):
+            raise StructuralError("horizon and domain halfwidth must be positive and finite")
+        if not (0 < self.ellipticity_kappa < 1 < self.bound_K < np.inf):
             raise StructuralError(
-                "constants must satisfy 0 < kappa < 1 < K "
+                "constants must satisfy 0 < kappa < 1 < K < inf "
                 f"(got kappa={self.ellipticity_kappa}, K={self.bound_K})"
             )
         if self.form not in FORMS:

@@ -11,7 +11,8 @@ isotropic coefficients.
 
 A :class:`ParseError` carries the line and column in the file: of the bad
 value, of the bad token inside an expression or matrix literal, of an
-unknown key, or of the header of a section that misses a required key.
+unknown key, or of the header of an unknown section (``[DEFAULT]`` included)
+or of a section that misses a required key.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ PROBLEM_KEYS = ("d", "d1", "T", "L", "K", "kappa", "form")
 COEFFICIENT_KEYS = ("a", "b", "c", "sigma", "nu")
 DATA_KEYS = ("F", "phi")
 DISCRETIZATION_KEYS = ("modes", "steps", "branching", "paths", "seed")
+SECTIONS = ("problem", "coefficients", "data", "discretization", "run")
 
 
 @dataclass(frozen=True)
@@ -254,6 +256,15 @@ def _load(text: str, strict: bool):
     """Both public loaders, which call it directly; its warning names their caller."""
     parser = _read_ini(text)
     positions = _value_positions(text)
+    # configparser lets [DEFAULT] keys into every section, and a misspelt
+    # section would be read as absent, so every other header is refused
+    headers = set(parser.sections()) | {parser.default_section}
+    unknown = sorted((pos, name) for (name, key), pos in positions.items()
+                     if key is None and name in headers - set(SECTIONS))
+    if unknown:
+        (line, column), name = unknown[0]
+        raise ParseError(f"unknown section [{name}]; expected one of {list(SECTIONS)}",
+                         line, column)
     for section in ("problem", "coefficients", "data"):
         if not parser.has_section(section):
             raise ParseError(f"missing required section [{section}]", 1, 1)

@@ -13,11 +13,20 @@ Coefficient products are collocational (pointwise on the uniform grid of
 coefficients.  On that grid ``project`` and ``reconstruct`` are an exact
 discrete Fourier pair, so every periodic grid convolution (a smoothing kernel,
 a derivative) is a multiplier on the coefficients.
+
+Every operator is a table of terms D^outer(coef D^inner u), with 0 the zero
+multi-index and e_i the unit one, which ``_operator`` turns into one matrix:
+
+    L, non-divergence:  (0, b^i, e_i), (0, -c, 0), (0, a^{ij}, e_i + e_j)
+    L, divergence:      (0, b^i, e_i), (0, -c, 0), (e_i, a^{ij}, e_j)
+    M^k, non-divergence: (0, sigma^{ik}, e_i), (0, nu^k, 0)
+    M^k, divergence:     (e_i, sigma^{ik}, 0), (0, nu^k, 0)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import product as iter_product
 
 import numpy as np
@@ -63,8 +72,7 @@ class SpectralBasis:
         # Synthesis S (grid x modes) and exact analysis A = S^H / n_grid.
         self._S = np.exp(1j * self.grid_points @ self.freqs.T)
         self._A = self._S.conj().T / self.n_grid
-        self._synth_d: dict[int, Array] = {}
-        self._synth_dd: dict[tuple[int, int], Array] = {}
+        self._synth_cache: dict[tuple[int, ...], Array] = {(0,) * d: self._S}
 
     # -- transforms -----------------------------------------------------------
 
@@ -113,16 +121,11 @@ class SpectralBasis:
                 mult = mult * (1j * self.freqs[:, j]) ** a
         return mult
 
-    def _sd(self, i: int) -> Array:
-        if i not in self._synth_d:
-            self._synth_d[i] = self._S * (1j * self.freqs[:, i])[None, :]
-        return self._synth_d[i]
-
-    def _sdd(self, i: int, j: int) -> Array:
-        key = (min(i, j), max(i, j))
-        if key not in self._synth_dd:
-            self._synth_dd[key] = self._S * (-self.freqs[:, i] * self.freqs[:, j])[None, :]
-        return self._synth_dd[key]
+    def _synth(self, alpha: tuple[int, ...]) -> Array:
+        """Synthesis of D^alpha: grid values of D^alpha u from u's coefficients."""
+        if alpha not in self._synth_cache:
+            self._synth_cache[alpha] = self._S * self.derivative_multiplier(alpha)
+        return self._synth_cache[alpha]
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,27 @@ class SpatialField:
         return float(self.basis.norm(self.coeffs, order))
 
 
+@lru_cache
+def _index(d: int, *axes: int) -> tuple[int, ...]:
+    """The multi-index e_{axes[0]} + e_{axes[1]} + ... in d dimensions (0 for no axes)."""
+    return tuple(axes.count(j) for j in range(d))
+
+
+def _operator(basis: SpectralBasis, terms: list) -> Array:
+    """Matrix of u -> sum D^outer(coef * D^inner u) over ``(outer, coef, inner)``
+    terms: those of one ``outer``, in the order the terms first name it, are
+    summed on the grid (all-zero columns skipped) and analysed back once."""
+    op = np.zeros((basis.n_modes, basis.n_modes), dtype=complex)
+    live = [term for term in terms if term[1].any()]
+    for outer in dict.fromkeys(o for o, _, _ in live):
+        body = np.zeros((basis.n_grid, basis.n_modes), dtype=complex)
+        for coef, inner in ((coef, inner) for o, coef, inner in live if o == outer):
+            body += coef[:, None] * basis._synth(inner)
+        part = basis._A @ body
+        op += basis.derivative_multiplier(outer)[:, None] * part if any(outer) else part
+    return op
+
+
 def assemble_L(scenario: Scenario, t: float, history: PathHistory | None,
                basis: SpectralBasis) -> Array:
     """Drift operator matrix on spectral coefficients at (t, history).
@@ -146,41 +170,17 @@ def assemble_L(scenario: Scenario, t: float, history: PathHistory | None,
     Divergence form:      L u = D_i(a^{ij} D_j u) + b^i D_i u - c u
     Non-divergence form:  L u = a^{ij} D_{ij} u + b^i D_i u - c u
 
-    Variable coefficients enter by collocation: synthesise, multiply on the
-    grid, analyse back.  Constant coefficients therefore produce the exact
-    diagonal symbol, and the two forms coincide for x-independent a.
+    Constant coefficients produce the exact diagonal symbol, and the two forms
+    coincide for x-independent a.
     """
-    d = scenario.dim_x
-    X = basis.grid_points
+    d, X, e = scenario.dim_x, basis.grid_points, partial(_index, scenario.dim_x)
     a = scenario.a.evaluate(t, X, history)      # (n_grid, d, d)
     b = scenario.b.evaluate(t, X, history)      # (n_grid, d)
     c = scenario.c.evaluate(t, X, history)      # (n_grid,)
-
-    low = np.zeros((basis.n_grid, basis.n_modes), dtype=complex)
-    for i in range(d):
-        if np.any(b[:, i]):
-            low += b[:, i, None] * basis._sd(i)
-    if np.any(c):
-        low -= c[:, None] * basis._S
-
-    if scenario.form == "non_divergence":
-        body = low.copy()
-        for i in range(d):
-            for j in range(d):
-                if np.any(a[:, i, j]):
-                    body += a[:, i, j, None] * basis._sdd(i, j)
-        return basis._A @ body
-
-    # divergence form: outer D_i applied spectrally after the grid product
-    L = basis._A @ low
-    for i in range(d):
-        flux = np.zeros((basis.n_grid, basis.n_modes), dtype=complex)
-        for j in range(d):
-            if np.any(a[:, i, j]):
-                flux += a[:, i, j, None] * basis._sd(j)
-        if np.any(flux):
-            L += (1j * basis.freqs[:, i])[:, None] * (basis._A @ flux)
-    return L
+    terms = [(e(), b[:, i], e(i)) for i in range(d)] + [(e(), -c, e())]
+    terms += [(e(), a[:, i, j], e(i, j)) if scenario.form == "non_divergence"
+              else (e(i), a[:, i, j], e(j)) for i in range(d) for j in range(d)]
+    return _operator(basis, terms)
 
 
 def assemble_M(scenario: Scenario, t: float, history: PathHistory | None,
@@ -190,31 +190,13 @@ def assemble_M(scenario: Scenario, t: float, history: PathHistory | None,
     Divergence form:      M^k v = D_i(sigma^{ik} v) + nu^k v
     Non-divergence form:  M^k v = sigma^{ik} D_i v + nu^k v
     """
-    d, dw = scenario.dim_x, scenario.dim_w
-    X = basis.grid_points
+    d, X, e = scenario.dim_x, basis.grid_points, partial(_index, scenario.dim_x)
     sig = scenario.sigma.evaluate(t, X, history)   # (n_grid, d, dw)
     nu = scenario.nu.evaluate(t, X, history)       # (n_grid, dw)
-
-    out = []
-    for k in range(dw):
-        if scenario.form == "non_divergence":
-            body = np.zeros((basis.n_grid, basis.n_modes), dtype=complex)
-            for i in range(d):
-                if np.any(sig[:, i, k]):
-                    body += sig[:, i, k, None] * basis._sd(i)
-            if np.any(nu[:, k]):
-                body += nu[:, k, None] * basis._S
-            out.append(basis._A @ body)
-        else:
-            Mk = np.zeros((basis.n_modes, basis.n_modes), dtype=complex)
-            for i in range(d):
-                if np.any(sig[:, i, k]):
-                    Mk += (1j * basis.freqs[:, i])[:, None] * (
-                        basis._A @ (sig[:, i, k, None] * basis._S))
-            if np.any(nu[:, k]):
-                Mk += basis._A @ (nu[:, k, None] * basis._S)
-            out.append(Mk)
-    return out
+    return [_operator(basis, [(e(), sig[:, i, k], e(i)) if scenario.form == "non_divergence"
+                              else (e(i), sig[:, i, k], e()) for i in range(d)]
+                      + [(e(), nu[:, k], e())])
+            for k in range(scenario.dim_w)]
 
 
 def coercivity_probe(basis: SpectralBasis, L_mat: Array, M_mats: list[Array],

@@ -269,6 +269,73 @@ def fields_csv_reference(solution, tree, basis) -> str:
     return "\n".join(lines) + "\n"
 
 
+def assemble_L_reference(scenario, t, history, basis):
+    """``space.assemble_L`` as four hand-written grid-product loops, one per
+    form and order, with the derivative synthesis matrices built inline; the
+    term-table assembly must reproduce it byte for byte."""
+    d = scenario.dim_x
+    X, S, A, freqs = basis.grid_points, basis._S, basis._A, basis.freqs
+    a = scenario.a.evaluate(t, X, history)
+    b = scenario.b.evaluate(t, X, history)
+    c = scenario.c.evaluate(t, X, history)
+
+    def sd(i):
+        return S * (1j * freqs[:, i])[None, :]
+
+    low = np.zeros((basis.n_grid, basis.n_modes), dtype=complex)
+    for i in range(d):
+        if np.any(b[:, i]):
+            low += b[:, i, None] * sd(i)
+    if np.any(c):
+        low -= c[:, None] * S
+
+    if scenario.form == "non_divergence":
+        body = low.copy()
+        for i in range(d):
+            for j in range(d):
+                if np.any(a[:, i, j]):
+                    body += a[:, i, j, None] * (S * (-freqs[:, i] * freqs[:, j])[None, :])
+        return A @ body
+
+    L = A @ low
+    for i in range(d):
+        flux = np.zeros((basis.n_grid, basis.n_modes), dtype=complex)
+        for j in range(d):
+            if np.any(a[:, i, j]):
+                flux += a[:, i, j, None] * sd(j)
+        if np.any(flux):
+            L += (1j * freqs[:, i])[:, None] * (A @ flux)
+    return L
+
+
+def assemble_M_reference(scenario, t, history, basis):
+    """``space.assemble_M`` as the hand-written loops of each form."""
+    d, dw = scenario.dim_x, scenario.dim_w
+    X, S, A, freqs = basis.grid_points, basis._S, basis._A, basis.freqs
+    sig = scenario.sigma.evaluate(t, X, history)
+    nu = scenario.nu.evaluate(t, X, history)
+
+    out = []
+    for k in range(dw):
+        if scenario.form == "non_divergence":
+            body = np.zeros((basis.n_grid, basis.n_modes), dtype=complex)
+            for i in range(d):
+                if np.any(sig[:, i, k]):
+                    body += sig[:, i, k, None] * (S * (1j * freqs[:, i])[None, :])
+            if np.any(nu[:, k]):
+                body += nu[:, k, None] * S
+            out.append(A @ body)
+        else:
+            Mk = np.zeros((basis.n_modes, basis.n_modes), dtype=complex)
+            for i in range(d):
+                if np.any(sig[:, i, k]):
+                    Mk += (1j * freqs[:, i])[:, None] * (A @ (sig[:, i, k, None] * S))
+            if np.any(nu[:, k]):
+                Mk += A @ (nu[:, k, None] * S)
+            out.append(Mk)
+    return out
+
+
 def higher_regularity_reference(scenario, tree, basis, alpha, base):
     """The derived pair of ``higher_regularity_solve`` with its source built one
     node, one history and one coefficient component at a time.

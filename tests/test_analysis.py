@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bspde.solver
 from bspde import (
     ESTIMATE_TAGS,
+    CoefficientField,
     DegenerateKernelError,
     LevelOperators,
     MollifierConfig,
@@ -400,6 +402,34 @@ class TestHigherRegularity:
                 assert calls.count(tree.time_of(level)) == want, (name, level)
         assert len(wrapped["phi"][1]) == states[-1]
         assert sum(len(calls) for _, calls in wrapped.values()) < tree.n_nodes
+
+    def test_constant_coefficients_skip_the_zero_leibniz_terms(self, monkeypatch):
+        # every D^beta (beta != 0) of a constant coefficient is zero, so those
+        # operators are neither assembled nor applied, and no bit of the pair
+        # moves against a zero-valued function nu that forces them in
+        text = (Path(__file__).parent / "data" / "tiny.scn").read_text(encoding="utf-8")
+        sc = load_scenario_text(text.replace("a = 0.6 + 0.1*sin(x1)", "a = 0.6"))[0]
+        sc = sc.with_fields(nu=CoefficientField.zero((1,)))
+        forced = sc.with_fields(nu=CoefficientField.of_tx(
+            lambda t, X: np.zeros((len(X), 1)), (1,), t_free=True))
+        tree, basis = build_tree(1, 6, 3, sc.horizon), SpectralBasis(1, 8, np.pi)
+        base = solve_tree(sc, tree, basis)
+        calls = []
+
+        def counted(*args, _assemble=bspde.solver.assemble_L):
+            calls.append(args[0])
+            return _assemble(*args)
+        monkeypatch.setattr(bspde.solver, "assemble_L", counted)
+        derived, defect = higher_regularity_solve(sc, tree, basis, MultiIndex((2,)), base=base)
+        # the top-order operator and the beta = 0 term; not beta = (1,), (2,)
+        assert len(calls) == 2
+        calls.clear()
+        want, want_defect = higher_regularity_solve(forced, tree, basis, MultiIndex((2,)),
+                                                    base=base)
+        assert len(calls) == 4
+        assert defect == want_defect
+        for got, ref in zip(derived.p.levels + derived.q.levels, want.p.levels + want.q.levels):
+            assert got.tobytes() == ref.tobytes()
 
     def test_multi_index_bookkeeping(self):
         assert MultiIndex((2,)).order == 2

@@ -274,6 +274,28 @@ class TestExitCodes:
         assert err == ("error: bad value for problem.form: 'divergnce' "
                        f"(line {line}, column 8)\n")
 
+    def test_unknown_section_reports_its_line(self, tmp_path):
+        # a misspelt section is refused, not read as absent with default sizes
+        text = Path(TINY).read_text().replace("[discretization]", "[discretisation]")
+        line = text.splitlines().index("[discretisation]") + 1
+        path = tmp_path / "bad_section.scn"
+        path.write_text(text)
+        code, out, err = run("solve", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown section [discretisation]")
+        assert err.endswith(f"(line {line}, column 1)\n")
+
+    @pytest.mark.parametrize("key, value", [("T", "nan"), ("T", "inf"), ("L", "nan"),
+                                            ("L", "inf"), ("K", "inf")])
+    def test_non_finite_constant_is_refused(self, tmp_path, key, value):
+        text = Path(TINY).read_text()
+        old = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+        path = tmp_path / "non_finite.scn"
+        path.write_text(text.replace(old, f"{key} = {value}"))
+        code, out, err = run("solve", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "must" in err and "Traceback" not in err
+
     def test_parse_error_names_its_place_in_the_file(self):
         # y9 sits on line 10 of the file, column 15
         code, out, err = run("solve", BAD_PARSE)

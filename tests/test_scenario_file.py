@@ -2,6 +2,7 @@
 
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bspde import (
 )
 from helpers import make_scenario
 
+TINY_TEXT = (Path(__file__).parent / "data" / "tiny.scn").read_text(encoding="utf-8")
 MINIMAL = """[problem]
 d = 1
 d1 = 1
@@ -168,9 +170,14 @@ class TestParseErrors:
         (MINIMAL + "[run]\nsmoothing =  4,8,4\n", 15, 14, "run.smoothing: '4,8,4'"),
         (MINIMAL.replace("kappa = 0.25", "kappa = 0.25\nform = divergnce"), 8, 8,
          "problem.form"),
+        # a misspelt section would be read as absent, and [DEFAULT] keys would
+        # leak into every section
+        (TINY_TEXT.replace("[discretization]", "[discretisation]"), 22, 1,
+         r"unknown section \[discretisation\]"),
+        (TINY_TEXT + "[DEFAULT]\nmodes = 8\n", 31, 1, r"unknown section \[DEFAULT\]"),
     ])
     def test_bad_value_names_its_own_line(self, text, line, column, name):
-        assert MINIMAL.count("\n") == 13
+        assert MINIMAL.count("\n") == 13 and TINY_TEXT.count("\n") == 30
         with pytest.raises(ParseError, match=name) as caught:
             load_scenario_text(text)
         assert (caught.value.line, caught.value.column) == (line, column)

@@ -579,3 +579,35 @@ def test_the_oracle_calls_no_engine_step():
     oracle = (SRC / "oracle.py").read_text(encoding="utf-8")
     assert "def solve_dense" in oracle
     assert engine_calls(oracle) == []
+
+
+# the collocation product (analysis by ``_A``) is stated once for fields and
+# once for every operator's term table
+ANALYSIS_SITES = {"project", "_operator"}
+
+
+def analyses(node) -> bool:
+    """A product ``<x>._A @ <y>``."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and isinstance(node.left, ast.Attribute) and node.left.attr == "_A")
+
+
+def test_detector_finds_analyses_outside_project_and_operator():
+    source = (
+        "class SpectralBasis:\n"
+        "    def project(self, values):\n        return self._A @ values\n"
+        "def _operator(basis, terms):\n    part = basis._A @ body\n"
+        "def assemble_L(scenario, basis):\n"
+        "    L = basis._A @ low\n"
+        "    L += mult[:, None] * (basis._A @ flux)\n"
+        "    S = basis._S @ u\n"
+        "    B = A @ basis._A\n"
+    )
+    assert lines_outside(source, ANALYSIS_SITES, analyses) == [7, 8]
+    assert lines_outside(source, set(), analyses) == [3, 5, 7, 8]
+
+
+def test_every_operator_is_formed_by_one_grid_product():
+    space = (SRC / "space.py").read_text(encoding="utf-8")
+    assert lines_outside(space, ANALYSIS_SITES, analyses) == []
+    assert len(lines_outside(space, set(), analyses)) == 2
