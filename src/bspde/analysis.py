@@ -59,26 +59,21 @@ def _source_field(scenario: Scenario, tree: WienerTree, basis: SpectralBasis) ->
 def energy_audit(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
                  basis: SpectralBasis, theorem_tag: str = "weak_est_2_5",
                  order: int = 1) -> EstimateReport:
-    """Fitted constant of one energy estimate on a solved pair.
+    """Fitted constant of one energy estimate on a solved pair,
 
-    weak_est_2_5:    |||p|||_1^2 + |||q|||_0^2 + E sup ||p||_0^2
-                     against |||F|||_{-1}^2 + E ||phi||_0^2
-    strong_est_2_7:  one order up on every norm
-    higher_est_2_9:  |||p|||_{n+2}^2 + |||q|||_{n+1}^2 + E sup ||p||_{n+1}^2
-                     against |||F|||_n^2 + E ||phi||_{n+1}^2  (n = ``order``)
+        |||p|||_{n+2}^2 + |||q|||_{n+1}^2 + E sup ||p||_{n+1}^2
+        against |||F|||_n^2 + E ||phi||_{n+1}^2,
+
+    at n = -1 (weak_est_2_5), 0 (strong_est_2_7) or ``order`` (higher_est_2_9).
 
     The audit is diagnostic: a finite, refinement-stable fitted constant is
     evidence for the estimate at this discretisation, not a proof.
     """
-    if theorem_tag not in ("weak_est_2_5", "strong_est_2_7", "higher_est_2_9"):
+    orders = {"weak_est_2_5": -1, "strong_est_2_7": 0, "higher_est_2_9": order}
+    if theorem_tag not in orders:
         raise StructuralError(f"energy_audit does not handle tag {theorem_tag!r}")
-    if theorem_tag == "weak_est_2_5":
-        p_ord, q_ord, sup_ord, f_ord = 1, 0, 0, -1
-    elif theorem_tag == "strong_est_2_7":
-        p_ord, q_ord, sup_ord, f_ord = 2, 1, 1, 0
-    else:
-        n = int(order)
-        p_ord, q_ord, sup_ord, f_ord = n + 2, n + 1, n + 1, n
+    n = int(orders[theorem_tag])
+    p_ord, q_ord, sup_ord, f_ord = n + 2, n + 1, n + 1, n
 
     F = _source_field(scenario, tree, basis)
     e_sup = solution.p.e_sup_norm_sq(sup_ord)

@@ -317,7 +317,7 @@ def cmd_validate(r: _Run) -> int:
 
 def cmd_audit(r: _Run) -> int:
     solution = r.solve()
-    wanted = ["2.5", "2.7", "2.9"] if r.args.estimate == "all" else [r.args.estimate]
+    wanted = list(_ESTIMATE_BY_FLAG) if r.args.estimate == "all" else [r.args.estimate]
     table = ["theorem_tag,lhs,rhs_data,fitted_C,passed"]
     summary = {"command": "audit", "estimates": len(wanted)}
     all_passed = True
@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _common_flags(p)
         if name == "audit":
-            p.add_argument("--estimate", choices=("2.5", "2.7", "2.9", "all"),
+            p.add_argument("--estimate", choices=(*_ESTIMATE_BY_FLAG, "all"),
                            default="all", help="which estimate to fit")
         p.set_defaults(handler=fn)
     return ap

@@ -10,8 +10,9 @@ uniform bound K of the standing assumption
 
     kappa I + sigma sigma^T <= 2 a <= K I,   0 < kappa < 1 < K.
 
-Coefficients may be constant, deterministic functions of (t, x), or adapted
-functions of (t, x, W-history).  Nothing here knows about discretisation; the
+Coefficients may be constant, or functions of x that declare what else they
+read: t, the current Wiener value w, or the whole W-history
+(``CoefficientField.reads``).  Nothing here knows about discretisation; the
 spectral basis and the Wiener tree consume scenarios through
 ``CoefficientField.evaluate``.
 """
@@ -27,7 +28,7 @@ from .errors import StructuralError
 
 Array = np.ndarray
 
-FIELD_KINDS = ("deterministic_const", "deterministic_fn_of_tx", "adapted_fn_of_txW")
+READS = frozenset({"t", "w", "history"})  # what a field may read besides x
 FORMS = ("divergence", "non_divergence")
 _N_HISTORIES = 3  # probe histories per sampled time of an adapted scenario
 
@@ -63,41 +64,30 @@ class PathHistory:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """One coefficient of the equation, tagged by how much it may depend on.
+    """One coefficient of the equation, tagged by what it reads.
 
-    kind
-        ``deterministic_const``    -- a fixed array,
-        ``deterministic_fn_of_tx`` -- ``fn(t, X) -> (n_points, *shape)``,
-        ``adapted_fn_of_txW``      -- ``fn(t, X, history) -> (n_points, *shape)``.
-    shape
-        Component shape: ``()`` scalar, ``(d,)`` drift, ``(d, d)`` diffusion
-        matrix, ``(d, dim_w)`` noise coupling.
-    markov
-        Declares that an adapted ``fn`` reads the history only through its
-        current value ``history.w`` (and reads ``t``), so nodes with the same
-        ``w`` bits share one evaluation.  A callable that reads
-        ``history.increments`` must leave it ``False``, the default, and is
-        then evaluated once per node.  ``derived`` sets it from its inputs.
-    t_free
-        Declares that the values do not depend on ``t``: ``fn`` never reads
-        its ``t`` argument or ``history.t``.  A named ``LevelFields.level_rows``
-        read of t-free fields then runs once per solve, not once per level,
-        or once per Wiener state over all levels, not per state and level.
-        Constants have it, the scenario-file parser sets it on every entry
-        that does not name ``t``, and ``derived`` sets it from its inputs; a
-        library callable leaves it ``False``, the default.
+    ``shape`` is the component shape: ``()`` scalar, ``(d,)`` drift,
+    ``(d, d)`` diffusion matrix, ``(d, dim_w)`` noise coupling.  A constant
+    holds its array in ``value``; any other field has
+    ``fn(t, X, history) -> (n_points, *shape)``, and ``reads``, a subset of
+    ``READS``, says what it may read besides ``X``: ``"t"``, ``"w"`` (only
+    the current value ``history.w``) or ``"history"`` (anything of it, such
+    as ``history.increments``).  A field that reads neither history name is
+    deterministic and gets ``history=None``; one that reads ``"w"`` alone is
+    Markov, so nodes with the same ``w`` bits share one evaluation; one that
+    does not read ``"t"`` is t-free, so ``LevelFields.level_rows`` reads it
+    once per solve (or once per Wiener state), not once per level.  The
+    default, ``{"t", "history"}``, is safe for any library callable.
     """
 
-    kind: str
     shape: tuple
     fn: Callable | None = None
     value: Array | None = None
-    markov: bool = False
-    t_free: bool = False
+    reads: frozenset = frozenset({"t", "history"})
 
     def __post_init__(self):
-        if self.kind not in FIELD_KINDS:
-            raise StructuralError(f"unknown coefficient kind {self.kind!r}")
+        if not self.reads <= READS:
+            raise StructuralError(f"a field reads only {sorted(READS)}, not {set(self.reads)}")
 
     @classmethod
     def constant(cls, value, shape: tuple | None = None) -> "CoefficientField":
@@ -106,33 +96,26 @@ class CoefficientField:
             raise StructuralError(
                 f"constant coefficient has shape {value.shape}, declared {tuple(shape)}"
             )
-        return cls("deterministic_const", value.shape, value=value, t_free=True)
+        return cls(value.shape, value=value, reads=frozenset())
 
     @classmethod
     def of_tx(cls, fn: Callable, shape: tuple = (),
               t_free: bool = False) -> "CoefficientField":
-        return cls("deterministic_fn_of_tx", tuple(shape), fn=fn, t_free=t_free)
+        return cls(tuple(shape), fn=lambda t, X, history: fn(t, X),
+                   reads=frozenset() if t_free else frozenset({"t"}))
 
     @classmethod
     def adapted(cls, fn: Callable, shape: tuple = (), markov: bool = False,
                 t_free: bool = False) -> "CoefficientField":
-        return cls("adapted_fn_of_txW", tuple(shape), fn=fn, markov=markov, t_free=t_free)
+        reads = {"w" if markov else "history"} | (set() if t_free else {"t"})
+        return cls(tuple(shape), fn=fn, reads=frozenset(reads))
 
     @classmethod
     def derived(cls, fn: Callable, shape: tuple, *inputs: "CoefficientField"
                 ) -> "CoefficientField":
-        """The field ``fn(t, X, history)`` computed from the fields ``inputs``.
-
-        ``fn`` may read ``t`` and the history only through ``inputs``.  The
-        result is a deterministic ``(t, x)`` field, called with
-        ``history=None``, when every input is deterministic, and otherwise an
-        adapted field that is Markov exactly when every input is.  It is
-        t-free exactly when every input is.
-        """
-        t_free = all(f.t_free for f in inputs)
-        if all(f.is_deterministic for f in inputs):
-            return cls.of_tx(lambda t, X: fn(t, X, None), shape, t_free=t_free)
-        return cls.adapted(fn, shape, markov=_all_markov(*inputs), t_free=t_free)
+        """The field ``fn(t, X, history)`` computed from the fields ``inputs``:
+        ``fn`` reads ``t`` and the history only through them."""
+        return cls(tuple(shape), fn=fn, reads=reads_of(inputs))
 
     @classmethod
     def zero(cls, shape: tuple = ()) -> "CoefficientField":
@@ -140,11 +123,19 @@ class CoefficientField:
 
     @property
     def is_deterministic(self) -> bool:
-        return self.kind != "adapted_fn_of_txW"
+        return not self.reads & {"w", "history"}
+
+    @property
+    def markov(self) -> bool:
+        return "w" in self.reads and "history" not in self.reads
+
+    @property
+    def t_free(self) -> bool:
+        return "t" not in self.reads
 
     @property
     def is_constant(self) -> bool:
-        return self.kind == "deterministic_const"
+        return self.value is not None
 
     @property
     def is_zero(self) -> bool:
@@ -156,20 +147,18 @@ class CoefficientField:
         if x_points.ndim != 2:
             raise StructuralError("x_points must be a (n_points, dim_x) array")
         n = x_points.shape[0]
-        if self.kind == "deterministic_const":
+        if self.is_constant:
             out = np.broadcast_to(self.value, (n,) + self.shape)
             return np.array(out, dtype=float)
-        if self.kind == "deterministic_fn_of_tx":
-            raw = self.fn(t, x_points)
-        else:
-            if history is None:
-                raise ValueError("adapted coefficient needs a Wiener history")
-            if history.t + 1e-12 < t:
-                raise ValueError(
-                    f"history covers [0, {history.t:g}] but the field is evaluated at t={t:g}"
-                )
-            raw = self.fn(t, x_points, history)
-        return self._normalise(raw, n)
+        if self.is_deterministic:
+            history = None
+        elif history is None:
+            raise ValueError("adapted coefficient needs a Wiener history")
+        elif history.t + 1e-12 < t:
+            raise ValueError(
+                f"history covers [0, {history.t:g}] but the field is evaluated at t={t:g}"
+            )
+        return self._normalise(self.fn(t, x_points, history), n)
 
     def _normalise(self, raw, n: int) -> Array:
         out = np.asarray(raw, dtype=float)
@@ -185,9 +174,9 @@ class CoefficientField:
         )
 
 
-def _all_markov(*fields: CoefficientField) -> bool:
-    """True when every field reads the history through ``w`` at most."""
-    return all(f.is_deterministic or f.markov for f in fields)
+def reads_of(fields) -> frozenset:
+    """What any of ``fields`` reads."""
+    return frozenset().union(*(f.reads for f in fields))
 
 
 @dataclass(frozen=True)

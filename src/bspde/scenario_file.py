@@ -65,17 +65,22 @@ class RunConfig:
 def _value_positions(text: str) -> dict:
     """(line, column) of the value of every ``key = value`` entry, by
     ``(section, key)``, and of every section header, by ``(section, None)``,
-    else (1, 1); ``configparser`` keeps no positions."""
-    positions, section = defaultdict(lambda: (1, 1)), None
+    else (1, 1); ``configparser`` keeps no positions.  As there, a line
+    indented deeper than the key line above it continues that key's value."""
+    positions, section, key_indent = defaultdict(lambda: (1, 1)), None, np.inf
     for number, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
+        indent = len(line) - len(line.lstrip())
+        if not stripped or stripped.startswith(";") or indent > key_indent:
+            continue  # a blank line, a comment or a continued value
         if stripped.startswith("[") and stripped.endswith("]"):
-            section = stripped[1:-1]
+            section, key_indent = stripped[1:-1], np.inf
             positions.setdefault((section, None), (number, 1))
-        elif "=" in stripped and not stripped.startswith(";"):
+        elif "=" in stripped:
             key, value = line.split("=", 1)
             column = len(line) - len(value.lstrip()) + 1
             positions.setdefault((section, key.strip()), (number, column))
+            key_indent = indent
     return positions
 
 
@@ -155,10 +160,8 @@ def _parse_matrix_literal(text: str) -> list:
     return rows
 
 
-def _make_evaluator(asts, shape, dim_x, uses_w):
-    flat = list(asts.flat)
-
-    def _eval(t, X, history=None):
+def _make_evaluator(asts, shape, dim_x):
+    def _eval(t, X, history):
         env = {"t": t}
         for i in range(dim_x):
             env[f"x{i + 1}"] = X[:, i]
@@ -166,12 +169,10 @@ def _make_evaluator(asts, shape, dim_x, uses_w):
             for k, wk in enumerate(np.atleast_1d(history.w)):
                 env[f"w{k + 1}"] = wk
         cols = [np.broadcast_to(np.asarray(evaluate(a, env), dtype=float), (len(X),))
-                for a in flat]
+                for a in asts.flat]
         return np.stack(cols, axis=-1).reshape((len(X),) + shape)
 
-    if uses_w:
-        return lambda t, X, history: _eval(t, X, history)
-    return lambda t, X: _eval(t, X)
+    return _eval
 
 
 def _build_field(name: str, raw: str, shape: tuple, dim_x: int,
@@ -202,15 +203,12 @@ def _build_field(name: str, raw: str, shape: tuple, dim_x: int,
             raise ParseError(f"{where}: {e.bare_message}", line + e.line - 1,
                              e.column + (offset if e.line == 1 else 0)) from None
     names = set().union(*(variables_in(a) for a in asts.flat))
-    uses_w = any(n.startswith("w") for n in names)
-    t_free = "t" not in names
     if not names:  # constant fold
         vals = [float(evaluate(a, {})) for a in asts.flat]
         return CoefficientField.constant(np.reshape(vals, shape), shape)
-    fn = _make_evaluator(asts, shape, dim_x, uses_w)
-    if uses_w:  # the evaluator reads the history only through history.w
-        return CoefficientField.adapted(fn, shape, markov=True, t_free=t_free)
-    return CoefficientField.of_tx(fn, shape, t_free=t_free)
+    # the evaluator reads the history only through history.w
+    reads = frozenset({"t"} & names | {"w" for n in names if n.startswith("w")})
+    return CoefficientField(shape, fn=_make_evaluator(asts, shape, dim_x), reads=reads)
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError, StructuralError, check_bytes
-from .scenario import PathHistory, Scenario, _all_markov
+from .scenario import PathHistory, Scenario, reads_of
 from .space import SpatialField, SpectralBasis, assemble_L, assemble_M
 from .wiener import PathEnsemble, WienerTree
 
@@ -268,16 +268,18 @@ class LevelFields:
 
     ``filtration`` is a ``WienerTree`` or a ``PathEnsemble``: anything with
     ``dt`` and ``level_increments(level)``.  Every field read goes through
-    ``level_rows``, which evaluates a map over deterministic fields once per
-    level (``k = 1``) and over adapted fields once per group of the level's
-    nodes (``groups``).  The groups are kept for the current level only.  The
-    terminal, the source and the operators are named maps, whose rows the
-    provider keeps (``level_rows``): a time-invariant L is assembled once per
-    solve, not once per level, and a map over t-dependent fields runs once
-    per level and state however often a caller reads the level again.
-    ``operators`` returns its rows with each node's row, and a t-free shared
-    row with the slot that keeps its step inverse in the same rows; the
-    terminal and the source are expanded to every node (``level_map``).  A filtration or basis
+    ``level_rows``, which evaluates a map once per group of the level's nodes
+    that its fields' ``reads`` call for (``groups``): once per level
+    (``k = 1``) when they read no history, once per Wiener state when they
+    read ``w``, and once per node when they read the whole history.  The
+    groups are kept for the current level only.  The terminal, the source and
+    the operators are named maps, whose rows the provider keeps
+    (``level_rows``): a time-invariant L is assembled once per solve, not once
+    per level, and a map over t-dependent fields runs once per level and
+    state however often a caller reads the level again.  ``operators``
+    returns its rows with each node's row, and a t-free shared row with the
+    slot that keeps its step inverse in the same rows; the terminal and the
+    source are expanded to every node (``level_map``).  A filtration or basis
     made for another scenario is refused (``_check_inputs``).
     """
 
@@ -297,25 +299,28 @@ class LevelFields:
         out._rows = self._rows
         return out
 
-    def groups(self, level: int, markov: bool) -> tuple[list, Array]:
-        """One history per group of the level's nodes and each node's group.
-
-        With ``markov`` the groups are the distinct Wiener states ``w`` of the
-        level, told apart by their bytes, not by float comparison, so ``-0.0``
-        and ``0.0`` stay apart and a Markov field sees exactly the bits it
-        would see at each of the group's nodes.  Otherwise every node is its
-        own group, in level order.
+    def groups(self, level: int, reads) -> tuple[list, Array | None]:
+        """One history per group of the level's nodes and each node's group,
+        for fields that read ``reads``: ``([None], None)`` when they read no
+        history, one group per distinct Wiener state ``w`` when they read
+        ``"w"``, and one per node, in level order, when they read
+        ``"history"``.  States are told apart by their bytes, not by float
+        comparison, so ``-0.0`` and ``0.0`` stay apart and a Markov field sees
+        exactly the bits it would see at each of the group's nodes.
         """
+        if not reads & {"w", "history"}:
+            return [None], None
+        per_node = "history" in reads
         if level != self._level:
             self._level, self._groups = level, {}
-        if markov not in self._groups:
+        if per_node not in self._groups:
             incs = self.filtration.level_increments(level)
             w = incs.sum(axis=1)  # the same sum, in the same order, as each history.w
-            first, inverse = _distinct_rows(w) if markov else (np.arange(len(w)),) * 2
+            first, inverse = (np.arange(len(w)),) * 2 if per_node else _distinct_rows(w)
             t, dt = level * self.filtration.dt, self.filtration.dt
-            self._groups[markov] = ([PathHistory(t, dt, incs[i], w[i]) for i in first],
-                                    inverse)
-        return self._groups[markov]
+            self._groups[per_node] = ([PathHistory(t, dt, incs[i], w[i]) for i in first],
+                                      inverse)
+        return self._groups[per_node]
 
     def level_rows(self, level: int, fields, fn, key) -> tuple[Array, Array | None]:
         """``fn(t, history)`` once per group of the level: the rows and
@@ -323,33 +328,28 @@ class LevelFields:
         by the level.
 
         ``fields`` are the coefficient fields ``fn`` reads: ``fn`` runs once
-        when all are deterministic, and otherwise once per group of
-        ``groups(level, markov)``, Markov when all are.
+        per group of ``groups(level, reads)``, ``reads`` being their union.
 
         ``key``, a ``(name, owner)`` pair, names the map: besides ``fields``,
         ``fn`` reads only ``owner``, and it reads ``t`` only through
-        ``fields``.  A map over deterministic or Markov fields keeps its
+        ``fields``.  A map over fields that read no ``"history"`` keeps its
         rows for the provider's lifetime, keyed by the bytes of ``w``, and by
-        the level unless every field is t-free: over a solve a t-free map runs
+        the level when a field reads ``"t"``: over a solve a t-free map runs
         once when the fields are deterministic and once per distinct Wiener
         state of all levels when they are Markov, and a second read of a level
         runs no map.  The rows are bit-equal to those of a fresh evaluation.
         """
-        fields = tuple(fields)
-        markov = _all_markov(*fields)
-        if all(f.is_deterministic for f in fields):
-            hists, inverse = [None], None
-        else:
-            hists, inverse = self.groups(level, markov)
+        reads = reads_of(fields)
+        hists, inverse = self.groups(level, reads)
         t = level * self.filtration.dt
-        when = None if all(f.t_free for f in fields) else level
+        when = level if "t" in reads else None
         out = None
         for i, h in enumerate(hists):
-            if markov:  # look the row up by state (and level)
+            if "history" in reads:
+                row = np.asarray(fn(t, h))
+            else:  # look the row up by state (and level)
                 row = self._rows.row(*key, when, None if h is None else h.w.tobytes(),
                                      lambda: np.asarray(fn(t, h)))
-            else:
-                row = np.asarray(fn(t, h))
             if out is None:  # filled in place: no list of per-node rows
                 out = np.empty((len(hists),) + row.shape, row.dtype)
             out[i] = row
@@ -378,8 +378,8 @@ class LevelFields:
         checked before the first is assembled."""
         scn = scenario if scenario is not None else self.scenario
         coeffs, basis = scn.coefficient_fields().values(), self.basis
-        rows = 1 if scn.coefficients_deterministic else len(
-            self.groups(level, _all_markov(*coeffs))[0])
+        reads = reads_of(coeffs)
+        rows = len(self.groups(level, reads)[0])
         # L, the M^k, and the step's I - theta dt L with its temporary
         check_bytes(rows * (3 + scn.dim_w) * basis.n_modes ** 2 * 16,
                     f"the operators of level {level}")
@@ -388,7 +388,7 @@ class LevelFields:
         Ms, _ = self.level_rows(level, coeffs, lambda t, h: assemble_M(scn, t, h, basis),
                                 ("M", scn))
         keep = None
-        if index is None and all(f.t_free for f in coeffs):
+        if index is None and "t" not in reads:
             # one row for every level: what the step makes of it is kept too
             def keep(name, make):
                 return self._rows.row(name, scn, None, None, make)

@@ -168,7 +168,7 @@ def markov_scenario(dim_w):
 def declared_time_dependent(scenario):
     """The same scenario with no field declared t-free: every read runs per level."""
     return scenario.with_fields(**{
-        name: replace(getattr(scenario, name), t_free=False)
+        name: replace(getattr(scenario, name), reads=getattr(scenario, name).reads | {"t"})
         for name in ("a", "b", "c", "sigma", "nu", "F", "phi")})
 
 
@@ -183,7 +183,7 @@ def counting(field_):
     def fn(t, X, hist):
         calls.append(hist.t)
         return field_.fn(t, X, hist)
-    wrapped = replace(field_, fn=fn, t_free=False)
+    wrapped = replace(field_, fn=fn, reads=field_.reads | {"t"})
     return wrapped, calls
 
 
@@ -356,7 +356,7 @@ def higher_regularity_reference(scenario, tree, basis, alpha, base):
     ddmult = [[dmult[i] * dmult[j] for j in range(d)] for i in range(d)]
 
     def active(field_, comp):
-        return field_.kind != "deterministic_const" or bool(np.any(field_.value[comp]))
+        return not field_.is_constant or bool(np.any(field_.value[comp]))
 
     def derivative(field_, beta, comp, t, hist):
         vals = field_.evaluate(t, X, hist)[(slice(None),) + comp]

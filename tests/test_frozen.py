@@ -280,7 +280,7 @@ class TestOneProviderPerCall:
         scn = load_scenario(str(Path(__file__).parent / "data" / "tiny.scn"))[0]
         assert scn.F.is_deterministic and not scn.F.t_free
         times = []
-        F = replace(scn.F, fn=lambda t, X, fn=scn.F.fn: times.append(t) or fn(t, X))
+        F = replace(scn.F, fn=lambda t, X, h, fn=scn.F.fn: times.append(t) or fn(t, X, h))
         tree, basis = build_tree(1, 4, 3, scn.horizon), SpectralBasis(1, 6, np.pi)
         sol, report = freeze_and_iterate(scn.with_fields(F=F), np.zeros(1), tree, basis)
         assert report.converged and report.iterations == 9

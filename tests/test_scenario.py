@@ -72,6 +72,60 @@ class TestCoefficientField:
         assert not out.any()
 
 
+def _tx(t, X):
+    return np.cos(X[:, 0])
+
+
+def _txh(t, X, history):
+    return np.cos(X[:, 0])
+
+
+class TestReads:
+    """What a field reads besides x, and the three facts derived from it."""
+
+    # (field, reads, is_deterministic, markov, t_free)
+    CONSTRUCTORS = {
+        "constant": (CoefficientField.constant(0.5), set(), True, False, True),
+        "zero": (CoefficientField.zero((2, 2)), set(), True, False, True),
+        "of_tx": (CoefficientField.of_tx(_tx), {"t"}, True, False, False),
+        "of_tx-t_free": (CoefficientField.of_tx(_tx, (), t_free=True), set(), True, False, True),
+        "adapted": (CoefficientField.adapted(_txh), {"t", "history"}, False, False, False),
+        "adapted-t_free": (CoefficientField.adapted(_txh, (), t_free=True), {"history"},
+                           False, False, True),
+        "adapted-markov": (CoefficientField.adapted(_txh, (), markov=True), {"t", "w"},
+                           False, True, False),
+        "adapted-markov-t_free": (CoefficientField.adapted(_txh, (), True, True), {"w"},
+                                  False, True, True),
+        "default": (CoefficientField((), fn=_txh), {"t", "history"}, False, False, False),
+    }
+
+    @pytest.mark.parametrize("name", CONSTRUCTORS)
+    def test_constructor_declares_reads(self, name):
+        field_, reads, deterministic, markov, t_free = self.CONSTRUCTORS[name]
+        assert field_.reads == reads
+        assert (field_.is_deterministic, field_.markov, field_.t_free) == (
+            deterministic, markov, t_free)
+
+    @pytest.mark.parametrize("expression, reads", [
+        ("cos(x1)", set()), ("t*x1", {"t"}), ("sin(w1)", {"w"}), ("t*w1", {"t", "w"}),
+        ("2*3", set())])
+    def test_parser_declares_the_names_an_entry_uses(self, expression, reads):
+        text = TestMarkovDeclaration.TEXT.replace("phi = 1 + 0.2*w1", f"phi = {expression}")
+        assert load_scenario_text(text)[0].phi.reads == reads
+
+    def test_derived_reads_the_union_of_its_inputs(self):
+        w = CoefficientField.adapted(_txh, (), markov=True, t_free=True)
+        history = CoefficientField.adapted(_txh, (), t_free=True)
+        derived = CoefficientField.derived(_txh, (), w, history)
+        assert derived.reads == {"w", "history"}
+        assert not (derived.is_deterministic or derived.markov) and derived.t_free
+        assert CoefficientField.derived(_txh, (), w, w).reads == {"w"}
+
+    def test_unknown_read_is_refused(self):
+        with pytest.raises(StructuralError, match="reads only"):
+            CoefficientField((), fn=_txh, reads=frozenset({"x"}))
+
+
 class TestMarkovDeclaration:
     """Parsed fields are Markov; a derived field is Markov when all its inputs are."""
 
@@ -139,27 +193,27 @@ phi = 1 + 0.2*w1
         scn, path = self.fields()
         det = CoefficientField.of_tx(lambda t, X: np.cos(X[:, 0]), ())
         const = CoefficientField.constant(0.5)
-        det_kind, adapted_kind = "deterministic_fn_of_tx", "adapted_fn_of_txW"
-        cases = [((), det_kind, False), ((const,), det_kind, False),
-                 ((const, det), det_kind, False), ((scn.phi,), adapted_kind, True),
-                 ((scn.phi, det), adapted_kind, True), ((const, scn.phi), adapted_kind, True),
-                 ((path,), adapted_kind, False), ((scn.phi, path), adapted_kind, False),
-                 ((det, path), adapted_kind, False)]
+        # (inputs, is_deterministic, markov) of the derived field
+        cases = [((), True, False), ((const,), True, False), ((const, det), True, False),
+                 ((scn.phi,), False, True), ((scn.phi, det), False, True),
+                 ((const, scn.phi), False, True), ((path,), False, False),
+                 ((scn.phi, path), False, False), ((det, path), False, False)]
         X = np.linspace(-1.0, 1.0, 5)[:, None]
         hist = PathHistory.from_increments(np.array([[0.3], [-0.1]]), 0.25)
-        for inputs, kind, markov in cases:
+        for inputs, deterministic, markov in cases:
             seen = []
 
             def fn(t, X, history, inputs=inputs):
                 seen.append(history)
                 return sum(f.evaluate(t, X, history) for f in inputs) + 0.0 * X[:, 0]
             derived = CoefficientField.derived(fn, (), *inputs)
-            assert (derived.kind, derived.markov) == (kind, markov)
+            assert not derived.is_constant
+            assert (derived.is_deterministic, derived.markov) == (deterministic, markov)
             got = derived.evaluate(0.5, X, hist)
             want = sum(f.evaluate(0.5, X, hist) for f in inputs) + 0.0 * X[:, 0]
             assert got.tobytes() == want.tobytes()
             # a deterministic result is called without the history
-            assert seen == [None if kind == det_kind else hist]
+            assert seen == [None if deterministic else hist]
 
 
 class TestTimeFreeDeclaration:

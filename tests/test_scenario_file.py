@@ -37,6 +37,10 @@ a = 0.5
 phi = cos(x1)
 """
 
+# a 2-d MINIMAL whose a is a matrix literal written over lines 10 and 11
+TWO_ROWS = MINIMAL.replace("\nd = 1\n", "\nd = 2\n").replace(
+    "a = 0.5\n", "a = [[0.5, 0.0],\n     [0.0, 0.5]]\n")
+
 
 class TestMinimalFile:
     def test_scenario_fields(self):
@@ -103,7 +107,7 @@ class TestCoefficientForms:
     def test_constant_folding(self):
         text = MINIMAL.replace("phi = cos(x1)", "phi = 1 + 2*3")
         sc, _, _ = load_scenario_text(text)
-        assert sc.phi.kind == "deterministic_const"
+        assert sc.phi.is_constant
         assert np.allclose(sc.phi.evaluate(0.0, np.zeros((4, 1))), 7.0)
 
 
@@ -175,6 +179,9 @@ class TestParseErrors:
         (TINY_TEXT.replace("[discretization]", "[discretisation]"), 22, 1,
          r"unknown section \[discretisation\]"),
         (TINY_TEXT + "[DEFAULT]\nmodes = 8\n", 31, 1, r"unknown section \[DEFAULT\]"),
+        # the indented second row continues a's value: it opens no section
+        (TWO_ROWS.replace("]]\n", "]]\nb = [0.1, 0.1x]\n"), 12, 14, "unexpected token 'x'"),
+        (TWO_ROWS.replace("]]\n", "]]\nzeta = 1\n"), 12, 1, "zeta"),
     ])
     def test_bad_value_names_its_own_line(self, text, line, column, name):
         assert MINIMAL.count("\n") == 13 and TINY_TEXT.count("\n") == 30

@@ -673,7 +673,8 @@ class TestRegression:
 def declared_path_dependent(scenario):
     """The same scenario with every adapted field evaluated node by node."""
     return scenario.with_fields(**{
-        name: replace(getattr(scenario, name), markov=False)
+        name: replace(getattr(scenario, name),
+                      reads=getattr(scenario, name).reads - {"w"} | {"history"})
         for name in ("a", "b", "c", "sigma", "nu", "F", "phi")
         if not getattr(scenario, name).is_deterministic})
 
@@ -759,7 +760,7 @@ class TestMarkovFields:
         tree = build_tree(dim_w, steps, branching, 0.5)
         fields = LevelFields(markov_scenario(dim_w), tree, BASIS)
         for level in range(steps + 1):
-            reps, inverse = fields.groups(level, markov=True)
+            reps, inverse = fields.groups(level, {"w"})
             assert len(inverse) == tree.levels[level].n_nodes
             for i in range(len(inverse)):
                 ref = tree.history(level, i)
@@ -773,7 +774,8 @@ class TestMarkovFields:
         tree = build_tree(dim_w, n_steps, branching, scenario.horizon)
         fields = LevelFields(scenario, tree, BASIS)
         for level in range(n_steps + 1):
-            hists, inverse = fields.groups(level, markov=False)
+            assert fields.groups(level, {"t"}) == ([None], None)  # reads no history
+            hists, inverse = fields.groups(level, {"history"})
             assert np.array_equal(inverse, np.arange(tree.levels[level].n_nodes))
             assert len(hists) == tree.levels[level].n_nodes
             for node, h in enumerate(hists):
@@ -787,7 +789,7 @@ class TestMarkovFields:
         ens = sample_paths(1, 12, 30, 0.5, seed=8)
         fields = LevelFields(markov_scenario(1), ens, BASIS)
         for step in range(ens.n_steps + 1):
-            reps, inverse = fields.groups(step, markov=True)
+            reps, inverse = fields.groups(step, {"w"})
             for j in range(ens.n_paths):
                 assert reps[inverse[j]].w.tobytes() == ensemble_history(ens, j, step).w.tobytes()
 

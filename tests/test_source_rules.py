@@ -3,15 +3,18 @@
 import ast
 from pathlib import Path
 
-from bspde.scenario import FIELD_KINDS, FORMS
+from bspde.scenario import FORMS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bspde"
 
 # the dense oracle is the independent reference and walks nodes on purpose
 PER_NODE_ALLOWED = {"oracle.py"}
 # the scenario layer builds fields from callables; every other module derives
-# them with ``CoefficientField.derived``, which decides their kind
+# them with ``CoefficientField.derived``, which decides what they read
 FIELD_BUILDERS = {"scenario.py", "scenario_file.py"}
+# the field states what it reads and the engine groups a level's nodes by it;
+# every other module asks ``is_deterministic``, ``markov`` or ``t_free``
+READS_TESTERS = {"scenario.py", "solver.py"}
 # the assembly states each form's operator; the scenario validates its form
 FORM_READERS = {"space.py", "scenario.py"}
 
@@ -56,33 +59,43 @@ def test_no_per_node_loops_outside_the_oracle():
     assert package_findings(per_node_loops, PER_NODE_ALLOWED) == {}
 
 
-def adapted_calls_without_markov(source: str) -> list[int]:
-    """Line numbers of ``CoefficientField.adapted(...)`` calls without ``markov=``."""
+def field_calls_without_reads(source: str) -> list[int]:
+    """Line numbers of calls that build a field from a callable without
+    ``reads=``: ``CoefficientField(...)``, or ``cls(...)`` in the body of
+    ``class CoefficientField``, given ``fn=`` or a second positional argument."""
+    tree = ast.parse(source)
+    scopes = [(tree, "CoefficientField")] + [
+        (body, "cls") for body in ast.walk(tree)
+        if isinstance(body, ast.ClassDef) and body.name == "CoefficientField"]
     lines = []
-    for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "adapted"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "CoefficientField"
-                and not any(k.arg == "markov" for k in node.keywords)):
-            lines.append(node.lineno)
+    for scope, name in scopes:
+        for node in ast.walk(scope):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == name
+                    and ("fn" in {k.arg for k in node.keywords} or len(node.args) > 1)
+                    and not any(k.arg == "reads" for k in node.keywords)):
+                lines.append(node.lineno)
     return lines
 
 
-def test_detector_finds_adapted_calls_without_markov():
+def test_detector_finds_field_calls_without_reads():
     source = (
-        "f = CoefficientField.adapted(fn, shape)\n"
-        "g = CoefficientField.adapted(fn, shape, markov=src.markov)\n"
-        "h = CoefficientField.adapted(\n    fn, shape, **kw)\n"
-        "k = other.adapted(fn, shape)\n"
+        "f = CoefficientField(shape, fn=fn)\n"
+        "g = CoefficientField(shape, fn=fn, reads=frozenset({'w'}))\n"
+        "h = CoefficientField(\n    shape, fn)\n"
+        "k = CoefficientField(shape, value=v)\n"
+        "class CoefficientField:\n"
+        "    def of(cls, fn):\n        return cls((), fn=fn)\n"
+        "    def const(cls, v):\n        return cls((), value=v, reads=frozenset())\n"
+        "p = cls(t, dt, incs, w)\n"
     )
-    assert adapted_calls_without_markov(source) == [1, 3]
+    assert field_calls_without_reads(source) == [1, 3, 8]
 
 
-def test_every_adapted_field_in_the_package_declares_markov():
-    # a derived field that kept the default would silently fall back to
-    # evaluating once per tree node instead of once per Wiener state
-    assert package_findings(adapted_calls_without_markov) == {}
+def test_every_field_the_package_builds_from_a_callable_declares_reads():
+    # a field that kept the default would silently fall back to evaluating
+    # once per tree node and level instead of once per Wiener state
+    assert package_findings(field_calls_without_reads) == {}
 
 
 def calls_to(source: str, attrs: set, receiver: str | None = None) -> list[int]:
@@ -112,14 +125,24 @@ def test_detector_finds_field_constructors_and_history_walks():
         "hist = tree.history(level, node)\n"
         "hists = fields.histories(level)\n"
         "w = hist.history\n"
+        "m = CoefficientField(shape, fn=fn, reads=frozenset())\n"
     )
-    assert calls_to(source, {"adapted", "of_tx"}, "CoefficientField") == [1, 2]
+    assert field_builders(source) == [1, 2, 9]
     assert calls_to(source, {"history", "histories"}) == [6, 7]
 
 
+def field_builders(source: str) -> list[int]:
+    """Line numbers of ``CoefficientField.adapted(...)``, ``.of_tx(...)`` and
+    ``CoefficientField(...)`` calls."""
+    return sorted(calls_to(source, {"adapted", "of_tx"}, "CoefficientField") + [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "CoefficientField"])
+
+
 def test_only_the_scenario_layer_builds_fields_from_callables():
-    # a derived field built by hand could get its kind or ``markov`` wrong
-    assert package_calls({"adapted", "of_tx"}, FIELD_BUILDERS, "CoefficientField") == {}
+    # a derived field built by hand could get what it reads wrong
+    assert package_findings(field_builders, FIELD_BUILDERS) == {}
 
 
 def test_no_history_walks_outside_the_oracle():
@@ -182,27 +205,33 @@ def comparisons(source: str, match) -> list[int]:
     return lines
 
 
-def field_kind_comparisons(source: str) -> list[int]:
-    """Line numbers of comparisons with a ``FIELD_KINDS`` string as an operand."""
-    return comparisons(source, lambda op: isinstance(op, ast.Constant)
-                       and op.value in FIELD_KINDS)
+def reads_tests(source: str) -> list[int]:
+    """Line numbers of comparisons and set operations with an operand that
+    names what a field reads: an attribute ``<x>.reads`` or a name ``reads``."""
+    def names_reads(op):
+        return ((isinstance(op, ast.Attribute) and op.attr == "reads")
+                or (isinstance(op, ast.Name) and op.id == "reads"))
+    return sorted(set(comparisons(source, names_reads)) | {
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BinOp) and (names_reads(node.left) or names_reads(node.right))})
 
 
-def test_detector_finds_field_kind_comparisons():
+def test_detector_finds_tests_of_reads():
     source = (
-        'if field_.kind == "deterministic_const":\n    pass\n'
-        'ok = f.kind != "adapted_fn_of_txW"\n'
-        'both = kind in ("deterministic_fn_of_tx", "other")\n'
-        'if f.is_constant:\n    pass\n'
-        'name = "deterministic_const"\n'
-        'same = kind == other_kind\n'
+        'if "w" in field_.reads:\n    pass\n'
+        'ok = "t" not in reads\n'
+        'both = f.reads & {"w", "history"}\n'
+        'if f.is_deterministic and not f.t_free:\n    pass\n'
+        'g = replace(f, reads=frozenset())\n'
+        'same = reads_of(fields) == other\n'
     )
-    assert field_kind_comparisons(source) == [1, 3, 4]
+    assert reads_tests(source) == [1, 3, 4]
 
 
-def test_only_the_scenario_module_tests_field_kinds():
-    # every other module asks ``is_constant``, ``is_deterministic`` or ``is_zero``
-    assert package_findings(field_kind_comparisons, {"scenario.py"}) == {}
+def test_only_the_scenario_and_the_engine_test_what_a_field_reads():
+    # every other module asks ``is_deterministic``, ``markov``, ``t_free`` or
+    # ``is_constant``
+    assert package_findings(reads_tests, READS_TESTERS) == {}
 
 
 def form_comparisons(source: str) -> list[int]:
