@@ -87,7 +87,7 @@ def energy_audit(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
 
 
 def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
-                       basis: SpectralBasis, operators=None) -> Array:
+                       basis: SpectralBasis) -> Array:
     """Level-by-level defect of the discrete squared-norm balance.
 
     The expectation of the energy identity for the backward dynamics reads
@@ -99,15 +99,9 @@ def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerT
     defect at every level (index N is identically zero by construction).  For
     scenarios with L = M = F = 0 and data affine in the terminal Wiener value
     the discrete martingale isometry makes every entry vanish to round-off.
-
-    ``operators``, when given, is a callable ``level -> LevelOperators`` as
-    ``backward_solve`` takes it, replacing the scenario assembly.  This
-    admits manufactured generators (e.g. identically zero operators) that no
-    validated scenario can express.
     """
     N, dt = tree.n_steps, tree.dt
     fields = LevelFields(scenario, tree, basis)
-    operators = operators or fields.operators
     e_norm = np.array([solution.p.level_expected_norm_sq(k, 0) for k in range(N + 1)])
 
     pair_term = np.empty(N)
@@ -115,7 +109,7 @@ def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerT
     for level in range(N):
         prob = tree.levels[level].prob
         p, q = solution.p.levels[level], solution.q.levels[level]
-        drift = _generator(operators(level), p, q, fields.source(level))
+        drift = _generator(fields.operators(level), p, q, fields.source(level))
         pair_term[level] = _expectation(prob, np.real(np.sum(np.conj(p) * drift, axis=-1)))
         q_term[level] = solution.q.level_expected_norm_sq(level, 0)
 

@@ -76,16 +76,20 @@ class CoefficientField:
     deterministic and gets ``history=None``; one that reads ``"w"`` alone is
     Markov, so nodes with the same ``w`` bits share one evaluation; one that
     does not read ``"t"`` is t-free, so ``LevelFields.level_rows`` reads it
-    once per solve (or once per Wiener state), not once per level.  The
-    default, ``{"t", "history"}``, is safe for any library callable.
+    once per solve (or once per Wiener state), not once per level.  Left
+    out, ``reads`` is empty for a constant and ``{"t", "history"}``, safe
+    for any library callable, otherwise.
     """
 
     shape: tuple
     fn: Callable | None = None
     value: Array | None = None
-    reads: frozenset = frozenset({"t", "history"})
+    reads: frozenset | None = None
 
     def __post_init__(self):
+        if self.reads is None:
+            object.__setattr__(self, "reads", frozenset() if self.value is not None
+                               else frozenset({"t", "history"}))
         if not self.reads <= READS:
             raise StructuralError(f"a field reads only {sorted(READS)}, not {set(self.reads)}")
 
@@ -96,7 +100,7 @@ class CoefficientField:
             raise StructuralError(
                 f"constant coefficient has shape {value.shape}, declared {tuple(shape)}"
             )
-        return cls(value.shape, value=value, reads=frozenset())
+        return cls(value.shape, value=value)
 
     @classmethod
     def of_tx(cls, fn: Callable, shape: tuple = (),

@@ -1,4 +1,4 @@
-"""Scenario files: section-headed key=value text with embedded expressions.
+"""Scenario files: section-headed ``key = value`` text with embedded expressions.
 
 A file has sections ``[problem]`` (d, d1, T, L, K, kappa, form),
 ``[coefficients]`` (a, b, c, sigma, nu), ``[data]`` (F, phi), and optional
@@ -10,17 +10,17 @@ multiple of the identity pattern (diagonal fill), the usual shorthand for
 isotropic coefficients.
 
 A :class:`ParseError` carries the line and column in the file: of the bad
-value, of the bad token inside an expression or matrix literal, of an
-unknown key, or of the header of an unknown section (``[DEFAULT]`` included)
-or of a section that misses a required key.
+value, of the bad token inside a value (on whichever of its lines it
+stands), of a line that is not ``key = value``, of an unknown or repeated
+key, or of the header of an unknown or repeated section (``[DEFAULT]``
+included) or of a section that misses a required key.
 """
 
 from __future__ import annotations
 
-import configparser
 import io
+import re
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +30,10 @@ from .expr import evaluate, parse_expression, variables_in
 from .scenario import (FORMS, CoefficientField, ModulusOfContinuity, Scenario,
                        field_shapes, validate)
 
-PROBLEM_KEYS = ("d", "d1", "T", "L", "K", "kappa", "form")
 COEFFICIENT_KEYS = ("a", "b", "c", "sigma", "nu")
 DATA_KEYS = ("F", "phi")
-DISCRETIZATION_KEYS = ("modes", "steps", "branching", "paths", "seed")
-SECTIONS = ("problem", "coefficients", "data", "discretization", "run")
+_HEADER = re.compile(r"\[(.+)\]")  # a section is named by the text up to its last ``]``
+_COMMENT = re.compile(r"(?<!\S)#")  # a ``#`` that opens the line or follows a blank
 
 
 @dataclass(frozen=True)
@@ -62,50 +61,59 @@ class RunConfig:
     smoothing: tuple = (4, 8, 16)
 
 
-def _value_positions(text: str) -> dict:
-    """(line, column) of the value of every ``key = value`` entry, by
-    ``(section, key)``, and of every section header, by ``(section, None)``,
-    else (1, 1); ``configparser`` keeps no positions.  As there, a line
-    indented deeper than the key line above it continues that key's value."""
-    positions, section, key_indent = defaultdict(lambda: (1, 1)), None, np.inf
-    for number, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        indent = len(line) - len(line.lstrip())
-        if not stripped or stripped.startswith(";") or indent > key_indent:
-            continue  # a blank line, a comment or a continued value
-        if stripped.startswith("[") and stripped.endswith("]"):
-            section, key_indent = stripped[1:-1], np.inf
-            positions.setdefault((section, None), (number, 1))
-        elif "=" in stripped:
-            key, value = line.split("=", 1)
-            column = len(line) - len(value.lstrip()) + 1
-            positions.setdefault((section, key.strip()), (number, column))
-            key_indent = indent
-    return positions
+def _locate(value: str, offset: int, line: int, column: int) -> tuple:
+    """(line, column) in the file of ``value[offset]``, for a value that
+    starts at (line, column) and whose later lines are kept as written."""
+    head = value[:offset]
+    newlines = head.count("\n")
+    return line + newlines, (offset - head.rfind("\n") if newlines else column + offset)
 
 
-def _section(parser, name: str, allowed, required, positions: dict) -> dict:
-    """The entries of ``[name]`` (none if it is absent), refused at the line
-    of an unknown key or, when a required key is missing, at the header."""
-    entries = dict(parser.items(name)) if parser.has_section(name) else {}
-    unknown = set(entries) - set(allowed)
-    if unknown:
-        line = min(positions[(name, key)][0] for key in unknown)
-        raise ParseError(f"unknown [{name}] keys: {sorted(unknown)}", line, 1)
-    for key in required:
-        if key not in entries:
-            raise ParseError(f"[{name}] is missing {key!r}" if name == "problem"
-                             else f"[{name}] must declare {key}",
-                             *positions[(name, None)])
-    return entries
+def _read(text: str) -> tuple:
+    """The entries ``{section: {key: value}}`` of scenario text, and the
+    (line, column) in the file of every value, by ``(section, key)``, and of
+    every section header, by ``(section, None)``.
 
-
-def _num(section: str, key: str, raw: str, cast, positions: dict):
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ParseError(f"bad value for {section}.{key}: {raw!r}",
-                         *positions[(section, key)]) from None
+    A line whose first non-blank is ``#`` or ``;`` is a comment, as is the
+    rest of a line from a ``#`` that opens it or follows a blank, and ``=``
+    is the only delimiter.  A line indented deeper than the key line above
+    it continues that key's value and is kept as written (a blank or comment
+    line as an empty one), so a position inside a value is its place in the
+    file; a value starts at its first non-blank character.  A key or a
+    section given twice, a key before any section and a line that is not
+    ``key = value`` are refused at their line.
+    """
+    sections, places, value, section, key_indent = {}, {}, [], None, np.inf
+    for number, line in enumerate(text.split("\n"), 1):
+        content = "" if line.lstrip().startswith(";") else _COMMENT.split(line, 1)[0].rstrip()
+        indent = len(content) - len(content.lstrip())
+        if not content or indent > key_indent:
+            value.append(content)  # a blank is kept too, so the value's lines stay the file's
+            continue
+        stripped, key_indent, value = content.strip(), indent, []
+        header = _HEADER.match(stripped)
+        key, equals, rest = (part.strip() for part in stripped.partition("="))
+        if header:  # a section opens with no value to continue
+            section, key_indent = header[1], np.inf
+            if section in sections:
+                raise ParseError(f"section [{section}] is given twice", number, indent + 1)
+            sections[section], places[section, None] = {}, (number, indent + 1)
+        elif section is None:
+            raise ParseError(f"{stripped!r} precedes every section", number, indent + 1)
+        elif not (equals and key):
+            raise ParseError(f"expected 'key = value', got {stripped!r}", number, indent + 1)
+        elif key in sections[section]:
+            raise ParseError(f"[{section}] gives {key!r} twice", number, indent + 1)
+        else:
+            value = sections[section][key] = [rest]
+            places[section, key] = (number, len(content) - len(rest) + 1)
+    for (section, key), (line, column) in places.items():
+        if key is not None:
+            joined = "\n".join(sections[section][key]).rstrip()
+            start = len(joined) - len(joined.lstrip())
+            places[section, key] = _locate(joined, start, line, column)
+            sections[section][key] = joined[start:]
+    return sections, places
 
 
 def _smoothing(raw: str) -> tuple:
@@ -122,6 +130,40 @@ def _form(raw: str) -> str:
     if raw not in FORMS:
         raise ValueError(raw)
     return raw
+
+
+# every section, and the cast that reads each of its keys
+_CASTS = {
+    "problem": {"d": int, "d1": int, "T": float, "L": float, "K": float,
+                "kappa": float, "form": _form},
+    "coefficients": dict.fromkeys(COEFFICIENT_KEYS, str),
+    "data": dict.fromkeys(DATA_KEYS, str),
+    "discretization": dict.fromkeys(("modes", "steps", "branching", "paths", "seed"), int),
+    "run": {"theta": float, "tol": float, "smoothing": _smoothing},
+}
+
+
+def _section(entries: dict, places: dict, name: str, required=()) -> dict:
+    """The values of ``[name]`` (none if it is absent), each read by its cast
+    in ``_CASTS``; refused at the line of an unknown key, at a value its cast
+    refuses or, when a required key is missing, at the header."""
+    section, casts = entries.get(name, {}), _CASTS[name]
+    unknown = [key for key in section if key not in casts]
+    if unknown:
+        raise ParseError(f"unknown [{name}] keys: {sorted(unknown)}",
+                         places[name, unknown[0]][0], 1)
+    for key in required:
+        if key not in section:
+            raise ParseError(f"[{name}] is missing {key!r}" if name == "problem"
+                             else f"[{name}] must declare {key}", *places[name, None])
+    values = {}
+    for key, raw in section.items():
+        try:
+            values[key] = casts[key](raw)
+        except ValueError:
+            raise ParseError(f"bad value for {name}.{key}: {raw!r}",
+                             *places[name, key]) from None
+    return values
 
 
 def _parse_matrix_literal(text: str) -> list:
@@ -196,12 +238,12 @@ def _build_field(name: str, raw: str, shape: tuple, dim_x: int,
     asts = np.empty(shape, dtype=object)
     for idx in np.ndindex(shape):
         src = entries[idx]
-        offset = column - 1 + len(src) - len(src.lstrip())  # before the entry's text
         try:
             asts[idx] = parse_expression(src.strip(), variables)
-        except ParseError as e:
-            raise ParseError(f"{where}: {e.bare_message}", line + e.line - 1,
-                             e.column + (offset if e.line == 1 else 0)) from None
+        except ParseError as e:  # the entry starts where its leading blanks end
+            at_line, at_column = _locate(raw, len(src) - len(src.lstrip()), line, column)
+            raise ParseError(f"{where}: {e.bare_message}", at_line + e.line - 1,
+                             e.column + (at_column - 1 if e.line == 1 else 0)) from None
     names = set().union(*(variables_in(a) for a in asts.flat))
     if not names:  # constant fold
         vals = [float(evaluate(a, {})) for a in asts.flat]
@@ -209,18 +251,6 @@ def _build_field(name: str, raw: str, shape: tuple, dim_x: int,
     # the evaluator reads the history only through history.w
     reads = frozenset({"t"} & names | {"w" for n in names if n.startswith("w")})
     return CoefficientField(shape, fn=_make_evaluator(asts, shape, dim_x), reads=reads)
-
-
-def _read_ini(text: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(
-        delimiters=("=",), comment_prefixes=("#", ";"),
-        inline_comment_prefixes=("#",), interpolation=None)
-    parser.optionxform = str
-    try:
-        parser.read_string(text)
-    except configparser.Error as e:
-        raise ParseError(str(e).splitlines()[0], getattr(e, "lineno", 1) or 1, 1) from None
-    return parser
 
 
 def default_modulus(bound_K: float) -> ModulusOfContinuity:
@@ -252,50 +282,34 @@ def load_scenario_text(text: str, strict: bool = False):
 
 def _load(text: str, strict: bool):
     """Both public loaders, which call it directly; its warning names their caller."""
-    parser = _read_ini(text)
-    positions = _value_positions(text)
-    # configparser lets [DEFAULT] keys into every section, and a misspelt
-    # section would be read as absent, so every other header is refused
-    headers = set(parser.sections()) | {parser.default_section}
-    unknown = sorted((pos, name) for (name, key), pos in positions.items()
-                     if key is None and name in headers - set(SECTIONS))
+    entries, places = _read(text)
+    unknown = [name for name in entries if name not in _CASTS]
     if unknown:
-        (line, column), name = unknown[0]
-        raise ParseError(f"unknown section [{name}]; expected one of {list(SECTIONS)}",
-                         line, column)
+        raise ParseError(f"unknown section [{unknown[0]}]; expected one of {list(_CASTS)}",
+                         *places[unknown[0], None])
     for section in ("problem", "coefficients", "data"):
-        if not parser.has_section(section):
+        if section not in entries:
             raise ParseError(f"missing required section [{section}]", 1, 1)
 
-    prob = _section(parser, "problem", PROBLEM_KEYS,
-                    ("d", "d1", "T", "L", "K", "kappa"), positions)
-    d, d1 = (_num("problem", key, prob[key], int, positions) for key in ("d", "d1"))
-    horizon, halfwidth, bound_K, kappa = (_num("problem", key, prob[key], float, positions)
-                                          for key in ("T", "L", "K", "kappa"))
-    form = _num("problem", "form", prob.get("form", "non_divergence").strip(), _form,
-                positions)
-
+    prob = _section(entries, places, "problem", ("d", "d1", "T", "L", "K", "kappa"))
+    d, d1 = prob["d"], prob["d1"]
     variables = {"t"} | {f"x{i + 1}" for i in range(d)} | {f"w{k + 1}" for k in range(d1)}
     shapes = field_shapes(d, d1)
-    raws = {**_section(parser, "coefficients", COEFFICIENT_KEYS, ("a",), positions),
-            **_section(parser, "data", DATA_KEYS, ("phi",), positions)}
-
-    sources = {name: raws[name].strip() for name in COEFFICIENT_KEYS + DATA_KEYS
-               if name in raws}
-    fields = {}
-    for name in COEFFICIENT_KEYS + DATA_KEYS:
-        section = "data" if name in DATA_KEYS else "coefficients"
-        fields[name] = (_build_field(name, sources[name], shapes[name], d, variables,
-                                     positions[(section, name)])
-                        if name in sources else CoefficientField.zero(shapes[name]))
+    sources = {**_section(entries, places, "coefficients", ("a",)),
+               **_section(entries, places, "data", ("phi",))}
+    fields = {name: _build_field(name, sources[name], shapes[name], d, variables,
+                                 places["data" if name in DATA_KEYS else "coefficients", name])
+              if name in sources else CoefficientField.zero(shapes[name])
+              for name in COEFFICIENT_KEYS + DATA_KEYS}
 
     scenario = Scenario(
-        dim_x=d, dim_w=d1, horizon=horizon, domain_halfwidth=halfwidth,
+        dim_x=d, dim_w=d1, horizon=prob["T"], domain_halfwidth=prob["L"],
         a=fields["a"], b=fields["b"], c=fields["c"], sigma=fields["sigma"],
-        nu=fields["nu"], F=fields["F"], phi=fields["phi"],
-        bound_K=bound_K, ellipticity_kappa=kappa, form=form, sources=sources)
+        nu=fields["nu"], F=fields["F"], phi=fields["phi"], bound_K=prob["K"],
+        ellipticity_kappa=prob["kappa"], form=prob.get("form", "non_divergence"),
+        sources=sources)
 
-    report = validate(scenario, default_modulus(bound_K))
+    report = validate(scenario, default_modulus(prob["K"]))
     scenario.validation = report
     if not report.all_ok:
         msg = ("scenario fails the standing-assumption audit "
@@ -306,26 +320,8 @@ def _load(text: str, strict: bool):
             raise ScenarioValidationError(msg, report)
         warnings.warn(msg, stacklevel=3)
 
-    disc = _section(parser, "discretization", DISCRETIZATION_KEYS, (), positions)
-    disc_config = DiscretizationConfig(**{
-        key: _num("discretization", key, disc[key], int, positions)
-        for key in DISCRETIZATION_KEYS if key in disc})
-
-    casts = {"theta": float, "tol": float, "smoothing": _smoothing}
-    run = _section(parser, "run", casts, (), positions)
-    return scenario, disc_config, RunConfig(**{
-        key: _num("run", key, run[key], cast, positions)
-        for key, cast in casts.items() if key in run})
-
-
-def _format_constant(field_: CoefficientField) -> str:
-    v = field_.value
-    if v.ndim == 0:
-        return repr(float(v))
-    if v.ndim == 1:
-        return "[" + ", ".join(repr(float(x)) for x in v) + "]"
-    rows = ("[" + ", ".join(repr(float(x)) for x in row) + "]" for row in v)
-    return "[" + ", ".join(rows) + "]"
+    return (scenario, DiscretizationConfig(**_section(entries, places, "discretization")),
+            RunConfig(**_section(entries, places, "run")))
 
 
 def serialize_scenario(scenario: Scenario, disc: DiscretizationConfig | None = None,
@@ -356,7 +352,7 @@ def serialize_scenario(scenario: Scenario, disc: DiscretizationConfig | None = N
         if name in sources:
             return sources[name]
         if field_.is_constant:
-            return _format_constant(field_)
+            return repr(field_.value.tolist())
         raise StructuralError(
             f"field {name!r} is a function with no retained source text")
 

@@ -117,8 +117,7 @@ class TestEnergyAudit:
 
 class TestItoIdentity:
     def test_zero_generator_is_exact(self):
-        # identically zero operators are outside the validated scenario class;
-        # the override lets the identity be checked in the exactly-solvable case
+        # all-zero coefficients give zero operators: the exactly-solvable case
         tree = build_tree(1, 4, 2, 0.5)
         ghat = BASIS.project(np.sin(BASIS.grid_points[:, 0]))
         n = BASIS.n_modes
@@ -129,8 +128,7 @@ class TestItoIdentity:
             zops,
             lambda level: np.zeros((1, n)),
         )
-        sc = cos_scenario()  # ignored when operators are supplied
-        defects = ito_identity_check(sol, sc, tree, BASIS, operators=zops)
+        defects = ito_identity_check(sol, make_scenario(a=0.0), tree, BASIS)
         assert np.max(np.abs(defects)) < 1e-12
 
     def test_martingale_energy_grows_linearly(self):

@@ -97,6 +97,10 @@ class TestReads:
         "adapted-markov-t_free": (CoefficientField.adapted(_txh, (), True, True), {"w"},
                                   False, True, True),
         "default": (CoefficientField((), fn=_txh), {"t", "history"}, False, False, False),
+        # a field given a value and no reads is a constant; a stated reads is kept
+        "value": (CoefficientField((), value=np.array(0.1)), set(), True, False, True),
+        "value-reads": (CoefficientField((), value=np.array(0.1), reads=frozenset({"t"})),
+                        {"t"}, True, False, False),
     }
 
     @pytest.mark.parametrize("name", CONSTRUCTORS)

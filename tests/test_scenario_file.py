@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from bspde import (
+    EvalError,
     MollifierConfig,
     ParseError,
+    PathHistory,
     ScenarioValidationError,
     SpectralBasis,
     StructuralError,
@@ -21,7 +23,8 @@ from bspde import (
 )
 from helpers import make_scenario
 
-TINY_TEXT = (Path(__file__).parent / "data" / "tiny.scn").read_text(encoding="utf-8")
+DATA = Path(__file__).parent / "data"
+TINY_TEXT = (DATA / "tiny.scn").read_text(encoding="utf-8")
 MINIMAL = """[problem]
 d = 1
 d1 = 1
@@ -40,6 +43,9 @@ phi = cos(x1)
 # a 2-d MINIMAL whose a is a matrix literal written over lines 10 and 11
 TWO_ROWS = MINIMAL.replace("\nd = 1\n", "\nd = 2\n").replace(
     "a = 0.5\n", "a = [[0.5, 0.0],\n     [0.0, 0.5]]\n")
+# MINIMAL whose phi is written over lines 13 to 15
+THREE_LINES = MINIMAL.replace("phi = cos(x1)",
+                              "phi = cos(x1) +\n      0.5*sin(x1) +\n      0.25")
 
 
 class TestMinimalFile:
@@ -182,6 +188,25 @@ class TestParseErrors:
         # the indented second row continues a's value: it opens no section
         (TWO_ROWS.replace("]]\n", "]]\nb = [0.1, 0.1x]\n"), 12, 14, "unexpected token 'x'"),
         (TWO_ROWS.replace("]]\n", "]]\nzeta = 1\n"), 12, 1, "zeta"),
+        # every line of a value keeps its place, so a bad token is named where it stands
+        (MINIMAL.replace("phi = cos(x1)", "phi = cos(x1) +\n      2 $ 1"), 14, 9,
+         r"unexpected character '\$'"),
+        (TWO_ROWS.replace("0.5]]", "0.5x]]"), 11, 15, "unexpected token 'x'"),
+        (TWO_ROWS.replace("[[0.5,", "[[0.5x,"), 10, 10, "unexpected token 'x'"),
+        (THREE_LINES.replace("cos(x1) +", "cos(x1)$ +"), 13, 14, r"'\$'"),
+        (THREE_LINES.replace("sin(x1) +", "sin(x1)$ +"), 14, 18, r"'\$'"),
+        (THREE_LINES.replace("      0.25", "      0.25$"), 15, 11, r"'\$'"),
+        (TWO_ROWS.replace("0.0],\n", "0.0],\n# the second row\n").replace("0.5]]", "0.5x]]"),
+         12, 15, "unexpected token 'x'"),
+        (TWO_ROWS.replace("0.0],\n", "0.0],\n\n").replace("0.5]]", "0.5x]]"),
+         12, 15, "unexpected token 'x'"),
+        # lines the reader refuses
+        (MINIMAL.replace("a = 0.5\n", "a = 0.5\nb [0.1]\n"), 11, 1, "'key = value'"),
+        (MINIMAL.replace("a = 0.5\n", "a = 0.5\nb: [0.1]\n"), 11, 1, "'key = value'"),
+        (MINIMAL.replace("a = 0.5\n", "a = 0.5\na = 0.6\n"), 11, 1, "gives 'a' twice"),
+        (MINIMAL + "[data]\nF = 1\n", 14, 1, r"section \[data\] is given twice"),
+        ("d = 1\n" + MINIMAL, 1, 1, "precedes every section"),
+        (MINIMAL + "[DEFAULT]\nmodes = 8\n", 14, 1, r"unknown section \[DEFAULT\]"),
     ])
     def test_bad_value_names_its_own_line(self, text, line, column, name):
         assert MINIMAL.count("\n") == 13 and TINY_TEXT.count("\n") == 30
@@ -282,6 +307,36 @@ class TestRoundTrip:
         assert sc2.form == "divergence"
         x = np.linspace(-3, 3, 9).reshape(-1, 1)
         assert np.array_equal(sc.a.evaluate(0.1, x), sc2.a.evaluate(0.1, x))
+
+    # every file that loads, and one with a value over two lines
+    LOADING = {"two-rows": TWO_ROWS, **{
+        path.name: path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.scn"))
+        if path.name != "bad_parse.scn"}}
+
+    @pytest.mark.parametrize("name", LOADING)
+    def test_reload_keeps_the_sources_and_the_scenario(self, name):
+        text = self.LOADING[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # bad_valid.scn fails the audit
+            sc, disc, run = load_scenario_text(text)
+            sc2, disc2, run2 = load_scenario_text(serialize_scenario(sc, disc, run))
+        assert sc2.sources == sc.sources and (disc2, run2) == (disc, run)
+        names = ("dim_x", "dim_w", "horizon", "domain_halfwidth", "bound_K",
+                 "ellipticity_kappa", "form")
+        assert [getattr(sc2, n) for n in names] == [getattr(sc, n) for n in names]
+        x = np.linspace(-1, 1, 3 * sc.dim_x).reshape(3, sc.dim_x)
+        hist = PathHistory.from_increments(np.full((2, sc.dim_w), 0.3), dt=0.25)
+        for field in ("a", "b", "c", "sigma", "nu", "F", "phi"):
+            f, f2 = getattr(sc, field), getattr(sc2, field)
+            assert f2.reads == f.reads
+            assert np.array_equal(f2.evaluate(0.5, x, hist), f.evaluate(0.5, x, hist)), field
+
+    def test_eval_error_span_is_measured_from_the_start_of_the_entry(self):
+        text = TWO_ROWS.replace("0.5]]\n", "0.5]]\nb = [0.1,\n     0.2 + 1/(t - 2)]\n")
+        sc, _, _ = load_scenario_text(text)
+        with pytest.raises(EvalError, match="division by zero") as caught:
+            sc.b.evaluate(2.0, np.zeros((1, 2)))
+        assert "0.2 + 1/(t - 2)"[slice(*caught.value.span)] == "1/(t - 2)"
 
     def test_adapted_scenario_round_trip(self):
         from bspde import PathHistory

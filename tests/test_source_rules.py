@@ -640,3 +640,43 @@ def test_every_operator_is_formed_by_one_grid_product():
     space = (SRC / "space.py").read_text(encoding="utf-8")
     assert lines_outside(space, ANALYSIS_SITES, analyses) == []
     assert len(lines_outside(space, set(), analyses)) == 2
+
+
+def text_readers(source: str, reader: str | None = None) -> list[int]:
+    """Line numbers of ``configparser`` imports and of calls that split text
+    into lines (``.splitlines()``, ``.split("\\n")``) outside the function
+    named ``reader``."""
+    tree = ast.parse(source)
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == reader for node in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                   else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if any(m.split(".")[0] == "configparser" for m in modules) or (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and id(node) not in exempt
+                and (node.func.attr == "splitlines" or node.func.attr == "split" and node.args
+                     and isinstance(node.args[0], ast.Constant) and node.args[0].value == "\n")):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_detector_finds_configparser_and_line_splits():
+    source = (
+        "import configparser\n"
+        "from configparser import ConfigParser\n"
+        "lines = text.splitlines()\n"
+        "head = text.split('\\n', 1)[0]\n"
+        "parts = raw.split(',')\n"
+        "def _read(text):\n    return text.split('\\n')\n"
+    )
+    assert text_readers(source) == [1, 2, 3, 4, 7]
+    assert text_readers(source, "_read") == [1, 2, 3, 4]
+
+
+def test_only_the_scenario_reader_splits_scenario_text_into_lines():
+    # the layout of a scenario file is stated once, in ``scenario_file._read``
+    source = (SRC / "scenario_file.py").read_text(encoding="utf-8")
+    assert text_readers(source) and text_readers(source, "_read") == []
+    assert package_findings(text_readers, {"scenario_file.py"}) == {}
