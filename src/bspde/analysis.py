@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -110,7 +111,7 @@ def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerT
         prob = tree.levels[level].prob
         p, q = solution.p.levels[level], solution.q.levels[level]
         drift = _generator(fields.operators(level), p, q, fields.source(level))
-        pair_term[level] = _expectation(prob, np.real(np.sum(np.conj(p) * drift, axis=-1)))
+        pair_term[level] = _expectation(prob, np.sum(p * drift, axis=-1))
         q_term[level] = solution.q.level_expected_norm_sq(level, 0)
 
     defects = np.zeros(N + 1)
@@ -144,8 +145,7 @@ class PositivityReport:
 
 def _negpart_integral(values: Array, volume: float):
     """Unnormalised torus integral of (v^-)^2, per row of grid values."""
-    neg = np.minimum(values.real, 0.0)
-    return np.mean(neg ** 2, axis=-1) * volume
+    return np.mean(np.minimum(values, 0.0) ** 2, axis=-1) * volume
 
 
 def positivity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
@@ -158,7 +158,7 @@ def positivity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTre
     min_value, max_abs_value = math.inf, 0.0
     negpart = np.zeros(N + 1)
     for level in range(N + 1):
-        vals = basis.reconstruct(solution.p.levels[level]).real
+        vals = basis.reconstruct(solution.p.levels[level])
         min_value = min(min_value, float(vals.min()))
         max_abs_value = max(max_abs_value, float(np.abs(vals).max()))
         negpart[level] = _expectation(tree.levels[level].prob,
@@ -259,33 +259,32 @@ def mollify(scenario: Scenario, config: MollifierConfig,
     grid and renormalised to unit discrete mass, so the periodic convolution
     is a convex combination of shifted samples: bounds and moduli of
     continuity survive, and constant fields are fixed points.  The basis
-    diagonalises that convolution: it is applied as the kernel's Fourier
-    multiplier on the projected grid samples, and a request off the grid is
-    answered by trigonometric interpolation of the result.  A radius below
+    diagonalises that symmetric convolution: it is applied as the kernel's
+    Fourier multiplier on the projected grid samples, and a request off the
+    grid is answered by trigonometric interpolation of the result.  A radius below
     the grid spacing raises ``DegenerateKernelError``.
     """
     shifts, weights = _kernel_shifts(basis, config)
-    # sum_j w_j u(x - y_j) multiplies the coefficient of mode k by sum_j w_j e^{-i k y_j}
-    symbol = np.exp(-1j * basis.freqs @ shifts.T) @ weights
+    # the symbol of sum_j w_j u(x - y_j) is sum_j w_j cos(k y_j): the kernel is symmetric
+    symbol = np.cos(basis.freqs @ shifts.T) @ weights
     # convolution fixes constants exactly
     return scenario.with_fields(**{
-        name: src if src.is_constant else _multiplier_field(src, symbol, basis)
+        name: src if src.is_constant else _multiplier_field(src, lambda c: symbol * c, basis)
         for name, src in (("a", scenario.a), ("sigma", scenario.sigma))})
 
 
-def _multiplier_field(src: CoefficientField, symbol: Array,
-                      basis: SpectralBasis) -> CoefficientField:
-    """The field whose coefficients are ``symbol`` times those of ``src``'s grid
-    samples: reconstructed on the grid, trigonometrically interpolated off it
-    (a smoothing kernel's symbol, or a derivative's)."""
+def _multiplier_field(src: CoefficientField, apply, basis: SpectralBasis) -> CoefficientField:
+    """The field whose coefficients are ``apply`` (a map of coefficient rows) of
+    those of ``src``'s grid samples: reconstructed on the grid, interpolated
+    off it (a smoothing kernel's multiplier, or a derivative)."""
     grid = basis.grid_points
 
     def fn(t, X, history):
         vals = src.evaluate(t, grid, history)
-        coeffs = symbol * basis.project(vals.reshape(len(vals), -1)).T
+        coeffs = apply(basis.project(vals.reshape(len(vals), -1)).T)
         on_grid = X.shape == grid.shape and np.array_equal(X, grid)
         out = basis.reconstruct(coeffs) if on_grid else basis.evaluate_at(coeffs, X)
-        return out.T.real.reshape((len(X),) + src.shape)
+        return out.T.reshape((len(X),) + src.shape)
     return CoefficientField.derived(fn, src.shape, src)
 
 
@@ -337,10 +336,12 @@ def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: Spectra
     the base solution.
     """
     scheme = scheme or SchemeConfig()
-    alpha_mult = basis.derivative_multiplier(alpha.alpha)
+    if len(alpha.alpha) != basis.dim_x:
+        raise StructuralError("multi-index length must equal dim_x")
     if alpha.order == 0 or alpha.order > _MAX_ORDER:
         raise StructuralError(
             f"multi-index order must be in 1..{_MAX_ORDER}, got {alpha.order}")
+    D = partial(basis.derivative, alpha.alpha)  # D^alpha of coefficient rows
 
     if base is None:
         base = solve_tree(scenario, tree, basis, scheme)
@@ -355,27 +356,27 @@ def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: Spectra
     terms = []  # (C(alpha, beta), the D^beta scenario, D^{alpha - beta})
     for beta, coef in alpha.sub_indices():
         if any(beta):
-            symbol = basis.derivative_multiplier(beta)
             scn = scenario.with_fields(**{
-                name: zero(f.shape) if f.is_constant else _multiplier_field(f, symbol, basis)
+                name: zero(f.shape) if f.is_constant
+                else _multiplier_field(f, partial(basis.derivative, beta), basis)
                 for name, f in coeffs.items()})
         else:  # the top order at beta = 0 is the derived operator's
             scn = without("a", "sigma")
         if not all(f.is_zero for f in scn.coefficient_fields().values()):  # else it adds 0
-            terms.append((coef, scn, basis.derivative_multiplier(
-                tuple(a - b for a, b in zip(alpha.alpha, beta)))))
+            terms.append((coef, scn, partial(basis.derivative,
+                                             tuple(a - b for a, b in zip(alpha.alpha, beta)))))
 
     def source(level):
         p, q = base.p.levels[level], base.q.levels[level]
-        out = alpha_mult * fields.source(level)
-        for coef, scn, mult in terms:
-            out = out + coef * _generator(fields.operators(level, scn), mult * p, mult * q, 0)
+        out = D(fields.source(level))
+        for coef, scn, Dg in terms:
+            out = out + coef * _generator(fields.operators(level, scn), Dg(p), Dg(q), 0)
         return out
 
-    derived = backward_solve(tree, basis, scheme, alpha_mult * fields.terminal(),
+    derived = backward_solve(tree, basis, scheme, D(fields.terminal()),
                              lambda level: fields.operators(level, top_scn), source)
 
-    diff_levels = [derived.p.levels[k] - alpha_mult[None, :] * base.p.levels[k]
+    diff_levels = [derived.p.levels[k] - D(base.p.levels[k])
                    for k in range(len(derived.p.levels))]
     diff = AdaptedField(tree, basis, diff_levels)
     defect = float(np.sqrt(diff.time_norm_sq(0)))

@@ -250,7 +250,7 @@ def _fields_csv(solution, tree, basis):
         while lo < n:
             hi = min(n, lo + per_block - len(prefixes))
             # a stack of one-row products: a level-wide matrix product moves last digits
-            values.append(np.stack([basis.reconstruct(c[lo:hi, None])[:, 0].real
+            values.append(np.stack([basis.reconstruct(c[lo:hi, None])[:, 0]
                                     for c in coeffs], axis=-1))
             prefixes += [f"{level},{node}," for node in range(lo, hi)]
             lo = hi

@@ -35,10 +35,10 @@ def solve_dense(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
     # first row of each level's block: nodes are stored level after level
     starts = nm * np.cumsum([0] + [lev.n_nodes for lev in tree.levels])
     n = int(starts[-1])
-    check_bytes(n ** 2 * 16, f"the dense system of {n} unknowns")
+    check_bytes(n ** 2 * 8, f"the dense system of {n} unknowns")
 
-    A = np.eye(n, dtype=complex)
-    rhs = np.zeros(n, dtype=complex)
+    A = np.eye(n)
+    rhs = np.zeros(n)
     X = basis.grid_points
     eye = np.eye(nm)
 
@@ -72,7 +72,7 @@ def solve_dense(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
     q_levels = []
     for level in range(N):
         nxt = tree.levels[level + 1]
-        q = np.empty((tree.levels[level].n_nodes, tree.dim_w, nm), dtype=complex)
+        q = np.empty((tree.levels[level].n_nodes, tree.dim_w, nm))
         for node in range(tree.levels[level].n_nodes):
             sl = tree.children_slice(level, node)
             wdw = nxt.weights[sl, None] * nxt.increments[sl]

@@ -32,7 +32,7 @@ from .scenario import (FORMS, CoefficientField, ModulusOfContinuity, Scenario,
 
 COEFFICIENT_KEYS = ("a", "b", "c", "sigma", "nu")
 DATA_KEYS = ("F", "phi")
-_HEADER = re.compile(r"\[(.+)\]")  # a section is named by the text up to its last ``]``
+_HEADER = re.compile(r"\[(.+)\]")  # a header line is ``[name]``, with nothing after it
 _COMMENT = re.compile(r"(?<!\S)#")  # a ``#`` that opens the line or follows a blank
 
 
@@ -91,7 +91,7 @@ def _read(text: str) -> tuple:
             value.append(content)  # a blank is kept too, so the value's lines stay the file's
             continue
         stripped, key_indent, value = content.strip(), indent, []
-        header = _HEADER.match(stripped)
+        header = _HEADER.fullmatch(stripped)
         key, equals, rest = (part.strip() for part in stripped.partition("="))
         if header:  # a section opens with no value to continue
             section, key_indent = header[1], np.inf
@@ -154,8 +154,7 @@ def _section(entries: dict, places: dict, name: str, required=()) -> dict:
                          places[name, unknown[0]][0], 1)
     for key in required:
         if key not in section:
-            raise ParseError(f"[{name}] is missing {key!r}" if name == "problem"
-                             else f"[{name}] must declare {key}", *places[name, None])
+            raise ParseError(f"[{name}] is missing {key!r}", *places[name, None])
     values = {}
     for key, raw in section.items():
         try:

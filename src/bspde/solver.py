@@ -13,16 +13,16 @@ the noise coupling.
 One loop, ``_backward``, runs the recursion a whole level at a time on any
 filtration, which supplies its ``expect`` step: the exact child sums of a
 tree (``WienerTree.expectations``), or the projections of a path ensemble on
-its regression design, one real QR per step (``_fit``).  ``LevelFields``
+its regression design, one QR per step (``_fit``).  ``LevelFields``
 supplies a level's source as a stacked array and its operators as one
 ``LevelOperators``: matrix rows plus each node's row, with one shared row
 for deterministic fields, one per distinct Wiener state for Markov fields and
 one per node otherwise.  ``_level_step`` applies a shared row's inverse
 (I - theta dt L)^-1 to the whole level as one matrix product, and the
-provider keeps that inverse for the whole solve when the row is t-free; it
-solves the level with one stacked solve when every node has its own row, and
-otherwise with one factorisation per row for all of its nodes.  With a
-shared row the regression steps its fitted coefficients, not its paths.
+provider keeps that inverse for the whole solve when the row is t-free;
+otherwise it inverts each row once and applies it to each of its nodes.
+With a shared row the regression steps its fitted coefficients, not its
+paths.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def _by_row(groups: list, part, shape: tuple) -> Array:
     part on a slice of nodes is the whole level and is returned as it is."""
     if isinstance(groups[0][1], slice):
         return part(*groups[0])
-    out = np.empty(shape, complex)  # the engine's levels are complex
+    out = np.empty(shape)
     for rows, nodes in groups:
         out[nodes] = part(rows, nodes)
     return out
@@ -381,7 +381,7 @@ class LevelFields:
         reads = reads_of(coeffs)
         rows = len(self.groups(level, reads)[0])
         # L, the M^k, and the step's I - theta dt L with its temporary
-        check_bytes(rows * (3 + scn.dim_w) * basis.n_modes ** 2 * 16,
+        check_bytes(rows * (3 + scn.dim_w) * basis.n_modes ** 2 * 8,
                     f"the operators of level {level}")
         L, index = self.level_rows(level, coeffs, lambda t, h: assemble_L(scn, t, h, basis),
                                    ("L", scn))
@@ -404,11 +404,11 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     A shared row's matrix is inverted once and the level is one matrix
     product with the inverse; the inverse and its largest absolute row sum,
     which bounds every node's amplification, are kept across levels through
-    ``ops.keep`` by (theta, dt) when the row has that slot.  When each node
-    has its own row the level is one stacked solve; otherwise each row's
-    matrix is factored once, for all of its nodes.
+    ``ops.keep`` by (theta, dt) when the row has that slot.  Otherwise each
+    row is inverted once and applied to each of its nodes: one node or many,
+    the same arithmetic, so grouped and per-node rows agree bit for bit.
 
-    ``paths``, a real (n, k) matrix, says that ``Ep`` and ``q`` are k rows of
+    ``paths``, an (n, k) matrix, says that ``Ep`` and ``q`` are k rows of
     coefficients of n nodes' values in its columns, and ``fhat`` one row
     added to every node or a row per node: the step is linear, so it steps
     the rows ``[Ep; 0]``, ``[q; 0]`` and ``[0; fhat]`` and returns the n
@@ -418,7 +418,7 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     L, Ms, index = ops.L, ops.Ms, ops.index
     if paths is not None:  # the k coefficient rows, then the source rows
         k, n_f = len(Ep), len(fhat)
-        Ep, q = (np.concatenate([rows, np.zeros((n_f,) + rows.shape[1:], complex)])
+        Ep, q = (np.concatenate([rows, np.zeros((n_f,) + rows.shape[1:])])
                  for rows in (Ep, q))
         fhat = np.concatenate([np.zeros((k,) + fhat.shape[1:]), fhat])
     groups = _row_nodes(ops)
@@ -437,10 +437,8 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     def row_sum():  # max_i sum_j |inverse_ij|: no node's amplification exceeds it
         return np.abs(inverse).sum(axis=-1).max()
 
-    def solve(rows, nodes):  # a row per node: one stacked solve; else one per row
-        if rows == slice(None):
-            return np.linalg.solve(A, rhs[nodes][..., None])[..., 0]
-        return np.linalg.solve(A[rows.start], rhs[nodes].T).T
+    def apply_inverse(rows, nodes):  # each row's inverse on each of its nodes
+        return (np.linalg.inv(A[rows]) @ rhs[nodes][..., None])[..., 0]
 
     bound = np.inf  # of the amplification, for a shared row
     try:
@@ -451,7 +449,7 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
             out = rhs @ inverse.T
         else:
             A = matrix()
-            out = _by_row(groups, solve, rhs.shape)
+            out = _by_row(groups, apply_inverse, rhs.shape)
     except np.linalg.LinAlgError as exc:
         # LAPACK stops on an exactly zero pivot, which makes the determinant 0;
         # the first such node in level order is named, whatever its row
@@ -463,7 +461,7 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     def at_nodes(rows):  # the nodes' values of the step's rows (``paths``)
         if paths is None:
             return rows
-        return _combine(paths, rows[:k]) + rows[k:]
+        return np.tensordot(paths, rows[:k], axes=1) + rows[k:]
 
     out = at_nodes(out)
 
@@ -520,7 +518,7 @@ def backward_solve(tree: WienerTree, basis: SpectralBasis, scheme: SchemeConfig,
     N = tree.n_steps
     q_levels: list[Array] = [None] * N
     p_levels = q_levels + [np.array(
-        np.broadcast_to(terminal, (tree.levels[N].n_nodes, basis.n_modes)), dtype=complex)]
+        np.broadcast_to(terminal, (tree.levels[N].n_nodes, basis.n_modes)))]
     for level, p, q, _ in _backward(
             tree, scheme, p_levels[N], lambda level: [(slice(0, None), operators(level))],
             source, lambda level, p_next: (*tree.expectations(level, p_next), None)):
@@ -541,7 +539,7 @@ def solve_tree(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
     fields = LevelFields(scenario, tree, basis)
     if tree.is_chain and not scenario.is_deterministic:
         raise StructuralError("chain trees carry no randomness; scenario is adapted")
-    check_bytes(tree.n_nodes * basis.n_modes * (1 + tree.dim_w) * 16,
+    check_bytes(tree.n_nodes * basis.n_modes * (1 + tree.dim_w) * 8,
                 f"p and q on {tree.n_nodes} nodes")
     return backward_solve(tree, basis, scheme, fields.terminal(), fields.operators,
                           fields.source)
@@ -585,9 +583,8 @@ def weak_residual(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
     constant-coefficient scenarios this matches the strong identity to
     round-off; test fields orthogonal to the active modes give exactly zero.
     """
-    eta = np.asarray(test_field.coeffs, dtype=complex)
     div_scn = scenario.with_fields(form="divergence")
-    return [np.real(np.sum(np.conj(eta) * d, axis=-1))
+    return [np.sum(test_field.coeffs * d, axis=-1)
             for d in _defects(solution, div_scn, tree, basis, scheme)]
 
 
@@ -621,9 +618,8 @@ def _monomial_features(states: Array, size: int) -> Array:
 
 
 def _fit(design: Array | None, targets: Array, step: int) -> tuple[Array | None, Array]:
-    """The real QR factor Q (n, k) of the design and the complex coefficients
-    C = Q^T targets (k, ...) from one real QR, on the real view of the
-    targets: the fitted values are Q C (``_combine``).  With no design (t=0,
+    """The QR factor Q (n, k) of the design and the coefficients
+    C = Q^T targets (k, ...): the fitted values are Q C.  With no design (t=0,
     where every path has one state) Q is None and C is the targets' mean.
 
     The design is rank-deficient, an error, when it has fewer rows (paths)
@@ -636,17 +632,10 @@ def _fit(design: Array | None, targets: Array, step: int) -> tuple[Array | None,
     diag = np.abs(np.diag(R))
     if n < k or diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
         raise NumericError(f"rank-deficient regression design at time step {step}")
-    real = np.ascontiguousarray(targets).reshape(n, -1).view(float)
-    return Q, (Q.T @ real).view(complex).reshape((k,) + targets.shape[1:])
+    return Q, np.tensordot(Q.T, targets, axes=1)
 
 
-def _combine(Q: Array, C: Array) -> Array:
-    """Q C for a real (n, k) Q and complex (k, ...) C, as one real product."""
-    real = np.ascontiguousarray(C).reshape(len(C), -1).view(float)
-    return (Q @ real).view(complex).reshape((len(Q),) + C.shape[1:])
-
-
-_BLOCK_ENTRIES = 1 << 18  # complex entries per stack of per-path operator matrices
+_BLOCK_ENTRIES = 1 << 18  # entries per stack of per-path operator matrices
 
 
 def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: SpectralBasis,
@@ -656,7 +645,7 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
     loop, ``_backward``, with an ``expect`` that regresses on monomials of the
     current Wiener state.  ``p_next`` and its ``dim_w`` products
     ``p_next dW^k / dt`` share the design, so each step fits the stacked
-    targets with one real QR of it.
+    targets with one QR of it.
 
     With deterministic coefficients the step acts on the modes alone, so it
     commutes with the fit: ``expect`` hands the loop the k fitted coefficient
@@ -679,21 +668,23 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
     blocks = [(slice(0, None), fields)] if shared else [
         (sl, fields.select(sl)) for sl in (slice(j, j + size)
                                            for j in range(0, n_paths, size))]
-    w = np.cumsum(ensemble.increments, axis=1)  # w[:, s - 1] is W at step s
+    w = ensemble.increments.sum(axis=1)  # W at the horizon; each step takes its dW off
 
     def expect(step, p):
-        design = None if step == 0 else _monomial_features(w[:, step - 1],
-                                                           regression_basis_size)
+        nonlocal w
         dW = ensemble.increments[:, step, :]
+        w = w - dW  # W at this step: ``_backward`` asks for each step once, last first
+        design = None if step == 0 else _monomial_features(w, regression_basis_size)
         targets = np.concatenate([p[:, None], p[:, None] * (dW / dt)[:, :, None]], axis=1)
         Q, C = _fit(design, targets, step)
         if shared:  # one shared row: step C and the source rows
             return C[:, 0], C[:, 1:], np.ones((n_paths, 1)) if Q is None else Q
-        fitted = np.broadcast_to(C, targets.shape).copy() if Q is None else _combine(Q, C)
+        fitted = (np.broadcast_to(C, targets.shape).copy() if Q is None
+                  else np.tensordot(Q, C, axes=1))
         return fitted[:, 0], fitted[:, 1:], None
 
-    p = np.array(np.broadcast_to(fields.terminal(), (n_paths, nm)), dtype=complex)
-    q_means = np.empty((N, dw, nm), dtype=complex)
+    p = np.array(np.broadcast_to(fields.terminal(), (n_paths, nm)))
+    q_means = np.empty((N, dw, nm))
     for step, p, q, paths in _backward(  # one block of paths after the other
             ensemble, scheme, p, lambda step: ((sl, b.operators(step)) for sl, b in blocks),
             fields.source, expect):

@@ -1,18 +1,20 @@
 """Spectral Galerkin space on the torus [-L, L)^d and operator assembly.
 
-The basis is the complex exponential family exp(i pi xi . x / L) for integer
-multi-indices xi in {-M..M}^d, orthonormal under the *normalised* torus inner
-product (2L)^{-d} int u conj(v) dx.  Under this convention the constant field
-has coefficient 1 at xi = 0 and Parseval reads ||u||_0^2 = sum |u_hat|^2.
-Sobolev norms of any integer order use the scaled frequencies k = pi xi / L:
+The basis is real.  The modes xi in {-M..M}^d are in lexicographic order, so
+mode i and mode n-1-i are xi and -xi and the middle index c = (n-1)/2 is
+xi = 0; with k = pi xi / L, column i is sqrt(2) cos(k_i . x) below c, 1 at c
+and sqrt(2) sin(k_i . x) above it (``SpectralBasis.derivative`` is D^alpha on
+these coordinates).  The columns are orthonormal under the *normalised* torus
+inner product (2L)^{-d} int u v dx, so the constant field has coefficient 1 at
+c, and Sobolev norms of any integer order read
 
-    ||u||_n^2 = sum_xi (1 + |k_xi|^2)^n |u_hat_xi|^2.
+    ||u||_n^2 = sum_i (1 + |k_i|^2)^n u_i^2.
 
 Coefficient products are collocational (pointwise on the uniform grid of
 2M+1 points per axis), which is the pseudo-spectral treatment of variable
 coefficients.  On that grid ``project`` and ``reconstruct`` are an exact
-discrete Fourier pair, so every periodic grid convolution (a smoothing kernel,
-a derivative) is a multiplier on the coefficients.
+discrete transform pair, so every periodic grid convolution with a symmetric
+kernel (a smoothing kernel) is a multiplier on the coefficients.
 
 Every operator is a table of terms D^outer(coef D^inner u), with 0 the zero
 multi-index and e_i the unit one, which ``_operator`` turns into one matrix:
@@ -38,7 +40,7 @@ Array = np.ndarray
 
 
 class SpectralBasis:
-    """Truncated Fourier basis with its collocation grid and assembly caches.
+    """Truncated real Fourier basis with its collocation grid and assembly caches.
 
     Parameters
     ----------
@@ -51,7 +53,7 @@ class SpectralBasis:
         if dim_x < 1 or modes_per_dim < 1:
             raise StructuralError("dim_x and modes_per_dim must be >= 1")
         n = (2 * modes_per_dim + 1) ** dim_x  # modes, and grid points
-        check_bytes(2 * n * n * 16, f"the synthesis and analysis matrices of {n} modes")
+        check_bytes(2 * n * n * 8, f"the synthesis and analysis matrices of {n} modes")
         self.dim_x = dim_x
         self.modes_per_dim = modes_per_dim
         self.domain_halfwidth = float(domain_halfwidth)
@@ -69,10 +71,16 @@ class SpectralBasis:
         self.grid_points = np.stack([m.ravel() for m in mesh], axis=-1)
         self.n_grid = self.grid_points.shape[0]
 
-        # Synthesis S (grid x modes) and exact analysis A = S^H / n_grid.
-        self._S = np.exp(1j * self.grid_points @ self.freqs.T)
-        self._A = self._S.conj().T / self.n_grid
+        # Synthesis S (grid x modes) and exact analysis A = S^T / n_grid.
+        self._S = self._columns(self.grid_points)
+        self._A = self._S.T / self.n_grid
         self._synth_cache: dict[tuple[int, ...], Array] = {(0,) * d: self._S}
+
+    def _columns(self, x_points: Array) -> Array:
+        """Every basis column at the points: sqrt(2) cos, then 1, then sqrt(2) sin."""
+        phase, c = np.asarray(x_points) @ self.freqs.T, self.n_modes // 2
+        return np.concatenate([np.sqrt(2.0) * np.cos(phase[:, :c]), np.ones((len(phase), 1)),
+                               np.sqrt(2.0) * np.sin(phase[:, c + 1:])], axis=1)
 
     # -- transforms -----------------------------------------------------------
 
@@ -93,44 +101,44 @@ class SpectralBasis:
 
     def evaluate_at(self, coeffs: Array, x_points: Array) -> Array:
         """Trigonometric evaluation at arbitrary points (not just the grid)."""
-        synth = np.exp(1j * np.asarray(x_points) @ self.freqs.T)
-        return np.asarray(coeffs) @ synth.T
+        return np.asarray(coeffs) @ self._columns(x_points).T
 
     # -- norms ----------------------------------------------------------------
 
     def sobolev_weight(self, order: int | float) -> Array:
         return (1.0 + self.freq_sq) ** order
 
-    def norm_sq(self, coeffs: Array, order: int | float = 0) -> float:
-        w = self.sobolev_weight(order)
-        return float(np.sum(w * np.abs(coeffs) ** 2, axis=-1).real) \
-            if np.ndim(coeffs) == 1 else np.sum(w * np.abs(coeffs) ** 2, axis=-1).real
+    def norm_sq(self, coeffs: Array, order: int | float = 0):
+        sq = np.sum(self.sobolev_weight(order) * np.square(coeffs), axis=-1)
+        return float(sq) if np.ndim(coeffs) == 1 else sq
 
     def norm(self, coeffs: Array, order: int | float = 0):
         return np.sqrt(self.norm_sq(coeffs, order))
 
     # -- differentiation ------------------------------------------------------
 
-    def derivative_multiplier(self, alpha: tuple[int, ...]) -> Array:
-        """Spectral multiplier of D^alpha: prod (i k_j)^alpha_j per mode."""
+    def derivative(self, alpha: tuple[int, ...], coeffs: Array) -> Array:
+        """D^alpha of coefficient rows (the last axis): k^alpha times the row, times
+        Re(i^|alpha|), for even |alpha|, and k^alpha times the row reversed (each
+        pair's cos and sin trade places), times -Im(i^|alpha|), for odd |alpha|."""
         if len(alpha) != self.dim_x:
             raise StructuralError("multi-index length must equal dim_x")
-        mult = np.ones(self.n_modes, dtype=complex)
-        for j, a in enumerate(alpha):
-            if a:
-                mult = mult * (1j * self.freqs[:, j]) ** a
-        return mult
+        order, coeffs = sum(alpha), np.asarray(coeffs)
+        mult = (-1.0) ** ((order + 1) // 2) * np.prod(
+            [self.freqs[:, j] ** a for j, a in enumerate(alpha) if a], axis=0)
+        return mult * (coeffs[..., ::-1] if order % 2 else coeffs)
 
     def _synth(self, alpha: tuple[int, ...]) -> Array:
-        """Synthesis of D^alpha: grid values of D^alpha u from u's coefficients."""
+        """Grid values of D^alpha u from u's coefficients: S D, for the D that
+        ``derivative`` applies to rows as D^T = (-1)^|alpha| D."""
         if alpha not in self._synth_cache:
-            self._synth_cache[alpha] = self._S * self.derivative_multiplier(alpha)
+            self._synth_cache[alpha] = (-1.0) ** sum(alpha) * self.derivative(alpha, self._S)
         return self._synth_cache[alpha]
 
 
 @dataclass(frozen=True)
 class SpatialField:
-    """A field given by its spectral coefficients on a shared basis."""
+    """A field given by its cos/sin coefficients on a shared basis."""
 
     basis: SpectralBasis
     coeffs: Array
@@ -152,14 +160,14 @@ def _operator(basis: SpectralBasis, terms: list) -> Array:
     """Matrix of u -> sum D^outer(coef * D^inner u) over ``(outer, coef, inner)``
     terms: those of one ``outer``, in the order the terms first name it, are
     summed on the grid (all-zero columns skipped) and analysed back once."""
-    op = np.zeros((basis.n_modes, basis.n_modes), dtype=complex)
+    op = np.zeros((basis.n_modes, basis.n_modes))
     live = [term for term in terms if term[1].any()]
     for outer in dict.fromkeys(o for o, _, _ in live):
-        body = np.zeros((basis.n_grid, basis.n_modes), dtype=complex)
+        body = np.zeros((basis.n_grid, basis.n_modes))
         for coef, inner in ((coef, inner) for o, coef, inner in live if o == outer):
             body += coef[:, None] * basis._synth(inner)
         part = basis._A @ body
-        op += basis.derivative_multiplier(outer)[:, None] * part if any(outer) else part
+        op += basis.derivative(outer, part.T).T if any(outer) else part  # D^outer part
     return op
 
 
@@ -215,12 +223,11 @@ def coercivity_probe(basis: SpectralBasis, L_mat: Array, M_mats: list[Array],
     wh = basis.sobolev_weight(h_order)
     g, v, h = [], [], []
     for x in trial_fields:
-        x = np.asarray(x, dtype=complex)
-        quad = 2.0 * np.real(np.sum(wh * np.conj(x) * (L_mat @ x)))
+        quad = 2.0 * np.sum(wh * x * (L_mat @ x))
         for Mk in M_mats:
-            # adjoint in H^{h_order}: W^{-h} M^H W^{h}
-            mstar_x = (Mk.conj().T @ (wh * x)) / wh
-            quad += float(np.sum(wh * np.abs(mstar_x) ** 2))
+            # adjoint in H^{h_order}: W^{-h} M^T W^{h}
+            mstar_x = (Mk.T @ (wh * x)) / wh
+            quad += float(np.sum(wh * mstar_x ** 2))
         g.append(quad)
         v.append(basis.norm_sq(x, v_order))
         h.append(basis.norm_sq(x, h_order))

@@ -193,10 +193,10 @@ def wiener_values(tree, level):
     return tree.level_increments(level).sum(axis=1)
 
 
-def inner(basis, u, v, order=0) -> complex:
+def inner(basis, u, v, order=0) -> float:
     """The order-``order`` Sobolev inner product of coefficient vectors."""
     w = basis.sobolev_weight(order)
-    return complex(np.sum(w * np.conj(u) * v))
+    return float(np.sum(w * u * v))
 
 
 def ensemble_history(ensemble, path, step) -> PathHistory:
@@ -257,9 +257,8 @@ def fields_csv_reference(solution, tree, basis) -> str:
     X = basis.grid_points
     for level in range(tree.n_steps):
         for node in range(tree.levels[level].n_nodes):
-            pv = basis.reconstruct(solution.p.levels[level][node]).real
-            qv = [basis.reconstruct(solution.q.levels[level][node, k]).real
-                  for k in range(dw)]
+            pv = basis.reconstruct(solution.p.levels[level][node])
+            qv = [basis.reconstruct(solution.q.levels[level][node, k]) for k in range(dw)]
             for g in range(basis.n_grid):
                 row = [str(level), str(node)]
                 row += [fmt(X[g, i]) for i in range(d)]
@@ -267,6 +266,17 @@ def fields_csv_reference(solution, tree, basis) -> str:
                 row += [fmt(qv[k][g]) for k in range(dw)]
                 lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def _d_synth(S, freqs, i):
+    """Grid values of D_i u from u's cos/sin coordinates: D_i maps u to -k_i
+    times u reversed (cos and sin of each mode pair trade places)."""
+    return (S * -freqs[:, i])[:, ::-1]
+
+
+def _d_rows(freqs, i, part):
+    """D_i of every column of ``part``: -k_i times its rows reversed."""
+    return (-freqs[:, i])[:, None] * part[::-1]
 
 
 def assemble_L_reference(scenario, t, history, basis):
@@ -280,9 +290,9 @@ def assemble_L_reference(scenario, t, history, basis):
     c = scenario.c.evaluate(t, X, history)
 
     def sd(i):
-        return S * (1j * freqs[:, i])[None, :]
+        return _d_synth(S, freqs, i)
 
-    low = np.zeros((basis.n_grid, basis.n_modes), dtype=complex)
+    low = np.zeros((basis.n_grid, basis.n_modes))
     for i in range(d):
         if np.any(b[:, i]):
             low += b[:, i, None] * sd(i)
@@ -299,12 +309,12 @@ def assemble_L_reference(scenario, t, history, basis):
 
     L = A @ low
     for i in range(d):
-        flux = np.zeros((basis.n_grid, basis.n_modes), dtype=complex)
+        flux = np.zeros((basis.n_grid, basis.n_modes))
         for j in range(d):
             if np.any(a[:, i, j]):
                 flux += a[:, i, j, None] * sd(j)
         if np.any(flux):
-            L += (1j * freqs[:, i])[:, None] * (A @ flux)
+            L += _d_rows(freqs, i, A @ flux)
     return L
 
 
@@ -318,18 +328,18 @@ def assemble_M_reference(scenario, t, history, basis):
     out = []
     for k in range(dw):
         if scenario.form == "non_divergence":
-            body = np.zeros((basis.n_grid, basis.n_modes), dtype=complex)
+            body = np.zeros((basis.n_grid, basis.n_modes))
             for i in range(d):
                 if np.any(sig[:, i, k]):
-                    body += sig[:, i, k, None] * (S * (1j * freqs[:, i])[None, :])
+                    body += sig[:, i, k, None] * _d_synth(S, freqs, i)
             if np.any(nu[:, k]):
                 body += nu[:, k, None] * S
             out.append(A @ body)
         else:
-            Mk = np.zeros((basis.n_modes, basis.n_modes), dtype=complex)
+            Mk = np.zeros((basis.n_modes, basis.n_modes))
             for i in range(d):
                 if np.any(sig[:, i, k]):
-                    Mk += (1j * freqs[:, i])[:, None] * (A @ (sig[:, i, k, None] * S))
+                    Mk += _d_rows(freqs, i, A @ (sig[:, i, k, None] * S))
             if np.any(nu[:, k]):
                 Mk += A @ (nu[:, k, None] * S)
             out.append(Mk)
@@ -348,12 +358,12 @@ def higher_regularity_reference(scenario, tree, basis, alpha, base):
 
     d, dw = scenario.dim_x, scenario.dim_w
     X = basis.grid_points
-    alpha_mult = basis.derivative_multiplier(alpha.alpha)
     zero = CoefficientField.zero
     top_scn = scenario.with_fields(b=zero((d,)), c=zero(()), nu=zero((dw,)))
-    dmult = [basis.derivative_multiplier(tuple(1 if j == i else 0 for j in range(d)))
-             for i in range(d)]
-    ddmult = [[dmult[i] * dmult[j] for j in range(d)] for i in range(d)]
+
+    def D(gamma, v, *axes):
+        """D^gamma, then D_i for each i of ``axes``, of the coefficients v."""
+        return basis.derivative(tuple(g + axes.count(j) for j, g in enumerate(gamma)), v)
 
     def active(field_, comp):
         return not field_.is_constant or bool(np.any(field_.value[comp]))
@@ -362,34 +372,34 @@ def higher_regularity_reference(scenario, tree, basis, alpha, base):
         vals = field_.evaluate(t, X, hist)[(slice(None),) + comp]
         if sum(beta) == 0:
             return vals
-        return basis.reconstruct(basis.derivative_multiplier(beta) * basis.project(vals))
+        return basis.reconstruct(D(beta, basis.project(vals)))
 
     def node_source(t, hist, p, q):
-        grid = np.zeros(basis.n_grid, dtype=complex)
-        grid += basis.reconstruct(alpha_mult * basis.project(scenario.F.evaluate(t, X, hist)))
+        grid = np.zeros(basis.n_grid)
+        grid += basis.reconstruct(D(alpha.alpha, basis.project(scenario.F.evaluate(t, X, hist))))
         for beta, coef in alpha.sub_indices():
-            gmult = basis.derivative_multiplier(tuple(a - b for a, b in zip(alpha.alpha, beta)))
+            gamma = tuple(a - b for a, b in zip(alpha.alpha, beta))
             if sum(beta) >= 1:
                 for i in range(d):
                     for j in range(d):
                         if active(scenario.a, (i, j)):
                             da = derivative(scenario.a, beta, (i, j), t, hist)
-                            grid += coef * da * basis.reconstruct(gmult * ddmult[i][j] * p)
+                            grid += coef * da * basis.reconstruct(D(gamma, p, i, j))
                     for k in range(dw):
                         if active(scenario.sigma, (i, k)):
                             ds = derivative(scenario.sigma, beta, (i, k), t, hist)
-                            grid += coef * ds * basis.reconstruct(gmult * dmult[i] * q[k])
+                            grid += coef * ds * basis.reconstruct(D(gamma, q[k], i))
             for i in range(d):
                 if active(scenario.b, (i,)):
                     db = derivative(scenario.b, beta, (i,), t, hist)
-                    grid += coef * db * basis.reconstruct(gmult * dmult[i] * p)
+                    grid += coef * db * basis.reconstruct(D(gamma, p, i))
             if active(scenario.c, ()):
                 dc = derivative(scenario.c, beta, (), t, hist)
-                grid -= coef * dc * basis.reconstruct(gmult * p)
+                grid -= coef * dc * basis.reconstruct(D(gamma, p))
             for k in range(dw):
                 if active(scenario.nu, (k,)):
                     dn = derivative(scenario.nu, beta, (k,), t, hist)
-                    grid += coef * dn * basis.reconstruct(gmult * q[k])
+                    grid += coef * dn * basis.reconstruct(D(gamma, q[k]))
         return basis.project(grid)
 
     def source(level):
@@ -398,7 +408,7 @@ def higher_regularity_reference(scenario, tree, basis, alpha, base):
                          enumerate(zip(base.p.levels[level], base.q.levels[level]))])
 
     fields = LevelFields(scenario, tree, basis)
-    return backward_solve(tree, basis, SchemeConfig(), alpha_mult * fields.terminal(),
+    return backward_solve(tree, basis, SchemeConfig(), D(alpha.alpha, fields.terminal()),
                           lambda level: fields.operators(level, top_scn), source)
 
 
@@ -432,14 +442,14 @@ def regression_reference(scenario, ensemble, basis, regression_basis_size=4,
 
     p_levels = [None] * (N + 1)
     q_levels = [None] * N
-    p_next = np.array(np.broadcast_to(fields.terminal(), (n_paths, nm)), dtype=complex)
+    p_next = np.array(np.broadcast_to(fields.terminal(), (n_paths, nm)))
     p_levels[N] = p_next.copy()
     for step in range(N - 1, -1, -1):
         states = ensemble.increments[:, :step, :].sum(axis=1)
         design = None if step == 0 else _monomial_features(states, regression_basis_size)
         Ep = fit(design, p_next)
         dW = ensemble.increments[:, step, :]
-        q = np.empty((n_paths, dw, nm), dtype=complex)
+        q = np.empty((n_paths, dw, nm))
         for k in range(dw):
             q[:, k, :] = fit(design, p_next * (dW[:, k] / dt)[:, None])
         fhat = np.broadcast_to(fields.source(step), (n_paths, nm))
@@ -480,7 +490,7 @@ def mollify_reference(field_, basis, config, t, X, history=None):
     if X.shape == grid.shape and np.array_equal(X, grid):
         return conv
     coeffs = basis.project(conv.reshape(len(conv), -1))
-    return basis.evaluate_at(coeffs.T, X).T.real.reshape((len(X),) + conv.shape[1:])
+    return basis.evaluate_at(coeffs.T, X).T.reshape((len(X),) + conv.shape[1:])
 
 
 def picard_reference(scenario, freeze_point, tree, basis, tol=1e-9, max_iter=40,

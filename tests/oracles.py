@@ -8,7 +8,9 @@ scalar loops.  Agreement between these and the package is then a genuine
 cross-check, not a reflection.  ``heat_reference`` is the closed-form
 Gaussian heat solution, projected on the basis with the package's own
 transform, and ``feynman_kac_mc`` samples the characteristic diffusion of a
-deterministic scenario, reading only its fields.
+deterministic scenario, reading only its fields.  ``to_exponential`` and
+``exponential_operators`` restate the package's cos/sin coordinates and its
+operators on the exponentials exp(i k . x), built from the mode list alone.
 """
 
 from __future__ import annotations
@@ -101,6 +103,58 @@ def scalar_mode_exact(lam: complex, terminal: complex, source,
     vals = np.exp(lam * s) * np.array([complex(source(si)) for si in s])
     integral = np.trapezoid(vals, s)
     return np.exp(lam * horizon) * complex(terminal) + integral
+
+
+# The package states every field in real cos/sin coordinates.  These restate
+# them on the exponentials exp(i k . x) from the mode list alone, not from the
+# package's transforms, so the tests can check the basis and its operators
+# against the textbook Fourier formulas.
+
+def to_exponential(basis, x):
+    """The coefficients on exp(i k_j . x) of cos/sin coordinates ``x`` (the
+    last axis).  Mode i and mode n-1-i are xi and -xi; below the middle,
+    column i is sqrt(2) cos(k_i . x) and column n-1-i is
+    sqrt(2) sin(-k_i . x), so x_i and x_{n-1-i} give
+    c_i = (x_i + i x_{n-1-i}) / sqrt(2) and its partner the conjugate; the
+    middle mode, xi = 0, keeps its coordinate."""
+    assert np.array_equal(basis.modes[::-1], -basis.modes)
+    x = np.asarray(x, dtype=float)
+    mid = basis.n_modes // 2
+    low = (x[..., :mid] + 1j * x[..., :mid:-1]) / np.sqrt(2.0)
+    return np.concatenate([low, x[..., mid:mid + 1], np.conj(low[..., ::-1])], axis=-1)
+
+
+def exponential_matrix(basis):
+    """E, unitary, with ``to_exponential(basis, x) == E @ x``."""
+    return to_exponential(basis, np.eye(basis.n_modes)).T
+
+
+def exponential_operators(scenario, t, history, basis):
+    """L and the M^k on the exponential coordinates, each term formed on the
+    grid from the exponentials exp(i k . x) and their derivative symbols
+    (i k)^alpha: the operators the package's real ones must equal under
+    ``exponential_matrix``."""
+    d, X, k = scenario.dim_x, basis.grid_points, basis.freqs
+    S = np.exp(1j * X @ k.T)
+    A = np.conj(S).T / basis.n_grid
+    a, b, c = (scenario.a.evaluate(t, X, history), scenario.b.evaluate(t, X, history),
+               scenario.c.evaluate(t, X, history))
+    sig, nu = scenario.sigma.evaluate(t, X, history), scenario.nu.evaluate(t, X, history)
+    ik = 1j * k
+    div = scenario.form == "divergence"
+    L = A @ (sum(b[:, i, None] * S * ik[:, i] for i in range(d)) - c[:, None] * S)
+    for i in range(d):
+        for j in range(d):
+            L += (ik[:, i, None] * (A @ (a[:, i, j, None] * S * ik[:, j])) if div
+                  else A @ (a[:, i, j, None] * S * ik[:, i] * ik[:, j]))
+    Ms = []
+    for kk in range(scenario.dim_w):
+        Mk = A @ (nu[:, kk, None] * S)
+        for i in range(d):
+            Mk += (ik[:, i, None] * (A @ (sig[:, i, kk, None] * S)) if div
+                   else A @ (sig[:, i, kk, None] * S * ik[:, i]))
+        Ms.append(Mk)
+    return L, Ms
 
 
 def brute_tree_expectation(weights_per_level, values_at_leaves):

@@ -58,7 +58,7 @@ def _pair_gap(x, y):
 
 
 def _coeff_l2(v):
-    return float(np.sqrt(np.real(np.vdot(v, v))))
+    return float(np.sqrt(np.vdot(v, v)))
 
 
 # --------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_2_classical_limit(capsys):
     rel = _coeff_l2(sol.p.levels[0][0] - ref) / _coeff_l2(ref)
     q_norm = np.sqrt(sum(np.sum(np.abs(lv) ** 2) for lv in sol.q.levels))
     est, se = feynman_kac_mc(heat, np.array([0.3]), 0.0, 100_000, seed=414)
-    ref_pt = basis.evaluate_at(ref, np.array([[0.3]]))[0].real
+    ref_pt = basis.evaluate_at(ref, np.array([[0.3]]))[0]
     z = abs(est - ref_pt) / se
     elapsed = time.perf_counter() - t0
     ok = rel <= 1e-3 and q_norm <= 1e-8 and z <= 3.0 and elapsed < 30.0

@@ -24,9 +24,8 @@ from bspde import (
     pair_difference,
     solve_tree,
 )
-from helpers import (DIVERGENCE_MARKOV_TEXT, make_scenario, markov_scenario,
-                     picard_reference)
-from oracles import scalar_mode_exact, scalar_theta_chain
+from helpers import DIVERGENCE_MARKOV_TEXT, make_scenario, markov_scenario, picard_reference
+from oracles import exponential_matrix, scalar_mode_exact, scalar_theta_chain, to_exponential
 from test_solver import assemblies  # noqa: F401 (a fixture)
 
 BASIS = SpectralBasis(1, 8, np.pi)
@@ -53,7 +52,7 @@ class TestSolveFrozen:
         frozen = freeze(sc, np.zeros(1))
         sol = solve_tree(frozen, chain, BASIS)
         ref = scalar_theta_chain(-0.5, 0.5, lambda s: 0.0, sc.horizon, 16, 1.0)
-        got = sol.p0().coeffs[BASIS.modes[:, 0] == 1][0]
+        got = to_exponential(BASIS, sol.p0().coeffs)[BASIS.modes[:, 0] == 1][0]
         assert got == pytest.approx(ref, abs=1e-14)
 
     def test_converges_to_mode_ode(self):
@@ -64,7 +63,7 @@ class TestSolveFrozen:
             chain = build_chain(1, n, sc.horizon)
             frozen = freeze(sc, np.zeros(1))
             sol = solve_tree(frozen, chain, BASIS)
-            got = sol.p0().coeffs[BASIS.modes[:, 0] == 1][0]
+            got = to_exponential(BASIS, sol.p0().coeffs)[BASIS.modes[:, 0] == 1][0]
             errs.append(abs(got - exact))
         assert errs[0] / errs[1] > 1.8
         assert errs[1] / errs[2] > 1.8
@@ -101,15 +100,18 @@ class TestFrozenOperators:
 
     @pytest.mark.parametrize("scn, basis", frozen_cases())
     def test_frozen_operators_are_diagonal(self, scn, basis):
-        # a and sigma frozen in x make every operator a Fourier multiplier
+        # a and sigma frozen in x make every operator a Fourier multiplier:
+        # diagonal on the exponentials
         frozen = freeze(scn, np.full(scn.dim_x, 0.7))
         rng = np.random.default_rng(1)
+        E = exponential_matrix(basis)
         for steps in (0, 1, 3):
             hist = PathHistory.from_increments(
                 0.3 * rng.standard_normal((steps, scn.dim_w)), 0.1) \
                 if steps else PathHistory.empty(scn.dim_w)
             for op in [assemble_L(frozen, hist.t, hist, basis),
                        *assemble_M(frozen, hist.t, hist, basis)]:
+                op = E @ op @ E.conj().T
                 off = op - np.diag(np.diag(op))
                 assert np.abs(off).max() <= 1e-14 * np.abs(op).max()
 

@@ -269,9 +269,9 @@ class TestTimeFreeDeclaration:
             lambda t, X: (0.6 + 0.1 * np.abs(np.sin(X[:, 0])))[:, None, None], (1, 1))
         assert not mollify(scn.with_fields(a=rough_a), MollifierConfig(1), basis).a.t_free
 
-    @pytest.mark.parametrize("bound", [0, 3 * 81 * 16])
+    @pytest.mark.parametrize("bound", [0, 3 * 81 * 8])
     def test_rows_past_the_byte_bound_give_the_same_bits(self, monkeypatch, bound):
-        # 0: nothing is kept; three 9x9 complex rows: the bound fills mid-solve
+        # 0: nothing is kept; three 9x9 rows: the bound fills mid-solve
         scn = load_scenario_text(TestMarkovDeclaration.TEXT)[0]
         basis = SpectralBasis(1, 4, np.pi)
         tree = build_tree(1, 4, 3, scn.horizon)
@@ -281,7 +281,7 @@ class TestTimeFreeDeclaration:
         got = backward_solve(tree, basis, SchemeConfig(), fields.terminal(),
                              fields.operators, fields.source)
         rows = fields._rows
-        assert rows.nbytes <= bound < rows.nbytes + 81 * 16  # no room for an operator
+        assert rows.nbytes <= bound < rows.nbytes + 81 * 8  # no room for an operator
         assert bool(rows) == (bound > 0)
         for a, b in zip(got.p.levels + got.q.levels, want.p.levels + want.q.levels):
             assert a.tobytes() == b.tobytes()

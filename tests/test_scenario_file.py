@@ -167,8 +167,8 @@ class TestParseErrors:
         (MINIMAL + "[discretization]\nsteps = 8\nfoo = 2\n", 16, 1, "foo"),
         (MINIMAL + "[run]\ntheta = 0.5\nthetaa = 1.0\n", 16, 1, "thetaa"),
         ("# heat\n" + MINIMAL.replace("kappa = 0.25\n", ""), 2, 1, "missing 'kappa'"),
-        (MINIMAL.replace("a = 0.5", ""), 9, 1, "must declare a"),
-        (MINIMAL.replace("phi = cos(x1)", ""), 12, 1, "must declare phi"),
+        (MINIMAL.replace("a = 0.5", ""), 9, 1, r"\[coefficients\] is missing 'a'"),
+        (MINIMAL.replace("phi = cos(x1)", ""), 12, 1, r"\[data\] is missing 'phi'"),
         (MINIMAL.replace("phi = cos(x1)", "phi = cos(y9)"), 13, 11, "y9"),
         (MINIMAL.replace("phi = cos(x1)", "phi =  1 +"), 13, 11, "end of input"),
         (MINIMAL.replace("a = 0.5", "a = [[0.5 + y2]]"), 10, 13, "y2"),
@@ -206,6 +206,9 @@ class TestParseErrors:
         (MINIMAL.replace("a = 0.5\n", "a = 0.5\na = 0.6\n"), 11, 1, "gives 'a' twice"),
         (MINIMAL + "[data]\nF = 1\n", 14, 1, r"section \[data\] is given twice"),
         ("d = 1\n" + MINIMAL, 1, 1, "precedes every section"),
+        # a header is the whole line: text after its ``]`` is no section
+        (MINIMAL + "[run] junk\ntheta = 0.5\n", 14, 1, r"got '\[run\] junk'"),
+        (MINIMAL + "[x] = 5\n", 14, 1, r"unknown \[data\] keys: \['\[x\]'\]"),
         (MINIMAL + "[DEFAULT]\nmodes = 8\n", 14, 1, r"unknown section \[DEFAULT\]"),
     ])
     def test_bad_value_names_its_own_line(self, text, line, column, name):

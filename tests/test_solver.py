@@ -43,7 +43,7 @@ from helpers import (ADAPTED_TREE_TEXT, DIVERGENCE_MARKOV_TEXT, counting,
                      level_expected_norm_sq_reference, make_scenario, markov_scenario,
                      regression_reference, sup_e_norm_sq_reference, time_norm_sq_reference,
                      wiener_values)
-from oracles import scalar_theta_chain
+from oracles import scalar_theta_chain, to_exponential
 
 BASIS = SpectralBasis(1, 4, np.pi)
 TINY = Path(__file__).parent / "data" / "tiny.scn"
@@ -205,16 +205,16 @@ class TestBackwardSolveProviders:
     @pytest.mark.parametrize("n, n_rows, index, solves, inverses", [
         (1, 1, None, 0, 1),                 # a shared row, for any node count:
         (7, 1, None, 0, 1),                 # one inverse, one matrix product
-        (5, 5, [3, 0, 4, 1, 2], 1, 0),      # a row per node: one stacked solve
-        (5, 3, [2, 0, 2, 1, 0], 3, 0)])     # a row per state: one solve per row
-    def test_level_step_solves_once_per_row_or_once_stacked(self, monkeypatch, n, n_rows,
+        (5, 5, [3, 0, 4, 1, 2], 0, 1),      # a row per node: one stacked inverse
+        (5, 3, [2, 0, 2, 1, 0], 0, 3)])     # a row per state: one inverse per row
+    def test_level_step_inverts_once_per_row_or_once_stacked(self, monkeypatch, n, n_rows,
                                                              index, solves, inverses):
         rng = np.random.default_rng(5)
         m = BASIS.n_modes
         L = -np.eye(m) - 0.1 * rng.standard_normal((n_rows, m, m))
         Ms = 0.1 * rng.standard_normal((n_rows, 1, m, m))
-        Ep, fhat = rng.standard_normal((n, m)) + 0j, rng.standard_normal((n, m))
-        q = rng.standard_normal((n, 1, m)) + 0j
+        Ep, fhat = rng.standard_normal((n, m)), rng.standard_normal((n, m))
+        q = rng.standard_normal((n, 1, m))
         node_rows = np.zeros(n, int) if index is None else np.array(index)
         # the same step with every node's row copied out: a stacked solve
         want = _level_step(LevelOperators(L[node_rows], Ms[node_rows], np.arange(n)),
@@ -226,7 +226,7 @@ class TestBackwardSolveProviders:
         got = _level_step(LevelOperators(L, Ms, None if index is None else node_rows),
                           Ep, q, fhat, 0.1, 0.5, 0)
         assert (calls.count("solve"), calls.count("inv")) == (solves, inverses)
-        if index is None:  # a product with the inverse is not the solve's arithmetic
+        if index is None:  # one level-wide product is not the per-node products' arithmetic
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         else:
             assert got.tobytes() == want.tobytes()
@@ -246,8 +246,8 @@ class TestBackwardSolveProviders:
         n, k, m = 6, 2, BASIS.n_modes
         ops = LevelOperators(scale * np.eye(m)[None] / 0.1, np.zeros((1, 1, m, m)))
         Q = rng.standard_normal((n, k))
-        C = rng.standard_normal((k, 2, m)) + 1j * rng.standard_normal((k, 2, m))
-        f = rng.standard_normal((n, m)) + 0j
+        C = rng.standard_normal((k, 2, m))
+        f = rng.standard_normal((n, m))
         Q[:4], f[:4] = 0.0, 0.0
         if nan_source:
             f[4, 0] = np.nan
@@ -266,7 +266,7 @@ class TestChainSolves:
         sc = make_scenario(phi=lambda t, X: np.cos(X[:, 0]))
         chain = build_chain(1, n_steps, sc.horizon)
         sol = solve_tree(sc, chain, BASIS, SchemeConfig(theta=theta))
-        p0 = sol.p0().coeffs
+        p0 = to_exponential(BASIS, sol.p0().coeffs)
         ref = scalar_theta_chain(-0.5, 0.5, lambda s: 0.0, sc.horizon, n_steps, theta)
         modes = BASIS.modes[:, 0]
         assert p0[modes == 1][0] == pytest.approx(ref, abs=1e-14)
@@ -279,7 +279,7 @@ class TestChainSolves:
         for n_steps in (8, 16, 32):
             chain = build_chain(1, n_steps, sc.horizon)
             sol = solve_tree(sc, chain, BASIS, SchemeConfig(theta=0.5))
-            p0 = sol.p0().coeffs
+            p0 = to_exponential(BASIS, sol.p0().coeffs)
             exact = np.exp(-0.25) * 0.5
             errs.append(abs(p0[BASIS.modes[:, 0] == 1][0] - exact))
         # second-order scheme: error drops ~4x per halving
@@ -295,7 +295,7 @@ class TestChainSolves:
         idx = int(np.where(BASIS.modes[:, 0] == 0)[0][0])
         ref = scalar_theta_chain(0.0, 0.0, lambda s: np.cos(np.pi * s), sc.horizon,
                                  n_steps, 0.5)
-        assert sol.p0().coeffs[idx] == pytest.approx(ref, abs=1e-13)
+        assert to_exponential(BASIS, sol.p0().coeffs)[idx] == pytest.approx(ref, abs=1e-13)
 
     def test_chain_rejects_adapted_scenario(self):
         sc = make_scenario(phi=lambda t, X, hist: np.cos(X[:, 0]) + hist.w[0])
@@ -379,7 +379,7 @@ class TestTreeSolves:
     def test_storage_budget(self, monkeypatch):
         sc = make_scenario(phi=lambda t, X, hist: np.cos(X[:, 0]) + 0.0 * hist.w[0], T=0.5)
         tree = build_tree(1, 8, 2, sc.horizon)
-        pq_bytes = 511 * BASIS.n_modes * (1 + 1) * 16  # p and q on every node
+        pq_bytes = 511 * BASIS.n_modes * (1 + 1) * 8  # p and q on every node
         monkeypatch.setattr(bspde.errors, "_MEMORY_BYTES", pq_bytes - 1)
         with pytest.raises(BudgetError) as exc:
             solve_tree(sc, tree, BASIS)
@@ -560,7 +560,7 @@ class TestRegression:
         idx = int(np.where(BASIS.modes[:, 0] == 0)[0][0])
         for step in (0, 2):
             q_mean = reg.q_means[step][0]
-            assert abs(q_mean[idx].real - 0.2) < 0.02
+            assert abs(q_mean[idx] - 0.2) < 0.02
             assert np.abs(np.delete(q_mean, idx)).max() < 1e-12
 
     @pytest.mark.parametrize("paths, step", [("fewer-than-features", 3), ("two-states", 1)])
@@ -851,7 +851,7 @@ class TestMarkovFields:
         assert scn.c.markov and not scn.coefficients_deterministic
         tree, basis = build_tree(1, 6, 3, scn.horizon), SpectralBasis(2, 6, np.pi)
         widest = max(tree.levels[k].n_nodes for k in range(tree.n_steps))
-        stack = widest * basis.n_modes ** 2 * 16  # one complex L per node: about 111 MB
+        stack = widest * basis.n_modes ** 2 * 8  # one L per node: about 55 MB
         assert (widest, basis.n_modes) == (243, 169)
         tracemalloc.start()
         try:
@@ -866,7 +866,7 @@ class TestMarkovFields:
         # declaration at the first level solved, 7 Wiener states of its Markov twin
         scn = load_scenario_text(DIVERGENCE_MARKOV_TEXT)[0]
         tree, basis = build_tree(1, 4, 3, scn.horizon), SpectralBasis(2, 2, np.pi)
-        row = (3 + 1) * basis.n_modes ** 2 * 16
+        row = (3 + 1) * basis.n_modes ** 2 * 8
         monkeypatch.setattr(bspde.errors, "_MEMORY_BYTES", 10 * row)
         with pytest.raises(BudgetError) as exc:
             solve_tree(declared_path_dependent(scn), tree, basis)
@@ -978,6 +978,18 @@ class TestTimeFreeFields:
         assert len(assemblies) - sum(counts) == 2 * sum(map(len, per_level))
         assert len(states) < sum(map(len, per_level))
         self.assert_bit_equal(fast, slow)
+
+    def test_two_dimensional_markov_rows_fit_the_byte_bound(self, assemblies):
+        # a 169-mode L or M row is 228 KB, so the rows of all 23 Wiener states
+        # of a B=3, N=8 tree (about 10.5 MB) stay under _CACHE_BYTES: each
+        # state's L and M are assembled once for the whole solve
+        scn = load_scenario_text(DIVERGENCE_MARKOV_TEXT)[0]
+        tree, basis = build_tree(1, 8, 3, scn.horizon), SpectralBasis(2, 6, np.pi)
+        solve_tree(scn, tree, basis)
+        states = {w.tobytes() for level in range(tree.n_steps)
+                  for w in wiener_values(tree, level)}
+        assert len(states) == 23
+        assert assemblies.count("assemble_L") == assemblies.count("assemble_M") == 23
 
     @pytest.mark.parametrize("a", ["parsed", "library"])
     def test_fields_that_may_read_t_are_assembled_every_level(self, assemblies, a):

@@ -680,3 +680,43 @@ def test_only_the_scenario_reader_splits_scenario_text_into_lines():
     source = (SRC / "scenario_file.py").read_text(encoding="utf-8")
     assert text_readers(source) and text_readers(source, "_read") == []
     assert package_findings(text_readers, {"scenario_file.py"}) == {}
+
+
+# every field of the equation is real, and so are its cos/sin coordinates:
+# no array of the package holds a complex number
+PARTS = {"conj", "conjugate", "real", "imag"}
+
+
+def complex_arithmetic(source: str) -> list[int]:
+    """Line numbers of complex numbers: the ``complex`` type or a numpy
+    complex dtype (``np.complex128``), an imaginary literal (``1j``), a
+    string naming one (``dtype="complex"``, docstrings included), or a
+    conjugate or a real or imaginary part taken (``np.conj``, ``.real``)."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        value = node.value if isinstance(node, ast.Constant) else None
+        if (name is not None and (name.startswith("complex") or name in PARTS)
+                or isinstance(value, complex)
+                or isinstance(value, str) and "complex" in value):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_detector_finds_complex_arithmetic():
+    source = (
+        "A = np.eye(n, dtype=complex)\n"
+        "z = 1j * k\n"
+        "y = np.real(np.sum(np.conj(x) * v))\n"
+        "w = v.real + u.imag + M.conj().T @ x\n"
+        "b = np.empty(n, 'complex128')\n"
+        "c = np.complex128(0)\n"
+        "ok = np.cos(phase) @ weights + x[..., ::-1]\n"
+        "u = coeffs @ S.T\n"
+    )
+    assert complex_arithmetic(source) == [1, 2, 3, 4, 5, 6]
+
+
+def test_the_package_has_no_complex_arithmetic():
+    assert package_findings(complex_arithmetic) == {}

@@ -1,5 +1,7 @@
 """Spectral basis, Sobolev norms, operator assembly, and coercivity probing."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,15 @@ from bspde import (
     assemble_L,
     assemble_M,
     coercivity_probe,
+    load_scenario,
+    load_scenario_text,
 )
 from bspde.scenario import FORMS
-from helpers import assemble_L_reference, assemble_M_reference, inner, make_scenario
+from helpers import (DIVERGENCE_MARKOV_TEXT, assemble_L_reference, assemble_M_reference,
+                     inner, make_scenario)
+from oracles import exponential_matrix, exponential_operators, to_exponential
+
+TINY = Path(__file__).parent / "data" / "tiny.scn"
 
 
 def zero_mode_index(basis):
@@ -37,18 +45,51 @@ class TestProjection:
         assert np.allclose(others, 0.0, atol=1e-12)
 
     def test_cosine_splits_into_half_coefficients(self):
+        # cos x is the cos column of the pair k = +-1, scaled by 1/sqrt(2); on
+        # the exponentials it is half of each
         basis = SpectralBasis(1, 4, np.pi)
         f = SpatialField(basis, basis.project(np.cos(basis.grid_points[:, 0])))
         modes = basis.modes[:, 0]
-        assert f.coeffs[modes == 1][0] == pytest.approx(0.5, abs=1e-12)
-        assert f.coeffs[modes == -1][0] == pytest.approx(0.5, abs=1e-12)
+        assert f.coeffs[modes == -1][0] == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert np.allclose(f.coeffs[modes != -1], 0.0, atol=1e-12)
+        c = to_exponential(basis, f.coeffs)
+        assert c[modes == 1][0] == pytest.approx(0.5, abs=1e-12)
+        assert c[modes == -1][0] == pytest.approx(0.5, abs=1e-12)
 
     def test_evaluate_at_off_grid(self):
         basis = SpectralBasis(1, 5, np.pi)
         f = SpatialField(basis, basis.project(np.cos(basis.grid_points[:, 0])))
         pts = np.array([[0.0], [0.7], [-2.1]])
-        assert np.allclose(basis.evaluate_at(f.coeffs, pts).real,
-                           np.cos(pts[:, 0]), atol=1e-12)
+        assert np.allclose(basis.evaluate_at(f.coeffs, pts), np.cos(pts[:, 0]), atol=1e-12)
+
+    @pytest.mark.parametrize("d, M", [(1, 6), (2, 3), (3, 1)])
+    def test_analysis_inverts_synthesis(self, d, M):
+        basis = SpectralBasis(d, M, 1.3)
+        assert np.abs(basis._A @ basis._S - np.eye(basis.n_modes)).max() <= 1e-14
+
+    @pytest.mark.parametrize("d, M", [(1, 6), (2, 3)])
+    def test_columns_are_the_exponentials_in_cos_sin_pairs(self, d, M):
+        # the basis at any point is exp(i k . x) weighed by ``to_exponential``,
+        # which is built from the mode list alone, and E is unitary
+        basis = SpectralBasis(d, M, 1.3)
+        rng = np.random.default_rng(2)
+        u, x = rng.standard_normal(basis.n_modes), rng.uniform(-1.3, 1.3, (7, d))
+        want = np.exp(1j * x @ basis.freqs.T) @ to_exponential(basis, u)
+        assert np.abs(want.imag).max() <= 1e-13
+        assert np.abs(basis.evaluate_at(u, x) - want.real).max() <= 1e-13
+        E = exponential_matrix(basis)
+        assert np.abs(E @ E.conj().T - np.eye(basis.n_modes)).max() <= 1e-15
+
+    @pytest.mark.parametrize("d, alpha", [(1, (1,)), (1, (2,)), (1, (3,)), (2, (1, 0)),
+                                          (2, (0, 1)), (2, (1, 1)), (2, (3, 0)), (2, (2, 1))])
+    def test_derivative_is_the_exponential_symbol(self, d, alpha):
+        # D^alpha multiplies the coefficient of exp(i k . x) by (i k)^alpha
+        basis = SpectralBasis(d, {1: 6, 2: 3}[d], 1.3)
+        u = np.random.default_rng(3).standard_normal(basis.n_modes)
+        symbol = np.prod((1j * basis.freqs) ** np.array(alpha), axis=1)
+        want = symbol * to_exponential(basis, u)
+        got = to_exponential(basis, basis.derivative(alpha, u))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestNorms:
@@ -70,7 +111,7 @@ class TestNorms:
 
     def test_single_mode_norm_scaling(self):
         basis = SpectralBasis(1, 4, np.pi)
-        coeffs = np.zeros(basis.n_modes, dtype=complex)
+        coeffs = np.zeros(basis.n_modes)
         coeffs[basis.modes[:, 0].tolist().index(2)] = 1.0
         for order in (-1, 0, 1, 2):
             assert basis.norm_sq(coeffs, order) == pytest.approx((1 + 4.0) ** order, rel=1e-13)
@@ -95,22 +136,22 @@ class TestNorms:
         v = basis.project(rng.standard_normal(11))
         ip = inner(basis, u, v, order=1)
         expand = 0.25 * (basis.norm_sq(u + v, 1) - basis.norm_sq(u - v, 1))
-        assert ip.real == pytest.approx(expand, rel=1e-10)
+        assert ip == pytest.approx(expand, rel=1e-10)
 
-    def test_derivative_multiplier(self):
+    def test_derivative(self):
         basis = SpectralBasis(1, 5, np.pi)
         f = SpatialField(basis, basis.project(np.sin(basis.grid_points[:, 0])))
-        df = basis.derivative_multiplier((1,)) * f.coeffs
+        df = basis.derivative((1,), f.coeffs)
         g = SpatialField(basis, basis.project(np.cos(basis.grid_points[:, 0])))
         assert np.allclose(df, g.coeffs, atol=1e-12)
-        d2f = basis.derivative_multiplier((2,)) * f.coeffs
+        d2f = basis.derivative((2,), f.coeffs)
         assert np.allclose(d2f, -f.coeffs, atol=1e-12)
 
-    def test_derivative_multiplier_rescales_with_halfwidth(self):
+    def test_derivative_rescales_with_halfwidth(self):
         basis = SpectralBasis(1, 5, 2.0)
         x = basis.grid_points[:, 0]
         f = SpatialField(basis, basis.project(np.sin(np.pi * x / 2.0)))
-        df = basis.derivative_multiplier((1,)) * f.coeffs
+        df = basis.derivative((1,), f.coeffs)
         g = SpatialField(basis, basis.project(np.pi / 2.0 * np.cos(np.pi * x / 2.0)))
         assert np.allclose(df, g.coeffs, atol=1e-12)
 
@@ -132,7 +173,8 @@ class TestAssembly:
         basis = SpectralBasis(1, 3, np.pi)
         L = assemble_L(make_scenario(b=0.4, K=2.0), 0.0, None, basis)
         k = basis.modes[:, 0].astype(float)
-        assert np.allclose(L, np.diag(-0.5 * k**2 + 0.4 * 1j * k), atol=1e-12)
+        E = exponential_matrix(basis)
+        assert np.allclose(E @ L @ E.conj().T, np.diag(-0.5 * k**2 + 0.4 * 1j * k), atol=1e-12)
 
     def test_divergence_and_nondivergence_agree_for_constant_a(self):
         basis = SpectralBasis(1, 4, np.pi)
@@ -152,10 +194,10 @@ class TestAssembly:
         Ld = assemble_L(sc_d, 0.0, None, basis)
         Lc = assemble_L(sc_corr, 0.0, None, basis)
         rng = np.random.default_rng(3)
-        u = np.zeros(basis.n_modes, dtype=complex)
+        u = np.zeros(basis.n_modes)
         # keep the trial band-limited enough that products stay alias-free
         low = np.abs(basis.modes[:, 0]) <= 3
-        u[low] = rng.standard_normal(low.sum()) + 1j * rng.standard_normal(low.sum())
+        u[low] = rng.standard_normal(low.sum())
         assert np.allclose(Ld @ u, Lc @ u, atol=1e-10)
 
     def test_mode_truncation_consistency(self):
@@ -181,7 +223,8 @@ class TestAssembly:
         Ms = assemble_M(make_scenario(sigma=0.4, nu=0.25, kappa=0.2), 0.0, None, basis)
         k = basis.modes[:, 0].astype(float)
         expected = np.diag(0.4 * 1j * k + 0.25)
-        assert np.allclose(Ms[0], expected, atol=1e-12)
+        E = exponential_matrix(basis)
+        assert np.allclose(E @ Ms[0] @ E.conj().T, expected, atol=1e-12)
 
     def test_noise_coupling_channel_count(self):
         basis = SpectralBasis(1, 2, np.pi)
@@ -234,6 +277,23 @@ class TestAssembly:
             want_M = assemble_M_reference(scenario, t, hist, basis)
             assert [m.tobytes() for m in got_M] == [m.tobytes() for m in want_M]
 
+    @pytest.mark.parametrize("text", ["tiny", "divergence-2d"])
+    def test_operators_are_the_exponential_operators(self, text):
+        # L and M^k in cos/sin coordinates are V L_c V^H, L_c formed on the
+        # exponentials with the symbols (i k)^alpha and V = E^H
+        if text == "tiny":
+            scn, basis = load_scenario(TINY)[0], SpectralBasis(1, 4, np.pi)
+        else:
+            scn, basis = load_scenario_text(DIVERGENCE_MARKOV_TEXT)[0], SpectralBasis(2, 3, np.pi)
+        hist = PathHistory.from_increments(np.array([[0.3], [-0.1]]), 0.1)
+        V = exponential_matrix(basis).conj().T
+        L_c, Ms_c = exponential_operators(scn, 0.2, hist, basis)
+        got_ops = [assemble_L(scn, 0.2, hist, basis)] + assemble_M(scn, 0.2, hist, basis)
+        for got, want in zip(got_ops, [L_c] + Ms_c):
+            want = V @ want @ V.conj().T
+            assert np.abs(want.imag).max() <= 1e-13 * np.abs(want).max()
+            assert np.abs(got - want.real).max() <= 1e-13 * np.abs(want).max()
+
 
 class TestAdjointStructure:
     def make_setup(self):
@@ -262,13 +322,13 @@ class TestAdjointStructure:
             u = self.band_limited(basis, 100 + seed)
             v = self.band_limited(basis, 200 + seed)
             lhs = inner(basis, M @ v.coeffs, u.coeffs, order=0)
-            du = basis.derivative_multiplier((1,)) * u.coeffs
+            du = basis.derivative((1,), u.coeffs)
             du_grid = basis.evaluate_at(du, x)
             rhs_field = SpatialField(
-                basis, basis.project(-sig_grid * du_grid.real + nu0 * u.values().real))
+                basis, basis.project(-sig_grid * du_grid + nu0 * u.values()))
             rhs = inner(basis, v.coeffs, rhs_field.coeffs, order=0)
             scale = max(abs(lhs), abs(rhs), 1e-30)
-            assert abs(lhs - np.conj(rhs)) / scale < 1e-8
+            assert abs(lhs - rhs) / scale < 1e-8
 
     def test_constant_coefficient_norm_identity(self):
         # with constant sigma, nu the cross term integrates to zero, so the
@@ -278,17 +338,16 @@ class TestAdjointStructure:
         M = assemble_M(sc, 0.0, None, basis)[0]
         rng = np.random.default_rng(8)
         for _ in range(5):
-            u = rng.standard_normal(basis.n_modes) + 1j * rng.standard_normal(basis.n_modes)
+            u = rng.standard_normal(basis.n_modes)
             direct = basis.norm_sq(M @ u, order=0)
-            symbol = 0.4 * basis.derivative_multiplier((1,)) * u + 0.25 * u
+            symbol = 0.4 * basis.derivative((1,), u) + 0.25 * u
             assert direct == pytest.approx(basis.norm_sq(symbol, order=0), rel=1e-10)
 
 
 class TestCoercivityProbe:
     def trials(self, basis, n=12, seed=0):
         rng = np.random.default_rng(seed)
-        return [rng.standard_normal(basis.n_modes) + 1j * rng.standard_normal(basis.n_modes)
-                for _ in range(n)]
+        return [rng.standard_normal(basis.n_modes) for _ in range(n)]
 
     def test_heat_probe_tight(self):
         basis = SpectralBasis(1, 4, np.pi)
