@@ -85,10 +85,13 @@ class IterationReport:
     final_defect: float
 
 
-def _difference_field(f: CoefficientField, f0: CoefficientField) -> CoefficientField:
-    """f - f0."""
+def _combination(w0: float, f0: CoefficientField, w1: float, f1: CoefficientField
+                 ) -> CoefficientField:
+    """w0 f0 + w1 f1, written as two terms: a ``sum`` starts at 0, and
+    0 + (-0.0) loses the sign.  (-1) f0 + 1 f is the IEEE result of f - f0."""
     return CoefficientField.derived(
-        lambda t, X, hist: f.evaluate(t, X, hist) - f0.evaluate(t, X, hist), f.shape, f, f0)
+        lambda t, X, hist: w0 * f0.evaluate(t, X, hist) + w1 * f1.evaluate(t, X, hist),
+        f1.shape, f0, f1)
 
 
 def freeze_and_iterate(scenario: Scenario, freeze_point: Array, tree: WienerTree,
@@ -106,8 +109,8 @@ def freeze_and_iterate(scenario: Scenario, freeze_point: Array, tree: WienerTree
     frozen = freeze(scenario, freeze_point)
     # (L', M') are the operators of a - a0 and sigma - sigma0 in the scenario's
     # own form, with its lower-order terms: the part the frozen solve leaves out
-    pert = scenario.with_fields(a=_difference_field(scenario.a, frozen.a),
-                                sigma=_difference_field(scenario.sigma, frozen.sigma))
+    pert = scenario.with_fields(a=_combination(-1.0, frozen.a, 1.0, scenario.a),
+                                sigma=_combination(-1.0, frozen.sigma, 1.0, scenario.sigma))
     fields = LevelFields(frozen, tree, basis)
     terminal = fields.terminal()
 
@@ -133,13 +136,6 @@ def freeze_and_iterate(scenario: Scenario, freeze_point: Array, tree: WienerTree
                                     distances[-1] if distances else np.inf)
 
 
-def _blend_field(f0: CoefficientField, f1: CoefficientField, lam: float) -> CoefficientField:
-    """(1-lam) f0 + lam f1."""
-    return CoefficientField.derived(
-        lambda t, X, hist: (1 - lam) * f0.evaluate(t, X, hist) + lam * f1.evaluate(t, X, hist),
-        f1.shape, f0, f1)
-
-
 def continuation_solve(scenario: Scenario, n_lambda_steps: int, tree: WienerTree,
                        basis: SpectralBasis, tol: float = 1e-9,
                        max_iter: int = 40, freeze_point: Array | None = None,
@@ -163,8 +159,9 @@ def continuation_solve(scenario: Scenario, n_lambda_steps: int, tree: WienerTree
     current: SolutionPair | None = None
     for j in range(n_lambda_steps + 1):
         lam = j / n_lambda_steps
-        blended = scenario.with_fields(a=_blend_field(frozen.a, scenario.a, lam),
-                                       sigma=_blend_field(frozen.sigma, scenario.sigma, lam))
+        blended = scenario.with_fields(
+            a=_combination(1 - lam, frozen.a, lam, scenario.a),
+            sigma=_combination(1 - lam, frozen.sigma, lam, scenario.sigma))
         current, report = freeze_and_iterate(
             blended, x0, tree, basis, tol=tol, max_iter=max_iter,
             scheme=scheme, initial=current)

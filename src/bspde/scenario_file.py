@@ -71,8 +71,9 @@ def _locate(value: str, offset: int, line: int, column: int) -> tuple:
 
 def _read(text: str) -> tuple:
     """The entries ``{section: {key: value}}`` of scenario text, and the
-    (line, column) in the file of every value, by ``(section, key)``, and of
-    every section header, by ``(section, None)``.
+    (line, column) in the file of every value, by ``(section, key)``, of
+    every key, by ``(section, key, "key")``, and of every section header, by
+    ``(section, None)``.
 
     A line whose first non-blank is ``#`` or ``;`` is a comment, as is the
     rest of a line from a ``#`` that opens it or follows a blank, and ``=``
@@ -107,12 +108,13 @@ def _read(text: str) -> tuple:
         else:
             value = sections[section][key] = [rest]
             places[section, key] = (number, len(content) - len(rest) + 1)
-    for (section, key), (line, column) in places.items():
-        if key is not None:
-            joined = "\n".join(sections[section][key]).rstrip()
+            places[section, key, "key"] = (number, indent + 1)
+    for section, values in sections.items():
+        for key, lines in values.items():
+            joined = "\n".join(lines).rstrip()
             start = len(joined) - len(joined.lstrip())
-            places[section, key] = _locate(joined, start, line, column)
-            sections[section][key] = joined[start:]
+            places[section, key] = _locate(joined, start, *places[section, key])
+            values[key] = joined[start:]
     return sections, places
 
 
@@ -145,23 +147,28 @@ _CASTS = {
 
 def _section(entries: dict, places: dict, name: str, required=()) -> dict:
     """The values of ``[name]`` (none if it is absent), each read by its cast
-    in ``_CASTS``; refused at the line of an unknown key, at a value its cast
-    refuses or, when a required key is missing, at the header."""
+    in ``_CASTS``; refused at an unknown key, at a value its cast refuses or,
+    when a required key is missing, at the header.  Only an expression (cast
+    ``str``) may go on over more lines: another value is refused where its
+    second line starts."""
     section, casts = entries.get(name, {}), _CASTS[name]
     unknown = [key for key in section if key not in casts]
     if unknown:
         raise ParseError(f"unknown [{name}] keys: {sorted(unknown)}",
-                         places[name, unknown[0]][0], 1)
+                         *places[name, unknown[0], "key"])
     for key in required:
         if key not in section:
             raise ParseError(f"[{name}] is missing {key!r}", *places[name, None])
     values = {}
     for key, raw in section.items():
+        place = places[name, key]
         try:
+            if "\n" in raw and casts[key] is not str:  # at its second line's text
+                place = _locate(raw, len(raw) - len(raw[raw.index("\n"):].lstrip()), *place)
+                raise ValueError(raw)
             values[key] = casts[key](raw)
         except ValueError:
-            raise ParseError(f"bad value for {name}.{key}: {raw!r}",
-                             *places[name, key]) from None
+            raise ParseError(f"bad value for {name}.{key}: {raw!r}", *place) from None
     return values
 
 

@@ -17,12 +17,12 @@ its regression design, one QR per step (``_fit``).  ``LevelFields``
 supplies a level's source as a stacked array and its operators as one
 ``LevelOperators``: matrix rows plus each node's row, with one shared row
 for deterministic fields, one per distinct Wiener state for Markov fields and
-one per node otherwise.  ``_level_step`` applies a shared row's inverse
-(I - theta dt L)^-1 to the whole level as one matrix product, and the
-provider keeps that inverse for the whole solve when the row is t-free;
-otherwise it inverts each row once and applies it to each of its nodes.
-With a shared row the regression steps its fitted coefficients, not its
-paths.
+one per node otherwise.  ``_level_step`` inverts I - theta dt L of every
+row at once and applies each inverse to its nodes as it applies L: a shared
+row's as one matrix product over the level, whose inverse the provider
+keeps for the whole solve when the row is t-free.  Only the nodes of a row
+whose inverse does not bound their amplification are measured.  With a
+shared row the regression steps its fitted coefficients, not its paths.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ def pair_difference(x: SolutionPair, y: SolutionPair) -> SolutionPair:
 # 1 when the field is deterministic (one row shared by the level) and the
 # level's node count when it is adapted.  A level's operators are one
 # ``LevelOperators``: ``k`` rows and ``index``, the (n_level,) row of every
-# node.  The engine applies and inverts or factors each row for all of its
-# nodes at once and never copies a row to every node.
+# node.  The engine inverts every row at once, applies each row to all of
+# its nodes at once and never copies a row to every node.
 
 @dataclass(frozen=True)
 class LevelOperators:
@@ -149,7 +149,8 @@ class LevelOperators:
     each node has its own row and ``index`` is a permutation.  ``keep``, set
     only on a shared row that holds for every level of a solve, keeps an
     array made from the row across levels: ``keep(name, make)`` returns the
-    array kept under ``name``, made by ``make()`` on the first call.
+    array kept under ``name``, made by ``make()`` on the first call.  The
+    step keeps the row's inverse and its amplification bound there.
     """
 
     L: Array
@@ -183,25 +184,18 @@ def _row_nodes(ops: LevelOperators) -> list | None:
     return [(slice(index[n[0]], index[n[0]] + 1), n) for n in np.split(order, cuts)]
 
 
-def _by_row(groups: list, part, shape: tuple) -> Array:
-    """``part(rows, nodes)`` of every pair of ``groups``, put at its nodes; a
-    part on a slice of nodes is the whole level and is returned as it is."""
-    if isinstance(groups[0][1], slice):
-        return part(*groups[0])
-    out = np.empty(shape)
-    for rows, nodes in groups:
-        out[nodes] = part(rows, nodes)
-    return out
-
-
 def _apply(op: Array, vec: Array, groups: list | None) -> Array:
     """Level-wise action of ``op`` (matrix rows) on ``vec`` (n, m) over
     ``groups`` (``_row_nodes``): one matrix product for a shared row,
-    otherwise one matvec per node."""
+    otherwise each row's matvec on each of its nodes, put at its nodes.  One
+    node or many, a row's arithmetic is the same, so grouped and per-node
+    rows agree bit for bit."""
     if groups is None:
         return vec @ op[0].T
-    return _by_row(groups, lambda rows, nodes: (op[rows] @ vec[nodes][..., None])[..., 0],
-                   vec.shape)
+    out = np.empty(vec.shape)
+    for rows, nodes in groups:
+        out[nodes] = (op[rows] @ vec[nodes][..., None])[..., 0]
+    return out
 
 
 def _generator(ops: LevelOperators, p: Array, q: Array, f: Array) -> Array:
@@ -401,12 +395,12 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
                 paths=None):
     """One implicit theta step for every node of a level (contract above).
 
-    A shared row's matrix is inverted once and the level is one matrix
-    product with the inverse; the inverse and its largest absolute row sum,
-    which bounds every node's amplification, are kept across levels through
-    ``ops.keep`` by (theta, dt) when the row has that slot.  Otherwise each
-    row is inverted once and applied to each of its nodes: one node or many,
-    the same arithmetic, so grouped and per-node rows agree bit for bit.
+    Every row's matrix I - theta dt L is inverted by one batched inverse and
+    applied to each of its nodes by ``_apply``, as L and the M^k are: a
+    shared row as one matrix product over the level, other rows by one
+    matvec per node.  Each row's largest absolute row sum of its inverse,
+    which bounds its nodes' amplification, is kept beside it; a row with the
+    ``ops.keep`` slot keeps both across levels by (theta, dt).
 
     ``paths``, an (n, k) matrix, says that ``Ep`` and ``q`` are k rows of
     coefficients of n nodes' values in its columns, and ``fhat`` one row
@@ -431,25 +425,9 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     def matrix():  # I - theta dt L of every row; a kept inverse needs none
         return np.eye(L.shape[-1]) - theta * dt * L
 
-    def invert():
-        return np.linalg.inv(matrix()[0])
-
-    def row_sum():  # max_i sum_j |inverse_ij|: no node's amplification exceeds it
-        return np.abs(inverse).sum(axis=-1).max()
-
-    def apply_inverse(rows, nodes):  # each row's inverse on each of its nodes
-        return (np.linalg.inv(A[rows]) @ rhs[nodes][..., None])[..., 0]
-
-    bound = np.inf  # of the amplification, for a shared row
+    keep = ops.keep or (lambda name, make: make())
     try:
-        if groups is None:
-            keep = ops.keep or (lambda name, make: make())
-            inverse = keep(("inverse", theta, dt), invert)
-            bound = keep(("bound", theta, dt), row_sum)
-            out = rhs @ inverse.T
-        else:
-            A = matrix()
-            out = _by_row(groups, apply_inverse, rhs.shape)
+        inverse = keep(("inverse", theta, dt), lambda: np.linalg.inv(matrix()))
     except np.linalg.LinAlgError as exc:
         # LAPACK stops on an exactly zero pivot, which makes the determinant 0;
         # the first such node in level order is named, whatever its row
@@ -457,27 +435,32 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
         node = first_node + int(np.argmax(singular if index is None else singular[index]))
         raise NumericError(
             f"singular implicit step at level {level}, node {node}: {exc}") from exc
+    # max_i sum_j |inverse_ij| of each row: none of its nodes amplifies more
+    bound = keep(("bound", theta, dt), lambda: np.abs(inverse).sum(axis=-1).max(axis=-1))
 
     def at_nodes(rows):  # the nodes' values of the step's rows (``paths``)
         if paths is None:
             return rows
         return np.tensordot(paths, rows[:k], axes=1) + rows[k:]
 
-    out = at_nodes(out)
+    out = at_nodes(_apply(inverse, rhs, groups))
 
     def amplification(nodes):
         return np.max(np.abs(out[nodes]), axis=-1) / (
             np.max(np.abs(at_nodes(rhs)[nodes]), axis=-1) + 1e-300)
 
     # a dissipative implicit step never amplifies like this; a near-zero
-    # pivot that LAPACK lets through does.  A bound of 1e11 or less keeps
-    # every node below 1e12, rounding included, so no node is measured, and a
-    # finite level needs no per-node test
-    if bound <= 1e11 and np.isfinite(out).all():
+    # pivot that LAPACK lets through does.  A row whose bound is 1e11 or less
+    # keeps each of its nodes below 1e12, rounding included, so only the
+    # nodes of the other rows (a nan bound proves nothing) are measured, and
+    # a finite level needs no per-node test.  A shared row's one bound is
+    # compared as a scalar: a kept step makes that test at every level
+    if (bound[0] if index is None else bound.max()) <= 1e11 and np.isfinite(out).all():
         return out
     bad = ~np.all(np.isfinite(out), axis=-1)
-    if not bound <= 1e11:
-        bad |= amplification(slice(None)) > 1e12
+    unproven = ~(bound <= 1e11)  # of each row, then of each node
+    unproven = np.broadcast_to(unproven if index is None else unproven[index], bad.shape)
+    bad[unproven] |= amplification(unproven) > 1e12
     if bad.any():
         node = int(np.argmax(bad))
         raise NumericError(f"singular implicit step at level {level}, node "

@@ -496,18 +496,23 @@ def mollify_reference(field_, basis, config, t, X, history=None):
 def picard_reference(scenario, freeze_point, tree, basis, tol=1e-9, max_iter=40,
                      scheme=None, initial=None):
     """``freeze_and_iterate`` with a fresh provider for every solve and the
-    Picard source tabulated over all levels before each step.
+    Picard source tabulated over all levels before each step, and the
+    perturbation's coefficients written as plain differences f - f0.
 
-    The package runs every step on one provider and reads the source level by
-    level, with the same arithmetic, so the two agree digit for digit.
+    The package runs every step on one provider, reads the source level by
+    level and writes f - f0 as (-1) f0 + 1 f, with the same IEEE results, so
+    the two agree digit for digit.
     """
     from bspde import (IterationReport, LevelFields, SchemeConfig, backward_solve,
                        freeze, mixed_norm_sq, pair_difference)
-    from bspde.frozen import _difference_field
     from bspde.solver import _generator
 
     scheme = scheme or SchemeConfig()
     frozen = freeze(scenario, freeze_point)
+
+    def difference(f, f0):
+        return CoefficientField.derived(
+            lambda t, X, hist: f.evaluate(t, X, hist) - f0.evaluate(t, X, hist), f.shape, f, f0)
 
     def frozen_solve(source_levels=None):
         fields = LevelFields(frozen, tree, basis)
@@ -519,8 +524,8 @@ def picard_reference(scenario, freeze_point, tree, basis, tol=1e-9, max_iter=40,
     distances = []
     converged = False
     for _ in range(max_iter):
-        pert = scenario.with_fields(a=_difference_field(scenario.a, frozen.a),
-                                    sigma=_difference_field(scenario.sigma, frozen.sigma))
+        pert = scenario.with_fields(a=difference(scenario.a, frozen.a),
+                                    sigma=difference(scenario.sigma, frozen.sigma))
         fields = LevelFields(scenario, tree, basis)
         sources = [_generator(fields.operators(level, pert), current.p.levels[level],
                               current.q.levels[level], fields.source(level))

@@ -27,7 +27,7 @@ from bspde import (
     solve_tree,
     validate,
 )
-from bspde.frozen import _blend_field, _difference_field, _frozen_field
+from bspde.frozen import _combination, _frozen_field
 from bspde.scenario import _sample_points
 from helpers import declared_time_dependent, make_field, make_scenario
 
@@ -182,16 +182,12 @@ phi = 1 + 0.2*w1
         const = CoefficientField.constant(0.5)
         for markov_input in (scn.phi, _frozen_field(scn.phi, np.zeros(1))):
             for other in (markov_input, det, const):
-                assert _difference_field(markov_input, other).markov
-                assert _difference_field(other, markov_input).markov
-                assert _blend_field(markov_input, other, 0.5).markov
-                assert _blend_field(other, markov_input, 0.5).markov
-            assert not _difference_field(markov_input, path).markov
-            assert not _difference_field(path, markov_input).markov
-            assert not _blend_field(markov_input, path, 0.5).markov
-            assert not _blend_field(path, markov_input, 0.5).markov
-        assert not _difference_field(path, det).markov
-        assert not _blend_field(const, path, 0.5).markov
+                assert _combination(-1.0, other, 1.0, markov_input).markov
+                assert _combination(0.5, markov_input, 0.5, other).markov
+            assert not _combination(-1.0, path, 1.0, markov_input).markov
+            assert not _combination(0.5, markov_input, 0.5, path).markov
+        assert not _combination(-1.0, det, 1.0, path).markov
+        assert not _combination(0.5, const, 0.5, path).markov
 
     def test_derived_kind_and_markov_follow_the_inputs(self):
         scn, path = self.fields()
@@ -253,13 +249,11 @@ class TestTimeFreeDeclaration:
         for f in free:
             for g in free:
                 assert CoefficientField.derived(lambda t, X, h: 0.0, (), f, g).t_free
-                assert _difference_field(f, g).t_free and _blend_field(f, g, 0.5).t_free
+                assert _combination(-1.0, g, 1.0, f).t_free
             for g in (timed, library):
                 assert not CoefficientField.derived(lambda t, X, h: 0.0, (), f, g).t_free
-                assert not _difference_field(f, g).t_free
-                assert not _difference_field(g, f).t_free
-                assert not _blend_field(g, f, 0.5).t_free
-                assert not _blend_field(f, g, 0.5).t_free
+                assert not _combination(-1.0, g, 1.0, f).t_free
+                assert not _combination(0.5, f, 0.5, g).t_free
             assert _frozen_field(f, np.zeros(1)).t_free
         assert not _frozen_field(library, np.zeros(1)).t_free
         assert all(getattr(freeze(scn, np.zeros(1)), n).t_free for n in self.NAMES)

@@ -210,12 +210,25 @@ class TestParseErrors:
         (MINIMAL + "[run] junk\ntheta = 0.5\n", 14, 1, r"got '\[run\] junk'"),
         (MINIMAL + "[x] = 5\n", 14, 1, r"unknown \[data\] keys: \['\[x\]'\]"),
         (MINIMAL + "[DEFAULT]\nmodes = 8\n", 14, 1, r"unknown section \[DEFAULT\]"),
+        # only an expression goes on over more lines: another value is refused
+        # where its second line's text starts
+        (TINY_TEXT.replace("T = 0.5\n", "T = 0.5\n   0\n"), 6, 4, r"problem\.T: '0\.5\\n   0'"),
+        (TINY_TEXT.replace("T = 0.5\n", "T = 0.5\n\n   0\n"), 7, 4, r"problem\.T"),
+        (TINY_TEXT.replace("form = non_divergence\n", "form = non_divergence\n   x\n"),
+         10, 4, r"problem\.form"),
+        (MINIMAL + "[run]\nsmoothing = 4,\n   8\n", 16, 4, r"run\.smoothing"),
+        # an unknown key is placed at its own column
+        (TINY_TEXT.replace("[run]\n", "[run]\n    zeta = 1\n"), 29, 5, r"\['zeta'\]"),
     ])
     def test_bad_value_names_its_own_line(self, text, line, column, name):
         assert MINIMAL.count("\n") == 13 and TINY_TEXT.count("\n") == 30
         with pytest.raises(ParseError, match=name) as caught:
             load_scenario_text(text)
         assert (caught.value.line, caught.value.column) == (line, column)
+
+    def test_a_continued_expression_loads(self):
+        scn = load_scenario_text(MINIMAL.replace("a = 0.5\n", "a = 0.5\nc = 0.1\n  + 0.2\n"))[0]
+        assert scn.c.value == 0.1 + 0.2
 
     def test_unknown_expression_variable(self):
         text = MINIMAL.replace("phi = cos(x1)", "phi = cos(y9)")

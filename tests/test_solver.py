@@ -202,13 +202,14 @@ class TestBackwardSolveProviders:
         with pytest.raises(StructuralError, match=message):
             backward_solve(tree, BASIS, SchemeConfig(), np.ones((1, 9)), ops, zero_source)
 
-    @pytest.mark.parametrize("n, n_rows, index, solves, inverses", [
-        (1, 1, None, 0, 1),                 # a shared row, for any node count:
-        (7, 1, None, 0, 1),                 # one inverse, one matrix product
-        (5, 5, [3, 0, 4, 1, 2], 0, 1),      # a row per node: one stacked inverse
-        (5, 3, [2, 0, 2, 1, 0], 0, 3)])     # a row per state: one inverse per row
+    @pytest.mark.parametrize("n, n_rows, index", [
+        (1, 1, None),                 # a shared row, for any node count:
+        (7, 1, None),                 # one inverse, one matrix product
+        (5, 5, [3, 0, 4, 1, 2]),      # a row per node
+        (5, 3, [2, 0, 2, 1, 0])])     # a row per state
     def test_level_step_inverts_once_per_row_or_once_stacked(self, monkeypatch, n, n_rows,
-                                                             index, solves, inverses):
+                                                             index):
+        # every layout makes one batched inverse of all of its rows and no solve
         rng = np.random.default_rng(5)
         m = BASIS.n_modes
         L = -np.eye(m) - 0.1 * rng.standard_normal((n_rows, m, m))
@@ -221,11 +222,11 @@ class TestBackwardSolveProviders:
                            Ep, q, fhat, 0.1, 0.5, 0)
         calls = []
         for name in ("solve", "inv"):
-            monkeypatch.setattr(np.linalg, name, lambda *a, _f=getattr(np.linalg, name),
-                                _name=name: calls.append(_name) or _f(*a))
+            monkeypatch.setattr(np.linalg, name, lambda a, *rest, _f=getattr(np.linalg, name),
+                                _name=name: calls.append((_name, a.shape)) or _f(a, *rest))
         got = _level_step(LevelOperators(L, Ms, None if index is None else node_rows),
                           Ep, q, fhat, 0.1, 0.5, 0)
-        assert (calls.count("solve"), calls.count("inv")) == (solves, inverses)
+        assert calls == [("inv", (n_rows, m, m))]
         if index is None:  # one level-wide product is not the per-node products' arithmetic
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         else:
@@ -939,7 +940,7 @@ class TestTimeFreeFields:
         fast, slow, counts = self.solve_counted(assemblies, solve_tree, scn, chain)
         assert counts == (1, 1)
         assert len(assemblies) == 2 + 2 * 256  # the per-level path: every level
-        assert inverses == [(BASIS.n_modes,) * 2] * (1 + 256)  # once, then every level
+        assert inverses == [(1,) + (BASIS.n_modes,) * 2] * (1 + 256)  # once, then every level
         self.assert_bit_equal(fast, slow)
         # the regression's path blocks share the provider's rows
         assemblies.clear()

@@ -358,6 +358,40 @@ def test_linear_systems_are_solved_only_in_the_level_step():
                             SOLVE_ALLOWED) == {}
 
 
+def linalg_calls_in(source: str, function: str) -> list[str]:
+    """``<name>`` of every ``<x>.linalg.<name>(...)`` call inside the functions
+    named ``function``, nested functions and lambdas included, in source order."""
+    calls = [node for top in ast.walk(ast.parse(source))
+             if isinstance(top, ast.FunctionDef) and top.name == function
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Attribute)
+             and node.func.value.attr == "linalg"]
+    return [c.func.attr for c in sorted(calls, key=lambda c: (c.lineno, c.col_offset))]
+
+
+def test_detector_lists_the_linalg_calls_of_a_function():
+    source = (
+        "def _level_step(A, b):\n"
+        "    inverse = keep(lambda: np.linalg.inv(A))\n"
+        "    x = np.linalg.solve(A, b)\n"
+        "    def inner():\n        return numpy.linalg.inv(A) @ b\n"
+        "    d = np.linalg.det(A) + other.inv(A)\n"
+        "def other(A):\n    return np.linalg.inv(A)\n"
+    )
+    assert linalg_calls_in(source, "_level_step") == ["inv", "solve", "inv", "det"]
+    assert linalg_calls_in(source, "other") == ["inv"]
+    assert linalg_calls_in(source, "missing") == []
+
+
+def test_the_level_step_makes_one_inverse_and_no_solve():
+    # one batched inverse of every row, in every row layout: a second inverse
+    # or a solve would be a second path through the step
+    source = (SRC / "solver.py").read_text(encoding="utf-8")
+    assert [name for name in linalg_calls_in(source, "_level_step")
+            if name in SOLVES] == ["inv"]
+
+
 def test_regressions_are_fitted_only_in_fit():
     # a second fit beside the stacked QR would fit each target on its own again
     assert package_findings(lambda source: linalg_calls_outside(source, FITS, FIT_SITES)) == {}
