@@ -170,7 +170,7 @@ def positivity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTre
     def data_negpart(field_, level, t):
         vals = fields.level_map(level, [field_], lambda s, h: field_.evaluate(t, X, h),
                                 ("grid", field_))
-        return float(np.sum(tree.levels[level].prob * _negpart_integral(vals, volume)))
+        return _expectation(tree.levels[level].prob, _negpart_integral(vals, volume))
 
     phi_neg = data_negpart(scenario.phi, N, scenario.horizon)
     f_neg = np.array([data_negpart(scenario.F, level, tree.time_of(level))

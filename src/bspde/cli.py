@@ -145,7 +145,7 @@ def _checked(disc):
         value = getattr(disc, key)
         if value is not None and value < 1:
             raise StructuralError(f"{key} must be >= 1, got {value}")
-    if disc.branching is not None and disc.branching not in ALLOWED_BRANCHING:
+    if disc.branching not in ALLOWED_BRANCHING:
         raise StructuralError(
             f"branching must be one of {ALLOWED_BRANCHING}, got {disc.branching}")
     if disc.seed < 0:
@@ -183,8 +183,7 @@ class _Run:
         # chain is exact and cheap, unless the user explicitly forces branching
         if sc.is_deterministic and self.args.branching is None:
             return build_chain(sc.dim_w, self.disc.steps, sc.horizon)
-        return build_tree(sc.dim_w, self.disc.steps, self.disc.branching or 2,
-                          sc.horizon)
+        return build_tree(sc.dim_w, self.disc.steps, self.disc.branching, sc.horizon)
 
     def solve(self, scenario=None):
         return solve_tree(scenario or self.scenario, self.tree, self.basis, self.scheme)

@@ -49,7 +49,6 @@ def solve_dense(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
 
     for level in range(N):
         t = tree.time_of(level)
-        nxt = tree.levels[level + 1]
         for node in range(tree.levels[level].n_nodes):
             hist = tree.history(level, node)
             L = assemble_L(scenario, t, hist, basis)
@@ -57,11 +56,11 @@ def solve_dense(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
             row = starts[level] + node * nm
             A[row:row + nm, row:row + nm] -= theta * dt * L
             explicit = eye + (1 - theta) * dt * L
-            sl = tree.children_slice(level, node)
-            for child in range(sl.start, sl.stop):
-                noise = sum(dwk * M for dwk, M in zip(nxt.increments[child], Ms))
-                col = starts[level + 1] + child * nm
-                A[row:row + nm, col:col + nm] = -nxt.weights[child] * (explicit + noise)
+            first = tree.children_slice(level, node).start
+            for j, (dw, w) in enumerate(zip(tree.increments, tree.weights)):
+                noise = sum(dwk * M for dwk, M in zip(dw, Ms))
+                col = starts[level + 1] + (first + j) * nm
+                A[row:row + nm, col:col + nm] = -w * (explicit + noise)
             rhs[row:row + nm] = dt * basis.project(scenario.F.evaluate(t, X, hist))
     try:
         sol = np.linalg.solve(A, rhs)
@@ -70,13 +69,11 @@ def solve_dense(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
 
     p_levels = [sol[starts[k]:starts[k + 1]].reshape(-1, nm) for k in range(N + 1)]
     q_levels = []
+    wdw = tree.weights[:, None] * tree.increments
     for level in range(N):
-        nxt = tree.levels[level + 1]
         q = np.empty((tree.levels[level].n_nodes, tree.dim_w, nm))
         for node in range(tree.levels[level].n_nodes):
-            sl = tree.children_slice(level, node)
-            wdw = nxt.weights[sl, None] * nxt.increments[sl]
-            q[node] = wdw.T @ p_levels[level + 1][sl] / dt
+            q[node] = wdw.T @ p_levels[level + 1][tree.children_slice(level, node)] / dt
         q_levels.append(q)
     return SolutionPair(AdaptedField(tree, basis, p_levels),
                         AdaptedField(tree, basis, q_levels))

@@ -46,7 +46,7 @@ class DiscretizationConfig:
 
     modes: int = 8
     steps: int = 8
-    branching: int | None = 2
+    branching: int = 2
     paths: int | None = None
     seed: int = 0
 
@@ -371,9 +371,8 @@ def serialize_scenario(scenario: Scenario, disc: DiscretizationConfig | None = N
             lines.append(f"{name} = {render(name)}")
     if disc is not None:
         lines += ["", "[discretization]",
-                  f"modes = {disc.modes}", f"steps = {disc.steps}"]
-        if disc.branching is not None:
-            lines.append(f"branching = {disc.branching}")
+                  f"modes = {disc.modes}", f"steps = {disc.steps}",
+                  f"branching = {disc.branching}"]
         if disc.paths is not None:
             lines.append(f"paths = {disc.paths}")
         lines.append(f"seed = {disc.seed}")

@@ -83,10 +83,8 @@ class AdaptedField:
         """E sup_t ||.||_order^2: pathwise running max, averaged over leaves."""
         run = self._node_norm_sq(0, order)
         for k in range(1, len(self.levels)):
-            here = self._node_norm_sq(k, order)
-            run = np.maximum(run[self.tree.levels[k].parents], here)
-        prob = self.tree.levels[len(self.levels) - 1].prob
-        return float(np.sum(prob * run))
+            run = np.maximum(np.repeat(run, self.tree.n_children), self._node_norm_sq(k, order))
+        return _expectation(self.tree.levels[len(self.levels) - 1].prob, run)
 
     def sup_e_norm_sq(self, order=0) -> float:
         return max(self.level_expected_norm_sq(k, order)
@@ -541,7 +539,7 @@ def _defects(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
     fields = LevelFields(scenario, tree, basis)
     for level in range(tree.n_steps):
         p, q = solution.p.levels[level], solution.q.levels[level]
-        Ep = tree.expectations(level, solution.p.levels[level + 1])[0]
+        Ep = tree.conditional_mean(level, solution.p.levels[level + 1])
         drift = _generator(fields.operators(level), theta * p + (1.0 - theta) * Ep, q,
                            fields.source(level))
         yield p - Ep - tree.dt * drift

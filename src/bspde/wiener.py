@@ -1,17 +1,20 @@
 """Discrete Wiener filtration: quadrature trees and path ensembles.
 
-The tree realises the driving noise as a non-recombining Gauss-Hermite tree:
-every node at level k spawns ``branching**dim_w`` children whose edge
-increments are the tensorised Gauss-Hermite abscissae scaled by sqrt(dt), with
-the matching product weights.  Conditional expectations on the tree are then
-plain weighted sums, exact for the represented filtration, and the discrete
+The tree realises the driving noise as a non-recombining Gauss-Hermite tree.
+The increments of a Wiener process are i.i.d., so every node spawns the same
+``branching**dim_w`` children: one pattern of edge increments (the tensorised
+Gauss-Hermite abscissae scaled by sqrt(dt)) and matching product weights,
+stored once on the tree.  Node i of level k+1 is child ``i % C`` of node
+``i // C`` of level k, so a level keeps only its node probabilities.
+Conditional expectations on the tree are then plain weighted sums over the
+pattern, exact for the represented filtration, and the discrete
 martingale-representation coefficient is the increment-weighted sum divided
 by dt.
 
-``build_chain`` is the degenerate single-path variant (zero increments, unit
-weight) used to run deterministic scenarios at large step counts, where a
-branching tree would be astronomically large; it does not satisfy the
-second-moment matching and must not be used with adapted data.
+``build_chain`` is the degenerate single-path variant (the pattern of one zero
+increment with unit weight) used to run deterministic scenarios at large step
+counts, where a branching tree would be astronomically large; it does not
+satisfy the second-moment matching and must not be used with adapted data.
 """
 
 from __future__ import annotations
@@ -39,36 +42,36 @@ def gauss_hermite_standard(n_points: int) -> tuple[Array, Array]:
 
 @dataclass(frozen=True)
 class TreeLevel:
-    """All nodes at one time level, stored columnwise.
+    """All nodes at one time level: ``prob[i]`` is node i's unconditional
+    probability.  Its place in the tree is its index (see ``WienerTree``)."""
 
-    ``parents[i]`` indexes into the previous level (-1 at the root),
-    ``increments[i]`` is the edge increment from the parent, ``weights[i]``
-    the conditional probability of that edge, ``prob[i]`` the unconditional
-    node probability.  A node's W is its increments' sum (``level_increments``).
-    """
-
-    parents: Array
-    increments: Array
-    weights: Array
     prob: Array
 
     @property
     def n_nodes(self) -> int:
-        return len(self.parents)
+        return len(self.prob)
 
 
 @dataclass(frozen=True)
 class WienerTree:
+    """Levels 0..n_steps of nodes, every node with the children of one pattern:
+    child j moves by ``increments[j]`` (C, dim_w) with probability
+    ``weights[j]`` (C,).  Node i of level k+1 is child ``i % C`` of node
+    ``i // C`` of level k, so a node's W is the sum of the pattern rows its
+    index spells out (``level_increments``)."""
+
     dim_w: int
     n_steps: int
     branching: int
     horizon: float
     dt: float
+    increments: Array
+    weights: Array
     levels: list[TreeLevel]
 
     @property
     def n_children(self) -> int:
-        return self.branching ** self.dim_w if self.branching > 1 else 1
+        return len(self.weights)
 
     @property
     def n_nodes(self) -> int:
@@ -89,41 +92,47 @@ class WienerTree:
     def history(self, level: int, index: int) -> PathHistory:
         """Increment prefix along the root-to-node chain."""
         incs = np.zeros((level, self.dim_w))
-        lev, idx = level, index
-        while lev > 0:
-            incs[lev - 1] = self.levels[lev].increments[idx]
-            idx = int(self.levels[lev].parents[idx])
-            lev -= 1
+        for lev in range(level, 0, -1):
+            index, child = divmod(index, self.n_children)
+            incs[lev - 1] = self.increments[child]
         return PathHistory(level * self.dt, self.dt, incs, incs.sum(axis=0))
 
     def level_increments(self, level: int) -> Array:
-        """Every node's increments, ``(n_level, level, dim_w)``, in one parent walk."""
+        """Every node's increments, ``(n_level, level, dim_w)``, read off its index."""
         idx = np.arange(self.levels[level].n_nodes)
         incs = np.zeros((len(idx), level, self.dim_w))
         for lev in range(level, 0, -1):
-            incs[:, lev - 1] = self.levels[lev].increments[idx]
-            idx = self.levels[lev].parents[idx]
+            idx, child = np.divmod(idx, self.n_children)
+            incs[:, lev - 1] = self.increments[child]
         return incs
 
-    def expectations(self, level: int, values) -> tuple[Array, Array]:
-        """Exact ``E[values | node]`` and the discrete martingale-representation
-        coefficient ``E[values dW | node] / dt`` for every node of ``level``.
-
-        ``values`` holds one row per node of ``level + 1``, in tree order, of
-        any trailing shape; the results are ``(n_level, ...)`` and
-        ``(n_level, dim_w, ...)``.  For affine child data the coefficient is
-        the representation coefficient exactly.
-        """
+    def _by_parent(self, level: int, values) -> Array:
+        """``values``, one row per node of ``level + 1``, as (n_level, C, ...)."""
         if level >= self.n_steps:
             raise ValueError("terminal nodes have no children")
-        n, c, nxt = self.levels[level].n_nodes, self.n_children, self.levels[level + 1]
+        nxt = self.levels[level + 1].n_nodes
         vals = np.asarray(values)
-        if vals.shape[0] != nxt.n_nodes:
-            raise ValueError(f"expected {nxt.n_nodes} child values, got {vals.shape[0]}")
-        w, vals = nxt.weights.reshape(n, c), vals.reshape((n, c) + vals.shape[1:])
-        dw = nxt.increments.reshape(n, c, self.dim_w)
-        return (np.einsum("nc,nc...->n...", w, vals),
-                np.einsum("nc,nck,nc...->nk...", w, dw, vals) / self.dt)
+        if vals.shape[0] != nxt:
+            raise ValueError(f"expected {nxt} child values, got {vals.shape[0]}")
+        return vals.reshape((self.levels[level].n_nodes, self.n_children) + vals.shape[1:])
+
+    def conditional_mean(self, level: int, values) -> Array:
+        """Exact ``E[values | node]`` for every node of ``level``.
+
+        ``values`` holds one row per node of ``level + 1``, in tree order, of
+        any trailing shape; the result is ``(n_level, ...)``.
+        """
+        return np.einsum("c,nc...->n...", self.weights, self._by_parent(level, values))
+
+    def expectations(self, level: int, values) -> tuple[Array, Array]:
+        """``conditional_mean`` and the discrete martingale-representation
+        coefficient ``E[values dW | node] / dt``, ``(n_level, dim_w, ...)``,
+        for every node of ``level``.  For affine child data the coefficient
+        is the representation coefficient exactly.
+        """
+        vals = self._by_parent(level, values)
+        return (self.conditional_mean(level, values),
+                np.einsum("c,ck,nc...->nk...", self.weights, self.increments, vals) / self.dt)
 
 
 def _branch_pattern(dim_w: int, branching: int, dt: float) -> tuple[Array, Array]:
@@ -138,29 +147,6 @@ def _branch_pattern(dim_w: int, branching: int, dt: float) -> tuple[Array, Array
     return incs, weights
 
 
-def _grow(dim_w: int, n_steps: int, branching: int, horizon: float,
-          pattern: tuple[Array, Array]) -> WienerTree:
-    """The tree whose every node spawns one child per row of the
-    ``(increments (C, dim_w), weights (C,))`` pattern."""
-    pattern_inc, pattern_w = pattern
-    c = len(pattern_w)
-    levels = [TreeLevel(
-        parents=np.array([-1]),
-        increments=np.zeros((1, dim_w)),
-        weights=np.ones(1),
-        prob=np.ones(1),
-    )]
-    for _ in range(n_steps):
-        prev = levels[-1]
-        n_prev = prev.n_nodes
-        parents = np.repeat(np.arange(n_prev), c)
-        increments = np.tile(pattern_inc, (n_prev, 1))
-        weights = np.tile(pattern_w, n_prev)
-        prob = np.repeat(prev.prob, c) * weights
-        levels.append(TreeLevel(parents, increments, weights, prob))
-    return WienerTree(dim_w, n_steps, branching, horizon, horizon / n_steps, levels)
-
-
 def build_tree(dim_w: int, n_steps: int, branching: int, horizon: float) -> WienerTree:
     """Non-recombining Gauss-Hermite tree over [0, horizon] with n_steps levels."""
     if branching not in ALLOWED_BRANCHING:
@@ -169,24 +155,27 @@ def build_tree(dim_w: int, n_steps: int, branching: int, horizon: float) -> Wien
         raise ValueError("n_steps must be >= 1")
     c = branching ** dim_w
     nodes = (c ** (n_steps + 1) - 1) // (c - 1)
-    # parents, weights and prob, plus dim_w columns of increments
-    check_bytes(nodes * (3 + dim_w) * 8, f"a tree of {n_steps} steps")
-    return _grow(dim_w, n_steps, branching, horizon,
-                 _branch_pattern(dim_w, branching, horizon / n_steps))
+    check_bytes(nodes * 8, f"a tree of {n_steps} steps")  # one probability per node
+    increments, weights = _branch_pattern(dim_w, branching, horizon / n_steps)
+    levels = [TreeLevel(np.ones(1))]
+    for _ in range(n_steps):
+        levels.append(TreeLevel(np.outer(levels[-1].prob, weights).ravel()))
+    return WienerTree(dim_w, n_steps, branching, horizon, horizon / n_steps,
+                      increments, weights, levels)
 
 
 def build_chain(dim_w: int, n_steps: int, horizon: float) -> WienerTree:
     """Single-path degenerate tree for deterministic scenarios (see module doc):
-    one child per node, with a zero increment and unit weight.
+    the pattern of one child with a zero increment and unit weight.
 
-    Every level after the root is the same one node, so the chain holds one
+    Every level is the same one node of probability 1, so the chain holds one
     ``TreeLevel`` object for all of them: a level costs a list slot.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    root, level = _grow(dim_w, 1, 1, horizon, (np.zeros((1, dim_w)), np.ones(1))).levels
+    level = TreeLevel(np.ones(1))
     return WienerTree(dim_w, n_steps, 1, horizon, horizon / n_steps,
-                      [root] + [level] * n_steps)
+                      np.zeros((1, dim_w)), np.ones(1), [level] * (n_steps + 1))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import inspect
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -205,6 +205,71 @@ def ensemble_history(ensemble, path, step) -> PathHistory:
         if step > 0 else PathHistory.empty(ensemble.dim_w)
 
 
+# -- per-node reference tree --------------------------------------------------
+#
+# A tree stores its branch pattern once and one probability per node.  These
+# are the per-node arrays it replaced, grown from the same pattern by the same
+# arithmetic, and the parent walks that read them: the reference the pattern
+# tree must reproduce bit for bit.
+
+@dataclass(frozen=True)
+class ReferenceLevel:
+    """One level, node by node: ``parents[i]`` indexes the previous level (-1
+    at the root), ``increments[i]`` and ``weights[i]`` are the edge from the
+    parent, ``prob[i]`` the unconditional node probability."""
+
+    parents: np.ndarray
+    increments: np.ndarray
+    weights: np.ndarray
+    prob: np.ndarray
+
+
+def reference_levels(tree) -> list[ReferenceLevel]:
+    """Every level of ``tree`` with its per-node arrays."""
+    c = tree.n_children
+    levels = [ReferenceLevel(np.array([-1]), np.zeros((1, tree.dim_w)), np.ones(1),
+                             np.ones(1))]
+    for _ in range(tree.n_steps):
+        prev = levels[-1]
+        n_prev = len(prev.prob)
+        weights = np.tile(tree.weights, n_prev)
+        levels.append(ReferenceLevel(np.repeat(np.arange(n_prev), c),
+                                     np.tile(tree.increments, (n_prev, 1)), weights,
+                                     np.repeat(prev.prob, c) * weights))
+    return levels
+
+
+def reference_level_increments(levels, level) -> np.ndarray:
+    """Every node's increments, ``(n_level, level, dim_w)``, by a parent walk."""
+    idx = np.arange(len(levels[level].prob))
+    incs = np.zeros((len(idx), level, levels[0].increments.shape[1]))
+    for lev in range(level, 0, -1):
+        incs[:, lev - 1] = levels[lev].increments[idx]
+        idx = levels[lev].parents[idx]
+    return incs
+
+
+def reference_history(levels, level, index, dt) -> PathHistory:
+    """One node's increment prefix, walking up its parents."""
+    incs = np.zeros((level, levels[0].increments.shape[1]))
+    for lev in range(level, 0, -1):
+        incs[lev - 1] = levels[lev].increments[index]
+        index = int(levels[lev].parents[index])
+    return PathHistory(level * dt, dt, incs, incs.sum(axis=0))
+
+
+def reference_expectations(levels, level, values, dt):
+    """``E[values | node]`` and ``E[values dW | node] / dt`` from the
+    per-node edge weights and increments of level + 1."""
+    n, nxt = len(levels[level].prob), levels[level + 1]
+    c = len(nxt.prob) // n
+    vals = np.asarray(values)
+    vals = vals.reshape((n, c) + vals.shape[1:])
+    w, dw = nxt.weights.reshape(n, c), nxt.increments.reshape(n, c, -1)
+    return (np.einsum("nc,nc...->n...", w, vals),
+            np.einsum("nc,nck,nc...->nk...", w, dw, vals) / dt)
+
+
 # -- per-node references ------------------------------------------------------
 #
 # The readers of a solved pair reduce a whole tree level at a time.  These are
@@ -231,13 +296,15 @@ def time_norm_sq_reference(field, order=0) -> float:
 
 
 def e_sup_norm_sq_reference(field, order=0) -> float:
-    run = np.array([row_norm_sq_reference(field.basis, r, order) for r in field.levels[0]])
+    """The running maximum carried node by node along the per-node parents of
+    ``reference_levels``, then averaged over the last level node by node."""
+    levels = reference_levels(field.tree)
+    run = [row_norm_sq_reference(field.basis, r, order) for r in field.levels[0]]
     for k in range(1, len(field.levels)):
-        here = np.array([row_norm_sq_reference(field.basis, r, order)
-                         for r in field.levels[k]])
-        run = np.maximum(run[field.tree.levels[k].parents], here)
-    prob = field.tree.levels[len(field.levels) - 1].prob
-    return float(np.sum(prob * run))
+        run = [max(run[parent], row_norm_sq_reference(field.basis, r, order))
+               for parent, r in zip(levels[k].parents, field.levels[k])]
+    prob = levels[len(field.levels) - 1].prob
+    return float(sum(p * r for p, r in zip(prob, run)))
 
 
 def sup_e_norm_sq_reference(field, order=0) -> float:

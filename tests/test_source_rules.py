@@ -614,7 +614,7 @@ def test_the_digits_of_a_float_are_stated_once():
 # the level engine's loop, steps and field provider; the dense oracle, the
 # independent reference, calls none of them
 ENGINE = ("LevelFields", "_level_step", "_backward", "_generator", "backward_solve",
-          "solve_tree", "expectations")
+          "solve_tree", "expectations", "conditional_mean")
 
 
 def engine_calls(source: str) -> list[int]:
@@ -754,3 +754,52 @@ def test_detector_finds_complex_arithmetic():
 
 def test_the_package_has_no_complex_arithmetic():
     assert package_findings(complex_arithmetic) == {}
+
+
+# a sum over a level: a builtin or numpy reduction, or a matrix product
+SUMS = {"sum", "cumsum", "dot", "vdot", "inner", "einsum", "tensordot", "average",
+        "mean", "fsum"}
+
+
+def prob_sums_outside(source: str, allowed: set) -> list[int]:
+    """Line numbers of sums (``sum(...)``, ``np.sum(...)``, ``x.sum()``, ``@``
+    ...) that read a level's ``prob``, as an attribute or a name ``prob``,
+    outside the functions named in ``allowed``."""
+    def reads_prob(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "prob"
+                   or isinstance(n, ast.Name) and n.id == "prob" for n in ast.walk(node))
+
+    def match(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            return reads_prob(node)
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        return name in SUMS and reads_prob(node)
+    return lines_outside(source, allowed, match)
+
+
+def test_detector_finds_prob_sums():
+    source = (
+        "def _expectation(prob, values):\n"
+        "    return float(np.cumsum(prob * values)[-1])\n"
+        "e = float(np.sum(tree.levels[k].prob * run))\n"
+        "prob = tree.levels[k].prob\n"
+        "m = prob @ x\n"
+        "t = (prob * x).sum()\n"
+        "u = _expectation(tree.levels[k].prob, np.sum(p * q, axis=-1))\n"
+        "n = sum(lv.n_nodes for lv in tree.levels)\n"
+        "v = np.dot(lv.prob, x)\n"
+        "r = np.repeat(prev.prob, c) * np.tile(w, len(prev.prob))\n"
+    )
+    assert prob_sums_outside(source, {"_expectation"}) == [3, 5, 6, 9]
+    assert prob_sums_outside(source, set()) == [2, 3, 5, 6, 9]
+
+
+def test_a_level_is_averaged_only_by_its_node_order_sum():
+    # every expectation over a level adds node after node, in one place, so
+    # no audit's last digits depend on which reduction a caller picked
+    assert package_findings(lambda source: prob_sums_outside(source, {"_expectation"})) == {}
+    solver = (SRC / "solver.py").read_text(encoding="utf-8")
+    assert prob_sums_outside(solver, set()) != []

@@ -12,12 +12,15 @@ import bspde.wiener
 from bspde import (
     BudgetError,
     build_chain,
+    SpectralBasis,
     build_tree,
     gauss_hermite_standard,
     sample_paths,
 )
-from bspde.wiener import _grow
-from helpers import ensemble_history, wiener_values
+from bspde.solver import AdaptedField
+from helpers import (e_sup_norm_sq_reference, ensemble_history, reference_expectations,
+                     reference_history, reference_level_increments, reference_levels,
+                     wiener_values)
 from oracles import brute_tree_expectation, gauss_hermite_probabilist
 
 
@@ -47,18 +50,16 @@ class TestTreeStructure:
     def test_two_point_increments(self):
         # T=1, two steps: children move by +-sqrt(dt) = +-sqrt(1/2)
         tree = build_tree(1, 2, 2, 1.0)
-        lv = tree.levels[1]
-        assert np.allclose(np.sort(lv.increments.ravel()),
+        assert np.allclose(np.sort(tree.increments.ravel()),
                            [-np.sqrt(0.5), np.sqrt(0.5)], atol=1e-14)
-        assert np.allclose(lv.weights, 0.5)
+        assert np.allclose(tree.weights, 0.5)
 
     def test_three_point_increments(self):
         tree = build_tree(1, 3, 3, 0.75)
         dt = 0.25
-        lv = tree.levels[1]
-        assert np.allclose(np.sort(lv.increments.ravel()),
+        assert np.allclose(np.sort(tree.increments.ravel()),
                            [-np.sqrt(3 * dt), 0.0, np.sqrt(3 * dt)], atol=1e-14)
-        assert np.allclose(np.sort(lv.weights), [1 / 6, 1 / 6, 2 / 3], atol=1e-14)
+        assert np.allclose(np.sort(tree.weights), [1 / 6, 1 / 6, 2 / 3], atol=1e-14)
 
     def test_node_counts_and_probabilities(self):
         tree = build_tree(2, 3, 2, 1.0)
@@ -71,18 +72,19 @@ class TestTreeStructure:
 
     def test_tensor_product_children(self):
         tree = build_tree(2, 1, 2, 0.5)
-        lv = tree.levels[1]
         r = np.sqrt(0.5)
         expected = {(-r, -r), (-r, r), (r, -r), (r, r)}
-        got = {tuple(np.round(row, 12)) for row in lv.increments}
+        assert tree.increments.shape == (4, 2)
+        got = {tuple(np.round(row, 12)) for row in tree.increments}
         assert got == {tuple(np.round(e, 12)) for e in expected}
-        assert np.allclose(lv.weights, 0.25)
+        assert np.allclose(tree.weights, 0.25)
 
     def test_per_node_child_moments(self):
         tree = build_tree(1, 2, 3, 1.0)
         dt = tree.dt
+        ref = reference_levels(tree)
         for level in range(tree.n_steps):
-            lv_next = tree.levels[level + 1]
+            lv_next = ref[level + 1]
             for node in range(len(tree.levels[level].prob)):
                 sl = tree.children_slice(level, node)
                 w = lv_next.weights[sl]
@@ -95,9 +97,8 @@ class TestTreeStructure:
     def test_two_point_kurtosis_deficit(self):
         # the 2-point rule matches only the first three moments
         tree = build_tree(1, 1, 2, 0.25)
-        lv = tree.levels[1]
-        dw = lv.increments[:, 0]
-        assert np.dot(lv.weights, dw**4) == pytest.approx(tree.dt**2, rel=1e-12)
+        dw = tree.increments[:, 0]
+        assert np.dot(tree.weights, dw**4) == pytest.approx(tree.dt**2, rel=1e-12)
 
     def test_history_matches_cumulative_sum(self):
         tree = build_tree(2, 3, 2, 0.9)
@@ -109,11 +110,12 @@ class TestTreeStructure:
                 assert h.t == pytest.approx(tree.time_of(level))
 
     def test_parent_links(self):
+        # node i of level k+1 is child i % C of node i // C of level k
         tree = build_tree(1, 2, 2, 1.0)
-        lv = tree.levels[2]
-        for node, parent in enumerate(lv.parents):
+        for node, parent in enumerate(reference_levels(tree)[2].parents):
             sl = tree.children_slice(1, parent)
             assert sl.start <= node < sl.stop
+            assert divmod(node, tree.n_children) == (parent, node - sl.start)
 
     def test_invalid_branching(self):
         with pytest.raises(ValueError):
@@ -122,12 +124,12 @@ class TestTreeStructure:
             build_tree(1, 0, 2, 1.0)
 
     def test_node_budget(self, monkeypatch):
-        # a node holds parents, weights and prob, and dim_w increments
+        # a node holds its probability; the branch pattern is stored once
         with pytest.raises(BudgetError) as exc:
             build_tree(1, 20, 3, 1.0)
         assert exc.value.budget == 1 << 31
-        assert exc.value.count == (3 ** 21 - 1) // 2 * 4 * 8
-        tree_bytes = 21 * (3 + 2) * 8  # the 1 + 4 + 16 nodes of a dim_w = 2 tree
+        assert exc.value.count == (3 ** 21 - 1) // 2 * 8
+        tree_bytes = 21 * 8  # the 1 + 4 + 16 nodes of a dim_w = 2 tree
         monkeypatch.setattr(bspde.errors, "_MEMORY_BYTES", tree_bytes - 1)
         with pytest.raises(BudgetError) as exc:
             build_tree(2, 2, 2, 1.0)
@@ -136,13 +138,13 @@ class TestTreeStructure:
         assert build_tree(2, 2, 2, 1.0).n_nodes == 21
 
     @pytest.mark.parametrize("n_steps, size", [
-        (20, f"{(3 ** 21 - 1) // 2 * 32} bytes"),    # fits in 64 bits: every digit
-        (20000, "about 2^31705 bytes")],            # 9,545 digits: a power of two
+        (20, f"{(3 ** 21 - 1) // 2 * 8} bytes"),     # fits in 64 bits: every digit
+        (20000, "about 2^31703 bytes")],            # 9,544 digits: a power of two
         ids=["64-bit-count", "longer-count"])
     def test_node_budget_message_prints_any_count(self, n_steps, size):
         with pytest.raises(BudgetError) as exc:
             build_tree(1, n_steps, 3, 1.0)
-        assert exc.value.count == (3 ** (n_steps + 1) - 1) // 2 * 32
+        assert exc.value.count == (3 ** (n_steps + 1) - 1) // 2 * 8
         assert str(exc.value) == f"a tree of {n_steps} steps would take {size}, over {1 << 31}"
 
     @pytest.mark.parametrize("dim_w, n_steps, branching", [(1, 4, 3), (2, 3, 2)])
@@ -157,6 +159,62 @@ class TestTreeStructure:
         assert checked == [built]
 
 
+PATTERNS = [(1, 3, 4), (2, 3, 3), (1, 2, 5), (2, 2, 3), (1, 5, 3), (3, 2, 2)]
+
+
+class TestPatternAgainstPerNodeReference:
+    """The pattern tree reads, bit for bit, what the per-node arrays of
+    ``helpers.reference_levels`` and their parent walks give."""
+
+    @pytest.fixture(params=PATTERNS + ["chain"],
+                    ids=[f"d{d}B{b}N{n}" for d, b, n in PATTERNS] + ["chain"])
+    def tree(self, request):
+        if request.param == "chain":
+            return build_chain(2, 4, 0.8)
+        dim_w, branching, n_steps = request.param
+        return build_tree(dim_w, n_steps, branching, 0.8)
+
+    def test_prob_and_increments(self, tree):
+        ref = reference_levels(tree)
+        assert len(ref) == len(tree.levels)
+        for k, (got, want) in enumerate(zip(tree.levels, ref)):
+            assert got.prob.tobytes() == want.prob.tobytes()
+            incs = tree.level_increments(k)
+            assert (incs.shape, incs.tobytes()) == \
+                (want.increments.shape[:1] + (k, tree.dim_w),
+                 reference_level_increments(ref, k).tobytes())
+
+    def test_history(self, tree):
+        ref = reference_levels(tree)
+        for k in range(len(ref)):
+            for node in range(tree.levels[k].n_nodes):
+                got, want = tree.history(k, node), reference_history(ref, k, node, tree.dt)
+                assert (got.t, got.dt) == (want.t, want.dt)
+                assert got.increments.tobytes() == want.increments.tobytes()
+                assert got.w.tobytes() == want.w.tobytes()
+
+    @pytest.mark.parametrize("tail", ["scalar", "modes", "noise_modes"])
+    def test_expectations(self, tree, tail):
+        ref = reference_levels(tree)
+        rng = np.random.default_rng(12)
+        shape = {"scalar": (), "modes": (5,), "noise_modes": (tree.dim_w, 5)}[tail]
+        for k in range(tree.n_steps):
+            vals = rng.standard_normal((tree.levels[k + 1].n_nodes,) + shape)
+            for got, want in zip(tree.expectations(k, vals),
+                                 reference_expectations(ref, k, vals, tree.dt)):
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_e_sup_norm_sq(self, tree, noise):
+        basis = SpectralBasis(1, 3, np.pi)
+        rng = np.random.default_rng(13)
+        tail = (tree.dim_w, basis.n_modes) if noise else (basis.n_modes,)
+        field = AdaptedField(tree, basis, [rng.standard_normal((lv.n_nodes,) + tail)
+                                           for lv in tree.levels])
+        for order in (0, 1):
+            assert field.e_sup_norm_sq(order) == e_sup_norm_sq_reference(field, order)
+
+
 class TestConditionalExpectation:
     def test_constant(self):
         tree = build_tree(1, 1, 3, 0.5)
@@ -165,7 +223,7 @@ class TestConditionalExpectation:
 
     def test_increment_mean_zero(self):
         tree = build_tree(1, 1, 3, 0.5)
-        dw = tree.levels[1].increments[:, 0]
+        dw = tree.increments[:, 0]
         assert tree.expectations(0, dw)[0][0] == pytest.approx(0.0, abs=1e-14)
         assert tree.expectations(0, dw**2)[0][0] == pytest.approx(tree.dt, abs=1e-14)
 
@@ -184,7 +242,8 @@ class TestConditionalExpectation:
         for level in range(2, -1, -1):
             vals = tree.expectations(level, vals)[0]
             assert vals.shape == (tree.levels[level].n_nodes,)
-        ref = brute_tree_expectation([lv.weights for lv in tree.levels], leaf_vals)
+        ref = brute_tree_expectation([lv.weights for lv in reference_levels(tree)],
+                                     leaf_vals)
         assert vals[0] == pytest.approx(ref, rel=1e-12)
         # and against the stored unconditional probabilities
         assert vals[0] == pytest.approx(np.dot(tree.levels[3].prob, leaf_vals), rel=1e-12)
@@ -195,13 +254,25 @@ class TestConditionalExpectation:
         got = tree.expectations(1, vals)[0]
         for node in range(tree.levels[1].n_nodes):
             sl = tree.children_slice(1, node)
-            assert np.allclose(got[node], tree.levels[2].weights[sl] @ vals[sl], atol=1e-15)
+            assert np.allclose(got[node], tree.weights @ vals[sl], atol=1e-15)
+
+    @pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
+    def test_conditional_mean_is_the_first_expectation(self, tail):
+        tree = build_tree(2, 2, 3, 0.5)
+        vals = np.random.default_rng(6).standard_normal((tree.levels[2].n_nodes,) + tail)
+        got = tree.conditional_mean(1, vals)
+        want = tree.expectations(1, vals)[0]
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        with pytest.raises(ValueError):
+            tree.conditional_mean(2, np.zeros(1))
+        with pytest.raises(ValueError):
+            tree.conditional_mean(1, np.zeros(5))
 
 
 class TestMartingaleCoefficient:
     def test_affine_exact(self):
         tree = build_tree(2, 1, 2, 0.5)
-        dw = tree.levels[1].increments
+        dw = tree.increments
         vals = 5.0 + 3.0 * dw[:, 0]
         coef = tree.expectations(0, vals)[1]
         assert np.allclose(coef[0], [3.0, 0.0], atol=1e-12)
@@ -215,13 +286,13 @@ class TestMartingaleCoefficient:
 
     def test_even_function_gives_zero(self):
         tree = build_tree(1, 1, 3, 0.5)
-        dw = tree.levels[1].increments[:, 0]
+        dw = tree.increments[:, 0]
         coef = tree.expectations(0, dw**2)[1]
         assert np.allclose(coef, 0.0, atol=1e-12)
 
     def test_vector_values(self):
         tree = build_tree(1, 1, 2, 0.5)
-        dw = tree.levels[1].increments[:, 0]
+        dw = tree.increments[:, 0]
         vals = np.stack([1.0 + 2.0 * dw, 3.0 * dw], axis=-1)  # (children, 2)
         coef = tree.expectations(0, vals)[1]
         assert coef.shape == (1, 1, 2)
@@ -244,7 +315,8 @@ class TestChain:
         for lv in chain.levels:
             assert len(lv.prob) == 1
             assert lv.prob[0] == pytest.approx(1.0)
-            assert not lv.increments.any()
+        assert chain.increments.shape == (1, 1) and not chain.increments.any()
+        assert chain.weights.tolist() == [1.0]
 
     def test_chain_conditional_expectation_passthrough(self):
         chain = build_chain(1, 3, 1.0)
@@ -252,15 +324,18 @@ class TestChain:
 
     @pytest.mark.parametrize("dim_w, n_steps", [(1, 1), (1, 5), (2, 4)])
     def test_chain_levels_are_those_of_the_grown_chain(self, dim_w, n_steps):
-        # the shared level is bit for bit the level a one-child tree grows
+        # the shared level is bit for bit the level a one-child pattern grows
         chain = build_chain(dim_w, n_steps, 0.7)
-        grown = _grow(dim_w, n_steps, 1, 0.7, (np.zeros((1, dim_w)), np.ones(1)))
-        assert (chain.dt, chain.n_steps, len(chain.levels)) == \
-            (grown.dt, grown.n_steps, len(grown.levels))
-        for got, want in zip(chain.levels, grown.levels):
-            for name in ("parents", "increments", "weights", "prob"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        for got, want in ((chain.increments, np.zeros((1, dim_w))),
+                          (chain.weights, np.ones(1))):
+            assert (got.dtype, got.shape, got.tobytes()) == \
+                (want.dtype, want.shape, want.tobytes())
+        grown = reference_levels(chain)
+        assert (chain.dt, len(chain.levels)) == (0.7 / n_steps, len(grown))
+        for k, (got, want) in enumerate(zip(chain.levels, grown)):
+            assert got.prob.tobytes() == want.prob.tobytes()
+            assert chain.level_increments(k).tobytes() == \
+                reference_level_increments(grown, k).tobytes()
 
     def test_chain_costs_a_list_slot_per_level(self):
         tracemalloc.start()
