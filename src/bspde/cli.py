@@ -29,9 +29,10 @@ from .errors import (BudgetError, EvalError, NumericError, ParseError,
 from .oracle import solve_dense
 from .scenario import validate as validate_scenario
 from .scenario_file import default_modulus, load_scenario
-from .solver import SchemeConfig, pair_difference, solve_regression, solve_tree
+from .solver import (SchemeConfig, _check_solution_bytes, pair_difference, solve_regression,
+                     solve_tree)
 from .space import SpectralBasis
-from .wiener import ALLOWED_BRANCHING, build_chain, build_tree, sample_paths
+from .wiener import ALLOWED_BRANCHING, _tree_nodes, build_chain, build_tree, sample_paths
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -178,12 +179,16 @@ class _Run:
 
     @cached_property
     def tree(self):
-        sc = self.scenario
+        sc, disc = self.scenario, self.disc
         # deterministic scenarios carry no randomness: a single zero-increment
         # chain is exact and cheap, unless the user explicitly forces branching
-        if sc.is_deterministic and self.args.branching is None:
-            return build_chain(sc.dim_w, self.disc.steps, sc.horizon)
-        return build_tree(sc.dim_w, self.disc.steps, self.disc.branching, sc.horizon)
+        chain = sc.is_deterministic and self.args.branching is None
+        nodes = disc.steps + 1 if chain else _tree_nodes(sc.dim_w, disc.steps, disc.branching)
+        # every command solves the tree it reads: p and q are refused before it is built
+        _check_solution_bytes(nodes, self.basis.n_modes, sc.dim_w)
+        if chain:
+            return build_chain(sc.dim_w, disc.steps, sc.horizon)
+        return build_tree(sc.dim_w, disc.steps, disc.branching, sc.horizon)
 
     def solve(self, scenario=None):
         return solve_tree(scenario or self.scenario, self.tree, self.basis, self.scheme)

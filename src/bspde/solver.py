@@ -208,10 +208,15 @@ def _generator(ops: LevelOperators, p: Array, q: Array, f: Array) -> Array:
 def _distinct_rows(w: Array) -> tuple[Array, Array]:
     """First index of each distinct row of ``w`` and every row's group.
 
-    Rows are compared by their bytes: ``-0.0`` and ``0.0`` differ.
+    Rows are compared by their bytes: ``-0.0`` and ``0.0`` differ.  One
+    column is sorted as plain numbers, more as records of their columns, in
+    the same order.
     """
-    _, first, inverse = np.unique(w.view(np.uint64), axis=0, return_index=True,
-                                  return_inverse=True)
+    bits = w.view(np.uint64)
+    if bits.shape[1] == 1:
+        _, first, inverse = np.unique(bits[:, 0], return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
     return first, inverse.reshape(-1)
 
 
@@ -508,6 +513,12 @@ def backward_solve(tree: WienerTree, basis: SpectralBasis, scheme: SchemeConfig,
                         AdaptedField(tree, basis, q_levels))
 
 
+def _check_solution_bytes(n_nodes: int, n_modes: int, dim_w: int) -> None:
+    """Refuse p and q on ``n_nodes`` nodes past the byte budget: per node, one
+    row of p and ``dim_w`` rows of q, of ``n_modes`` entries each."""
+    check_bytes(n_nodes * n_modes * (1 + dim_w) * 8, f"p and q on {n_nodes} nodes")
+
+
 def solve_tree(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
                scheme: SchemeConfig | None = None) -> SolutionPair:
     """Backward theta-scheme solve of the scenario on a Wiener tree.
@@ -520,8 +531,7 @@ def solve_tree(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
     fields = LevelFields(scenario, tree, basis)
     if tree.is_chain and not scenario.is_deterministic:
         raise StructuralError("chain trees carry no randomness; scenario is adapted")
-    check_bytes(tree.n_nodes * basis.n_modes * (1 + tree.dim_w) * 8,
-                f"p and q on {tree.n_nodes} nodes")
+    _check_solution_bytes(tree.n_nodes, basis.n_modes, tree.dim_w)
     return backward_solve(tree, basis, scheme, fields.terminal(), fields.operators,
                           fields.source)
 

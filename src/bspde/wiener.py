@@ -147,15 +147,22 @@ def _branch_pattern(dim_w: int, branching: int, dt: float) -> tuple[Array, Array
     return incs, weights
 
 
+def _tree_nodes(dim_w: int, n_steps: int, branching: int) -> int:
+    """Node count of ``build_tree``'s tree, refused before any level exists
+    if its probabilities, one per node, would pass the byte budget."""
+    c = branching ** dim_w
+    nodes = (c ** (n_steps + 1) - 1) // (c - 1)
+    check_bytes(nodes * 8, f"a tree of {n_steps} steps")
+    return nodes
+
+
 def build_tree(dim_w: int, n_steps: int, branching: int, horizon: float) -> WienerTree:
     """Non-recombining Gauss-Hermite tree over [0, horizon] with n_steps levels."""
     if branching not in ALLOWED_BRANCHING:
         raise ValueError(f"branching must be one of {ALLOWED_BRANCHING}, got {branching}")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    c = branching ** dim_w
-    nodes = (c ** (n_steps + 1) - 1) // (c - 1)
-    check_bytes(nodes * 8, f"a tree of {n_steps} steps")  # one probability per node
+    _tree_nodes(dim_w, n_steps, branching)
     increments, weights = _branch_pattern(dim_w, branching, horizon / n_steps)
     levels = [TreeLevel(np.ones(1))]
     for _ in range(n_steps):

@@ -347,6 +347,16 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_p_and_q_are_refused_before_the_tree_is_built(self, monkeypatch):
+        # a tree that fits its own check but not its solution is never grown
+        monkeypatch.setattr(bspde.errors, "_MEMORY_BYTES", 1 << 20)
+        built = []
+        monkeypatch.setattr("bspde.cli.build_tree", lambda *a: built.append(a))
+        code, out, err = run("solve", TINY, "--steps", "16", "--branching", "2")
+        assert (code, out, built) == (4, "", [])
+        pq_bytes = 131071 * 9 * (1 + 1) * 8  # 9 modes, one Wiener component
+        assert err == f"error: p and q on 131071 nodes would take {pq_bytes} bytes, over {1 << 20}\n"
+
     def test_mollify_radius_below_the_grid_spacing_is_refused_before_any_solve(
             self, monkeypatch):
         solves = []

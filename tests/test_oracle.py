@@ -10,8 +10,9 @@ from bspde import (
     StructuralError,
     build_tree,
     solve_dense,
+    solve_tree,
 )
-from helpers import make_scenario
+from helpers import make_scenario, markov_scenario
 from oracles import (GaussianBump, feynman_kac_mc, heat_reference, heat_value_quad,
                      periodized_bump_heat)
 
@@ -130,8 +131,23 @@ class TestSolveDense:
     def test_budget_guard(self, monkeypatch):
         sc = make_scenario(phi=lambda t, X, hist: np.cos(X[:, 0]) + 0.0 * hist.w[0], T=0.5)
         tree = build_tree(1, 4, 2, sc.horizon)
-        unknowns = 31 * BASIS.n_modes  # p on every node; q is read off p
+        unknowns = 15 * BASIS.n_modes  # p on the interior nodes; the leaves are known
         monkeypatch.setattr(bspde.errors, "_MEMORY_BYTES", unknowns ** 2 * 8 - 1)
         with pytest.raises(BudgetError) as exc:
             solve_dense(sc, tree, BASIS)
         assert exc.value.count == unknowns ** 2 * 8
+
+    @pytest.mark.parametrize("reads", ["w", "history"])
+    def test_leaves_are_the_solvers_terminal_projection(self, reads):
+        # the leaves are no unknowns: both paths project phi node by node
+        def last_step(t, X, hist):
+            last = hist.increments[-1, 0] if hist.n_steps else 0.0
+            return np.cos(X[:, 0]) * (1.0 + 0.5 * last) + hist.w[0]
+        sc = (markov_scenario(1) if reads == "w"
+              else make_scenario(phi=last_step, F=last_step, sigma=0.2, kappa=0.2))
+        assert sc.phi.markov == (reads == "w")
+        tree = build_tree(1, 3, 3, sc.horizon)
+        dense, fast = solve_dense(sc, tree, BASIS), solve_tree(sc, tree, BASIS)
+        assert len(dense.p.levels) == len(fast.p.levels) == tree.n_steps + 1
+        assert dense.p.levels[-1].shape == (tree.levels[-1].n_nodes, BASIS.n_modes)
+        assert dense.p.levels[-1].tobytes() == fast.p.levels[-1].tobytes()

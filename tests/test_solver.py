@@ -882,6 +882,18 @@ class TestMarkovFields:
         assert len({inverse[0], inverse[1], inverse[3]}) == 3
         assert all(w[first[g]].tobytes() == w[i].tobytes() for i, g in enumerate(inverse))
 
+    @pytest.mark.parametrize("dim_w", [1, 2])
+    def test_one_column_sorts_as_the_records_do(self, dim_w):
+        # one column is sorted as numbers, more as records: the same groups, in the same order
+        rng = np.random.default_rng(3)
+        w = np.round(rng.normal(size=(200, dim_w)), 1)
+        w[::7], w[::11], w[5] = -0.0, 0.0, np.nextafter(0.0, 1.0)
+        _, first, inverse = np.unique(w.view(np.uint64), axis=0, return_index=True,
+                                      return_inverse=True)
+        got = _distinct_rows(w)
+        assert [a.tobytes() for a in got] == [first.tobytes(), inverse.reshape(-1).tobytes()]
+        assert len({w[i].tobytes() for i in got[0]}) == len(got[0]) < len(w)
+
 
 @pytest.fixture
 def assemblies(monkeypatch):

@@ -644,6 +644,14 @@ def test_the_oracle_calls_no_engine_step():
     assert engine_calls(oracle) == []
 
 
+def test_the_oracle_is_one_system_solved_once():
+    # one global system in one solve: a level recursion or a kept inverse
+    # would restate the engine's path instead of checking it
+    oracle = (SRC / "oracle.py").read_text(encoding="utf-8")
+    assert len(linalg_calls_outside(oracle, {"solve"}, set())) == 1
+    assert linalg_calls_outside(oracle, {"inv"}, set()) == []
+
+
 # the collocation product (analysis by ``_A``) is stated once for fields and
 # once for every operator's term table
 ANALYSIS_SITES = {"project", "_operator"}
