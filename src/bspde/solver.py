@@ -22,7 +22,8 @@ row at once and applies each inverse to its nodes as it applies L: a shared
 row's as one matrix product over the level, whose inverse the provider
 keeps for the whole solve when the row is t-free.  Only the nodes of a row
 whose inverse does not bound their amplification are measured.  With a
-shared row the regression steps its fitted coefficients, not its paths.
+shared row the regression keeps p at its paths as coefficient rows of the
+fit's Q plus source rows, and steps the rows, not the paths.
 """
 
 from __future__ import annotations
@@ -405,12 +406,14 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     which bounds its nodes' amplification, is kept beside it; a row with the
     ``ops.keep`` slot keeps both across levels by (theta, dt).
 
-    ``paths``, an (n, k) matrix, says that ``Ep`` and ``q`` are k rows of
-    coefficients of n nodes' values in its columns, and ``fhat`` one row
-    added to every node or a row per node: the step is linear, so it steps
-    the rows ``[Ep; 0]``, ``[q; 0]`` and ``[0; fhat]`` and returns the n
-    nodes' ``paths @ out[:k] + out[k:]``.  Errors name the node as
-    ``first_node`` plus its place among the nodes, never a row.
+    ``paths``, an (n, k) matrix of entries at most 1 in size, says that
+    ``Ep`` and ``q`` are k rows of coefficients of n nodes' values in its
+    columns, and ``fhat`` one row added to every node or a row per node: the
+    step is linear, so it steps the rows ``[Ep; 0]``, ``[q; 0]`` and
+    ``[0; fhat]`` and returns the stepped rows ``out``, whose nodes' values
+    are ``paths @ out[:k] + out[k:]``.  The values are formed only when the
+    rows prove nothing.  Errors name the node as ``first_node`` plus its
+    place among the nodes, never a row.
     """
     L, Ms, index = ops.L, ops.Ms, ops.index
     if paths is not None:  # the k coefficient rows, then the source rows
@@ -440,27 +443,35 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
             f"singular implicit step at level {level}, node {node}: {exc}") from exc
     # max_i sum_j |inverse_ij| of each row: none of its nodes amplifies more
     bound = keep(("bound", theta, dt), lambda: np.abs(inverse).sum(axis=-1).max(axis=-1))
-
-    def at_nodes(rows):  # the nodes' values of the step's rows (``paths``)
-        if paths is None:
-            return rows
-        return np.tensordot(paths, rows[:k], axes=1) + rows[k:]
-
-    out = at_nodes(_apply(inverse, rhs, groups))
-
-    def amplification(nodes):
-        return np.max(np.abs(out[nodes]), axis=-1) / (
-            np.max(np.abs(at_nodes(rhs)[nodes]), axis=-1) + 1e-300)
+    out = _apply(inverse, rhs, groups)
 
     # a dissipative implicit step never amplifies like this; a near-zero
     # pivot that LAPACK lets through does.  A row whose bound is 1e11 or less
     # keeps each of its nodes below 1e12, rounding included, so only the
     # nodes of the other rows (a nan bound proves nothing) are measured, and
     # a finite level needs no per-node test.  A shared row's one bound is
-    # compared as a scalar: a kept step makes that test at every level
-    if (bound[0] if index is None else bound.max()) <= 1e11 and np.isfinite(out).all():
+    # compared as a scalar: a kept step makes that test at every level.
+    # With ``paths`` a node's value is k rows times entries at most 1 in
+    # size plus one source row, at most (k + 1) max |out|: the rows prove
+    # every node finite when that is below the largest float, and only a
+    # level they do not is formed at its nodes
+    finite = (np.isfinite(out).all() if paths is None
+              else np.abs(out).max() <= np.finfo(float).max / (k + 1))
+    if (bound[0] if index is None else bound.max()) <= 1e11 and finite:
         return out
-    bad = ~np.all(np.isfinite(out), axis=-1)
+
+    def at_nodes(rows):  # the nodes' values of the step's rows (``paths``)
+        if paths is None:
+            return rows
+        return np.tensordot(paths, rows[:k], axes=1) + rows[k:]
+
+    values, rhs = at_nodes(out), at_nodes(rhs)
+
+    def amplification(nodes):
+        return np.max(np.abs(values[nodes]), axis=-1) / (
+            np.max(np.abs(rhs[nodes]), axis=-1) + 1e-300)
+
+    bad = ~np.all(np.isfinite(values), axis=-1)
     unproven = ~(bound <= 1e11)  # of each row, then of each node
     unproven = np.broadcast_to(unproven if index is None else unproven[index], bad.shape)
     bad[unproven] |= amplification(unproven) > 1e12
@@ -479,7 +490,8 @@ def _backward(filtration, scheme: SchemeConfig, p: Array, operators, source, exp
     slices of the level's nodes with their operators.  ``expect(level,
     p_next)`` is the filtration's ``(E[p_next | node], E[p_next dW | node] /
     dt, paths)``, as values at the nodes (``paths`` None) or as coefficient
-    rows of them in the columns of ``paths`` (``_level_step``).
+    rows of them in the columns of ``paths``; then ``p`` is the stepped rows
+    of ``_level_step``, and ``p_next`` the last level's.
     """
     dt, theta = filtration.dt, scheme.theta
     for level in range(filtration.n_steps - 1, -1, -1):
@@ -608,22 +620,22 @@ def _monomial_features(states: Array, size: int) -> Array:
                 return np.stack(cols, axis=1)
 
 
-def _fit(design: Array | None, targets: Array, step: int) -> tuple[Array | None, Array]:
-    """The QR factor Q (n, k) of the design and the coefficients
-    C = Q^T targets (k, ...): the fitted values are Q C.  With no design (t=0,
-    where every path has one state) Q is None and C is the targets' mean.
+def _fit(design: Array | None, step: int) -> tuple[Array | None, Array | None]:
+    """The QR factors Q (n, k) and R (k, k) of the design: the least-squares
+    fit of targets is Q C with C = Q^T targets.  With no design (t=0, where
+    every path has one state) both are None and the fit is the targets' mean.
 
     The design is rank-deficient, an error, when it has fewer rows (paths)
     than columns, or when a |R_ii| is at most max(n, k) eps times the largest.
     """
     if design is None:
-        return None, targets.mean(axis=0, keepdims=True)
+        return None, None
     n, k = design.shape
     Q, R = np.linalg.qr(design)
     diag = np.abs(np.diag(R))
     if n < k or diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
         raise NumericError(f"rank-deficient regression design at time step {step}")
-    return Q, np.tensordot(Q.T, targets, axes=1)
+    return Q, R
 
 
 _BLOCK_ENTRIES = 1 << 18  # entries per stack of per-path operator matrices
@@ -633,17 +645,31 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
                      regression_basis_size: int = 4,
                      scheme: SchemeConfig | None = None) -> RegressionSolution:
     """Least-squares Monte Carlo version of the backward recursion: the one
-    loop, ``_backward``, with an ``expect`` that regresses on monomials of the
-    current Wiener state.  ``p_next`` and its ``dim_w`` products
-    ``p_next dW^k / dt`` share the design, so each step fits the stacked
-    targets with one QR of it.
+    loop, ``_backward``, with an ``expect`` that regresses ``p_next`` and its
+    ``dim_w`` products ``p_next dW^k / dt`` on monomials of the current
+    Wiener state, one QR of the design per step (``_fit``).
 
-    With deterministic coefficients the step acts on the modes alone, so it
-    commutes with the fit: ``expect`` hands the loop the k fitted coefficient
-    rows with ``paths = Q``.  Per-path operator rows step the fitted values
-    of every path, one block of paths at a time.  Only the running p and the
-    q path means are kept.  Deterministic scenarios reproduce the chain
-    solver because the regression of a constant target is that constant.
+    Per-path operator rows step the fitted values of every path, one block
+    of paths at a time.  With deterministic coefficients the step acts on
+    the modes alone, so it commutes with the fit, and p at the paths is kept
+    in factored form, ``p = Q_prev Y + S``: Y the k stepped coefficient rows
+    of the last step's Q, S its stepped source rows (one row, or one per
+    path when F is adapted; the terminal at the first step).  The next fit
+    is then a product of small Gram matrices,
+
+        C   = (Q^T Q_prev) Y + Q^T S
+        C_q = (Q^T diag(dW^k / dt) Q_prev) Y + Q^T (dW^k / dt  S),
+
+    and the step takes the k rows C and C_q with ``paths = Q``: no array of
+    a row per path is formed unless S has one.  The design's first column is
+    1 = Q R[:, 0], so Q's first column is 1 / R_00 and Q^T 1 = R[:, 0]; the
+    constant direction is kept exactly, off the Gram matrices (a sum of n
+    same-sign terms): one-row S is fitted as R[:, 0] S, and Q's first
+    column's share of Y moves into S after each step.  Q's other columns
+    have path mean 0, so the path mean of Q C is C[0] / R_00.  Only the
+    running p and the q path means are kept.  Deterministic scenarios
+    reproduce the chain solver because the regression of a constant target
+    is that constant.
     """
     scheme = scheme or SchemeConfig()
     if regression_basis_size < 1:
@@ -661,24 +687,55 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
                                            for j in range(0, n_paths, size))]
     w = ensemble.increments.sum(axis=1)  # W at the horizon; each step takes its dW off
 
-    def expect(step, p):
+    def fit(step):  # ``_backward`` asks for each step once, last first
         nonlocal w
         dW = ensemble.increments[:, step, :]
-        w = w - dW  # W at this step: ``_backward`` asks for each step once, last first
+        w = w - dW  # W at this step
         design = None if step == 0 else _monomial_features(w, regression_basis_size)
-        targets = np.concatenate([p[:, None], p[:, None] * (dW / dt)[:, :, None]], axis=1)
-        Q, C = _fit(design, targets, step)
-        if shared:  # one shared row: step C and the source rows
-            return C[:, 0], C[:, 1:], np.ones((n_paths, 1)) if Q is None else Q
-        fitted = (np.broadcast_to(C, targets.shape).copy() if Q is None
-                  else np.tensordot(Q, C, axes=1))
+        return (*_fit(design, step), dW / dt)
+
+    targets = None if shared else np.empty((n_paths, 1 + dw, nm))
+
+    def expect_values(step, p):  # every path's p and p dW / dt, fitted
+        Q, _, D = fit(step)
+        targets[:, 0] = p
+        np.multiply(p[:, None], D[:, :, None], out=targets[:, 1:])
+        fitted = (np.broadcast_to(targets.mean(axis=0, keepdims=True), targets.shape).copy()
+                  if Q is None else np.tensordot(Q, np.tensordot(Q.T, targets, axes=1), axes=1))
         return fitted[:, 0], fitted[:, 1:], None
 
-    p = np.array(np.broadcast_to(fields.terminal(), (n_paths, nm)))
+    prev = None  # the last step's Q and R_00
+
+    def expect_rows(step, p):  # p = Q_prev Y + S, given as the rows [Y; S]
+        nonlocal prev
+        Q, R, D = fit(step)
+        if Q is None:  # t = 0: the design is its constant column alone
+            Q, R = _fit(np.ones((n_paths, 1)), step)
+        if prev is None:  # the first step: p is the terminal's rows
+            Y, S, Q_prev = np.zeros((0, nm)), p, np.zeros((n_paths, 0))
+        else:  # Q_prev's first column, 1 / R_00, hands its share of Y to S
+            Q_prev, r = prev
+            k = Q_prev.shape[1]
+            Y, S, Q_prev = p[1:k], p[k:] + p[0] / r, Q_prev[:, 1:]
+        prev = Q, R[0, 0]
+
+        def coeffs(x):  # Q^T x over the paths
+            return (Q.T @ x.reshape(n_paths, x[0].size)).reshape(Q.shape[1:] + x.shape[1:])
+
+        if len(S) == 1:  # Q^T 1 = R[:, 0], exactly
+            C, Cq = R[:, :1] * S, coeffs(D)[..., None] * S
+        else:
+            C, Cq = coeffs(S), coeffs(D[:, :, None] * S[:, None])
+        DQ = D[:, :, None] * Q_prev[:, None]  # (n, dim_w, k - 1)
+        return coeffs(Q_prev) @ Y + C, coeffs(DQ) @ Y + Cq, Q
+
+    p = fields.terminal()
+    if not shared:
+        p = np.array(np.broadcast_to(p, (n_paths, nm)))
     q_means = np.empty((N, dw, nm))
     for step, p, q, paths in _backward(  # one block of paths after the other
             ensemble, scheme, p, lambda step: ((sl, b.operators(step)) for sl, b in blocks),
-            fields.source, expect):
-        q_means[step] = (q.mean(axis=0) if paths is None
-                         else np.tensordot(paths.mean(axis=0), q, axes=1))
-    return RegressionSolution(basis, p.mean(axis=0), q_means)
+            fields.source, expect_rows if shared else expect_values):
+        q_means[step] = q.mean(axis=0) if paths is None else q[0] / prev[1]
+    p0 = p.mean(axis=0) if paths is None else p[0] / prev[1] + p[1:].mean(axis=0)
+    return RegressionSolution(basis, p0, q_means)

@@ -655,6 +655,34 @@ class TestRegression:
         assert 0 < 4000 - size < size
         assert rows == [size, 4000 - size] * 2
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_deterministic_regression_reproduces_the_chain_solve(self, seed):
+        # the rough coefficient of the benchmark's chain_paths: the step's
+        # rows run 256 steps over 4,000 paths.  A constant carried through a
+        # Gram matrix Q^T Q_prev, whose constant entry sums 4,000 same-sign
+        # terms, drifts about 1e-13 a step, 2e-11 in all; carried exactly it
+        # stays within 1e-12 of the chain
+        sc = load_scenario_text(CHAIN_PATHS_TEXT)[0]
+        basis = SpectralBasis(1, 16, sc.domain_halfwidth)
+        want = solve_tree(sc, build_chain(1, 256, sc.horizon), basis).p0().coeffs
+        reg = solve_regression(sc, sample_paths(1, 256, 4000, sc.horizon, seed=seed), basis)
+        assert np.abs(reg.p0().coeffs - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_shared_row_memory_stays_below_one_value_per_path_and_mode(self):
+        # deterministic coefficients and data: p at the paths is kept as the
+        # fitted rows plus one source row, so no step forms the paths' values
+        import tracemalloc
+        sc = load_scenario_text(CHAIN_TEXT)[0]
+        basis = SpectralBasis(1, 32, sc.domain_halfwidth)
+        ens = sample_paths(1, 16, 4000, sc.horizon, seed=3)
+        tracemalloc.start()
+        try:
+            solve_regression(sc, ens, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ens.n_paths * basis.n_modes * 8, peak
+
     def test_memory_does_not_grow_with_the_step_count(self):
         # only the running level is kept: the peak must not scale with N
         import tracemalloc
@@ -922,6 +950,24 @@ c = 0.1
 [data]
 F = 0.5*cos(x1)
 phi = sin(x1) + 1.5
+"""
+
+
+CHAIN_PATHS_TEXT = """
+[problem]
+d = 1
+d1 = 1
+T = 0.25
+L = 1.0
+K = 2.0
+kappa = 0.3
+[coefficients]
+a = 0.6 + 0.15*abs(sin(3.14159265358979*(x1 - 0.2)))
+b = [0.1*cos(3.14159265358979*x1 + 0.7)]
+c = 0.05
+[data]
+F = 0.3*(1 + 0.4*cos(3.14159265358979*x1 + 1.1))
+phi = 1.2 + cos(3.14159265358979*(x1 - 0.1))
 """
 
 
