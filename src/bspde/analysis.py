@@ -168,7 +168,8 @@ def positivity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTre
     fields = LevelFields(scenario, tree, basis)
 
     def data_negpart(field_, level, t):
-        vals = fields.level_map(level, [field_], lambda s, h: field_.evaluate(t, X, h),
+        vals = fields.level_map(level, [field_],
+                                lambda s, states: field_.evaluate_states(t, X, states),
                                 ("grid", field_))
         return _expectation(tree.levels[level].prob, _negpart_integral(vals, volume))
 
@@ -279,13 +280,15 @@ def _multiplier_field(src: CoefficientField, apply, basis: SpectralBasis) -> Coe
     off it (a smoothing kernel's multiplier, or a derivative)."""
     grid = basis.grid_points
 
-    def fn(t, X, history):
-        vals = src.evaluate(t, grid, history)
-        coeffs = apply(basis.project(vals.reshape(len(vals), -1)).T)
+    def at(X, vals):  # the grid samples (k, n_grid, *shape) of k states, at X
+        coeffs = apply(basis.project(vals.reshape(vals.shape[:2] + (-1,)),
+                                     stacked=True).swapaxes(-1, -2))
         on_grid = X.shape == grid.shape and np.array_equal(X, grid)
         out = basis.reconstruct(coeffs) if on_grid else basis.evaluate_at(coeffs, X)
-        return out.T.reshape((len(X),) + src.shape)
-    return CoefficientField.derived(fn, src.shape, src)
+        return out.swapaxes(-1, -2).reshape((len(vals), len(X)) + src.shape)
+    return CoefficientField.derived(
+        lambda t, X, history: at(X, src.evaluate(t, grid, history)[None])[0],
+        src.shape, src, batch=lambda t, X, W: at(X, src.evaluate_states(t, grid, W)))
 
 
 @dataclass(frozen=True)

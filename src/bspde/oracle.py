@@ -53,8 +53,10 @@ def solve_dense(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
         t = tree.time_of(level)
         for node in range(tree.levels[level].n_nodes):
             hist = tree.history(level, node)
-            L = assemble_L(scenario, t, hist, basis)
-            Ms = assemble_M(scenario, t, hist, basis)
+            samples = {name: f.evaluate(t, X, hist)[None]  # one state: this node
+                       for name, f in scenario.coefficient_fields().items()}
+            L = assemble_L(scenario, samples, basis)[0]
+            Ms = assemble_M(scenario, samples, basis)[0]
             row = starts[level] + node * nm
             A[row:row + nm, row:row + nm] -= theta * dt * L
             rhs[row:row + nm] = dt * basis.project(scenario.F.evaluate(t, X, hist))

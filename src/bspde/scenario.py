@@ -79,12 +79,18 @@ class CoefficientField:
     once per solve (or once per Wiener state), not once per level.  Left
     out, ``reads`` is empty for a constant and ``{"t", "history"}``, safe
     for any library callable, otherwise.
+
+    A Markov field may also have a batched read, ``batch(t, X, W) ->
+    (k, n_points, *shape)``, its values in each of the k states whose
+    Wiener values are the rows of W (k, dim_w), bit for bit those of ``fn``
+    in each.  ``evaluate_states`` reads any field in many states at once.
     """
 
     shape: tuple
     fn: Callable | None = None
     value: Array | None = None
     reads: frozenset | None = None
+    batch: Callable | None = None
 
     def __post_init__(self):
         if self.reads is None:
@@ -115,11 +121,13 @@ class CoefficientField:
         return cls(tuple(shape), fn=fn, reads=frozenset(reads))
 
     @classmethod
-    def derived(cls, fn: Callable, shape: tuple, *inputs: "CoefficientField"
-                ) -> "CoefficientField":
+    def derived(cls, fn: Callable, shape: tuple, *inputs: "CoefficientField",
+                batch: Callable | None = None) -> "CoefficientField":
         """The field ``fn(t, X, history)`` computed from the fields ``inputs``:
-        ``fn`` reads ``t`` and the history only through them."""
-        return cls(tuple(shape), fn=fn, reads=reads_of(inputs))
+        ``fn`` reads ``t`` and the history only through them.  ``batch(t, X,
+        W)``, when given, computes it in k states from its inputs'
+        ``evaluate_states``."""
+        return cls(tuple(shape), fn=fn, reads=reads_of(inputs), batch=batch)
 
     @classmethod
     def zero(cls, shape: tuple = ()) -> "CoefficientField":
@@ -163,6 +171,35 @@ class CoefficientField:
                 f"history covers [0, {history.t:g}] but the field is evaluated at t={t:g}"
             )
         return self._normalise(self.fn(t, x_points, history), n)
+
+    def evaluate_states(self, t: float, x_points: Array, states) -> Array:
+        """Values at ``x_points`` in each of k states, as ``(k, n_points, *shape)``.
+
+        ``states`` is a list of k histories (``None`` for a field that reads
+        no history) or a (k, dim_w) array of Wiener values.  A deterministic
+        field is evaluated once for all of them.  A Markov field is read by
+        its batched read, on the histories' ``w`` when given histories, and
+        one state after the other when it has none; a field that reads the
+        whole history is read one history after the other, and refuses
+        bare Wiener values.
+        """
+        x_points = np.asarray(x_points, dtype=float)
+        if self.is_deterministic:
+            one = self.evaluate(t, x_points)
+            return np.broadcast_to(one, (len(states),) + one.shape)
+        if not self.markov:
+            if not isinstance(states, list):
+                raise StructuralError("a field that reads the history needs histories")
+            return np.stack([self.evaluate(t, x_points, h) for h in states])
+        W = np.array([h.w for h in states]) if isinstance(states, list) else states
+        if self.batch is None:  # a Markov callable reads only w of a history
+            return np.stack([self.evaluate(t, x_points, PathHistory(t, 0.0, W[:0], w))
+                             for w in W])
+        out = np.asarray(self.batch(t, x_points, W), dtype=float)
+        want = (len(W), len(x_points)) + self.shape
+        if out.shape != want:
+            raise StructuralError(f"batched read returned shape {out.shape}, expected {want}")
+        return out
 
     def _normalise(self, raw, n: int) -> Array:
         out = np.asarray(raw, dtype=float)
@@ -337,45 +374,43 @@ def validate(scenario: Scenario, modulus: ModulusOfContinuity | None) -> Validat
             modulus_ok = False
 
     n_pairs_cap = 64
-    pair_idx = np.arange(len(xs))
+    idx = np.arange(len(xs)) if len(xs) <= n_pairs_cap else np.arange(len(xs))[::3]
     for t in ts:
         hists = _probe_histories(scenario, float(t), _N_HISTORIES, seed=9 + int(1000 * t))
-        for hist in hists:
-            a_vals = scenario.a.evaluate(t, xs, hist)          # (n, d, d)
-            sig_vals = scenario.sigma.evaluate(t, xs, hist)    # (n, d, dw)
-            b_vals = scenario.b.evaluate(t, xs, hist)
-            c_vals = scenario.c.evaluate(t, xs, hist)
-            nu_vals = scenario.nu.evaluate(t, xs, hist)
-            count += len(xs)
+        # every field in every probe history at once: (n_histories, n, *shape)
+        a_vals, sig_vals, b_vals, c_vals, nu_vals = (
+            f.evaluate_states(t, xs, hists)
+            for f in (scenario.a, scenario.sigma, scenario.b, scenario.c, scenario.nu))
+        count += len(hists) * len(xs)
 
-            asym = np.max(np.abs(a_vals - np.swapaxes(a_vals, -1, -2)))
-            if asym > slack * (1.0 + np.max(np.abs(a_vals))):
-                symmetry_ok = False
+        asym = np.max(np.abs(a_vals - np.swapaxes(a_vals, -1, -2)), axis=(1, 2, 3))
+        if np.any(asym > slack * (1.0 + np.max(np.abs(a_vals), axis=(1, 2, 3)))):
+            symmetry_ok = False
 
-            a_sym = 0.5 * (a_vals + np.swapaxes(a_vals, -1, -2))
-            gram = np.einsum("nik,njk->nij", sig_vals, sig_vals)
-            margin = np.linalg.eigvalsh(2.0 * a_sym - gram - kappa * np.eye(d))
-            min_margin = min(min_margin, float(margin.min()))
-            upper = np.linalg.eigvalsh(2.0 * a_sym)
-            if upper.max() > K + slack:
+        a_sym = 0.5 * (a_vals + np.swapaxes(a_vals, -1, -2)).reshape((-1, d, d))
+        sig = sig_vals.reshape((-1,) + scenario.sigma.shape)
+        gram = np.einsum("nik,njk->nij", sig, sig)
+        margin = np.linalg.eigvalsh(2.0 * a_sym - gram - kappa * np.eye(d))
+        min_margin = min(min_margin, float(margin.min()))
+        upper = np.linalg.eigvalsh(2.0 * a_sym)
+        if upper.max() > K + slack:
+            bounds_ok = False
+
+        for vals in (a_vals, b_vals, c_vals, sig_vals, nu_vals):
+            if not np.all(np.isfinite(vals)):
+                bounds_ok = False
+            elif np.max(np.abs(vals)) > K + slack:
                 bounds_ok = False
 
-            for vals in (a_vals, b_vals, c_vals, sig_vals, nu_vals):
-                if not np.all(np.isfinite(vals)):
-                    bounds_ok = False
-                elif np.max(np.abs(vals)) > K + slack:
-                    bounds_ok = False
-
-            if modulus is not None and modulus_ok:
-                # pairwise Frobenius continuity of a and sigma at fixed (t, history)
-                idx = pair_idx if len(xs) ** 2 <= n_pairs_cap ** 2 else pair_idx[::3]
-                xa, aa, ss = xs[idx], a_vals[idx], sig_vals[idx]
-                diff_x = np.linalg.norm(xa[:, None, :] - xa[None, :, :], axis=-1)
-                diff_a = np.sqrt(np.sum((aa[:, None] - aa[None, :]) ** 2, axis=(-1, -2)))
-                diff_s = np.sqrt(np.sum((ss[:, None] - ss[None, :]) ** 2, axis=(-1, -2)))
-                cap = modulus(diff_x) + slack
-                if np.any(diff_a > cap) or np.any(diff_s > cap):
-                    modulus_ok = False
+        if modulus is not None and modulus_ok:
+            # pairwise Frobenius continuity of a and sigma at fixed (t, history)
+            xa, aa, ss = xs[idx], a_vals[:, idx], sig_vals[:, idx]
+            diff_x = np.linalg.norm(xa[:, None, :] - xa[None, :, :], axis=-1)
+            diff_a = np.sqrt(np.sum((aa[:, :, None] - aa[:, None, :]) ** 2, axis=(-1, -2)))
+            diff_s = np.sqrt(np.sum((ss[:, :, None] - ss[:, None, :]) ** 2, axis=(-1, -2)))
+            cap = modulus(diff_x) + slack
+            if np.any(diff_a > cap) or np.any(diff_s > cap):
+                modulus_ok = False
 
     superparabolic_ok = bool(min_margin >= 0.0)
     return ValidationReport(

@@ -209,18 +209,20 @@ def _parse_matrix_literal(text: str) -> list:
 
 
 def _make_evaluator(asts, shape, dim_x):
-    def _eval(t, X, history):
-        env = {"t": t}
-        for i in range(dim_x):
-            env[f"x{i + 1}"] = X[:, i]
-        if history is not None:
-            for k, wk in enumerate(np.atleast_1d(history.w)):
-                env[f"w{k + 1}"] = wk
-        cols = [np.broadcast_to(np.asarray(evaluate(a, env), dtype=float), (len(X),))
+    """The entry's read at one history and its batched read: the ASTs are
+    walked once over the x columns, with each ``wk`` a (k, 1) column of the
+    states' Wiener values (a one-entry array at one history)."""
+    def read(t, X, w):  # w: (dim_w,) of one state, or (k, dim_w) of k states
+        env = {"t": t, **{f"x{i + 1}": X[:, i] for i in range(dim_x)},
+               **{f"w{k + 1}": w[..., k, None] for k in range(w.shape[-1])}}
+        lead = w.shape[:-1] + (len(X),)
+        cols = [np.broadcast_to(np.asarray(evaluate(a, env), dtype=float), lead)
                 for a in asts.flat]
-        return np.stack(cols, axis=-1).reshape((len(X),) + shape)
+        return np.stack(cols, axis=-1).reshape(lead + shape)
 
-    return _eval
+    def fn(t, X, history):
+        return read(t, X, np.zeros(0) if history is None else np.atleast_1d(history.w))
+    return fn, read
 
 
 def _build_field(name: str, raw: str, shape: tuple, dim_x: int,
@@ -256,7 +258,8 @@ def _build_field(name: str, raw: str, shape: tuple, dim_x: int,
         return CoefficientField.constant(np.reshape(vals, shape), shape)
     # the evaluator reads the history only through history.w
     reads = frozenset({"t"} & names | {"w" for n in names if n.startswith("w")})
-    return CoefficientField(shape, fn=_make_evaluator(asts, shape, dim_x), reads=reads)
+    fn, batch = _make_evaluator(asts, shape, dim_x)
+    return CoefficientField(shape, fn=fn, reads=reads, batch=batch)
 
 
 def default_modulus(bound_K: float) -> ModulusOfContinuity:

@@ -17,13 +17,16 @@ its regression design, one QR per step (``_fit``).  ``LevelFields``
 supplies a level's source as a stacked array and its operators as one
 ``LevelOperators``: matrix rows plus each node's row, with one shared row
 for deterministic fields, one per distinct Wiener state for Markov fields and
-one per node otherwise.  ``_level_step`` inverts I - theta dt L of every
-row at once and applies each inverse to its nodes as it applies L: a shared
-row's as one matrix product over the level, whose inverse the provider
-keeps for the whole solve when the row is t-free.  Only the nodes of a row
-whose inverse does not bound their amplification are measured.  With a
-shared row the regression keeps p at its paths as coefficient rows of the
-fit's Q plus source rows, and steps the rows, not the paths.
+one per node otherwise.  A Markov level is read in one go: every field by
+one batched read over the level's distinct Wiener values, and the operators
+of all of them by one stacked assembly.  ``_level_step`` inverts
+I - theta dt L of every row at once and applies each inverse to its nodes
+as it applies L: a shared row's as one matrix product over the level, whose
+inverse the provider keeps for the whole solve when the row is t-free.
+Only the nodes of a row whose inverse does not bound their amplification
+are measured.  With a shared row the regression keeps p at its paths as
+coefficient rows of the fit's Q plus source rows, and steps the rows, not
+the paths.
 """
 
 from __future__ import annotations
@@ -235,14 +238,18 @@ class _RowCache(dict):
 
     nbytes = 0
 
+    def keep(self, slot, owner, row: Array) -> None:
+        """Keep a copy of ``row`` under ``slot`` if it fits the byte bound."""
+        if self.nbytes + row.nbytes <= _CACHE_BYTES:
+            self[slot] = (owner, row.copy())
+            self.nbytes += row.nbytes
+
     def row(self, name, owner, level, state, make) -> Array:
         slot = (name, id(owner), level, state)
         if slot in self:
             return self[slot][1]
         row = make()
-        if self.nbytes + row.nbytes <= _CACHE_BYTES:
-            self[slot] = (owner, row)
-            self.nbytes += row.nbytes
+        self.keep(slot, owner, row)
         return row
 
 
@@ -266,19 +273,22 @@ class LevelFields:
 
     ``filtration`` is a ``WienerTree`` or a ``PathEnsemble``: anything with
     ``dt`` and ``level_increments(level)``.  Every field read goes through
-    ``level_rows``, which evaluates a map once per group of the level's nodes
-    that its fields' ``reads`` call for (``groups``): once per level
-    (``k = 1``) when they read no history, once per Wiener state when they
-    read ``w``, and once per node when they read the whole history.  The
-    groups are kept for the current level only.  The terminal, the source and
-    the operators are named maps, whose rows the provider keeps
-    (``level_rows``): a time-invariant L is assembled once per solve, not once
-    per level, and a map over t-dependent fields runs once per level and
-    state however often a caller reads the level again.  ``operators``
+    ``level_rows``, which runs a map on the states of the groups of the
+    level's nodes that its fields' ``reads`` call for (``groups``): one state
+    per level (``k = 1``) when they read no history, the level's distinct
+    Wiener values when they read ``w``, and each node's history when they
+    read the whole history.  A map takes all its states at once: a Markov
+    field is read by its batched read (``CoefficientField.evaluate_states``)
+    and the operators of every state are assembled by one stacked product.
+    The groups are kept for the current level only.  The terminal, the
+    source and the operators are named maps, whose rows the provider keeps
+    (``level_rows``): a time-invariant L is assembled once per solve, not
+    once per level, and a map over t-dependent fields runs once per level
+    and state however often a caller reads the level again.  ``operators``
     returns its rows with each node's row, and a t-free shared row with the
     slot that keeps its step inverse in the same rows; the terminal and the
-    source are expanded to every node (``level_map``).  A filtration or basis
-    made for another scenario is refused (``_check_inputs``).
+    source are expanded to every node (``level_map``).  A filtration or
+    basis made for another scenario is refused (``_check_inputs``).
     """
 
     def __init__(self, scenario, filtration, basis: SpectralBasis):
@@ -297,14 +307,15 @@ class LevelFields:
         out._rows = self._rows
         return out
 
-    def groups(self, level: int, reads) -> tuple[list, Array | None]:
-        """One history per group of the level's nodes and each node's group,
-        for fields that read ``reads``: ``([None], None)`` when they read no
-        history, one group per distinct Wiener state ``w`` when they read
-        ``"w"``, and one per node, in level order, when they read
-        ``"history"``.  States are told apart by their bytes, not by float
-        comparison, so ``-0.0`` and ``0.0`` stay apart and a Markov field sees
-        exactly the bits it would see at each of the group's nodes.
+    def groups(self, level: int, reads) -> tuple:
+        """The states of the groups of the level's nodes, for fields that read
+        ``reads``, and each node's group: ``([None], None)`` when they read
+        no history; the level's distinct Wiener values, a (k, dim_w) array,
+        when they read ``"w"``; and one ``PathHistory`` per node, in level
+        order, only when they read ``"history"``.  States are told apart by
+        their bytes, not by float comparison, so ``-0.0`` and ``0.0`` stay
+        apart and a Markov field sees exactly the bits it would see at each
+        of the group's nodes.
         """
         if not reads & {"w", "history"}:
             return [None], None
@@ -314,44 +325,60 @@ class LevelFields:
         if per_node not in self._groups:
             incs = self.filtration.level_increments(level)
             w = incs.sum(axis=1)  # the same sum, in the same order, as each history.w
-            first, inverse = (np.arange(len(w)),) * 2 if per_node else _distinct_rows(w)
-            t, dt = level * self.filtration.dt, self.filtration.dt
-            self._groups[per_node] = ([PathHistory(t, dt, incs[i], w[i]) for i in first],
-                                      inverse)
+            if per_node:
+                t, dt = level * self.filtration.dt, self.filtration.dt
+                self._groups[per_node] = ([PathHistory(t, dt, incs[i], w[i])
+                                           for i in range(len(w))], np.arange(len(w)))
+            else:
+                first, inverse = _distinct_rows(w)
+                self._groups[per_node] = (w[first], inverse)
         return self._groups[per_node]
 
     def level_rows(self, level: int, fields, fn, key) -> tuple[Array, Array | None]:
-        """``fn(t, history)`` once per group of the level: the rows and
-        ``index``, each node's row, which is ``None`` when one row is shared
-        by the level.
+        """``fn(t, states)`` on the states of the level's groups: the rows,
+        one per state, and ``index``, each node's row, which is ``None`` when
+        one row is shared by the level.
 
-        ``fields`` are the coefficient fields ``fn`` reads: ``fn`` runs once
-        per group of ``groups(level, reads)``, ``reads`` being their union.
+        ``fields`` are the coefficient fields ``fn`` reads: ``fn`` gets the
+        states of ``groups(level, reads)``, ``reads`` being their union, and
+        returns their rows stacked, one per state.
 
         ``key``, a ``(name, owner)`` pair, names the map: besides ``fields``,
         ``fn`` reads only ``owner``, and it reads ``t`` only through
         ``fields``.  A map over fields that read no ``"history"`` keeps its
         rows for the provider's lifetime, keyed by the bytes of ``w``, and by
-        the level when a field reads ``"t"``: over a solve a t-free map runs
-        once when the fields are deterministic and once per distinct Wiener
-        state of all levels when they are Markov, and a second read of a level
-        runs no map.  The rows are bit-equal to those of a fresh evaluation.
+        the level when a field reads ``"t"``, and runs once on the states it
+        has no row for: over a solve a t-free map reads a deterministic
+        state once and each distinct Wiener state of all levels once, and a
+        second read of a level runs no map.  An ensemble's paths each hold
+        their own state past t = 0, which never recurs, so a level of them
+        is read afresh and not kept.  The rows are bit-equal to those of a
+        fresh evaluation.
         """
         reads = reads_of(fields)
-        hists, inverse = self.groups(level, reads)
+        states, index = self.groups(level, reads)
         t = level * self.filtration.dt
+        if "history" in reads or (index is not None and level > 0
+                                  and isinstance(self.filtration, PathEnsemble)):
+            return np.asarray(fn(t, states)), index
+        name, owner = key
         when = level if "t" in reads else None
-        out = None
-        for i, h in enumerate(hists):
-            if "history" in reads:
-                row = np.asarray(fn(t, h))
-            else:  # look the row up by state (and level)
-                row = self._rows.row(*key, when, None if h is None else h.w.tobytes(),
-                                     lambda: np.asarray(fn(t, h)))
-            if out is None:  # filled in place: no list of per-node rows
-                out = np.empty((len(hists),) + row.shape, row.dtype)
+        slots = [(name, id(owner), when, None if index is None else w.tobytes())
+                 for w in states]
+        kept = [self._rows.get(slot) for slot in slots]
+        missing = [i for i, entry in enumerate(kept) if entry is None]
+        if missing:  # one read of every state that has no row
+            made = np.asarray(fn(t, states if len(missing) == len(states)
+                                 else states[missing]))
+            for i, row in zip(missing, made):
+                self._rows.keep(slots[i], owner, row)
+                kept[i] = (owner, row)
+            if len(missing) == len(states):
+                return made, index
+        out = np.empty((len(kept),) + kept[0][1].shape, kept[0][1].dtype)  # filled in place
+        for i, (_, row) in enumerate(kept):
             out[i] = row
-        return out, inverse
+        return out, index
 
     def level_map(self, level: int, fields, fn, key) -> Array:
         """``level_rows`` stacked over the level: (1, ...) or (n_level, ...)."""
@@ -360,8 +387,9 @@ class LevelFields:
 
     def _projected(self, field_, level: int, t=None) -> Array:
         X, project = self.basis.grid_points, self.basis.project
-        return self.level_map(level, [field_], lambda s, h: project(
-            field_.evaluate(s if t is None else t, X, h)), ("projected", field_))
+        return self.level_map(level, [field_], lambda s, states: project(
+            field_.evaluate_states(s if t is None else t, X, states), stacked=True),
+            ("projected", field_))
 
     def terminal(self) -> Array:
         return self._projected(self.scenario.phi, self.filtration.n_steps,
@@ -375,16 +403,24 @@ class LevelFields:
         one row per group of the level and each node's row, their bytes
         checked before the first is assembled."""
         scn = scenario if scenario is not None else self.scenario
-        coeffs, basis = scn.coefficient_fields().values(), self.basis
-        reads = reads_of(coeffs)
+        coeffs, basis = scn.coefficient_fields(), self.basis
+        reads = reads_of(coeffs.values())
         rows = len(self.groups(level, reads)[0])
         # L, the M^k, and the step's I - theta dt L with its temporary
         check_bytes(rows * (3 + scn.dim_w) * basis.n_modes ** 2 * 8,
                     f"the operators of level {level}")
-        L, index = self.level_rows(level, coeffs, lambda t, h: assemble_L(scn, t, h, basis),
-                                   ("L", scn))
-        Ms, _ = self.level_rows(level, coeffs, lambda t, h: assemble_M(scn, t, h, basis),
-                                ("M", scn))
+
+        def samples(t, states, names):  # the grid samples of every state
+            return {name: coeffs[name].evaluate_states(t, basis.grid_points, states)
+                    for name in names}
+        L, index = self.level_rows(
+            level, coeffs.values(),
+            lambda t, states: assemble_L(scn, samples(t, states, ("a", "b", "c")), basis),
+            ("L", scn))
+        Ms, _ = self.level_rows(
+            level, coeffs.values(),
+            lambda t, states: assemble_M(scn, samples(t, states, ("sigma", "nu")), basis),
+            ("M", scn))
         keep = None
         if index is None and "t" not in reads:
             # one row for every level: what the step makes of it is kept too
@@ -606,18 +642,19 @@ class RegressionSolution:
 
 
 def _monomial_features(states: Array, size: int) -> Array:
-    """First ``size`` monomials of the state, ordered by (total degree, lex)."""
-    from itertools import combinations_with_replacement, count
-    n, dw = states.shape
-    cols = []
-    for deg in count():
-        for combo in combinations_with_replacement(range(dw), deg):
-            col = np.ones(n)
-            for j in combo:
-                col = col * states[:, j]
-            cols.append(col)
-            if len(cols) == size:
-                return np.stack(cols, axis=1)
+    """First ``size`` monomials of the state, ordered by (total degree, lex):
+    each is its parent's, the monomial of its index tuple less the last
+    index, times that index's state column, so a monomial is the running
+    product of its columns in order."""
+    from itertools import combinations_with_replacement, count, islice
+    combos = list(islice((combo for deg in count() for combo in
+                          combinations_with_replacement(range(states.shape[1]), deg)), size))
+    place = {combo: i for i, combo in enumerate(combos)}
+    out = np.empty((len(states), size))
+    out[:, 0] = 1.0
+    for i, combo in enumerate(combos[1:], 1):
+        np.multiply(out[:, place[combo[:-1]]], states[:, combo[-1]], out=out[:, i])
+    return out
 
 
 def _fit(design: Array | None, step: int) -> tuple[Array | None, Array | None]:
@@ -650,7 +687,8 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
     Wiener state, one QR of the design per step (``_fit``).
 
     Per-path operator rows step the fitted values of every path, one block
-    of paths at a time.  With deterministic coefficients the step acts on
+    of paths at a time, each block's rows read and assembled in one batched
+    call.  With deterministic coefficients the step acts on
     the modes alone, so it commutes with the fit, and p at the paths is kept
     in factored form, ``p = Q_prev Y + S``: Y the k stepped coefficient rows
     of the last step's Q, S its stepped source rows (one row, or one per

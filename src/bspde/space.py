@@ -34,7 +34,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .errors import StructuralError, check_bytes
-from .scenario import PathHistory, Scenario
+from .scenario import Scenario
 
 Array = np.ndarray
 
@@ -84,13 +84,17 @@ class SpectralBasis:
 
     # -- transforms -----------------------------------------------------------
 
-    def project(self, values: Array) -> Array:
-        """Coefficients of the grid samples (exact for band-limited fields)."""
+    def project(self, values: Array, stacked: bool = False) -> Array:
+        """Coefficients of the grid samples (exact for band-limited fields):
+        ``values`` (n_grid, ...) gives (n_modes, ...), and ``stacked`` values
+        (k, n_grid, ...) give (k, n_modes, ...), one product per sample."""
         values = np.asarray(values)
-        if values.shape[0] != self.n_grid:
-            raise StructuralError(
-                f"expected {self.n_grid} grid values, got {values.shape[0]}")
-        return self._A @ values
+        lead = values.shape[:1] if stacked else ()
+        grid, tail = values.shape[len(lead)], values.shape[len(lead) + 1:]
+        if grid != self.n_grid:
+            raise StructuralError(f"expected {self.n_grid} grid values, got {grid}")
+        flat = values.reshape(lead + (grid, -1)) if stacked else values
+        return (self._A @ flat).reshape(lead + (self.n_modes,) + tail)
 
     def reconstruct(self, coeffs: Array) -> Array:
         coeffs = np.asarray(coeffs)
@@ -157,23 +161,38 @@ def _index(d: int, *axes: int) -> tuple[int, ...]:
 
 
 def _operator(basis: SpectralBasis, terms: list) -> Array:
-    """Matrix of u -> sum D^outer(coef * D^inner u) over ``(outer, coef, inner)``
-    terms: those of one ``outer``, in the order the terms first name it, are
-    summed on the grid (all-zero columns skipped) and analysed back once."""
-    op = np.zeros((basis.n_modes, basis.n_modes))
-    live = [term for term in terms if term[1].any()]
-    for outer in dict.fromkeys(o for o, _, _ in live):
-        body = np.zeros((basis.n_grid, basis.n_modes))
-        for coef, inner in ((coef, inner) for o, coef, inner in live if o == outer):
-            body += coef[:, None] * basis._synth(inner)
+    """Matrices (k, m, m) of u -> sum D^outer(coef * D^inner u) over ``(outer,
+    coef, inner)`` terms, ``coef`` (k, n_grid) sampled in each of k states:
+    in each state, the terms of one ``outer`` are summed on the grid, in the
+    order the terms first name it and skipping a term whose samples there
+    are all zero, and analysed back once, one product per state (a stacked
+    ``matmul`` has each state's bits; one product over the stack would not)."""
+    k, m = len(terms[0][1]), basis.n_modes
+    op = np.zeros((k, m, m))
+    live = [(outer, coef, inner, coef.any(axis=-1)) for outer, coef, inner in terms]
+    for outer in dict.fromkeys(o for o, _, _, on in live if on.any()):
+        group = [(coef, inner, on) for o, coef, inner, on in live if o == outer]
+        states = np.logical_or.reduce([on for _, _, on in group])  # those with a term
+        body = np.zeros((int(states.sum()), basis.n_grid, m))
+        for coef, inner, on in group:
+            if on.all():
+                body += coef[:, :, None] * basis._synth(inner)
+            elif on.any():
+                body[on[states]] += coef[on, :, None] * basis._synth(inner)
         part = basis._A @ body
-        op += basis.derivative(outer, part.T).T if any(outer) else part  # D^outer part
+        part = basis.derivative(outer, part.swapaxes(-1, -2)).swapaxes(-1, -2) \
+            if any(outer) else part  # D^outer part
+        if states.all():
+            op += part
+        else:
+            op[states] += part
     return op
 
 
-def assemble_L(scenario: Scenario, t: float, history: PathHistory | None,
-               basis: SpectralBasis) -> Array:
-    """Drift operator matrix on spectral coefficients at (t, history).
+def assemble_L(scenario: Scenario, samples: dict, basis: SpectralBasis) -> Array:
+    """Drift operator matrices (k, m, m) on spectral coefficients, one per state
+    of the stacked grid samples ``samples["a"]`` (k, n_grid, d, d),
+    ``samples["b"]`` (k, n_grid, d) and ``samples["c"]`` (k, n_grid).
 
     Divergence form:      L u = D_i(a^{ij} D_j u) + b^i D_i u - c u
     Non-divergence form:  L u = a^{ij} D_{ij} u + b^i D_i u - c u
@@ -181,30 +200,29 @@ def assemble_L(scenario: Scenario, t: float, history: PathHistory | None,
     Constant coefficients produce the exact diagonal symbol, and the two forms
     coincide for x-independent a.
     """
-    d, X, e = scenario.dim_x, basis.grid_points, partial(_index, scenario.dim_x)
-    a = scenario.a.evaluate(t, X, history)      # (n_grid, d, d)
-    b = scenario.b.evaluate(t, X, history)      # (n_grid, d)
-    c = scenario.c.evaluate(t, X, history)      # (n_grid,)
-    terms = [(e(), b[:, i], e(i)) for i in range(d)] + [(e(), -c, e())]
-    terms += [(e(), a[:, i, j], e(i, j)) if scenario.form == "non_divergence"
-              else (e(i), a[:, i, j], e(j)) for i in range(d) for j in range(d)]
+    d, e = scenario.dim_x, partial(_index, scenario.dim_x)
+    a, b, c = samples["a"], samples["b"], samples["c"]
+    terms = [(e(), b[:, :, i], e(i)) for i in range(d)] + [(e(), -c, e())]
+    terms += [(e(), a[:, :, i, j], e(i, j)) if scenario.form == "non_divergence"
+              else (e(i), a[:, :, i, j], e(j)) for i in range(d) for j in range(d)]
     return _operator(basis, terms)
 
 
-def assemble_M(scenario: Scenario, t: float, history: PathHistory | None,
-               basis: SpectralBasis) -> list[Array]:
-    """Noise operators M^k, one matrix per Wiener dimension.
+def assemble_M(scenario: Scenario, samples: dict, basis: SpectralBasis) -> Array:
+    """Noise operator matrices (k, dim_w, m, m), M^k in each state of the
+    stacked grid samples ``samples["sigma"]`` (k, n_grid, d, dim_w) and
+    ``samples["nu"]`` (k, n_grid, dim_w).
 
     Divergence form:      M^k v = D_i(sigma^{ik} v) + nu^k v
     Non-divergence form:  M^k v = sigma^{ik} D_i v + nu^k v
     """
-    d, X, e = scenario.dim_x, basis.grid_points, partial(_index, scenario.dim_x)
-    sig = scenario.sigma.evaluate(t, X, history)   # (n_grid, d, dw)
-    nu = scenario.nu.evaluate(t, X, history)       # (n_grid, dw)
-    return [_operator(basis, [(e(), sig[:, i, k], e(i)) if scenario.form == "non_divergence"
-                              else (e(i), sig[:, i, k], e()) for i in range(d)]
-                      + [(e(), nu[:, k], e())])
-            for k in range(scenario.dim_w)]
+    d, e = scenario.dim_x, partial(_index, scenario.dim_x)
+    sig, nu = samples["sigma"], samples["nu"]
+    return np.stack([_operator(basis, [(e(), sig[:, :, i, k], e(i))
+                                       if scenario.form == "non_divergence"
+                                       else (e(i), sig[:, :, i, k], e()) for i in range(d)]
+                               + [(e(), nu[:, :, k], e())])
+                     for k in range(scenario.dim_w)], axis=1)
 
 
 def coercivity_probe(basis: SpectralBasis, L_mat: Array, M_mats: list[Array],

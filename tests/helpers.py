@@ -7,7 +7,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from bspde import CoefficientField, PathHistory, Scenario, load_scenario_text
+from bspde import (CoefficientField, PathHistory, Scenario, assemble_L, assemble_M,
+                   load_scenario_text)
 
 
 def _lift_scalar_callable(fn, shape):
@@ -117,6 +118,29 @@ phi = sin(x1) + 1.5 + 0.2*w1*w2
 """}
 
 
+# a 2-d divergence-form scenario on two Wiener dimensions whose matrix,
+# vector and scalar fields all read w; c vanishes where w1 = 0
+MARKOV_2D_TEXT = """
+[problem]
+d = 2
+d1 = 2
+T = 0.5
+L = 3.14159265358979
+K = 2.0
+kappa = 0.3
+form = divergence
+[coefficients]
+a = [[0.62 + 0.05*sin(x1 + w2), 0.02*cos(x2 - w1)], [0.02*cos(x2 - w1), 0.6 + 0.04*cos(x2 + w1)]]
+b = [0.05*sin(x2 + w1), 0.04*cos(x1)]
+c = 0.05*sin(w1)*(1 + 0.3*cos(x1))
+sigma = [[0.1 + 0.02*sin(w1), 0.05], [0.03*cos(x1 + w2), 0.1]]
+nu = [0.03*cos(w1 - w2), 0.02*sin(x2)]
+[data]
+F = cos(x1 - w1) + 0.3*w2*sin(x2)
+phi = sin(x1 + x2) + 1.5 + 0.2*w1*w2
+"""
+
+
 # the seed-0 input of the benchmark's adapted_tree workload
 ADAPTED_TREE_TEXT = """
 [problem]
@@ -173,9 +197,11 @@ def declared_time_dependent(scenario):
 
 
 def counting(field_):
-    """``field_`` with an evaluator that logs each call's history time, and the log.
+    """``field_`` with evaluators that log the history time of each state
+    they read, and the log: a read at one history logs its time, and a
+    batched read of k states logs the time it is given k times.
 
-    The evaluator reads the time it logs, so the wrapped field is not t-free
+    The evaluators read the time they log, so the wrapped field is not t-free
     and is evaluated at every level, as a field that reads ``t`` is.
     """
     calls = []
@@ -183,7 +209,12 @@ def counting(field_):
     def fn(t, X, hist):
         calls.append(hist.t)
         return field_.fn(t, X, hist)
-    wrapped = replace(field_, fn=fn, reads=field_.reads | {"t"})
+
+    def batch(t, X, W):
+        calls.extend([t] * len(W))
+        return field_.batch(t, X, W)
+    wrapped = replace(field_, fn=fn, reads=field_.reads | {"t"},
+                      batch=None if field_.batch is None else batch)
     return wrapped, calls
 
 
@@ -344,6 +375,23 @@ def _d_synth(S, freqs, i):
 def _d_rows(freqs, i, part):
     """D_i of every column of ``part``: -k_i times its rows reversed."""
     return (-freqs[:, i])[:, None] * part[::-1]
+
+
+def state_samples(scenario, t, history, basis):
+    """Every coefficient's grid samples in the one state of ``history``,
+    stacked as k = 1, as ``assemble_L`` and ``assemble_M`` take them."""
+    return {name: f.evaluate(t, basis.grid_points, history)[None]
+            for name, f in scenario.coefficient_fields().items()}
+
+
+def assemble_L_at(scenario, t, history, basis):
+    """``assemble_L`` in the one state of ``history``: its (m, m) matrix."""
+    return assemble_L(scenario, state_samples(scenario, t, history, basis), basis)[0]
+
+
+def assemble_M_at(scenario, t, history, basis):
+    """``assemble_M`` in the one state of ``history``: the list of its M^k."""
+    return list(assemble_M(scenario, state_samples(scenario, t, history, basis), basis)[0])
 
 
 def assemble_L_reference(scenario, t, history, basis):

@@ -11,8 +11,6 @@ from bspde import (
     PathHistory,
     SchemeConfig,
     SpectralBasis,
-    assemble_L,
-    assemble_M,
     build_chain,
     build_tree,
     continuation_solve,
@@ -24,7 +22,8 @@ from bspde import (
     pair_difference,
     solve_tree,
 )
-from helpers import DIVERGENCE_MARKOV_TEXT, make_scenario, markov_scenario, picard_reference
+from helpers import (DIVERGENCE_MARKOV_TEXT, assemble_L_at, assemble_M_at, make_scenario,
+                     markov_scenario, picard_reference)
 from oracles import exponential_matrix, scalar_mode_exact, scalar_theta_chain, to_exponential
 from test_solver import assemblies  # noqa: F401 (a fixture)
 
@@ -109,8 +108,8 @@ class TestFrozenOperators:
             hist = PathHistory.from_increments(
                 0.3 * rng.standard_normal((steps, scn.dim_w)), 0.1) \
                 if steps else PathHistory.empty(scn.dim_w)
-            for op in [assemble_L(frozen, hist.t, hist, basis),
-                       *assemble_M(frozen, hist.t, hist, basis)]:
+            for op in [assemble_L_at(frozen, hist.t, hist, basis),
+                       *assemble_M_at(frozen, hist.t, hist, basis)]:
                 op = E @ op @ E.conj().T
                 off = op - np.diag(np.diag(op))
                 assert np.abs(off).max() <= 1e-14 * np.abs(op).max()

@@ -29,7 +29,8 @@ from bspde import (
 )
 from bspde.frozen import _combination, _frozen_field
 from bspde.scenario import _sample_points
-from helpers import declared_time_dependent, make_field, make_scenario
+from helpers import (MARKOV_2D_TEXT, declared_time_dependent, make_field, make_scenario,
+                     markov_scenario)
 
 DATA = Path(__file__).parent / "data"
 
@@ -214,6 +215,104 @@ phi = 1 + 0.2*w1
             assert got.tobytes() == want.tobytes()
             # a deterministic result is called without the history
             assert seen == [None if deterministic else hist]
+
+
+class TestBatchedReads:
+    """A field's read of k states at once equals its read at each state's
+    history, bit for bit."""
+
+    NAMES = ("a", "b", "c", "sigma", "nu", "F", "phi")
+
+    @staticmethod
+    def states(dim_w, k=7):
+        """k Wiener values with repeats and both zeros, and a history for each."""
+        rng = np.random.default_rng(11)
+        W = np.round(rng.normal(size=(k, dim_w)), 3)
+        W[0], W[1], W[3] = 0.0, -0.0, W[2]
+        hists = [PathHistory(0.25, 0.25, w[None], w) for w in W]
+        assert all(h.w.tobytes() == w.tobytes() for h, w in zip(hists, W))
+        return W, hists
+
+    @classmethod
+    def assert_reads_bit_equal(cls, field_, dim_w, X, t=0.25):
+        W, hists = cls.states(dim_w)
+        got = field_.evaluate_states(t, X, W)
+        assert got.shape == (len(W), len(X)) + field_.shape
+        for row, h in zip(got, hists):
+            assert row.tobytes() == field_.evaluate(t, X, h).tobytes()
+        assert field_.evaluate_states(t, X, hists).tobytes() == got.tobytes()
+
+    @staticmethod
+    def scenarios():
+        yield pytest.param(markov_scenario(1), id="d1-dw1")
+        yield pytest.param(markov_scenario(2), id="d1-dw2")
+        yield pytest.param(load_scenario_text(MARKOV_2D_TEXT)[0], id="d2-dw2")
+
+    @pytest.mark.parametrize("scn", scenarios())
+    def test_file_fields(self, scn):
+        X = _sample_points(scn)[1]
+        markov = [n for n in self.NAMES if getattr(scn, n).markov]
+        assert {len(getattr(scn, n).shape) for n in markov} == {0, 1, 2}
+        for name in self.NAMES:
+            self.assert_reads_bit_equal(getattr(scn, name), scn.dim_w, X)
+
+    @pytest.mark.parametrize("scn", scenarios())
+    def test_frozen_and_combined_fields(self, scn):
+        X = _sample_points(scn)[1]
+        frozen = freeze(scn, np.full(scn.dim_x, 0.4))
+        det = CoefficientField.of_tx(lambda t, X: np.cos(X[:, 0]) + t, ())
+        for f, f0 in ((scn.a, frozen.a), (scn.sigma, frozen.sigma)):
+            for derived in (f0, _combination(-1.0, f0, 1.0, f), _combination(0.3, f0, 0.7, f)):
+                assert derived.markov and derived.batch is not None
+                self.assert_reads_bit_equal(derived, scn.dim_w, X)
+        self.assert_reads_bit_equal(_combination(0.5, det, 0.5, scn.F), scn.dim_w, X)
+
+    @pytest.mark.parametrize("scn", scenarios())
+    def test_mollified_fields(self, scn):
+        basis = SpectralBasis(scn.dim_x, 4, scn.domain_halfwidth)
+        smooth = mollify(scn, MollifierConfig(1), basis)
+        for X in (basis.grid_points, _sample_points(scn)[1]):  # on and off the grid
+            for name in ("a", "sigma"):
+                assert getattr(smooth, name).markov
+                self.assert_reads_bit_equal(getattr(smooth, name), scn.dim_w, X)
+
+    def test_constant_and_deterministic_fields(self):
+        X = np.linspace(-1.0, 1.0, 6)[:, None]
+        for f in (CoefficientField.constant(np.eye(1) * 0.5), CoefficientField.zero((1,)),
+                  CoefficientField.of_tx(lambda t, X: np.sin(X[:, 0]) * (1 + t), ()),
+                  load_scenario(DATA / "tiny.scn")[0].F):
+            assert f.is_deterministic
+            self.assert_reads_bit_equal(f, 1, X)
+
+    def test_markov_callable_without_a_batched_read_is_read_state_by_state(self):
+        seen = []
+
+        def fn(t, X, hist):
+            seen.append(hist.w.copy())
+            return np.cos(X[:, 0] + hist.w[0]) * (1 + t)
+        f = CoefficientField.adapted(fn, (), markov=True)
+        assert f.batch is None
+        X = np.linspace(-1.0, 1.0, 6)[:, None]
+        self.assert_reads_bit_equal(f, 1, X)
+        W = self.states(1)[0]
+        seen.clear()
+        f.evaluate_states(0.25, X, W)
+        assert [w.tobytes() for w in seen] == [w.tobytes() for w in W]
+
+    def test_a_history_reading_field_refuses_bare_wiener_values(self):
+        f = CoefficientField.adapted(lambda t, X, hist: 0.0 * X[:, 0] + hist.n_steps, ())
+        X = np.zeros((3, 1))
+        W, hists = self.states(1)
+        got = f.evaluate_states(0.25, X, hists)
+        assert got.shape == (len(hists), 3) and np.all(got == 1.0)
+        with pytest.raises(StructuralError, match="needs histories"):
+            f.evaluate_states(0.25, X, W)
+
+    def test_a_batched_read_of_the_wrong_shape_is_refused(self):
+        f = CoefficientField((), fn=lambda t, X, h: X[:, 0], reads=frozenset({"w"}),
+                             batch=lambda t, X, W: np.zeros((len(W), len(X) + 1)))
+        with pytest.raises(StructuralError, match="batched read returned shape"):
+            f.evaluate_states(0.0, np.zeros((3, 1)), np.zeros((2, 1)))
 
 
 class TestTimeFreeDeclaration:

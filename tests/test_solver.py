@@ -37,7 +37,7 @@ from bspde import (
 )
 import bspde.errors
 import bspde.solver
-from bspde.solver import _distinct_rows, _level_step
+from bspde.solver import _distinct_rows, _level_step, _monomial_features
 from helpers import (ADAPTED_TREE_TEXT, DIVERGENCE_MARKOV_TEXT, counting,
                      declared_time_dependent, e_sup_norm_sq_reference, ensemble_history,
                      level_expected_norm_sq_reference, make_scenario, markov_scenario,
@@ -530,6 +530,23 @@ class TestInputChecks:
 
 
 class TestRegression:
+    @pytest.mark.parametrize("dim_w, size", [(1, 1), (1, 4), (2, 6), (2, 10), (3, 20)])
+    def test_monomial_features_are_the_running_products(self, dim_w, size):
+        # each monomial is its parent's times one column: the same products,
+        # in the same order, as multiplying its columns from 1
+        from itertools import combinations_with_replacement, count, islice
+        states = np.random.default_rng(9).normal(size=(50, dim_w))
+        combos = islice((c for deg in count()
+                         for c in combinations_with_replacement(range(dim_w), deg)), size)
+        cols = []
+        for combo in combos:
+            col = np.ones(len(states))
+            for j in combo:
+                col = col * states[:, j]
+            cols.append(col)
+        got = _monomial_features(states, size)
+        assert got.shape == (50, size) and got.tobytes() == np.stack(cols, axis=1).tobytes()
+
     def test_deterministic_source_is_exact(self):
         # F = 1, phi = 0: p(t) = T - t along every path, so the regression
         # recursion reproduces it exactly regardless of sample noise
@@ -725,7 +742,8 @@ class TestMarkovFields:
             for name in ("F", "phi"):
                 got, want = (
                     fields.level_map(level, [getattr(s, name)],
-                                     lambda t, h, f=getattr(s, name): f.evaluate(t, X, h),
+                                     lambda t, states, f=getattr(s, name):
+                                     f.evaluate_states(t, X, states),
                                      ("grid", getattr(s, name)))
                     for fields, s in ((fast, scn), (slow, per)))
                 assert got.shape == want.shape
@@ -763,6 +781,66 @@ class TestMarkovFields:
         for level in range(tree.n_steps):
             assert f_calls.count(tree.time_of(level)) == states[level]
 
+    @staticmethod
+    def unbatched(scenario):
+        """The same scenario with no batched read: every Markov field is read
+        one state after the other, as a library callable is."""
+        return scenario.with_fields(**{
+            name: replace(getattr(scenario, name), batch=None)
+            for name in ("a", "b", "c", "sigma", "nu", "F", "phi")
+            if getattr(scenario, name).markov})
+
+    @pytest.mark.parametrize("dim_w", [1, 2])
+    def test_markov_callables_without_a_batched_read_solve_bit_equal(self, dim_w):
+        scn = markov_scenario(dim_w)
+        lib, per = self.unbatched(scn), declared_path_dependent(scn)
+        assert lib.a.markov and lib.a.batch is None and scn.a.batch is not None
+        tree = build_tree(dim_w, 3, 3, scn.horizon)
+        want = solve_tree(scn, tree, BASIS)
+        for other in (lib, per):
+            got = solve_tree(other, tree, BASIS)
+            for a, b in zip(got.p.levels + got.q.levels, want.p.levels + want.q.levels):
+                assert a.tobytes() == b.tobytes()
+        ens = sample_paths(dim_w, 3, 40, scn.horizon, seed=4)
+        want = solve_regression(scn, ens, BASIS)
+        for other in (lib, per):
+            got = solve_regression(other, ens, BASIS)
+            assert got.p0().coeffs.tobytes() == want.p0().coeffs.tobytes()
+            assert got.q_means.tobytes() == want.q_means.tobytes()
+
+    def test_library_markov_callable_solves_as_its_per_node_declaration(self):
+        # a callable that reads only hist.w, declared Markov, is read once per
+        # state on a stand-in history that carries w alone
+        def c(t, X, hist):
+            return 0.11 + 0.03 * np.cos(hist.w[0] + 6.2) + 0.0 * X[:, 0]
+
+        def phi(t, X, hist):
+            return 1.4 + 0.56 * np.sin(X[:, 0] + 0.24) + 0.38 * np.sin(hist.w[0] + 3.0)
+        scn = markov_scenario(1).with_fields(
+            c=CoefficientField.adapted(c, (), markov=True, t_free=True),
+            phi=CoefficientField.adapted(phi, (), markov=True, t_free=True))
+        tree = build_tree(1, 4, 3, scn.horizon)
+        fast, slow = solve_tree(scn, tree, BASIS), solve_tree(declared_path_dependent(scn),
+                                                             tree, BASIS)
+        for a, b in zip(fast.p.levels + fast.q.levels, slow.p.levels + slow.q.levels):
+            assert a.tobytes() == b.tobytes()
+
+    def test_markov_solves_build_no_history(self, monkeypatch):
+        # a Markov level is its distinct Wiener values; only fields that read
+        # the whole history get per-node histories
+        built = []
+        monkeypatch.setattr(bspde.solver, "PathHistory",
+                            lambda *args, _cls=bspde.solver.PathHistory:
+                            built.append(args) or _cls(*args))
+        scn = markov_scenario(1)
+        tree = build_tree(1, 3, 3, scn.horizon)
+        solve_tree(scn, tree, BASIS)
+        freeze_and_iterate(scn, np.zeros(1), tree, BASIS, max_iter=2)
+        solve_regression(scn, sample_paths(1, 3, 20, scn.horizon, seed=2), BASIS)
+        assert built == []
+        solve_tree(declared_path_dependent(scn), tree, BASIS)
+        assert len(built) == tree.n_nodes
+
     def test_path_dependent_callable_is_evaluated_per_node(self):
         # the last increment is not a function of w: nodes sharing w differ
         def last_step(t, X, hist):
@@ -789,12 +867,12 @@ class TestMarkovFields:
         tree = build_tree(dim_w, steps, branching, 0.5)
         fields = LevelFields(markov_scenario(dim_w), tree, BASIS)
         for level in range(steps + 1):
-            reps, inverse = fields.groups(level, {"w"})
+            W, inverse = fields.groups(level, {"w"})
             assert len(inverse) == tree.levels[level].n_nodes
+            assert len({w.tobytes() for w in W}) == len(W)  # distinct states
             for i in range(len(inverse)):
                 ref = tree.history(level, i)
-                assert reps[inverse[i]].w.tobytes() == ref.w.tobytes()
-                assert reps[inverse[i]].t == ref.t
+                assert W[inverse[i]].tobytes() == ref.w.tobytes()
 
     @pytest.mark.parametrize("dim_w, n_steps, branching", [(1, 4, 3), (2, 3, 2)])
     def test_node_groups_are_bit_equal_to_history(self, dim_w, n_steps, branching):
@@ -818,9 +896,9 @@ class TestMarkovFields:
         ens = sample_paths(1, 12, 30, 0.5, seed=8)
         fields = LevelFields(markov_scenario(1), ens, BASIS)
         for step in range(ens.n_steps + 1):
-            reps, inverse = fields.groups(step, {"w"})
+            W, inverse = fields.groups(step, {"w"})
             for j in range(ens.n_paths):
-                assert reps[inverse[j]].w.tobytes() == ensemble_history(ens, j, step).w.tobytes()
+                assert W[inverse[j]].tobytes() == ensemble_history(ens, j, step).w.tobytes()
 
     @staticmethod
     def grouped_cases():
@@ -925,12 +1003,14 @@ class TestMarkovFields:
 
 @pytest.fixture
 def assemblies(monkeypatch):
-    """Names of the operator assemblies the solver makes, in call order."""
+    """Names of the operator assemblies the solver makes, in call order: a
+    stacked assembly of k states logs its name k times, once per state."""
     calls = []
     for name in ("assemble_L", "assemble_M"):
         def wrap(*args, _assemble=getattr(bspde.solver, name), _name=name):
-            calls.append(_name)
-            return _assemble(*args)
+            out = _assemble(*args)
+            calls.extend([_name] * len(out))
+            return out
         monkeypatch.setattr(bspde.solver, name, wrap)
     return calls
 

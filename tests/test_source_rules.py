@@ -684,6 +684,93 @@ def test_every_operator_is_formed_by_one_grid_product():
     assert len(lines_outside(space, set(), analyses)) == 2
 
 
+# the assembly's one form: assemble_L and assemble_M turn the stacked grid
+# samples they are given into operator rows through the one term table
+ASSEMBLERS = {"assemble_L", "assemble_M"}
+FIELD_READS = {"evaluate", "evaluate_states"}
+
+
+def assembly_forms(source: str) -> list[int]:
+    """Line numbers of ``_operator(...)`` calls outside ``assemble_L`` and
+    ``assemble_M``, and of field reads (``evaluate``, ``evaluate_states``)
+    inside them."""
+    def named(names):
+        return lambda node: (isinstance(node, ast.Call) and (
+            node.func.id if isinstance(node.func, ast.Name)
+            else getattr(node.func, "attr", None)) in names)
+    reads = set(lines_outside(source, set(), named(FIELD_READS)))
+    return sorted(set(lines_outside(source, ASSEMBLERS, named({"_operator"})))
+                  | reads - set(lines_outside(source, ASSEMBLERS, named(FIELD_READS))))
+
+
+def test_detector_finds_second_assembly_forms():
+    source = (
+        "def assemble_L(scenario, samples, basis):\n"
+        "    return _operator(basis, terms(samples))\n"
+        "def assemble_M(scenario, samples, basis):\n"
+        "    sig = scenario.sigma.evaluate(t, X, history)\n"
+        "    return _operator(basis, sig)\n"
+        "def assemble_L_at(scenario, t, history, basis):\n"
+        "    return space._operator(basis, [])\n"
+        "rows = f.evaluate_states(t, X, W)\n"
+    )
+    assert assembly_forms(source) == [4, 7]
+
+
+def test_there_is_one_assembly_form():
+    # every operator row, of one state or of many, is assembled from stacked
+    # samples by the same term table; no per-state twin reads fields itself
+    assert package_findings(assembly_forms) == {}
+    space = ast.parse((SRC / "space.py").read_text(encoding="utf-8"))
+    signatures = {node.name: [a.arg for a in node.args.args] for node in ast.walk(space)
+                  if isinstance(node, ast.FunctionDef) and node.name in ASSEMBLERS}
+    assert signatures == dict.fromkeys(ASSEMBLERS, ["scenario", "samples", "basis"])
+
+
+def unguarded_histories(source: str) -> list[int]:
+    """Line numbers of ``PathHistory(...)`` calls that no enclosing ``if``
+    guards with a test naming ``per_node`` or the string ``"history"``."""
+    lines = []
+
+    def guards(node):
+        return any((isinstance(n, ast.Name) and n.id == "per_node")
+                   or (isinstance(n, ast.Constant) and n.value == "history")
+                   for n in ast.walk(node.test))
+
+    def visit(node, guarded):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "PathHistory" and not guarded):
+            lines.append(node.lineno)
+        if isinstance(node, ast.If):  # its body only, not its else branch
+            for child in node.body:
+                visit(child, guarded or guards(node))
+            for child in [node.test] + node.orelse:
+                visit(child, guarded)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, guarded)
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
+def test_detector_finds_unguarded_histories():
+    source = (
+        "if per_node:\n    hists = [PathHistory(t, dt, incs[i], w[i]) for i in nodes]\n"
+        "else:\n    reps = [PathHistory(t, dt, incs[i], w[i]) for i in first]\n"
+        'if "history" in reads:\n    h = PathHistory(t, dt, incs, w)\n'
+        "h = PathHistory(t, dt, incs, w)\n"
+        "if level > 0:\n    h = PathHistory.empty(1)\n"
+    )
+    assert unguarded_histories(source) == [4, 7]
+
+
+def test_the_engine_builds_histories_only_for_history_reading_groups():
+    # a Markov state is its Wiener value: the provider hands fields W rows
+    solver = (SRC / "solver.py").read_text(encoding="utf-8")
+    assert len(calls_named(solver, "PathHistory")) == 1
+    assert unguarded_histories(solver) == []
+
+
 def text_readers(source: str, reader: str | None = None) -> list[int]:
     """Line numbers of ``configparser`` imports and of calls that split text
     into lines (``.splitlines()``, ``.split("\\n")``) outside the function

@@ -17,8 +17,8 @@ from bspde import (
     load_scenario_text,
 )
 from bspde.scenario import FORMS
-from helpers import (DIVERGENCE_MARKOV_TEXT, assemble_L_reference, assemble_M_reference,
-                     inner, make_scenario)
+from helpers import (DIVERGENCE_MARKOV_TEXT, MARKOV_2D_TEXT, assemble_L_at, assemble_L_reference,
+                     assemble_M_at, assemble_M_reference, inner, make_scenario)
 from oracles import exponential_matrix, exponential_operators, to_exponential
 
 TINY = Path(__file__).parent / "data" / "tiny.scn"
@@ -159,27 +159,27 @@ class TestNorms:
 class TestAssembly:
     def test_heat_generator_is_diagonal(self):
         basis = SpectralBasis(1, 4, np.pi)
-        L = assemble_L(make_scenario(), 0.0, None, basis)
+        L = assemble_L_at(make_scenario(), 0.0, None, basis)
         k = basis.modes[:, 0].astype(float)
         assert np.allclose(L, np.diag(-0.5 * k**2), atol=1e-12)
 
     def test_zero_order_term_shifts_diagonal(self):
         basis = SpectralBasis(1, 3, np.pi)
-        L0 = assemble_L(make_scenario(), 0.0, None, basis)
-        L1 = assemble_L(make_scenario(c=0.7), 0.0, None, basis)
+        L0 = assemble_L_at(make_scenario(), 0.0, None, basis)
+        L1 = assemble_L_at(make_scenario(c=0.7), 0.0, None, basis)
         assert np.allclose(L1, L0 - 0.7 * np.eye(basis.n_modes), atol=1e-12)
 
     def test_drift_term_is_imaginary_diagonal(self):
         basis = SpectralBasis(1, 3, np.pi)
-        L = assemble_L(make_scenario(b=0.4, K=2.0), 0.0, None, basis)
+        L = assemble_L_at(make_scenario(b=0.4, K=2.0), 0.0, None, basis)
         k = basis.modes[:, 0].astype(float)
         E = exponential_matrix(basis)
         assert np.allclose(E @ L @ E.conj().T, np.diag(-0.5 * k**2 + 0.4 * 1j * k), atol=1e-12)
 
     def test_divergence_and_nondivergence_agree_for_constant_a(self):
         basis = SpectralBasis(1, 4, np.pi)
-        Ln = assemble_L(make_scenario(), 0.0, None, basis)
-        Ld = assemble_L(make_scenario(form="divergence"), 0.0, None, basis)
+        Ln = assemble_L_at(make_scenario(), 0.0, None, basis)
+        Ld = assemble_L_at(make_scenario(form="divergence"), 0.0, None, basis)
         assert np.allclose(Ln, Ld, atol=1e-12)
 
     def test_variable_a_product_rule(self):
@@ -191,8 +191,8 @@ class TestAssembly:
         sc_n = make_scenario(a=a_fn, K=4.0)
         sc_d = make_scenario(a=a_fn, K=4.0, form="divergence")
         sc_corr = make_scenario(a=a_fn, b=da_fn, K=4.0)
-        Ld = assemble_L(sc_d, 0.0, None, basis)
-        Lc = assemble_L(sc_corr, 0.0, None, basis)
+        Ld = assemble_L_at(sc_d, 0.0, None, basis)
+        Lc = assemble_L_at(sc_corr, 0.0, None, basis)
         rng = np.random.default_rng(3)
         u = np.zeros(basis.n_modes)
         # keep the trial band-limited enough that products stay alias-free
@@ -206,21 +206,21 @@ class TestAssembly:
         fine = SpectralBasis(1, 4, np.pi)
         coarse = SpectralBasis(1, 2, np.pi)
         sc = make_scenario(b=0.3, c=0.2, K=2.0)
-        Lf = assemble_L(sc, 0.0, None, fine)
-        Lc = assemble_L(sc, 0.0, None, coarse)
+        Lf = assemble_L_at(sc, 0.0, None, fine)
+        Lc = assemble_L_at(sc, 0.0, None, coarse)
         fine_modes = fine.modes[:, 0].tolist()
         sel = [fine_modes.index(m) for m in coarse.modes[:, 0]]
         assert np.allclose(Lf[np.ix_(sel, sel)], Lc, atol=1e-12)
 
     def test_noise_coupling_zero_when_absent(self):
         basis = SpectralBasis(1, 3, np.pi)
-        Ms = assemble_M(make_scenario(), 0.0, None, basis)
+        Ms = assemble_M_at(make_scenario(), 0.0, None, basis)
         assert len(Ms) == 1
         assert np.allclose(Ms[0], 0.0, atol=1e-14)
 
     def test_noise_coupling_constant_coefficients(self):
         basis = SpectralBasis(1, 3, np.pi)
-        Ms = assemble_M(make_scenario(sigma=0.4, nu=0.25, kappa=0.2), 0.0, None, basis)
+        Ms = assemble_M_at(make_scenario(sigma=0.4, nu=0.25, kappa=0.2), 0.0, None, basis)
         k = basis.modes[:, 0].astype(float)
         expected = np.diag(0.4 * 1j * k + 0.25)
         E = exponential_matrix(basis)
@@ -230,7 +230,7 @@ class TestAssembly:
         basis = SpectralBasis(1, 2, np.pi)
         sc = make_scenario(d1=3, sigma=np.array([[0.2, 0.0, 0.1]]), nu=np.array([0.0, 0.3, 0.0]),
                            kappa=0.2)
-        Ms = assemble_M(sc, 0.0, None, basis)
+        Ms = assemble_M_at(sc, 0.0, None, basis)
         assert len(Ms) == 3
         k = basis.modes[:, 0].astype(float)
         assert np.allclose(Ms[1], np.diag(0.3 * np.ones_like(k)), atol=1e-12)
@@ -270,12 +270,37 @@ class TestAssembly:
                      (0.2, PathHistory.from_increments(rng.normal(0, 0.3, (2, dw)), 0.1)),
                      (0.25, PathHistory.from_increments(rng.normal(0, 0.2, (5, dw)), 0.05))]
         for t, hist in histories:
-            got, want = assemble_L(scenario, t, hist, basis), \
+            got, want = assemble_L_at(scenario, t, hist, basis), \
                 assemble_L_reference(scenario, t, hist, basis)
             assert got.tobytes() == want.tobytes()
-            got_M = assemble_M(scenario, t, hist, basis)
+            got_M = assemble_M_at(scenario, t, hist, basis)
             want_M = assemble_M_reference(scenario, t, hist, basis)
             assert [m.tobytes() for m in got_M] == [m.tobytes() for m in want_M]
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_stacked_assembly_is_each_states_assembly(self, form):
+        # the stacked rows of k states are each state's own assembly, and the
+        # hand-written loops', byte for byte; at w1 = 0 c vanishes, and that
+        # state skips its term as a lone assembly does
+        scn = load_scenario_text(MARKOV_2D_TEXT.replace("form = divergence",
+                                                        f"form = {form}"))[0]
+        basis, t = SpectralBasis(2, 2, np.pi), 0.25
+        W = np.array([[0.0, 0.4], [0.3, -0.2], [-0.0, 0.4], [0.7, 1.1], [0.0, 0.0]])
+        hists = [PathHistory(t, t, w[None], w) for w in W]
+        X = basis.grid_points
+        samples = {name: f.evaluate_states(t, X, W)
+                   for name, f in scn.coefficient_fields().items()}
+        assert not samples["c"][0].any() and samples["c"][1].any()
+        L, Ms = assemble_L(scn, samples, basis), assemble_M(scn, samples, basis)
+        assert L.shape == (len(W),) + (basis.n_modes,) * 2
+        assert Ms.shape == (len(W), scn.dim_w) + (basis.n_modes,) * 2
+        for i, hist in enumerate(hists):
+            for want in (assemble_L_at(scn, t, hist, basis),
+                         assemble_L_reference(scn, t, hist, basis)):
+                assert L[i].tobytes() == want.tobytes()
+            for want in (assemble_M_at(scn, t, hist, basis),
+                         assemble_M_reference(scn, t, hist, basis)):
+                assert [m.tobytes() for m in Ms[i]] == [m.tobytes() for m in want]
 
     @pytest.mark.parametrize("text", ["tiny", "divergence-2d"])
     def test_operators_are_the_exponential_operators(self, text):
@@ -288,7 +313,7 @@ class TestAssembly:
         hist = PathHistory.from_increments(np.array([[0.3], [-0.1]]), 0.1)
         V = exponential_matrix(basis).conj().T
         L_c, Ms_c = exponential_operators(scn, 0.2, hist, basis)
-        got_ops = [assemble_L(scn, 0.2, hist, basis)] + assemble_M(scn, 0.2, hist, basis)
+        got_ops = [assemble_L_at(scn, 0.2, hist, basis)] + assemble_M_at(scn, 0.2, hist, basis)
         for got, want in zip(got_ops, [L_c] + Ms_c):
             want = V @ want @ V.conj().T
             assert np.abs(want.imag).max() <= 1e-13 * np.abs(want).max()
@@ -300,7 +325,7 @@ class TestAdjointStructure:
         basis = SpectralBasis(1, 16, np.pi)
         sigma_fn = lambda t, X: 0.3 + 0.1 * np.sin(X[:, 0])
         sc = make_scenario(sigma=sigma_fn, nu=0.2, kappa=0.2, K=2.0, form="divergence")
-        M = assemble_M(sc, 0.0, None, basis)[0]
+        M = assemble_M_at(sc, 0.0, None, basis)[0]
         return basis, sigma_fn, 0.2, M
 
     def band_limited(self, basis, seed, half_band=4):
@@ -335,7 +360,7 @@ class TestAdjointStructure:
         # collocation matrix and the first-order symbol have equal action norms
         basis = SpectralBasis(1, 6, np.pi)
         sc = make_scenario(sigma=0.4, nu=0.25, kappa=0.2, form="divergence")
-        M = assemble_M(sc, 0.0, None, basis)[0]
+        M = assemble_M_at(sc, 0.0, None, basis)[0]
         rng = np.random.default_rng(8)
         for _ in range(5):
             u = rng.standard_normal(basis.n_modes)
@@ -352,8 +377,8 @@ class TestCoercivityProbe:
     def test_heat_probe_tight(self):
         basis = SpectralBasis(1, 4, np.pi)
         sc = make_scenario()
-        L = assemble_L(sc, 0.0, None, basis)
-        Ms = assemble_M(sc, 0.0, None, basis)
+        L = assemble_L_at(sc, 0.0, None, basis)
+        Ms = assemble_M_at(sc, 0.0, None, basis)
         lam, Lam, ok = coercivity_probe(basis, L, Ms, self.trials(basis))
         assert ok
         assert lam == pytest.approx(1.0, abs=1e-9)
@@ -373,8 +398,8 @@ class TestCoercivityProbe:
             a0 = rng.uniform(0.3, 0.9)
             s0 = rng.uniform(0.0, np.sqrt(max(2 * a0 - 0.25, 0.0)) * 0.95)
             sc = make_scenario(a=a0, sigma=s0, kappa=0.25, K=2.0)
-            L = assemble_L(sc, 0.0, None, basis)
-            Ms = assemble_M(sc, 0.0, None, basis)
+            L = assemble_L_at(sc, 0.0, None, basis)
+            Ms = assemble_M_at(sc, 0.0, None, basis)
             lam, Lam, ok = coercivity_probe(basis, L, Ms, self.trials(basis, seed=seed))
             assert ok
             assert lam >= 0.25 - 1e-8
