@@ -103,16 +103,15 @@ def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerT
     """
     N, dt = tree.n_steps, tree.dt
     fields = LevelFields(scenario, tree, basis)
-    e_norm = np.array([solution.p.level_expected_norm_sq(k, 0) for k in range(N + 1)])
+    e_norm = np.array(solution.p.expected_norms_sq(0))  # levels 0..N
+    q_term = np.array(solution.q.expected_norms_sq(0))  # levels 0..N-1
 
     pair_term = np.empty(N)
-    q_term = np.empty(N)
     for level in range(N):
         prob = tree.levels[level].prob
         p, q = solution.p.levels[level], solution.q.levels[level]
         drift = _generator(fields.operators(level), p, q, fields.source(level))
         pair_term[level] = _expectation(prob, np.sum(p * drift, axis=-1))
-        q_term[level] = solution.q.level_expected_norm_sq(level, 0)
 
     defects = np.zeros(N + 1)
     for level in range(N):

@@ -240,29 +240,37 @@ class _Run:
 
 def _fields_csv(solution, tree, basis):
     """The lines of fields.csv: the header, then blocks of whole nodes, each
-    of at most ``_BLOCK_LINES`` lines unless one node has more grid points."""
+    of at most ``_BLOCK_LINES`` lines unless one node has more grid points.
+    A block is filled from consecutive levels."""
     dw = tree.dim_w
     header = (["level", "node"] + [f"x{i+1}" for i in range(basis.dim_x)]
               + ["p"] + [f"q{k+1}" for k in range(dw)])
     xs = _ascii([",".join(map(_fmt, x)) + "," for x in basis.grid_points.tolist()])
     yield ",".join(header) + "\n"
     per_block = max(1, _BLOCK_LINES // basis.n_grid)
-    prefixes, values = [], []
+
+    def block(parts):  # (level, lo, hi): the nodes lo..hi-1 of each level, in order
+        prefixes = [f"{level},{node}," for level, lo, hi in parts for node in range(lo, hi)]
+        columns = [np.concatenate([solution.p.levels[level][lo:hi] for level, lo, hi in parts])]
+        columns += [np.concatenate([solution.q.levels[level][lo:hi, k] for level, lo, hi in parts])
+                    for k in range(dw)]
+        # a stack of one-row products: a block-wide matrix product moves last digits
+        values = np.stack([basis.reconstruct(c[:, None])[:, 0] for c in columns], axis=-1)
+        return _csv_block(prefixes, values, xs)
+
+    parts, filled = [], 0
     for level in range(tree.n_steps):  # both p and q live on 0..N-1
-        coeffs = (solution.p.levels[level], *solution.q.levels[level].transpose(1, 0, 2))
-        lo, n = 0, len(coeffs[0])
+        lo, n = 0, tree.levels[level].n_nodes
         while lo < n:
-            hi = min(n, lo + per_block - len(prefixes))
-            # a stack of one-row products: a level-wide matrix product moves last digits
-            values.append(np.stack([basis.reconstruct(c[lo:hi, None])[:, 0]
-                                    for c in coeffs], axis=-1))
-            prefixes += [f"{level},{node}," for node in range(lo, hi)]
+            hi = min(n, lo + per_block - filled)
+            parts.append((level, lo, hi))
+            filled += hi - lo
             lo = hi
-            if len(prefixes) == per_block:
-                yield _csv_block(prefixes, np.concatenate(values), xs)
-                prefixes, values = [], []
-    if prefixes:
-        yield _csv_block(prefixes, np.concatenate(values), xs)
+            if filled == per_block:
+                yield block(parts)
+                parts, filled = [], 0
+    if parts:
+        yield block(parts)
 
 
 def _csv_block(prefixes, values, xs) -> str:
@@ -296,9 +304,8 @@ def cmd_solve(r: _Run) -> int:
         "q_time_l2": _fmt(math.sqrt(solution.q.time_norm_sq(0))),
     }
     width = len(str(tree.n_steps - 1))
-    for level in range(tree.n_steps):
-        qn = math.sqrt(solution.q.level_expected_norm_sq(level, 0))
-        summary[f"q_norm_{level:0{width}d}"] = _fmt(qn)
+    for level, sq in enumerate(solution.q.expected_norms_sq(0)):
+        summary[f"q_norm_{level:0{width}d}"] = _fmt(math.sqrt(sq))
     # the field dump is only ever written, never printed
     r.emit(summary, {"fields.csv": _fields_csv(solution, tree, r.basis)})
     return EXIT_OK

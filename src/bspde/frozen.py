@@ -20,9 +20,10 @@ which reaches coefficient families whose direct freezing iteration diverges.
 
 The initial frozen solve and every Picard step of a ``freeze_and_iterate``
 call read their fields, and the frozen scenario's operators, through one
-``LevelFields``, so a t-free operator is assembled once per distinct Wiener
-state of the call, and a map over fields that read ``t`` once per level and
-state, not once per step.
+``LevelFields``, made with ``rereads`` since every step reads every level
+again, so a t-free operator is assembled once per distinct Wiener state of
+the call, and a map over fields that read ``t`` once per level and state,
+not once per step.
 
 The folded source enters the step at the left endpoint without theta
 splitting, so the fixed point reproduces the full tree solve exactly at
@@ -114,7 +115,7 @@ def freeze_and_iterate(scenario: Scenario, freeze_point: Array, tree: WienerTree
     # own form, with its lower-order terms: the part the frozen solve leaves out
     pert = scenario.with_fields(a=_combination(-1.0, frozen.a, 1.0, scenario.a),
                                 sigma=_combination(-1.0, frozen.sigma, 1.0, scenario.sigma))
-    fields = LevelFields(frozen, tree, basis)
+    fields = LevelFields(frozen, tree, basis, rereads=True)
     terminal = fields.terminal()
 
     def folded_source(level):

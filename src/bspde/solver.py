@@ -21,8 +21,9 @@ one per node otherwise.  A Markov level is read in one go: every field by
 one batched read over the level's distinct Wiener values, and the operators
 of all of them by one stacked assembly.  ``_level_step`` inverts
 I - theta dt L of every row at once and applies each inverse to its nodes
-as it applies L: a shared row's as one matrix product over the level, whose
-inverse the provider keeps for the whole solve when the row is t-free.
+as it applies L: a shared row's as one matrix product over the level.  A
+t-free shared row is one ``LevelOperators`` for the whole solve, which
+carries its inverse from level to level.
 Only the nodes of a row whose inverse does not bound their amplification
 are measured.  With a shared row the regression keeps p at its paths as
 coefficient rows of the fit's Q plus source rows, and steps the rows, not
@@ -32,7 +33,6 @@ the paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -67,32 +67,55 @@ class AdaptedField:
     basis: SpectralBasis
     levels: list[Array]
 
-    def _node_norm_sq(self, level: int, order=0) -> Array:
-        """||.||_order^2 at every node of the level, noise components summed."""
-        sq = self.basis.norm_sq(self.levels[level], order)
-        return sq if sq.ndim == 1 else sq.sum(axis=-1)
+    def _node_norms_sq(self, order=0, start=0, stop=None) -> list[Array]:
+        """||.||_order^2 at every node of levels ``start``..``stop``-1 (to the
+        last by default), noise components summed.  Consecutive levels are
+        stacked up to ``_NORM_ENTRIES`` entries (a larger level alone), and
+        each stack takes one weight and one row reduction: a row's sum is
+        the same in a stack as alone."""
+        out, run, size = [], [], 0
+        for rows in self.levels[start:stop] + [None]:
+            if run and (rows is None or size + rows.size > _NORM_ENTRIES):
+                sq = self.basis.norm_sq(np.concatenate(run) if len(run) > 1 else run[0], order)
+                sq = sq if sq.ndim == 1 else sq.sum(axis=-1)
+                out += np.split(sq, np.cumsum([len(r) for r in run[:-1]]))
+                run, size = [], 0
+            if rows is not None:
+                run.append(rows)
+                size += rows.size
+        return out
+
+    def expected_norms_sq(self, order=0, start=0, stop=None) -> list[float]:
+        """E ||field(t_k)||_order^2 over the tree measure, for the levels k
+        from ``start`` to ``stop``-1 (to the last by default)."""
+        return [_expectation(self.tree.levels[k].prob, sq)
+                for k, sq in enumerate(self._node_norms_sq(order, start, stop), start)]
 
     def level_expected_norm_sq(self, level: int, order=0) -> float:
         """E ||field(t_level)||_order^2 over the tree measure."""
-        return _expectation(self.tree.levels[level].prob,
-                            self._node_norm_sq(level, order))
+        return self.expected_norms_sq(order, level, level + 1)[0]
 
     def time_norm_sq(self, order=0) -> float:
         """Left-rule discrete E int_0^T ||.||_order^2 dt over levels 0..N-1."""
         n = min(len(self.levels), self.tree.n_steps)
-        return float(self.tree.dt * sum(
-            self.level_expected_norm_sq(k, order) for k in range(n)))
+        return float(self.tree.dt * sum(self.expected_norms_sq(order, 0, n)))
 
     def e_sup_norm_sq(self, order=0) -> float:
         """E sup_t ||.||_order^2: pathwise running max, averaged over leaves."""
-        run = self._node_norm_sq(0, order)
-        for k in range(1, len(self.levels)):
-            run = np.maximum(np.repeat(run, self.tree.n_children), self._node_norm_sq(k, order))
-        return _expectation(self.tree.levels[len(self.levels) - 1].prob, run)
+        sq = self._node_norms_sq(order)
+        run = sq[0]
+        for k in range(1, len(sq)):
+            run = np.maximum(np.repeat(run, self.tree.n_children), sq[k])
+        return _expectation(self.tree.levels[len(sq) - 1].prob, run)
 
     def sup_e_norm_sq(self, order=0) -> float:
-        return max(self.level_expected_norm_sq(k, order)
-                   for k in range(len(self.levels)))
+        return max(self.expected_norms_sq(order))
+
+
+# entries of the level rows one norm stack takes: small levels share a stack,
+# and a stack stays cache-sized (whole-tree stacks of 2^18 entries made the
+# audits of a 9,841-node tree half again slower than one level at a time)
+_NORM_ENTRIES = 1 << 14
 
 
 def _expectation(prob: Array, values: Array) -> float:
@@ -148,17 +171,17 @@ class LevelOperators:
 
     ``L`` is (k, m, m) and ``Ms`` is (k, dim_w, m, m).  ``index`` is None only
     when one row (k = 1) is shared by the level.  With as many rows as nodes,
-    each node has its own row and ``index`` is a permutation.  ``keep``, set
-    only on a shared row that holds for every level of a solve, keeps an
-    array made from the row across levels: ``keep(name, make)`` returns the
-    array kept under ``name``, made by ``make()`` on the first call.  The
-    step keeps the row's inverse and its amplification bound there.
+    each node has its own row and ``index`` is a permutation.  ``kept`` is
+    set only on a shared row that holds for every level of a solve, which
+    ``LevelFields.operators`` then returns at every level: a list that the
+    step fills with its ``(theta, dt, inverse, bound)`` at the first level
+    and reads at the others.
     """
 
     L: Array
     Ms: Array
     index: Array | None = None
-    keep: Callable | None = field(default=None, repr=False, compare=False)
+    kept: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         k, m = len(self.L), self.L.shape[-1]
@@ -229,28 +252,53 @@ _CACHE_BYTES = 1 << 24  # bytes of rows one provider keeps across levels
 
 class _RowCache(dict):
     """Rows of named maps, by (map name, owner id, level, state bytes); the
-    level is ``None`` for maps over t-free fields.
+    level is ``None`` for maps over t-free fields.  A row is kept as a
+    read-only copy, so a write into a row a caller was given raises instead
+    of changing every later read.
 
     An entry holds its owner, so the id cannot name another object while the
     entry can be hit.  A row that would take the total past ``_CACHE_BYTES``
-    is returned but not kept, so its map runs again at every read.
+    is returned but not kept, so its map runs again at every read.  Unless
+    ``rereads``, the rows of maps that read ``t`` are kept for one level: the
+    first such row of another level drops them.  Beside the rows it keeps
+    what each map's fields read, by (map name, owner id), and the one
+    ``LevelOperators`` of each scenario whose operators hold for every level.
     """
 
-    nbytes = 0
+    def __init__(self, rereads: bool):
+        super().__init__()
+        self.nbytes, self.rereads = 0, rereads
+        self.level, self.timed = None, []  # the kept rows that read t: their level, slots
+        self.reads, self.operators = {}, {}
 
-    def keep(self, slot, owner, row: Array) -> None:
-        """Keep a copy of ``row`` under ``slot`` if it fits the byte bound."""
-        if self.nbytes + row.nbytes <= _CACHE_BYTES:
-            self[slot] = (owner, row.copy())
-            self.nbytes += row.nbytes
+    def fits(self, nbytes: int) -> bool:
+        return self.nbytes + nbytes <= _CACHE_BYTES
 
-    def row(self, name, owner, level, state, make) -> Array:
-        slot = (name, id(owner), level, state)
-        if slot in self:
-            return self[slot][1]
-        row = make()
-        self.keep(slot, owner, row)
+    def keep(self, slot, owner, row: Array) -> Array:
+        """Keep a read-only copy of ``row`` under ``slot`` if it fits the byte
+        bound; return the kept copy, or ``row`` when it is not kept."""
+        level = slot[2]
+        if level is not None and level != self.level and not self.rereads:
+            for old in self.timed:
+                self.nbytes -= self.pop(old)[1].nbytes
+            self.level, self.timed = level, []
+        if not self.fits(row.nbytes):
+            return row
+        row = row.copy()
+        row.flags.writeable = False
+        self[slot] = (owner, row)
+        self.nbytes += row.nbytes
+        if level is not None:
+            self.timed.append(slot)
         return row
+
+    def map_reads(self, key, fields) -> frozenset:
+        """What ``fields``, those of the map ``key``, read: found once per map."""
+        name, owner = key
+        entry = self.reads.get((name, id(owner)))
+        if entry is None:
+            entry = self.reads[name, id(owner)] = (owner, reads_of(fields))
+        return entry[1]
 
 
 def _check_inputs(scenario: Scenario, filtration, basis: SpectralBasis) -> None:
@@ -282,23 +330,28 @@ class LevelFields:
     and the operators of every state are assembled by one stacked product.
     The groups are kept for the current level only.  The terminal, the
     source and the operators are named maps, whose rows the provider keeps
-    (``level_rows``): a time-invariant L is assembled once per solve, not
-    once per level, and a map over t-dependent fields runs once per level
-    and state however often a caller reads the level again.  ``operators``
-    returns its rows with each node's row, and a t-free shared row with the
-    slot that keeps its step inverse in the same rows; the terminal and the
-    source are expanded to every node (``level_map``).  A filtration or
-    basis made for another scenario is refused (``_check_inputs``).
+    (``level_rows``) read-only and hands out as they are: a time-invariant
+    L is assembled once per solve, not once per level.  A map over fields
+    that read ``t`` runs once per level and state; its rows are kept for the
+    current level only, unless the provider is made with ``rereads`` for a
+    caller that reads every level again (the Picard steps of
+    ``freeze_and_iterate``).  What a map's fields read is found once per
+    map, not once per read.  ``operators`` returns its rows with each node's
+    row, and for a scenario whose coefficients read none of ``t``, ``w`` and
+    the history one ``LevelOperators`` for every level, whose ``kept`` slot
+    carries the step's inverse across levels; the terminal and the source are
+    expanded to every node (``level_map``).  A filtration or basis made for
+    another scenario is refused (``_check_inputs``).
     """
 
-    def __init__(self, scenario, filtration, basis: SpectralBasis):
+    def __init__(self, scenario, filtration, basis: SpectralBasis, rereads: bool = False):
         _check_inputs(scenario, filtration, basis)
         self.scenario = scenario
         self.filtration = filtration
         self.basis = basis
         self._level = None
         self._groups: dict = {}
-        self._rows = _RowCache()
+        self._rows = _RowCache(rereads)
 
     def select(self, rows: slice) -> "LevelFields":
         """The provider of the paths ``rows`` of an ensemble; it shares this
@@ -344,18 +397,19 @@ class LevelFields:
         returns their rows stacked, one per state.
 
         ``key``, a ``(name, owner)`` pair, names the map: besides ``fields``,
-        ``fn`` reads only ``owner``, and it reads ``t`` only through
-        ``fields``.  A map over fields that read no ``"history"`` keeps its
-        rows for the provider's lifetime, keyed by the bytes of ``w``, and by
-        the level when a field reads ``"t"``, and runs once on the states it
-        has no row for: over a solve a t-free map reads a deterministic
-        state once and each distinct Wiener state of all levels once, and a
-        second read of a level runs no map.  An ensemble's paths each hold
-        their own state past t = 0, which never recurs, so a level of them
-        is read afresh and not kept.  The rows are bit-equal to those of a
-        fresh evaluation.
+        which the key fixes, ``fn`` reads only ``owner``, and it reads ``t``
+        only through ``fields``.  A map over fields that read no
+        ``"history"`` keeps its rows, keyed by the bytes of ``w``, and by the
+        level when a field reads ``"t"`` (see ``_RowCache`` for how long),
+        and runs once on the states it has no row for: over a solve a t-free
+        map reads a deterministic state once and each distinct Wiener state
+        of all levels once, and a second read of a level runs no map.  An
+        ensemble's paths each hold their own state past t = 0, which never
+        recurs, so a level of them is read afresh and not kept.  A level of
+        one kept state gets that kept, read-only row as a (1, ...) view.
+        The rows are bit-equal to those of a fresh evaluation.
         """
-        reads = reads_of(fields)
+        reads = self._rows.map_reads(key, fields)
         states, index = self.groups(level, reads)
         t = level * self.filtration.dt
         if "history" in reads or (index is not None and level > 0
@@ -365,20 +419,18 @@ class LevelFields:
         when = level if "t" in reads else None
         slots = [(name, id(owner), when, None if index is None else w.tobytes())
                  for w in states]
-        kept = [self._rows.get(slot) for slot in slots]
-        missing = [i for i, entry in enumerate(kept) if entry is None]
+        rows = [None if entry is None else entry[1] for entry in map(self._rows.get, slots)]
+        missing = [i for i, row in enumerate(rows) if row is None]
         if missing:  # one read of every state that has no row
             made = np.asarray(fn(t, states if len(missing) == len(states)
                                  else states[missing]))
             for i, row in zip(missing, made):
-                self._rows.keep(slots[i], owner, row)
-                kept[i] = (owner, row)
-            if len(missing) == len(states):
+                rows[i] = self._rows.keep(slots[i], owner, row)
+            if len(missing) == len(states) > 1:
                 return made, index
-        out = np.empty((len(kept),) + kept[0][1].shape, kept[0][1].dtype)  # filled in place
-        for i, (_, row) in enumerate(kept):
-            out[i] = row
-        return out, index
+        if len(rows) == 1:
+            return rows[0][None], index
+        return np.stack(rows), index
 
     def level_map(self, level: int, fields, fn, key) -> Array:
         """``level_rows`` stacked over the level: (1, ...) or (n_level, ...)."""
@@ -401,10 +453,16 @@ class LevelFields:
     def operators(self, level: int, scenario=None) -> LevelOperators:
         """Assembled (L, Ms) of ``scenario`` (default: the provider's own):
         one row per group of the level and each node's row, their bytes
-        checked before the first is assembled."""
+        checked before the first is assembled.  When the coefficients read
+        none of ``t``, ``w`` and the history, and the rows and the step's
+        inverse fit the byte bound, the ``LevelOperators`` made at the first
+        level read is returned at every level."""
         scn = scenario if scenario is not None else self.scenario
+        kept = self._rows.operators.get(id(scn))
+        if kept is not None:
+            return kept[1]
         coeffs, basis = scn.coefficient_fields(), self.basis
-        reads = reads_of(coeffs.values())
+        reads = self._rows.map_reads(("L", scn), coeffs.values())
         rows = len(self.groups(level, reads)[0])
         # L, the M^k, and the step's I - theta dt L with its temporary
         check_bytes(rows * (3 + scn.dim_w) * basis.n_modes ** 2 * 8,
@@ -421,12 +479,14 @@ class LevelFields:
             level, coeffs.values(),
             lambda t, states: assemble_M(scn, samples(t, states, ("sigma", "nu")), basis),
             ("M", scn))
-        keep = None
-        if index is None and "t" not in reads:
-            # one row for every level: what the step makes of it is kept too
-            def keep(name, make):
-                return self._rows.row(name, scn, None, None, make)
-        return LevelOperators(L, Ms, index, keep)
+        # one row for every level, both kept (read-only), and room for its inverse
+        fixed = (index is None and "t" not in reads
+                 and not (L.flags.writeable or Ms.flags.writeable) and self._rows.fits(L.nbytes))
+        ops = LevelOperators(L, Ms, index, [] if fixed else None)
+        if fixed:
+            self._rows.nbytes += L.nbytes
+            self._rows.operators[id(scn)] = (scn, ops)
+        return ops
 
 
 # -- the backward engine ------------------------------------------------------
@@ -439,8 +499,11 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     applied to each of its nodes by ``_apply``, as L and the M^k are: a
     shared row as one matrix product over the level, other rows by one
     matvec per node.  Each row's largest absolute row sum of its inverse,
-    which bounds its nodes' amplification, is kept beside it; a row with the
-    ``ops.keep`` slot keeps both across levels by (theta, dt).
+    which bounds its nodes' amplification, is kept beside it.  Operators with
+    a ``kept`` slot, the one object a solve gets at every level, carry both
+    from the level that made them: the step reads them there when theta and
+    dt match, and inverts nothing.  The finiteness and bound tests run at
+    every level either way.
 
     ``paths``, an (n, k) matrix of entries at most 1 in size, says that
     ``Ep`` and ``q`` are k rows of coefficients of n nodes' values in its
@@ -451,7 +514,7 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     rows prove nothing.  Errors name the node as ``first_node`` plus its
     place among the nodes, never a row.
     """
-    L, Ms, index = ops.L, ops.Ms, ops.index
+    L, Ms, index, kept = ops.L, ops.Ms, ops.index, ops.kept
     if paths is not None:  # the k coefficient rows, then the source rows
         k, n_f = len(Ep), len(fhat)
         Ep, q = (np.concatenate([rows, np.zeros((n_f,) + rows.shape[1:])])
@@ -464,21 +527,25 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     for j in range(q.shape[1]):
         rhs += dt * _apply(Ms[:, j], q[:, j], groups)
 
-    def matrix():  # I - theta dt L of every row; a kept inverse needs none
+    def matrix():  # I - theta dt L of every row
         return np.eye(L.shape[-1]) - theta * dt * L
 
-    keep = ops.keep or (lambda name, make: make())
-    try:
-        inverse = keep(("inverse", theta, dt), lambda: np.linalg.inv(matrix()))
-    except np.linalg.LinAlgError as exc:
-        # LAPACK stops on an exactly zero pivot, which makes the determinant 0;
-        # the first such node in level order is named, whatever its row
-        singular = np.linalg.det(matrix()) == 0
-        node = first_node + int(np.argmax(singular if index is None else singular[index]))
-        raise NumericError(
-            f"singular implicit step at level {level}, node {node}: {exc}") from exc
-    # max_i sum_j |inverse_ij| of each row: none of its nodes amplifies more
-    bound = keep(("bound", theta, dt), lambda: np.abs(inverse).sum(axis=-1).max(axis=-1))
+    if kept and kept[0][:2] == (theta, dt):
+        inverse, bound = kept[0][2:]
+    else:
+        try:
+            inverse = np.linalg.inv(matrix())
+        except np.linalg.LinAlgError as exc:
+            # LAPACK stops on an exactly zero pivot, which makes the determinant 0;
+            # the first such node in level order is named, whatever its row
+            singular = np.linalg.det(matrix()) == 0
+            node = first_node + int(np.argmax(singular if index is None else singular[index]))
+            raise NumericError(
+                f"singular implicit step at level {level}, node {node}: {exc}") from exc
+        # max_i sum_j |inverse_ij| of each row: none of its nodes amplifies more
+        bound = np.abs(inverse).sum(axis=-1).max(axis=-1)
+        if kept is not None:
+            kept[:] = [(theta, dt, inverse, bound)]
     out = _apply(inverse, rhs, groups)
 
     # a dissipative implicit step never amplifies like this; a near-zero

@@ -37,7 +37,7 @@ from bspde import (
 )
 import bspde.errors
 import bspde.solver
-from bspde.solver import _distinct_rows, _level_step, _monomial_features
+from bspde.solver import _backward, _distinct_rows, _level_step, _monomial_features
 from helpers import (ADAPTED_TREE_TEXT, DIVERGENCE_MARKOV_TEXT, counting,
                      declared_time_dependent, e_sup_norm_sq_reference, ensemble_history,
                      level_expected_norm_sq_reference, make_scenario, markov_scenario,
@@ -715,6 +715,25 @@ class TestRegression:
                 tracemalloc.stop()
         assert peaks[64] < 1.5 * peaks[8], peaks
 
+    def test_rows_of_maps_that_read_t_are_kept_for_one_level(self):
+        # a and F read t: their rows are kept for the level being stepped,
+        # not for every level the solve has read
+        import tracemalloc
+        sc = make_scenario(a=lambda t, X: 0.5 + 0.1 * np.sin(X[:, 0]),
+                           F=lambda t, X: np.cos(X[:, 0]))
+        assert "t" in sc.a.reads and sc.coefficients_deterministic
+        basis = SpectralBasis(1, 32, sc.domain_halfwidth)
+        peaks = {}
+        for n_steps in (16, 128):
+            ens = sample_paths(1, n_steps, 1000, sc.horizon, seed=4)
+            tracemalloc.start()
+            try:
+                solve_regression(sc, ens, basis)
+                peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[128] < 1.5 * peaks[16], peaks
+
 
 def declared_path_dependent(scenario):
     """The same scenario with every adapted field evaluated node by node."""
@@ -1155,3 +1174,88 @@ class TestTimeFreeFields:
         nodes = sum(tree.levels[k].n_nodes for k in range(tree.n_steps))
         assert counts == (nodes, nodes)
         self.assert_bit_equal(fast, slow)
+
+    @pytest.mark.parametrize("case", ["chain", "deterministic_2d_tree"])
+    def test_one_operator_object_serves_every_level(self, assemblies, monkeypatch, case):
+        # coefficients that read none of t, w and the history: the first
+        # level's LevelOperators, with its one inverse, is every level's
+        if case == "chain":
+            scn, basis = load_scenario_text(CHAIN_TEXT)[0], BASIS
+            filtration = build_chain(1, 64, scn.horizon)
+        else:  # det_ops_2d's shape: 2-d divergence form, only phi reads w1
+            scn = load_scenario_text(DIVERGENCE_MARKOV_TEXT.replace(" + 0.02*sin(w1)", ""))[0]
+            assert scn.coefficients_deterministic and not scn.phi.is_deterministic
+            filtration, basis = build_tree(1, 4, 3, scn.horizon), SpectralBasis(2, 3, np.pi)
+        inverses = []
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a, _inv=np.linalg.inv: inverses.append(a.shape) or _inv(a))
+        fields, seen = LevelFields(scn, filtration, basis), []
+
+        def operators(level):
+            seen.append(fields.operators(level))
+            return seen[-1]
+        got = backward_solve(filtration, basis, SchemeConfig(theta=0.5), fields.terminal(),
+                             operators, fields.source)
+        assert len(seen) == filtration.n_steps and all(ops is seen[0] for ops in seen)
+        assert (assemblies.count("assemble_L"), assemblies.count("assemble_M")) == (1, 1)
+        assert inverses == [(1, basis.n_modes, basis.n_modes)]
+        want = solve_tree(declared_time_dependent(scn), filtration, basis, SchemeConfig(theta=0.5))
+        self.assert_bit_equal(got, want)
+        # another theta on the same provider makes its own inverse, once
+        inverses.clear()
+        got = backward_solve(filtration, basis, SchemeConfig(), fields.terminal(),
+                             fields.operators, fields.source)
+        assert inverses == [(1, basis.n_modes, basis.n_modes)]
+        self.assert_bit_equal(got, solve_tree(declared_time_dependent(scn), filtration, basis))
+
+    def test_kept_rows_are_handed_out_read_only(self):
+        scn = load_scenario_text(CHAIN_TEXT)[0]
+        chain = build_chain(1, 4, scn.horizon)
+        fields, fresh = LevelFields(scn, chain, BASIS), LevelFields(scn, chain, BASIS)
+        X = BASIS.grid_points
+
+        def grid(provider, level):
+            return provider.level_rows(level, [scn.F], lambda t, states:
+                                       scn.F.evaluate_states(t, X, states), ("grid", scn.F))[0]
+        for level in (0, 1):  # the first read keeps the row, the second finds it
+            rows, ops, source = grid(fields, level), fields.operators(level), fields.source(level)
+            for array in (rows, ops.L, ops.Ms, source):
+                assert array.shape[0] == 1
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] += 1.0
+        assert grid(fields, 2).tobytes() == grid(fresh, 2).tobytes()
+        assert fields.source(2).tobytes() == fresh.source(2).tobytes()
+        for a, b in zip(node_operators(fields.operators(2)), node_operators(fresh.operators(2))):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_path_blocks_step_as_fresh_providers_do(self, theta):
+        # two path blocks share one provider's rows through ``select``, and
+        # with them one operator object and its kept inverse
+        scn = load_scenario_text(CHAIN_TEXT)[0]
+        ens = sample_paths(1, 8, 40, scn.horizon, seed=7)
+        fields, cuts = LevelFields(scn, ens, BASIS), (slice(0, 15), slice(15, None))
+        blocks = [(sl, fields.select(sl)) for sl in cuts]
+        kept = []
+
+        def shared(level):
+            pairs = [(sl, b.operators(level)) for sl, b in blocks]
+            kept.extend(ops for _, ops in pairs)
+            return pairs
+
+        def fresh(level):
+            return [(sl, LevelFields(scn, ens, BASIS).select(sl).operators(level))
+                    for sl in cuts]
+
+        def expect(level, p):  # each path's own p and p dW / dt, as values
+            return p, p[:, None] * (ens.increments[:, level] / ens.dt)[:, :, None], None
+        start = np.array(np.broadcast_to(fields.terminal(), (40, BASIS.n_modes)))
+        runs = [list(_backward(ens, SchemeConfig(theta=theta), start, operators, source, expect))
+                for operators, source in (
+                    (shared, fields.source),
+                    (fresh, lambda level: LevelFields(scn, ens, BASIS).source(level)))]
+        assert len(runs[0]) == ens.n_steps
+        for (level, p, q, _), (want_level, want_p, want_q, _) in zip(*runs):
+            assert level == want_level
+            assert p.tobytes() == want_p.tobytes() and q.tobytes() == want_q.tobytes()
+        assert all(ops is kept[0] for ops in kept) and len(kept) == 2 * ens.n_steps

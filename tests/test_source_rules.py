@@ -234,6 +234,45 @@ def test_only_the_scenario_and_the_engine_test_what_a_field_reads():
     assert package_findings(reads_tests, READS_TESTERS) == {}
 
 
+def per_level_reads_of(source: str) -> list[int]:
+    """Line numbers of ``reads_of(...)`` calls, nested functions included, in
+    the methods of ``class LevelFields`` that take a ``level``: those run at
+    every level a caller reads."""
+    return sorted(
+        node.lineno for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef) and cls.name == "LevelFields"
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and "level" in {a.arg for a in method.args.args}
+        for node in ast.walk(method)
+        if isinstance(node, ast.Call)
+        and "reads_of" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_detector_finds_reads_of_in_per_level_methods():
+    source = (
+        "class LevelFields:\n"
+        "    def __init__(self, fields):\n"
+        "        self.reads = reads_of(fields)\n"
+        "    def level_rows(self, level, fields, fn, key):\n"
+        "        reads = reads_of(fields)\n"
+        "    def operators(self, level, scenario=None):\n"
+        "        def inner():\n"
+        "            return scenario_mod.reads_of(coeffs.values())\n"
+        "        return self._rows.map_reads(key, fields)\n"
+        "class Other:\n"
+        "    def level_rows(self, level, fields):\n"
+        "        return reads_of(fields)\n"
+    )
+    assert per_level_reads_of(source) == [5, 8]
+
+
+def test_what_a_map_reads_is_found_once_not_at_every_level():
+    # a map's fields do not change over a solve, so neither does what they read
+    source = (SRC / "solver.py").read_text(encoding="utf-8")
+    assert "class LevelFields" in source and "reads_of(" in source
+    assert per_level_reads_of(source) == []
+
+
 def form_comparisons(source: str) -> list[int]:
     """Line numbers of comparisons with a ``<x>.form`` attribute or a ``FORMS``
     string as an operand."""
