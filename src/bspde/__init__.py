@@ -24,7 +24,7 @@ from .scenario_file import (DiscretizationConfig, RunConfig, default_modulus,
 from .solver import (AdaptedField, LevelFields, LevelOperators, RegressionSolution,
                      SchemeConfig, SolutionPair, backward_solve, mixed_norm_sq,
                      pair_difference, solve_regression, solve_tree,
-                     strong_residual, weak_residual)
+                     strong_residual)
 from .space import (SpatialField, SpectralBasis, assemble_L, assemble_M,
                     coercivity_probe)
 from .wiener import (PathEnsemble, WienerTree, build_chain, build_tree,
@@ -51,5 +51,5 @@ __all__ = [
     "mixed_norm_sq", "mollify", "pair_difference",
     "positivity_check", "sample_paths", "serialize_scenario",
     "solve_dense", "solve_regression",
-    "solve_tree", "strong_residual", "validate", "weak_residual",
+    "solve_tree", "strong_residual", "validate",
 ]

@@ -286,8 +286,7 @@ def _multiplier_field(src: CoefficientField, apply, basis: SpectralBasis) -> Coe
         out = basis.reconstruct(coeffs) if on_grid else basis.evaluate_at(coeffs, X)
         return out.swapaxes(-1, -2).reshape((len(vals), len(X)) + src.shape)
     return CoefficientField.derived(
-        lambda t, X, history: at(X, src.evaluate(t, grid, history)[None])[0],
-        src.shape, src, batch=lambda t, X, W: at(X, src.evaluate_states(t, grid, W)))
+        lambda t, X, states: at(X, src.evaluate_states(t, grid, states)), src.shape, src)
 
 
 @dataclass(frozen=True)

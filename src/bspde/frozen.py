@@ -66,11 +66,9 @@ def _frozen_field(field_: CoefficientField, x0: Array) -> CoefficientField:
     """The same field evaluated only at x0, hence independent of x."""
     point = x0[None, :]
     return CoefficientField.derived(
-        lambda t, X, hist: np.broadcast_to(field_.evaluate(t, point, hist)[0],
-                                           (len(X),) + field_.shape),
-        field_.shape, field_,
-        batch=lambda t, X, W: np.broadcast_to(field_.evaluate_states(t, point, W),
-                                              (len(W), len(X)) + field_.shape))
+        lambda t, X, states: np.broadcast_to(field_.evaluate_states(t, point, states),
+                                             (len(states), len(X)) + field_.shape),
+        field_.shape, field_)
 
 
 @dataclass(frozen=True)
@@ -93,9 +91,9 @@ def _combination(w0: float, f0: CoefficientField, w1: float, f1: CoefficientFiel
     """w0 f0 + w1 f1, written as two terms: a ``sum`` starts at 0, and
     0 + (-0.0) loses the sign.  (-1) f0 + 1 f is the IEEE result of f - f0."""
     return CoefficientField.derived(
-        lambda t, X, hist: w0 * f0.evaluate(t, X, hist) + w1 * f1.evaluate(t, X, hist),
-        f1.shape, f0, f1,
-        batch=lambda t, X, W: w0 * f0.evaluate_states(t, X, W) + w1 * f1.evaluate_states(t, X, W))
+        lambda t, X, states: (w0 * f0.evaluate_states(t, X, states)
+                              + w1 * f1.evaluate_states(t, X, states)),
+        f1.shape, f0, f1)
 
 
 def freeze_and_iterate(scenario: Scenario, freeze_point: Array, tree: WienerTree,

@@ -12,9 +12,10 @@ uniform bound K of the standing assumption
 
 Coefficients may be constant, or functions of x that declare what else they
 read: t, the current Wiener value w, or the whole W-history
-(``CoefficientField.reads``).  Nothing here knows about discretisation; the
-spectral basis and the Wiener tree consume scenarios through
-``CoefficientField.evaluate``.
+(``CoefficientField.reads``).  Nothing here knows about discretisation: the
+engine (``solver.LevelFields``) reads a field in all of a level's states at
+once through ``CoefficientField.evaluate_states``, and the dense oracle one
+history at a time through ``CoefficientField.evaluate``.
 """
 
 from __future__ import annotations
@@ -68,29 +69,23 @@ class CoefficientField:
 
     ``shape`` is the component shape: ``()`` scalar, ``(d,)`` drift,
     ``(d, d)`` diffusion matrix, ``(d, dim_w)`` noise coupling.  A constant
-    holds its array in ``value``; any other field has
-    ``fn(t, X, history) -> (n_points, *shape)``, and ``reads``, a subset of
-    ``READS``, says what it may read besides ``X``: ``"t"``, ``"w"`` (only
-    the current value ``history.w``) or ``"history"`` (anything of it, such
-    as ``history.increments``).  A field that reads neither history name is
-    deterministic and gets ``history=None``; one that reads ``"w"`` alone is
-    Markov, so nodes with the same ``w`` bits share one evaluation; one that
-    does not read ``"t"`` is t-free, so ``LevelFields.level_rows`` reads it
-    once per solve (or once per Wiener state), not once per level.  Left
-    out, ``reads`` is empty for a constant and ``{"t", "history"}``, safe
-    for any library callable, otherwise.
-
-    A Markov field may also have a batched read, ``batch(t, X, W) ->
-    (k, n_points, *shape)``, its values in each of the k states whose
-    Wiener values are the rows of W (k, dim_w), bit for bit those of ``fn``
-    in each.  ``evaluate_states`` reads any field in many states at once.
+    holds its array in ``value``; any other field has one read, ``fn(t, X,
+    states) -> (k, n_points, *shape)``, and ``reads``, a subset of ``READS``,
+    says what it may read besides ``X``, and so which states it is given: a
+    field that reads neither ``"w"`` nor ``"history"`` is deterministic and
+    gets one state, a (1, 0) array; one that reads ``"w"`` alone is Markov
+    and gets the k states' Wiener values, (k, dim_w); any other gets k
+    ``PathHistory``.  One that does not read ``"t"`` is t-free, and
+    ``LevelFields`` reads it once per solve, not once per level.  Left out,
+    ``reads`` is empty for a constant and ``{"t", "history"}``, safe for any
+    library callable, otherwise; ``of_tx`` and ``adapted`` wrap a one-state
+    callable.
     """
 
     shape: tuple
     fn: Callable | None = None
     value: Array | None = None
     reads: frozenset | None = None
-    batch: Callable | None = None
 
     def __post_init__(self):
         if self.reads is None:
@@ -111,23 +106,32 @@ class CoefficientField:
     @classmethod
     def of_tx(cls, fn: Callable, shape: tuple = (),
               t_free: bool = False) -> "CoefficientField":
-        return cls(tuple(shape), fn=lambda t, X, history: fn(t, X),
+        """The deterministic field of ``fn(t, X)``."""
+        shape = tuple(shape)
+        return cls(shape, fn=lambda t, X, states: _normalise(fn(t, X), len(X), shape)[None],
                    reads=frozenset() if t_free else frozenset({"t"}))
 
     @classmethod
     def adapted(cls, fn: Callable, shape: tuple = (), markov: bool = False,
                 t_free: bool = False) -> "CoefficientField":
+        """The field of ``fn(t, X, history)``, called once per state: a
+        Markov ``fn`` reads only ``history.w``, and gets a stand-in history
+        that carries ``w`` alone."""
+        shape = tuple(shape)
+
+        def read(t, X, states):
+            hists = [PathHistory(t, 0.0, states[:0], w) for w in states] if markov else states
+            return np.stack([_normalise(fn(t, X, h), len(X), shape) for h in hists])
         reads = {"w" if markov else "history"} | (set() if t_free else {"t"})
-        return cls(tuple(shape), fn=fn, reads=frozenset(reads))
+        return cls(shape, fn=read, reads=frozenset(reads))
 
     @classmethod
-    def derived(cls, fn: Callable, shape: tuple, *inputs: "CoefficientField",
-                batch: Callable | None = None) -> "CoefficientField":
-        """The field ``fn(t, X, history)`` computed from the fields ``inputs``:
-        ``fn`` reads ``t`` and the history only through them.  ``batch(t, X,
-        W)``, when given, computes it in k states from its inputs'
-        ``evaluate_states``."""
-        return cls(tuple(shape), fn=fn, reads=reads_of(inputs), batch=batch)
+    def derived(cls, fn: Callable, shape: tuple, *inputs: "CoefficientField"
+                ) -> "CoefficientField":
+        """The field whose read ``fn(t, X, states)`` computes it from the
+        fields ``inputs``' ``evaluate_states``: ``fn`` reads ``t`` and the
+        states only through them."""
+        return cls(tuple(shape), fn=fn, reads=reads_of(inputs))
 
     @classmethod
     def zero(cls, shape: tuple = ()) -> "CoefficientField":
@@ -154,70 +158,59 @@ class CoefficientField:
         return self.is_constant and not np.any(self.value)
 
     def evaluate(self, t: float, x_points: Array, history: PathHistory | None = None) -> Array:
-        """Values at ``x_points`` (shape ``(n_points, d)``), as ``(n_points, *shape)``."""
+        """Values at ``x_points`` (shape ``(n_points, d)``) in one history, as
+        a fresh ``(n_points, *shape)`` array: row 0 of ``evaluate_states``."""
         x_points = np.asarray(x_points, dtype=float)
         if x_points.ndim != 2:
             raise StructuralError("x_points must be a (n_points, dim_x) array")
-        n = x_points.shape[0]
-        if self.is_constant:
-            out = np.broadcast_to(self.value, (n,) + self.shape)
-            return np.array(out, dtype=float)
-        if self.is_deterministic:
-            history = None
-        elif history is None:
-            raise ValueError("adapted coefficient needs a Wiener history")
-        elif history.t + 1e-12 < t:
-            raise ValueError(
-                f"history covers [0, {history.t:g}] but the field is evaluated at t={t:g}"
-            )
-        return self._normalise(self.fn(t, x_points, history), n)
+        if not self.is_deterministic:
+            if history is None:
+                raise ValueError("adapted coefficient needs a Wiener history")
+            if history.t + 1e-12 < t:
+                raise ValueError(
+                    f"history covers [0, {history.t:g}] but the field is evaluated at t={t:g}"
+                )
+        return np.array(self.evaluate_states(t, x_points, [history])[0])
 
     def evaluate_states(self, t: float, x_points: Array, states) -> Array:
         """Values at ``x_points`` in each of k states, as ``(k, n_points, *shape)``.
 
         ``states`` is a list of k histories (``None`` for a field that reads
-        no history) or a (k, dim_w) array of Wiener values.  A deterministic
-        field is evaluated once for all of them.  A Markov field is read by
-        its batched read, on the histories' ``w`` when given histories, and
-        one state after the other when it has none; a field that reads the
-        whole history is read one history after the other, and refuses
-        bare Wiener values.
+        no history) or a (k, dim_w) array of Wiener values; the read is given
+        the states its ``reads`` calls for, and a field that reads the whole
+        history refuses bare Wiener values.  A constant or a deterministic
+        field is broadcast from one state.
         """
         x_points = np.asarray(x_points, dtype=float)
+        want = (len(states), len(x_points)) + self.shape
+        if self.is_constant:
+            return np.broadcast_to(self.value, want)
         if self.is_deterministic:
-            one = self.evaluate(t, x_points)
-            return np.broadcast_to(one, (len(states),) + one.shape)
-        if not self.markov:
-            if not isinstance(states, list):
-                raise StructuralError("a field that reads the history needs histories")
-            return np.stack([self.evaluate(t, x_points, h) for h in states])
-        W = np.array([h.w for h in states]) if isinstance(states, list) else states
-        if self.batch is None:  # a Markov callable reads only w of a history
-            return np.stack([self.evaluate(t, x_points, PathHistory(t, 0.0, W[:0], w))
-                             for w in W])
-        out = np.asarray(self.batch(t, x_points, W), dtype=float)
-        want = (len(W), len(x_points)) + self.shape
-        if out.shape != want:
-            raise StructuralError(f"batched read returned shape {out.shape}, expected {want}")
-        return out
-
-    def _normalise(self, raw, n: int) -> Array:
-        out = np.asarray(raw, dtype=float)
-        want = (n,) + self.shape
-        if out.shape == want:
-            return out
-        if out.shape == self.shape:  # x-independent evaluator
-            return np.array(np.broadcast_to(out, want), dtype=float)
-        if out.ndim == 0 and self.shape == ():
-            return np.full(n, float(out))
-        raise StructuralError(
-            f"coefficient evaluator returned shape {out.shape}, expected {want}"
-        )
+            states = np.zeros((1, 0))
+        elif self.markov and isinstance(states, list):
+            states = np.array([h.w for h in states])
+        elif not (self.markov or isinstance(states, list)):
+            raise StructuralError("a field that reads the history needs histories")
+        out = np.asarray(self.fn(t, x_points, states), dtype=float)
+        if out.shape != (len(states),) + want[1:]:
+            raise StructuralError(f"a field's read returned shape {out.shape}, "
+                                  f"expected {(len(states),) + want[1:]}")
+        return out if len(out) == want[0] else np.broadcast_to(out, want)
 
 
 def reads_of(fields) -> frozenset:
     """What any of ``fields`` reads."""
     return frozenset().union(*(f.reads for f in fields))
+
+
+def _normalise(raw, n: int, shape: tuple) -> Array:
+    """A one-state library callable's values as ``(n, *shape)``: an
+    x-independent value is broadcast over the n points."""
+    out = np.asarray(raw, dtype=float)
+    if out.shape not in (shape, (n,) + shape):
+        raise StructuralError(
+            f"coefficient evaluator returned shape {out.shape}, expected {(n,) + shape}")
+    return np.broadcast_to(out, (n,) + shape)
 
 
 @dataclass(frozen=True)

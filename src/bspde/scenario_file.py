@@ -209,20 +209,17 @@ def _parse_matrix_literal(text: str) -> list:
 
 
 def _make_evaluator(asts, shape, dim_x):
-    """The entry's read at one history and its batched read: the ASTs are
-    walked once over the x columns, with each ``wk`` a (k, 1) column of the
-    states' Wiener values (a one-entry array at one history)."""
-    def read(t, X, w):  # w: (dim_w,) of one state, or (k, dim_w) of k states
+    """The entry's read in k states: the ASTs are walked once over the x
+    columns, with each ``wk`` a (k, 1) column of the states' Wiener values
+    W (k, dim_w); an entry that names no ``wk`` is read in one state."""
+    def read(t, X, W):
         env = {"t": t, **{f"x{i + 1}": X[:, i] for i in range(dim_x)},
-               **{f"w{k + 1}": w[..., k, None] for k in range(w.shape[-1])}}
-        lead = w.shape[:-1] + (len(X),)
+               **{f"w{k + 1}": W[:, k, None] for k in range(W.shape[1])}}
+        lead = (len(W), len(X))
         cols = [np.broadcast_to(np.asarray(evaluate(a, env), dtype=float), lead)
                 for a in asts.flat]
         return np.stack(cols, axis=-1).reshape(lead + shape)
-
-    def fn(t, X, history):
-        return read(t, X, np.zeros(0) if history is None else np.atleast_1d(history.w))
-    return fn, read
+    return read
 
 
 def _build_field(name: str, raw: str, shape: tuple, dim_x: int,
@@ -256,10 +253,9 @@ def _build_field(name: str, raw: str, shape: tuple, dim_x: int,
     if not names:  # constant fold
         vals = [float(evaluate(a, {})) for a in asts.flat]
         return CoefficientField.constant(np.reshape(vals, shape), shape)
-    # the evaluator reads the history only through history.w
+    # the evaluator reads the states' Wiener values alone
     reads = frozenset({"t"} & names | {"w" for n in names if n.startswith("w")})
-    fn, batch = _make_evaluator(asts, shape, dim_x)
-    return CoefficientField(shape, fn=fn, reads=reads, batch=batch)
+    return CoefficientField(shape, fn=_make_evaluator(asts, shape, dim_x), reads=reads)
 
 
 def default_modulus(bound_K: float) -> ModulusOfContinuity:

@@ -18,8 +18,8 @@ supplies a level's source as a stacked array and its operators as one
 ``LevelOperators``: matrix rows plus each node's row, with one shared row
 for deterministic fields, one per distinct Wiener state for Markov fields and
 one per node otherwise.  A Markov level is read in one go: every field by
-one batched read over the level's distinct Wiener values, and the operators
-of all of them by one stacked assembly.  ``_level_step`` inverts
+its one read over the level's distinct Wiener values, and the operators of
+all of them by one stacked assembly.  ``_level_step`` inverts
 I - theta dt L of every row at once and applies each inverse to its nodes
 as it applies L: a shared row's as one matrix product over the level.  A
 t-free shared row is one ``LevelOperators`` for the whole solve, which
@@ -325,8 +325,8 @@ class LevelFields:
     level's nodes that its fields' ``reads`` call for (``groups``): one state
     per level (``k = 1``) when they read no history, the level's distinct
     Wiener values when they read ``w``, and each node's history when they
-    read the whole history.  A map takes all its states at once: a Markov
-    field is read by its batched read (``CoefficientField.evaluate_states``)
+    read the whole history.  A map takes all its states at once: a field
+    is read in all of them by its one read (``CoefficientField.evaluate_states``)
     and the operators of every state are assembled by one stacked product.
     The groups are kept for the current level only.  The terminal, the
     source and the operators are named maps, whose rows the provider keeps
@@ -677,21 +677,6 @@ def strong_residual(solution: SolutionPair, scenario: Scenario, tree: WienerTree
     For an exact solver output this is round-off.
     """
     return [basis.norm(d, 0) for d in _defects(solution, scenario, tree, basis, scheme)]
-
-
-def weak_residual(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
-                  basis: SpectralBasis, test_field: SpatialField,
-                  scheme: SchemeConfig | None = None) -> list[Array]:
-    """Signed defect of the one-step identity paired against a test field.
-
-    The pairing uses the divergence-form operators (the integration by parts
-    is exact in the spectral representation), so for divergence-form or
-    constant-coefficient scenarios this matches the strong identity to
-    round-off; test fields orthogonal to the active modes give exactly zero.
-    """
-    div_scn = scenario.with_fields(form="divergence")
-    return [np.sum(test_field.coeffs * d, axis=-1)
-            for d in _defects(solution, div_scn, tree, basis, scheme)]
 
 
 # -- least-squares Monte Carlo ------------------------------------------------

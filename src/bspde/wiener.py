@@ -131,7 +131,7 @@ class WienerTree:
         is the representation coefficient exactly.
         """
         vals = self._by_parent(level, values)
-        return (self.conditional_mean(level, values),
+        return (np.einsum("c,nc...->n...", self.weights, vals),
                 np.einsum("c,ck,nc...->nk...", self.weights, self.increments, vals) / self.dt)
 
 

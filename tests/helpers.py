@@ -197,25 +197,18 @@ def declared_time_dependent(scenario):
 
 
 def counting(field_):
-    """``field_`` with evaluators that log the history time of each state
-    they read, and the log: a read at one history logs its time, and a
-    batched read of k states logs the time it is given k times.
+    """``field_`` with a read that logs the time it is given once per state
+    it reads, and the log.
 
-    The evaluators read the time they log, so the wrapped field is not t-free
-    and is evaluated at every level, as a field that reads ``t`` is.
+    The read reads the time it logs, so the wrapped field is not t-free and
+    is evaluated at every level, as a field that reads ``t`` is.
     """
     calls = []
 
-    def fn(t, X, hist):
-        calls.append(hist.t)
-        return field_.fn(t, X, hist)
-
-    def batch(t, X, W):
-        calls.extend([t] * len(W))
-        return field_.batch(t, X, W)
-    wrapped = replace(field_, fn=fn, reads=field_.reads | {"t"},
-                      batch=None if field_.batch is None else batch)
-    return wrapped, calls
+    def fn(t, X, states):
+        calls.extend([t] * len(states))
+        return field_.fn(t, X, states)
+    return replace(field_, fn=fn, reads=field_.reads | {"t"}), calls
 
 
 def wiener_values(tree, level):
@@ -627,7 +620,8 @@ def picard_reference(scenario, freeze_point, tree, basis, tol=1e-9, max_iter=40,
 
     def difference(f, f0):
         return CoefficientField.derived(
-            lambda t, X, hist: f.evaluate(t, X, hist) - f0.evaluate(t, X, hist), f.shape, f, f0)
+            lambda t, X, states: f.evaluate_states(t, X, states) - f0.evaluate_states(t, X, states),
+            f.shape, f, f0)
 
     def frozen_solve(source_levels=None):
         fields = LevelFields(frozen, tree, basis)
@@ -655,3 +649,17 @@ def picard_reference(scenario, freeze_point, tree, basis, tol=1e-9, max_iter=40,
               for m in range(1, len(distances)) if distances[m - 1] > 0]
     return current, IterationReport(len(distances), ratios, converged,
                                     distances[-1] if distances else np.inf)
+
+
+def weak_residual(solution, scenario, tree, basis, test_field, scheme=None):
+    """Signed defect of the one-step identity paired against a test field.
+
+    The pairing uses the divergence-form operators (the integration by parts
+    is exact in the spectral representation), so for divergence-form or
+    constant-coefficient scenarios this matches the strong identity to
+    round-off; test fields orthogonal to the active modes give exactly zero.
+    """
+    from bspde.solver import _defects
+    div_scn = scenario.with_fields(form="divergence")
+    return [np.sum(test_field.coeffs * d, axis=-1)
+            for d in _defects(solution, div_scn, tree, basis, scheme)]

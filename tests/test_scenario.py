@@ -27,6 +27,7 @@ from bspde import (
     solve_tree,
     validate,
 )
+from bspde.analysis import _kernel_shifts
 from bspde.frozen import _combination, _frozen_field
 from bspde.scenario import _sample_points
 from helpers import (MARKOV_2D_TEXT, declared_time_dependent, make_field, make_scenario,
@@ -204,17 +205,25 @@ phi = 1 + 0.2*w1
         for inputs, deterministic, markov in cases:
             seen = []
 
-            def fn(t, X, history, inputs=inputs):
-                seen.append(history)
-                return sum(f.evaluate(t, X, history) for f in inputs) + 0.0 * X[:, 0]
+            def fn(t, X, states, inputs=inputs):
+                seen.append(states)
+                return sum((f.evaluate_states(t, X, states) for f in inputs),
+                           np.zeros((len(states), len(X))))
             derived = CoefficientField.derived(fn, (), *inputs)
             assert not derived.is_constant
             assert (derived.is_deterministic, derived.markov) == (deterministic, markov)
             got = derived.evaluate(0.5, X, hist)
-            want = sum(f.evaluate(0.5, X, hist) for f in inputs) + 0.0 * X[:, 0]
+            want = sum((f.evaluate(0.5, X, hist) for f in inputs), np.zeros(len(X)))
             assert got.tobytes() == want.tobytes()
-            # a deterministic result is called without the history
-            assert seen == [None if deterministic else hist]
+            # a deterministic result is read in one state with no Wiener value,
+            # a Markov one on the history's w alone, any other on the history
+            (states,) = seen
+            if deterministic:
+                assert isinstance(states, np.ndarray) and states.shape == (1, 0)
+            elif markov:
+                assert states.shape == (1, 1) and states.tobytes() == hist.w.tobytes()
+            else:
+                assert len(states) == 1 and states[0] is hist
 
 
 class TestBatchedReads:
@@ -263,7 +272,7 @@ class TestBatchedReads:
         det = CoefficientField.of_tx(lambda t, X: np.cos(X[:, 0]) + t, ())
         for f, f0 in ((scn.a, frozen.a), (scn.sigma, frozen.sigma)):
             for derived in (f0, _combination(-1.0, f0, 1.0, f), _combination(0.3, f0, 0.7, f)):
-                assert derived.markov and derived.batch is not None
+                assert derived.markov
                 self.assert_reads_bit_equal(derived, scn.dim_w, X)
         self.assert_reads_bit_equal(_combination(0.5, det, 0.5, scn.F), scn.dim_w, X)
 
@@ -275,6 +284,74 @@ class TestBatchedReads:
             for name in ("a", "sigma"):
                 assert getattr(smooth, name).markov
                 self.assert_reads_bit_equal(getattr(smooth, name), scn.dim_w, X)
+
+    @staticmethod
+    def path_scenario(dim_w):
+        """The Markov scenario with a, sigma and F library fields that read the
+        history's increments, and six histories at t = 0.75 whose increments
+        differ where their w agree (multiples of 1/4, so every sum is exact)."""
+        scn = markov_scenario(dim_w).with_fields(
+            a=CoefficientField.adapted(
+                lambda t, X, h: (0.6 + 0.1 * np.sin(X[:, 0] + h.increments[-1, 0])
+                                 + 0.01 * t)[:, None, None], (1, 1)),
+            sigma=CoefficientField.adapted(
+                lambda t, X, h: 0.2 + 0.05 * np.cos(X[:, 0, None] + h.increments[-1])[:, None, :],
+                (1, dim_w)),
+            F=CoefficientField.adapted(
+                lambda t, X, h: np.cos(X[:, 0]) * (1 + h.increments[0, 0]), ()))
+        incs = np.random.default_rng(12).integers(-4, 5, size=(6, 3, dim_w)) / 4
+        incs[0], incs[2], incs[4] = 0.0, incs[1][::-1], incs[3][[1, 2, 0]]
+        return scn, [PathHistory.from_increments(inc, 0.25) for inc in incs]
+
+    @staticmethod
+    def assert_rows_bit_equal(field_, X, hists, parent, t=0.5):
+        """Each row of ``evaluate_states`` at the histories is the field's read
+        at that history and ``parent``, the per-history formula, bit for bit."""
+        assert not (field_.markov or field_.is_deterministic)
+        got = field_.evaluate_states(t, X, hists)
+        assert got.shape == (len(hists), len(X)) + field_.shape
+        for row, h in zip(got, hists):
+            assert row.tobytes() == field_.evaluate(t, X, h).tobytes()
+            assert row.tobytes() == np.asarray(parent(t, X, h), dtype=float).tobytes()
+        assert got[1].tobytes() != got[2].tobytes()  # same w, other path
+
+    @pytest.mark.parametrize("dim_w", [1, 2])
+    def test_derived_fields_over_history_reading_inputs(self, dim_w):
+        scn, hists = self.path_scenario(dim_w)
+        assert hists[1].w.tobytes() == hists[2].w.tobytes()
+        X, x0 = _sample_points(scn)[1], np.full(1, 0.4)
+        frozen = freeze(scn, x0)
+        det = CoefficientField.of_tx(lambda t, X: np.cos(X[:, 0]) + t, ())
+        for f, f0 in ((scn.a, frozen.a), (scn.sigma, frozen.sigma)):
+            self.assert_rows_bit_equal(f0, X, hists, lambda t, X, h, f=f: np.broadcast_to(
+                f.evaluate(t, x0[None], h)[0], (len(X),) + f.shape))
+            for w0, w1 in ((-1.0, 1.0), (0.3, 0.7)):
+                self.assert_rows_bit_equal(
+                    _combination(w0, f0, w1, f), X, hists,
+                    lambda t, X, h, f=f, f0=f0: w0 * f0.evaluate(t, X, h) + w1 * f.evaluate(t, X, h))
+        self.assert_rows_bit_equal(
+            _combination(0.5, det, 0.5, scn.F), X, hists,
+            lambda t, X, h: 0.5 * det.evaluate(t, X, h) + 0.5 * scn.F.evaluate(t, X, h))
+
+        basis = SpectralBasis(scn.dim_x, 4, scn.domain_halfwidth)
+        shifts, weights = _kernel_shifts(basis, MollifierConfig(1))
+        symbol = np.cos(basis.freqs @ shifts.T) @ weights
+        grid = basis.grid_points
+
+        def mollified(src):  # the smoothing multiplier of src's samples at one history
+            def parent(t, X, h):
+                vals = src.evaluate(t, grid, h)[None]
+                coeffs = symbol * basis.project(vals.reshape(vals.shape[:2] + (-1,)),
+                                                stacked=True).swapaxes(-1, -2)
+                on_grid = X.shape == grid.shape and np.array_equal(X, grid)
+                out = basis.reconstruct(coeffs) if on_grid else basis.evaluate_at(coeffs, X)
+                return out.swapaxes(-1, -2).reshape((len(X),) + src.shape)
+            return parent
+        smooth = mollify(scn, MollifierConfig(1), basis)
+        for X in (grid, _sample_points(scn)[1]):  # on and off the grid
+            for name in ("a", "sigma"):
+                self.assert_rows_bit_equal(getattr(smooth, name), X, hists,
+                                           mollified(getattr(scn, name)))
 
     def test_constant_and_deterministic_fields(self):
         X = np.linspace(-1.0, 1.0, 6)[:, None]
@@ -291,7 +368,7 @@ class TestBatchedReads:
             seen.append(hist.w.copy())
             return np.cos(X[:, 0] + hist.w[0]) * (1 + t)
         f = CoefficientField.adapted(fn, (), markov=True)
-        assert f.batch is None
+        assert f.markov
         X = np.linspace(-1.0, 1.0, 6)[:, None]
         self.assert_reads_bit_equal(f, 1, X)
         W = self.states(1)[0]
@@ -309,10 +386,14 @@ class TestBatchedReads:
             f.evaluate_states(0.25, X, W)
 
     def test_a_batched_read_of_the_wrong_shape_is_refused(self):
-        f = CoefficientField((), fn=lambda t, X, h: X[:, 0], reads=frozenset({"w"}),
-                             batch=lambda t, X, W: np.zeros((len(W), len(X) + 1)))
-        with pytest.raises(StructuralError, match="batched read returned shape"):
+        f = CoefficientField((), fn=lambda t, X, W: np.zeros((len(W), len(X) + 1)),
+                             reads=frozenset({"w"}))
+        with pytest.raises(StructuralError, match=r"read returned shape \(2, 4\), expected"):
             f.evaluate_states(0.0, np.zeros((3, 1)), np.zeros((2, 1)))
+        # a deterministic read gives its one state's row, not one per state
+        g = CoefficientField((), fn=lambda t, X, W: np.zeros((2, len(X))), reads=frozenset())
+        with pytest.raises(StructuralError, match=r"expected \(1, 3\)"):
+            g.evaluate_states(0.0, np.zeros((3, 1)), np.zeros((2, 1)))
 
 
 class TestTimeFreeDeclaration:

@@ -33,7 +33,6 @@ from bspde import (
     solve_regression,
     solve_tree,
     strong_residual,
-    weak_residual,
 )
 import bspde.errors
 import bspde.solver
@@ -42,7 +41,7 @@ from helpers import (ADAPTED_TREE_TEXT, DIVERGENCE_MARKOV_TEXT, counting,
                      declared_time_dependent, e_sup_norm_sq_reference, ensemble_history,
                      level_expected_norm_sq_reference, make_scenario, markov_scenario,
                      regression_reference, sup_e_norm_sq_reference, time_norm_sq_reference,
-                     wiener_values)
+                     weak_residual, wiener_values)
 from oracles import scalar_theta_chain, to_exponential
 
 BASIS = SpectralBasis(1, 4, np.pi)
@@ -736,12 +735,15 @@ class TestRegression:
 
 
 def declared_path_dependent(scenario):
-    """The same scenario with every adapted field evaluated node by node."""
+    """The same scenario with every Markov field evaluated node by node: its
+    read is given each node's ``w`` as a one-row W, one node at a time."""
+    def per_node(f):
+        return replace(f, reads=f.reads - {"w"} | {"history"}, fn=lambda t, X, hists: (
+            np.concatenate([f.fn(t, X, h.w[None]) for h in hists])))
     return scenario.with_fields(**{
-        name: replace(getattr(scenario, name),
-                      reads=getattr(scenario, name).reads - {"w"} | {"history"})
+        name: per_node(getattr(scenario, name))
         for name in ("a", "b", "c", "sigma", "nu", "F", "phi")
-        if not getattr(scenario, name).is_deterministic})
+        if getattr(scenario, name).markov})
 
 
 class TestMarkovFields:
@@ -802,10 +804,14 @@ class TestMarkovFields:
 
     @staticmethod
     def unbatched(scenario):
-        """The same scenario with no batched read: every Markov field is read
-        one state after the other, as a library callable is."""
+        """The same scenario with every Markov field a library Markov
+        callable, read one state after the other (``adapted``), each state's
+        ``w`` given to the parsed read as a one-row W."""
+        def library(f):
+            return CoefficientField.adapted(lambda t, X, hist: f.fn(t, X, hist.w[None])[0],
+                                            f.shape, markov=True, t_free=f.t_free)
         return scenario.with_fields(**{
-            name: replace(getattr(scenario, name), batch=None)
+            name: library(getattr(scenario, name))
             for name in ("a", "b", "c", "sigma", "nu", "F", "phi")
             if getattr(scenario, name).markov})
 
@@ -813,7 +819,7 @@ class TestMarkovFields:
     def test_markov_callables_without_a_batched_read_solve_bit_equal(self, dim_w):
         scn = markov_scenario(dim_w)
         lib, per = self.unbatched(scn), declared_path_dependent(scn)
-        assert lib.a.markov and lib.a.batch is None and scn.a.batch is not None
+        assert lib.a.markov and lib.a.reads == scn.a.reads
         tree = build_tree(dim_w, 3, 3, scn.horizon)
         want = solve_tree(scn, tree, BASIS)
         for other in (lib, per):
@@ -872,7 +878,7 @@ class TestMarkovFields:
         tree = build_tree(1, 3, 3, sc.horizon)
         sol = solve_tree(sc, tree, BASIS)
         assert len(calls) == sum(tree.levels[k].n_nodes for k in range(tree.n_steps))
-        level2 = [F.fn(tree.time_of(2), BASIS.grid_points, tree.history(2, i))
+        level2 = [last_step(tree.time_of(2), BASIS.grid_points, tree.history(2, i))
                   for i in range(tree.levels[2].n_nodes)]
         w = wiener_values(tree, 2)[:, 0]
         same_w = [(i, j) for i in range(len(w)) for j in range(i)

@@ -98,6 +98,95 @@ def test_every_field_the_package_builds_from_a_callable_declares_reads():
     assert package_findings(field_calls_without_reads) == {}
 
 
+def dataclass_fields(source: str, name: str) -> list[str]:
+    """The annotated fields of ``class <name>``, in order."""
+    return [node.target.id for cls in ast.walk(ast.parse(source))
+            if isinstance(cls, ast.ClassDef) and cls.name == name
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
+def batched_twins(source: str) -> list[int]:
+    """Line numbers of a ``batch`` keyword, parameter, attribute or class
+    field: a second read of a field beside its one ``fn``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg == "batch":
+            lines.add(node.value.lineno)
+        elif isinstance(node, ast.arg) and node.arg == "batch":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "batch":
+            lines.add(node.lineno)
+        elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+              and node.target.id == "batch"):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_detector_finds_batched_twins_and_lists_dataclass_fields():
+    source = (
+        "class CoefficientField:\n"
+        "    shape: tuple\n"
+        "    fn: Callable | None = None\n"
+        "    batch: Callable | None = None\n"
+        "    def derived(cls, fn, *inputs, batch=None):\n"
+        "        return cls(fn=fn,\n                   batch=batch)\n"
+        "out = field_.batch(t, X, W)\n"
+        "rows = f.evaluate_states(t, X, W)\n"
+        "batched = 3\n"
+        "class Other:\n    value: int\n"
+    )
+    assert dataclass_fields(source, "CoefficientField") == ["shape", "fn", "batch"]
+    assert dataclass_fields(source, "Other") == ["value"]
+    assert batched_twins(source) == [4, 5, 7, 8]
+
+
+def test_detector_finds_per_state_reads():
+    source = (
+        "def adapted(fn):\n"
+        "    return [fn(t, X, h) for h in hists]\n"
+        "def evaluate_states(self, states):\n"
+        "    rows = [self.evaluate(t, X, h) for h in states]\n"
+        "    for w in W:\n        out = self.fn(t, X,\n                      w)\n"
+        "    one = self.fn(t, X, W)\n"
+        "    ws = [h.w for h in states]\n"
+        "    vals = [evaluate(a, env) for a in asts]\n"
+    )
+    assert per_state_reads(source) == [4, 6]
+
+
+def test_a_field_has_one_read():
+    # ``fn(t, X, states)`` reads any k states: a batched twin beside it would
+    # have to agree with it bit for bit, and every derived field be written twice
+    source = (SRC / "scenario.py").read_text(encoding="utf-8")
+    assert dataclass_fields(source, "CoefficientField") == ["shape", "fn", "value", "reads"]
+    assert package_findings(batched_twins) == {}
+    # ``adapted`` alone reads a one-state library callable state by state;
+    # the dense oracle reads one history per node on purpose
+    assert package_findings(per_state_reads, PER_NODE_ALLOWED) == {}
+
+
+def per_state_reads(source: str) -> list[int]:
+    """Line numbers of calls ``fn(...)``, ``<x>.fn(...)`` or ``<x>.evaluate(...)``
+    inside a ``for`` loop or a comprehension, outside functions named
+    ``adapted``: a field read one state after the other."""
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    lines = []
+
+    def visit(node, in_loop):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef) and child.name == "adapted":
+                continue
+            func = getattr(child, "func", None)
+            if in_loop and isinstance(child, ast.Call) and (
+                    (isinstance(func, ast.Name) and func.id == "fn")
+                    or (isinstance(func, ast.Attribute) and func.attr in ("fn", "evaluate"))):
+                lines.append(child.lineno)
+            visit(child, in_loop or isinstance(child, loops))
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
 def calls_to(source: str, attrs: set, receiver: str | None = None) -> list[int]:
     """Line numbers of calls ``<x>.<attr>(...)`` with ``attr`` in ``attrs``
     (and ``x`` the name ``receiver``, when given)."""
