@@ -7,9 +7,7 @@ regularity that the linear theory promises.
 """
 
 from .analysis import (ESTIMATE_TAGS, EstimateReport, MollifierConfig,
-                       MultiIndex, PositivityReport, energy_audit,
-                       higher_regularity_solve, ito_identity_check, mollify,
-                       positivity_check)
+                       PositivityReport, energy_audit, mollify, positivity_check)
 from .errors import (BspdeError, BudgetError, ConvergenceError,
                      DegenerateKernelError, EvalError, NumericError,
                      ParseError, ScenarioValidationError, StructuralError)
@@ -25,8 +23,7 @@ from .solver import (AdaptedField, LevelFields, LevelOperators, RegressionSoluti
                      SchemeConfig, SolutionPair, backward_solve, mixed_norm_sq,
                      pair_difference, solve_regression, solve_tree,
                      strong_residual)
-from .space import (SpatialField, SpectralBasis, assemble_L, assemble_M,
-                    coercivity_probe)
+from .space import SpatialField, SpectralBasis, assemble_L, assemble_M
 from .wiener import (PathEnsemble, WienerTree, build_chain, build_tree,
                      gauss_hermite_standard, sample_paths)
 
@@ -37,17 +34,16 @@ __all__ = [
     "ConvergenceError", "DegenerateKernelError", "DiscretizationConfig",
     "ESTIMATE_TAGS", "EstimateReport", "EvalError",
     "IterationReport", "ModulusOfContinuity",
-    "LevelFields", "LevelOperators", "MollifierConfig", "MultiIndex", "NumericError",
+    "LevelFields", "LevelOperators", "MollifierConfig", "NumericError",
     "ParseError", "PathEnsemble", "PathHistory", "PositivityReport",
     "RegressionSolution", "RunConfig", "ScenarioValidationError",
     "Scenario", "SchemeConfig", "SolutionPair", "SpatialField",
     "SpectralBasis", "StructuralError", "ValidationReport", "WienerTree",
     "assemble_L", "assemble_M", "backward_solve",
-    "build_chain", "build_tree", "coercivity_probe",
+    "build_chain", "build_tree",
     "continuation_solve", "default_modulus",
     "energy_audit", "freeze", "freeze_and_iterate",
-    "gauss_hermite_standard", "higher_regularity_solve",
-    "ito_identity_check", "load_scenario", "load_scenario_text",
+    "gauss_hermite_standard", "load_scenario", "load_scenario_text",
     "mixed_norm_sq", "mollify", "pair_difference",
     "positivity_check", "sample_paths", "serialize_scenario",
     "solve_dense", "solve_regression",

@@ -1,26 +1,24 @@
 """Audits of the checkable a-priori statements on discrete solutions.
 
-Everything here consumes a solved ``SolutionPair`` and reports numbers a test
-can pin down: fitted constants of the energy estimates, the level-by-level
-defect of the squared-norm balance, minima and negative-part envelopes for the
-comparison principle, mollified scenarios for rough coefficients, and the
-derived-equation solve behind higher-order interior regularity.
+Everything here consumes a solved ``SolutionPair`` and reports numbers the
+commands print: fitted constants of the energy estimates, minima and
+negative-part envelopes for the comparison principle, and mollified scenarios
+for rough coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateKernelError, StructuralError
 from .scenario import CoefficientField, Scenario
-from .solver import (AdaptedField, LevelFields, SchemeConfig, SolutionPair,
-                     _expectation, _generator, backward_solve, solve_tree)
-# assemble_L/assemble_M stay bound here for code that instruments the
-# assembly by patching every bspde namespace that imports it
+from .solver import AdaptedField, LevelFields, SolutionPair, _expectation
+# solve_tree, assemble_L and assemble_M stay bound here for code that
+# instruments them by patching every bspde namespace that imports them
+from .solver import solve_tree  # noqa: F401
 from .space import SpectralBasis, assemble_L, assemble_M  # noqa: F401
 from .wiener import WienerTree
 
@@ -29,7 +27,6 @@ Array = np.ndarray
 ESTIMATE_TAGS = ("weak_est_2_5", "strong_est_2_7", "higher_est_2_9", "negpart_5_2")
 _ZERO_TOL = 1e-10       # positivity: a negative part at or below this is zero
 _ENVELOPE_SLACK = 0.05  # positivity: relative slack of the fitted envelope
-_MAX_ORDER = 2          # highest order |alpha| of the higher-regularity solve
 
 
 @dataclass(frozen=True)
@@ -85,39 +82,6 @@ def energy_audit(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
     fitted = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     return EstimateReport(theorem_tag, float(lhs), float(rhs), float(fitted),
                           bool(np.isfinite(fitted)), float(e_sup), float(sup_e))
-
-
-def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
-                       basis: SpectralBasis) -> Array:
-    """Level-by-level defect of the discrete squared-norm balance.
-
-    The expectation of the energy identity for the backward dynamics reads
-
-        E||p(t)||_0^2 = E||p(T)||_0^2 + 2 int_t^T E<p, Lp + Mq + F> ds
-                        - int_t^T E||q||_0^2 ds,
-
-    realised with left-rule sums over levels.  The returned array holds the
-    defect at every level (index N is identically zero by construction).  For
-    scenarios with L = M = F = 0 and data affine in the terminal Wiener value
-    the discrete martingale isometry makes every entry vanish to round-off.
-    """
-    N, dt = tree.n_steps, tree.dt
-    fields = LevelFields(scenario, tree, basis)
-    e_norm = np.array(solution.p.expected_norms_sq(0))  # levels 0..N
-    q_term = np.array(solution.q.expected_norms_sq(0))  # levels 0..N-1
-
-    pair_term = np.empty(N)
-    for level in range(N):
-        prob = tree.levels[level].prob
-        p, q = solution.p.levels[level], solution.q.levels[level]
-        drift = _generator(fields.operators(level), p, q, fields.source(level))
-        pair_term[level] = _expectation(prob, np.sum(p * drift, axis=-1))
-
-    defects = np.zeros(N + 1)
-    for level in range(N):
-        tail = 2.0 * dt * pair_term[level:].sum() - dt * q_term[level:].sum()
-        defects[level] = e_norm[level] - (e_norm[N] + tail)
-    return defects
 
 
 @dataclass(frozen=True)
@@ -287,98 +251,3 @@ def _multiplier_field(src: CoefficientField, apply, basis: SpectralBasis) -> Coe
         return out.swapaxes(-1, -2).reshape((len(vals), len(X)) + src.shape)
     return CoefficientField.derived(
         lambda t, X, states: at(X, src.evaluate_states(t, grid, states)), src.shape, src)
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Spatial multi-index alpha with the usual order |alpha|."""
-
-    alpha: tuple
-
-    def __post_init__(self):
-        if any(a < 0 for a in self.alpha):
-            raise StructuralError("multi-index entries must be nonnegative")
-
-    @property
-    def order(self) -> int:
-        return int(sum(self.alpha))
-
-    def sub_indices(self):
-        """All beta <= alpha componentwise, with their binomial weights."""
-        from itertools import product as iproduct
-        ranges = [range(a + 1) for a in self.alpha]
-        for beta in iproduct(*ranges):
-            coef = 1
-            for ai, bi in zip(self.alpha, beta):
-                coef *= math.comb(ai, bi)
-            yield tuple(beta), coef
-
-
-def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
-                            alpha: MultiIndex, scheme: SchemeConfig | None = None,
-                            base: SolutionPair | None = None
-                            ) -> tuple[SolutionPair, float]:
-    """Solve the derived equation for u ~ D^alpha p and report the defect.
-
-    The derived pair (u, v) satisfies
-
-        du = -( L_top u + M_top v + F_tilde ) dt + v dW,  u(T) = D^alpha phi,
-
-    where L_top and M_top keep the top-order coefficients a and sigma, and
-    F_tilde collects D^alpha F and the rest of the Leibniz sum
-
-        D^alpha (Lp + M q) = sum_{beta <= alpha} C(alpha, beta) (D^beta L, D^beta M)
-                             applied to D^{alpha - beta} (p, q)
-
-    on the base solution, with D^beta L, D^beta M the operators assembled from
-    the spectral D^beta of the coefficients.  D^alpha commutes with the outer
-    D_i of the divergence form, so the sum holds in both forms.  The defect is
-    the discrete |||u - D^alpha p|||_0 distance to the spectral derivative of
-    the base solution.
-    """
-    scheme = scheme or SchemeConfig()
-    if len(alpha.alpha) != basis.dim_x:
-        raise StructuralError("multi-index length must equal dim_x")
-    if alpha.order == 0 or alpha.order > _MAX_ORDER:
-        raise StructuralError(
-            f"multi-index order must be in 1..{_MAX_ORDER}, got {alpha.order}")
-    D = partial(basis.derivative, alpha.alpha)  # D^alpha of coefficient rows
-
-    if base is None:
-        base = solve_tree(scenario, tree, basis, scheme)
-    fields = LevelFields(scenario, tree, basis)
-    zero = CoefficientField.zero
-    coeffs = scenario.coefficient_fields()
-
-    def without(*names):
-        return scenario.with_fields(**{name: zero(coeffs[name].shape) for name in names})
-
-    top_scn = without("b", "c", "nu")
-    terms = []  # (C(alpha, beta), the D^beta scenario, D^{alpha - beta})
-    for beta, coef in alpha.sub_indices():
-        if any(beta):
-            scn = scenario.with_fields(**{
-                name: zero(f.shape) if f.is_constant
-                else _multiplier_field(f, partial(basis.derivative, beta), basis)
-                for name, f in coeffs.items()})
-        else:  # the top order at beta = 0 is the derived operator's
-            scn = without("a", "sigma")
-        if not all(f.is_zero for f in scn.coefficient_fields().values()):  # else it adds 0
-            terms.append((coef, scn, partial(basis.derivative,
-                                             tuple(a - b for a, b in zip(alpha.alpha, beta)))))
-
-    def source(level):
-        p, q = base.p.levels[level], base.q.levels[level]
-        out = D(fields.source(level))
-        for coef, scn, Dg in terms:
-            out = out + coef * _generator(fields.operators(level, scn), Dg(p), Dg(q), 0)
-        return out
-
-    derived = backward_solve(tree, basis, scheme, D(fields.terminal()),
-                             lambda level: fields.operators(level, top_scn), source)
-
-    diff_levels = [derived.p.levels[k] - D(base.p.levels[k])
-                   for k in range(len(derived.p.levels))]
-    diff = AdaptedField(tree, basis, diff_levels)
-    defect = float(np.sqrt(diff.time_norm_sq(0)))
-    return derived, defect

@@ -3,7 +3,8 @@
 Subcommands: solve, validate, audit, compare, positivity, mollify-study,
 regress.  Each takes a scenario file, applies flag overrides, prints a
 key=value summary to stdout (stable key order), and optionally writes CSV
-records plus ``summary.json`` / ``manifest.json`` into ``--out`` (atomic
+records plus ``summary.json``, ``scenario.scn`` (the scenario as run, which
+reruns the command) and ``manifest.json`` into ``--out`` (atomic
 write-then-rename).  Exit codes: 0 success, 2 parse, 3 validation,
 4 budget, 5 numeric, 6 tolerance; a scenario-file error names the line and
 column of the file where it sits.
@@ -28,7 +29,7 @@ from .errors import (BudgetError, EvalError, NumericError, ParseError,
                      ScenarioValidationError, StructuralError)
 from .oracle import solve_dense
 from .scenario import validate as validate_scenario
-from .scenario_file import default_modulus, load_scenario
+from .scenario_file import default_modulus, load_scenario, serialize_scenario
 from .solver import (SchemeConfig, _check_solution_bytes, pair_difference, solve_regression,
                      solve_tree)
 from .space import SpectralBasis
@@ -167,6 +168,8 @@ class _Run:
         self.disc = _checked(dc_replace(disc, **overrides))
         self.theta = args.theta if args.theta is not None else self.run.theta
         self.tol = args.tol if args.tol is not None else self.run.tol
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise StructuralError(f"tol must be finite and >= 0, got {self.tol}")
 
     @property
     def scheme(self) -> SchemeConfig:
@@ -195,7 +198,8 @@ class _Run:
 
     def emit(self, summary, files=None):
         """Print key=value lines and, with --out, write ``summary.json``,
-        ``files`` (name -> text or chunks) and ``manifest.json``."""
+        ``files`` (name -> text or chunks), ``scenario.scn`` (the scenario
+        as run, flags applied) and ``manifest.json``."""
         for key, value in summary.items():
             print(f"{key} = {value}")
         out_dir = self.args.out
@@ -203,7 +207,10 @@ class _Run:
             return
         os.makedirs(out_dir, exist_ok=True)
         files = {"summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
-                 **(files or {}), "manifest.json": self._manifest()}
+                 **(files or {}),
+                 "scenario.scn": serialize_scenario(
+                     self.scenario, self.disc, dc_replace(self.run, theta=self.theta, tol=self.tol)),
+                 "manifest.json": self._manifest()}
         for name, chunks in files.items():
             _write_atomic(os.path.join(out_dir, name), chunks)
 

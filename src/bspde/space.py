@@ -224,36 +224,3 @@ def assemble_M(scenario: Scenario, samples: dict, basis: SpectralBasis) -> Array
                                + [(e(), nu[:, :, k], e())])
                      for k in range(scenario.dim_w)], axis=1)
 
-
-def coercivity_probe(basis: SpectralBasis, L_mat: Array, M_mats: list[Array],
-                     trial_fields: list[Array], v_order: int = 1, h_order: int = 0,
-                     slack: float = 1e-8) -> tuple[float, float, bool]:
-    """Empirical coercivity constants for 2<x, Lx> + ||M* x||^2 <= -lam ||x||_V^2 + Lam ||x||_H^2.
-
-    Inner products and adjoints are taken in H^{h_order}; the dissipation norm
-    is H^{v_order}.  lambda comes from a least-squares fit over the trial
-    fields; Lambda is then the smallest constant making the inequality hold on
-    every trial at that lambda, so the reported pair is always feasible on the
-    sample.  ``ok`` is the real verdict: the fitted lambda must be strictly
-    positive (a zero operator dissipates nothing and is flagged), and the
-    feasible Lambda must be finite.
-    """
-    wh = basis.sobolev_weight(h_order)
-    g, v, h = [], [], []
-    for x in trial_fields:
-        quad = 2.0 * np.sum(wh * x * (L_mat @ x))
-        for Mk in M_mats:
-            # adjoint in H^{h_order}: W^{-h} M^T W^{h}
-            mstar_x = (Mk.T @ (wh * x)) / wh
-            quad += float(np.sum(wh * mstar_x ** 2))
-        g.append(quad)
-        v.append(basis.norm_sq(x, v_order))
-        h.append(basis.norm_sq(x, h_order))
-    g, v, h = np.array(g), np.array(v), np.array(h)
-    design = np.stack([-v, h], axis=1)
-    coef, *_ = np.linalg.lstsq(design, g, rcond=None)
-    lam = float(coef[0])
-    Lam = float(np.max((g + lam * v) / h)) if len(h) else float(coef[1])
-    Lam = max(Lam, 0.0)
-    ok = bool(lam > slack and np.isfinite(Lam))
-    return lam, Lam, ok

@@ -11,19 +11,35 @@ transform, and ``feynman_kac_mc`` samples the characteristic diffusion of a
 deterministic scenario, reading only its fields.  ``to_exponential`` and
 ``exponential_operators`` restate the package's cos/sin coordinates and its
 operators on the exponentials exp(i k . x), built from the mode list alone.
+
+The last three are references that the lab's commands never run, so they
+live here rather than in the package, and they do use its engine:
+``coercivity_probe`` fits the constants (lambda, Lambda) of the coercivity
+inequality on trial fields, ``ito_identity_check`` measures the level-by-level
+defect of the squared-norm balance, and ``higher_regularity_solve`` solves the
+derived equation for D^alpha p of a ``MultiIndex`` alpha, which
+``helpers.higher_regularity_reference`` rebuilds one node at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
-from bspde import NumericError, Scenario, SpatialField, SpectralBasis, StructuralError
+from bspde import (AdaptedField, CoefficientField, LevelFields, NumericError, Scenario,
+                   SchemeConfig, SolutionPair, SpatialField, SpectralBasis, StructuralError,
+                   WienerTree, backward_solve, solve_tree)
+from bspde.analysis import _multiplier_field
+from bspde.solver import _expectation, _generator
 
 Array = np.ndarray
+
+_MAX_ORDER = 2          # highest order |alpha| of the higher-regularity solve
 
 
 def gauss_hermite_probabilist(n: int):
@@ -263,3 +279,165 @@ def feynman_kac_mc(scenario: Scenario, x: Array, t: float, n_samples: int,
     est = float(samples.mean())
     stderr = float(samples.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     return est, stderr
+
+
+def coercivity_probe(basis: SpectralBasis, L_mat: Array, M_mats: list[Array],
+                     trial_fields: list[Array], v_order: int = 1, h_order: int = 0,
+                     slack: float = 1e-8) -> tuple[float, float, bool]:
+    """Empirical coercivity constants for 2<x, Lx> + ||M* x||^2 <= -lam ||x||_V^2 + Lam ||x||_H^2.
+
+    Inner products and adjoints are taken in H^{h_order}; the dissipation norm
+    is H^{v_order}.  lambda comes from a least-squares fit over the trial
+    fields; Lambda is then the smallest constant making the inequality hold on
+    every trial at that lambda, so the reported pair is always feasible on the
+    sample.  ``ok`` is the real verdict: the fitted lambda must be strictly
+    positive (a zero operator dissipates nothing and is flagged), and the
+    feasible Lambda must be finite.
+    """
+    wh = basis.sobolev_weight(h_order)
+    g, v, h = [], [], []
+    for x in trial_fields:
+        quad = 2.0 * np.sum(wh * x * (L_mat @ x))
+        for Mk in M_mats:
+            # adjoint in H^{h_order}: W^{-h} M^T W^{h}
+            mstar_x = (Mk.T @ (wh * x)) / wh
+            quad += float(np.sum(wh * mstar_x ** 2))
+        g.append(quad)
+        v.append(basis.norm_sq(x, v_order))
+        h.append(basis.norm_sq(x, h_order))
+    g, v, h = np.array(g), np.array(v), np.array(h)
+    design = np.stack([-v, h], axis=1)
+    coef, *_ = np.linalg.lstsq(design, g, rcond=None)
+    lam = float(coef[0])
+    Lam = float(np.max((g + lam * v) / h)) if len(h) else float(coef[1])
+    Lam = max(Lam, 0.0)
+    ok = bool(lam > slack and np.isfinite(Lam))
+    return lam, Lam, ok
+
+
+def ito_identity_check(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
+                       basis: SpectralBasis) -> Array:
+    """Level-by-level defect of the discrete squared-norm balance.
+
+    The expectation of the energy identity for the backward dynamics reads
+
+        E||p(t)||_0^2 = E||p(T)||_0^2 + 2 int_t^T E<p, Lp + Mq + F> ds
+                        - int_t^T E||q||_0^2 ds,
+
+    realised with left-rule sums over levels.  The returned array holds the
+    defect at every level (index N is identically zero by construction).  For
+    scenarios with L = M = F = 0 and data affine in the terminal Wiener value
+    the discrete martingale isometry makes every entry vanish to round-off.
+    """
+    N, dt = tree.n_steps, tree.dt
+    fields = LevelFields(scenario, tree, basis)
+    e_norm = np.array(solution.p.expected_norms_sq(0))  # levels 0..N
+    q_term = np.array(solution.q.expected_norms_sq(0))  # levels 0..N-1
+
+    pair_term = np.empty(N)
+    for level in range(N):
+        prob = tree.levels[level].prob
+        p, q = solution.p.levels[level], solution.q.levels[level]
+        drift = _generator(fields.operators(level), p, q, fields.source(level))
+        pair_term[level] = _expectation(prob, np.sum(p * drift, axis=-1))
+
+    defects = np.zeros(N + 1)
+    for level in range(N):
+        tail = 2.0 * dt * pair_term[level:].sum() - dt * q_term[level:].sum()
+        defects[level] = e_norm[level] - (e_norm[N] + tail)
+    return defects
+
+
+@dataclass(frozen=True)
+class MultiIndex:
+    """Spatial multi-index alpha with the usual order |alpha|."""
+
+    alpha: tuple
+
+    def __post_init__(self):
+        if any(a < 0 for a in self.alpha):
+            raise StructuralError("multi-index entries must be nonnegative")
+
+    @property
+    def order(self) -> int:
+        return int(sum(self.alpha))
+
+    def sub_indices(self):
+        """All beta <= alpha componentwise, with their binomial weights."""
+        from itertools import product as iproduct
+        ranges = [range(a + 1) for a in self.alpha]
+        for beta in iproduct(*ranges):
+            coef = 1
+            for ai, bi in zip(self.alpha, beta):
+                coef *= math.comb(ai, bi)
+            yield tuple(beta), coef
+
+
+def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
+                            alpha: MultiIndex, scheme: SchemeConfig | None = None,
+                            base: SolutionPair | None = None
+                            ) -> tuple[SolutionPair, float]:
+    """Solve the derived equation for u ~ D^alpha p and report the defect.
+
+    The derived pair (u, v) satisfies
+
+        du = -( L_top u + M_top v + F_tilde ) dt + v dW,  u(T) = D^alpha phi,
+
+    where L_top and M_top keep the top-order coefficients a and sigma, and
+    F_tilde collects D^alpha F and the rest of the Leibniz sum
+
+        D^alpha (Lp + M q) = sum_{beta <= alpha} C(alpha, beta) (D^beta L, D^beta M)
+                             applied to D^{alpha - beta} (p, q)
+
+    on the base solution, with D^beta L, D^beta M the operators assembled from
+    the spectral D^beta of the coefficients.  D^alpha commutes with the outer
+    D_i of the divergence form, so the sum holds in both forms.  The defect is
+    the discrete |||u - D^alpha p|||_0 distance to the spectral derivative of
+    the base solution.
+    """
+    scheme = scheme or SchemeConfig()
+    if len(alpha.alpha) != basis.dim_x:
+        raise StructuralError("multi-index length must equal dim_x")
+    if alpha.order == 0 or alpha.order > _MAX_ORDER:
+        raise StructuralError(
+            f"multi-index order must be in 1..{_MAX_ORDER}, got {alpha.order}")
+    D = partial(basis.derivative, alpha.alpha)  # D^alpha of coefficient rows
+
+    if base is None:
+        base = solve_tree(scenario, tree, basis, scheme)
+    fields = LevelFields(scenario, tree, basis)
+    zero = CoefficientField.zero
+    coeffs = scenario.coefficient_fields()
+
+    def without(*names):
+        return scenario.with_fields(**{name: zero(coeffs[name].shape) for name in names})
+
+    top_scn = without("b", "c", "nu")
+    terms = []  # (C(alpha, beta), the D^beta scenario, D^{alpha - beta})
+    for beta, coef in alpha.sub_indices():
+        if any(beta):
+            scn = scenario.with_fields(**{
+                name: zero(f.shape) if f.is_constant
+                else _multiplier_field(f, partial(basis.derivative, beta), basis)
+                for name, f in coeffs.items()})
+        else:  # the top order at beta = 0 is the derived operator's
+            scn = without("a", "sigma")
+        if not all(f.is_zero for f in scn.coefficient_fields().values()):  # else it adds 0
+            terms.append((coef, scn, partial(basis.derivative,
+                                             tuple(a - b for a, b in zip(alpha.alpha, beta)))))
+
+    def source(level):
+        p, q = base.p.levels[level], base.q.levels[level]
+        out = D(fields.source(level))
+        for coef, scn, Dg in terms:
+            out = out + coef * _generator(fields.operators(level, scn), Dg(p), Dg(q), 0)
+        return out
+
+    derived = backward_solve(tree, basis, scheme, D(fields.terminal()),
+                             lambda level: fields.operators(level, top_scn), source)
+
+    diff_levels = [derived.p.levels[k] - D(base.p.levels[k])
+                   for k in range(len(derived.p.levels))]
+    diff = AdaptedField(tree, basis, diff_levels)
+    defect = float(np.sqrt(diff.time_norm_sq(0)))
+    return derived, defect

@@ -13,7 +13,6 @@ import numpy as np
 from bspde import (
     LevelOperators,
     MollifierConfig,
-    MultiIndex,
     SchemeConfig,
     SpectralBasis,
     backward_solve,
@@ -23,8 +22,6 @@ from bspde import (
     default_modulus,
     energy_audit,
     freeze_and_iterate,
-    higher_regularity_solve,
-    ito_identity_check,
     mixed_norm_sq,
     mollify,
     pair_difference,
@@ -34,7 +31,8 @@ from bspde import (
     validate,
 )
 from helpers import make_scenario, wiener_values
-from oracles import GaussianBump, feynman_kac_mc, heat_reference
+from oracles import (GaussianBump, MultiIndex, feynman_kac_mc, heat_reference,
+                     higher_regularity_solve, ito_identity_check)
 from test_cli import (
     BAD_PARSE,
     BAD_VALID,

@@ -13,7 +13,6 @@ from bspde import (
     DegenerateKernelError,
     LevelOperators,
     MollifierConfig,
-    MultiIndex,
     PathHistory,
     SchemeConfig,
     SpectralBasis,
@@ -23,8 +22,6 @@ from bspde import (
     build_tree,
     default_modulus,
     energy_audit,
-    higher_regularity_solve,
-    ito_identity_check,
     load_scenario,
     load_scenario_text,
     mollify,
@@ -34,6 +31,7 @@ from bspde import (
 )
 from helpers import (counting, higher_regularity_reference, make_scenario,
                      markov_scenario, mollify_reference, wiener_values)
+from oracles import MultiIndex, higher_regularity_solve, ito_identity_check
 
 BASIS = SpectralBasis(1, 6, np.pi)
 TREE = build_tree(1, 4, 2, 0.5)

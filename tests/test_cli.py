@@ -405,6 +405,24 @@ class TestExitCodes:
     def test_tolerance_failure(self):
         assert run("compare", TINY, "--tol", "1e-18")[0] == 6
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["flag", "key"])
+    def test_tol_must_be_finite_and_nonnegative(self, tmp_path, monkeypatch, value, where):
+        # a tol no result can meet, or every result meets, is refused before
+        # anything is built, not reported as a tolerance failure
+        built = []
+        monkeypatch.setattr("bspde.cli.build_tree", lambda *a: built.append(a))
+        scn, flags = TINY, (f"--tol={value}",)
+        if where == "key":
+            text = Path(TINY).read_text(encoding="utf-8")
+            assert "tol = 1e-10" in text
+            scn, flags = tmp_path / "tol.scn", ()
+            scn.write_text(text.replace("tol = 1e-10", f"tol = {value}"), encoding="utf-8")
+        for command in ("compare", "positivity"):
+            code, out, err = run(command, str(scn), *flags)
+            assert (code, out, built) == (3, "", [])
+            assert err == f"error: tol must be finite and >= 0, got {float(value)}\n"
+
     @pytest.mark.parametrize("command, flags, edit, code", [
         ("solve", ("--steps", "0"), None, 3),
         ("solve", ("--steps", "-2"), None, 3),
@@ -440,7 +458,8 @@ class TestArtifacts:
     def test_solve_artifacts(self, tmp_path):
         code, _, _ = run("solve", TINY, "--out", str(tmp_path))
         assert code == 0
-        assert sorted(os.listdir(tmp_path)) == ["fields.csv", "manifest.json", "summary.json"]
+        assert sorted(os.listdir(tmp_path)) == ["fields.csv", "manifest.json", "scenario.scn",
+                                                "summary.json"]
 
     @pytest.mark.parametrize("argv", [
         ("solve", TINY), ("validate", TINY), ("audit", TINY), ("compare", TINY),
@@ -454,6 +473,37 @@ class TestArtifacts:
         code, out, err = run(*argv)
         assert (code, err) == (0, "")
         assert f"command = {argv[0]}\n" in out
+
+    @pytest.mark.parametrize("argv, options", [
+        (("solve", TINY), ()), (("validate", TINY), ()), (("audit", TINY), ()),
+        (("compare", TINY), ()), (("positivity", TINY), ()), (("regress", TINY), ()),
+        (("mollify-study", ROUGH), ()), (("positivity", ROUGH), ()),
+        (("regress", TINY, "--steps", "4", "--paths", "100"), ()),
+        (("compare", TINY, "--modes", "3", "--theta", "0.5", "--tol", "1e-3"), ()),
+        (("audit", TINY), ("--estimate", "2.7")),
+    ], ids=lambda v: "-".join(Path(a).stem if a.endswith(".scn") else a for a in v))
+    def test_written_scenario_reruns_the_command(self, tmp_path, argv, options):
+        # scenario.scn holds the scenario with the flags applied, so a rerun
+        # on it with no discretisation flag prints the same
+        first, second = tmp_path / "first", tmp_path / "second"
+        code, out, _ = run(*argv, *options, "--out", str(first))
+        rerun = run(argv[0], str(first / "scenario.scn"), *options, "--out", str(second))
+        assert rerun[:2] == (code, out)
+        assert (second / "scenario.scn").read_bytes() == (first / "scenario.scn").read_bytes()
+
+    def test_a_refused_run_writes_no_scenario(self, tmp_path):
+        # tiny's grid is coarser than the smallest kernel radius
+        code, _, _ = run("mollify-study", TINY, "--out", str(tmp_path / "out"))
+        assert code == 3 and not (tmp_path / "out").exists()
+
+    def test_forced_branching_is_recorded_by_the_manifest_not_the_scenario(self, tmp_path):
+        # the scenario file has no key that forces a tree on a deterministic
+        # scenario: manifest.json's chain key records which one ran
+        code, out, _ = run("solve", ROUGH, "--branching", "2", "--out", str(tmp_path))
+        assert code == 0 and json.loads((tmp_path / "manifest.json").read_text())["chain"] is False
+        rerun = str(tmp_path / "scenario.scn")
+        assert "n_nodes = 9" in run("solve", rerun)[1]
+        assert run("solve", rerun, "--branching", "2")[:2] == (code, out)
 
     def test_summary_json_sorted_and_matches_stdout(self, tmp_path):
         _, out, _ = run("solve", TINY, "--out", str(tmp_path))

@@ -11,7 +11,6 @@ from bspde import (
     CoefficientField,
     LevelFields,
     LevelOperators,
-    MultiIndex,
     NumericError,
     PathEnsemble,
     SchemeConfig,
@@ -22,8 +21,6 @@ from bspde import (
     build_chain,
     build_tree,
     freeze_and_iterate,
-    higher_regularity_solve,
-    ito_identity_check,
     load_scenario,
     load_scenario_text,
     mixed_norm_sq,
@@ -42,7 +39,8 @@ from helpers import (ADAPTED_TREE_TEXT, DIVERGENCE_MARKOV_TEXT, counting,
                      level_expected_norm_sq_reference, make_scenario, markov_scenario,
                      regression_reference, sup_e_norm_sq_reference, time_norm_sq_reference,
                      weak_residual, wiener_values)
-from oracles import scalar_theta_chain, to_exponential
+from oracles import (MultiIndex, higher_regularity_solve, ito_identity_check,
+                     scalar_theta_chain, to_exponential)
 
 BASIS = SpectralBasis(1, 4, np.pi)
 TINY = Path(__file__).parent / "data" / "tiny.scn"

@@ -1,11 +1,14 @@
 """Rules on the package source, checked by parsing ``src/bspde`` with ``ast``."""
 
 import ast
+import inspect
 from pathlib import Path
 
+import bspde
 from bspde.scenario import FORMS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bspde"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # the dense oracle is the independent reference and walks nodes on purpose
 PER_NODE_ALLOWED = {"oracle.py"}
@@ -419,10 +422,9 @@ def test_every_level_map_in_the_package_names_its_map():
 SOLVES = {"solve", "inv"}
 SOLVE_SITES = {"_level_step"}
 SOLVE_ALLOWED = {"oracle.py"}
-# the regression's one least-squares fit; the coercivity probe fits its two
-# constants on its own
+# the regression's one least-squares fit
 FITS = {"qr", "lstsq"}
-FIT_SITES = {"_fit", "coercivity_probe"}
+FIT_SITES = {"_fit"}
 
 
 def lines_outside(source: str, allowed: set, match) -> list[int]:
@@ -1026,3 +1028,80 @@ def test_a_level_is_averaged_only_by_its_node_order_sum():
     assert package_findings(lambda source: prob_sums_outside(source, {"_expectation"})) == {}
     solver = (SRC / "solver.py").read_text(encoding="utf-8")
     assert prob_sums_outside(solver, set()) != []
+
+
+# public names that no command and no benchmark reads: library entry points
+PUBLIC_UNREAD = {
+    "load_scenario_text",  # load_scenario for scenario text held in memory
+}
+
+
+def names_read(source: str, skip: str | None = None) -> set:
+    """Names that ``source`` reads, as names, attributes or imports, outside
+    the definition of the function or class ``skip`` and outside annotations,
+    which the package never evaluates."""
+    tree = ast.parse(source)
+    annotations = {id(n.annotation) for n in ast.walk(tree)
+                   if isinstance(n, (ast.arg, ast.AnnAssign)) and n.annotation is not None}
+    annotations |= {id(n.returns) for n in ast.walk(tree)
+                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.returns}
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if id(child) in annotations or (
+                    isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and child.name == skip):
+                continue
+            if isinstance(child, ast.Name):
+                found.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                found.add(child.attr)
+            elif isinstance(child, ast.alias):
+                found.add(child.name.split(".")[-1])
+            visit(child)
+    visit(tree)
+    return found
+
+
+def unread_public(public: dict, sources: dict) -> list[str]:
+    """The names of ``public`` (name -> the file that defines it) that no file
+    of ``sources`` (file -> source) reads outside the name's own definition."""
+    read = set()
+    for path, source in sources.items():
+        anywhere = names_read(source)
+        read |= {name for name, home in public.items() if name in anywhere
+                 and (path != home or name in names_read(source, name))}
+    return sorted(set(public) - read)
+
+
+def test_detector_finds_public_names_only_their_definition_reads():
+    sources = {
+        "a.py": (
+            "def run(x: Kind) -> Kind:\n    return helper(x)\n"
+            "def helper(x):\n    return helper(x - 1)\n"
+            "def lonely(n):\n    return lonely(n - 1)\n"
+            "class Kind:\n    kind: Kind\n"
+            "class Node:\n    pass\n"
+            "def make():\n    return Node()\n"
+        ),
+        "b.py": "from .a import run\n",
+        "bench/run.py": "import bspde\nbspde.a.traced()\n",
+    }
+    public = {name: "a.py" for name in ("run", "helper", "lonely", "Kind", "Node", "traced")}
+    assert unread_public(public, sources) == ["Kind", "lonely"]
+
+
+def test_every_public_function_and_class_is_read_by_the_package_or_the_benchmark():
+    # a public name that only tests read is a test reference: it belongs in
+    # tests/oracles.py, not in the package the commands ship
+    public = {name: f"{obj.__module__.rsplit('.', 1)[-1]}.py"
+              for name in bspde.__all__
+              if inspect.isfunction(obj := getattr(bspde, name)) or inspect.isclass(obj)}
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    sources = {path.name: path.read_text(encoding="utf-8") for path in paths}
+    sources |= {f"bench/{path.name}": path.read_text(encoding="utf-8")
+                for path in sorted(BENCH.glob("*.py")) if path.name != "test_bench.py"}
+    assert paths and len(sources) > len(paths)
+    # an exception that gains a reader leaves the list
+    assert unread_public(public, sources) == sorted(PUBLIC_UNREAD)

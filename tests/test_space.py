@@ -12,14 +12,14 @@ from bspde import (
     SpectralBasis,
     assemble_L,
     assemble_M,
-    coercivity_probe,
     load_scenario,
     load_scenario_text,
 )
 from bspde.scenario import FORMS
 from helpers import (DIVERGENCE_MARKOV_TEXT, MARKOV_2D_TEXT, assemble_L_at, assemble_L_reference,
                      assemble_M_at, assemble_M_reference, inner, make_scenario)
-from oracles import exponential_matrix, exponential_operators, to_exponential
+from oracles import (coercivity_probe, exponential_matrix, exponential_operators,
+                     to_exponential)
 
 TINY = Path(__file__).parent / "data" / "tiny.scn"
 
