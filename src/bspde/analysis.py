@@ -233,19 +233,20 @@ def mollify(scenario: Scenario, config: MollifierConfig,
     symbol = np.cos(basis.freqs @ shifts.T) @ weights
     # convolution fixes constants exactly
     return scenario.with_fields(**{
-        name: src if src.is_constant else _multiplier_field(src, lambda c: symbol * c, basis)
+        name: src if src.is_constant else _multiplier_field(src, symbol, basis)
         for name, src in (("a", scenario.a), ("sigma", scenario.sigma))})
 
 
-def _multiplier_field(src: CoefficientField, apply, basis: SpectralBasis) -> CoefficientField:
-    """The field whose coefficients are ``apply`` (a map of coefficient rows) of
-    those of ``src``'s grid samples: reconstructed on the grid, interpolated
-    off it (a smoothing kernel's multiplier, or a derivative)."""
+def _multiplier_field(src: CoefficientField, symbol: Array,
+                      basis: SpectralBasis) -> CoefficientField:
+    """The field whose coefficients are those of ``src``'s grid samples times
+    ``symbol``, one factor per mode (a smoothing kernel's Fourier
+    multiplier): reconstructed on the grid, interpolated off it."""
     grid = basis.grid_points
 
     def at(X, vals):  # the grid samples (k, n_grid, *shape) of k states, at X
-        coeffs = apply(basis.project(vals.reshape(vals.shape[:2] + (-1,)),
-                                     stacked=True).swapaxes(-1, -2))
+        coeffs = symbol * basis.project(vals.reshape(vals.shape[:2] + (-1,)),
+                                        stacked=True).swapaxes(-1, -2)
         on_grid = X.shape == grid.shape and np.array_equal(X, grid)
         out = basis.reconstruct(coeffs) if on_grid else basis.evaluate_at(coeffs, X)
         return out.swapaxes(-1, -2).reshape((len(vals), len(X)) + src.shape)

@@ -166,14 +166,12 @@ class _Run:
                      ("modes", "steps", "branching", "paths", "seed")
                      if getattr(args, k) is not None}
         self.disc = _checked(dc_replace(disc, **overrides))
-        self.theta = args.theta if args.theta is not None else self.run.theta
+        # both are refused here, before anything is built, for every command
+        self.scheme = SchemeConfig(theta=args.theta if args.theta is not None
+                                   else self.run.theta)
         self.tol = args.tol if args.tol is not None else self.run.tol
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise StructuralError(f"tol must be finite and >= 0, got {self.tol}")
-
-    @property
-    def scheme(self) -> SchemeConfig:
-        return SchemeConfig(theta=self.theta)
 
     @cached_property
     def basis(self) -> SpectralBasis:
@@ -209,7 +207,8 @@ class _Run:
         files = {"summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
                  **(files or {}),
                  "scenario.scn": serialize_scenario(
-                     self.scenario, self.disc, dc_replace(self.run, theta=self.theta, tol=self.tol)),
+                     self.scenario, self.disc,
+                     dc_replace(self.run, theta=self.scheme.theta, tol=self.tol)),
                  "manifest.json": self._manifest()}
         for name, chunks in files.items():
             _write_atomic(os.path.join(out_dir, name), chunks)
@@ -227,7 +226,7 @@ class _Run:
             "branching": disc.branching,
             "paths": disc.paths,
             "seed": disc.seed,
-            "theta": self.theta,
+            "theta": self.scheme.theta,
             "tol": self.tol,
         }
         if "tree" in self.__dict__:  # built by this command
@@ -304,7 +303,7 @@ def cmd_solve(r: _Run) -> int:
         "modes": r.disc.modes,
         "steps": r.disc.steps,
         "n_nodes": tree.n_nodes,
-        "theta": _fmt(r.theta),
+        "theta": _fmt(r.scheme.theta),
         "p0_l2": _fmt(p0.norm(0)),
         "p0_h1": _fmt(p0.norm(1)),
         "p_time_h1": _fmt(math.sqrt(solution.p.time_norm_sq(1))),

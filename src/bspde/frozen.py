@@ -19,11 +19,11 @@ a uniform lambda grid, warm-starting each step at the previous solution,
 which reaches coefficient families whose direct freezing iteration diverges.
 
 The initial frozen solve and every Picard step of a ``freeze_and_iterate``
-call read their fields, and the frozen scenario's operators, through one
-``LevelFields``, made with ``rereads`` since every step reads every level
-again, so a t-free operator is assembled once per distinct Wiener state of
-the call, and a map over fields that read ``t`` once per level and state,
-not once per step.
+call read their fields and operators through one ``LevelFields``, made with
+``rereads`` since every step reads every level again: a t-free operator is
+assembled once per distinct Wiener state of the call, a map over fields that
+read ``t`` once per level and state, and each level's step inverse and node
+groups once, not once per step.
 
 The folded source enters the step at the left endpoint without theta
 splitting, so the fixed point reproduces the full tree solve exactly at

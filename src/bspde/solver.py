@@ -22,8 +22,8 @@ its one read over the level's distinct Wiener values, and the operators of
 all of them by one stacked assembly.  ``_level_step`` inverts
 I - theta dt L of every row at once and applies each inverse to its nodes
 as it applies L: a shared row's as one matrix product over the level.  A
-t-free shared row is one ``LevelOperators`` for the whole solve, which
-carries its inverse from level to level.
+``LevelOperators`` keeps its inverse and node groups for its next use (a
+t-free shared row is one object for the whole solve).
 Only the nodes of a row whose inverse does not bound their amplification
 are measured.  With a shared row the regression keeps p at its paths as
 coefficient rows of the fit's Q plus source rows, and steps the rows, not
@@ -33,6 +33,7 @@ the paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -172,16 +173,16 @@ class LevelOperators:
     ``L`` is (k, m, m) and ``Ms`` is (k, dim_w, m, m).  ``index`` is None only
     when one row (k = 1) is shared by the level.  With as many rows as nodes,
     each node has its own row and ``index`` is a permutation.  ``kept`` is
-    set only on a shared row that holds for every level of a solve, which
-    ``LevelFields.operators`` then returns at every level: a list that the
-    step fills with its ``(theta, dt, inverse, bound)`` at the first level
-    and reads at the others.
+    the step's memo: ``_level_step`` fills it with its ``(theta, dt, inverse,
+    bound)`` and reads it whenever the same object comes back with the same
+    theta and dt, as ``LevelFields.operators`` hands it out again under its
+    keep rule.  ``groups`` is made once per object as well.
     """
 
     L: Array
     Ms: Array
     index: Array | None = None
-    kept: list | None = field(default=None, repr=False, compare=False)
+    kept: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         k, m = len(self.L), self.L.shape[-1]
@@ -192,29 +193,29 @@ class LevelOperators:
         if self.index is None and k != 1:
             raise StructuralError(f"{k} operator rows need each node's row (index)")
 
-
-def _row_nodes(ops: LevelOperators) -> list | None:
-    """``(rows, nodes)`` pairs, the slice ``rows`` of ``ops`` acting on ``nodes``:
-    each node's own row on the nodes in row order (a slice when that is level
-    order), and otherwise each row on its nodes in level order.  A shared row
-    acts on every node and has no pairs (None)."""
-    index = ops.index
-    if index is None:
-        return None
-    if len(ops.L) == len(index):
-        in_order = np.array_equal(index, np.arange(len(index)))
-        return [(slice(None), slice(None) if in_order else np.argsort(index))]
-    order = np.argsort(index, kind="stable")
-    cuts = np.flatnonzero(np.diff(index[order])) + 1
-    return [(slice(index[n[0]], index[n[0]] + 1), n) for n in np.split(order, cuts)]
+    @cached_property
+    def groups(self) -> list | None:
+        """``(rows, nodes)`` pairs, the slice ``rows`` acting on ``nodes``: each
+        node's own row on the nodes in row order (a slice when that is level
+        order), and otherwise each row on its nodes in level order.  A shared
+        row acts on every node and has no pairs (None)."""
+        index = self.index
+        if index is None:
+            return None
+        if len(self.L) == len(index):
+            in_order = np.array_equal(index, np.arange(len(index)))
+            return [(slice(None), slice(None) if in_order else np.argsort(index))]
+        order = np.argsort(index, kind="stable")
+        cuts = np.flatnonzero(np.diff(index[order])) + 1
+        return [(slice(index[n[0]], index[n[0]] + 1), n) for n in np.split(order, cuts)]
 
 
 def _apply(op: Array, vec: Array, groups: list | None) -> Array:
     """Level-wise action of ``op`` (matrix rows) on ``vec`` (n, m) over
-    ``groups`` (``_row_nodes``): one matrix product for a shared row,
-    otherwise each row's matvec on each of its nodes, put at its nodes.  One
-    node or many, a row's arithmetic is the same, so grouped and per-node
-    rows agree bit for bit."""
+    ``groups`` (``LevelOperators.groups``): one matrix product for a shared
+    row, otherwise each row's matvec on each of its nodes, put at its nodes.
+    One node or many, a row's arithmetic is the same, so grouped and
+    per-node rows agree bit for bit."""
     if groups is None:
         return vec @ op[0].T
     out = np.empty(vec.shape)
@@ -225,10 +226,9 @@ def _apply(op: Array, vec: Array, groups: list | None) -> Array:
 
 def _generator(ops: LevelOperators, p: Array, q: Array, f: Array) -> Array:
     """Level-wise ``L p + sum_k M^k q^k + F``, on the contract above."""
-    groups = _row_nodes(ops)
-    out = _apply(ops.L, p, groups) + f
+    out = _apply(ops.L, p, ops.groups) + f
     for k in range(q.shape[1]):
-        out = out + _apply(ops.Ms[:, k], q[:, k], groups)
+        out = out + _apply(ops.Ms[:, k], q[:, k], ops.groups)
     return out
 
 
@@ -251,25 +251,23 @@ _CACHE_BYTES = 1 << 24  # bytes of rows one provider keeps across levels
 
 
 class _RowCache(dict):
-    """Rows of named maps, by (map name, owner id, level, state bytes); the
-    level is ``None`` for maps over t-free fields.  A row is kept as a
-    read-only copy, so a write into a row a caller was given raises instead
-    of changing every later read.
+    """Rows of named maps, by (map name, owner id, level, state bytes), and
+    the ``LevelOperators`` that ``LevelFields.operators`` hands out again,
+    by the slot of its keep rule; the level is ``None`` for maps over t-free
+    fields.  A row is kept as a read-only copy, so a write into a row a
+    caller was given raises instead of changing every later read.
 
     An entry holds its owner, so the id cannot name another object while the
-    entry can be hit.  A row that would take the total past ``_CACHE_BYTES``
-    is returned but not kept, so its map runs again at every read.  Unless
-    ``rereads``, the rows of maps that read ``t`` are kept for one level: the
-    first such row of another level drops them.  Beside the rows it keeps
-    what each map's fields read, by (map name, owner id), and the one
-    ``LevelOperators`` of each scenario whose operators hold for every level.
+    entry can be hit.  What would take the total past ``_CACHE_BYTES`` is
+    returned but not kept, so its map runs again at every read.  The rows of
+    maps that read ``t`` are kept only when ``rereads``, and then for every
+    level.  Beside them it keeps what each map's fields read, by (map name,
+    owner id).
     """
 
     def __init__(self, rereads: bool):
         super().__init__()
-        self.nbytes, self.rereads = 0, rereads
-        self.level, self.timed = None, []  # the kept rows that read t: their level, slots
-        self.reads, self.operators = {}, {}
+        self.nbytes, self.rereads, self.reads = 0, rereads, {}
 
     def fits(self, nbytes: int) -> bool:
         return self.nbytes + nbytes <= _CACHE_BYTES
@@ -277,19 +275,12 @@ class _RowCache(dict):
     def keep(self, slot, owner, row: Array) -> Array:
         """Keep a read-only copy of ``row`` under ``slot`` if it fits the byte
         bound; return the kept copy, or ``row`` when it is not kept."""
-        level = slot[2]
-        if level is not None and level != self.level and not self.rereads:
-            for old in self.timed:
-                self.nbytes -= self.pop(old)[1].nbytes
-            self.level, self.timed = level, []
         if not self.fits(row.nbytes):
             return row
         row = row.copy()
         row.flags.writeable = False
         self[slot] = (owner, row)
         self.nbytes += row.nbytes
-        if level is not None:
-            self.timed.append(slot)
         return row
 
     def map_reads(self, key, fields) -> frozenset:
@@ -332,15 +323,14 @@ class LevelFields:
     source and the operators are named maps, whose rows the provider keeps
     (``level_rows``) read-only and hands out as they are: a time-invariant
     L is assembled once per solve, not once per level.  A map over fields
-    that read ``t`` runs once per level and state; its rows are kept for the
-    current level only, unless the provider is made with ``rereads`` for a
-    caller that reads every level again (the Picard steps of
-    ``freeze_and_iterate``).  What a map's fields read is found once per
-    map, not once per read.  ``operators`` returns its rows with each node's
-    row, and for a scenario whose coefficients read none of ``t``, ``w`` and
-    the history one ``LevelOperators`` for every level, whose ``kept`` slot
-    carries the step's inverse across levels; the terminal and the source are
-    expanded to every node (``level_map``).  A filtration or basis made for
+    that read ``t`` runs once per level and state, and its rows are kept
+    only when the provider is made with ``rereads``, for a caller that reads
+    every level again (the Picard steps of ``freeze_and_iterate``).  What a
+    map's fields read is found once per map, not once per read.
+    ``operators`` returns its rows with each node's row as one
+    ``LevelOperators``, which carries the step's inverse and its node groups
+    and is handed out again (see ``operators``); the terminal and the source
+    are expanded to every node (``level_map``).  A filtration or basis made for
     another scenario is refused (``_check_inputs``).
     """
 
@@ -400,8 +390,8 @@ class LevelFields:
         which the key fixes, ``fn`` reads only ``owner``, and it reads ``t``
         only through ``fields``.  A map over fields that read no
         ``"history"`` keeps its rows, keyed by the bytes of ``w``, and by the
-        level when a field reads ``"t"`` (see ``_RowCache`` for how long),
-        and runs once on the states it has no row for: over a solve a t-free
+        level when a field reads ``"t"`` (only under ``rereads``), and runs
+        once on the states it has no row for: over a solve a t-free
         map reads a deterministic state once and each distinct Wiener state
         of all levels once, and a second read of a level runs no map.  An
         ensemble's paths each hold their own state past t = 0, which never
@@ -412,13 +402,12 @@ class LevelFields:
         reads = self._rows.map_reads(key, fields)
         states, index = self.groups(level, reads)
         t = level * self.filtration.dt
-        if "history" in reads or (index is not None and level > 0
-                                  and isinstance(self.filtration, PathEnsemble)):
+        if ("history" in reads or ("t" in reads and not self._rows.rereads) or (
+                index is not None and level > 0 and isinstance(self.filtration, PathEnsemble))):
             return np.asarray(fn(t, states)), index
         name, owner = key
-        when = level if "t" in reads else None
-        slots = [(name, id(owner), when, None if index is None else w.tobytes())
-                 for w in states]
+        slots = [(name, id(owner), level if "t" in reads else None,
+                  None if index is None else w.tobytes()) for w in states]
         rows = [None if entry is None else entry[1] for entry in map(self._rows.get, slots)]
         missing = [i for i, row in enumerate(rows) if row is None]
         if missing:  # one read of every state that has no row
@@ -453,16 +442,22 @@ class LevelFields:
     def operators(self, level: int, scenario=None) -> LevelOperators:
         """Assembled (L, Ms) of ``scenario`` (default: the provider's own):
         one row per group of the level and each node's row, their bytes
-        checked before the first is assembled.  When the coefficients read
-        none of ``t``, ``w`` and the history, and the rows and the step's
-        inverse fit the byte bound, the ``LevelOperators`` made at the first
-        level read is returned at every level."""
+        checked before the first is assembled.  The ``LevelOperators`` made
+        is handed out again, with its step memo and node groups, while it
+        and room for the step's inverse fit the byte bound: made at the first
+        level read and returned at every level when the coefficients read
+        none of ``t``, ``w`` and the history, and otherwise, under
+        ``rereads``, made once per level of the provider's filtration."""
         scn = scenario if scenario is not None else self.scenario
-        kept = self._rows.operators.get(id(scn))
-        if kept is not None:
-            return kept[1]
+        # the keep rule: one object for every level, or one per level under rereads
+        slot = (LevelOperators, id(scn))
+        entry = self._rows.get(slot) or self._rows.get((*slot, id(self.filtration), level))
+        if entry is not None:
+            return entry[1]
         coeffs, basis = scn.coefficient_fields(), self.basis
         reads = self._rows.map_reads(("L", scn), coeffs.values())
+        if reads & {"t", "w", "history"}:
+            slot = (*slot, id(self.filtration), level) if self._rows.rereads else None
         rows = len(self.groups(level, reads)[0])
         # L, the M^k, and the step's I - theta dt L with its temporary
         check_bytes(rows * (3 + scn.dim_w) * basis.n_modes ** 2 * 8,
@@ -479,13 +474,14 @@ class LevelFields:
             level, coeffs.values(),
             lambda t, states: assemble_M(scn, samples(t, states, ("sigma", "nu")), basis),
             ("M", scn))
-        # one row for every level, both kept (read-only), and room for its inverse
-        fixed = (index is None and "t" not in reads
-                 and not (L.flags.writeable or Ms.flags.writeable) and self._rows.fits(L.nbytes))
-        ops = LevelOperators(L, Ms, index, [] if fixed else None)
-        if fixed:
-            self._rows.nbytes += L.nbytes
-            self._rows.operators[id(scn)] = (scn, ops)
+        ops = LevelOperators(L, Ms, index)
+        fresh = [a for a in (L, Ms) if a.flags.writeable]  # rows no row slot keeps
+        nbytes = L.nbytes + sum(a.nbytes for a in fresh)  # and the step's inverse
+        if slot is not None and self._rows.fits(nbytes):
+            for a in fresh:
+                a.flags.writeable = False
+            self._rows[slot] = ((scn, self.filtration), ops)
+            self._rows.nbytes += nbytes
         return ops
 
 
@@ -499,11 +495,13 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     applied to each of its nodes by ``_apply``, as L and the M^k are: a
     shared row as one matrix product over the level, other rows by one
     matvec per node.  Each row's largest absolute row sum of its inverse,
-    which bounds its nodes' amplification, is kept beside it.  Operators with
-    a ``kept`` slot, the one object a solve gets at every level, carry both
-    from the level that made them: the step reads them there when theta and
-    dt match, and inverts nothing.  The finiteness and bound tests run at
-    every level either way.
+    which bounds its nodes' amplification, is kept beside it, in the
+    operators' ``kept`` memo: operators the provider hands out again (one
+    object for every level of a solve, or one per level for the Picard steps)
+    carry both from the call that made them, and the step reads them there
+    when theta and dt match and inverts nothing.  The node groups come from
+    ``LevelOperators.groups``, made once per object.  The finiteness and
+    bound tests run at every call either way.
 
     ``paths``, an (n, k) matrix of entries at most 1 in size, says that
     ``Ep`` and ``q`` are k rows of coefficients of n nodes' values in its
@@ -514,13 +512,12 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     rows prove nothing.  Errors name the node as ``first_node`` plus its
     place among the nodes, never a row.
     """
-    L, Ms, index, kept = ops.L, ops.Ms, ops.index, ops.kept
+    L, Ms, index, kept, groups = ops.L, ops.Ms, ops.index, ops.kept, ops.groups
     if paths is not None:  # the k coefficient rows, then the source rows
         k, n_f = len(Ep), len(fhat)
         Ep, q = (np.concatenate([rows, np.zeros((n_f,) + rows.shape[1:])])
                  for rows in (Ep, q))
         fhat = np.concatenate([np.zeros((k,) + fhat.shape[1:]), fhat])
-    groups = _row_nodes(ops)
     rhs = Ep + dt * fhat
     if theta < 1.0:
         rhs += dt * (1.0 - theta) * _apply(L, Ep, groups)
@@ -544,8 +541,7 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
                 f"singular implicit step at level {level}, node {node}: {exc}") from exc
         # max_i sum_j |inverse_ij| of each row: none of its nodes amplifies more
         bound = np.abs(inverse).sum(axis=-1).max(axis=-1)
-        if kept is not None:
-            kept[:] = [(theta, dt, inverse, bound)]
+        kept[:] = [(theta, dt, inverse, bound)]
     out = _apply(inverse, rhs, groups)
 
     # a dissipative implicit step never amplifies like this; a near-zero

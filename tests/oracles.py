@@ -34,7 +34,6 @@ from scipy.linalg import eigh_tridiagonal
 from bspde import (AdaptedField, CoefficientField, LevelFields, NumericError, Scenario,
                    SchemeConfig, SolutionPair, SpatialField, SpectralBasis, StructuralError,
                    WienerTree, backward_solve, solve_tree)
-from bspde.analysis import _multiplier_field
 from bspde.solver import _expectation, _generator
 
 Array = np.ndarray
@@ -373,6 +372,22 @@ class MultiIndex:
             yield tuple(beta), coef
 
 
+def _derivative_field(src: CoefficientField, beta: tuple, basis: SpectralBasis
+                      ) -> CoefficientField:
+    """The field D^beta ``src``: the spectral D^beta of the coefficients of
+    its grid samples, reconstructed on the grid, interpolated off it."""
+    grid = basis.grid_points
+
+    def at(X, vals):  # the grid samples (k, n_grid, *shape) of k states, at X
+        coeffs = basis.derivative(beta, basis.project(vals.reshape(vals.shape[:2] + (-1,)),
+                                                      stacked=True).swapaxes(-1, -2))
+        on_grid = X.shape == grid.shape and np.array_equal(X, grid)
+        out = basis.reconstruct(coeffs) if on_grid else basis.evaluate_at(coeffs, X)
+        return out.swapaxes(-1, -2).reshape((len(vals), len(X)) + src.shape)
+    return CoefficientField.derived(
+        lambda t, X, states: at(X, src.evaluate_states(t, grid, states)), src.shape, src)
+
+
 def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: SpectralBasis,
                             alpha: MultiIndex, scheme: SchemeConfig | None = None,
                             base: SolutionPair | None = None
@@ -418,7 +433,7 @@ def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: Spectra
         if any(beta):
             scn = scenario.with_fields(**{
                 name: zero(f.shape) if f.is_constant
-                else _multiplier_field(f, partial(basis.derivative, beta), basis)
+                else _derivative_field(f, beta, basis)
                 for name, f in coeffs.items()})
         else:  # the top order at beta = 0 is the derived operator's
             scn = without("a", "sigma")

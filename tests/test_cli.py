@@ -423,6 +423,27 @@ class TestExitCodes:
             assert (code, out, built) == (3, "", [])
             assert err == f"error: tol must be finite and >= 0, got {float(value)}\n"
 
+    @pytest.mark.parametrize("value", ["2", "-0.5", "nan"])
+    @pytest.mark.parametrize("where", ["flag", "key"])
+    def test_theta_is_refused_before_anything_is_built(self, tmp_path, monkeypatch, value,
+                                                       where):
+        # a theta the scheme refuses is refused at the start of every
+        # command: no tree is built and ``validate --out`` writes no scenario
+        built = []
+        monkeypatch.setattr("bspde.cli.build_tree", lambda *a: built.append(a))
+        scn, flags = TINY, (f"--theta={value}",)
+        if where == "key":
+            text = Path(TINY).read_text(encoding="utf-8")
+            assert "theta = 1.0" in text
+            scn, flags = tmp_path / "theta.scn", ()
+            scn.write_text(text.replace("theta = 1.0", f"theta = {value}"), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        for command in ("solve", "validate", "compare"):
+            code, out, err = run(command, str(scn), *flags, "--out", str(out_dir))
+            assert (code, out, built) == (3, "", [])
+            assert err == "error: theta must lie in [0, 1]\n"
+        assert not (out_dir / "scenario.scn").exists()
+
     @pytest.mark.parametrize("command, flags, edit, code", [
         ("solve", ("--steps", "0"), None, 3),
         ("solve", ("--steps", "-2"), None, 3),

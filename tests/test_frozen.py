@@ -8,6 +8,8 @@ import pytest
 
 from bspde import (
     ConvergenceError,
+    LevelFields,
+    LevelOperators,
     PathHistory,
     SchemeConfig,
     SpectralBasis,
@@ -275,6 +277,27 @@ class TestOneProviderPerCall:
             assert report.iterations == max_iter
             counts.append(len(assemblies))
         assert counts[0] == counts[1] > 0
+
+    def test_picard_steps_invert_nothing_new(self, monkeypatch):
+        # each level's operators are handed out again with their inverse: the
+        # initial solve inverts every level once, and no Picard step inverts
+        inverses = []
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a, _inv=np.linalg.inv: inverses.append(a.shape) or _inv(a))
+        scn = markov_scenario(1)
+        tree = build_tree(1, 3, 3, scn.horizon)
+        counts = []
+        for max_iter in (2, 6):
+            inverses.clear()
+            _, report = freeze_and_iterate(scn, np.zeros(1), tree, BASIS, tol=0.0,
+                                           max_iter=max_iter)
+            assert report.iterations == max_iter
+            counts.append(len(inverses))
+        assert counts == [tree.n_steps, tree.n_steps]
+        # a provider made without ``rereads`` keeps no per-level object
+        fields = LevelFields(scn, tree, BASIS)
+        assert fields.operators(2) is not fields.operators(2)
+        assert not any(isinstance(value, LevelOperators) for _, value in fields._rows.values())
 
     def test_picard_steps_read_a_t_dependent_field_once_per_level(self):
         # tiny.scn's F reads t: its rows are kept by level for the whole call

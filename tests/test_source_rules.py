@@ -522,6 +522,44 @@ def test_the_level_step_makes_one_inverse_and_no_solve():
             if name in SOLVES] == ["inv"]
 
 
+# the calls that group a level's nodes by their row, and the functions that
+# apply rows at every use: they read the groups ``LevelOperators.groups`` made
+REGROUPS = {"argsort", "split", "unique", "_row_nodes"}
+ROW_APPLIERS = {"_level_step", "_generator", "_apply"}
+
+
+def regroupings(source: str) -> list[int]:
+    """Line numbers of calls ``<x>.<name>(...)`` or ``<name>(...)``, for the
+    names in ``REGROUPS``, inside the functions named in ``ROW_APPLIERS``,
+    nested functions and lambdas included."""
+    return sorted({node.lineno for top in ast.walk(ast.parse(source))
+                   if isinstance(top, ast.FunctionDef) and top.name in ROW_APPLIERS
+                   for node in ast.walk(top) if isinstance(node, ast.Call)
+                   and (node.func.attr if isinstance(node.func, ast.Attribute)
+                        else getattr(node.func, "id", None)) in REGROUPS})
+
+
+def test_detector_finds_regroupings_in_the_row_appliers():
+    source = (
+        "def _level_step(ops, Ep):\n"
+        "    groups = _row_nodes(ops)\n"
+        "    order = np.argsort(ops.index, kind='stable')\n"
+        "    return ops.groups\n"
+        "def _generator(ops, p):\n"
+        "    parts = np.split(order, cuts)\n"
+        "    fn = lambda w: np.unique(w)\n"
+        "def _apply(op, vec, groups):\n    return vec @ op[0].T\n"
+        "def groups(self):\n    return np.argsort(self.index)\n"
+    )
+    assert regroupings(source) == [2, 3, 6, 7]
+
+
+def test_the_row_appliers_read_the_kept_node_groups():
+    # a level's nodes are grouped once per operator object, not at every
+    # step and every generator call
+    assert regroupings((SRC / "solver.py").read_text(encoding="utf-8")) == []
+
+
 def test_regressions_are_fitted_only_in_fit():
     # a second fit beside the stacked QR would fit each target on its own again
     assert package_findings(lambda source: linalg_calls_outside(source, FITS, FIT_SITES)) == {}
