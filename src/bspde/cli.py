@@ -2,9 +2,10 @@
 
 Subcommands: solve, validate, audit, compare, positivity, mollify-study,
 regress.  Each takes a scenario file, applies flag overrides, prints a
-key=value summary to stdout (stable key order), and optionally writes CSV
-records plus ``summary.json``, ``scenario.scn`` (the scenario as run, which
-reruns the command) and ``manifest.json`` into ``--out`` (atomic
+key=value summary to stdout (stable key order), and optionally writes
+its data files (CSV tables, or solve's ``fields.npz`` of coefficient rows)
+plus ``summary.json``, ``scenario.scn`` (the scenario as run, which reruns
+the command) and ``manifest.json`` into ``--out`` (atomic
 write-then-rename).  Exit codes: 0 success, 2 parse, 3 validation,
 4 budget, 5 numeric, 6 tolerance; a scenario-file error names the line and
 column of the file where it sits.
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import sys
+import zipfile
 from dataclasses import replace as dc_replace
 from functools import cached_property
 
@@ -52,88 +54,17 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _ascii(strings, width: int | None = None) -> np.ndarray:
-    """One row of ASCII bytes per string, padded with 0 to ``width`` bytes
-    (default: the longest string)."""
-    rows = np.array(strings, dtype=f"S{width or ''}")
-    return rows.view(np.uint8).reshape(len(rows), -1)
-
-
-# _fmt's text is a sign, a lead digit and its point, the decimals, then "e",
-# the exponent's sign and two or three digits.  _fmt_bytes writes it as 4-byte
-# words padded with 0, looked up in these tables: sign and lead, each group of
-# four decimals, "e" with the exponent's sign and any hundreds digit, and the
-# exponent's last two digits.  Tables over exponents start at -_E.
-_DECIMALS = _fmt(0.0).index("e") - 2
-_E = 400
-_WORDS = {name: rows.view(np.uint32)[:, 0] for name, rows in {
-    "lead": _ascii([f"{sign}{d}." for sign in ("", "-") for d in range(10)], 4),
-    "quad": np.ascontiguousarray(  # "0000" to "9999"
-        np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")),
-    "e": _ascii([f"e{'-' if e < 0 else '+'}{abs(e) // 100 or ''}"
-                 for e in range(-_E, _E)], 4),
-    "ee": _ascii([f"{abs(e) % 100:02d}" for e in range(-_E, _E)], 4),
-}.items()}
-_SLOT = 4 * (1 + _DECIMALS // 4 + 2)  # bytes per value
-_LOW, _HIGH = 10.0 ** _DECIMALS, 10.0 ** (_DECIMALS + 1)
-# |v| 10^k is |v| * _UP[k + _E] / _DOWN[k + _E]: one factor is 1 and the
-# other the double nearest 10^|k| (exact up to 10^22), or inf past 10^308
-_POW10 = np.array([float(10 ** j) for j in range(309)] + [np.inf])
-_UP = _POW10[np.clip(np.arange(-_E, _E), 0, 309)]
-_DOWN = _POW10[np.clip(np.arange(_E, -_E, -1), 0, 309)]
-_BLOCK_LINES = 8192  # fields.csv lines formatted at once; 4x more adds ~5 MB of peak
-
-
-def _fmt_bytes(values) -> np.ndarray:
-    """``_fmt`` of every value, as one row of ``_SLOT`` bytes padded with 0.
-
-    A finite v takes e = floor(log10 |v|) and y = |v| 10^(D - 1 - e) for D
-    significant digits, scaled by one multiply or divide by a power of ten,
-    so y is off by at most two roundings.  When y lies in [10^(D-1), 10^D)
-    and its fraction is more than 4 ulps from one half, rint(y) holds the
-    correctly rounded digits that ``_fmt`` prints.  The test is on y, not on
-    rint(y): a log10 rounded up to e leaves y just below 10^(D-1), where
-    rint(y) would print 1.000... for a value that ``_fmt`` prints as 9.999...
-    +-0 takes the same path; every other value (a near-tie, a log10 off by
-    one, a scale past 10^308, inf, nan) goes through ``_fmt``.
-    """
-    v = np.ravel(values)
-    a = np.abs(v)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.log10(a)
-        e[~np.isfinite(e)] = 0  # 0, inf and nan
-        e = np.floor(e).astype(np.int64) + _E
-        scale = _DECIMALS + 2 * _E - e
-        y = a * _UP[scale] / _DOWN[scale]
-        m = np.rint(y)
-        fast = (a == 0) | ((y >= _LOW) & (m < _HIGH)
-                           & (np.abs(y - np.floor(y) - 0.5) > 4 * np.spacing(y)))
-    m = np.where(fast, m, 0).astype(np.int64)
-    e[~fast] = _E
-    words = np.empty((len(v), _SLOT // 4), np.uint32)
-    for col in range(_DECIMALS // 4, 0, -1):  # the decimals, last group first
-        m, group = np.divmod(m, 10_000)
-        words[:, col] = _WORDS["quad"][group]
-    words[:, 0] = _WORDS["lead"][m + 10 * np.signbit(v)]
-    words[:, -2] = _WORDS["e"][e]
-    words[:, -1] = _WORDS["ee"][e]
-    out = words.view(np.uint8)
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        out[slow] = _ascii([_fmt(x) for x in v[slow].tolist()], _SLOT)
-    return out
-
-
-def _write_atomic(path: str, chunks):
-    """Write a string, or an iterable of strings, to ``path`` by rename.
-
-    Chunks are written as they come, so a generator's text is never held
-    whole; if it raises, the temporary file goes and ``path`` is untouched.
-    """
+def _write_atomic(path: str, content):
+    """Write ``content`` to ``path`` by rename: a string, or a writer called
+    with the open binary file.  If it raises, the temporary file goes and
+    ``path`` is untouched."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines([chunks] if isinstance(chunks, str) else chunks)
+        with open(tmp, "wb") as fh:
+            if isinstance(content, str):
+                fh.write(content.encode("utf-8"))
+            else:
+                content(fh)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -196,8 +127,8 @@ class _Run:
 
     def emit(self, summary, files=None):
         """Print key=value lines and, with --out, write ``summary.json``,
-        ``files`` (name -> text or chunks), ``scenario.scn`` (the scenario
-        as run, flags applied) and ``manifest.json``."""
+        ``files`` (name -> text or a binary writer), ``scenario.scn`` (the
+        scenario as run, flags applied) and ``manifest.json``."""
         for key, value in summary.items():
             print(f"{key} = {value}")
         out_dir = self.args.out
@@ -244,54 +175,28 @@ class _Run:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _fields_csv(solution, tree, basis):
-    """The lines of fields.csv: the header, then blocks of whole nodes, each
-    of at most ``_BLOCK_LINES`` lines unless one node has more grid points.
-    A block is filled from consecutive levels."""
-    dw = tree.dim_w
-    header = (["level", "node"] + [f"x{i+1}" for i in range(basis.dim_x)]
-              + ["p"] + [f"q{k+1}" for k in range(dw)])
-    xs = _ascii([",".join(map(_fmt, x)) + "," for x in basis.grid_points.tolist()])
-    yield ",".join(header) + "\n"
-    per_block = max(1, _BLOCK_LINES // basis.n_grid)
+def _fields_npz(solution, grid):
+    """The writer of fields.npz: ``p``, every node of levels 0..N in level
+    order, ``q``, those of levels 0..N-1, ``level_nodes``, each level's node
+    count, and ``grid``, the grid points.  Each entry is one ``.npy`` header
+    and then its levels' bytes as the solve holds them, so no field is
+    copied whole; a fixed time stamp makes equal runs write equal files."""
+    p = solution.p.levels
+    entries = {"p": p, "q": solution.q.levels,
+               "level_nodes": [np.array([len(rows) for rows in p])], "grid": [grid]}
 
-    def block(parts):  # (level, lo, hi): the nodes lo..hi-1 of each level, in order
-        prefixes = [f"{level},{node}," for level, lo, hi in parts for node in range(lo, hi)]
-        columns = [np.concatenate([solution.p.levels[level][lo:hi] for level, lo, hi in parts])]
-        columns += [np.concatenate([solution.q.levels[level][lo:hi, k] for level, lo, hi in parts])
-                    for k in range(dw)]
-        # a stack of one-row products: a block-wide matrix product moves last digits
-        values = np.stack([basis.reconstruct(c[:, None])[:, 0] for c in columns], axis=-1)
-        return _csv_block(prefixes, values, xs)
-
-    parts, filled = [], 0
-    for level in range(tree.n_steps):  # both p and q live on 0..N-1
-        lo, n = 0, tree.levels[level].n_nodes
-        while lo < n:
-            hi = min(n, lo + per_block - filled)
-            parts.append((level, lo, hi))
-            filled += hi - lo
-            lo = hi
-            if filled == per_block:
-                yield block(parts)
-                parts, filled = [], 0
-    if parts:
-        yield block(parts)
-
-
-def _csv_block(prefixes, values, xs) -> str:
-    """The lines of one block of nodes, ``values`` (node, grid point, column):
-    each line is its node's prefix, its grid point's ``xs`` and its values,
-    comma-separated."""
-    values = values.reshape(-1, values.shape[-1])
-    n, cols = values.shape
-    cells = np.empty((n, cols, _SLOT + 1), np.uint8)
-    cells[..., :_SLOT] = _fmt_bytes(values).reshape(n, cols, _SLOT)
-    cells[..., _SLOT] = ord(",")
-    cells[:, -1, _SLOT] = ord("\n")
-    lines = np.concatenate([np.repeat(_ascii(prefixes), len(xs), axis=0),
-                            np.tile(xs, (len(prefixes), 1)), cells.reshape(n, -1)], axis=1)
-    return lines[lines != 0].tobytes().decode("ascii")
+    def write(fh):
+        with zipfile.ZipFile(fh, "w") as archive:
+            for name, parts in entries.items():
+                with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w",
+                                  force_zip64=True) as entry:
+                    np.lib.format.write_array_header_1_0(entry, {
+                        "descr": np.lib.format.dtype_to_descr(parts[0].dtype),
+                        "fortran_order": False,
+                        "shape": (sum(map(len, parts)), *parts[0].shape[1:])})
+                    for rows in parts:
+                        entry.write(np.ascontiguousarray(rows))
+    return write
 
 
 def cmd_solve(r: _Run) -> int:
@@ -312,8 +217,8 @@ def cmd_solve(r: _Run) -> int:
     width = len(str(tree.n_steps - 1))
     for level, sq in enumerate(solution.q.expected_norms_sq(0)):
         summary[f"q_norm_{level:0{width}d}"] = _fmt(math.sqrt(sq))
-    # the field dump is only ever written, never printed
-    r.emit(summary, {"fields.csv": _fields_csv(solution, tree, r.basis)})
+    # the coefficient rows are only ever written, never printed
+    r.emit(summary, {"fields.npz": _fields_npz(solution, r.basis.grid_points)})
     return EXIT_OK
 
 
@@ -464,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "tree- or regression-in-noise solves with estimate audits.")
     sub = ap.add_subparsers(dest="command", required=True)
     handlers = [
-        ("solve", cmd_solve, "solve a scenario and dump fields"),
+        ("solve", cmd_solve, "solve a scenario and write its coefficient rows"),
         ("validate", cmd_validate, "run the standing-assumption audit"),
         ("audit", cmd_audit, "fit energy-estimate constants"),
         ("compare", cmd_compare, "check the solver against the dense oracle"),

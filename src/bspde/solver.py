@@ -736,7 +736,8 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
 
     Per-path operator rows step the fitted values of every path, one block
     of paths at a time, each block's rows read and assembled in one batched
-    call.  With deterministic coefficients the step acts on
+    call; step 0, where every path is at w = 0, is one block unless the
+    coefficients read the history.  With deterministic coefficients the step acts on
     the modes alone, so it commutes with the fit, and p at the paths is kept
     in factored form, ``p = Q_prev Y + S``: Y the k stepped coefficient rows
     of the last step's Q, S its stepped source rows (one row, or one per
@@ -768,9 +769,13 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
     # a shared row is one block of every path
     size = max(1, _BLOCK_ENTRIES // nm ** 2)
     shared = scenario.coefficients_deterministic
-    blocks = [(slice(0, None), fields)] if shared else [
+    whole = [(slice(0, None), fields)]
+    blocks = whole if shared else [
         (sl, fields.select(sl)) for sl in (slice(j, j + size)
                                            for j in range(0, n_paths, size))]
+    # at step 0 every path is at w = 0: unless the coefficients read the
+    # history, which holds one state per path, one read serves every path
+    first = blocks if "history" in reads_of(scenario.coefficient_fields().values()) else whole
     w = ensemble.increments.sum(axis=1)  # W at the horizon; each step takes its dW off
 
     def fit(step):  # ``_backward`` asks for each step once, last first
@@ -820,7 +825,8 @@ def solve_regression(scenario: Scenario, ensemble: PathEnsemble, basis: Spectral
         p = np.array(np.broadcast_to(p, (n_paths, nm)))
     q_means = np.empty((N, dw, nm))
     for step, p, q, paths in _backward(  # one block of paths after the other
-            ensemble, scheme, p, lambda step: ((sl, b.operators(step)) for sl, b in blocks),
+            ensemble, scheme, p,
+            lambda step: ((sl, b.operators(step)) for sl, b in (blocks if step else first)),
             fields.source, expect_rows if shared else expect_values):
         q_means[step] = q.mean(axis=0) if paths is None else q[0] / prev[1]
     p0 = p.mean(axis=0) if paths is None else p[0] / prev[1] + p[1:].mean(axis=0)

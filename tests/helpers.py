@@ -336,29 +336,6 @@ def sup_e_norm_sq_reference(field, order=0) -> float:
                for k in range(len(field.levels)))
 
 
-def fields_csv_reference(solution, tree, basis) -> str:
-    """``fields.csv`` text written one node, one grid point, one cell at a time."""
-    def fmt(x):
-        return f"{x:.12e}"
-
-    d, dw = basis.dim_x, tree.dim_w
-    header = (["level", "node"] + [f"x{i+1}" for i in range(d)]
-              + ["p"] + [f"q{k+1}" for k in range(dw)])
-    lines = [",".join(header)]
-    X = basis.grid_points
-    for level in range(tree.n_steps):
-        for node in range(tree.levels[level].n_nodes):
-            pv = basis.reconstruct(solution.p.levels[level][node])
-            qv = [basis.reconstruct(solution.q.levels[level][node, k]) for k in range(dw)]
-            for g in range(basis.n_grid):
-                row = [str(level), str(node)]
-                row += [fmt(X[g, i]) for i in range(d)]
-                row.append(fmt(pv[g]))
-                row += [fmt(qv[k][g]) for k in range(dw)]
-                lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def _d_synth(S, freqs, i):
     """Grid values of D_i u from u's cos/sin coordinates: D_i maps u to -k_i
     times u reversed (cos and sin of each mode pair trade places)."""

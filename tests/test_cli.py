@@ -9,14 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import bspde
 from bspde import (SchemeConfig, SpectralBasis, build_chain, build_tree, load_scenario,
                    solve_tree)
-from bspde.cli import _fields_csv, _fmt, _fmt_bytes, _write_atomic, main
-from helpers import fields_csv_reference, make_scenario
+from bspde.cli import _write_atomic, main
 
 DATA = Path(__file__).parent / "data"
 TINY = str(DATA / "tiny.scn")
@@ -31,6 +28,43 @@ def run(*args):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(args))
     return code, out.getvalue(), err.getvalue()
+
+
+# 2-d with two noises: both q columns carry a field
+TWO_NOISES = """\
+[problem]
+d = 2
+d1 = 2
+T = 0.5
+L = 3.14159265358979
+K = 2.0
+kappa = 0.25
+
+[coefficients]
+a = [[0.5, 0], [0, 0.5]]
+sigma = [[0.2, 0], [0, 0.2]]
+nu = [0.1, 0.1]
+
+[data]
+F = cos(x1 - x2)
+phi = cos(x1)*(1 + 0.2*w1) + 0.3*sin(x2)*w2
+
+[discretization]
+modes = 2
+steps = 2
+branching = 2
+"""
+
+
+def solved(scn):
+    """``solve_tree`` of a scenario file on the tree or chain ``solve`` builds,
+    and its basis."""
+    scenario, disc, cfg = load_scenario(scn)
+    tree = (build_chain(scenario.dim_w, disc.steps, scenario.horizon)
+            if scenario.is_deterministic
+            else build_tree(scenario.dim_w, disc.steps, disc.branching, scenario.horizon))
+    basis = SpectralBasis(scenario.dim_x, disc.modes, scenario.domain_halfwidth)
+    return solve_tree(scenario, tree, basis, SchemeConfig(theta=cfg.theta)), basis
 
 
 SOLVE_TINY_GOLDEN = """\
@@ -479,7 +513,7 @@ class TestArtifacts:
     def test_solve_artifacts(self, tmp_path):
         code, _, _ = run("solve", TINY, "--out", str(tmp_path))
         assert code == 0
-        assert sorted(os.listdir(tmp_path)) == ["fields.csv", "manifest.json", "scenario.scn",
+        assert sorted(os.listdir(tmp_path)) == ["fields.npz", "manifest.json", "scenario.scn",
                                                 "summary.json"]
 
     @pytest.mark.parametrize("argv", [
@@ -554,85 +588,80 @@ class TestArtifacts:
         assert manifest["OMP_NUM_THREADS"] is None
         assert manifest["MKL_NUM_THREADS"] is None
 
-    def test_fields_csv_layout(self, tmp_path):
-        run("solve", TINY, "--out", str(tmp_path))
-        lines = (tmp_path / "fields.csv").read_text().splitlines()
-        assert lines[0] == "level,node,x1,p,q1"
-        # levels 0..steps-1: 1 + 2 + 4 nodes, 9 grid points each
-        assert len(lines) - 1 == 7 * 9
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "0"
-        float(first[2]); float(first[3]); float(first[4])
+    @pytest.mark.parametrize("name", ["tiny", "two_noises", "rough_chain"])
+    def test_fields_npz_holds_the_rows_of_the_solve(self, tmp_path, name):
+        scn = {"tiny": TINY, "rough_chain": ROUGH}.get(name)
+        if scn is None:
+            scn = tmp_path / "two_noises.scn"
+            scn.write_text(TWO_NOISES, encoding="utf-8")
+        for out in ("first", "second"):
+            assert run("solve", str(scn), "--out", str(tmp_path / out))[0] == 0
+        # a fixed time stamp: equal runs write equal files
+        stored = (tmp_path / "first" / "fields.npz").read_bytes()
+        assert (tmp_path / "second" / "fields.npz").read_bytes() == stored
+        with np.load(tmp_path / "first" / "fields.npz") as npz:
+            assert npz.files == ["p", "q", "level_nodes", "grid"]
+            fields = dict(npz)
+        solution, basis = solved(str(scn))
+        p, q = solution.p.levels, solution.q.levels
+        assert fields["level_nodes"].tolist() == [len(rows) for rows in p]
+        cuts = np.cumsum(fields["level_nodes"])[:-1]
+        for got, want in zip(np.split(fields["p"], cuts), p, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for got, want in zip(np.split(fields["q"], cuts[:-1]), q, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert fields["grid"].tobytes() == basis.grid_points.tobytes()
+        noise = np.abs(fields["q"]).max(axis=(0, 2))
+        if name == "two_noises":  # both q columns carry a field
+            assert fields["q"].shape[1:] == (2, 25) and np.all(noise > 1e-3)
+        if name == "rough_chain":  # q is all zeros, and the sign of each zero is kept
+            assert fields["level_nodes"].tolist() == [1] * 9 and np.all(noise == 0)
 
-    def test_fields_csv_matches_per_node_writer_on_tiny(self, tmp_path):
-        run("solve", TINY, "--out", str(tmp_path))
-        scenario, disc, cfg = load_scenario(TINY)
-        tree = build_tree(scenario.dim_w, disc.steps, disc.branching, scenario.horizon)
+    def test_the_written_scenario_and_the_rows_give_the_grid_values(self, tmp_path):
+        # README's reconstruction: the basis of DIR/scenario.scn, flags
+        # applied, takes the stored rows to the values at the stored grid
+        run("solve", TINY, "--modes", "5", "--out", str(tmp_path))
+        scenario, disc, _ = load_scenario(str(tmp_path / "scenario.scn"))
         basis = SpectralBasis(scenario.dim_x, disc.modes, scenario.domain_halfwidth)
-        sol = solve_tree(scenario, tree, basis, SchemeConfig(theta=cfg.theta))
-        want = fields_csv_reference(sol, tree, basis).encode("utf-8")
-        assert (tmp_path / "fields.csv").read_bytes() == want
+        with np.load(tmp_path / "fields.npz") as npz:
+            p, q, grid = npz["p"], npz["q"], npz["grid"]
+        assert p.tobytes() == np.concatenate(solved(str(tmp_path / "scenario.scn"))[0]
+                                             .p.levels).tobytes()
+        p_grid, q_grid = basis.reconstruct(p), basis.reconstruct(q)
+        assert p_grid.shape == (1 + 2 + 4 + 8, 11) and q_grid.shape == (1 + 2 + 4, 1, 11)
+        assert grid.tobytes() == basis.grid_points.tobytes()
+        # each value is its row's trigonometric sum at its grid point
+        assert np.allclose(p_grid, basis.evaluate_at(p, grid), rtol=0, atol=1e-12)
+        assert np.allclose(q_grid, basis.evaluate_at(q, grid), rtol=0, atol=1e-12)
 
-    def test_fields_csv_matches_per_node_writer_in_2d_with_two_noises(self):
-        scenario = make_scenario(
-            d=2, d1=2, sigma=0.2, nu=0.1, F=lambda t, X: np.cos(X[:, 0] - X[:, 1]),
-            phi=lambda t, X, hist: (np.cos(X[:, 0]) * (1.0 + 0.2 * hist.w[0])
-                                    + 0.3 * np.sin(X[:, 1]) * hist.w[1]))
-        tree = build_tree(2, 2, 2, scenario.horizon)
-        basis = SpectralBasis(2, 2, np.pi)
-        sol = solve_tree(scenario, tree, basis)
-        text = "".join(_fields_csv(sol, tree, basis))
-        assert text == fields_csv_reference(sol, tree, basis)
-        lines = text.splitlines()
-        assert lines[0] == "level,node,x1,x2,p,q1,q2"
-        assert len(lines) - 1 == (1 + 4) * basis.n_grid
-        # both q columns carry a nonzero field
-        q = np.array([[float(v) for v in line.split(",")[-2:]] for line in lines[1:]])
-        assert np.all(np.abs(q).max(axis=0) > 1e-3)
-
-    def test_fields_csv_matches_per_node_writer_on_the_rough_chain(self):
-        # a chain: q is all zeros, and the sign of each zero is kept
-        scenario, disc, cfg = load_scenario(ROUGH)
-        tree = build_chain(scenario.dim_w, disc.steps, scenario.horizon)
-        basis = SpectralBasis(scenario.dim_x, disc.modes, scenario.domain_halfwidth)
-        sol = solve_tree(scenario, tree, basis, SchemeConfig(theta=cfg.theta))
-        text = "".join(_fields_csv(sol, tree, basis))
-        assert text == fields_csv_reference(sol, tree, basis)
-        q = {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]}
-        assert q == {"0.000000000000e+00"}
-
-    @pytest.mark.parametrize("budget, block_lines", [
-        (20, [18, 18, 18, 9]),        # two nodes a block: blocks end inside levels
-        (5, [9] * 7)])                # fewer lines than a node: one node a block
-    def test_fields_csv_blocks_hold_at_most_the_budget(self, monkeypatch, budget,
-                                                       block_lines):
-        monkeypatch.setattr("bspde.cli._BLOCK_LINES", budget)
-        scenario, disc, cfg = load_scenario(TINY)
-        tree = build_tree(scenario.dim_w, disc.steps, disc.branching, scenario.horizon)
-        basis = SpectralBasis(scenario.dim_x, disc.modes, scenario.domain_halfwidth)
-        sol = solve_tree(scenario, tree, basis, SchemeConfig(theta=cfg.theta))
-        assert basis.n_grid == 9 and tree.n_nodes - tree.levels[-1].n_nodes == 7
-        header, *blocks = _fields_csv(sol, tree, basis)
-        assert header + "".join(blocks) == fields_csv_reference(sol, tree, basis)
-        counts = [block.count("\n") for block in blocks]
-        assert counts == block_lines
-        assert all(n <= budget or n == basis.n_grid for n in counts)
-
-    def test_no_temp_files_left(self, tmp_path):
+    def test_no_temp_files_left(self, tmp_path, monkeypatch):
         run("solve", TINY, "--out", str(tmp_path))
+        assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+        # a binary writer that fails midway leaves the last run's file as it was
+        before = (tmp_path / "fields.npz").read_bytes()
+
+        def failing(solution, grid):
+            def write(fh):
+                fh.write(b"PK")
+                raise OSError("disk full")
+            return write
+        monkeypatch.setattr("bspde.cli._fields_npz", failing)
+        code, out, err = run("solve", TINY, "--out", str(tmp_path))
+        assert code == 2 and err == "error: disk full\n"
+        assert (tmp_path / "fields.npz").read_bytes() == before
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
     def test_failed_stream_leaves_the_existing_file_untouched(self, tmp_path):
-        target = tmp_path / "fields.csv"
-        target.write_text("old\n")
+        target = tmp_path / "fields.npz"
+        target.write_bytes(b"old\n")
 
-        def chunks():
-            yield "level,node\n"
-            raise RuntimeError("formatting failed")
-        with pytest.raises(RuntimeError, match="formatting failed"):
-            _write_atomic(str(target), chunks())
-        assert target.read_text() == "old\n"
-        assert os.listdir(tmp_path) == ["fields.csv"]  # no temporary file left
+        def writer(fh):
+            fh.write(b"PK\x03\x04")
+            raise RuntimeError("writing failed")
+        with pytest.raises(RuntimeError, match="writing failed"):
+            _write_atomic(str(target), writer)
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["fields.npz"]  # no temporary file left
 
     def test_audit_estimates_csv(self, tmp_path):
         code, _, _ = run("audit", TINY, "--out", str(tmp_path), "--estimate", "2.5")
@@ -670,35 +699,3 @@ class TestArtifacts:
         code, out, _ = run("regress", TINY, *flags, "--out", str(tmp_path))
         assert code == 0 and f"paths = {paths}" in out.splitlines()
         assert json.loads((tmp_path / "manifest.json").read_text())["paths"] == paths
-
-
-def formatted(values) -> list[str]:
-    """``_fmt_bytes`` of ``values`` as one string per value."""
-    rows = _fmt_bytes(np.asarray(values, dtype=float))
-    text = np.concatenate([rows, np.full((len(rows), 1), ord("\n"), np.uint8)], axis=1)
-    return text[text != 0].tobytes().decode("ascii").splitlines()
-
-
-class TestFieldsFormatter:
-    """``_fmt_bytes`` writes the bytes of ``_fmt`` for every float64."""
-
-    @pytest.mark.parametrize("x", [
-        0.0, -0.0,
-        1234567890123.5, 1234567890124.5,           # exact ties of the 13th digit
-        9.9999999999995, 9.99999999999949,          # the carry into the next decade
-        9.9999999999995e99,                         # two exponent digits to three
-        5e-324, 1.7976931348623157e308, 1e22, 1e23,
-        9.999999999999347e279,                      # log10 rounds up to 280
-        float("inf"), float("-inf"), float("nan")])
-    def test_edge_values(self, x):
-        assert formatted([x]) == [_fmt(x)]
-
-    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-                    min_size=1, max_size=40))
-    def test_any_floats_together(self, xs):
-        assert formatted(xs) == [_fmt(x) for x in xs]
-
-    def test_a_million_random_bit_patterns(self):
-        rng = np.random.default_rng(20261019)
-        values = rng.integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64).view(np.float64)
-        assert formatted(values) == [_fmt(x) for x in values.tolist()]

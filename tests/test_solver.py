@@ -1122,9 +1122,9 @@ class TestTimeFreeFields:
         w = np.cumsum(ens.increments, axis=1)
         states = {w[j, s - 1].tobytes() if s else b"" for j in range(50) for s in range(4)}
         assert counts == (len(states), len(states)) == (1 + 3 * 50, 1 + 3 * 50)
-        # rows of t-dependent maps are kept only for a provider made with
-        # ``rereads``: on that path each of the 8 blocks of step 0 assembles
-        assert len(assemblies) - sum(counts) == 2 * (8 + 3 * 50)
+        # rows of t-dependent maps are not kept, but step 0 is one block of
+        # every path: one assembly at step 0, then one per path and step
+        assert len(assemblies) - sum(counts) == 2 * (1 + 3 * 50)
         assert fast.p0().coeffs.tobytes() == slow.p0().coeffs.tobytes()
         assert fast.q_means.tobytes() == slow.q_means.tobytes()
 

@@ -768,15 +768,11 @@ def test_detector_finds_the_precision_outside_fmt():
 
 
 def test_the_digits_of_a_float_are_stated_once():
-    # every float is printed by _fmt; the fields.csv writer reads its layout
-    # off _fmt's text and falls back to _fmt, so no second template can drift
+    # every float is printed by _fmt, so no second template can drift
     assert package_findings(lambda source: lines_outside(source, {"_fmt"},
                                                          holds_precision)) == {}
     cli = (SRC / "cli.py").read_text(encoding="utf-8")
     assert len(lines_outside(cli, set(), holds_precision)) == 1
-    writer = next(node for node in ast.walk(ast.parse(cli))
-                  if isinstance(node, ast.FunctionDef) and node.name == "_fmt_bytes")
-    assert calls_named(ast.unparse(writer), "_fmt")
 
 
 # the level engine's loop, steps and field provider; the dense oracle, the
