@@ -4,8 +4,10 @@ import importlib.metadata
 import io
 import json
 import os
+import zipfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import pytest
 import bspde
 from bspde import (SchemeConfig, SpectralBasis, build_chain, build_tree, load_scenario,
                    solve_tree)
-from bspde.cli import _write_atomic, main
+from bspde.cli import _fields_npz, _write_atomic, main
 
 DATA = Path(__file__).parent / "data"
 TINY = str(DATA / "tiny.scn")
@@ -634,6 +636,59 @@ class TestArtifacts:
         assert np.allclose(p_grid, basis.evaluate_at(p, grid), rtol=0, atol=1e-12)
         assert np.allclose(q_grid, basis.evaluate_at(q, grid), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("name, flags", [
+        ("tiny", ("--steps", "1")),                         # q holds one level
+        ("tiny", ("--branching", "3", "--steps", "2")),
+        ("tiny", ("--theta", "0.5", "--modes", "2")),
+        ("two_noises", ("--modes", "1", "--steps", "3")),
+        ("rough_chain", ("--modes", "6", "--steps", "3"))])
+    def test_fields_npz_follows_the_flags(self, tmp_path, name, flags):
+        # the rows are those of the solve that DIR/scenario.scn reruns
+        scn = {"tiny": TINY, "rough_chain": ROUGH}.get(name)
+        if scn is None:
+            scn = tmp_path / "two_noises.scn"
+            scn.write_text(TWO_NOISES, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("solve", str(scn), *flags, "--out", str(out))[0] == 0
+        with np.load(out / "fields.npz") as npz:
+            fields = dict(npz)
+        solution, basis = solved(str(out / "scenario.scn"))
+        p, q = solution.p.levels, solution.q.levels
+        steps = int(flags[flags.index("--steps") + 1]) if "--steps" in flags else 3
+        assert len(fields["level_nodes"]) == steps + 1 == len(p) == len(q) + 1
+        assert fields["level_nodes"].tolist() == [len(rows) for rows in p]
+        assert fields["p"].tobytes() == np.concatenate(p).tobytes()
+        assert fields["q"].tobytes() == np.concatenate(q).tobytes()
+        assert fields["p"].shape == (sum(map(len, p)), basis.n_modes)
+        dim_w = 2 if name == "two_noises" else 1
+        assert fields["q"].shape == (sum(map(len, q)), dim_w, basis.n_modes)
+        assert fields["grid"].tobytes() == basis.grid_points.tobytes()
+
+    def test_readme_reconstruction_runs_as_written(self, tmp_path):
+        # the README's code block, with DIR the output directory
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```python\n")[1].split("```")[0]
+        assert "DIR/fields.npz" in block and "reconstruct(f[\"p\"])" in block
+        run("solve", TINY, "--out", str(tmp_path))
+        names = {"bspde": bspde, "np": np}
+        exec(block.replace("DIR", str(tmp_path)), names)
+        names["f"].close()
+        solution, basis = solved(TINY)
+        want = basis.reconstruct(np.concatenate(solution.p.levels))
+        assert names["p_grid"].shape == (1 + 2 + 4 + 8, basis.n_grid)
+        assert names["p_grid"].tobytes() == want.tobytes()
+
+    def test_a_failed_solve_writes_no_fields(self, tmp_path):
+        # the singular step raises before anything is written: neither a new
+        # directory nor a file in an old one
+        assert run("solve", SINGULAR, "--out", str(tmp_path / "new"))[0] == 5
+        assert not (tmp_path / "new").exists()
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "fields.npz").write_bytes(b"old\n")
+        assert run("solve", SINGULAR, "--out", str(tmp_path / "old"))[0] == 5
+        assert os.listdir(tmp_path / "old") == ["fields.npz"]
+        assert (tmp_path / "old" / "fields.npz").read_bytes() == b"old\n"
+
     def test_no_temp_files_left(self, tmp_path, monkeypatch):
         run("solve", TINY, "--out", str(tmp_path))
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
@@ -662,6 +717,32 @@ class TestArtifacts:
             _write_atomic(str(target), writer)
         assert target.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["fields.npz"]  # no temporary file left
+
+    def test_a_string_is_written_as_utf8(self, tmp_path):
+        target = tmp_path / "scenario.scn"
+        _write_atomic(str(target), "kappa = 0.3  # \u03ba\n")
+        assert target.read_bytes() == "kappa = 0.3  # \u03ba\n".encode("utf-8")
+        assert os.listdir(tmp_path) == ["scenario.scn"]
+
+    def test_a_failed_writer_makes_no_new_file(self, tmp_path):
+        def writer(fh):
+            fh.write(b"PK\x03\x04")
+            raise OSError("disk full")
+        with pytest.raises(OSError, match="disk full"):
+            _write_atomic(str(tmp_path / "fields.npz"), writer)
+        assert os.listdir(tmp_path) == []
+
+    def test_an_interrupt_also_removes_the_temporary_file(self, tmp_path):
+        target = tmp_path / "fields.npz"
+        target.write_bytes(b"old\n")
+
+        def writer(fh):
+            fh.write(b"PK\x03\x04")
+            raise KeyboardInterrupt
+        with pytest.raises(KeyboardInterrupt):
+            _write_atomic(str(target), writer)
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["fields.npz"]
 
     def test_audit_estimates_csv(self, tmp_path):
         code, _, _ = run("audit", TINY, "--out", str(tmp_path), "--estimate", "2.5")
@@ -699,3 +780,120 @@ class TestArtifacts:
         code, out, _ = run("regress", TINY, *flags, "--out", str(tmp_path))
         assert code == 0 and f"paths = {paths}" in out.splitlines()
         assert json.loads((tmp_path / "manifest.json").read_text())["paths"] == paths
+
+
+def synthetic_solution(node_counts, dim_w, n_modes, seed=0):
+    """A solution-like object with random rows: p on every level, q on all
+    levels but the last."""
+    rng = np.random.default_rng(seed)
+    p = [rng.standard_normal((n, n_modes)) for n in node_counts]
+    q = [rng.standard_normal((n, dim_w, n_modes)) for n in node_counts[:-1]]
+    return SimpleNamespace(p=SimpleNamespace(levels=p), q=SimpleNamespace(levels=q))
+
+
+def written(solution, grid) -> bytes:
+    buf = io.BytesIO()
+    _fields_npz(solution, grid)(buf)
+    return buf.getvalue()
+
+
+# node counts per level, noises, modes
+LAYOUTS = {"chain": ([1] * 5, 1, 3), "binary_tree": ([1, 2, 4, 8], 1, 5),
+           "two_noises": ([1, 4, 16], 2, 9)}
+GRID = np.linspace(-1.0, 1.0, 7)[:, None]
+
+
+class TestFieldsNpz:
+    """``_fields_npz`` streams each field level by level into one entry."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_each_entry_is_one_npy_of_its_rows(self, layout):
+        solution = synthetic_solution(*LAYOUTS[layout])
+        p = solution.p.levels
+        want = {"p": np.concatenate(p), "q": np.concatenate(solution.q.levels),
+                "level_nodes": np.array([len(rows) for rows in p]), "grid": GRID}
+        with zipfile.ZipFile(io.BytesIO(written(solution, GRID))) as archive:
+            assert archive.namelist() == [f"{name}.npy" for name in want]
+            for name, array in want.items():
+                fh = io.BytesIO(archive.read(f"{name}.npy"))
+                assert np.lib.format.read_magic(fh) == (1, 0)
+                shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+                assert (shape, fortran_order, dtype) == (array.shape, False, array.dtype)
+                # the rows' bytes and nothing after them
+                assert fh.read() == array.tobytes()
+
+    def test_the_archive_is_stored_with_a_fixed_stamp(self):
+        solution = synthetic_solution(*LAYOUTS["binary_tree"])
+        with zipfile.ZipFile(io.BytesIO(written(solution, GRID))) as archive:
+            assert archive.testzip() is None
+            for info in archive.infolist():
+                assert info.compress_type == zipfile.ZIP_STORED
+                assert info.date_time == (1980, 1, 1, 0, 0, 0)
+                assert info.compress_size == info.file_size
+
+    def test_a_writer_writes_equal_bytes_each_call(self):
+        solution = synthetic_solution(*LAYOUTS["two_noises"])
+        write = _fields_npz(solution, GRID)
+        first, second = io.BytesIO(), io.BytesIO()
+        write(first)
+        write(second)
+        assert first.getvalue() == second.getvalue() == written(solution, GRID)
+
+    @pytest.mark.parametrize("view", ["fortran", "every_other_row", "column_slice"])
+    def test_rows_held_out_of_order_are_written_by_value(self, view):
+        solution = synthetic_solution(*LAYOUTS["binary_tree"])
+        p = solution.p.levels
+        rows = p[2]
+        if view == "fortran":
+            held = np.asfortranarray(rows)
+        elif view == "every_other_row":
+            held = np.repeat(rows, 2, axis=0)[::2]
+        else:
+            held = np.concatenate([rows, rows], axis=1)[:, :rows.shape[1]]
+        assert not held.flags.c_contiguous and np.array_equal(held, rows)
+        want = written(solution, GRID)
+        p[2] = held
+        assert written(solution, GRID) == want
+
+    def test_no_field_is_copied_whole(self, tmp_path):
+        # 40 levels of 2000 rows: the writer's peak is about one level's
+        # copy, far below the 20 MB of the whole p
+        import tracemalloc
+        rows = np.ones((2000, 32))
+        solution = SimpleNamespace(p=SimpleNamespace(levels=[rows] * 40),
+                                   q=SimpleNamespace(levels=[rows[:, None]] * 39))
+        write = _fields_npz(solution, GRID)
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "fields.npz", "wb") as fh:
+                write(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * rows.nbytes, peak
+        with np.load(tmp_path / "fields.npz") as npz:
+            assert npz["p"].shape == (80000, 32) and np.all(npz["p"] == 1.0)
+
+    @pytest.mark.parametrize("field", ["p", "q"])
+    def test_a_level_that_cannot_be_read_leaves_the_old_file(self, tmp_path, field):
+        # the last level of p or q raises only once the levels before it are
+        # in the archive
+        class Unreadable:
+            def __init__(self, rows):
+                self.shape, self.dtype = rows.shape, rows.dtype
+
+            def __len__(self):
+                return self.shape[0]
+
+            def __array__(self, *args, **kwargs):
+                raise OSError("device lost")
+
+        solution = synthetic_solution(*LAYOUTS["binary_tree"])
+        levels = getattr(solution, field).levels
+        levels[-1] = Unreadable(levels[-1])
+        target = tmp_path / "fields.npz"
+        target.write_bytes(b"old\n")
+        with pytest.raises(OSError, match="device lost"):
+            _write_atomic(str(target), _fields_npz(solution, GRID))
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["fields.npz"]
