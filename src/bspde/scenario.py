@@ -309,7 +309,7 @@ class ValidationReport:
     ``min_margin`` is the smallest sampled eigenvalue of
     ``2a - sigma sigma^T - kappa I``; the superparabolicity flag is exactly
     ``min_margin >= 0``.  This is a sampled audit, not a certification: it
-    speaks only for the probed (t, x, history) set.
+    speaks only for the ``sample_count`` probed (t, x, history), read or not.
     """
 
     symmetry_ok: bool
@@ -346,7 +346,10 @@ def validate(scenario: Scenario, modulus: ModulusOfContinuity | None) -> Validat
     at ``_sample_points``, and the histories used for adapted fields come
     from a fixed internal seed).  Shape problems (non-square a, wrong sigma
     width) raise ``StructuralError`` and are deliberately distinct from a
-    failed check.
+    failed check.  The coefficients are read once per distinct state: in one
+    probe history per time when none reads ``w`` or the history, and at the
+    first time alone when none reads ``t`` either.  Every check is a function
+    of the values read, so the report is the one of the whole probe set.
     """
     ts, xs = _sample_points(scenario)
     d = scenario.dim_x
@@ -368,13 +371,16 @@ def validate(scenario: Scenario, modulus: ModulusOfContinuity | None) -> Validat
 
     n_pairs_cap = 64
     idx = np.arange(len(xs)) if len(xs) <= n_pairs_cap else np.arange(len(xs))[::3]
+    reads = reads_of(scenario.coefficient_fields().values())
     for t in ts:
         hists = _probe_histories(scenario, float(t), _N_HISTORIES, seed=9 + int(1000 * t))
-        # every field in every probe history at once: (n_histories, n, *shape)
-        a_vals, sig_vals, b_vals, c_vals, nu_vals = (
-            f.evaluate_states(t, xs, hists)
-            for f in (scenario.a, scenario.sigma, scenario.b, scenario.c, scenario.nu))
         count += len(hists) * len(xs)
+        if not reads and t > ts[0]:
+            continue  # every probe is the state read at the first time
+        # every field in every distinct probe state at once: (n_states, n, *shape)
+        a_vals, sig_vals, b_vals, c_vals, nu_vals = (
+            f.evaluate_states(t, xs, hists if reads - {"t"} else hists[:1])
+            for f in (scenario.a, scenario.sigma, scenario.b, scenario.c, scenario.nu))
 
         asym = np.max(np.abs(a_vals - np.swapaxes(a_vals, -1, -2)), axis=(1, 2, 3))
         if np.any(asym > slack * (1.0 + np.max(np.abs(a_vals), axis=(1, 2, 3)))):

@@ -67,24 +67,32 @@ class AdaptedField:
     tree: WienerTree
     basis: SpectralBasis
     levels: list[Array]
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _node_norms_sq(self, order=0, start=0, stop=None) -> list[Array]:
         """||.||_order^2 at every node of levels ``start``..``stop``-1 (to the
-        last by default), noise components summed.  Consecutive levels are
-        stacked up to ``_NORM_ENTRIES`` entries (a larger level alone), and
-        each stack takes one weight and one row reduction: a row's sum is
-        the same in a stack as alone."""
-        out, run, size = [], [], 0
-        for rows in self.levels[start:stop] + [None]:
-            if run and (rows is None or size + rows.size > _NORM_ENTRIES):
-                sq = self.basis.norm_sq(np.concatenate(run) if len(run) > 1 else run[0], order)
-                sq = sq if sq.ndim == 1 else sq.sum(axis=-1)
-                out += np.split(sq, np.cumsum([len(r) for r in run[:-1]]))
-                run, size = [], 0
-            if rows is not None:
-                run.append(rows)
-                size += rows.size
-        return out
+        last by default), noise components summed, as read-only arrays.
+
+        The field keeps each (order, level)'s node floats (its levels never
+        change), so a level is reduced once per field and order.  A level
+        that is one row broadcast to its nodes (first stride 0) reduces that
+        row alone.  The missing levels are stacked up to ``_NORM_ENTRIES``
+        entries (a larger level alone), and each stack takes one weight and
+        one row reduction: a row's sum is the same in a stack as alone."""
+        ks, memo = range(len(self.levels))[start:stop], self._norms
+        stacks, size = [], _NORM_ENTRIES
+        for k in (k for k in ks if (order, k) not in memo):
+            rows = self.levels[k][:1] if self.levels[k].strides[0] == 0 else self.levels[k]
+            if size + rows.size > _NORM_ENTRIES:
+                stacks, size = stacks + [{}], 0
+            stacks[-1][k], size = rows, size + rows.size
+        for stack in stacks:
+            run = list(stack.values())
+            sq = self.basis.norm_sq(np.concatenate(run) if len(run) > 1 else run[0], order)
+            sq = sq if sq.ndim == 1 else sq.sum(axis=-1)
+            for k, part in zip(stack, np.split(sq, np.cumsum(list(map(len, run[:-1]))))):
+                memo[order, k] = np.broadcast_to(part, len(self.levels[k]))
+        return [memo[order, k] for k in ks]
 
     def expected_norms_sq(self, order=0, start=0, stop=None) -> list[float]:
         """E ||field(t_k)||_order^2 over the tree measure, for the levels k

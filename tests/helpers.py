@@ -7,8 +7,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from bspde import (CoefficientField, PathHistory, Scenario, assemble_L, assemble_M,
-                   load_scenario_text)
+from bspde import (CoefficientField, PathHistory, Scenario, ValidationReport, assemble_L,
+                   assemble_M, load_scenario_text)
+from bspde.scenario import _N_HISTORIES, _probe_histories, _sample_points
 
 
 def _lift_scalar_callable(fn, shape):
@@ -292,6 +293,58 @@ def reference_expectations(levels, level, values, dt):
     w, dw = nxt.weights.reshape(n, c), nxt.increments.reshape(n, c, -1)
     return (np.einsum("nc,nc...->n...", w, vals),
             np.einsum("nc,nck,nc...->nk...", w, dw, vals) / dt)
+
+
+# -- full-probe validation -----------------------------------------------------
+
+def validate_reference(scenario, modulus):
+    """The sampled audit of ``validate`` read at every probe (t, x, history),
+    whatever the coefficients read: the loop that ``validate`` must equal
+    field by field when it reads each distinct state once."""
+    ts, xs = _sample_points(scenario)
+    d = scenario.dim_x
+    kappa, K = scenario.ellipticity_kappa, scenario.bound_K
+    slack = 1e-9
+    symmetry_ok = bounds_ok = modulus_ok = True
+    min_margin = np.inf
+    count = 0
+    if modulus is not None:
+        radii = np.linspace(0.0, 2 * scenario.domain_halfwidth * np.sqrt(d), 17)
+        gvals = modulus(radii)
+        if not (abs(gvals[0]) <= 1e-12 and np.all(np.diff(gvals) >= -1e-12)
+                and np.all(gvals >= -1e-12)):
+            modulus_ok = False
+    idx = np.arange(len(xs)) if len(xs) <= 64 else np.arange(len(xs))[::3]
+    for t in ts:
+        hists = _probe_histories(scenario, float(t), _N_HISTORIES, seed=9 + int(1000 * t))
+        a_vals, sig_vals, b_vals, c_vals, nu_vals = (
+            f.evaluate_states(t, xs, hists)
+            for f in (scenario.a, scenario.sigma, scenario.b, scenario.c, scenario.nu))
+        count += len(hists) * len(xs)
+        asym = np.max(np.abs(a_vals - np.swapaxes(a_vals, -1, -2)), axis=(1, 2, 3))
+        if np.any(asym > slack * (1.0 + np.max(np.abs(a_vals), axis=(1, 2, 3)))):
+            symmetry_ok = False
+        a_sym = 0.5 * (a_vals + np.swapaxes(a_vals, -1, -2)).reshape((-1, d, d))
+        sig = sig_vals.reshape((-1,) + scenario.sigma.shape)
+        gram = np.einsum("nik,njk->nij", sig, sig)
+        margin = np.linalg.eigvalsh(2.0 * a_sym - gram - kappa * np.eye(d))
+        min_margin = min(min_margin, float(margin.min()))
+        if np.linalg.eigvalsh(2.0 * a_sym).max() > K + slack:
+            bounds_ok = False
+        for vals in (a_vals, b_vals, c_vals, sig_vals, nu_vals):
+            if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > K + slack:
+                bounds_ok = False
+        if modulus is not None and modulus_ok:
+            xa, aa, ss = xs[idx], a_vals[:, idx], sig_vals[:, idx]
+            diff_x = np.linalg.norm(xa[:, None, :] - xa[None, :, :], axis=-1)
+            diff_a = np.sqrt(np.sum((aa[:, :, None] - aa[:, None, :]) ** 2, axis=(-1, -2)))
+            diff_s = np.sqrt(np.sum((ss[:, :, None] - ss[:, None, :]) ** 2, axis=(-1, -2)))
+            cap = modulus(diff_x) + slack
+            if np.any(diff_a > cap) or np.any(diff_s > cap):
+                modulus_ok = False
+    return ValidationReport(symmetry_ok=symmetry_ok, superparabolic_ok=bool(min_margin >= 0.0),
+                            min_margin=float(min_margin), bounds_ok=bounds_ok,
+                            modulus_ok=modulus_ok, sample_count=count)
 
 
 # -- per-node references ------------------------------------------------------

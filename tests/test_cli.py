@@ -115,6 +115,28 @@ negpart_2 = 0.000000000000e+00
 negpart_3 = 0.000000000000e+00
 """
 
+VALIDATE_TINY_GOLDEN = """\
+command = validate
+symmetry_ok = True
+superparabolic_ok = True
+min_margin = 6.102675800081e-01
+bounds_ok = True
+modulus_ok = True
+sample_count = 195
+all_ok = True
+"""
+
+VALIDATE_BAD_GOLDEN = """\
+command = validate
+symmetry_ok = True
+superparabolic_ok = False
+min_margin = -3.000000000000e-01
+bounds_ok = True
+modulus_ok = True
+sample_count = 75
+all_ok = False
+"""
+
 COMPARE_TINY_GOLDEN = """\
 command = compare
 max_diff_p = 4.440892098501e-16
@@ -178,7 +200,11 @@ class TestGoldenOutput:
         (("audit", TINY), AUDIT_TINY_GOLDEN),
         (("positivity", TINY), POSITIVITY_TINY_GOLDEN),
         (("mollify-study", ROUGH), MOLLIFY_ROUGH_GOLDEN),
-    ], ids=["audit-tiny", "positivity-tiny", "mollify-study-rough"])
+        (("validate", TINY), VALIDATE_TINY_GOLDEN),
+        pytest.param(("validate", BAD_VALID), VALIDATE_BAD_GOLDEN,
+                     marks=pytest.mark.filterwarnings("ignore:scenario fails")),
+    ], ids=["audit-tiny", "positivity-tiny", "mollify-study-rough", "validate-tiny",
+            "validate-bad-valid"])
     def test_full_stdout(self, argv, golden):
         code, out, _ = run(*argv)
         assert code == 0
@@ -229,6 +255,28 @@ class TestGoldenOutput:
         assert lines["command"] == "validate"
         assert lines["all_ok"] == "True"
         assert lines["min_margin"] == "6.102675800081e-01"
+
+    def test_audit_reduces_each_field_order_and_level_once(self, monkeypatch):
+        rows = {}
+        norm_sq = SpectralBasis.norm_sq
+
+        def counted(basis, coeffs, order=0):
+            rows[order] = rows.get(order, 0) + len(coeffs)  # node rows
+            return norm_sq(basis, coeffs, order)
+        monkeypatch.setattr(SpectralBasis, "norm_sq", counted)
+        code, out, _ = run("audit", TINY, "--estimate", "all")
+        assert (code, out) == (0, AUDIT_TINY_GOLDEN)
+        # tiny's tree: 3 steps, 2 children; each estimate at n reads p at
+        # n+2 over levels 0..2 and at n+1 over 0..3, q at n+1 over 0..2, and
+        # its own source F, whose t-dependent row is one per level, at n
+        nodes, needed = [1, 2, 4, 8], set()
+        for n in (-1, 0, 1):
+            needed |= {("p", n + 2, k) for k in range(3)} | {("p", n + 1, k) for k in range(4)}
+            needed |= {("q", n + 1, k) for k in range(3)} | {(f"F{n}", n, k) for k in range(3)}
+        want = {}
+        for field_, order, k in needed:
+            want[order] = want.get(order, 0) + (1 if field_.startswith("F") else nodes[k])
+        assert rows == want
 
     def test_audit_table(self):
         code, out, _ = run("audit", TINY)

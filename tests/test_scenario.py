@@ -1,5 +1,7 @@
 """Coefficient fields, scenario construction, and the standing-assumption audit."""
 
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from bspde.analysis import _kernel_shifts
 from bspde.frozen import _combination, _frozen_field
 from bspde.scenario import _sample_points
 from helpers import (MARKOV_2D_TEXT, declared_time_dependent, make_field, make_scenario,
-                     markov_scenario)
+                     markov_scenario, validate_reference)
 
 DATA = Path(__file__).parent / "data"
 
@@ -536,6 +538,84 @@ class TestValidate:
         noisy = validate(make_scenario(sigma=s), default_modulus(2.0))
         assert noisy.min_margin <= base.min_margin + 1e-12
         assert noisy.min_margin == pytest.approx(0.75 - s * s, abs=1e-10)
+
+
+class TestValidateProbes:
+    """``validate`` reads each distinct coefficient state once and reports
+    what the full probe loop of ``helpers.validate_reference`` reports."""
+
+    MODULUS = ModulusOfContinuity(lambda r: np.where(r > 0, 4.0, 0.0))
+
+    @staticmethod
+    def scenario(reads):
+        """a and c read ``reads`` ("" for x alone); b, sigma and nu are
+        constant, and phi reads w1, so every time after 0 has 3 probe histories."""
+        def shift(t, hist):
+            return {"": lambda: 0.0, "t": lambda: t, "w": lambda: hist.w[0],
+                    "history": lambda: hist.increments[:1].sum()}[reads]()
+
+        def a(t, X, hist=None):
+            return (0.5 + 0.1 * np.sin(X[:, 0] + shift(t, hist)))[:, None, None]
+
+        def c(t, X, hist=None):
+            return 0.1 + 0.02 * np.cos(X[:, 0] + shift(t, hist))
+        if reads in ("", "t"):
+            fields = {name: CoefficientField.of_tx(fn, shape, t_free=not reads)
+                      for name, fn, shape in (("a", a, (1, 1)), ("c", c, ()))}
+        else:
+            fields = {name: CoefficientField.adapted(fn, shape, markov=reads == "w", t_free=True)
+                      for name, fn, shape in (("a", a, (1, 1)), ("c", c, ()))}
+        return make_scenario(b=0.1, sigma=0.3, nu=0.05,
+                             phi=lambda t, X, hist: np.cos(X[:, 0]) + hist.w[0], **fields)
+
+    @staticmethod
+    def counted(sc, names):
+        """``sc`` with the fields ``names`` counting the states they are read in."""
+        counts = dict.fromkeys(names, 0)
+
+        def counting(name, field_):
+            def fn(t, X, states):
+                counts[name] += len(states)
+                return field_.fn(t, X, states)
+            return replace(field_, fn=fn)
+        return sc.with_fields(**{name: counting(name, getattr(sc, name)) for name in names}), counts
+
+    @pytest.mark.parametrize("name", ["tiny", "rough", "bad_valid", "singular"])
+    def test_data_scenarios_equal_the_full_probe_loop(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # bad_valid fails the audit on purpose
+            sc = load_scenario(DATA / f"{name}.scn")[0]
+        assert sc.validation == validate_reference(sc, default_modulus(sc.bound_K))
+        assert validate(sc, None) == validate_reference(sc, None)
+
+    @pytest.mark.parametrize("reads, per_field", [("", 1), ("t", 5), ("w", 13), ("history", 13)])
+    def test_each_distinct_state_is_read_once(self, reads, per_field):
+        sc = self.scenario(reads)
+        wrapped, counts = self.counted(sc, ("a", "c"))
+        assert wrapped.a.reads == wrapped.c.reads == frozenset({reads} - {""})
+        report = validate(wrapped, self.MODULUS)
+        assert counts == {"a": per_field, "c": per_field}
+        assert report == validate_reference(sc, self.MODULUS)
+        assert report.sample_count == 15 * (1 + 4 * 3)
+
+    def test_a_field_that_reads_w_has_every_probe_read(self):
+        # the x-only a and c are read once per time, as every probe is
+        nu = CoefficientField.adapted(lambda t, X, h: np.full((len(X), 1), 0.05 * np.sin(h.w[0])),
+                                      (1,), markov=True, t_free=True)
+        sc = self.scenario("").with_fields(nu=nu)
+        wrapped, counts = self.counted(sc, ("a", "c", "nu"))
+        assert validate(wrapped, self.MODULUS) == validate_reference(sc, self.MODULUS)
+        assert counts == {"a": 5, "c": 5, "nu": 13}
+
+    def test_failing_checks_are_found_as_by_the_full_loop(self):
+        # the margin falls below zero at some Wiener values alone
+        sigma = CoefficientField.adapted(
+            lambda t, X, h: np.full((len(X), 1, 1), 0.95 * np.tanh(3 * h.w[0]) ** 2),
+            (1, 1), markov=True, t_free=True)
+        sc = make_scenario(sigma=sigma, phi=lambda t, X, hist: 1.0 + hist.w[0])
+        for modulus in (None, ModulusOfContinuity(lambda r: 0.0 * r), default_modulus(2.0)):
+            assert validate(sc, modulus) == validate_reference(sc, modulus)
+        assert not validate(sc, None).superparabolic_ok
 
 
 class TestSampleGrid:

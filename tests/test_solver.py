@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bspde import (
+    AdaptedField,
     BudgetError,
     CoefficientField,
     LevelFields,
@@ -33,6 +34,7 @@ from bspde import (
 )
 import bspde.errors
 import bspde.solver
+from bspde.analysis import _source_field
 from bspde.solver import _backward, _distinct_rows, _level_step, _monomial_features
 from helpers import (ADAPTED_TREE_TEXT, DIVERGENCE_MARKOV_TEXT, counting,
                      declared_time_dependent, e_sup_norm_sq_reference, ensemble_history,
@@ -421,8 +423,14 @@ class TestLevelReductions:
                                     + 0.3 * np.sin(2 * X[:, 0]) * hist.w[1]),
         )
         tree2 = build_tree(2, 3, 2, two.horizon)
+        b3 = solve_tree(two, build_tree(2, 3, 3, two.horizon), BASIS)
+        # a deterministic source broadcasts its one row per level to the nodes
+        source = _source_field(make_scenario(F=lambda t, X: np.cos(X[:, 0]) * (1.0 - t)),
+                               tree, BASIS)
+        assert all(rows.strides[0] == 0 for rows in source.levels[1:])
         return {"adapted_p": sol.p, "adapted_q": sol.q,
-                "dim_w2_q": solve_tree(two, tree2, BASIS).q}
+                "dim_w2_q": solve_tree(two, tree2, BASIS).q,
+                "b3_dim_w2_p": b3.p, "b3_dim_w2_q": b3.q, "broadcast": source}
 
     @pytest.mark.parametrize("order", [-1, 0, 1, 2, 3])
     @pytest.mark.parametrize("name", ["adapted_p", "adapted_q", "dim_w2_q"])
@@ -434,6 +442,54 @@ class TestLevelReductions:
         assert f.time_norm_sq(order) == time_norm_sq_reference(f, order) > 0
         assert f.e_sup_norm_sq(order) == e_sup_norm_sq_reference(f, order)
         assert f.sup_e_norm_sq(order) == sup_e_norm_sq_reference(f, order)
+
+    # each norm method of a field, and its per-node reference, at one order;
+    # "odd_levels" first keeps some levels, so the next reader stacks the
+    # levels left between them
+    NORMS = {
+        "odd_levels": (lambda f, o: [f.level_expected_norm_sq(k, o)
+                                     for k in range(1, len(f.levels), 2)],
+                       lambda f, o: [level_expected_norm_sq_reference(f, k, o)
+                                     for k in range(1, len(f.levels), 2)]),
+        "e_sup": (lambda f, o: f.e_sup_norm_sq(o), e_sup_norm_sq_reference),
+        "time": (lambda f, o: f.time_norm_sq(o), time_norm_sq_reference),
+        "sup_e": (lambda f, o: f.sup_e_norm_sq(o), sup_e_norm_sq_reference),
+        "expected_norms": (lambda f, o: f.expected_norms_sq(o),
+                           lambda f, o: [level_expected_norm_sq_reference(f, k, o)
+                                         for k in range(len(f.levels))]),
+        "level": (lambda f, o: [f.level_expected_norm_sq(k, o) for k in range(len(f.levels))],
+                  lambda f, o: [level_expected_norm_sq_reference(f, k, o)
+                                for k in range(len(f.levels))]),
+    }
+
+    @pytest.mark.parametrize("name", ["adapted_q", "b3_dim_w2_p", "b3_dim_w2_q", "broadcast"])
+    def test_kept_norms_match_the_reference_in_any_call_order(self, fields, name):
+        src = fields[name]
+        calls = [(order, method) for order in range(-1, 4) for method in self.NORMS]
+        want = {(order, method): self.NORMS[method][1](src, order) for order, method in calls}
+        for sequence in (calls, calls[::-1]):
+            f = AdaptedField(src.tree, src.basis, src.levels)  # nothing kept yet
+            for order, method in sequence:
+                assert self.NORMS[method][0](f, order) == want[order, method], (order, method)
+            kept = f._node_norms_sq(0)
+            assert [len(sq) for sq in kept] == [len(rows) for rows in f.levels]
+            assert not any(sq.flags.writeable for sq in kept)
+
+    def test_a_difference_gets_its_own_norms(self):
+        sc = make_scenario(sigma=0.2, nu=0.1,
+                           phi=lambda t, X, hist: np.cos(X[:, 0]) * (1.0 + 0.2 * hist.w[0]))
+        tree = build_tree(1, 3, 2, sc.horizon)
+        x = solve_tree(sc, tree, BASIS)
+        y = solve_tree(sc.with_fields(F=make_scenario(F=0.3).F), tree, BASIS)
+        for order in range(-1, 4):  # keep every norm of both solutions
+            for f in (x.p, x.q, y.p, y.q):
+                f.e_sup_norm_sq(order)
+        diff = pair_difference(x, y)
+        for order in range(-1, 4):
+            for f, parent in ((diff.p, x.p), (diff.q, x.q)):
+                assert f.time_norm_sq(order) == time_norm_sq_reference(f, order) > 0
+                assert f.e_sup_norm_sq(order) == e_sup_norm_sq_reference(f, order)
+                assert f.e_sup_norm_sq(order) != parent.e_sup_norm_sq(order)
 
 
 class TestResiduals:

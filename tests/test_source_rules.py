@@ -20,6 +20,9 @@ FIELD_BUILDERS = {"scenario.py", "scenario_file.py"}
 READS_TESTERS = {"scenario.py", "solver.py"}
 # the assembly states each form's operator; the scenario validates its form
 FORM_READERS = {"space.py", "scenario.py"}
+# a field keeps its node norms per order and level; every other norm of a
+# field reads them, and a norm of one row goes through ``SpectralBasis.norm``
+NORM_REDUCERS = {("SpectralBasis", "norm"), ("AdaptedField", "_node_norms_sq")}
 
 
 def package_findings(rule, allowed: set = frozenset()) -> dict:
@@ -1139,3 +1142,44 @@ def test_every_public_function_and_class_is_read_by_the_package_or_the_benchmark
     assert paths and len(sources) > len(paths)
     # an exception that gains a reader leaves the list
     assert unread_public(public, sources) == sorted(PUBLIC_UNREAD)
+
+
+def norm_sq_calls(source: str) -> list[int]:
+    """Line numbers of ``norm_sq(...)`` and ``<x>.norm_sq(...)`` calls outside
+    the methods ``NORM_REDUCERS`` names."""
+    tree = ast.parse(source)
+    allowed = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for method in cls.body
+               if isinstance(method, ast.FunctionDef) and (cls.name, method.name) in NORM_REDUCERS
+               for node in ast.walk(method)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and "norm_sq" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None)))
+
+
+def test_detector_finds_norm_reductions_outside_the_kept_norms():
+    source = (
+        "class SpectralBasis:\n"
+        "    def norm(self, coeffs, order=0):\n"
+        "        return np.sqrt(self.norm_sq(coeffs, order))\n"
+        "    def norm_sq(self, coeffs, order=0):\n"
+        "        return np.sum(coeffs ** 2, axis=-1)\n"
+        "class AdaptedField:\n"
+        "    def _node_norms_sq(self, order=0):\n"
+        "        return [self.basis.norm_sq(rows, order) for rows in self.levels]\n"
+        "    def e_sup_norm_sq(self, order=0):\n"
+        "        return self.basis.norm_sq(self.levels[0], order)\n"
+        "class Other:\n"
+        "    def norm(self, u):\n        return norm_sq(u)\n"
+        "sq = basis.norm_sq(\n    rows, 1)\n"
+        "t = field.time_norm_sq(1) + mixed_norm_sq(pair)\n"
+    )
+    assert norm_sq_calls(source) == [10, 13, 14]
+
+
+def test_node_norms_are_reduced_only_where_they_are_kept():
+    # an audit that reduced rows itself would redo what a field keeps
+    assert package_findings(norm_sq_calls) == {}
+    for module in ("space.py", "solver.py"):
+        assert ".norm_sq(" in (SRC / module).read_text(encoding="utf-8")
