@@ -346,10 +346,10 @@ def validate(scenario: Scenario, modulus: ModulusOfContinuity | None) -> Validat
     at ``_sample_points``, and the histories used for adapted fields come
     from a fixed internal seed).  Shape problems (non-square a, wrong sigma
     width) raise ``StructuralError`` and are deliberately distinct from a
-    failed check.  The coefficients are read once per distinct state: in one
-    probe history per time when none reads ``w`` or the history, and at the
-    first time alone when none reads ``t`` either.  Every check is a function
-    of the values read, so the report is the one of the whole probe set.
+    failed check.  When no coefficient reads ``t``, ``w`` or the history,
+    every probe is one state and the coefficients are read at the first time
+    alone.  Every check is a function of the values read, so the report is
+    the one of the whole probe set.
     """
     ts, xs = _sample_points(scenario)
     d = scenario.dim_x
@@ -377,9 +377,9 @@ def validate(scenario: Scenario, modulus: ModulusOfContinuity | None) -> Validat
         count += len(hists) * len(xs)
         if not reads and t > ts[0]:
             continue  # every probe is the state read at the first time
-        # every field in every distinct probe state at once: (n_states, n, *shape)
+        # every field in every probe history at once: (n_histories, n, *shape)
         a_vals, sig_vals, b_vals, c_vals, nu_vals = (
-            f.evaluate_states(t, xs, hists if reads - {"t"} else hists[:1])
+            f.evaluate_states(t, xs, hists)
             for f in (scenario.a, scenario.sigma, scenario.b, scenario.c, scenario.nu))
 
         asym = np.max(np.abs(a_vals - np.swapaxes(a_vals, -1, -2)), axis=(1, 2, 3))

@@ -61,7 +61,8 @@ class AdaptedField:
     """A field attached to every node of the tree: one coefficient row per node.
 
     ``levels[k]`` has shape (n_nodes_k, n_modes) for scalar fields and
-    (n_nodes_k, dim_w, n_modes) for noise coefficients.
+    (n_nodes_k, dim_w, n_modes) for noise coefficients.  Its levels are not
+    to be edited once a norm is read: the field keeps the norms it has read.
     """
 
     tree: WienerTree
