@@ -56,13 +56,14 @@ def _source_field(scenario: Scenario, tree: WienerTree, basis: SpectralBasis) ->
 
 def energy_audit(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
                  basis: SpectralBasis, theorem_tag: str = "weak_est_2_5",
-                 order: int = 1) -> EstimateReport:
+                 order: int = 1, source: AdaptedField | None = None) -> EstimateReport:
     """Fitted constant of one energy estimate on a solved pair,
 
         |||p|||_{n+2}^2 + |||q|||_{n+1}^2 + E sup ||p||_{n+1}^2
         against |||F|||_n^2 + E ||phi||_{n+1}^2,
 
     at n = -1 (weak_est_2_5), 0 (strong_est_2_7) or ``order`` (higher_est_2_9).
+    ``source`` is F at every node (``_source_field``), read here if not given.
 
     The audit is diagnostic: a finite, refinement-stable fitted constant is
     evidence for the estimate at this discretisation, not a proof.
@@ -73,7 +74,7 @@ def energy_audit(solution: SolutionPair, scenario: Scenario, tree: WienerTree,
     n = int(orders[theorem_tag])
     p_ord, q_ord, sup_ord, f_ord = n + 2, n + 1, n + 1, n
 
-    F = _source_field(scenario, tree, basis)
+    F = source if source is not None else _source_field(scenario, tree, basis)
     e_sup = solution.p.e_sup_norm_sq(sup_ord)
     sup_e = solution.p.sup_e_norm_sq(sup_ord)
     lhs = solution.p.time_norm_sq(p_ord) + solution.q.time_norm_sq(q_ord) + e_sup

@@ -20,12 +20,12 @@ import os
 import sys
 import zipfile
 from dataclasses import replace as dc_replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import __version__
-from .analysis import (MollifierConfig, energy_audit, mollify,
+from .analysis import (MollifierConfig, _source_field, energy_audit, mollify,
                        positivity_check)
 from .errors import (BudgetError, EvalError, NumericError, ParseError,
                      ScenarioValidationError, StructuralError)
@@ -165,14 +165,18 @@ class _Run:
                        chain=self.tree.is_chain)
         doc["bspde_version"] = __version__
         doc["numpy_version"] = np.__version__
-        # imported here, not at the top: it costs ~30 ms of start-up and ~1 MB
-        from importlib import metadata
-        try:  # read without importing scipy
-            doc["scipy_version"] = metadata.version("scipy")
-        except metadata.PackageNotFoundError:
-            doc["scipy_version"] = None
+        doc["scipy_version"] = _scipy_version()
         doc.update({var: os.environ.get(var) for var in _THREAD_VARS})
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@cache
+def _scipy_version() -> str | None:  # read once per process, without importing scipy
+    from importlib import metadata  # imported here: ~30 ms of start-up and ~1 MB
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return None
 
 
 def _fields_npz(solution, grid):
@@ -243,9 +247,10 @@ def cmd_audit(r: _Run) -> int:
     table = ["theorem_tag,lhs,rhs_data,fitted_C,passed"]
     summary = {"command": "audit", "estimates": len(wanted)}
     all_passed = True
+    source = _source_field(r.scenario, r.tree, r.basis)  # read once for every estimate
     for flag in wanted:
         rep = energy_audit(solution, r.scenario, r.tree, r.basis,
-                           theorem_tag=_ESTIMATE_BY_FLAG[flag])
+                           theorem_tag=_ESTIMATE_BY_FLAG[flag], source=source)
         table.append(",".join([rep.theorem_tag, _fmt(rep.lhs), _fmt(rep.rhs_data),
                                _fmt(rep.fitted_C), str(rep.passed).lower()]))
         summary[f"fitted_C[{rep.theorem_tag}]"] = _fmt(rep.fitted_C)
@@ -362,7 +367,9 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, help="pass/fail tolerance")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (a parse never changes it)."""
     ap = argparse.ArgumentParser(
         prog="bspde",
         description="Backward stochastic PDE laboratory: spectral-in-space, "

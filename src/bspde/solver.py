@@ -23,7 +23,9 @@ all of them by one stacked assembly.  ``_level_step`` inverts
 I - theta dt L of every row at once and applies each inverse to its nodes
 as it applies L: a shared row's as one matrix product over the level.  A
 ``LevelOperators`` keeps its inverse and node groups for its next use (a
-t-free shared row is one object for the whole solve).
+t-free shared row is one object for the whole solve) and whether any M^k
+row is nonzero: a noise-free step adds no M^k q^k.  A map whose fields read
+none of t, w and the history hands its one kept row to every level.
 Only the nodes of a row whose inverse does not bound their amplification
 are measured.  With a shared row the regression keeps p at its paths as
 coefficient rows of the fit's Q plus source rows, and steps the rows, not
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -79,7 +82,8 @@ class AdaptedField:
         that is one row broadcast to its nodes (first stride 0) reduces that
         row alone.  The missing levels are stacked up to ``_NORM_ENTRIES``
         entries (a larger level alone), and each stack takes one weight and
-        one row reduction: a row's sum is the same in a stack as alone."""
+        one row reduction: a row's sum is the same in a stack as alone.  A
+        stack's node floats are one array, and each level keeps its slice."""
         ks, memo = range(len(self.levels))[start:stop], self._norms
         stacks, size = [], _NORM_ENTRIES
         for k in (k for k in ks if (order, k) not in memo):
@@ -88,18 +92,26 @@ class AdaptedField:
                 stacks, size = stacks + [{}], 0
             stacks[-1][k], size = rows, size + rows.size
         for stack in stacks:
-            run = list(stack.values())
+            run, nodes = list(stack.values()), [len(self.levels[k]) for k in stack]
             sq = self.basis.norm_sq(np.concatenate(run) if len(run) > 1 else run[0], order)
             sq = sq if sq.ndim == 1 else sq.sum(axis=-1)
-            for k, part in zip(stack, np.split(sq, np.cumsum(list(map(len, run[:-1]))))):
-                memo[order, k] = np.broadcast_to(part, len(self.levels[k]))
+            if len(sq) < sum(nodes):  # a broadcast level's one norm, at each of its nodes
+                reps = [n // len(rows) for rows, n in zip(run, nodes)]
+                sq = np.repeat(sq, np.repeat(reps, list(map(len, run))))
+            sq.flags.writeable, end = False, 0
+            for k, n in zip(stack, nodes):
+                memo[order, k], end = sq[end:end + n], end + n
         return [memo[order, k] for k in ks]
 
     def expected_norms_sq(self, order=0, start=0, stop=None) -> list[float]:
         """E ||field(t_k)||_order^2 over the tree measure, for the levels k
-        from ``start`` to ``stop``-1 (to the last by default)."""
-        return [_expectation(self.tree.levels[k].prob, sq)
-                for k, sq in enumerate(self._node_norms_sq(order, start, stop), start)]
+        from ``start`` to ``stop``-1 (to the last by default); a run of
+        levels of one node count is averaged as one stack."""
+        sq, out = self._node_norms_sq(order, start, stop), []
+        for _, run in groupby(zip(self.tree.levels[start:], sq), lambda pair: len(pair[1])):
+            levels, values = zip(*run)
+            out += _expectation(np.array([level.prob for level in levels]), np.array(values))
+        return out
 
     def level_expected_norm_sq(self, level: int, order=0) -> float:
         """E ||field(t_level)||_order^2 over the tree measure."""
@@ -128,12 +140,13 @@ class AdaptedField:
 _NORM_ENTRIES = 1 << 14
 
 
-def _expectation(prob: Array, values: Array) -> float:
-    """sum_i prob_i values_i over a level, added one node after the other.
+def _expectation(prob: Array, values: Array):
+    """sum_i prob_i values_i over a level, added one node after the other: a
+    float, or a list of them for levels of one node count stacked as rows.
 
     A pairwise or BLAS sum would move the last digits of every audit.
     """
-    return float(np.cumsum(prob * values)[-1])
+    return np.cumsum(prob * values, axis=-1)[..., -1].tolist()
 
 
 @dataclass
@@ -185,7 +198,7 @@ class LevelOperators:
     the step's memo: ``_level_step`` fills it with its ``(theta, dt, inverse,
     bound)`` and reads it whenever the same object comes back with the same
     theta and dt, as ``LevelFields.operators`` hands it out again under its
-    keep rule.  ``groups`` is made once per object as well.
+    keep rule.  ``groups`` and ``noisy`` are made once per object as well.
     """
 
     L: Array
@@ -218,6 +231,11 @@ class LevelOperators:
         cuts = np.flatnonzero(np.diff(index[order])) + 1
         return [(slice(index[n[0]], index[n[0]] + 1), n) for n in np.split(order, cuts)]
 
+    @cached_property
+    def noisy(self) -> bool:
+        """Whether any M^k row is nonzero: a noise-free step adds no M^k q^k."""
+        return bool(self.Ms.any())
+
 
 def _apply(op: Array, vec: Array, groups: list | None) -> Array:
     """Level-wise action of ``op`` (matrix rows) on ``vec`` (n, m) over
@@ -236,7 +254,7 @@ def _apply(op: Array, vec: Array, groups: list | None) -> Array:
 def _generator(ops: LevelOperators, p: Array, q: Array, f: Array) -> Array:
     """Level-wise ``L p + sum_k M^k q^k + F``, on the contract above."""
     out = _apply(ops.L, p, ops.groups) + f
-    for k in range(q.shape[1]):
+    for k in range(q.shape[1] if ops.noisy else 0):
         out = out + _apply(ops.Ms[:, k], q[:, k], ops.groups)
     return out
 
@@ -408,13 +426,15 @@ class LevelFields:
         one kept state gets that kept, read-only row as a (1, ...) view.
         The rows are bit-equal to those of a fresh evaluation.
         """
-        reads = self._rows.map_reads(key, fields)
+        reads, (name, owner) = self._rows.map_reads(key, fields), key
+        kept = None if reads else self._rows.get((name, id(owner), None, None))
+        if kept is not None:  # the one row of a map that reads nothing
+            return kept[1][None], None
         states, index = self.groups(level, reads)
         t = level * self.filtration.dt
         if ("history" in reads or ("t" in reads and not self._rows.rereads) or (
                 index is not None and level > 0 and isinstance(self.filtration, PathEnsemble))):
             return np.asarray(fn(t, states)), index
-        name, owner = key
         slots = [(name, id(owner), level if "t" in reads else None,
                   None if index is None else w.tobytes()) for w in states]
         rows = [None if entry is None else entry[1] for entry in map(self._rows.get, slots)]
@@ -530,7 +550,7 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     rhs = Ep + dt * fhat
     if theta < 1.0:
         rhs += dt * (1.0 - theta) * _apply(L, Ep, groups)
-    for j in range(q.shape[1]):
+    for j in range(q.shape[1] if ops.noisy else 0):
         rhs += dt * _apply(Ms[:, j], q[:, j], groups)
 
     def matrix():  # I - theta dt L of every row

@@ -20,6 +20,7 @@ satisfy the second-moment matching and must not be used with adapted data.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -116,6 +117,10 @@ class WienerTree:
             raise ValueError(f"expected {nxt} child values, got {vals.shape[0]}")
         return vals.reshape((self.levels[level].n_nodes, self.n_children) + vals.shape[1:])
 
+    @cached_property
+    def _child_factors(self) -> Array:  # a one-child pattern's weight, then weighted increments
+        return np.concatenate([self.weights, self.weights[0] * self.increments[0]])
+
     def conditional_mean(self, level: int, values) -> Array:
         """Exact ``E[values | node]`` for every node of ``level``.
 
@@ -131,6 +136,10 @@ class WienerTree:
         is the representation coefficient exactly.
         """
         vals = self._by_parent(level, values)
+        if self.n_children == 1:  # each sum is its one term, the child's row times a factor
+            terms = self._child_factors.reshape((-1,) + (1,) * (vals.ndim - 2)) * vals
+            terms += 0.0  # the +0.0 the sums start at: a -0.0 child gives +0.0
+            return terms[:, 0], terms[:, 1:] / self.dt
         return (np.einsum("c,nc...->n...", self.weights, vals),
                 np.einsum("c,ck,nc...->nk...", self.weights, self.increments, vals) / self.dt)
 

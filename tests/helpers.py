@@ -295,6 +295,32 @@ def reference_expectations(levels, level, values, dt):
             np.einsum("nc,nck,nc...->nk...", w, dw, vals) / dt)
 
 
+def every_noise_term_solve(scenario, tree, basis, theta=1.0):
+    """p and q levels of ``solve_tree``'s theta scheme with every
+    ``dt M^k q^k`` term added at every level, zero rows included, and the
+    expectations of the per-node arrays of ``reference_levels``: a noise-free
+    solve, which adds no such term, must give the same bits."""
+    from bspde import LevelFields
+    from bspde.solver import _apply
+
+    fields, ref, dt = LevelFields(scenario, tree, basis), reference_levels(tree), tree.dt
+    p = np.array(np.broadcast_to(fields.terminal(), (len(ref[-1].prob), basis.n_modes)))
+    ps, qs = [p], []
+    for level in range(tree.n_steps - 1, -1, -1):
+        Ep, q = reference_expectations(ref, level, p, dt)
+        ops = fields.operators(level)
+        rhs = Ep + dt * fields.source(level)
+        if theta < 1.0:
+            rhs += dt * (1.0 - theta) * _apply(ops.L, Ep, ops.groups)
+        for j in range(q.shape[1]):
+            rhs += dt * _apply(ops.Ms[:, j], q[:, j], ops.groups)
+        inverse = np.linalg.inv(np.eye(basis.n_modes) - theta * dt * ops.L)
+        p = _apply(inverse, rhs, ops.groups)
+        ps.insert(0, p)
+        qs.insert(0, q)
+    return ps, qs
+
+
 # -- full-probe validation -----------------------------------------------------
 
 def validate_reference(scenario, modulus):

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 import bspde
-from bspde import (SchemeConfig, SpectralBasis, build_chain, build_tree, load_scenario,
+import bspde.cli
+from bspde import (LevelFields, SchemeConfig, SpectralBasis, build_chain, build_tree,
+                   load_scenario,
                    solve_tree)
-from bspde.cli import _fields_npz, _write_atomic, main
+from bspde.cli import _fields_npz, _write_atomic, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 TINY = str(DATA / "tiny.scn")
@@ -313,6 +315,56 @@ class TestGoldenOutput:
         assert code == 0
         assert "modes = 6" in out
         assert "theta = 5.000000000000e-01" in out
+
+
+class TestOneProcess:
+    """Commands run one after another in one process, as the benchmark's
+    sessions run them: the parser is built once, each call parses alone."""
+
+    def test_each_call_parses_its_own_arguments(self, tmp_path):
+        assert build_parser() is build_parser()
+        code, out, _ = run("solve", TINY, "--modes", "6", "--theta", "0.5",
+                           "--out", str(tmp_path / "first"))
+        assert code == 0 and "modes = 6" in out and "theta = 5.000000000000e-01" in out
+        # flags of the last call are not this call's defaults
+        assert run("solve", TINY) == (0, SOLVE_TINY_GOLDEN, "")
+        code, out, _ = run("audit", TINY, "--estimate", "2.7")
+        assert code == 0 and "estimates = 1" in out
+        with pytest.raises(SystemExit) as parse_error:
+            run("solve", TINY, "--modes", "six")
+        assert parse_error.value.code == 2
+        with pytest.raises(SystemExit) as parse_error:
+            run("audit", TINY, "--estimate", "2.8")
+        assert parse_error.value.code == 2
+        # a good run right after a parse error; --estimate is back to all
+        assert run("audit", TINY) == (0, AUDIT_TINY_GOLDEN, "")
+        assert run("validate", TINY)[:2] == (0, VALIDATE_TINY_GOLDEN)
+        assert sorted(os.listdir(tmp_path)) == ["first"]
+
+    def test_scipy_version_is_read_once(self, tmp_path, monkeypatch):
+        reads, version = [], importlib.metadata.version
+        monkeypatch.setattr(importlib.metadata, "version",
+                            lambda name: reads.append(name) or version(name))
+        bspde.cli._scipy_version.cache_clear()
+        for out in ("first", "second"):
+            assert run("solve", TINY, "--out", str(tmp_path / out))[0] == 0
+        assert reads == ["scipy"]
+        manifests = [(tmp_path / out / "manifest.json").read_bytes()
+                     for out in ("first", "second")]
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["scipy_version"] == version("scipy")
+
+    def test_audit_reads_the_source_once_for_every_estimate(self, monkeypatch):
+        made, reads = [], []
+        init, source = LevelFields.__init__, LevelFields.source
+        monkeypatch.setattr(LevelFields, "__init__",
+                            lambda fields, *args: made.append(1) or init(fields, *args))
+        monkeypatch.setattr(LevelFields, "source",
+                            lambda fields, level: reads.append(level) or source(fields, level))
+        assert run("audit", TINY, "--estimate", "all") == (0, AUDIT_TINY_GOLDEN, "")
+        # tiny's 3 levels read by the solve's provider, then by one source
+        # field that serves all three estimates
+        assert (len(made), sorted(reads)) == (2, [0, 0, 1, 1, 2, 2])
 
 
 class TestChainSelection:

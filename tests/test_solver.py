@@ -38,6 +38,7 @@ from bspde.analysis import _source_field
 from bspde.solver import _backward, _distinct_rows, _level_step, _monomial_features
 from helpers import (ADAPTED_TREE_TEXT, DIVERGENCE_MARKOV_TEXT, counting,
                      declared_time_dependent, e_sup_norm_sq_reference, ensemble_history,
+                     every_noise_term_solve,
                      level_expected_norm_sq_reference, make_scenario, markov_scenario,
                      regression_reference, sup_e_norm_sq_reference, time_norm_sq_reference,
                      weak_residual, wiener_values)
@@ -302,6 +303,76 @@ class TestChainSolves:
         chain = build_chain(1, 4, sc.horizon)
         with pytest.raises(StructuralError, match="chain"):
             solve_tree(sc, chain, BASIS)
+
+
+# sigma = nu = 0: a deterministic chain scenario with a rough coefficient,
+# and a tree scenario whose c, F and phi read w1
+NOISE_FREE_TEXT = {"chain": """
+[problem]
+d = 1
+d1 = 1
+T = 0.25
+L = 1.0
+K = 2.0
+kappa = 0.3
+[coefficients]
+a = 0.6 + 0.1*abs(sin(3.14159265358979*x1))
+b = [0.1*cos(3.14159265358979*x1 + 0.4)]
+c = 0.05
+[data]
+F = 0.3*(1 + 0.5*cos(3.14159265358979*x1))
+phi = 1.1 + cos(3.14159265358979*(x1 - 0.2))
+""", "tree": """
+[problem]
+d = 1
+d1 = 1
+T = 0.5
+L = 3.14159265358979
+K = 2.0
+kappa = 0.3
+[coefficients]
+a = 0.6 + 0.05*sin(x1 + 0.3)
+b = [0.1*cos(x1)]
+c = 0.1 + 0.03*cos(w1 + 0.2)
+[data]
+F = cos(x1 - w1)
+phi = 1.5 + sin(x1) + 0.3*w1
+"""}
+
+
+class TestNoiseFreeStep:
+    """With sigma = nu = 0 every M^k row is zero, and the step adds no
+    ``dt M^k q^k``: the bits stay those of a step that adds every term."""
+
+    @pytest.mark.parametrize("name, theta, noise", [
+        ("chain", 1.0, None), ("chain", 0.5, None), ("tree", 1.0, None),
+        ("tree", 0.5, None), ("tree", 0.5, "sigma = [[0.2 + 0.05*sin(w1)]]\nnu = [0.1]")],
+        ids=["chain", "chain-theta-half", "tree-b3", "tree-b3-theta-half", "noisy-tree-b3"])
+    def test_the_solve_equals_the_every_term_reference(self, name, theta, noise):
+        text = NOISE_FREE_TEXT[name]
+        if noise is not None:  # the control: a noisy step adds its terms as the reference does
+            text = text.replace("[data]", noise + "\n[data]")
+        sc = load_scenario_text(text)[0]
+        if name == "chain":
+            tree, basis = build_chain(1, 32, sc.horizon), SpectralBasis(1, 8, 1.0)
+        else:
+            tree, basis = build_tree(1, 3, 3, sc.horizon), BASIS
+        assert LevelFields(sc, tree, basis).operators(0).noisy is (noise is not None)
+        sol = solve_tree(sc, tree, basis, SchemeConfig(theta=theta))
+        ps, qs = every_noise_term_solve(sc, tree, basis, theta)
+        for got, want in zip(sol.p.levels + sol.q.levels, ps + qs, strict=True):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_a_chain_level_applies_one_matrix(self, monkeypatch):
+        applied, inverted = [], []
+        apply, inv = bspde.solver._apply, np.linalg.inv
+        monkeypatch.setattr(bspde.solver, "_apply",
+                            lambda *args: applied.append(1) or apply(*args))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(1) or inv(a))
+        sc = load_scenario_text(NOISE_FREE_TEXT["chain"])[0]
+        solve_tree(sc, build_chain(1, 24, sc.horizon), SpectralBasis(1, 8, 1.0))
+        # one inverse kept for the t-free operators, applied once per level
+        assert (len(applied), len(inverted)) == (24, 1)
 
 
 class TestTreeSolves:

@@ -194,12 +194,17 @@ class TestPatternAgainstPerNodeReference:
                 assert got.w.tobytes() == want.w.tobytes()
 
     @pytest.mark.parametrize("tail", ["scalar", "modes", "noise_modes"])
+    @np.errstate(invalid="ignore")  # inf times a zero increment is nan, in both
     def test_expectations(self, tree, tail):
+        # every other entry is exact: +0.0, -0.0 (whose sums give +0.0), nan
+        # and infinities, the first of them rolled on by one entry per level
         ref = reference_levels(tree)
         rng = np.random.default_rng(12)
         shape = {"scalar": (), "modes": (5,), "noise_modes": (tree.dim_w, 5)}[tail]
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
         for k in range(tree.n_steps):
             vals = rng.standard_normal((tree.levels[k + 1].n_nodes,) + shape)
+            vals.flat[::2] = np.resize(np.roll(special, -k), vals.flat[::2].size)
             for got, want in zip(tree.expectations(k, vals),
                                  reference_expectations(ref, k, vals, tree.dt)):
                 assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
