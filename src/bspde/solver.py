@@ -138,6 +138,9 @@ class AdaptedField:
 # and a stack stays cache-sized (whole-tree stacks of 2^18 entries made the
 # audits of a 9,841-node tree half again slower than one level at a time)
 _NORM_ENTRIES = 1 << 14
+# entries n m^2 of a level's rows gathered to its n nodes for one product: on a
+# 2-core Xeon, one BLAS thread, 9 to 33 modes, that wins up to 2^17, loses from 3*2^16
+_GATHER_ENTRIES = 1 << 17
 
 
 def _expectation(prob: Array, values: Array):
@@ -185,8 +188,9 @@ def pair_difference(x: SolutionPair, y: SolutionPair) -> SolutionPair:
 # 1 when the field is deterministic (one row shared by the level) and the
 # level's node count when it is adapted.  A level's operators are one
 # ``LevelOperators``: ``k`` rows and ``index``, the (n_level,) row of every
-# node.  The engine inverts every row at once, applies each row to all of
-# its nodes at once and never copies a row to every node.
+# node.  The engine inverts every row at once and applies each row to all of
+# its nodes at once; it copies rows to nodes only to gather a level of fewer
+# rows than nodes, within ``_GATHER_ENTRIES``, into one stacked product.
 
 @dataclass(frozen=True)
 class LevelOperators:
@@ -217,16 +221,19 @@ class LevelOperators:
 
     @cached_property
     def groups(self) -> list | None:
-        """``(rows, nodes)`` pairs, the slice ``rows`` acting on ``nodes``: each
+        """``(rows, nodes)`` pairs, the rows ``rows`` acting on ``nodes``: each
         node's own row on the nodes in row order (a slice when that is level
-        order), and otherwise each row on its nodes in level order.  A shared
-        row acts on every node and has no pairs (None)."""
+        order), every node's row (``index``) when fewer rows fit gathered in
+        ``_GATHER_ENTRIES``, and otherwise each row on its nodes in level
+        order.  A shared row acts on every node and has no pairs (None)."""
         index = self.index
         if index is None:
             return None
         if len(self.L) == len(index):
             in_order = np.array_equal(index, np.arange(len(index)))
             return [(slice(None), slice(None) if in_order else np.argsort(index))]
+        if len(index) * self.L.shape[-1] ** 2 <= _GATHER_ENTRIES:
+            return [(index, slice(None))]
         order = np.argsort(index, kind="stable")
         cuts = np.flatnonzero(np.diff(index[order])) + 1
         return [(slice(index[n[0]], index[n[0]] + 1), n) for n in np.split(order, cuts)]
@@ -240,9 +247,10 @@ class LevelOperators:
 def _apply(op: Array, vec: Array, groups: list | None) -> Array:
     """Level-wise action of ``op`` (matrix rows) on ``vec`` (n, m) over
     ``groups`` (``LevelOperators.groups``): one matrix product for a shared
-    row, otherwise each row's matvec on each of its nodes, put at its nodes.
-    One node or many, a row's arithmetic is the same, so grouped and
-    per-node rows agree bit for bit."""
+    row, otherwise each row's matvec on each of its nodes, put at its nodes,
+    in one stacked product or one per row group.  One node or many, gathered
+    or not, a row's arithmetic is the same, so grouped and per-node rows
+    agree bit for bit."""
     if groups is None:
         return vec @ op[0].T
     out = np.empty(vec.shape)
@@ -257,21 +265,6 @@ def _generator(ops: LevelOperators, p: Array, q: Array, f: Array) -> Array:
     for k in range(q.shape[1] if ops.noisy else 0):
         out = out + _apply(ops.Ms[:, k], q[:, k], ops.groups)
     return out
-
-
-def _distinct_rows(w: Array) -> tuple[Array, Array]:
-    """First index of each distinct row of ``w`` and every row's group.
-
-    Rows are compared by their bytes: ``-0.0`` and ``0.0`` differ.  One
-    column is sorted as plain numbers, more as records of their columns, in
-    the same order.
-    """
-    bits = w.view(np.uint64)
-    if bits.shape[1] == 1:
-        _, first, inverse = np.unique(bits[:, 0], return_index=True, return_inverse=True)
-    else:
-        _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
 
 
 _CACHE_BYTES = 1 << 24  # bytes of rows one provider keeps across levels
@@ -338,27 +331,28 @@ class LevelFields:
     """A scenario's terminal, source and operators, one whole level at a time.
 
     ``filtration`` is a ``WienerTree`` or a ``PathEnsemble``: anything with
-    ``dt`` and ``level_increments(level)``.  Every field read goes through
-    ``level_rows``, which runs a map on the states of the groups of the
-    level's nodes that its fields' ``reads`` call for (``groups``): one state
-    per level (``k = 1``) when they read no history, the level's distinct
-    Wiener values when they read ``w``, and each node's history when they
-    read the whole history.  A map takes all its states at once: a field
-    is read in all of them by its one read (``CoefficientField.evaluate_states``)
-    and the operators of every state are assembled by one stacked product.
-    The groups are kept for the current level only.  The terminal, the
-    source and the operators are named maps, whose rows the provider keeps
-    (``level_rows``) read-only and hands out as they are: a time-invariant
-    L is assembled once per solve, not once per level.  A map over fields
-    that read ``t`` runs once per level and state, and its rows are kept
-    only when the provider is made with ``rereads``, for a caller that reads
-    every level again (the Picard steps of ``freeze_and_iterate``).  What a
-    map's fields read is found once per map, not once per read.
-    ``operators`` returns its rows with each node's row as one
-    ``LevelOperators``, which carries the step's inverse and its node groups
-    and is handed out again (see ``operators``); the terminal and the source
-    are expanded to every node (``level_map``).  A filtration or basis made for
-    another scenario is refused (``_check_inputs``).
+    ``dt``, ``states``, ``states_recur`` and ``level_increments``.  Every field
+    read goes through ``level_rows``, which runs a map on the states of the
+    groups of the level's nodes that its fields' ``reads`` call for
+    (``groups``): one state per level (``k = 1``) when they read no history,
+    the level's distinct Wiener values when they read ``w``, and each node's
+    history when they read the whole history.  A map takes all its states at
+    once: a field is read in all of them by its one read
+    (``CoefficientField.evaluate_states``) and the operators of every state are
+    assembled by one stacked product.  The Wiener values are the filtration's
+    ``states``, which a tree keeps for every level; the groups are kept for the
+    current level only.  The terminal, the source and the operators are named
+    maps, whose rows the provider keeps (``level_rows``) read-only and hands
+    out as they are: a time-invariant L is assembled once per solve, not once
+    per level.  A map over fields that read ``t`` runs once per level and
+    state, and its rows are kept only when the provider is made with
+    ``rereads``, for a caller that reads every level again (the Picard steps of
+    ``freeze_and_iterate``).  What a map's fields read is found once per map,
+    not once per read.  ``operators`` returns its rows with each node's row as
+    one ``LevelOperators``, which carries the step's inverse and its node
+    groups and is handed out again (see ``operators``); the terminal and the
+    source are expanded to every node (``level_map``).  A filtration or basis
+    made for another scenario is refused (``_check_inputs``).
     """
 
     def __init__(self, scenario, filtration, basis: SpectralBasis, rereads: bool = False):
@@ -380,12 +374,12 @@ class LevelFields:
     def groups(self, level: int, reads) -> tuple:
         """The states of the groups of the level's nodes, for fields that read
         ``reads``, and each node's group: ``([None], None)`` when they read
-        no history; the level's distinct Wiener values, a (k, dim_w) array,
-        when they read ``"w"``; and one ``PathHistory`` per node, in level
-        order, only when they read ``"history"``.  States are told apart by
-        their bytes, not by float comparison, so ``-0.0`` and ``0.0`` stay
-        apart and a Markov field sees exactly the bits it would see at each
-        of the group's nodes.
+        no history; the level's distinct Wiener values, a read-only (k, dim_w)
+        array, when they read ``"w"`` (the filtration's ``states``); and one
+        ``PathHistory`` per node, in level order, only when they read
+        ``"history"``.  States are told apart by their bytes, not by float
+        comparison, so ``-0.0`` and ``0.0`` stay apart and a Markov field
+        sees exactly the bits it would see at each of the group's nodes.
         """
         if not reads & {"w", "history"}:
             return [None], None
@@ -393,15 +387,14 @@ class LevelFields:
         if level != self._level:
             self._level, self._groups = level, {}
         if per_node not in self._groups:
-            incs = self.filtration.level_increments(level)
-            w = incs.sum(axis=1)  # the same sum, in the same order, as each history.w
             if per_node:
+                incs = self.filtration.level_increments(level)
+                w = incs.sum(axis=1)  # the same sum, in the same order, as each history.w
                 t, dt = level * self.filtration.dt, self.filtration.dt
                 self._groups[per_node] = ([PathHistory(t, dt, incs[i], w[i])
                                            for i in range(len(w))], np.arange(len(w)))
             else:
-                first, inverse = _distinct_rows(w)
-                self._groups[per_node] = (w[first], inverse)
+                self._groups[per_node] = self.filtration.states(level)
         return self._groups[per_node]
 
     def level_rows(self, level: int, fields, fn, key) -> tuple[Array, Array | None]:
@@ -433,7 +426,7 @@ class LevelFields:
         states, index = self.groups(level, reads)
         t = level * self.filtration.dt
         if ("history" in reads or ("t" in reads and not self._rows.rereads) or (
-                index is not None and level > 0 and isinstance(self.filtration, PathEnsemble))):
+                index is not None and level > 0 and not self.filtration.states_recur)):
             return np.asarray(fn(t, states)), index
         slots = [(name, id(owner), level if "t" in reads else None,
                   None if index is None else w.tobytes()) for w in states]
@@ -523,7 +516,8 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     Every row's matrix I - theta dt L is inverted by one batched inverse and
     applied to each of its nodes by ``_apply``, as L and the M^k are: a
     shared row as one matrix product over the level, other rows by one
-    matvec per node.  Each row's largest absolute row sum of its inverse,
+    matvec per node, gathered into one stacked product on a level small
+    enough (``LevelOperators.groups``).  Each row's largest absolute row sum of its inverse,
     which bounds its nodes' amplification, is kept beside it, in the
     operators' ``kept`` memo: operators the provider hands out again (one
     object for every level of a solve, or one per level for the Picard steps)

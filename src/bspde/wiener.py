@@ -15,11 +15,16 @@ by dt.
 increment with unit weight) used to run deterministic scenarios at large step
 counts, where a branching tree would be astronomically large; it does not
 satisfy the second-moment matching and must not be used with adapted data.
+
+A filtration states its own Wiener values (``states``): a level's distinct W
+rows, told apart by their bytes, and each node's row, read-only.  A tree
+keeps them once per level for every solve and audit on it; an ensemble's
+paths hold their own states, which never recur past t = 0 (``states_recur``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -31,6 +36,21 @@ from .scenario import PathHistory
 Array = np.ndarray
 
 ALLOWED_BRANCHING = (2, 3, 5)
+
+
+def _distinct_rows(w: Array) -> tuple[Array, Array]:
+    """The distinct rows of ``w`` and each row's place among them, read-only:
+    a write raises instead of changing every later read.  Rows are compared
+    by their bytes (``-0.0`` is not ``0.0``); one column is sorted as plain
+    numbers, more as records of their columns, in the same order."""
+    bits = w.view(np.uint64)
+    if bits.shape[1] == 1:
+        _, first, inverse = np.unique(bits[:, 0], return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    states, index = w[first], inverse.reshape(-1)
+    states.flags.writeable = index.flags.writeable = False
+    return states, index
 
 
 def gauss_hermite_standard(n_points: int) -> tuple[Array, Array]:
@@ -69,6 +89,9 @@ class WienerTree:
     increments: Array
     weights: Array
     levels: list[TreeLevel]
+    _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    states_recur = True  # a W value comes back at other nodes and levels
 
     @property
     def n_children(self) -> int:
@@ -106,6 +129,13 @@ class WienerTree:
             idx, child = np.divmod(idx, self.n_children)
             incs[:, lev - 1] = self.increments[child]
         return incs
+
+    def states(self, level: int) -> tuple[Array, Array]:
+        """The level's distinct W rows (s, dim_w) and each node's row, kept: the
+        sums of its increments, in the order of each ``history(...).w``."""
+        if level not in self._states:
+            self._states[level] = _distinct_rows(self.level_increments(level).sum(axis=1))
+        return self._states[level]
 
     def _by_parent(self, level: int, values) -> Array:
         """``values``, one row per node of ``level + 1``, as (n_level, C, ...)."""
@@ -206,9 +236,15 @@ class PathEnsemble:
     dt: float
     increments: Array  # (n_paths, n_steps, dim_w)
 
+    states_recur = False  # past t = 0 a path's W is its own
+
     def level_increments(self, step: int) -> Array:
         """Every path's first ``step`` increments, ``(n_paths, step, dim_w)``."""
         return self.increments[:, :step, :]
+
+    def states(self, step: int) -> tuple[Array, Array]:
+        """The paths' distinct W rows at ``step`` and each path's row, read-only."""
+        return _distinct_rows(self.level_increments(step).sum(axis=1))
 
     def select(self, paths: slice) -> "PathEnsemble":
         """The sub-ensemble of the given paths."""

@@ -21,11 +21,14 @@ from bspde import (
     backward_solve,
     build_chain,
     build_tree,
+    continuation_solve,
+    energy_audit,
     freeze_and_iterate,
     load_scenario,
     load_scenario_text,
     mixed_norm_sq,
     pair_difference,
+    positivity_check,
     sample_paths,
     solve_dense,
     solve_regression,
@@ -35,7 +38,8 @@ from bspde import (
 import bspde.errors
 import bspde.solver
 from bspde.analysis import _source_field
-from bspde.solver import _backward, _distinct_rows, _level_step, _monomial_features
+from bspde.solver import _apply, _backward, _generator, _level_step, _monomial_features
+from bspde.wiener import _distinct_rows
 from helpers import (ADAPTED_TREE_TEXT, DIVERGENCE_MARKOV_TEXT, counting,
                      declared_time_dependent, e_sup_norm_sq_reference, ensemble_history,
                      every_noise_term_solve,
@@ -1014,10 +1018,13 @@ class TestMarkovFields:
 
     @pytest.mark.parametrize("dim_w, steps, branching", [(1, 8, 3), (2, 3, 3), (1, 3, 5)])
     def test_state_keys_equal_history_w_byte_for_byte(self, dim_w, steps, branching):
+        # the provider's Markov groups are the tree's own states
         tree = build_tree(dim_w, steps, branching, 0.5)
         fields = LevelFields(markov_scenario(dim_w), tree, BASIS)
         for level in range(steps + 1):
             W, inverse = fields.groups(level, {"w"})
+            kept = tree.states(level)
+            assert W is kept[0] and inverse is kept[1]  # the tree's kept arrays
             assert len(inverse) == tree.levels[level].n_nodes
             assert len({w.tobytes() for w in W}) == len(W)  # distinct states
             for i in range(len(inverse)):
@@ -1047,8 +1054,43 @@ class TestMarkovFields:
         fields = LevelFields(markov_scenario(1), ens, BASIS)
         for step in range(ens.n_steps + 1):
             W, inverse = fields.groups(step, {"w"})
+            assert [W.tobytes(), inverse.tobytes()] == [a.tobytes() for a in ens.states(step)]
             for j in range(ens.n_paths):
                 assert W[inverse[j]].tobytes() == ensemble_history(ens, j, step).w.tobytes()
+
+    def test_states_are_found_once_per_tree_level(self, monkeypatch):
+        # every provider on a tree reads the tree's kept states: one increment
+        # sum per level for a solve and its audits, and for the Picard steps
+        calls = []
+        level_increments = bspde.wiener.WienerTree.level_increments
+        monkeypatch.setattr(bspde.wiener.WienerTree, "level_increments",
+                            lambda tree, level: calls.append(level)
+                            or level_increments(tree, level))
+        scn = load_scenario_text(ADAPTED_TREE_TEXT)[0]
+        tree = build_tree(1, 8, 3, scn.horizon)
+        sol = solve_tree(scn, tree, BASIS)
+        strong_residual(sol, scn, tree, BASIS)
+        energy_audit(sol, scn, tree, BASIS)
+        positivity_check(sol, scn, tree, BASIS)
+        assert sorted(calls) == list(range(9))
+        calls.clear()
+        continuation_solve(scn, 2, build_tree(1, 5, 3, scn.horizon), BASIS)
+        assert sorted(calls) == list(range(6))
+
+    def test_a_markov_read_that_writes_into_its_states_raises(self):
+        def phi(t, X, hist):
+            hist.w[0] = 0.0  # a write into the state it is given
+            return np.sin(X[:, 0])
+        scn = markov_scenario(1)
+        bad = scn.with_fields(phi=CoefficientField.adapted(phi, (), markov=True, t_free=True))
+        tree = build_tree(1, 3, 3, scn.horizon)
+        with pytest.raises(ValueError, match="read-only"):
+            solve_tree(bad, tree, BASIS)
+        for level in range(tree.n_steps + 1):  # every later read sees the tree's W
+            W, index = tree.states(level)
+            assert W[index].tobytes() == wiener_values(tree, level).tobytes()
+        self.assert_pairs_bit_equal(solve_tree(scn, tree, BASIS),
+                                    solve_tree(scn, build_tree(1, 3, 3, scn.horizon), BASIS))
 
     @staticmethod
     def grouped_cases():
@@ -1132,11 +1174,11 @@ class TestMarkovFields:
 
     def test_states_are_told_apart_by_bytes(self):
         w = np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, np.nextafter(1.0, 2.0)]])
-        first, inverse = _distinct_rows(w)
-        assert len(first) == 3
+        states, inverse = _distinct_rows(w)
+        assert len(states) == 3
         assert list(inverse) == [inverse[0], inverse[1], inverse[0], inverse[3]]
         assert len({inverse[0], inverse[1], inverse[3]}) == 3
-        assert all(w[first[g]].tobytes() == w[i].tobytes() for i, g in enumerate(inverse))
+        assert all(states[g].tobytes() == w[i].tobytes() for i, g in enumerate(inverse))
 
     @pytest.mark.parametrize("dim_w", [1, 2])
     def test_one_column_sorts_as_the_records_do(self, dim_w):
@@ -1147,8 +1189,84 @@ class TestMarkovFields:
         _, first, inverse = np.unique(w.view(np.uint64), axis=0, return_index=True,
                                       return_inverse=True)
         got = _distinct_rows(w)
-        assert [a.tobytes() for a in got] == [first.tobytes(), inverse.reshape(-1).tobytes()]
-        assert len({w[i].tobytes() for i in got[0]}) == len(got[0]) < len(w)
+        assert [a.tobytes() for a in got] == [w[first].tobytes(), inverse.reshape(-1).tobytes()]
+        assert len({row.tobytes() for row in got[0]}) == len(got[0]) < len(w)
+
+
+class TestStackedProduct:
+    """A level of fewer rows than nodes whose rows, gathered to its nodes, fit
+    ``_GATHER_ENTRIES`` acts in one stacked product, a larger one in one
+    product per row; either way every node gets its own row's bits."""
+
+    M = BASIS.n_modes
+    UNDER = bspde.solver._GATHER_ENTRIES // M ** 2  # the most nodes the bound takes
+
+    @staticmethod
+    def level(n, m, layout, dim_w=2, k=7):
+        """``LevelOperators`` of n nodes on k random rows in ``layout``
+        (per state: k rows; per node: each node's row, in shuffled order),
+        the same rows one per node in level order, and level data."""
+        rng = np.random.default_rng(n)
+        node = rng.integers(0, k, n)
+        node[:k] = np.arange(k)
+        L = 0.1 * rng.normal(size=(k, m, m)) - np.eye(m) * rng.uniform(1, 2, (k, 1, 1))
+        Ms = 0.1 * rng.normal(size=(k, dim_w, m, m))
+        if layout == "state":
+            ops = LevelOperators(L, Ms, node)
+        else:
+            order = rng.permutation(n)
+            ops = LevelOperators(L[node][order], Ms[node][order], np.argsort(order))
+        ref = LevelOperators(L[node], Ms[node], np.arange(n))
+        data = rng.normal(size=(n, m)), rng.normal(size=(n, dim_w, m)), rng.normal(size=(n, m))
+        return ops, ref, data
+
+    @pytest.mark.parametrize("layout", ["state", "node"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["under", "over"])
+    def test_apply_generator_and_step_are_bit_equal_per_node(self, layout, extra):
+        n = self.UNDER + extra
+        ops, ref, (p, q, f) = self.level(n, self.M, layout)
+        if layout == "state":  # one stacked product under the bound, one per row over it
+            assert len(ops.groups) == (1 if not extra else len(ops.L))
+        else:
+            assert len(ops.groups) == 1
+        got, want = (_apply(o.L, p, o.groups) for o in (ops, ref))
+        assert got.tobytes() == want.tobytes()
+        got, want = (_generator(o, p, q, f) for o in (ops, ref))
+        assert got.tobytes() == want.tobytes()
+        for theta in (1.0, 0.5):
+            got, want = (_level_step(o, p, q, f, 0.05, theta, 0) for o in (ops, ref))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["under", "over"])
+    def test_solves_one_node_off_the_bound_are_bit_equal_per_node(self, side, monkeypatch):
+        scn = load_scenario_text(ADAPTED_TREE_TEXT)[0]
+        tree = build_tree(1, 4, 3, scn.horizon)
+        n = tree.levels[3].n_nodes  # the widest level solved, one node off the bound
+        monkeypatch.setattr(bspde.solver, "_GATHER_ENTRIES", (n - side) * self.M ** 2)
+        groups = LevelFields(scn, tree, BASIS).operators(3).groups
+        assert len(groups) == 1 if side < 0 else len(groups) > 1
+        per = declared_path_dependent(scn)
+        for theta in (1.0, 0.5):
+            scheme = SchemeConfig(theta=theta)
+            TestMarkovFields.assert_pairs_bit_equal(solve_tree(scn, tree, BASIS, scheme),
+                                                    solve_tree(per, tree, BASIS, scheme))
+
+    def test_only_a_level_under_the_bound_gathers_its_rows(self):
+        import tracemalloc
+        for n in (self.UNDER, self.UNDER + 1):
+            ops, _, (p, _, _) = self.level(n, self.M, "state")
+            groups = ops.groups
+            tracemalloc.start()
+            try:
+                _apply(ops.L, p, groups)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            stack = n * self.M ** 2 * 8  # every node's row
+            if n == self.UNDER:  # the gathered rows, within the bound, and a few vectors
+                assert stack <= peak <= bspde.solver._GATHER_ENTRIES * 8 + 4 * p.nbytes
+            else:
+                assert peak < stack / 2, (peak, stack)
 
 
 @pytest.fixture

@@ -1144,18 +1144,24 @@ def test_every_public_function_and_class_is_read_by_the_package_or_the_benchmark
     assert unread_public(public, sources) == sorted(PUBLIC_UNREAD)
 
 
+def calls_outside_methods(source: str, name: str, allowed: set) -> list[int]:
+    """Line numbers of ``<name>(...)`` and ``<x>.<name>(...)`` calls outside
+    the methods that the (class, method) pairs in ``allowed`` name."""
+    tree = ast.parse(source)
+    inside = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for method in cls.body
+              if isinstance(method, ast.FunctionDef) and (cls.name, method.name) in allowed
+              for node in ast.walk(method)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and name in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None)))
+
+
 def norm_sq_calls(source: str) -> list[int]:
     """Line numbers of ``norm_sq(...)`` and ``<x>.norm_sq(...)`` calls outside
     the methods ``NORM_REDUCERS`` names."""
-    tree = ast.parse(source)
-    allowed = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-               for method in cls.body
-               if isinstance(method, ast.FunctionDef) and (cls.name, method.name) in NORM_REDUCERS
-               for node in ast.walk(method)}
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and id(node) not in allowed
-                  and "norm_sq" in (getattr(node.func, "id", None),
-                                    getattr(node.func, "attr", None)))
+    return calls_outside_methods(source, "norm_sq", NORM_REDUCERS)
 
 
 def test_detector_finds_norm_reductions_outside_the_kept_norms():
@@ -1183,3 +1189,50 @@ def test_node_norms_are_reduced_only_where_they_are_kept():
     assert package_findings(norm_sq_calls) == {}
     for module in ("space.py", "solver.py"):
         assert ".norm_sq(" in (SRC / module).read_text(encoding="utf-8")
+
+
+# a filtration states its own Wiener values and says whether they recur: the
+# engine asks it, never its type, and only a filtration's ``states`` and the
+# per-node histories of ``LevelFields.groups`` sum the increments again
+FILTRATIONS = {"WienerTree", "PathEnsemble"}
+INCREMENT_READERS = {("WienerTree", "states"), ("PathEnsemble", "states"),
+                     ("LevelFields", "groups")}
+
+
+def filtration_type_tests(source: str) -> list[int]:
+    """Line numbers of ``isinstance(x, T)`` calls whose ``T`` names a filtration."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                  and len(node.args) == 2
+                  and {getattr(n, "id", getattr(n, "attr", None))
+                       for n in ast.walk(node.args[1])} & FILTRATIONS)
+
+
+def test_detector_finds_filtration_type_tests_and_increment_reads():
+    source = (
+        "if isinstance(self.filtration, PathEnsemble):\n    pass\n"
+        "ok = isinstance(f, (wiener.WienerTree, int))\n"
+        "other = isinstance(f, SpectralBasis)\n"
+        "class WienerTree:\n"
+        "    def states(self, level):\n"
+        "        return self.level_increments(level)\n"
+        "class LevelFields:\n"
+        "    def groups(self, level):\n"
+        "        return self.filtration.level_increments(level)\n"
+        "    def level_rows(self, level):\n"
+        "        return level_increments(level)\n"
+        "incs = tree.level_increments(3)\n"
+    )
+    assert filtration_type_tests(source) == [1, 3]
+    assert calls_outside_methods(source, "level_increments", INCREMENT_READERS) == [12, 13]
+
+
+def test_the_engine_asks_the_filtration_not_its_type():
+    assert package_findings(filtration_type_tests) == {}
+
+
+def test_increments_are_summed_only_by_the_filtrations_states_and_histories():
+    # a second sum of a level's increments would find its states again
+    assert package_findings(lambda source: calls_outside_methods(
+        source, "level_increments", INCREMENT_READERS)) == {}
+    assert "level_increments(" in (SRC / "solver.py").read_text(encoding="utf-8")

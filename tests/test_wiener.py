@@ -394,3 +394,55 @@ class TestPathEnsemble:
             total += means.size
             failures += int((np.abs(means) > bound).sum())
         assert failures / total <= 1.0 - 0.9999
+
+
+class TestStates:
+    """A filtration's own Wiener values: a level's distinct W rows and each
+    node's row, the bits of every node's ``history(...).w``."""
+
+    @staticmethod
+    def checked_nodes(n):
+        # every node of a level of up to 6,561 nodes, a strided sample and the
+        # last node of a larger one
+        return range(n) if n <= 6561 else [*range(0, n, n // 4096 + 1), n - 1]
+
+    # levels 8 and up sum more than 8 increments, where numpy's sum is pairwise
+    @pytest.mark.parametrize("branching, dim_w, n_steps",
+                             [(2, 1, 10), (3, 1, 8), (5, 1, 8), (2, 2, 8), (3, 2, 5),
+                              (5, 2, 3)])
+    def test_states_equal_history_w_byte_for_byte(self, branching, dim_w, n_steps):
+        tree = build_tree(dim_w, n_steps, branching, 0.5)
+        for level in range(n_steps + 1):
+            W, index = tree.states(level)
+            assert W.shape[1:] == (dim_w,) and index.shape == (tree.levels[level].n_nodes,)
+            assert len({w.tobytes() for w in W}) == len(W) == len(set(index.tolist()))
+            for i in self.checked_nodes(len(index)):
+                assert W[index[i]].tobytes() == tree.history(level, i).w.tobytes()
+
+    def test_states_are_found_once_and_kept_read_only(self, monkeypatch):
+        tree = build_tree(1, 4, 3, 0.5)
+        calls = []
+        level_increments = bspde.wiener.WienerTree.level_increments
+        monkeypatch.setattr(bspde.wiener.WienerTree, "level_increments",
+                            lambda self, level: calls.append(level)
+                            or level_increments(self, level))
+        W, index = tree.states(3)
+        assert tree.states(3)[0] is W and tree.states(3)[1] is index and calls == [3]
+        want = (W.tobytes(), index.tobytes())
+        for a in (W, index):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert (W.tobytes(), index.tobytes()) == want
+        other = build_tree(1, 4, 3, 0.5)  # another tree finds its own
+        assert other.states(3)[0] is not W and calls == [3, 3]
+
+    def test_ensemble_states_are_each_paths_w(self):
+        ens = sample_paths(2, 6, 40, 0.5, seed=5)
+        assert not ens.states_recur and build_tree(1, 2, 2, 0.5).states_recur
+        for step in range(ens.n_steps + 1):
+            W, index = ens.states(step)
+            assert not W.flags.writeable and not index.flags.writeable
+            assert len(W) == (1 if step == 0 else ens.n_paths)
+            for j in range(ens.n_paths):
+                assert W[index[j]].tobytes() == ensemble_history(ens, j, step).w.tobytes()
