@@ -18,12 +18,12 @@ blends the second-order coefficients between their frozen and true values on
 a uniform lambda grid, warm-starting each step at the previous solution,
 which reaches coefficient families whose direct freezing iteration diverges.
 
-The initial frozen solve and every Picard step of a ``freeze_and_iterate``
-call read their fields and operators through one ``LevelFields``, made with
-``rereads`` since every step reads every level again: a t-free operator is
-assembled once per distinct Wiener state of the call, a map over fields that
-read ``t`` once per level and state, and each level's step inverse and node
-groups once, not once per step.
+Every Picard step of a ``freeze_and_iterate`` call reads every level again,
+so the call holds what it revisits: each level's operators of the frozen
+scenario and of the perturbation, each scenario read through its own
+``LevelFields``, and each level's source, as the call's first solve reads
+them.  Each level's operators are assembled, and their step inverse and node
+groups made, once per call, not once per step.
 
 The folded source enters the step at the left endpoint without theta
 splitting, so the fixed point reproduces the full tree solve exactly at
@@ -34,6 +34,7 @@ matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -113,20 +114,23 @@ def freeze_and_iterate(scenario: Scenario, freeze_point: Array, tree: WienerTree
     # own form, with its lower-order terms: the part the frozen solve leaves out
     pert = scenario.with_fields(a=_combination(-1.0, frozen.a, 1.0, scenario.a),
                                 sigma=_combination(-1.0, frozen.sigma, 1.0, scenario.sigma))
-    fields = LevelFields(frozen, tree, basis, rereads=True)
+    fields = LevelFields(frozen, tree, basis)
     terminal = fields.terminal()
+    # every step reads every level again: the call holds what the first solve reads
+    ops, pert_ops, sources = map(cache, (
+        fields.operators, LevelFields(pert, tree, basis).operators, fields.source))
 
     def folded_source(level):
         # F + L' u + sum_k M'_k v_k of the current iterate (u, v)
-        return _generator(fields.operators(level, pert), current.p.levels[level],
-                          current.q.levels[level], fields.source(level))
+        return _generator(pert_ops(level), current.p.levels[level],
+                          current.q.levels[level], sources(level))
 
     current = initial if initial is not None else backward_solve(
-        tree, basis, scheme, terminal, fields.operators, fields.source)
+        tree, basis, scheme, terminal, ops, sources)
     distances: list[float] = []
     converged = False
     for _ in range(max_iter):
-        nxt = backward_solve(tree, basis, scheme, terminal, fields.operators, folded_source)
+        nxt = backward_solve(tree, basis, scheme, terminal, ops, folded_source)
         distances.append(float(np.sqrt(mixed_norm_sq(pair_difference(nxt, current)))))
         current = nxt
         converged = distances[-1] <= tol

@@ -271,23 +271,21 @@ _CACHE_BYTES = 1 << 24  # bytes of rows one provider keeps across levels
 
 
 class _RowCache(dict):
-    """Rows of named maps, by (map name, owner id, level, state bytes), and
-    the ``LevelOperators`` that ``LevelFields.operators`` hands out again,
-    by the slot of its keep rule; the level is ``None`` for maps over t-free
-    fields.  A row is kept as a read-only copy, so a write into a row a
+    """Rows of named maps, by (map name, owner id, state bytes), the state
+    ``None`` for a level of one shared row, and the one ``LevelOperators`` of
+    a scenario whose coefficients read none of t, w and the history, by its
+    class.  A row is kept as a read-only copy, so a write into a row a
     caller was given raises instead of changing every later read.
 
     An entry holds its owner, so the id cannot name another object while the
     entry can be hit.  What would take the total past ``_CACHE_BYTES`` is
-    returned but not kept, so its map runs again at every read.  The rows of
-    maps that read ``t`` are kept only when ``rereads``, and then for every
-    level.  Beside them it keeps what each map's fields read, by (map name,
-    owner id).
+    returned but not kept, so its map runs again at every read.  Beside them
+    it keeps what each map's fields read, by (map name, owner id).
     """
 
-    def __init__(self, rereads: bool):
+    def __init__(self):
         super().__init__()
-        self.nbytes, self.rereads, self.reads = 0, rereads, {}
+        self.nbytes, self.reads = 0, {}
 
     def fits(self, nbytes: int) -> bool:
         return self.nbytes + nbytes <= _CACHE_BYTES
@@ -345,24 +343,24 @@ class LevelFields:
     maps, whose rows the provider keeps (``level_rows``) read-only and hands
     out as they are: a time-invariant L is assembled once per solve, not once
     per level.  A map over fields that read ``t`` runs once per level and
-    state, and its rows are kept only when the provider is made with
-    ``rereads``, for a caller that reads every level again (the Picard steps of
-    ``freeze_and_iterate``).  What a map's fields read is found once per map,
-    not once per read.  ``operators`` returns its rows with each node's row as
-    one ``LevelOperators``, which carries the step's inverse and its node
-    groups and is handed out again (see ``operators``); the terminal and the
-    source are expanded to every node (``level_map``).  A filtration or basis
-    made for another scenario is refused (``_check_inputs``).
+    state and keeps nothing: a caller that reads every level again holds
+    what it reads (the Picard steps of ``freeze_and_iterate``).  What a map's
+    fields read is found once per map, not once per read.  ``operators``
+    returns its rows with each node's row as one ``LevelOperators``, which
+    carries the step's inverse and its node groups (see ``operators``); the
+    terminal and the source are expanded to every node (``level_map``).  A
+    filtration or basis made for another scenario is refused
+    (``_check_inputs``).
     """
 
-    def __init__(self, scenario, filtration, basis: SpectralBasis, rereads: bool = False):
+    def __init__(self, scenario, filtration, basis: SpectralBasis):
         _check_inputs(scenario, filtration, basis)
         self.scenario = scenario
         self.filtration = filtration
         self.basis = basis
         self._level = None
         self._groups: dict = {}
-        self._rows = _RowCache(rereads)
+        self._rows = _RowCache()
 
     def select(self, rows: slice) -> "LevelFields":
         """The provider of the paths ``rows`` of an ensemble; it shares this
@@ -409,27 +407,26 @@ class LevelFields:
         ``key``, a ``(name, owner)`` pair, names the map: besides ``fields``,
         which the key fixes, ``fn`` reads only ``owner``, and it reads ``t``
         only through ``fields``.  A map over fields that read no
-        ``"history"`` keeps its rows, keyed by the bytes of ``w``, and by the
-        level when a field reads ``"t"`` (only under ``rereads``), and runs
-        once on the states it has no row for: over a solve a t-free
+        ``"history"`` or ``"t"`` keeps its rows, keyed by the bytes of ``w``,
+        and runs once on the states it has no row for: over a solve a t-free
         map reads a deterministic state once and each distinct Wiener state
-        of all levels once, and a second read of a level runs no map.  An
-        ensemble's paths each hold their own state past t = 0, which never
-        recurs, so a level of them is read afresh and not kept.  A level of
-        one kept state gets that kept, read-only row as a (1, ...) view.
-        The rows are bit-equal to those of a fresh evaluation.
+        of all levels once, and a second read of a level runs no map.  A map
+        over ``t`` or the history, and an ensemble's level past t = 0, whose
+        paths each hold their own state, which never recurs, are read afresh
+        and not kept.  A level of one kept state gets that kept, read-only
+        row as a (1, ...) view.  The rows are bit-equal to those of a fresh
+        evaluation.
         """
         reads, (name, owner) = self._rows.map_reads(key, fields), key
-        kept = None if reads else self._rows.get((name, id(owner), None, None))
+        kept = None if reads else self._rows.get((name, id(owner), None))
         if kept is not None:  # the one row of a map that reads nothing
             return kept[1][None], None
         states, index = self.groups(level, reads)
         t = level * self.filtration.dt
-        if ("history" in reads or ("t" in reads and not self._rows.rereads) or (
-                index is not None and level > 0 and not self.filtration.states_recur)):
+        if reads & {"t", "history"} or (
+                index is not None and level > 0 and not self.filtration.states_recur):
             return np.asarray(fn(t, states)), index
-        slots = [(name, id(owner), level if "t" in reads else None,
-                  None if index is None else w.tobytes()) for w in states]
+        slots = [(name, id(owner), None if index is None else w.tobytes()) for w in states]
         rows = [None if entry is None else entry[1] for entry in map(self._rows.get, slots)]
         missing = [i for i, row in enumerate(rows) if row is None]
         if missing:  # one read of every state that has no row
@@ -461,25 +458,20 @@ class LevelFields:
     def source(self, level: int) -> Array:
         return self._projected(self.scenario.F, level)
 
-    def operators(self, level: int, scenario=None) -> LevelOperators:
-        """Assembled (L, Ms) of ``scenario`` (default: the provider's own):
-        one row per group of the level and each node's row, their bytes
-        checked before the first is assembled.  The ``LevelOperators`` made
-        is handed out again, with its step memo and node groups, while it
-        and room for the step's inverse fit the byte bound: made at the first
-        level read and returned at every level when the coefficients read
-        none of ``t``, ``w`` and the history, and otherwise, under
-        ``rereads``, made once per level of the provider's filtration."""
-        scn = scenario if scenario is not None else self.scenario
-        # the keep rule: one object for every level, or one per level under rereads
-        slot = (LevelOperators, id(scn))
-        entry = self._rows.get(slot) or self._rows.get((*slot, id(self.filtration), level))
-        if entry is not None:
-            return entry[1]
-        coeffs, basis = scn.coefficient_fields(), self.basis
+    def operators(self, level: int) -> LevelOperators:
+        """Assembled (L, Ms) of the provider's scenario: one row per group of
+        the level and each node's row, their bytes checked before the first
+        is assembled.  When the coefficients read none of ``t``, ``w`` and
+        the history, the ``LevelOperators`` made at the first level read is
+        handed out at every level, with its step memo and node groups, while
+        it and room for the step's inverse fit the byte bound; any other
+        level's object is made afresh at each read."""
+        kept = self._rows.get(LevelOperators)
+        if kept is not None:
+            return kept[1]
+        scn, basis = self.scenario, self.basis
+        coeffs = scn.coefficient_fields()
         reads = self._rows.map_reads(("L", scn), coeffs.values())
-        if reads & {"t", "w", "history"}:
-            slot = (*slot, id(self.filtration), level) if self._rows.rereads else None
         rows = len(self.groups(level, reads)[0])
         # L, the M^k, and the step's I - theta dt L with its temporary
         check_bytes(rows * (3 + scn.dim_w) * basis.n_modes ** 2 * 8,
@@ -499,10 +491,10 @@ class LevelFields:
         ops = LevelOperators(L, Ms, index)
         fresh = [a for a in (L, Ms) if a.flags.writeable]  # rows no row slot keeps
         nbytes = L.nbytes + sum(a.nbytes for a in fresh)  # and the step's inverse
-        if slot is not None and self._rows.fits(nbytes):
+        if not reads & {"t", "w", "history"} and self._rows.fits(nbytes):
             for a in fresh:
                 a.flags.writeable = False
-            self._rows[slot] = ((scn, self.filtration), ops)
+            self._rows[LevelOperators] = (scn, ops)
             self._rows.nbytes += nbytes
         return ops
 
@@ -517,14 +509,14 @@ def _level_step(ops: LevelOperators, Ep, q, fhat, dt, theta, level, first_node=0
     applied to each of its nodes by ``_apply``, as L and the M^k are: a
     shared row as one matrix product over the level, other rows by one
     matvec per node, gathered into one stacked product on a level small
-    enough (``LevelOperators.groups``).  Each row's largest absolute row sum of its inverse,
-    which bounds its nodes' amplification, is kept beside it, in the
-    operators' ``kept`` memo: operators the provider hands out again (one
-    object for every level of a solve, or one per level for the Picard steps)
-    carry both from the call that made them, and the step reads them there
-    when theta and dt match and inverts nothing.  The node groups come from
-    ``LevelOperators.groups``, made once per object.  The finiteness and
-    bound tests run at every call either way.
+    enough (``LevelOperators.groups``).  Each row's largest absolute row sum
+    of its inverse, which bounds its nodes' amplification, is kept beside it,
+    in the operators' ``kept`` memo: operators handed out again (the
+    provider's one object for every level of a solve, or each level's object
+    that the Picard steps hold) carry both from the call that made them, and
+    the step reads them there when theta and dt match and inverts nothing.
+    The node groups come from ``LevelOperators.groups``, made once per
+    object.  The finiteness and bound tests run at every call either way.
 
     ``paths``, an (n, k) matrix of entries at most 1 in size, says that
     ``Ep`` and ``q`` are k rows of coefficients of n nodes' values in its

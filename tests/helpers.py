@@ -571,9 +571,9 @@ def higher_regularity_reference(scenario, tree, basis, alpha, base):
         return np.stack([node_source(t, tree.history(level, i), p, q) for i, (p, q) in
                          enumerate(zip(base.p.levels[level], base.q.levels[level]))])
 
-    fields = LevelFields(scenario, tree, basis)
-    return backward_solve(tree, basis, SchemeConfig(), D(alpha.alpha, fields.terminal()),
-                          lambda level: fields.operators(level, top_scn), source)
+    terminal = LevelFields(scenario, tree, basis).terminal()
+    return backward_solve(tree, basis, SchemeConfig(), D(alpha.alpha, terminal),
+                          LevelFields(top_scn, tree, basis).operators, source)
 
 
 def regression_reference(scenario, ensemble, basis, regression_basis_size=4,
@@ -663,9 +663,9 @@ def picard_reference(scenario, freeze_point, tree, basis, tol=1e-9, max_iter=40,
     Picard source tabulated over all levels before each step, and the
     perturbation's coefficients written as plain differences f - f0.
 
-    The package runs every step on one provider, reads the source level by
-    level and writes f - f0 as (-1) f0 + 1 f, with the same IEEE results, so
-    the two agree digit for digit.
+    The package holds each level's operators and source for the call, reads
+    the source level by level and writes f - f0 as (-1) f0 + 1 f, with the
+    same IEEE results, so the two agree digit for digit.
     """
     from bspde import (IterationReport, LevelFields, SchemeConfig, backward_solve,
                        freeze, mixed_norm_sq, pair_difference)
@@ -691,8 +691,8 @@ def picard_reference(scenario, freeze_point, tree, basis, tol=1e-9, max_iter=40,
     for _ in range(max_iter):
         pert = scenario.with_fields(a=difference(scenario.a, frozen.a),
                                     sigma=difference(scenario.sigma, frozen.sigma))
-        fields = LevelFields(scenario, tree, basis)
-        sources = [_generator(fields.operators(level, pert), current.p.levels[level],
+        fields, pert_fields = LevelFields(scenario, tree, basis), LevelFields(pert, tree, basis)
+        sources = [_generator(pert_fields.operators(level), current.p.levels[level],
                               current.q.levels[level], fields.source(level))
                    for level in range(tree.n_steps)]
         nxt = frozen_solve(sources)

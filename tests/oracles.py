@@ -428,7 +428,7 @@ def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: Spectra
         return scenario.with_fields(**{name: zero(coeffs[name].shape) for name in names})
 
     top_scn = without("b", "c", "nu")
-    terms = []  # (C(alpha, beta), the D^beta scenario, D^{alpha - beta})
+    terms = []  # (C(alpha, beta), the D^beta scenario's provider, D^{alpha - beta})
     for beta, coef in alpha.sub_indices():
         if any(beta):
             scn = scenario.with_fields(**{
@@ -438,18 +438,18 @@ def higher_regularity_solve(scenario: Scenario, tree: WienerTree, basis: Spectra
         else:  # the top order at beta = 0 is the derived operator's
             scn = without("a", "sigma")
         if not all(f.is_zero for f in scn.coefficient_fields().values()):  # else it adds 0
-            terms.append((coef, scn, partial(basis.derivative,
-                                             tuple(a - b for a, b in zip(alpha.alpha, beta)))))
+            Dg = partial(basis.derivative, tuple(a - b for a, b in zip(alpha.alpha, beta)))
+            terms.append((coef, LevelFields(scn, tree, basis), Dg))
 
     def source(level):
         p, q = base.p.levels[level], base.q.levels[level]
         out = D(fields.source(level))
-        for coef, scn, Dg in terms:
-            out = out + coef * _generator(fields.operators(level, scn), Dg(p), Dg(q), 0)
+        for coef, term, Dg in terms:
+            out = out + coef * _generator(term.operators(level), Dg(p), Dg(q), 0)
         return out
 
     derived = backward_solve(tree, basis, scheme, D(fields.terminal()),
-                             lambda level: fields.operators(level, top_scn), source)
+                             LevelFields(top_scn, tree, basis).operators, source)
 
     diff_levels = [derived.p.levels[k] - D(base.p.levels[k])
                    for k in range(len(derived.p.levels))]

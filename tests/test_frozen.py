@@ -27,7 +27,7 @@ from bspde import (
 from helpers import (DIVERGENCE_MARKOV_TEXT, assemble_L_at, assemble_M_at, make_scenario,
                      markov_scenario, picard_reference)
 from oracles import exponential_matrix, scalar_mode_exact, scalar_theta_chain, to_exponential
-from test_solver import assemblies  # noqa: F401 (a fixture)
+from test_solver import assemblies, declared_path_dependent  # noqa: F401 (a fixture)
 
 BASIS = SpectralBasis(1, 8, np.pi)
 
@@ -264,10 +264,17 @@ class TestOneProviderPerCall:
         assert len(reports) == 3 and reports == ref_reports
         self.assert_bit_equal(sol, ref)
 
-    def test_picard_steps_assemble_nothing_new(self, assemblies):
-        # t-free Markov fields: every operator of the call is assembled at the
-        # first step that meets its Wiener state, whatever the step count
-        scn = markov_scenario(1)
+    @staticmethod
+    def picard_inputs():
+        """t-free Markov fields, read once per Wiener state, and the same
+        fields read node by node."""
+        return [pytest.param(markov_scenario(1), id="markov"),
+                pytest.param(declared_path_dependent(markov_scenario(1)), id="per-node")]
+
+    @pytest.mark.parametrize("scn", picard_inputs())
+    def test_picard_steps_assemble_nothing_new(self, assemblies, scn):
+        # every operator of the call is assembled by the initial solve or the
+        # first step, whatever the step count
         tree = build_tree(1, 3, 3, scn.horizon)
         counts = []
         for max_iter in (2, 6):
@@ -278,13 +285,17 @@ class TestOneProviderPerCall:
             counts.append(len(assemblies))
         assert counts[0] == counts[1] > 0
 
-    def test_picard_steps_invert_nothing_new(self, monkeypatch):
-        # each level's operators are handed out again with their inverse: the
-        # initial solve inverts every level once, and no Picard step inverts
+    @pytest.mark.parametrize("bound", [None, 0], ids=["bounded", "nothing-kept"])
+    @pytest.mark.parametrize("scn", picard_inputs())
+    def test_picard_steps_invert_nothing_new(self, monkeypatch, scn, bound):
+        # the call holds each level's operators with their inverse, whatever
+        # the byte bound keeps: the initial solve inverts every level once,
+        # and no Picard step inverts
+        if bound is not None:
+            monkeypatch.setattr("bspde.solver._CACHE_BYTES", bound)
         inverses = []
         monkeypatch.setattr(np.linalg, "inv",
                             lambda a, _inv=np.linalg.inv: inverses.append(a.shape) or _inv(a))
-        scn = markov_scenario(1)
         tree = build_tree(1, 3, 3, scn.horizon)
         counts = []
         for max_iter in (2, 6):
@@ -294,7 +305,7 @@ class TestOneProviderPerCall:
             assert report.iterations == max_iter
             counts.append(len(inverses))
         assert counts == [tree.n_steps, tree.n_steps]
-        # a provider made without ``rereads`` keeps no per-level object
+        # the provider itself keeps no per-level object: the call holds them
         fields = LevelFields(scn, tree, BASIS)
         assert fields.operators(2) is not fields.operators(2)
         assert not any(isinstance(value, LevelOperators) for _, value in fields._rows.values())

@@ -1236,3 +1236,52 @@ def test_increments_are_summed_only_by_the_filtrations_states_and_histories():
     assert package_findings(lambda source: calls_outside_methods(
         source, "level_increments", INCREMENT_READERS)) == {}
     assert "level_increments(" in (SRC / "solver.py").read_text(encoding="utf-8")
+
+
+# a field provider keeps what recurs on its own for one scenario: a caller
+# that revisits levels, or reads a second scenario, holds that itself
+ONE_KEEP_RULE = {("LevelFields", "__init__"): ["self", "scenario", "filtration", "basis"],
+                 ("LevelFields", "operators"): ["self", "level"]}
+
+
+def method_parameters(source: str, cls: str, method: str) -> list[str] | None:
+    """Every parameter name of ``cls.method`` in ``source``, in order, with
+    ``*args`` and ``**kwargs`` starred; None when there is no such method."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == method:
+                    args = fn.args
+                    return ([a.arg for a in args.posonlyargs + args.args]
+                            + ([f"*{args.vararg.arg}"] if args.vararg else [])
+                            + [a.arg for a in args.kwonlyargs]
+                            + ([f"**{args.kwarg.arg}"] if args.kwarg else []))
+    return None
+
+
+def test_detector_lists_method_parameters():
+    source = (
+        "class LevelFields:\n"
+        "    def __init__(self, scenario, filtration, basis, rereads=False):\n"
+        "        pass\n"
+        "    def operators(self, level, *rest, scenario=None, **kw):\n"
+        "        pass\n"
+        "def operators(level):\n    pass\n"
+    )
+    assert method_parameters(source, "LevelFields", "__init__") == [
+        "self", "scenario", "filtration", "basis", "rereads"]
+    assert method_parameters(source, "LevelFields", "operators") == [
+        "self", "level", "*rest", "scenario", "**kw"]
+    assert method_parameters(source, "LevelFields", "groups") is None
+    assert method_parameters(source, "Other", "operators") is None
+
+
+def test_a_field_provider_has_one_keep_rule_for_one_scenario():
+    # a second keep policy (per-level slots for a caller that reads every
+    # level again) or a second scenario per provider would state the keep
+    # rule twice
+    assert package_findings(lambda source: [
+        n for n, line in enumerate(source.splitlines(), 1) if "rereads" in line]) == {}
+    solver = (SRC / "solver.py").read_text(encoding="utf-8")
+    for (cls, method), params in ONE_KEEP_RULE.items():
+        assert method_parameters(solver, cls, method) == params
